@@ -5,15 +5,13 @@
 //! re-parses each template file, then round-trips the rendered text through
 //! the YAML parser and object decoder. "Compiled" replays the cached
 //! [`CompiledChart`] ASTs (action-free files are pre-decoded at compile
-//! time). "Cached" is what the census pipeline actually does on a repeat
-//! render of the same `(app, release)` — a [`CensusPipeline::render_app`]
-//! hit. All three produce byte-identical `RenderedRelease`s — asserted at
-//! setup — so the timings are an apples-to-apples measure of the speedups
+//! time). Both produce byte-identical `RenderedRelease`s — asserted at
+//! setup — so the timings are an apples-to-apples measure of the speedup
 //! recorded in `BENCH_render.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ij_chart::{CompiledChart, Release};
-use ij_datasets::{build_app, corpus, BuiltApp, CensusPipeline};
+use ij_datasets::{build_app, corpus, BuiltApp};
 use std::hint::black_box;
 
 fn bench_render_pipeline(c: &mut Criterion) {
@@ -29,21 +27,13 @@ fn bench_render_pipeline(c: &mut Criterion) {
             .iter()
             .map(|b| b.compiled().expect("corpus charts compile").clone())
             .collect();
-        let pipeline = CensusPipeline::builder().build();
         for ((built, release), compiled) in builts.iter().zip(&releases).zip(&compiled) {
             let naive = built.chart().render(release).expect("naive render");
             let replay = compiled.render(release).expect("compiled render");
-            let cached = pipeline.render_app(built, release).expect("cached render");
             assert_eq!(
                 format!("{naive:#?}"),
                 format!("{replay:#?}"),
                 "{label}: compiled render diverged for {}",
-                built.spec.name
-            );
-            assert_eq!(
-                format!("{replay:#?}"),
-                format!("{:#?}", *cached),
-                "{label}: cached render diverged for {}",
                 built.spec.name
             );
         }
@@ -64,17 +54,6 @@ fn bench_render_pipeline(c: &mut Criterion) {
                 let mut objects = 0usize;
                 for (compiled, release) in compiled.iter().zip(&releases) {
                     objects += black_box(compiled.render(release).expect("renders"))
-                        .objects
-                        .len();
-                }
-                objects
-            })
-        });
-        c.bench_function(&format!("render_cached_{label}"), |b| {
-            b.iter(|| {
-                let mut objects = 0usize;
-                for (built, release) in builts.iter().zip(&releases) {
-                    objects += black_box(pipeline.render_app(built, release).expect("renders"))
                         .objects
                         .len();
                 }

@@ -28,11 +28,6 @@ fn main() {
     let threads: usize = args
         .next()
         .map_or(1, |a| a.parse().unwrap_or_else(|_| usage()));
-    // `owned` re-registers the M4* global rule as a custom (non-builtin)
-    // entry: byte-identical findings, but the pipeline must take the
-    // materializing owned-string path — the pre-flat-memory cost model,
-    // kept measurable for the BENCH_corpus.json comparison row.
-    let owned = args.next().as_deref() == Some("owned");
 
     let generator = CorpusGenerator::new(
         CorpusProfile::named("baseline")
@@ -52,22 +47,12 @@ fn main() {
     );
 
     let timings = Arc::new(PhaseTimings::default());
-    let mut builder = CensusPipeline::builder()
+    let start = Instant::now();
+    let census = CensusPipeline::builder()
         .seed(7)
         .shards(shards)
         .threads(threads)
-        .timings(Arc::clone(&timings));
-    if owned {
-        let mut analyzer = ij_core::Analyzer::hybrid();
-        analyzer.registry.register_global_rule(
-            "m4star",
-            &[ij_core::MisconfigId::M4Star],
-            ij_core::m4_global_collisions,
-        );
-        builder = builder.analyzer(analyzer);
-    }
-    let start = Instant::now();
-    let census = builder
+        .timings(Arc::clone(&timings))
         .build()
         .run_generated_compact(&generator)
         .expect("generated corpus renders and installs");
@@ -100,6 +85,6 @@ fn main() {
 }
 
 fn usage() -> ! {
-    eprintln!("usage: rss_census <apps> [shards] [threads] [owned]");
+    eprintln!("usage: rss_census <apps> [shards] [threads]");
     std::process::exit(2);
 }

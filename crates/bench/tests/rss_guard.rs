@@ -2,11 +2,11 @@
 //!
 //! Runs the 25,000-app generated census in-process and asserts the process
 //! peak RSS (`VmHWM`) stays under a calibrated ceiling. The measured peak
-//! on the reference machine is ~65 MB; the materializing owned-string path
-//! peaks at ~365 MB on the same population (see `BENCH_corpus.json`), so a
-//! 200 MB ceiling gives ~3× headroom against measurement noise while still
-//! failing loudly if the census ever goes back to materializing specs or
-//! owned reports.
+//! on the reference machine is ~65 MB; the since-removed materializing
+//! owned-string path peaked at ~365 MB on the same population (see
+//! `BENCH_corpus.json`), so a 200 MB ceiling gives ~3× headroom against
+//! measurement noise while still failing loudly if the census ever goes
+//! back to materializing specs or owned reports.
 //!
 //! Debug builds are skipped (unoptimized structures and the slow census
 //! would make the bound meaningless and the test minutes-long); CI runs

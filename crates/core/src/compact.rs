@@ -183,17 +183,6 @@ impl CompactCensus {
         CompactCensus { table, apps }
     }
 
-    /// Interns an owned census.
-    pub fn intern(census: &Census) -> Self {
-        let mut table = SymbolTable::new();
-        let apps = census
-            .apps
-            .iter()
-            .map(|a| CompactAppReport::intern(a, &mut table))
-            .collect();
-        CompactCensus { table, apps }
-    }
-
     /// The backing symbol table.
     pub fn table(&self) -> &SymbolTable {
         &self.table

@@ -136,7 +136,7 @@ impl Analyzer {
 
     /// The cluster-wide pass (§4.2.1): after every application has been
     /// analyzed individually, check labels and selectors *across*
-    /// applications — the registry's global rules (M4\* collisions).
+    /// applications — the registry's global M4\* collision rule.
     pub fn analyze_global(&self, apps: &[(String, StaticModel)]) -> Vec<Finding> {
         if !self.options.static_rules {
             return Vec::new();

@@ -67,7 +67,7 @@
 //! than a hardcoded call list: every rule of Table 1 is a named entry
 //! ([`RuleRegistry::standard`] registers `m1`–`m7` plus the cluster-wide
 //! `m4star`), individually enable/disable-able for per-rule ablations, and
-//! custom rules can be registered next to the built-in ones:
+//! custom application rules can be registered next to the built-in ones:
 //!
 //! ```
 //! use ij_core::Analyzer;
@@ -98,9 +98,7 @@ pub use engine::{chart_defines_network_policies, Analyzer, AnalyzerOptions};
 pub use finding::{sort_canonical, Finding, MisconfigId, Severity};
 pub use lang::{CompiledRule, LangError, RulePack, TraceAtom, BUILTIN_PACK_SOURCE};
 pub use model::{ComputeUnit, StaticModel};
-pub use registry::{
-    AppRule, GlobalRule, RuleEntry, RuleOrigin, RuleRegistry, RuleScope, UnknownRule,
-};
+pub use registry::{AppRule, RuleEntry, RuleOrigin, RuleRegistry, RuleScope, UnknownRule};
 pub use report::{AppReport, Census, ConcentrationStats, DatasetRow};
 pub use rules::{m4_global_collisions, RuleContext};
 pub use symtab::{Sym, SymbolTable};

@@ -4,15 +4,18 @@
 //! The [`crate::Analyzer`] used to call each rule function in a hardcoded
 //! list; it now iterates a [`RuleRegistry`] instead. That makes per-rule
 //! ablations a one-liner (`analyzer.registry.disable("m7")`) and lets
-//! downstream users register custom rules next to the built-in ones without
-//! touching the engine.
+//! downstream users register custom application rules next to the built-in
+//! ones without touching the engine.
 //!
 //! Three rule shapes exist:
 //!
 //! * **application rules** run once per application over a [`RuleContext`]
 //!   (static model + optional runtime report);
-//! * **global rules** run once per census over the static models of every
-//!   application destined for the same cluster (the M4\* pass);
+//! * the one **global rule**, the built-in M4\* pass, runs once per census
+//!   over the static models of every application destined for the same
+//!   cluster; it is not an extension point, because the corpus census drives
+//!   the same check through the interned [`crate::m4_global_collisions_compact`]
+//!   kernel;
 //! * **pack rules** are application rules expressed in the rule language
 //!   ([`crate::lang`]) and compiled at load time — same gating, same
 //!   evaluation slot, declarative body.
@@ -70,7 +73,7 @@ impl RuleOrigin {
 pub type AppRule = for<'a> fn(&RuleContext<'a>) -> Vec<Finding>;
 
 /// A census-scoped rule: evaluated once over every application's statics.
-pub type GlobalRule = fn(&[(String, StaticModel)]) -> Vec<Finding>;
+type GlobalRule = fn(&[(String, StaticModel)]) -> Vec<Finding>;
 
 #[derive(Clone)]
 enum RuleBody {
@@ -110,9 +113,6 @@ pub struct RuleEntry {
     scope: RuleScope,
     body: RuleBody,
     enabled: bool,
-    /// Set only by [`RuleRegistry::standard`] on the built-in M4\* entry;
-    /// any re-registration clears it. See [`RuleEntry::is_builtin_m4star`].
-    builtin_global: bool,
 }
 
 impl RuleEntry {
@@ -141,17 +141,6 @@ impl RuleEntry {
     /// True for census-scoped (cluster-wide) rules.
     pub fn is_global(&self) -> bool {
         matches!(self.body, RuleBody::Global(_))
-    }
-
-    /// True for the built-in cluster-wide M4\* entry exactly as
-    /// [`RuleRegistry::standard`] registered it. The streamed corpus census
-    /// uses this to know it may drive the interned
-    /// [`crate::m4_global_collisions_compact`] pass directly (byte-identical
-    /// to the entry's own body) instead of materializing every static model;
-    /// re-registering any global rule — even one wrapping the same function —
-    /// clears the marker and forces the materializing path.
-    pub fn is_builtin_m4star(&self) -> bool {
-        self.builtin_global
     }
 
     /// Native Rust or pack-loaded.
@@ -283,12 +272,6 @@ impl RuleRegistry {
         );
         reg.register_app_rule("m7", &[M::M7], RuleScope::Static, rules::m7_host_network);
         reg.register_global_rule("m4star", &[M::M4Star], rules::m4_global_collisions);
-        let star = reg
-            .entries
-            .iter_mut()
-            .find(|e| e.name == "m4star")
-            .expect("just registered");
-        star.builtin_global = true;
         reg
     }
 
@@ -306,13 +289,12 @@ impl RuleRegistry {
             scope,
             body: RuleBody::App(rule),
             enabled: true,
-            builtin_global: false,
         })
     }
 
     /// Registers (or replaces) a census-scoped rule. Global rules always
     /// consume static evidence only, so their scope is [`RuleScope::Static`].
-    pub fn register_global_rule(
+    fn register_global_rule(
         &mut self,
         name: &'static str,
         classes: &'static [MisconfigId],
@@ -324,7 +306,6 @@ impl RuleRegistry {
             scope: RuleScope::Static,
             body: RuleBody::Global(rule),
             enabled: true,
-            builtin_global: false,
         })
     }
 
@@ -338,7 +319,6 @@ impl RuleRegistry {
             scope: rule.evidence(),
             body: RuleBody::Pack(rule),
             enabled: true,
-            builtin_global: false,
         })
     }
 

@@ -27,9 +27,11 @@
 //! registry ablations), worker-thread count, and an optional progress
 //! observer; `run` executes baseline → install → double-pass probe → rule
 //! evaluation → cluster-wide pass and returns a typed [`CensusError`]
-//! instead of panicking when a chart fails to render or install. The
-//! parallel path is deterministic: a `threads(n)` census is byte-identical
-//! to the sequential run for every `n`.
+//! instead of panicking when a chart fails to render or install. One
+//! engine runs every census, from a slice of specs (`run`) or a streamed
+//! [`CorpusGenerator`] (`run_generated`, `run_generated_compact`), and is
+//! deterministic: the census is byte-identical for every
+//! `(threads, shards)` combination.
 //!
 //! ```
 //! use ij_datasets::{corpus, CensusPipeline, Org};
@@ -43,19 +45,6 @@
 //!     .expect("the synthetic corpus renders and installs");
 //! assert_eq!(census.apps.len(), eea.len());
 //! ```
-//!
-//! ### Migration notes
-//!
-//! The original free functions survive as thin sequential wrappers over the
-//! pipeline, now returning `Result<_, CensusError>` instead of panicking:
-//!
-//! * [`analyze_one`] ≡ `CensusPipeline::builder().options(opts).build().analyze_one(built)`
-//! * [`run_census`] ≡ `…build().run(specs)`
-//! * [`policy_impact`] ≡ `…build().policy_impact(specs)`
-//!
-//! Callers that previously relied on the panic can `.expect()` the result;
-//! callers that want parallelism, progress reporting, or rule ablations
-//! should move to the builder.
 
 mod builder;
 mod conform;
@@ -83,9 +72,6 @@ pub use pipeline::{
 };
 pub use poc::{concourse_behaviors, concourse_chart, thanos_behaviors, thanos_chart};
 pub use representative::representative_charts;
-pub use runner::{
-    analyze_one, policy_impact, run_census, run_generated_census, AppAnalysis, CorpusOptions,
-    PolicyImpact,
-};
+pub use runner::{AppAnalysis, CorpusOptions, PolicyImpact};
 pub use score::{score_app, score_corpus, ClassScore, ScoreReport};
 pub use spec::{AppSpec, NetpolSpec, Org, Plan, UseCase};

@@ -19,25 +19,25 @@
 //! assert_eq!(census.apps.len(), specs.len());
 //! ```
 //!
-//! Determinism: every application owns its seed (derived from the base
-//! seed and its name) and its own fresh cluster, so per-app analyses are
-//! independent. The worker pool hands indices out through an atomic
-//! counter, streams results back over the vendored crossbeam channel, and
-//! the collector slots them by index — a `threads(4)` census is therefore
-//! byte-identical to the sequential run (enforced by `tests/smoke.rs` and
-//! `tests/determinism.rs`).
+//! One engine runs every census, whether the specs come from a slice or a
+//! [`CorpusGenerator`]: workers claim spec indices from an atomic counter,
+//! analyze each app in its own fresh cluster, and intern the report into
+//! the shard that owns the index; a spec-order merge then builds one
+//! [`CompactCensus`] and runs the interned M4\* pass. Every application owns
+//! its seed (derived from the base seed and its name), so the result is
+//! byte-identical for every `(threads, shards)` combination (enforced by
+//! `tests/smoke.rs`, `tests/determinism.rs` and `tests/sharded_census.rs`).
 
 use crate::builder::{build_app, BuiltApp};
 use crate::gen::CorpusGenerator;
 use crate::runner::{AppAnalysis, CorpusOptions, PolicyImpact};
 use crate::spec::AppSpec;
-use ij_chart::{CompiledChart, Release, RenderScratch, RenderedRelease};
+use ij_chart::{Release, RenderScratch};
 use ij_cluster::{Cluster, ClusterConfig, InstallError};
 use ij_core::{
-    chart_defines_network_policies, m4_global_collisions_compact, sort_canonical,
-    sort_canonical_compact, Analyzer, AppReport, Census, CompactAppReport, CompactCensus,
-    CompactFinding, GlobalAppModel, RuleEntry, RulePack, StaticModel, Sym, SymbolTable,
-    UnknownRule,
+    chart_defines_network_policies, m4_global_collisions_compact, sort_canonical_compact, Analyzer,
+    Census, CompactAppReport, CompactCensus, CompactFinding, GlobalAppModel, RulePack, StaticModel,
+    Sym, SymbolTable, UnknownRule,
 };
 use ij_model::{Container, Object, ObjectMeta, Pod, PodSpec};
 use ij_probe::{HostBaseline, ProbeConfig, ReachMatrix, RuntimeAnalyzer};
@@ -70,7 +70,7 @@ pub enum CensusError {
     },
     /// The analysis could not produce a result for the application — a
     /// panic inside the probe or rule evaluation (e.g. from a custom
-    /// registry rule) caught by the worker pool.
+    /// registry rule) caught by the worker loop.
     Probe {
         /// Application whose probe failed.
         app: String,
@@ -201,10 +201,9 @@ fn record_local(slot: &mut u64, start: Option<Instant>) {
 /// One [`PhaseTimings`] reading: summed wall time per census phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PhaseReport {
-    /// Spec → chart construction (`build_app`), including template
-    /// compilation on the streamed path.
+    /// Spec → chart construction (`build_app`).
     pub build: Duration,
-    /// Chart rendering (cache hits included, at their observed cost).
+    /// Template compilation and rendering into the worker's object buffer.
     pub render: Duration,
     /// Cluster construction and object installation.
     pub install: Duration,
@@ -243,47 +242,9 @@ impl WorkerScratch {
     }
 }
 
-/// A built app held by value or through the build cache, so `analyze_spec`
-/// times `build_app` uniformly on both paths. The owned variant stays
-/// unboxed on purpose: the value lives for one stack frame and the
-/// streamed census takes this path once per app, so the indirection would
-/// be a per-app heap allocation with nothing amortizing it.
-#[allow(clippy::large_enum_variant)]
-enum BuiltRef {
-    Shared(Arc<BuiltApp>),
-    Owned(BuiltApp),
-}
-
-impl BuiltRef {
-    fn as_ref(&self) -> &BuiltApp {
-        match self {
-            BuiltRef::Shared(b) => b,
-            BuiltRef::Owned(b) => b,
-        }
-    }
-}
-
-/// Per-pipeline memoization: built apps keyed by their spec, and rendered
-/// releases keyed by compiled-chart identity plus release fingerprint. Both
-/// are semantically transparent (`build_app` and rendering are pure
-/// functions), so hits change wall-clock only — byte-identity of the census
-/// is enforced by the determinism suites.
-#[derive(Default)]
-struct PipelineCaches {
-    builds: Mutex<HashMap<String, Arc<BuiltApp>>>,
-    renders: Mutex<HashMap<RenderKey, CachedRender>>,
-}
-
-/// Compiled-chart identity plus release fingerprint.
-type RenderKey = (usize, String);
-
-/// The cached render keeps a compiled-chart handle alive so the
-/// pointer-based identity key can never be reused by a later compilation.
-type CachedRender = (CompiledChart, Arc<RenderedRelease>);
-
 /// Converts a caught worker panic (e.g. from a custom registry rule) into
-/// the deterministic [`CensusError::Probe`] the sequential path would have
-/// surfaced, so no worker ever unwinds through `std::thread::scope`.
+/// a deterministic [`CensusError::Probe`], so no panic ever unwinds out of
+/// a census, whatever the thread count.
 fn panic_probe_error(app: &str, payload: Box<dyn std::any::Any + Send>) -> CensusError {
     let message = payload
         .downcast_ref::<&str>()
@@ -294,14 +255,6 @@ fn panic_probe_error(app: &str, payload: Box<dyn std::any::Any + Send>) -> Censu
         app: app.to_string(),
         message: format!("analysis panicked: {message}"),
     }
-}
-
-/// The cache key half describing a release: everything `render` reads.
-fn release_fingerprint(release: &Release) -> String {
-    format!(
-        "{}\u{1}{}\u{1}{:?}",
-        release.name, release.namespace, release.overrides
-    )
 }
 
 /// Where a run's specifications come from: a caller-owned slice, or a
@@ -328,20 +281,11 @@ impl<'a> SpecSource<'a> {
             SpecSource::Generator(generator) => Cow::Owned(generator.spec(index)),
         }
     }
-
-    /// Slice runs memoize builds and renders so a census and a following
-    /// policy-impact pass share one compiled chart per app. Generated runs
-    /// analyze each app exactly once, so caching would only pin every
-    /// compiled chart and rendered release in memory for no reuse.
-    fn cache(&self) -> bool {
-        matches!(self, SpecSource::Slice(_))
-    }
 }
 
-/// One partition of the streamed compact census: a shard-local symbol
-/// table plus an index-slotted store for the apps the shard owns. Workers
-/// lock a shard only for the (cheap) interning step, never for the
-/// analysis itself.
+/// One partition of a census: a shard-local symbol table plus an
+/// index-slotted store for the apps the shard owns. Workers lock a shard
+/// only for the (cheap) interning step, never for the analysis itself.
 struct ShardState {
     table: SymbolTable,
     slots: Vec<Option<ShardSlot>>,
@@ -367,8 +311,8 @@ pub struct CensusPipelineBuilder {
 }
 
 impl CensusPipelineBuilder {
-    /// Replaces the whole option block at once (the migration path from
-    /// code that already owns a [`CorpusOptions`]).
+    /// Replaces the whole option block at once, for callers that already
+    /// own a [`CorpusOptions`].
     pub fn options(mut self, opts: CorpusOptions) -> Self {
         self.opts = opts;
         self
@@ -417,8 +361,7 @@ impl CensusPipelineBuilder {
         self
     }
 
-    /// Number of independent partitions the streamed generated census
-    /// ([`CensusPipeline::run_generated_compact`]) accumulates into. Each
+    /// Number of independent partitions a census accumulates into. Each
     /// shard owns its own symbol table; a deterministic symbol-remapping
     /// reduce merges them in spec order, so — exactly like
     /// [`threads`](Self::threads) — the census is byte-identical for every
@@ -452,7 +395,6 @@ impl CensusPipelineBuilder {
             shards: self.shards,
             observer: self.observer,
             timings: self.timings,
-            caches: Arc::default(),
         }
     }
 }
@@ -487,8 +429,6 @@ pub struct CensusPipeline {
     shards: usize,
     observer: Option<CensusObserver>,
     timings: Option<Arc<PhaseTimings>>,
-    // Clones share the caches: a cloned pipeline is the same run.
-    caches: Arc<PipelineCaches>,
 }
 
 impl fmt::Debug for CensusPipeline {
@@ -518,40 +458,34 @@ impl CensusPipeline {
         self.threads.max(1)
     }
 
-    /// The number of streamed-census partitions (≥ 1).
+    /// The number of census partitions (≥ 1).
     pub fn shards(&self) -> usize {
         self.shards.max(1)
     }
 
     /// Installs one built application into a fresh cluster and analyzes it,
     /// following §4.2: baseline → install → double-pass runtime analysis →
-    /// rule evaluation. Rendering goes through the compiled chart and the
-    /// pipeline's render cache, so re-analyzing an app (or following a
-    /// census with [`policy_impact`](Self::policy_impact)) never re-parses
-    /// or re-renders what this pipeline already produced.
+    /// rule evaluation.
     pub fn analyze_one(&self, built: &BuiltApp) -> Result<AppAnalysis, CensusError> {
         let mut scratch = WorkerScratch::default();
-        let result = self.analyze_built(built, true, &mut scratch);
-        scratch.flush(self.timings.as_deref());
+        let result = self.analyze_built(built, &mut scratch);
+        self.flush_scratch(&mut scratch);
         result
     }
 
-    /// [`analyze_one`](Self::analyze_one) with the render cache optional:
-    /// generated (streamed) runs render each app exactly once, so caching
-    /// the release would only pin it in memory — they render straight into
-    /// the worker's staging vec instead, so no `RenderedRelease` (or its
-    /// object vec) is allocated at all.
+    /// [`analyze_one`](Self::analyze_one) on a worker's scratch: the chart
+    /// renders straight into the staging vec, so no `RenderedRelease` (or
+    /// its object vec) is allocated per app.
     fn analyze_built(
         &self,
         built: &BuiltApp,
-        cache: bool,
         scratch: &mut WorkerScratch,
     ) -> Result<AppAnalysis, CensusError> {
         let opts = &self.opts;
         let app = &built.spec.name;
         let timed = self.timings.is_some();
         let WorkerScratch {
-            objects: staged,
+            objects,
             render: render_scratch,
             timings: local,
         } = scratch;
@@ -570,19 +504,12 @@ impl CensusPipeline {
             app: app.clone(),
             source,
         };
-        // `objects` borrows either the cached release or the scratch vec.
-        let cached;
-        let objects: &[Object] = if cache {
-            cached = self.render_app(built, &release)?;
-            &cached.objects
-        } else {
-            let compiled = built.compiled().map_err(render_err)?;
-            staged.clear();
-            compiled
-                .render_objects_into(&release, render_scratch, staged)
-                .map_err(render_err)?;
-            staged
-        };
+        let compiled = built.compiled().map_err(render_err)?;
+        objects.clear();
+        compiled
+            .render_objects_into(&release, render_scratch, objects)
+            .map_err(render_err)?;
+        let objects: &[Object] = objects;
         record_local(&mut local.render, start);
 
         start = timed.then(Instant::now);
@@ -621,116 +548,46 @@ impl CensusPipeline {
         Ok(analysis)
     }
 
-    /// Renders `built` for `release` through the compiled chart, memoized
-    /// per `(compiled chart, release)` for the life of this pipeline (and
-    /// its clones). The first call compiles and renders; replays are a
-    /// shared handle. Semantically identical to `built.chart().render`.
-    pub fn render_app(
-        &self,
-        built: &BuiltApp,
-        release: &Release,
-    ) -> Result<Arc<RenderedRelease>, CensusError> {
-        let render_err = |source| CensusError::Render {
-            app: built.spec.name.clone(),
-            source,
-        };
-        let compiled = built.compiled().map_err(render_err)?;
-        let key = (compiled.instance_key(), release_fingerprint(release));
-        if let Some((_, hit)) = self.caches.renders.lock().expect("render cache").get(&key) {
-            return Ok(Arc::clone(hit));
-        }
-        let rendered = Arc::new(compiled.render(release).map_err(render_err)?);
-        self.caches
-            .renders
-            .lock()
-            .expect("render cache")
-            .entry(key)
-            .or_insert_with(|| (compiled.clone(), Arc::clone(&rendered)));
-        Ok(rendered)
-    }
-
-    /// The built (chart + behaviours) form of `spec`, memoized per spec for
-    /// the life of this pipeline so census and policy-impact passes share
-    /// one compiled chart per application.
-    fn built_for(&self, spec: &AppSpec) -> Arc<BuiltApp> {
-        let key = format!("{spec:?}");
-        if let Some(hit) = self.caches.builds.lock().expect("build cache").get(&key) {
-            return Arc::clone(hit);
-        }
-        // Built outside the lock: a racing worker may build the same app
-        // twice, but every worker ends up sharing whichever insert won.
-        let built = Arc::new(build_app(spec));
-        Arc::clone(
-            self.caches
-                .builds
-                .lock()
-                .expect("build cache")
-                .entry(key)
-                .or_insert(built),
-        )
-    }
-
     /// Runs the full evaluation over a set of specifications: every
     /// application in its own cluster (in parallel when
     /// [`threads`](CensusPipelineBuilder::threads) > 1), then the
     /// cluster-wide M4\* pass, producing the census behind Table 2 and
-    /// Figures 3–4.
+    /// Figures 3–4. The census engine's compact result, resolved.
     pub fn run(&self, specs: &[AppSpec]) -> Result<Census, CensusError> {
-        self.run_source(SpecSource::Slice(specs))
+        Ok(self.run_compact(SpecSource::Slice(specs))?.resolve())
     }
 
     /// [`run`](Self::run) over a procedural population: each worker asks
     /// the generator for spec `i` as it claims the index, so the population
-    /// is **streamed** — no `Vec<AppSpec>` of the whole corpus ever exists,
-    /// and neither the build nor the render cache retains the generated
-    /// charts. Byte-identical across thread and shard counts, exactly like
-    /// `run`. This is [`run_generated_compact`](Self::run_generated_compact)
-    /// plus a final materialization; corpus-scale callers should stay on
-    /// the compact form and render from it lazily.
+    /// is **streamed** — no `Vec<AppSpec>` of the whole corpus ever exists.
+    /// This is [`run_generated_compact`](Self::run_generated_compact) plus
+    /// a final materialization; corpus-scale callers should stay on the
+    /// compact form and render from it lazily.
     pub fn run_generated(&self, generator: &CorpusGenerator) -> Result<Census, CensusError> {
         Ok(self.run_generated_compact(generator)?.resolve())
     }
 
-    /// True when the registry's cluster-wide pass can be driven through the
-    /// interned [`m4_global_collisions_compact`] kernel: either no global
-    /// rule will run, or every enabled global entry is the built-in M4\*
-    /// (whose body is that kernel behind a string adapter). A custom global
-    /// rule needs real `StaticModel`s, so the streamed path falls back to
-    /// the materializing pipeline for it.
-    fn compact_global_capable(&self) -> bool {
-        !self.opts.analyzer.options.static_rules
-            || self
-                .opts
-                .analyzer
-                .registry
-                .entries()
-                .iter()
-                .filter(|e| e.is_enabled() && e.is_global())
-                .all(RuleEntry::is_builtin_m4star)
-    }
-
-    /// The flat-memory generated census: streams every spec through the
-    /// per-app analysis exactly like [`run_generated`](Self::run_generated),
-    /// but interns each report into one of
-    /// [`shards`](CensusPipelineBuilder::shards) partition-local symbol
-    /// tables as it completes, keeping only [`CompactAppReport`]s plus (when
-    /// the cluster-wide pass will run) [`GlobalAppModel`]s — never a
-    /// materialized `Vec<AppSpec>`, `Vec<StaticModel>`, or owned-`String`
-    /// census. Shards are merged by a deterministic symbol-remapping reduce
-    /// in spec order, then the interned M4\* pass runs over the merged
-    /// table, so the result is byte-identical across every
-    /// `(shards, threads)` combination.
+    /// The flat-memory generated census: streams every spec of `generator`
+    /// through the census engine and keeps only interned
+    /// [`CompactAppReport`]s — never a materialized `Vec<AppSpec>`,
+    /// `Vec<StaticModel>`, or owned-`String` census.
     pub fn run_generated_compact(
         &self,
         generator: &CorpusGenerator,
     ) -> Result<CompactCensus, CensusError> {
-        if !self.compact_global_capable() {
-            // A custom global rule consumes full static models: run the
-            // materializing path and intern its census after the fact.
-            let census = self.run_source(SpecSource::Generator(generator))?;
-            return Ok(CompactCensus::intern(&census));
-        }
-        let total = generator.len();
+        self.run_compact(SpecSource::Generator(generator))
+    }
+
+    /// The census engine behind every `run*` entry point. Analyzes each spec
+    /// of `source` and interns the report into one of
+    /// [`shards`](CensusPipelineBuilder::shards) partition-local symbol
+    /// tables, together with the app's [`GlobalAppModel`] when the
+    /// cluster-wide pass will run. Shards are merged by a deterministic
+    /// symbol-remapping reduce in spec order, then the interned M4\* pass
+    /// runs over the merged table, so the result is byte-identical across
+    /// every `(shards, threads)` combination.
+    fn run_compact(&self, source: SpecSource<'_>) -> Result<CompactCensus, CensusError> {
+        let total = source.len();
         let shard_count = self.shards().min(total.max(1));
         let need_global = self.opts.analyzer.options.static_rules
             && self
@@ -762,7 +619,7 @@ impl CensusPipeline {
         // is held only for the interning, not the analysis.
         let analyze_into_shard =
             |i: usize, spec: &AppSpec, scratch: &mut WorkerScratch| -> Result<(), CensusError> {
-                let analysis = self.analyze_spec(spec, false, scratch)?;
+                let analysis = self.analyze_spec(spec, scratch)?;
                 let s = shard_of(i);
                 let mut state = shards[s].lock().expect("shard state");
                 let ShardState { table, slots } = &mut *state;
@@ -783,86 +640,91 @@ impl CensusPipeline {
             };
 
         let workers = self.threads().min(total.max(1));
-        if workers <= 1 {
+        self.for_each_spec(source, workers, analyze_into_shard)?;
+        self.merge_shards(shards, &bounds, need_global, workers <= 1, source)
+    }
+
+    /// The worker loop: `workers` loops claim spec indices in order from one
+    /// atomic counter and run `analyze` on each, stopping at the first
+    /// failure (a caught panic counts as one). One worker runs inline; more
+    /// run on scoped threads while the calling thread drains their results
+    /// and calls the observer. In-flight analyses still complete after a
+    /// failure, so every index below it is analyzed and the minimum-index
+    /// error — the one a sequential run hits — is returned.
+    fn for_each_spec<F>(
+        &self,
+        source: SpecSource<'_>,
+        workers: usize,
+        analyze: F,
+    ) -> Result<(), CensusError>
+    where
+        F: Fn(usize, &AppSpec, &mut WorkerScratch) -> Result<(), CensusError> + Sync,
+    {
+        let total = source.len();
+        let next = AtomicUsize::new(0);
+        let failed = AtomicBool::new(false);
+        // Reports each outcome (the app name on success) through `report`,
+        // which returns false when nobody is listening any more.
+        let work = |report: &mut dyn FnMut(usize, Result<String, CensusError>) -> bool| {
             let mut scratch = WorkerScratch::default();
-            for i in 0..total {
-                let spec = generator.spec(i);
-                let result = analyze_into_shard(i, &spec, &mut scratch);
-                if result.is_err() {
-                    self.flush_scratch(&mut scratch);
-                    result?;
+            while !failed.load(Ordering::SeqCst) {
+                let i = next.fetch_add(1, Ordering::SeqCst);
+                if i >= total {
+                    break;
                 }
-                self.notify(&spec.name, i + 1, total);
+                let spec = source.spec(i);
+                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    analyze(i, &spec, &mut scratch)
+                }))
+                .unwrap_or_else(|payload| Err(panic_probe_error(&spec.name, payload)))
+                .map(|()| match spec {
+                    Cow::Borrowed(spec) => spec.name.clone(),
+                    Cow::Owned(spec) => spec.name,
+                });
+                if result.is_err() {
+                    failed.store(true, Ordering::SeqCst);
+                }
+                if !report(i, result) {
+                    break;
+                }
             }
             self.flush_scratch(&mut scratch);
-        } else {
-            let next = AtomicUsize::new(0);
-            let failed = AtomicBool::new(false);
-            let (tx, rx) = crossbeam::channel::unbounded();
-            let mut first_err: Option<(usize, CensusError)> = None;
-            std::thread::scope(|scope| {
-                let next = &next;
-                let failed = &failed;
-                let analyze_into_shard = &analyze_into_shard;
-                for _ in 0..workers {
-                    let tx = tx.clone();
-                    scope.spawn(move || {
-                        let mut scratch = WorkerScratch::default();
-                        loop {
-                            // Stop handing out work after the first failure;
-                            // in-flight analyses still complete, so every
-                            // index below the error stays filled (same
-                            // contract as `analyze_source`).
-                            if failed.load(Ordering::SeqCst) {
-                                break;
-                            }
-                            let i = next.fetch_add(1, Ordering::SeqCst);
-                            if i >= total {
-                                break;
-                            }
-                            let spec = generator.spec(i);
-                            let result =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    analyze_into_shard(i, &spec, &mut scratch)
-                                }))
-                                .unwrap_or_else(|payload| {
-                                    Err(panic_probe_error(&spec.name, payload))
-                                });
-                            let result = result.map(|()| spec.name);
-                            if result.is_err() {
-                                failed.store(true, Ordering::SeqCst);
-                            }
-                            if tx.send((i, result)).is_err() {
-                                break;
-                            }
-                        }
-                        self.flush_scratch(&mut scratch);
-                    });
-                }
-                drop(tx);
-                let mut completed = 0usize;
-                for (i, result) in rx {
-                    completed += 1;
-                    match result {
-                        Ok(app) => self.notify(&app, completed, total),
-                        Err(err) => {
-                            self.notify(err.app(), completed, total);
-                            // Indices are handed out in order and drained
-                            // before the scope ends, so the minimum-index
-                            // error is the one the sequential run would hit.
-                            if first_err.as_ref().is_none_or(|(k, _)| i < *k) {
-                                first_err = Some((i, err));
-                            }
-                        }
+        };
+
+        let mut completed = 0usize;
+        let mut first_err: Option<(usize, CensusError)> = None;
+        let mut collect = |i: usize, result: Result<String, CensusError>| {
+            completed += 1;
+            match result {
+                Ok(app) => self.notify(&app, completed, total),
+                Err(err) => {
+                    self.notify(err.app(), completed, total);
+                    if first_err.as_ref().is_none_or(|(k, _)| i < *k) {
+                        first_err = Some((i, err));
                     }
                 }
-            });
-            if let Some((_, err)) = first_err {
-                return Err(err);
             }
+        };
+        if workers <= 1 {
+            work(&mut |i, result| {
+                collect(i, result);
+                true
+            });
+        } else {
+            let (tx, rx) = crossbeam::channel::unbounded();
+            std::thread::scope(|scope| {
+                for _ in 0..workers {
+                    let tx = tx.clone();
+                    let work = &work;
+                    scope.spawn(move || work(&mut |i, result| tx.send((i, result)).is_ok()));
+                }
+                drop(tx);
+                for (i, result) in rx {
+                    collect(i, result);
+                }
+            });
         }
-
-        self.merge_shards(shards, &bounds, need_global, workers <= 1, generator, total)
+        first_err.map_or(Ok(()), |(_, err)| Err(err))
     }
 
     /// The deterministic reduce: re-interns every shard's reports into one
@@ -876,15 +738,14 @@ impl CensusPipeline {
         bounds: &[usize],
         need_global: bool,
         sequential: bool,
-        generator: &CorpusGenerator,
-        total: usize,
+        source: SpecSource<'_>,
     ) -> Result<CompactCensus, CensusError> {
         let missing = |index: usize| CensusError::Probe {
-            app: generator.spec(index).name,
+            app: source.spec(index).name.clone(),
             message: "analysis worker terminated before producing a result".into(),
         };
         let shard_count = shards.len();
-        let mut apps: Vec<CompactAppReport> = Vec::with_capacity(total);
+        let mut apps: Vec<CompactAppReport> = Vec::with_capacity(source.len());
         let mut globals: Vec<GlobalAppModel> = Vec::new();
         let mut table;
         if shard_count == 1 && sequential {
@@ -934,8 +795,7 @@ impl CensusPipeline {
                 }
                 let mut touched: Vec<usize> = Vec::new();
                 for finding in found {
-                    // Attribute to the first report of the named app, the
-                    // order `run_source` resolves ties in.
+                    // Attribute to the first report of the named app.
                     let Some(&i) = table.lookup(&finding.app).and_then(|s| first_ix.get(&s)) else {
                         continue;
                     };
@@ -956,165 +816,16 @@ impl CensusPipeline {
         Ok(CompactCensus::new(table, apps))
     }
 
-    fn run_source(&self, source: SpecSource<'_>) -> Result<Census, CensusError> {
-        let results = self.analyze_source(source)?;
-        let mut reports = Vec::with_capacity(results.len());
-        let mut statics = Vec::with_capacity(results.len());
-        for (spec, analysis) in results {
-            statics.push((spec.name.clone(), analysis.statics));
-            reports.push(AppReport {
-                app: spec.name,
-                dataset: spec.org.as_str().to_string(),
-                version: spec.version,
-                findings: analysis.findings,
-            });
-        }
-        for finding in self.opts.analyzer.analyze_global(&statics) {
-            if let Some(report) = reports.iter_mut().find(|r| r.app == finding.app) {
-                report.findings.push(finding);
-            }
-        }
-        // The cluster-wide findings were appended after the per-app sort;
-        // restore the canonical order so every report renders identically
-        // however its findings were produced.
-        for report in &mut reports {
-            sort_canonical(&mut report.findings);
-        }
-        Ok(Census { apps: reports })
-    }
-
-    /// Analyzes every spec of the source, returning `(spec, analysis)`
-    /// pairs in spec order. The parallel path is index-slotted so the
-    /// output (and the first error, if any) never depends on worker
-    /// scheduling.
-    fn analyze_source(
-        &self,
-        source: SpecSource<'_>,
-    ) -> Result<Vec<(AppSpec, AppAnalysis)>, CensusError> {
-        let total = source.len();
-        let workers = self.threads().min(total.max(1));
-        if workers <= 1 {
-            let mut out = Vec::with_capacity(total);
-            let mut scratch = WorkerScratch::default();
-            for i in 0..total {
-                let spec = source.spec(i);
-                match self.analyze_spec(&spec, source.cache(), &mut scratch) {
-                    Ok(analysis) => {
-                        self.notify(&spec.name, i + 1, total);
-                        out.push((spec.into_owned(), analysis));
-                    }
-                    Err(err) => {
-                        self.flush_scratch(&mut scratch);
-                        return Err(err);
-                    }
-                }
-            }
-            self.flush_scratch(&mut scratch);
-            return Ok(out);
-        }
-
-        let next = AtomicUsize::new(0);
-        let failed = AtomicBool::new(false);
-        let (tx, rx) = crossbeam::channel::unbounded();
-        let mut slots: Vec<Option<Result<(AppSpec, AppAnalysis), CensusError>>> = Vec::new();
-        slots.resize_with(total, || None);
-        std::thread::scope(|scope| {
-            let next = &next;
-            let failed = &failed;
-            for _ in 0..workers {
-                let tx = tx.clone();
-                scope.spawn(move || {
-                    let mut scratch = WorkerScratch::default();
-                    loop {
-                        // Match the sequential path's stop-at-first-failure
-                        // behaviour: once any analysis errors, stop handing
-                        // out new work (in-flight analyses still complete,
-                        // keeping every slot below the error index filled).
-                        if failed.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        let i = next.fetch_add(1, Ordering::SeqCst);
-                        if i >= total {
-                            break;
-                        }
-                        let spec = source.spec(i).into_owned();
-                        let result = self
-                            .analyze_spec_catching(&spec, source.cache(), &mut scratch)
-                            .map(|analysis| (spec, analysis));
-                        if result.is_err() {
-                            failed.store(true, Ordering::SeqCst);
-                        }
-                        if tx.send((i, result)).is_err() {
-                            break;
-                        }
-                    }
-                    self.flush_scratch(&mut scratch);
-                });
-            }
-            drop(tx);
-            let mut completed = 0usize;
-            for (i, result) in rx {
-                completed += 1;
-                let app = match &result {
-                    Ok((spec, _)) => spec.name.as_str(),
-                    Err(err) => err.app(),
-                };
-                self.notify(app, completed, total);
-                slots[i] = Some(result);
-            }
-        });
-
-        // Indices are handed out in order and in-flight work drains before
-        // the scope ends, so every slot below the first error is filled;
-        // scanning in spec order therefore yields a deterministic first
-        // error. `None` slots only exist past an error (skipped work).
-        let mut out = Vec::with_capacity(total);
-        for (i, slot) in slots.into_iter().enumerate() {
-            match slot {
-                Some(result) => out.push(result?),
-                None => {
-                    return Err(CensusError::Probe {
-                        app: source.spec(i).name.clone(),
-                        message: "analysis worker terminated before producing a result".into(),
-                    })
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Analyzes one spec, memoizing the built app when `cache` is set
-    /// (slice runs) and building it transiently otherwise (generated runs).
+    /// Builds and analyzes one spec on a worker's scratch.
     fn analyze_spec(
         &self,
         spec: &AppSpec,
-        cache: bool,
         scratch: &mut WorkerScratch,
     ) -> Result<AppAnalysis, CensusError> {
         let start = self.timings.is_some().then(Instant::now);
-        let built = if cache {
-            BuiltRef::Shared(self.built_for(spec))
-        } else {
-            BuiltRef::Owned(build_app(spec))
-        };
+        let built = build_app(spec);
         record_local(&mut scratch.timings.build, start);
-        self.analyze_built(built.as_ref(), cache, scratch)
-    }
-
-    /// Builds and analyzes one spec, converting a panic inside the analysis
-    /// (e.g. from a custom registry rule) into [`CensusError::Probe`] so a
-    /// worker thread never unwinds through `std::thread::scope` and the
-    /// pipeline's no-panic contract holds on every path.
-    fn analyze_spec_catching(
-        &self,
-        spec: &AppSpec,
-        cache: bool,
-        scratch: &mut WorkerScratch,
-    ) -> Result<AppAnalysis, CensusError> {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.analyze_spec(spec, cache, scratch)
-        }))
-        .unwrap_or_else(|payload| Err(panic_probe_error(&spec.name, payload)))
+        self.analyze_built(&built, scratch)
     }
 
     fn flush_scratch(&self, scratch: &mut WorkerScratch) {
@@ -1154,19 +865,23 @@ impl CensusPipeline {
             let row = &mut rows[row_idx];
             row.enabled += 1;
 
-            let built = self.built_for(app_spec);
+            let built = build_app(app_spec);
             let mut cluster = Cluster::new(ClusterConfig {
                 nodes: opts.nodes,
                 seed: opts.app_seed(&app_spec.name),
                 behaviors: built.registry(),
             });
+            let render_err = |source| CensusError::Render {
+                app: app_spec.name.clone(),
+                source,
+            };
             let release = Release::new(&app_spec.name, "default")
                 .with_values_yaml("networkPolicy:\n  enabled: true\n")
-                .map_err(|source| CensusError::Render {
-                    app: app_spec.name.clone(),
-                    source,
-                })?;
-            let rendered = self.render_app(&built, &release)?;
+                .map_err(render_err)?;
+            let rendered = built
+                .compiled()
+                .and_then(|compiled| compiled.render(&release))
+                .map_err(render_err)?;
             cluster
                 .install(&rendered)
                 .map_err(|source| CensusError::Install {
@@ -1369,20 +1084,12 @@ mod tests {
                 .with_apps(24)
                 .with_seed(7),
         );
-        let sequential_pipeline = CensusPipeline::builder().seed(7).build();
-        let sequential = sequential_pipeline
+        let sequential = CensusPipeline::builder()
+            .seed(7)
+            .build()
             .run_generated(&generator)
             .expect("generated census runs");
         assert_eq!(sequential.apps.len(), 24);
-        // Streamed: the generated population must not be retained by the
-        // pipeline's memoization layers.
-        assert!(sequential_pipeline.caches.builds.lock().unwrap().is_empty());
-        assert!(sequential_pipeline
-            .caches
-            .renders
-            .lock()
-            .unwrap()
-            .is_empty());
         for threads in [2, 8] {
             let parallel = CensusPipeline::builder()
                 .seed(7)
@@ -1489,48 +1196,6 @@ mod tests {
     }
 
     #[test]
-    fn custom_global_rule_falls_back_to_the_materializing_path() {
-        fn quirky_global(apps: &[(String, ij_core::StaticModel)]) -> Vec<ij_core::Finding> {
-            apps.iter()
-                .map(|(app, _)| {
-                    ij_core::Finding::new(ij_core::MisconfigId::M4Star, app, app, "quirky")
-                })
-                .collect()
-        }
-        let mut analyzer = Analyzer::hybrid();
-        analyzer
-            .registry
-            .register_global_rule("quirky", &[], quirky_global);
-        let generator = CorpusGenerator::new(
-            CorpusProfile::named("baseline")
-                .expect("baseline profile")
-                .with_apps(6)
-                .with_seed(9),
-        );
-        // A custom global rule needs real static models, so the compact
-        // entry point must transparently take the materializing path...
-        let compact = CensusPipeline::builder()
-            .seed(9)
-            .analyzer(analyzer.clone())
-            .shards(3)
-            .build()
-            .run_generated_compact(&generator)
-            .expect("fallback run");
-        // ...and still agree with the owned pipeline byte-for-byte.
-        let owned = CensusPipeline::builder()
-            .seed(9)
-            .analyzer(analyzer)
-            .build()
-            .run_generated(&generator)
-            .expect("owned run");
-        assert_eq!(format!("{:#?}", compact.resolve()), format!("{owned:#?}"));
-        assert!(compact.apps.iter().all(|a| a
-            .findings
-            .iter()
-            .any(|f| f.id == ij_core::MisconfigId::M4Star)));
-    }
-
-    #[test]
     fn panicking_rule_is_deterministic_under_sharded_parallelism() {
         fn exploding_rule(_: &ij_core::RuleContext<'_>) -> Vec<ij_core::Finding> {
             panic!("rule exploded")
@@ -1548,25 +1213,29 @@ mod tests {
                 .with_apps(8)
                 .with_seed(7),
         );
-        let hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let result = CensusPipeline::builder()
-            .seed(7)
-            .analyzer(analyzer)
-            .shards(2)
-            .threads(2)
-            .build()
-            .run_generated_compact(&generator);
-        std::panic::set_hook(hook);
-        let err = result.expect_err("the exploding rule must fail the census");
-        match &err {
-            CensusError::Probe { app, message } => {
-                assert!(message.contains("rule exploded"), "{message}");
-                // Minimum-index error: the first generated app, exactly what
-                // the sequential run reports.
-                assert_eq!(app, &generator.spec(0).name);
+        // The sequential run goes through the same catching worker loop:
+        // a panic never unwinds out of the census at any thread count.
+        for threads in [1, 2] {
+            let hook = std::panic::take_hook();
+            std::panic::set_hook(Box::new(|_| {}));
+            let result = CensusPipeline::builder()
+                .seed(7)
+                .analyzer(analyzer.clone())
+                .shards(2)
+                .threads(threads)
+                .build()
+                .run_generated_compact(&generator);
+            std::panic::set_hook(hook);
+            let err = result.expect_err("the exploding rule must fail the census");
+            match &err {
+                CensusError::Probe { app, message } => {
+                    assert!(message.contains("rule exploded"), "{message}");
+                    // Minimum-index error: the first generated app, exactly
+                    // what the sequential run reports.
+                    assert_eq!(app, &generator.spec(0).name, "threads({threads})");
+                }
+                other => panic!("expected CensusError::Probe, got {other:?}"),
             }
-            other => panic!("expected CensusError::Probe, got {other:?}"),
         }
     }
 
@@ -1607,8 +1276,8 @@ mod tests {
     #[test]
     fn policy_impact_stable_across_repeats_and_threaded_runs() {
         // The §4.3.2 study rides on the per-chart cached policy index; its
-        // output must not depend on how often the cache was rebuilt or on
-        // an unrelated threaded census in between.
+        // output must not depend on repeats or on an unrelated threaded
+        // census in between.
         let pipeline = CensusPipeline::builder().seed(11).build();
         let first = pipeline.policy_impact(&specs()).expect("first impact run");
         CensusPipeline::builder()
@@ -1649,22 +1318,25 @@ mod tests {
             ij_core::RuleScope::Static,
             exploding_rule,
         );
-        // Silence the default panic hook for the duration: the panic is
-        // expected and caught, the backtrace would only be noise.
-        let hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let result = CensusPipeline::builder()
-            .analyzer(analyzer)
-            .threads(2)
-            .build()
-            .run(&specs());
-        std::panic::set_hook(hook);
-        let err = result.expect_err("the exploding rule must fail the census");
-        match &err {
-            CensusError::Probe { message, .. } => {
-                assert!(message.contains("rule exploded"), "{message}")
+        for threads in [1, 2] {
+            // Silence the default panic hook for the duration: the panic is
+            // expected and caught, the backtrace would only be noise.
+            let hook = std::panic::take_hook();
+            std::panic::set_hook(Box::new(|_| {}));
+            let result = CensusPipeline::builder()
+                .analyzer(analyzer.clone())
+                .threads(threads)
+                .build()
+                .run(&specs());
+            std::panic::set_hook(hook);
+            let err = result.expect_err("the exploding rule must fail the census");
+            match &err {
+                CensusError::Probe { app, message } => {
+                    assert!(message.contains("rule exploded"), "{message}");
+                    assert_eq!(app, "pipe-alpha", "threads({threads})");
+                }
+                other => panic!("expected CensusError::Probe, got {other:?}"),
             }
-            other => panic!("expected CensusError::Probe, got {other:?}"),
         }
     }
 

@@ -150,7 +150,7 @@ pub fn representative_charts() -> Vec<RepresentativeCase> {
 mod tests {
     use super::*;
     use crate::builder::build_app;
-    use crate::runner::{analyze_one, run_census, CorpusOptions};
+    use crate::CensusPipeline;
 
     #[test]
     fn thirteen_cases_one_per_class() {
@@ -165,7 +165,9 @@ mod tests {
         for rep_case in representative_charts() {
             if rep_case.id == MisconfigId::M4Star {
                 // Needs the cluster-wide pass over both apps.
-                let census = run_census(&rep_case.apps, &CorpusOptions::default())
+                let census = CensusPipeline::builder()
+                    .build()
+                    .run(&rep_case.apps)
                     .expect("representative charts run");
                 assert_eq!(census.total_misconfigurations(), 1);
                 let finding = census
@@ -178,8 +180,10 @@ mod tests {
                 continue;
             }
             let built = build_app(&rep_case.apps[0]);
-            let analysis =
-                analyze_one(&built, &CorpusOptions::default()).expect("corpus app analyzes");
+            let analysis = CensusPipeline::builder()
+                .build()
+                .analyze_one(&built)
+                .expect("corpus app analyzes");
             assert_eq!(
                 analysis.findings.len(),
                 1,

@@ -1,16 +1,9 @@
-//! The evaluation harness: per-application fresh-cluster analysis (§4.2),
-//! the cluster-wide pass, and the §4.3.2 policy-impact experiment.
-//!
-//! The free functions here ([`analyze_one`], [`run_census`],
-//! [`policy_impact`]) are thin wrappers over [`CensusPipeline`], preserved
-//! for callers of the original API. They run sequentially with no observer;
-//! use the pipeline builder directly for parallel execution, progress
-//! hooks, or rule ablations.
+//! The option block and result types of the evaluation harness. The
+//! harness itself — per-application fresh-cluster analysis (§4.2), the
+//! cluster-wide pass, and the §4.3.2 policy-impact experiment — is
+//! [`CensusPipeline`](crate::CensusPipeline).
 
-use crate::builder::BuiltApp;
-use crate::pipeline::{CensusError, CensusPipeline};
-use crate::spec::AppSpec;
-use ij_core::{Analyzer, Census, Finding, StaticModel};
+use ij_core::{Analyzer, Finding, StaticModel};
 use ij_probe::ProbeConfig;
 
 /// Options for a corpus run.
@@ -47,10 +40,6 @@ impl CorpusOptions {
         }
         h ^ self.seed
     }
-
-    fn pipeline(&self) -> CensusPipeline {
-        CensusPipeline::builder().options(self.clone()).build()
-    }
 }
 
 /// The outcome of analyzing one application.
@@ -62,42 +51,6 @@ pub struct AppAnalysis {
     pub findings: Vec<Finding>,
     /// Static model, kept for the cluster-wide pass.
     pub statics: StaticModel,
-}
-
-/// Installs one built application into a fresh cluster and analyzes it,
-/// following the paper's methodology: baseline → install → double-pass
-/// runtime analysis → rule evaluation.
-///
-/// Thin wrapper over [`CensusPipeline::analyze_one`].
-pub fn analyze_one(built: &BuiltApp, opts: &CorpusOptions) -> Result<AppAnalysis, CensusError> {
-    opts.pipeline().analyze_one(built)
-}
-
-/// Runs the full evaluation over a set of specifications: every application
-/// in its own cluster, then the cluster-wide M4\* pass, producing the census
-/// behind Table 2 and Figures 3–4.
-///
-/// Thin wrapper over [`CensusPipeline::run`] (sequential; use
-/// `CensusPipeline::builder().threads(n)` to parallelize).
-pub fn run_census(specs: &[AppSpec], opts: &CorpusOptions) -> Result<Census, CensusError> {
-    opts.pipeline().run(specs)
-}
-
-/// Streams a generated population into a flat-memory
-/// [`CompactCensus`](ij_core::CompactCensus): interned findings, no
-/// materialized spec or report `String`s. The census resolves lazily at
-/// render time and is byte-identical to
-/// [`CensusPipeline::run_generated`] across every `(shards, threads)`
-/// combination.
-///
-/// Thin wrapper over [`CensusPipeline::run_generated_compact`] (sequential,
-/// single shard; use `CensusPipeline::builder().threads(n).shards(k)` to
-/// scale).
-pub fn run_generated_census(
-    generator: &crate::gen::CorpusGenerator,
-    opts: &CorpusOptions,
-) -> Result<ij_core::CompactCensus, CensusError> {
-    opts.pipeline().run_generated_compact(generator)
 }
 
 /// One dataset row of the §4.3.2 policy-impact study (Figure 4b).
@@ -117,28 +70,20 @@ pub struct PolicyImpact {
     pub reachable_services: usize,
 }
 
-/// Force-enables each policy-defining chart's policies and measures which
-/// misconfigured endpoints remain reachable from an unrelated attacker pod.
-///
-/// Thin wrapper over [`CensusPipeline::policy_impact`].
-pub fn policy_impact(
-    specs: &[AppSpec],
-    opts: &CorpusOptions,
-) -> Result<Vec<PolicyImpact>, CensusError> {
-    opts.pipeline().policy_impact(specs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::build_app;
-    use crate::spec::{NetpolSpec, Org, Plan};
+    use crate::spec::{AppSpec, NetpolSpec, Org, Plan};
+    use crate::CensusPipeline;
     use ij_core::{sort_canonical, MisconfigId};
 
     fn analyze_plan(plan: Plan) -> Vec<Finding> {
         let app_spec = AppSpec::new("probe-app", Org::Cncf, "1.0.0", plan);
         let built = build_app(&app_spec);
-        analyze_one(&built, &CorpusOptions::default())
+        CensusPipeline::builder()
+            .build()
+            .analyze_one(&built)
             .expect("corpus app analyzes")
             .findings
     }
@@ -216,7 +161,10 @@ mod tests {
                 },
             ),
         ];
-        let census = run_census(&specs, &CorpusOptions::default()).expect("corpus slice runs");
+        let census = CensusPipeline::builder()
+            .build()
+            .run(&specs)
+            .expect("corpus slice runs");
         assert_eq!(census.apps.len(), 2);
         // alpha: M1 + M6 + the global M4* (attributed to the first app).
         let alpha = &census.apps[0];
@@ -258,7 +206,10 @@ mod tests {
                 },
             ),
         ];
-        let census = run_census(&specs, &CorpusOptions::default()).expect("corpus slice runs");
+        let census = CensusPipeline::builder()
+            .build()
+            .run(&specs)
+            .expect("corpus slice runs");
         let alpha = &census.apps[0];
         let mut canonical = alpha.findings.clone();
         sort_canonical(&mut canonical);
@@ -299,7 +250,10 @@ mod tests {
                 },
             ),
         ];
-        let rows = policy_impact(&specs, &CorpusOptions::default()).expect("policy study runs");
+        let rows = CensusPipeline::builder()
+            .build()
+            .policy_impact(&specs)
+            .expect("policy study runs");
         assert_eq!(rows.len(), 1);
         let row = &rows[0];
         assert_eq!(row.enabled, 2);

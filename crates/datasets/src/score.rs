@@ -156,8 +156,9 @@ pub fn score_corpus<'a>(
 mod tests {
     use super::*;
     use crate::builder::build_app;
-    use crate::runner::{analyze_one, CorpusOptions};
+    use crate::runner::CorpusOptions;
     use crate::spec::{NetpolSpec, Org, Plan};
+    use crate::CensusPipeline;
     use ij_core::Analyzer;
     use ij_probe::ProbeConfig;
 
@@ -178,10 +179,18 @@ mod tests {
         )
     }
 
+    fn analyze(built: &crate::BuiltApp, opts: CorpusOptions) -> crate::AppAnalysis {
+        CensusPipeline::builder()
+            .options(opts)
+            .build()
+            .analyze_one(built)
+            .expect("corpus app analyzes")
+    }
+
     #[test]
     fn hybrid_scores_perfectly() {
         let built = build_app(&spec());
-        let analysis = analyze_one(&built, &CorpusOptions::default()).expect("corpus app analyzes");
+        let analysis = analyze(&built, CorpusOptions::default());
         let report = score_app(&spec(), &analysis.findings);
         let o = report.overall();
         assert_eq!(o.false_positives, 0);
@@ -196,7 +205,7 @@ mod tests {
             analyzer: Analyzer::static_only(),
             ..Default::default()
         };
-        let analysis = analyze_one(&built, &opts).expect("corpus app analyzes");
+        let analysis = analyze(&built, opts);
         let report = score_app(&spec(), &analysis.findings);
         assert!((report.overall().precision() - 1.0).abs() < 1e-9);
         assert!(report.overall().recall() < 1.0);
@@ -215,7 +224,7 @@ mod tests {
             },
             ..Default::default()
         };
-        let analysis = analyze_one(&built, &opts).expect("corpus app analyzes");
+        let analysis = analyze(&built, opts);
         let report = score_app(&spec(), &analysis.findings);
         assert!(report.overall().precision() < 1.0, "{}", report.render());
         assert!((report.overall().recall() - 1.0).abs() < 1e-9);
@@ -224,7 +233,7 @@ mod tests {
     #[test]
     fn render_includes_overall_row() {
         let built = build_app(&spec());
-        let analysis = analyze_one(&built, &CorpusOptions::default()).expect("corpus app analyzes");
+        let analysis = analyze(&built, CorpusOptions::default());
         let report = score_app(&spec(), &analysis.findings);
         let text = report.render();
         assert!(text.contains("all"));

@@ -5,7 +5,7 @@
 //! state for lack of ground truth (§6.3).
 
 use ij_core::MisconfigId;
-use ij_datasets::{analyze_one, build_app, AppSpec, CorpusOptions, NetpolSpec, Org, Plan};
+use ij_datasets::{build_app, AppSpec, CensusPipeline, NetpolSpec, Org, Plan};
 use proptest::prelude::*;
 
 fn arb_netpol() -> impl Strategy<Value = NetpolSpec> {
@@ -62,8 +62,11 @@ proptest! {
     fn pipeline_detects_exactly_the_plan(plan in arb_plan(), seed in 0u64..1000) {
         let spec = AppSpec::new("prop-app", Org::Bitnami, "0.0.1", plan.clone());
         let built = build_app(&spec);
-        let opts = CorpusOptions { seed, ..Default::default() };
-        let analysis = analyze_one(&built, &opts).expect("corpus app analyzes");
+        let analysis = CensusPipeline::builder()
+            .seed(seed)
+            .build()
+            .analyze_one(&built)
+            .expect("corpus app analyzes");
         for id in MisconfigId::ALL {
             let measured = analysis.findings.iter().filter(|f| f.id == id).count();
             prop_assert_eq!(

@@ -4,10 +4,7 @@
 //! [`CensusError::Render`] naming the chart — never a panic.
 
 use ij_chart::{Chart, Error, Release};
-use ij_datasets::{
-    analyze_one, build_app, AppSpec, BuiltApp, CensusError, CensusPipeline, CorpusOptions, Org,
-    Plan,
-};
+use ij_datasets::{build_app, AppSpec, BuiltApp, CensusError, CensusPipeline, Org, Plan};
 
 /// A template that renders to structurally invalid YAML (a sequence item
 /// where a mapping value is required).
@@ -59,7 +56,9 @@ fn analyze_one_returns_typed_render_error() {
     let spec = AppSpec::new("malformed-app", Org::Cncf, "0.0.1", Plan::clean());
     let base = build_app(&spec);
     let built = BuiltApp::new(base.spec.clone(), malformed_chart(), base.behaviors.clone());
-    let err = analyze_one(&built, &CorpusOptions::default())
+    let err = CensusPipeline::builder()
+        .build()
+        .analyze_one(&built)
         .expect_err("malformed chart must surface an error");
     assert_eq!(err.app(), "malformed-app");
     match &err {
@@ -75,16 +74,4 @@ fn analyze_one_returns_typed_render_error() {
         .contains("chart malformed-app failed to render"));
     // std::error::Error wiring: the chart error is the source.
     assert!(std::error::Error::source(&err).is_some());
-}
-
-#[test]
-fn pipeline_analyze_one_matches_wrapper_error() {
-    let spec = AppSpec::new("malformed-app", Org::Cncf, "0.0.1", Plan::clean());
-    let base = build_app(&spec);
-    let built = BuiltApp::new(base.spec.clone(), malformed_chart(), base.behaviors.clone());
-    let err = CensusPipeline::builder()
-        .build()
-        .analyze_one(&built)
-        .expect_err("malformed chart must surface an error");
-    assert!(matches!(err, CensusError::Render { .. }));
 }

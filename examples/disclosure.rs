@@ -10,7 +10,7 @@
 //! Figure 5 feedback questionnaire.
 
 use inside_job::core::disclosure_report;
-use inside_job::datasets::{corpus, run_census, CorpusOptions, Org};
+use inside_job::datasets::{corpus, CensusPipeline, Org};
 
 fn main() {
     let wikimedia: Vec<_> = corpus()
@@ -21,7 +21,9 @@ fn main() {
         "analyzing {} Wikimedia charts and drafting the disclosure…\n",
         wikimedia.len()
     );
-    let census = run_census(&wikimedia, &CorpusOptions::default())
+    let census = CensusPipeline::builder()
+        .build()
+        .run(&wikimedia)
         .expect("the synthetic corpus renders and installs");
     let report = disclosure_report(&census, "Wikimedia");
     println!("{report}");

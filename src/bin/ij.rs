@@ -202,8 +202,8 @@ flags:
   --org <name>           restrict the census to one built-in dataset
   --seed <n>             base seed (default 42)
   --threads <n>          analysis workers; output is identical for every n
-  --shards <k>           partitions of the streamed synthetic census (needs
-                         --synthetic); output is identical for every k
+  --shards <k>           partitions the census accumulates into; output is
+                         identical for every k
   --progress             stream per-application completion ticks to stderr
   --timings              print per-phase wall time to stderr after the run
   --synthetic <n>        analyze n procedurally generated applications
@@ -641,11 +641,6 @@ fn run_census_command(args: CensusArgs) -> Result<(), CliError> {
     if args.synthetic.is_none() && (args.profile.is_some() || args.mix.is_some()) {
         return Err(CliError::other(
             "--profile/--mix configure the synthetic generator; pass --synthetic <n>",
-        ));
-    }
-    if args.shards != 1 && args.synthetic.is_none() {
-        return Err(CliError::other(
-            "--shards partitions the streamed synthetic census; pass --synthetic <n>",
         ));
     }
     let mut analyzer = if args.static_only {

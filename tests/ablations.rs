@@ -9,9 +9,7 @@
 use inside_job::chart::Release;
 use inside_job::cluster::{Cluster, ClusterConfig};
 use inside_job::core::{Analyzer, MisconfigId};
-use inside_job::datasets::{
-    analyze_one, build_app, corpus, AppSpec, CorpusOptions, NetpolSpec, Org, Plan,
-};
+use inside_job::datasets::{build_app, corpus, AppSpec, CensusPipeline, NetpolSpec, Org, Plan};
 use inside_job::probe::{HostBaseline, ProbeConfig, RuntimeAnalyzer};
 
 /// A representative slice: one org's worth of charts is plenty to measure
@@ -24,16 +22,15 @@ fn slice() -> Vec<AppSpec> {
 }
 
 fn recall(analyzer: Analyzer, probe: ProbeConfig) -> (usize, usize) {
-    let opts = CorpusOptions {
-        analyzer,
-        probe,
-        ..Default::default()
-    };
+    let pipeline = CensusPipeline::builder()
+        .analyzer(analyzer)
+        .probe(probe)
+        .build();
     let mut found = 0usize;
     let mut expected = 0usize;
     for spec in slice() {
         let built = build_app(&spec);
-        let analysis = analyze_one(&built, &opts).expect("corpus app analyzes");
+        let analysis = pipeline.analyze_one(&built).expect("corpus app analyzes");
         found += analysis.findings.len();
         expected += spec.plan.expected_local_findings();
     }
@@ -88,10 +85,7 @@ fn single_pass_loses_m2_and_misclassifies_m1() {
         double_run: false,
         ..Default::default()
     };
-    let opts = CorpusOptions {
-        probe: single,
-        ..Default::default()
-    };
+    let pipeline = CensusPipeline::builder().probe(single).build();
     let spec = AppSpec::new(
         "m2-app",
         Org::Cncf,
@@ -103,7 +97,7 @@ fn single_pass_loses_m2_and_misclassifies_m1() {
         },
     );
     let built = build_app(&spec);
-    let analysis = analyze_one(&built, &opts).expect("corpus app analyzes");
+    let analysis = pipeline.analyze_one(&built).expect("corpus app analyzes");
     assert!(
         !analysis.findings.iter().any(|f| f.id == MisconfigId::M2),
         "single pass cannot distinguish dynamic ports"
@@ -133,15 +127,16 @@ fn udp_noise_filter_controls_false_positives() {
     );
     let built = build_app(&spec);
 
-    let noisy_unfiltered = CorpusOptions {
-        probe: ProbeConfig {
+    let noisy_unfiltered = CensusPipeline::builder()
+        .probe(ProbeConfig {
             udp_noise_rate: 1.0,
             filter_udp_flakiness: false,
             ..Default::default()
-        },
-        ..Default::default()
-    };
-    let unfiltered = analyze_one(&built, &noisy_unfiltered).expect("corpus app analyzes");
+        })
+        .build();
+    let unfiltered = noisy_unfiltered
+        .analyze_one(&built)
+        .expect("corpus app analyzes");
     let spurious: Vec<_> = unfiltered
         .findings
         .iter()
@@ -152,15 +147,16 @@ fn udp_noise_filter_controls_false_positives() {
         "noise leaks through without the filter"
     );
 
-    let noisy_filtered = CorpusOptions {
-        probe: ProbeConfig {
+    let noisy_filtered = CensusPipeline::builder()
+        .probe(ProbeConfig {
             udp_noise_rate: 1.0,
             filter_udp_flakiness: true,
             ..Default::default()
-        },
-        ..Default::default()
-    };
-    let filtered = analyze_one(&built, &noisy_filtered).expect("corpus app analyzes");
+        })
+        .build();
+    let filtered = noisy_filtered
+        .analyze_one(&built)
+        .expect("corpus app analyzes");
     assert!(
         !filtered.findings.iter().any(|f| f.id == MisconfigId::M2),
         "{:#?}",
@@ -241,18 +237,19 @@ fn registry_ablation_drops_exactly_one_class() {
     // 5. per-rule ablations via the RuleRegistry: disabling `m2` must drop
     //    the M2 findings and *only* them, app by app against the ground
     //    truth slice — everything else is byte-identical.
-    let full = CorpusOptions::default();
-    let ablated = CorpusOptions {
-        analyzer: Analyzer::hybrid().without_rule("m2"),
-        ..Default::default()
-    };
+    let full = CensusPipeline::builder().build();
+    let ablated = CensusPipeline::builder()
+        .analyzer(Analyzer::hybrid().without_rule("m2"))
+        .build();
     let mut dropped = 0usize;
     for spec in slice() {
         let built = build_app(&spec);
-        let with = analyze_one(&built, &full)
+        let with = full
+            .analyze_one(&built)
             .expect("corpus app analyzes")
             .findings;
-        let without = analyze_one(&built, &ablated)
+        let without = ablated
+            .analyze_one(&built)
             .expect("corpus app analyzes")
             .findings;
         let expected: Vec<_> = with

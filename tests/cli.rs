@@ -370,12 +370,17 @@ fn census_is_identical_across_shard_and_thread_counts() {
 
 #[test]
 fn shards_flag_requires_synthetic_and_rejects_garbage() {
-    // The built-in corpus runs the materializing pipeline; --shards would
-    // be silently meaningless there, so it is an explicit error.
-    let out = ij(&["census", "--shards", "4"]);
-    assert_eq!(out.status.code(), Some(1));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("--synthetic"), "{stderr}");
+    // The built-in corpus runs on the same engine as --synthetic, so
+    // --shards partitions it too without changing a byte of the output.
+    let reference = ij(&["census"]);
+    assert!(reference.status.success());
+    let sharded = ij(&["census", "--shards", "4", "--threads", "2"]);
+    assert!(sharded.status.success());
+    assert_eq!(
+        String::from_utf8_lossy(&reference.stdout),
+        String::from_utf8_lossy(&sharded.stdout),
+        "--shards 4 --threads 2 changed a byte of the built-in census"
+    );
 
     let out = ij(&["census", "--synthetic", "10", "--shards", "lots"]);
     assert_eq!(out.status.code(), Some(1));

@@ -2,9 +2,17 @@
 //! independent of how many pipeline workers analyze the corpus.
 
 use inside_job::core::MisconfigId;
-use inside_job::datasets::{
-    corpus, run_census, CensusPipeline, CorpusGenerator, CorpusOptions, CorpusProfile, Org,
-};
+use inside_job::datasets::{corpus, CensusPipeline, CorpusGenerator, CorpusProfile, Org};
+
+/// FNV-1a 64 over a value's `{:#?}` rendering: the byte-level fingerprint
+/// the pins below compare.
+fn fnv64_debug(value: &impl std::fmt::Debug) -> u64 {
+    format!("{value:#?}")
+        .bytes()
+        .fold(0xcbf29ce484222325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100000001b3)
+        })
+}
 
 #[test]
 fn census_is_deterministic_across_runs() {
@@ -12,8 +20,9 @@ fn census_is_deterministic_across_runs() {
         .into_iter()
         .filter(|a| a.org == Org::PrometheusCommunity)
         .collect();
-    let a = run_census(&slice, &CorpusOptions::default()).expect("corpus slice runs");
-    let b = run_census(&slice, &CorpusOptions::default()).expect("corpus slice runs");
+    let pipeline = CensusPipeline::builder().build();
+    let a = pipeline.run(&slice).expect("corpus slice runs");
+    let b = pipeline.run(&slice).expect("corpus slice runs");
     assert_eq!(a.apps.len(), b.apps.len());
     for (x, y) in a.apps.iter().zip(b.apps.iter()) {
         assert_eq!(x.findings, y.findings, "app {}", x.app);
@@ -51,9 +60,8 @@ fn parallel_census_is_byte_identical_to_sequential() {
 #[test]
 fn policy_impact_is_byte_identical_through_the_render_cache() {
     // The §4.3.2 study re-renders the census apps with policies
-    // force-enabled; whether those renders are cache misses (fresh
-    // pipeline) or hits (after a census, or repeated) must never change a
-    // byte of the rows.
+    // force-enabled; a fresh pipeline, one that just ran a threaded
+    // census, and a repeat must all produce the same rows, byte for byte.
     let slice: Vec<_> = corpus().into_iter().filter(|a| a.org == Org::Eea).collect();
     let fresh = CensusPipeline::builder()
         .build()
@@ -72,19 +80,26 @@ fn policy_impact_is_byte_identical_through_the_render_cache() {
 }
 
 #[test]
-fn legacy_wrapper_matches_pipeline_census() {
-    // The preserved free function and the pipeline front door are the same
-    // computation.
-    let slice: Vec<_> = corpus()
-        .into_iter()
-        .filter(|a| a.org == Org::Wikimedia)
-        .collect();
-    let wrapper = run_census(&slice, &CorpusOptions::default()).expect("wrapper runs");
-    let pipeline = CensusPipeline::builder()
-        .build()
-        .run(&slice)
-        .expect("pipeline runs");
-    assert_eq!(format!("{wrapper:#?}"), format!("{pipeline:#?}"));
+fn full_corpus_matches_the_pinned_fnv64_hashes() {
+    // The reference bytes of the whole evaluation: the full-corpus census
+    // and the policy-impact rows, rendered with `{:#?}` and hashed. Any
+    // change to either, at any thread count, is a behaviour change.
+    let specs = corpus();
+    for threads in [1usize, 2] {
+        let pipeline = CensusPipeline::builder().threads(threads).build();
+        let census = pipeline.run(&specs).expect("the full corpus runs");
+        assert_eq!(
+            format!("{:016x}", fnv64_debug(&census)),
+            "11f60f84036a458e",
+            "threads({threads}) census bytes drifted"
+        );
+        let impact = pipeline.policy_impact(&specs).expect("policy study runs");
+        assert_eq!(
+            format!("{:016x}", fnv64_debug(&impact)),
+            "3beb1d5f8e2965da",
+            "threads({threads}) policy-impact bytes drifted"
+        );
+    }
 }
 
 #[test]
@@ -154,15 +169,14 @@ fn different_seed_same_census_shape() {
         .into_iter()
         .filter(|a| a.org == Org::Wikimedia)
         .collect();
-    let a = run_census(&slice, &CorpusOptions::default()).expect("corpus slice runs");
-    let b = run_census(
-        &slice,
-        &CorpusOptions {
-            seed: 0xDEADBEEF,
-            ..Default::default()
-        },
-    )
-    .expect("corpus slice runs");
+    let run = |seed| {
+        CensusPipeline::builder()
+            .seed(seed)
+            .build()
+            .run(&slice)
+            .expect("corpus slice runs")
+    };
+    let (a, b) = (run(42), run(0xDEADBEEF));
     for id in MisconfigId::ALL {
         let count =
             |c: &inside_job::core::Census| c.apps.iter().map(|r| r.count_of(id)).sum::<usize>();

@@ -3,7 +3,7 @@
 //! analyzer findings, not just injection plans.
 
 use ij_core::MisconfigId;
-use ij_datasets::{corpus, run_census, CorpusOptions};
+use ij_datasets::{corpus, CensusPipeline};
 
 /// Table 2, verbatim: affected, total, M1, M2, M3, M4A, M4B, M4C, M4*, M5A,
 /// M5B, M5C, M5D, M6, M7.
@@ -32,7 +32,10 @@ const IDS: [MisconfigId; 13] = MisconfigId::ALL;
 
 #[test]
 fn full_pipeline_reproduces_table2() {
-    let census = run_census(&corpus(), &CorpusOptions::default()).expect("the full corpus runs");
+    let census = CensusPipeline::builder()
+        .build()
+        .run(&corpus())
+        .expect("the full corpus runs");
     assert_eq!(census.total_misconfigurations(), 634, "the paper's total");
     assert_eq!(census.affected_apps().0, 259, "the paper's affected count");
     for (dataset, row) in TABLE2 {

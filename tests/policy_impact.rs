@@ -1,11 +1,14 @@
 //! §4.3.2 / Figure 4b: the policy-impact study over the full corpus.
 //! Paper-vs-measured deltas are documented in EXPERIMENTS.md.
 
-use inside_job::datasets::{corpus, policy_impact, CorpusOptions};
+use inside_job::datasets::{corpus, CensusPipeline};
 
 #[test]
 fn figure4b_policy_impact_shape() {
-    let rows = policy_impact(&corpus(), &CorpusOptions::default()).expect("policy study runs");
+    let rows = CensusPipeline::builder()
+        .build()
+        .policy_impact(&corpus())
+        .expect("policy study runs");
     let get = |name: &str| rows.iter().find(|r| r.dataset == name).unwrap();
 
     // Banzai Cloud defines no policies at all → absent from the table.

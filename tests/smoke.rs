@@ -8,9 +8,7 @@
 //! (parallelism, hash-map ordering, time-dependent logic) sneaking into the
 //! pipeline.
 
-use inside_job::datasets::{
-    run_census, AppSpec, CensusPipeline, CorpusOptions, NetpolSpec, Org, Plan,
-};
+use inside_job::datasets::{AppSpec, CensusPipeline, NetpolSpec, Org, Plan};
 
 /// A small corpus that still exercises the interesting machinery: runtime
 /// deltas (M1/M2 incl. seeded ephemeral ports), label collisions, service
@@ -53,12 +51,9 @@ fn small_specs() -> Vec<AppSpec> {
 #[test]
 fn same_seed_census_is_byte_identical() {
     let specs = small_specs();
-    let opts = CorpusOptions {
-        seed: 7,
-        ..Default::default()
-    };
-    let first = run_census(&specs, &opts).expect("smoke corpus runs");
-    let second = run_census(&specs, &opts).expect("smoke corpus runs");
+    let pipeline = CensusPipeline::builder().seed(7).build();
+    let first = pipeline.run(&specs).expect("smoke corpus runs");
+    let second = pipeline.run(&specs).expect("smoke corpus runs");
 
     // Per-app first so a regression names the offending application…
     assert_eq!(first.apps.len(), second.apps.len());
@@ -85,22 +80,14 @@ fn different_seed_keeps_finding_structure() {
     // same findings app by app (classes never depend on which port the OS
     // happened to assign).
     let specs = small_specs();
-    let a = run_census(
-        &specs,
-        &CorpusOptions {
-            seed: 7,
-            ..Default::default()
-        },
-    )
-    .expect("smoke corpus runs");
-    let b = run_census(
-        &specs,
-        &CorpusOptions {
-            seed: 1337,
-            ..Default::default()
-        },
-    )
-    .expect("smoke corpus runs");
+    let run = |seed| {
+        CensusPipeline::builder()
+            .seed(seed)
+            .build()
+            .run(&specs)
+            .expect("smoke corpus runs")
+    };
+    let (a, b) = (run(7), run(1337));
     for (x, y) in a.apps.iter().zip(b.apps.iter()) {
         assert_eq!(x.findings, y.findings, "findings diverged for {}", x.app);
     }
