@@ -18,13 +18,26 @@
 //! returns (the emit+reparse path costs hundreds of extra allocations
 //! per app in rendered strings and reparsed document trees alone).
 //!
+//! A second arm gates the `ij serve` path the same way: it counts the
+//! allocations of one install mutation plus its incremental audit tick on
+//! tenants preinstalled with 10 and with 100 releases, installing the same
+//! releases into both. A mutation should cost what it touches, so the
+//! larger tenant may allocate at most 1.5× as much per install; work that
+//! scales with the whole cluster (a full-scan reconcile, re-interning every
+//! release for `M4*`) pushes the ratio towards the tenant-size ratio.
+//!
 //! Debug builds are skipped (unoptimized collections allocate on a
 //! different schedule); CI runs this with
 //! `cargo test --release -p ij-bench --test alloc_guard`.
 
-use ij_datasets::{CensusPipeline, CorpusGenerator, CorpusProfile};
+use ij_cluster::{BehaviorRegistry, Cluster, ClusterConfig};
+use ij_datasets::{
+    apply_mutation, AppSpec, CensusPipeline, ChurnMutation, CorpusGenerator, CorpusProfile,
+};
+use ij_guard::IncrementalAuditor;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Counts every allocator entry point that hands out (or regrows) memory.
 /// Deallocations are free-of-charge: the gate is about allocation churn.
@@ -56,9 +69,19 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
+/// The counter is process-wide: the arms take this lock so that tests
+/// running on other threads never count into each other's window.
+static SERIAL: Mutex<()> = Mutex::new(());
+
 const SMALL: usize = 200;
 const LARGE: usize = 1_200;
 const PER_APP_CEILING: u64 = 3_000;
+
+/// Serve arm: tenant sizes, measured installs, and the allowed growth.
+const SMALL_TENANT: usize = 10;
+const LARGE_TENANT: usize = 100;
+const INSTALLS: usize = 20;
+const TENANT_RATIO_CEILING: f64 = 1.5;
 
 fn census_allocs(apps: usize) -> u64 {
     let generator = CorpusGenerator::new(
@@ -87,6 +110,7 @@ fn census_allocs(apps: usize) -> u64 {
     ignore = "allocation counts are calibrated for release builds"
 )]
 fn steady_state_census_allocations_stay_bounded() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let small = census_allocs(SMALL);
     let large = census_allocs(LARGE);
     assert!(
@@ -103,5 +127,66 @@ fn steady_state_census_allocations_stay_bounded() {
         "steady-state census allocations regressed: {per_app} allocs/app \
          breached the {PER_APP_CEILING} ceiling (~2,300 expected; the \
          emit+reparse round-trip costs hundreds more per app)"
+    );
+}
+
+/// One install mutation, as `ij serve` applies it.
+fn install(cluster: &mut Cluster, auditor: &mut IncrementalAuditor, spec: AppSpec) {
+    auditor.set_chart_defines_policies(&spec.name, spec.plan.netpol.defines_policy());
+    apply_mutation(cluster, &ChurnMutation::Install { spec }).expect("install applies");
+}
+
+/// Allocations per install mutation plus its incremental tick, averaged
+/// over the releases `LARGE_TENANT..LARGE_TENANT + INSTALLS` of one
+/// generator, on a tenant preinstalled with its first `releases` releases.
+fn serve_allocs_per_install(releases: usize) -> u64 {
+    let generator = CorpusGenerator::new(
+        CorpusProfile::named("baseline")
+            .expect("baseline profile")
+            .with_apps(LARGE_TENANT + INSTALLS)
+            .with_seed(7),
+    );
+    let mut cluster = Cluster::new(ClusterConfig {
+        nodes: 3,
+        seed: 7,
+        behaviors: BehaviorRegistry::new(),
+    });
+    let mut auditor = IncrementalAuditor::new();
+    for idx in 0..releases {
+        install(&mut cluster, &mut auditor, generator.spec(idx));
+    }
+    let measured: Vec<AppSpec> = (LARGE_TENANT..LARGE_TENANT + INSTALLS)
+        .map(|idx| generator.spec(idx))
+        .collect();
+    auditor.full_tick(&cluster);
+    let before = ALLOCS.load(Ordering::Relaxed);
+    for spec in measured {
+        install(&mut cluster, &mut auditor, spec);
+        auditor.tick(&cluster);
+    }
+    let after = ALLOCS.load(Ordering::Relaxed);
+    assert_eq!(auditor.tracked_apps(), releases + INSTALLS);
+    (after - before) / INSTALLS as u64
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "allocation counts are calibrated for release builds"
+)]
+fn serve_install_allocations_do_not_scale_with_the_tenant() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let small = serve_allocs_per_install(SMALL_TENANT);
+    let large = serve_allocs_per_install(LARGE_TENANT);
+    let ratio = large as f64 / small as f64;
+    eprintln!(
+        "alloc_guard: {small} allocs per install + tick @ {SMALL_TENANT} releases, \
+         {large} @ {LARGE_TENANT}; ratio {ratio:.2} (ceiling {TENANT_RATIO_CEILING})"
+    );
+    assert!(
+        ratio <= TENANT_RATIO_CEILING,
+        "an install plus its tick allocates {ratio:.2}x as much on a \
+         {LARGE_TENANT}-release tenant as on a {SMALL_TENANT}-release one \
+         ({large} vs {small}); serve-path work scales with the cluster again"
     );
 }

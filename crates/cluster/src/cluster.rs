@@ -9,8 +9,8 @@ use crate::node::Node;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use ij_chart::RenderedRelease;
 use ij_model::{
-    EndpointAddress, Endpoints, Labels, NetworkPolicy, Object, Pod, Protocol, Service, TargetPort,
-    Workload, WorkloadKind,
+    EndpointAddress, Endpoints, Labels, NetworkPolicy, Object, ObjectMeta, Pod, Protocol, Service,
+    TargetPort, Workload, WorkloadKind,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -196,6 +196,10 @@ pub struct Cluster {
     /// Cached compiled [`PolicyIndex`] for [`Cluster::policy_index`],
     /// tagged with the generation it was built at.
     index_cache: Mutex<Option<(u64, Arc<PolicyIndex>)>>,
+    /// Qualified names of the workloads and bare pods applied or scaled
+    /// since the last [`Cluster::reconcile`] — the only objects it expands.
+    /// A name stays here while one of its pods cannot be scheduled.
+    pending: Vec<String>,
 }
 
 impl Cluster {
@@ -219,6 +223,7 @@ impl Cluster {
             generation: 0,
             dirty: DirtyLog::new(0, DIRTY_LOG_CAP),
             index_cache: Mutex::new(None),
+            pending: Vec::new(),
         }
     }
 
@@ -414,6 +419,9 @@ impl Cluster {
         // Policies change verdicts and per-app policy rules, but not the
         // labelled object sets cluster-wide label analysis consumes.
         let labels = !matches!(object, Object::NetworkPolicy(_));
+        if let Some(meta) = definer_meta(&object) {
+            self.pending.push(meta.qualified_name());
+        }
         self.objects.push(object);
         self.touch(DirtyEntry {
             scope,
@@ -467,10 +475,12 @@ impl Cluster {
     }
 
     /// Uninstalls a release: removes every object stamped with its name,
-    /// reaps the pods those objects owned and releases the ClusterIPs of
-    /// its services. Other releases are untouched.
+    /// reaps the pods those objects defined (unless a remaining object
+    /// still desires the same pod) and releases the ClusterIPs of its
+    /// services. Other releases are untouched.
     pub fn uninstall(&mut self, release_name: &str) {
         let mut removed_services: Vec<String> = Vec::new();
+        let mut removed_definers: Vec<String> = Vec::new();
         self.objects.retain(|o| {
             let keep = o
                 .meta()
@@ -482,19 +492,22 @@ impl Cluster {
                 if let Object::Service(s) = o {
                     removed_services.push(s.meta.qualified_name());
                 }
+                if let Some(meta) = definer_meta(o) {
+                    removed_definers.push(meta.qualified_name());
+                }
             }
             keep
         });
         for service in &removed_services {
             self.cluster_ips.remove(service);
         }
-        // Reap pods whose defining object (owner workload or the bare pod
-        // itself) is gone.
-        let existing: HashSet<String> = self.objects.iter().map(|o| o.qualified_name()).collect();
-        self.pods.retain(|rp| {
-            let definer = rp.owner.clone().unwrap_or_else(|| rp.qualified_name());
-            existing.contains(&definer)
-        });
+        if !removed_definers.is_empty() {
+            let (objects, nodes) = (&self.objects, &self.nodes);
+            self.pods.retain(|rp| {
+                !removed_definers.iter().any(|q| may_define(q, &rp.pod.meta))
+                    || objects.iter().any(|o| desires(o, nodes, &rp.pod.meta))
+            });
+        }
         self.events.push(format!("uninstall {release_name}"));
         self.touch(DirtyEntry::app(release_name, true, true));
     }
@@ -504,6 +517,7 @@ impl Cluster {
         self.objects.clear();
         self.pods.clear();
         self.cluster_ips.clear();
+        self.pending.clear();
         self.events.push("reset".to_string());
         self.notify(WatchEvent::Reset);
         self.touch(DirtyEntry {
@@ -515,66 +529,130 @@ impl Cluster {
         self.dirty.forget(self.generation);
     }
 
-    /// Runs the controller loop: expands workloads into pods, schedules and
-    /// starts anything pending, then reaps running pods no longer desired
-    /// (scale-downs, replaced templates). Idempotent.
+    /// Runs the controller loop over the workloads and bare pods applied or
+    /// scaled since the last call: expands them into pods (workloads first,
+    /// then bare pods, each in object order), schedules and starts the
+    /// missing ones, then reaps their running pods that no object desires
+    /// any more (scale-downs). Objects nobody touched are not visited, so
+    /// the cost follows the mutation, not the cluster. An object whose pods
+    /// could not be scheduled (no worker nodes) stays pending and is retried
+    /// by the next call. Idempotent.
     pub fn reconcile(&mut self) {
-        let mut desired: Vec<(Option<String>, Pod)> = Vec::new();
-        let workloads: Vec<Workload> = self.workloads().cloned().collect();
-        for w in &workloads {
-            desired.extend(self.expand_workload(w));
+        if self.pending.is_empty() {
+            return;
         }
-        let bare: Vec<Pod> = self
-            .objects
-            .iter()
-            .filter_map(|o| match o {
-                Object::Pod(p) => Some(p.clone()),
-                _ => None,
+        // Sorted by (namespace, name) so each object's lookup is a binary
+        // search: one install of a large chart stays linear.
+        let mut dirty = std::mem::take(&mut self.pending);
+        dirty.sort_unstable_by(|a, b| split_qualified(a).cmp(&split_qualified(b)));
+        dirty.dedup();
+        let running = self.pods.len();
+        let is_running = |ns: &str, name: &str| {
+            self.pods
+                .iter()
+                .any(|rp| rp.pod.meta.name == name && rp.pod.meta.namespace == ns)
+        };
+        let mut starts: Vec<(usize, String)> = Vec::new();
+        for workloads_pass in [true, false] {
+            for (i, o) in self.objects.iter().enumerate() {
+                let Some(meta) = definer_meta(o) else {
+                    continue;
+                };
+                if matches!(o, Object::Workload(_)) != workloads_pass
+                    || dirty
+                        .binary_search_by(|q| {
+                            split_qualified(q).cmp(&(meta.namespace.as_str(), meta.name.as_str()))
+                        })
+                        .is_err()
+                {
+                    continue;
+                }
+                for name in desired_pod_names(o, &self.nodes) {
+                    if !is_running(&meta.namespace, &name) {
+                        starts.push((i, name));
+                    }
+                }
+            }
+        }
+        for (i, name) in starts {
+            let (pod, owner) = match &self.objects[i] {
+                Object::Workload(w) => (
+                    Pod::new(
+                        ObjectMeta {
+                            name,
+                            namespace: w.meta.namespace.clone(),
+                            labels: w.template.labels.clone(),
+                            annotations: Default::default(),
+                        },
+                        w.template.spec.clone(),
+                    ),
+                    Some(w.meta.qualified_name()),
+                ),
+                Object::Pod(p) => (p.clone(), None),
+                _ => unreachable!("only workloads and bare pods are expanded"),
+            };
+            let release = self.objects[i]
+                .meta()
+                .annotations
+                .get(RELEASE_ANNOTATION)
+                .cloned();
+            if !self.start_pod(pod, owner, release) {
+                self.pending.push(self.objects[i].qualified_name());
+            }
+        }
+
+        // Scale-down: a dirty object now desires fewer pods than are
+        // running. Pods started above are desired by construction; older
+        // ones are reaped only when no object at all desires them. Recent
+        // objects sit at the end, so the search runs newest first.
+        let (objects, nodes) = (&self.objects, &self.nodes);
+        let stale: Vec<usize> = (0..running)
+            .filter(|&i| {
+                let meta = &self.pods[i].pod.meta;
+                dirty.iter().any(|q| may_define(q, meta))
+                    && !objects.iter().rev().any(|o| desires(o, nodes, meta))
             })
             .collect();
-        desired.extend(bare.into_iter().map(|p| (None, p)));
-
-        let desired_names: HashSet<String> = desired
-            .iter()
-            .map(|(_, p)| p.meta.qualified_name())
-            .collect();
-        let running: HashSet<String> = self.pods.iter().map(|p| p.qualified_name()).collect();
-        for (owner, pod) in desired {
-            if running.contains(&pod.meta.qualified_name()) {
-                continue;
-            }
-            self.start_pod(pod, owner);
+        if stale.is_empty() {
+            return;
         }
-
-        // Scale-down: a workload now desires fewer pods than are running.
-        let stale: Vec<(String, Option<String>)> = self
-            .pods
+        let reaped: Vec<(String, Option<String>)> = stale
             .iter()
-            .filter(|rp| !desired_names.contains(&rp.qualified_name()))
-            .map(|rp| (rp.qualified_name(), self.release_of(rp)))
+            .map(|&i| {
+                (
+                    self.pods[i].qualified_name(),
+                    self.release_of(&self.pods[i]),
+                )
+            })
             .collect();
-        if !stale.is_empty() {
-            self.pods
-                .retain(|rp| desired_names.contains(&rp.qualified_name()));
-            for (name, release) in stale {
-                self.events.push(format!("reap {name}"));
-                self.notify(WatchEvent::PodReaped { name });
-                self.touch(DirtyEntry {
-                    scope: release.map_or(DirtyScope::Unattributed, DirtyScope::App),
-                    labels: false,
-                    pods: true,
-                });
-            }
+        let mut index = 0;
+        self.pods.retain(|_| {
+            let keep = stale.binary_search(&index).is_err();
+            index += 1;
+            keep
+        });
+        for (name, release) in reaped {
+            self.events.push(format!("reap {name}"));
+            self.notify(WatchEvent::PodReaped { name });
+            self.touch(DirtyEntry {
+                scope: release.map_or(DirtyScope::Unattributed, DirtyScope::App),
+                labels: false,
+                pods: true,
+            });
         }
     }
 
     /// The release a running pod belongs to, resolved through its defining
     /// object (owner workload, or the bare pod object itself).
     fn release_of(&self, rp: &RunningPod) -> Option<String> {
-        let definer = rp.owner.clone().unwrap_or_else(|| rp.qualified_name());
         self.objects
             .iter()
-            .find(|o| o.qualified_name() == definer)
+            .find(|o| match &rp.owner {
+                Some(owner) => is_named(o.meta(), owner),
+                None => {
+                    o.meta().name == rp.pod.meta.name && o.meta().namespace == rp.pod.meta.namespace
+                }
+            })
             .and_then(|o| o.meta().annotations.get(RELEASE_ANNOTATION))
             .or_else(|| rp.pod.meta.annotations.get(RELEASE_ANNOTATION))
             .cloned()
@@ -585,27 +663,22 @@ impl Cluster {
     /// Call [`Cluster::reconcile`] to realize the change — spawn new pods
     /// or reap excess ones.
     pub fn scale_workload(&mut self, qualified: &str, replicas: u32) -> bool {
-        let mut release = None;
-        let mut found = false;
-        for o in &mut self.objects {
-            if let Object::Workload(w) = o {
-                if w.meta.qualified_name() == qualified {
-                    w.replicas = replicas;
-                    release = w.meta.annotations.get(RELEASE_ANNOTATION).cloned();
-                    found = true;
-                    break;
-                }
-            }
-        }
-        if found {
-            self.events.push(format!("scale {qualified} to {replicas}"));
-            self.touch(DirtyEntry {
-                scope: release.map_or(DirtyScope::Unattributed, DirtyScope::App),
-                labels: false,
-                pods: true,
-            });
-        }
-        found
+        let Some(w) = self.objects.iter_mut().find_map(|o| match o {
+            Object::Workload(w) if is_named(&w.meta, qualified) => Some(w),
+            _ => None,
+        }) else {
+            return false;
+        };
+        w.replicas = replicas;
+        let release = w.meta.annotations.get(RELEASE_ANNOTATION).cloned();
+        self.events.push(format!("scale {qualified} to {replicas}"));
+        self.pending.push(qualified.to_string());
+        self.touch(DirtyEntry {
+            scope: release.map_or(DirtyScope::Unattributed, DirtyScope::App),
+            labels: false,
+            pods: true,
+        });
+        true
     }
 
     /// Restarts every pod: containers re-draw their ephemeral ports. This is
@@ -625,42 +698,9 @@ impl Cluster {
         });
     }
 
-    fn expand_workload(&self, w: &Workload) -> Vec<(Option<String>, Pod)> {
-        let owner = w.meta.qualified_name();
-        let mut out = Vec::new();
-        let make_pod = |name: String| {
-            let meta = ij_model::ObjectMeta {
-                name,
-                namespace: w.meta.namespace.clone(),
-                labels: w.template.labels.clone(),
-                annotations: Default::default(),
-            };
-            Pod::new(meta, w.template.spec.clone())
-        };
-        match w.kind {
-            WorkloadKind::DaemonSet => {
-                for node in &self.nodes {
-                    out.push((
-                        Some(owner.clone()),
-                        make_pod(format!("{}-{}", w.meta.name, node.name)),
-                    ));
-                }
-            }
-            _ => {
-                // `replicas: 0` is a deliberate scale-to-zero, not a typo:
-                // desire no pods so reconcile reaps any still running.
-                for i in 0..w.replicas {
-                    out.push((
-                        Some(owner.clone()),
-                        make_pod(format!("{}-{}", w.meta.name, i)),
-                    ));
-                }
-            }
-        }
-        out
-    }
-
-    fn start_pod(&mut self, mut pod: Pod, owner: Option<String>) {
+    /// Schedules and starts one pod of `release`; false when it stays
+    /// Pending.
+    fn start_pod(&mut self, mut pod: Pod, owner: Option<String>, release: Option<String>) -> bool {
         // No schedulable node: the pod stays Pending (Kubernetes semantics)
         // instead of crashing the control loop; the next reconcile retries.
         if self.nodes.is_empty() {
@@ -668,7 +708,7 @@ impl Cluster {
             self.events
                 .push(format!("pending {name}: no schedulable nodes"));
             self.notify(WatchEvent::PodPending { name });
-            return;
+            return false;
         }
         // Scheduler: round-robin by current pod count, honouring nodeName.
         let node_idx = self.pods.len() % self.nodes.len();
@@ -703,16 +743,6 @@ impl Cluster {
             name: pod.meta.qualified_name(),
             node: node_name.clone(),
         });
-        let release = owner
-            .as_deref()
-            .and_then(|o| {
-                self.objects
-                    .iter()
-                    .find(|obj| obj.qualified_name() == o)
-                    .and_then(|obj| obj.meta().annotations.get(RELEASE_ANNOTATION))
-            })
-            .or_else(|| pod.meta.annotations.get(RELEASE_ANNOTATION))
-            .cloned();
         self.pods.push(RunningPod {
             pod,
             node: node_name,
@@ -725,6 +755,7 @@ impl Cluster {
             labels: false,
             pods: true,
         });
+        true
     }
 
     /// Instantiates the behaviour model of every container in a pod.
@@ -948,6 +979,82 @@ impl Cluster {
         }
         out.sort_by_key(|a| (a.0, a.1));
         out
+    }
+}
+
+/// The metadata of an object that defines pods: a workload or a bare pod.
+fn definer_meta(o: &Object) -> Option<&ObjectMeta> {
+    match o {
+        Object::Workload(w) => Some(&w.meta),
+        Object::Pod(p) => Some(&p.meta),
+        _ => None,
+    }
+}
+
+/// A qualified `namespace/name` as its two parts.
+fn split_qualified(qualified: &str) -> (&str, &str) {
+    qualified.split_once('/').unwrap_or((qualified, ""))
+}
+
+/// True when `meta` carries the qualified `namespace/name`, compared
+/// without allocating the qualified form.
+fn is_named(meta: &ObjectMeta, qualified: &str) -> bool {
+    split_qualified(qualified) == (meta.namespace.as_str(), meta.name.as_str())
+}
+
+/// True when a pod could have been expanded from the object named
+/// `qualified`: same namespace, and the object's own name or a
+/// `name-<suffix>` of it.
+fn may_define(qualified: &str, pod: &ObjectMeta) -> bool {
+    let (ns, name) = split_qualified(qualified);
+    ns == pod.namespace
+        && pod
+            .name
+            .strip_prefix(name)
+            .is_some_and(|rest| rest.is_empty() || rest.starts_with('-'))
+}
+
+/// The names of the pods an object desires: one per replica for
+/// workloads (`name-<i>`, none at `replicas: 0`), one per node for
+/// DaemonSets (`name-<node>`), the pod itself for a bare pod.
+fn desired_pod_names(o: &Object, nodes: &[Node]) -> Vec<String> {
+    match o {
+        Object::Workload(w) if w.kind == WorkloadKind::DaemonSet => nodes
+            .iter()
+            .map(|node| format!("{}-{}", w.meta.name, node.name))
+            .collect(),
+        // `replicas: 0` is a deliberate scale-to-zero, not a typo: desire
+        // no pods so reconcile reaps any still running.
+        Object::Workload(w) => (0..w.replicas)
+            .map(|i| format!("{}-{i}", w.meta.name))
+            .collect(),
+        Object::Pod(p) => vec![p.meta.name.clone()],
+        _ => Vec::new(),
+    }
+}
+
+/// True when `o` desires the pod `pod` — [`desired_pod_names`] as a
+/// predicate, without allocating the names.
+fn desires(o: &Object, nodes: &[Node], pod: &ObjectMeta) -> bool {
+    match o {
+        Object::Pod(p) => p.meta.name == pod.name && p.meta.namespace == pod.namespace,
+        Object::Workload(w) if w.meta.namespace == pod.namespace => {
+            let Some(suffix) = pod
+                .name
+                .strip_prefix(w.meta.name.as_str())
+                .and_then(|rest| rest.strip_prefix('-'))
+            else {
+                return false;
+            };
+            if w.kind == WorkloadKind::DaemonSet {
+                return nodes.iter().any(|node| node.name == suffix);
+            }
+            // Replica suffixes are canonical decimals below the count.
+            let canonical = suffix.bytes().all(|b| b.is_ascii_digit())
+                && (suffix == "0" || !suffix.starts_with('0'));
+            canonical && suffix.parse::<u32>().is_ok_and(|i| i < w.replicas)
+        }
+        _ => false,
     }
 }
 
@@ -1559,6 +1666,193 @@ spec:
         // A stale cursor far older than the ring is conservative too.
         let s = cluster.dirty_since(u64::MAX);
         assert!(s.everything);
+    }
+
+    /// Today's full-scan reconcile body as a dry run, kept as the oracle of
+    /// the scoped one: the pods it would start (desired, not running) and
+    /// the running pods it would reap (running, not desired).
+    fn full_scan_plan(cluster: &Cluster) -> (Vec<String>, Vec<String>) {
+        let mut desired: Vec<String> = Vec::new();
+        for w in cluster.workloads() {
+            match w.kind {
+                WorkloadKind::DaemonSet => {
+                    for node in cluster.nodes() {
+                        desired.push(format!(
+                            "{}/{}-{}",
+                            w.meta.namespace, w.meta.name, node.name
+                        ));
+                    }
+                }
+                _ => {
+                    for i in 0..w.replicas {
+                        desired.push(format!("{}/{}-{i}", w.meta.namespace, w.meta.name));
+                    }
+                }
+            }
+        }
+        for o in cluster.objects() {
+            if let Object::Pod(p) = o {
+                desired.push(p.meta.qualified_name());
+            }
+        }
+        let running: HashSet<String> = cluster.pods().iter().map(|p| p.qualified_name()).collect();
+        let wanted: HashSet<&String> = desired.iter().collect();
+        let start = desired
+            .iter()
+            .filter(|n| !running.contains(*n))
+            .cloned()
+            .collect();
+        let reap = cluster
+            .pods()
+            .iter()
+            .map(|p| p.qualified_name())
+            .filter(|n| !wanted.contains(n))
+            .collect();
+        (start, reap)
+    }
+
+    /// Denies any object named `denied`, so installs exercise rollback.
+    struct DenyNamed;
+    impl AdmissionController for DenyNamed {
+        fn name(&self) -> &str {
+            "deny-named"
+        }
+        fn review(&self, review: &AdmissionReview<'_>) -> AdmissionOutcome {
+            if review.object.meta().name == "denied" {
+                AdmissionOutcome::Deny("denied by name".into())
+            } else {
+                AdmissionOutcome::Allow
+            }
+        }
+    }
+
+    /// A workload or bare pod drawn from small name pools, so qualified
+    /// names repeat (duplicates across releases) and bare pods collide
+    /// with replica names.
+    fn random_definer(rng: &mut StdRng) -> Object {
+        let namespace = ["default", "prod"][rng.gen_range(0..2usize)];
+        let spec = ij_model::PodSpec {
+            containers: vec![ij_model::Container::new("c", "img")
+                .with_ports(vec![ij_model::ContainerPort::tcp(8080)])],
+            ..Default::default()
+        };
+        if rng.gen_bool(0.3) {
+            let name = ["web-0", "web-1", "api-2", "solo", "denied"][rng.gen_range(0..5usize)];
+            let meta = ij_model::ObjectMeta::named(name).in_namespace(namespace);
+            return Object::Pod(Pod::new(meta, spec));
+        }
+        let name = ["web", "api", "web-1", "denied"][rng.gen_range(0..4usize)];
+        let meta = ij_model::ObjectMeta::named(name).in_namespace(namespace);
+        let mut w = Workload::deployment(meta, Labels::from_pairs([("app", name)]), spec);
+        w.replicas = rng.gen_range(0..4u32);
+        if rng.gen_bool(0.2) {
+            w = w.with_kind(WorkloadKind::DaemonSet);
+        }
+        Object::Workload(w)
+    }
+
+    /// After every reconcile the full-scan oracle finds nothing left to
+    /// start or reap, and a second reconcile neither bumps the generation
+    /// nor records a dirty entry.
+    fn assert_converged(cluster: &mut Cluster, context: &str) {
+        let (start, reap) = full_scan_plan(cluster);
+        assert!(reap.is_empty(), "{context}: full scan would reap {reap:?}");
+        if cluster.nodes().is_empty() {
+            assert!(cluster.pods().is_empty());
+            // Nothing can start, so every object desiring pods stays
+            // pending for the next reconcile.
+            for o in cluster.objects() {
+                let desires_pods = match o {
+                    Object::Workload(w) => w.kind != WorkloadKind::DaemonSet && w.replicas > 0,
+                    Object::Pod(_) => true,
+                    _ => false,
+                };
+                if desires_pods {
+                    assert!(
+                        cluster.pending.contains(&o.qualified_name()),
+                        "{context}: {} dropped from the pending set",
+                        o.qualified_name()
+                    );
+                }
+            }
+        } else {
+            assert!(
+                start.is_empty(),
+                "{context}: full scan would start {start:?}"
+            );
+        }
+        let generation = cluster.generation();
+        cluster.reconcile();
+        assert_eq!(
+            cluster.generation(),
+            generation,
+            "{context}: second reconcile"
+        );
+        assert!(cluster.dirty_since(generation).is_clean(), "{context}");
+    }
+
+    #[test]
+    fn scoped_reconcile_matches_the_full_scan_oracle() {
+        let (mut starts, mut reaps) = (0, 0);
+        for nodes in [3, 0] {
+            for seed in 0..256u64 {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut cluster = Cluster::new(ClusterConfig {
+                    nodes,
+                    seed,
+                    behaviors: BehaviorRegistry::new(),
+                });
+                cluster.push_admission(Box::new(DenyNamed));
+                for step in 0..80 {
+                    let context = format!("nodes {nodes}, seed {seed}, step {step}");
+                    let release = ["r1", "r2", "r3"][rng.gen_range(0..3usize)];
+                    match rng.gen_range(0..100u32) {
+                        0..=19 => {
+                            let _ = cluster.apply(random_definer(&mut rng));
+                        }
+                        20..=44 => {
+                            let objects: Vec<Object> = (0..rng.gen_range(1..4usize))
+                                .map(|_| random_definer(&mut rng))
+                                .collect();
+                            if cluster.install_objects(release, &objects).is_ok() {
+                                assert_converged(&mut cluster, &context);
+                            }
+                        }
+                        45..=59 => {
+                            let namespace = ["default", "prod"][rng.gen_range(0..2usize)];
+                            let name = ["web", "api", "web-1"][rng.gen_range(0..3usize)];
+                            cluster.scale_workload(
+                                &format!("{namespace}/{name}"),
+                                rng.gen_range(0..4u32),
+                            );
+                        }
+                        60..=74 => cluster.uninstall(release),
+                        75..=77 => cluster.reset(),
+                        78..=84 => cluster.restart_pods(),
+                        _ => {
+                            cluster.reconcile();
+                            assert_converged(&mut cluster, &context);
+                        }
+                    }
+                }
+                cluster.reconcile();
+                assert_converged(&mut cluster, &format!("nodes {nodes}, seed {seed}, end"));
+                starts += cluster
+                    .events()
+                    .iter()
+                    .filter(|e| e.starts_with("start "))
+                    .count();
+                reaps += cluster
+                    .events()
+                    .iter()
+                    .filter(|e| e.starts_with("reap "))
+                    .count();
+            }
+        }
+        assert!(
+            starts > 0 && reaps > 0,
+            "the streams must start and reap pods"
+        );
     }
 
     #[test]

@@ -20,8 +20,8 @@ use crate::finding::{identity_over, Finding, MisconfigId};
 use crate::model::StaticModel;
 use crate::report::{AppReport, Census, DatasetRow};
 use crate::symtab::{Sym, SymbolTable};
-use ij_cluster::PodSet;
 use ij_model::Protocol;
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 /// A [`Finding`] with its string fields replaced by interned symbols.
@@ -369,19 +369,24 @@ impl GlobalAppModel {
 ///   reproduces the old `BTreeMap<(String, String), _>` iteration order.
 /// * **Service ↔ foreign-unit captures** probe an inverted index on
 ///   `(namespace, label key, label value)` symbol triples. A selector with
-///   several pairs intersects the posting ranges block-at-a-time through
-///   [`PodSet`] kernels instead of calling `contains_all` per candidate —
+///   several pairs walks its rarest pair's posting range and binary-searches
+///   the others instead of calling `contains_all` per candidate —
 ///   membership in every pair's posting list *is* the subset check, since
-///   the namespace is part of the key.
-pub fn m4_global_collisions_compact(apps: &[GlobalAppModel], table: &SymbolTable) -> Vec<Finding> {
+///   the namespace is part of the key. Nothing is allocated per service:
+///   the pass allocates a few flat buffers plus the findings it reports.
+pub fn m4_global_collisions_compact<M: Borrow<GlobalAppModel>>(
+    apps: &[M],
+    table: &SymbolTable,
+) -> Vec<Finding> {
     let mut findings = Vec::new();
 
     // --- Unit ↔ unit collisions spanning at least two applications. ---
     // One flat row per labelled unit: group key as symbol ids plus a global
     // sequence number that encodes (application, unit) order.
-    let mut rows: Vec<(Sym, Sym, u32, usize)> = Vec::new(); // (ns, labels, app, seq)
-    let mut names: Vec<Sym> = Vec::new();
-    for (idx, model) in apps.iter().enumerate() {
+    let units: usize = apps.iter().map(|m| m.borrow().units.len()).sum();
+    let mut rows: Vec<(Sym, Sym, u32, usize)> = Vec::with_capacity(units); // (ns, labels, app, seq)
+    let mut names: Vec<Sym> = Vec::with_capacity(units);
+    for (idx, model) in apps.iter().map(Borrow::borrow).enumerate() {
         for u in &model.units {
             if u.label_pairs.is_empty() {
                 continue;
@@ -414,13 +419,13 @@ pub fn m4_global_collisions_compact(apps: &[GlobalAppModel], table: &SymbolTable
                 format!(
                     "{} ({})",
                     table.resolve(names[seq]),
-                    table.resolve(apps[app as usize].app)
+                    table.resolve(apps[app as usize].borrow().app)
                 )
             })
             .collect();
         findings.push(Finding::new(
             MisconfigId::M4Star,
-            table.resolve(apps[group[0].2 as usize].app),
+            table.resolve(apps[group[0].2 as usize].borrow().app),
             members[0].clone(),
             format!(
                 "label set `{labels}` collides across applications: {}",
@@ -435,9 +440,14 @@ pub fn m4_global_collisions_compact(apps: &[GlobalAppModel], table: &SymbolTable
     // (application, unit) order.
     // (namespace, key, value, sequence rank, app index, unit name)
     type Posting = (Sym, Sym, Sym, usize, u32, Sym);
-    let mut postings: Vec<Posting> = Vec::new();
+    let pairs: usize = apps
+        .iter()
+        .flat_map(|m| &m.borrow().units)
+        .map(|u| u.label_pairs.len())
+        .sum();
+    let mut postings: Vec<Posting> = Vec::with_capacity(pairs);
     let mut seq = 0usize; // (app, unit) rank
-    for (idx, model) in apps.iter().enumerate() {
+    for (idx, model) in apps.iter().map(Borrow::borrow).enumerate() {
         for u in &model.units {
             for &(k, v) in &u.label_pairs {
                 postings.push((u.namespace, k, v, seq, idx as u32, u.name));
@@ -452,16 +462,19 @@ pub fn m4_global_collisions_compact(apps: &[GlobalAppModel], table: &SymbolTable
         let hi = postings.partition_point(|p| (p.0, p.1, p.2) <= key);
         &postings[lo..hi]
     };
-    for (idx, model) in apps.iter().enumerate() {
+    // One selector's posting ranges, reused across services.
+    let mut ranges: Vec<&[Posting]> = Vec::new();
+    for (idx, model) in apps.iter().map(Borrow::borrow).enumerate() {
         for svc in &model.services {
             if svc.selector_pairs.is_empty() {
                 continue;
             }
-            let ranges: Vec<&[Posting]> = svc
-                .selector_pairs
-                .iter()
-                .map(|&(k, v)| range_of(svc.namespace, k, v))
-                .collect();
+            ranges.clear();
+            ranges.extend(
+                svc.selector_pairs
+                    .iter()
+                    .map(|&(k, v)| range_of(svc.namespace, k, v)),
+            );
             // Probe on the selector's *rarest* pair (first minimum, as
             // `min_by_key` picked it before).
             let rarest_pos = ranges
@@ -470,47 +483,17 @@ pub fn m4_global_collisions_compact(apps: &[GlobalAppModel], table: &SymbolTable
                 .min_by_key(|(_, r)| r.len())
                 .map(|(i, _)| i)
                 .expect("non-empty selector");
-            let rarest = ranges[rarest_pos];
-            if rarest.is_empty() {
-                continue;
-            }
             // A candidate matches the full selector exactly when it appears
-            // in every pair's posting range. Mark each range's hits over
-            // the rarest range's positions and intersect block-at-a-time.
-            let mut hits = PodSet::full(rarest.len());
-            for (i, range) in ranges.iter().enumerate() {
-                if i == rarest_pos {
-                    continue;
-                }
-                let mut mark = PodSet::empty(rarest.len());
-                if range.len() / 8 <= rarest.len() {
-                    // Comparable sizes: one linear merge over both ranges.
-                    let mut it = range.iter().peekable();
-                    for (pos, cand) in rarest.iter().enumerate() {
-                        while it.next_if(|p| p.3 < cand.3).is_some() {}
-                        if it.peek().is_some_and(|p| p.3 == cand.3) {
-                            mark.insert(pos);
-                        }
-                    }
-                } else {
-                    // Corpus-wide label pairs make `range` O(apps); walking
-                    // it per service would be quadratic in the population.
-                    // Probe per candidate instead (postings within a range
-                    // ascend by sequence number, so binary search applies).
-                    for (pos, cand) in rarest.iter().enumerate() {
-                        if range.binary_search_by_key(&cand.3, |p| p.3).is_ok() {
-                            mark.insert(pos);
-                        }
-                    }
-                }
-                hits.intersect_with(&mark);
-                if hits.count() == 0 {
-                    break;
-                }
-            }
-            for pos in hits.ones() {
-                let &(_, _, _, _, other_idx, unit_name) = &rarest[pos];
-                if other_idx as usize == idx {
+            // in every pair's posting range. Postings within a range ascend
+            // by sequence number, so each membership test is a binary
+            // search: a corpus-wide label pair makes its range O(apps), and
+            // walking it per service would be quadratic in the population.
+            for &(_, _, _, cand_seq, other_idx, unit_name) in ranges[rarest_pos] {
+                if other_idx as usize == idx
+                    || !ranges.iter().enumerate().all(|(i, range)| {
+                        i == rarest_pos || range.binary_search_by_key(&cand_seq, |p| p.3).is_ok()
+                    })
+                {
                     continue;
                 }
                 findings.push(Finding::new(
@@ -521,7 +504,7 @@ pub fn m4_global_collisions_compact(apps: &[GlobalAppModel], table: &SymbolTable
                         "service selector `{}` captures unit {} of application {}",
                         table.resolve(svc.selector_rendered),
                         table.resolve(unit_name),
-                        table.resolve(apps[other_idx as usize].app)
+                        table.resolve(apps[other_idx as usize].borrow().app)
                     ),
                 ));
             }

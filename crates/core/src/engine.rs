@@ -97,22 +97,41 @@ impl Analyzer {
         chart_defines_policies: bool,
     ) -> Vec<Finding> {
         let statics = StaticModel::from_objects(objects);
-        let ownership: Vec<(String, String)> = cluster
-            .pods()
-            .iter()
-            .map(|p| {
-                let name = p.qualified_name();
-                (name.clone(), p.owner.clone().unwrap_or(name))
-            })
-            .collect();
+        self.analyze_model(app, &statics, cluster, runtime, chart_defines_policies)
+    }
+
+    /// [`analyze_app`](Self::analyze_app) over an already-built static
+    /// model, for callers that keep the model for the cluster-wide pass.
+    pub fn analyze_model(
+        &self,
+        app: &str,
+        statics: &StaticModel,
+        cluster: &Cluster,
+        runtime: Option<&RuntimeReport>,
+        chart_defines_policies: bool,
+    ) -> Vec<Finding> {
+        let runtime = if self.options.runtime_rules {
+            runtime
+        } else {
+            None
+        };
+        // Only runtime rules read pod ownership; skip the per-pod table
+        // otherwise.
+        let ownership: Vec<(String, String)> = match runtime {
+            Some(_) => cluster
+                .pods()
+                .iter()
+                .map(|p| {
+                    let name = p.qualified_name();
+                    (name.clone(), p.owner.clone().unwrap_or(name))
+                })
+                .collect(),
+            None => Vec::new(),
+        };
         let ctx = RuleContext {
             app,
-            statics: &statics,
-            runtime: if self.options.runtime_rules {
-                runtime
-            } else {
-                None
-            },
+            statics,
+            runtime,
             ownership: &ownership,
             chart_defines_policies,
         };
@@ -123,7 +142,7 @@ impl Analyzer {
                 continue;
             }
             let runnable = match entry.scope() {
-                RuleScope::Runtime => self.options.runtime_rules && runtime.is_some(),
+                RuleScope::Runtime => runtime.is_some(),
                 RuleScope::Static => self.options.static_rules,
             };
             if runnable {
@@ -134,11 +153,24 @@ impl Analyzer {
         findings
     }
 
+    /// True when the cluster-wide pass has a rule to run: static rules are
+    /// on and a global rule (M4\*) is enabled. Callers that keep interned
+    /// models for [`m4_global_collisions_compact`](crate::m4_global_collisions_compact)
+    /// decide with this whether to keep them at all.
+    pub fn runs_global(&self) -> bool {
+        self.options.static_rules
+            && self
+                .registry
+                .entries()
+                .iter()
+                .any(|e| e.is_enabled() && e.is_global())
+    }
+
     /// The cluster-wide pass (§4.2.1): after every application has been
     /// analyzed individually, check labels and selectors *across*
     /// applications — the registry's global M4\* collision rule.
     pub fn analyze_global(&self, apps: &[(String, StaticModel)]) -> Vec<Finding> {
-        if !self.options.static_rules {
+        if !self.runs_global() {
             return Vec::new();
         }
         let mut findings = Vec::new();

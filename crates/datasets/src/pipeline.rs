@@ -532,9 +532,10 @@ impl CensusPipeline {
         record_local(&mut local.probe, start);
 
         start = timed.then(Instant::now);
-        let findings = opts.analyzer.analyze_app(
+        let statics = StaticModel::from_objects(objects);
+        let findings = opts.analyzer.analyze_model(
             app,
-            objects,
+            &statics,
             &cluster,
             Some(&runtime),
             chart_defines_network_policies(built.chart()),
@@ -542,7 +543,7 @@ impl CensusPipeline {
         let analysis = AppAnalysis {
             app: app.clone(),
             findings,
-            statics: StaticModel::from_objects(objects),
+            statics,
         };
         record_local(&mut local.analyze, start);
         Ok(analysis)
@@ -589,14 +590,7 @@ impl CensusPipeline {
     fn run_compact(&self, source: SpecSource<'_>) -> Result<CompactCensus, CensusError> {
         let total = source.len();
         let shard_count = self.shards().min(total.max(1));
-        let need_global = self.opts.analyzer.options.static_rules
-            && self
-                .opts
-                .analyzer
-                .registry
-                .entries()
-                .iter()
-                .any(|e| e.is_enabled() && e.is_global());
+        let need_global = self.opts.analyzer.runs_global();
 
         // Contiguous partitions: shard `s` owns specs
         // `bounds[s]..bounds[s + 1]`. Workers intern into the shard that

@@ -9,22 +9,32 @@
 //! changed:
 //!
 //! * per-app rules re-run only for dirtied releases (installs, uninstalls,
-//!   scale events, pod churn attributed to that release);
-//! * the cluster-wide label pass (`M4*`) re-runs only when the labelled
-//!   object set changed (`summary.labels`) or a release appeared or
-//!   disappeared;
+//!   scale events, pod churn attributed to that release), and only their
+//!   objects are collected;
+//! * each release's input to the cluster-wide label pass (`M4*`) is cached
+//!   as a [`GlobalAppModel`] interned into one symbol table the auditor
+//!   owns, so a re-run re-interns only the dirtied releases;
+//! * that pass re-runs only when the labelled object set changed
+//!   (`summary.labels`) or a release appeared or disappeared;
 //! * everything else is served from the per-app finding cache.
 //!
 //! When the dirty ring no longer covers the cursor (overflow, reset, first
 //! tick) the summary degrades to everything-dirty and the tick becomes a
-//! full recompute — the same code path [`IncrementalAuditor::full_tick`]
-//! exposes as the property-tested oracle. Deltas are diffed as multisets
-//! keyed by [`Finding::identity`] via [`AuditDelta::between`].
+//! full recompute into a fresh symbol table — the same code path
+//! [`IncrementalAuditor::full_tick`] exposes as the property-tested oracle.
+//! Symbols of uninstalled releases stay in the table until it holds more
+//! than twice the symbols it held after its last rebuild; the tick then
+//! re-interns the cached models into a fresh table, so memory stays bounded
+//! over long serve runs. Deltas are diffed as multisets keyed by
+//! [`Finding::identity`] via [`AuditDelta::between`].
 
 use std::collections::BTreeMap;
 
 use ij_cluster::{Cluster, DirtySummary, RELEASE_ANNOTATION};
-use ij_core::{sort_canonical, Analyzer, Finding, StaticModel};
+use ij_core::{
+    m4_global_collisions_compact, sort_canonical, Analyzer, Finding, GlobalAppModel, StaticModel,
+    SymbolTable,
+};
 use ij_model::Object;
 use ij_probe::{HostBaseline, RuntimeAnalyzer, RuntimeReport};
 
@@ -33,17 +43,26 @@ use crate::audit::AuditDelta;
 /// Cached per-release analysis state.
 struct AppState {
     findings: Vec<Finding>,
-    statics: StaticModel,
+    /// The release's `M4*` input, interned into the auditor's table; `None`
+    /// when the analyzer runs no cluster-wide pass.
+    global: Option<GlobalAppModel>,
 }
 
 /// A delta-aware auditor for a whole multi-release cluster. See the module
-/// docs for the re-evaluation policy.
+/// docs for the re-evaluation policy. A tick costs what the releases it
+/// re-analyzes cost, plus one `M4*` pass over the cached interned models
+/// when labels changed; unchanged releases are neither re-analyzed nor
+/// re-interned.
 pub struct IncrementalAuditor {
     analyzer: Analyzer,
     probe: Option<(RuntimeAnalyzer, HostBaseline)>,
     defines_policies: BTreeMap<String, bool>,
     cursor: Option<u64>,
     apps: BTreeMap<String, AppState>,
+    /// Symbols of every cached [`GlobalAppModel`].
+    table: SymbolTable,
+    /// `table.len()` right after its last rebuild.
+    table_floor: usize,
     global: Vec<Finding>,
     previous: Vec<Finding>,
 }
@@ -63,6 +82,8 @@ impl IncrementalAuditor {
             defines_policies: BTreeMap::new(),
             cursor: None,
             apps: BTreeMap::new(),
+            table: SymbolTable::new(),
+            table_floor: 0,
             global: Vec::new(),
             previous: Vec::new(),
         }
@@ -80,8 +101,12 @@ impl IncrementalAuditor {
     }
 
     /// Records whether a release's chart ships NetworkPolicy templates (the
-    /// M6 "defined but disabled" distinction). Call before or alongside the
-    /// install; the install itself dirties the release.
+    /// M6 "defined but disabled" distinction).
+    ///
+    /// Call it before each install (and each upgrade) of the release, with
+    /// no tick in between: the install itself dirties the release, and the
+    /// entry is dropped again by the first tick after a tracked release
+    /// disappears from the cluster, so a reinstall needs a fresh call.
     pub fn set_chart_defines_policies(&mut self, app: &str, defines: bool) {
         self.defines_policies.insert(app.to_string(), defines);
     }
@@ -112,56 +137,81 @@ impl IncrementalAuditor {
             };
         }
 
-        // Group release-stamped objects; unattributed objects belong to no
-        // audited release and are skipped by construction (they cannot
-        // change any release's object set).
-        let mut grouped: BTreeMap<&str, Vec<&Object>> = BTreeMap::new();
+        // Collect the release-stamped objects of the releases to
+        // re-analyze: all of them on a full recompute, else the dirtied
+        // ones. Unattributed objects belong to no audited release and are
+        // skipped by construction (they cannot change any release's object
+        // set).
+        let recompute_all = summary.everything || summary.all_apps;
+        if recompute_all {
+            self.table = SymbolTable::new();
+        }
+        let mut grouped: BTreeMap<&str, Vec<Object>> = summary
+            .apps
+            .iter()
+            .map(|name| (name.as_str(), Vec::new()))
+            .collect();
         for o in cluster.objects() {
             if let Some(release) = o.meta().annotations.get(RELEASE_ANNOTATION) {
-                grouped.entry(release.as_str()).or_default().push(o);
+                if recompute_all {
+                    grouped.entry(release.as_str()).or_default().push(o.clone());
+                } else if let Some(objects) = grouped.get_mut(release.as_str()) {
+                    objects.push(o.clone());
+                }
             }
         }
 
-        // Uninstalled releases drop out of the cache (and the finding set).
-        let before = self.apps.len();
-        self.apps
-            .retain(|name, _| grouped.contains_key(name.as_str()));
-        let mut apps_changed = self.apps.len() != before;
+        // Tracked releases left without objects were uninstalled: they drop
+        // out of the cache, the finding set and the policy-template record.
+        let mut apps_changed = false;
+        let defines_policies = &mut self.defines_policies;
+        self.apps.retain(|name, _| {
+            let present = match grouped.get(name.as_str()) {
+                Some(objects) => !objects.is_empty(),
+                None => !recompute_all,
+            };
+            if !present {
+                defines_policies.remove(name);
+                apps_changed = true;
+            }
+            present
+        });
+        grouped.retain(|_, objects| !objects.is_empty());
 
-        let recompute_all = summary.everything || summary.all_apps;
-        let needs_recompute = |apps: &BTreeMap<String, AppState>, name: &str| {
-            recompute_all || summary.apps.contains(name) || !apps.contains_key(name)
-        };
-        let any_dirty = grouped.keys().any(|name| needs_recompute(&self.apps, name));
         let report: Option<RuntimeReport> = match &self.probe {
-            Some((probe, baseline)) if any_dirty => Some(probe.observe(cluster, baseline)),
+            Some((probe, baseline)) if !grouped.is_empty() => {
+                Some(probe.observe(cluster, baseline))
+            }
             _ => None,
         };
-        for (name, refs) in &grouped {
-            if !needs_recompute(&self.apps, name) {
-                continue;
-            }
-            apps_changed |= !self.apps.contains_key(*name);
-            let objects: Vec<Object> = refs.iter().map(|&o| o.clone()).collect();
+        let runs_global = self.analyzer.runs_global();
+        for (name, objects) in &grouped {
+            let statics = StaticModel::from_objects(objects);
             let defines = self.defines_policies.get(*name).copied().unwrap_or(false);
             let findings =
                 self.analyzer
-                    .analyze_app(name, &objects, cluster, report.as_ref(), defines);
-            let statics = StaticModel::from_objects(&objects);
-            self.apps
-                .insert((*name).to_string(), AppState { findings, statics });
+                    .analyze_model(name, &statics, cluster, report.as_ref(), defines);
+            let global =
+                runs_global.then(|| GlobalAppModel::intern(name, &statics, &mut self.table));
+            let state = AppState { findings, global };
+            apps_changed |= self.apps.insert((*name).to_string(), state).is_none();
+        }
+        if recompute_all {
+            self.table_floor = self.table.len();
+        } else if self.table.len() > 2 * self.table_floor {
+            self.rebuild_table();
         }
 
         // The cluster-wide label pass sees every release at once, so it
         // must re-run when labelled objects changed anywhere or the release
         // set itself moved.
         if recompute_all || summary.labels || apps_changed {
-            let models: Vec<(String, StaticModel)> = self
+            let models: Vec<&GlobalAppModel> = self
                 .apps
-                .iter()
-                .map(|(name, state)| (name.clone(), state.statics.clone()))
+                .values()
+                .filter_map(|state| state.global.as_ref())
                 .collect();
-            self.global = self.analyzer.analyze_global(&models);
+            self.global = m4_global_collisions_compact(&models, &self.table);
         }
 
         let mut current: Vec<Finding> = self
@@ -176,16 +226,25 @@ impl IncrementalAuditor {
         delta
     }
 
-    /// The full-recompute oracle: forgets every cache and re-analyzes the
-    /// whole cluster through the same code path. Incremental [`tick`]s must
-    /// produce byte-identical finding lists and deltas — the property the
-    /// `incremental_audit` test suite enforces over random mutation
-    /// streams.
+    /// Re-interns every cached model into a fresh table, dropping the
+    /// symbols only uninstalled releases used.
+    fn rebuild_table(&mut self) {
+        let mut table = SymbolTable::new();
+        for global in self.apps.values_mut().filter_map(|s| s.global.as_mut()) {
+            *global = global.remap(&self.table, &mut table);
+        }
+        self.table = table;
+        self.table_floor = self.table.len();
+    }
+
+    /// The full-recompute oracle: forgets every cache (the symbol table
+    /// included) and re-analyzes the whole cluster through the same code
+    /// path. Incremental [`tick`]s must produce byte-identical finding
+    /// lists and deltas — the property the `incremental_audit` test suite
+    /// enforces over random mutation streams.
     ///
     /// [`tick`]: IncrementalAuditor::tick
     pub fn full_tick(&mut self, cluster: &Cluster) -> AuditDelta {
-        self.apps.clear();
-        self.global.clear();
         self.cursor = None;
         self.tick(cluster)
     }
@@ -277,6 +336,49 @@ spec:
         assert_eq!(delta.resolved, full.resolved);
         assert!(delta.resolved.iter().any(|f| f.id == MisconfigId::M4Star));
         assert_eq!(incremental.tracked_apps(), 1);
+    }
+
+    #[test]
+    fn uninstalled_releases_release_their_records_and_symbols() {
+        let mut cluster = Cluster::new(ClusterConfig {
+            nodes: 3,
+            seed: 5,
+            behaviors: BehaviorRegistry::new(),
+        });
+        let mut incremental = IncrementalAuditor::new();
+        let mut oracle = IncrementalAuditor::new();
+        let mut one_release = 0;
+        for round in 0..40 {
+            // Distinct names and labels: every release interns new symbols.
+            let name = format!("r{round}");
+            for auditor in [&mut incremental, &mut oracle] {
+                auditor.set_chart_defines_policies(&name, round % 2 == 0);
+            }
+            install(&mut cluster, &name, &format!("label-{round}"));
+            incremental.tick(&cluster);
+            oracle.full_tick(&cluster);
+            assert_eq!(incremental.current(), oracle.current());
+            if round == 0 {
+                one_release = incremental.table.len();
+            }
+            cluster.uninstall(&name);
+            incremental.tick(&cluster);
+            oracle.full_tick(&cluster);
+            assert_eq!(incremental.current(), oracle.current());
+        }
+        for auditor in [&incremental, &oracle] {
+            assert_eq!(auditor.tracked_apps(), 0);
+            assert!(
+                auditor.defines_policies.is_empty(),
+                "records of uninstalled releases leaked: {:?}",
+                auditor.defines_policies
+            );
+        }
+        assert!(
+            incremental.table.len() <= 3 * one_release,
+            "the symbol table kept {} symbols after 40 one-release rounds of {one_release}",
+            incremental.table.len()
+        );
     }
 
     #[test]

@@ -130,3 +130,72 @@ proptest! {
         prop_assert_eq!(first, second);
     }
 }
+
+/// FNV-1a 64 step over raw bytes.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+/// The serve-path byte pin: a 100-release `baseline` tenant at seed 7 under
+/// 300 churn mutations, ticked after each. The fingerprint folds every
+/// tick's introduced and resolved finding identities, the final pod table
+/// and the cluster's event log. Pod start order fixes pod IPs and
+/// ephemeral-port draws, so any change to the order in which `reconcile`
+/// starts or reaps pods moves the hash.
+#[test]
+fn serve_path_matches_the_pinned_fnv64() {
+    const RELEASES: usize = 100;
+    const MUTATIONS: usize = 300;
+    let generator = CorpusGenerator::new(
+        CorpusProfile::named("baseline")
+            .expect("known profile")
+            .with_apps(RELEASES)
+            .with_seed(7),
+    );
+    let mut cluster = Cluster::new(ClusterConfig {
+        nodes: 3,
+        seed: 7,
+        behaviors: BehaviorRegistry::new(),
+    });
+    let mut session = ChurnSession::new(generator);
+    let mut auditor = IncrementalAuditor::new();
+    for mutation in session.preinstall(RELEASES) {
+        register_spec(&mut [&mut auditor], &mutation);
+        apply_mutation(&mut cluster, &mutation).expect("preinstall applies");
+    }
+    auditor.full_tick(&cluster);
+
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for _ in 0..MUTATIONS {
+        let mutation = session.next_mutation();
+        register_spec(&mut [&mut auditor], &mutation);
+        apply_mutation(&mut cluster, &mutation).expect("churn mutations apply");
+        let delta = auditor.tick(&cluster);
+        for (tag, findings) in [(b'+', &delta.introduced), (b'-', &delta.resolved)] {
+            for f in findings {
+                h = fnv1a(h, &[tag]);
+                h = fnv1a(h, &f.identity().to_le_bytes());
+            }
+        }
+        h = fnv1a(h, b"\n");
+    }
+    for rp in cluster.pods() {
+        let row = format!(
+            "{} {} {} {:?}\n",
+            rp.qualified_name(),
+            rp.node,
+            rp.ip,
+            rp.sockets
+        );
+        h = fnv1a(h, row.as_bytes());
+    }
+    for event in cluster.events() {
+        h = fnv1a(h, event.as_bytes());
+        h = fnv1a(h, b"\n");
+    }
+    assert_eq!(format!("{h:016x}"), "ccbaadb7e89e4d84");
+}
