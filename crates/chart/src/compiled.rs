@@ -171,15 +171,6 @@ impl CompiledChart {
         &self.root.version
     }
 
-    /// An identity token for the compiled representation: equal for two
-    /// handles iff they share the same compilation (clones do; compiling
-    /// the same chart twice does not). Useful as a render-memoization key —
-    /// keep a handle alive alongside the key, since the token is only
-    /// meaningful while the compilation it names exists.
-    pub fn instance_key(&self) -> usize {
-        Arc::as_ptr(&self.root) as usize
-    }
-
     /// Renders the chart (and enabled dependencies) into typed objects.
     /// Byte-identical to [`Chart::render`] for the same chart and release.
     pub fn render(&self, release: &Release) -> Result<RenderedRelease> {
@@ -662,15 +653,6 @@ spec:
             .find(|o| o.meta().name == "static-svc")
             .expect("static service rendered");
         assert_eq!(svc.meta().namespace, "prod", "release namespace stamped");
-    }
-
-    #[test]
-    fn clones_share_the_compiled_representation() {
-        let compiled = chart_with_everything().compile().expect("compiles");
-        let clone = compiled.clone();
-        assert_eq!(compiled.instance_key(), clone.instance_key());
-        let recompiled = chart_with_everything().compile().expect("compiles");
-        assert_ne!(compiled.instance_key(), recompiled.instance_key());
     }
 
     #[test]

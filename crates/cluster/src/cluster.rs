@@ -6,7 +6,6 @@ use crate::dirty::{DirtyEntry, DirtyLog, DirtyScope, DirtySummary, DIRTY_LOG_CAP
 use crate::index::PolicyIndex;
 use crate::netpol::ConnectionVerdict;
 use crate::node::Node;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use ij_chart::RenderedRelease;
 use ij_model::{
     EndpointAddress, Endpoints, Labels, NetworkPolicy, Object, ObjectMeta, Pod, Protocol, Service,
@@ -116,48 +115,6 @@ impl fmt::Display for InstallError {
 
 impl std::error::Error for InstallError {}
 
-/// A change notification delivered to [`Cluster::watch`] subscribers —
-/// the equivalent of an API-server watch stream, which continuous-audit
-/// tooling uses to react to cluster changes instead of polling.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WatchEvent {
-    /// An object passed admission and was persisted.
-    Applied {
-        /// Object kind.
-        kind: String,
-        /// Qualified `namespace/name`.
-        name: String,
-    },
-    /// An admission controller rejected an object.
-    Denied {
-        /// Qualified name of the rejected object.
-        name: String,
-        /// Rejection reason.
-        reason: String,
-    },
-    /// A pod was scheduled and started.
-    PodStarted {
-        /// Qualified pod name.
-        name: String,
-        /// Node it landed on.
-        node: String,
-    },
-    /// A pod could not be scheduled (no worker nodes) and stays Pending.
-    PodPending {
-        /// Qualified pod name.
-        name: String,
-    },
-    /// A running pod was reaped (scale-down or its defining object removed).
-    PodReaped {
-        /// Qualified pod name.
-        name: String,
-    },
-    /// All pods were restarted (ephemeral ports re-drawn).
-    PodsRestarted,
-    /// The cluster was wiped.
-    Reset,
-}
-
 /// Result of a simulated connection attempt.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConnectOutcome {
@@ -186,7 +143,6 @@ pub struct Cluster {
     cluster_ips: HashMap<String, String>,
     next_cluster_ip: u32,
     events: Vec<String>,
-    watchers: Vec<Sender<WatchEvent>>,
     /// Bumped on every mutation of objects or pods; the policy-index cache
     /// key.
     generation: u64,
@@ -219,7 +175,6 @@ impl Cluster {
             cluster_ips: HashMap::new(),
             next_cluster_ip: 1,
             events: Vec::new(),
-            watchers: Vec::new(),
             generation: 0,
             dirty: DirtyLog::new(0, DIRTY_LOG_CAP),
             index_cache: Mutex::new(None),
@@ -245,21 +200,11 @@ impl Cluster {
         &self.nodes
     }
 
-    /// Event log (admission denials, pod starts, …).
+    /// Event log: one line per applied or denied object, pod start,
+    /// pending pod, reap, restart, scale, uninstall and reset. There is no
+    /// watch stream; incremental consumers read [`Cluster::dirty_since`].
     pub fn events(&self) -> &[String] {
         &self.events
-    }
-
-    /// Subscribes to change notifications (API-server watch semantics).
-    /// Dropped receivers are pruned automatically on the next event.
-    pub fn watch(&mut self) -> Receiver<WatchEvent> {
-        let (tx, rx) = unbounded();
-        self.watchers.push(tx);
-        rx
-    }
-
-    fn notify(&mut self, event: WatchEvent) {
-        self.watchers.retain(|w| w.send(event.clone()).is_ok());
     }
 
     /// Marks the cluster mutated: bumps the generation (so the next
@@ -376,18 +321,13 @@ impl Cluster {
                 AdmissionOutcome::Allow => {}
                 AdmissionOutcome::Warn(mut w) => warnings.append(&mut w),
                 AdmissionOutcome::Deny(reason) => {
-                    let err = InstallError::Denied {
-                        controller: controller.name().to_string(),
-                        reason: reason.clone(),
-                        object: object.qualified_name(),
-                    };
                     self.events
                         .push(format!("deny {}: {reason}", object.qualified_name()));
-                    self.notify(WatchEvent::Denied {
-                        name: object.qualified_name(),
+                    return Err(InstallError::Denied {
+                        controller: controller.name().to_string(),
                         reason,
+                        object: object.qualified_name(),
                     });
-                    return Err(err);
                 }
             }
         }
@@ -396,10 +336,6 @@ impl Cluster {
             object.kind(),
             object.qualified_name()
         ));
-        self.notify(WatchEvent::Applied {
-            kind: object.kind().to_string(),
-            name: object.qualified_name(),
-        });
         // Services get a virtual IP at creation.
         if let Object::Service(s) = &object {
             if !s.is_headless() {
@@ -519,7 +455,6 @@ impl Cluster {
         self.cluster_ips.clear();
         self.pending.clear();
         self.events.push("reset".to_string());
-        self.notify(WatchEvent::Reset);
         self.touch(DirtyEntry {
             scope: DirtyScope::AllApps,
             labels: true,
@@ -633,7 +568,6 @@ impl Cluster {
         });
         for (name, release) in reaped {
             self.events.push(format!("reap {name}"));
-            self.notify(WatchEvent::PodReaped { name });
             self.touch(DirtyEntry {
                 scope: release.map_or(DirtyScope::Unattributed, DirtyScope::App),
                 labels: false,
@@ -690,7 +624,6 @@ impl Cluster {
             self.events.push(format!("restart {}", rp.qualified_name()));
         }
         self.pods = pods;
-        self.notify(WatchEvent::PodsRestarted);
         self.touch(DirtyEntry {
             scope: DirtyScope::AllApps,
             labels: false,
@@ -704,10 +637,10 @@ impl Cluster {
         // No schedulable node: the pod stays Pending (Kubernetes semantics)
         // instead of crashing the control loop; the next reconcile retries.
         if self.nodes.is_empty() {
-            let name = pod.meta.qualified_name();
-            self.events
-                .push(format!("pending {name}: no schedulable nodes"));
-            self.notify(WatchEvent::PodPending { name });
+            self.events.push(format!(
+                "pending {}: no schedulable nodes",
+                pod.meta.qualified_name()
+            ));
             return false;
         }
         // Scheduler: round-robin by current pod count, honouring nodeName.
@@ -739,10 +672,6 @@ impl Cluster {
             pod.meta.qualified_name(),
             sockets.len()
         ));
-        self.notify(WatchEvent::PodStarted {
-            name: pod.meta.qualified_name(),
-            node: node_name.clone(),
-        });
         self.pods.push(RunningPod {
             pod,
             node: node_name,
@@ -1345,7 +1274,7 @@ spec:
     #[test]
     fn watch_stream_delivers_lifecycle_events() {
         let mut cluster = install_demo(BehaviorRegistry::new());
-        let rx = cluster.watch();
+        let start = cluster.events().len();
         let pod = Pod::new(
             ij_model::ObjectMeta::named("late"),
             ij_model::PodSpec {
@@ -1357,27 +1286,13 @@ spec:
         cluster.reconcile();
         cluster.restart_pods();
         cluster.reset();
-        let events: Vec<WatchEvent> = rx.try_iter().collect();
-        assert!(events.contains(&WatchEvent::Applied {
-            kind: "Pod".into(),
-            name: "default/late".into()
-        }));
+        let events = &cluster.events()[start..];
+        assert!(events.iter().any(|e| e == "apply Pod default/late"));
         assert!(events
             .iter()
-            .any(|e| matches!(e, WatchEvent::PodStarted { name, .. } if name == "default/late")));
-        assert!(events.contains(&WatchEvent::PodsRestarted));
-        assert!(events.contains(&WatchEvent::Reset));
-    }
-
-    #[test]
-    fn dropped_watchers_are_pruned() {
-        let mut cluster = install_demo(BehaviorRegistry::new());
-        {
-            let _rx = cluster.watch();
-        } // receiver dropped immediately
-        let rx2 = cluster.watch();
-        cluster.reset();
-        assert!(rx2.try_iter().any(|e| e == WatchEvent::Reset));
+            .any(|e| e.starts_with("start default/late on ")));
+        assert!(events.iter().any(|e| e == "restart default/late"));
+        assert_eq!(events.last().map(String::as_str), Some("reset"));
     }
 
     #[test]
@@ -1397,15 +1312,12 @@ spec:
         }
         let mut cluster = Cluster::new(ClusterConfig::default());
         cluster.push_admission(Box::new(DenyPods));
-        let rx = cluster.watch();
         let pod = Pod::new(
             ij_model::ObjectMeta::named("p"),
             ij_model::PodSpec::default(),
         );
         let _ = cluster.apply(Object::Pod(pod));
-        assert!(rx
-            .try_iter()
-            .any(|e| matches!(e, WatchEvent::Denied { reason, .. } if reason == "no pods")));
+        assert_eq!(cluster.events(), ["deny default/p: no pods"]);
     }
 
     #[test]
@@ -1557,7 +1469,7 @@ spec:
     fn zero_replicas_spawn_no_pods_and_scale_down_reaps() {
         let mut cluster = install_demo(BehaviorRegistry::new());
         assert_eq!(cluster.pods().len(), 2);
-        let rx = cluster.watch();
+        let start = cluster.events().len();
         assert!(cluster.scale_workload("default/d-web", 0));
         cluster.reconcile();
         assert!(
@@ -1565,8 +1477,9 @@ spec:
             "replicas: 0 means zero pods, not one"
         );
         assert_eq!(
-            rx.try_iter()
-                .filter(|e| matches!(e, WatchEvent::PodReaped { .. }))
+            cluster.events()[start..]
+                .iter()
+                .filter(|e| e.starts_with("reap "))
                 .count(),
             2
         );
@@ -1605,7 +1518,6 @@ spec:
             seed: 1,
             behaviors: BehaviorRegistry::new(),
         });
-        let rx = cluster.watch();
         let pod = Pod::new(
             ij_model::ObjectMeta::named("p"),
             ij_model::PodSpec {
@@ -1616,13 +1528,10 @@ spec:
         cluster.apply(Object::Pod(pod)).unwrap();
         cluster.reconcile(); // previously: divide-by-zero panic
         assert!(cluster.pods().is_empty());
-        assert!(rx
-            .try_iter()
-            .any(|e| matches!(e, WatchEvent::PodPending { name } if name == "default/p")));
         assert!(cluster
             .events()
             .iter()
-            .any(|e| e.contains("pending default/p")));
+            .any(|e| e == "pending default/p: no schedulable nodes"));
     }
 
     #[test]

@@ -25,9 +25,8 @@ pub enum DirtyScope {
     /// Every installed release at once (pod restart sweeps, resets).
     AllApps,
     /// A change with no release attribution: bare objects applied outside
-    /// any release. Per-release analysis is unaffected by construction —
-    /// unattributed objects belong to no audited application — so auditors
-    /// may skip re-analysis for these, subject to the flags they carry.
+    /// any release, and their pods. Auditors audit all unattributed objects
+    /// together as one more release, so this dirties that release.
     Unattributed,
 }
 

@@ -48,7 +48,7 @@ pub mod node;
 pub use admission::{AdmissionController, AdmissionOutcome, AdmissionReview};
 pub use behavior::{BehaviorRegistry, ContainerBehavior, ListenerSpec, PortSpec};
 pub use cluster::{
-    Cluster, ClusterConfig, ConnectOutcome, InstallError, OpenSocket, RunningPod, WatchEvent,
+    Cluster, ClusterConfig, ConnectOutcome, InstallError, OpenSocket, RunningPod,
     RELEASE_ANNOTATION,
 };
 pub use dirty::{DirtyEntry, DirtyScope, DirtySummary, DIRTY_LOG_CAP};

@@ -1,10 +1,12 @@
 //! The analysis engine: combines static extraction and runtime observation
 //! and evaluates the rules (§4.2.1) by iterating the [`RuleRegistry`].
 
+use crate::compact::{m4_global_collisions_compact, GlobalAppModel};
 use crate::finding::{sort_canonical, Finding};
 use crate::model::StaticModel;
 use crate::registry::{RuleRegistry, RuleScope};
 use crate::rules::RuleContext;
+use crate::symtab::SymbolTable;
 use ij_chart::Chart;
 use ij_cluster::Cluster;
 use ij_model::Object;
@@ -168,18 +170,20 @@ impl Analyzer {
 
     /// The cluster-wide pass (§4.2.1): after every application has been
     /// analyzed individually, check labels and selectors *across*
-    /// applications — the registry's global M4\* collision rule.
+    /// applications — the registry's global M4\* collision rule. Interns
+    /// the models into a scratch [`SymbolTable`] and runs
+    /// [`m4_global_collisions_compact`], the pass the census and the
+    /// incremental auditor drive over their own interned models.
     pub fn analyze_global(&self, apps: &[(String, StaticModel)]) -> Vec<Finding> {
         if !self.runs_global() {
             return Vec::new();
         }
-        let mut findings = Vec::new();
-        for entry in self.registry.entries() {
-            if entry.is_enabled() && entry.is_global() {
-                findings.extend(entry.run_global(apps));
-            }
-        }
-        findings
+        let mut table = SymbolTable::new();
+        let models: Vec<GlobalAppModel> = apps
+            .iter()
+            .map(|(app, model)| GlobalAppModel::intern(app, model, &mut table))
+            .collect();
+        m4_global_collisions_compact(&models, &table)
     }
 }
 

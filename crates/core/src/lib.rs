@@ -100,5 +100,5 @@ pub use lang::{CompiledRule, LangError, RulePack, TraceAtom, BUILTIN_PACK_SOURCE
 pub use model::{ComputeUnit, StaticModel};
 pub use registry::{AppRule, RuleEntry, RuleOrigin, RuleRegistry, RuleScope, UnknownRule};
 pub use report::{AppReport, Census, ConcentrationStats, DatasetRow};
-pub use rules::{m4_global_collisions, RuleContext};
+pub use rules::RuleContext;
 pub use symtab::{Sym, SymbolTable};

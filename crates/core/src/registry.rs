@@ -22,7 +22,6 @@
 
 use crate::finding::{Finding, MisconfigId};
 use crate::lang::CompiledRule;
-use crate::model::StaticModel;
 use crate::rules::{self, RuleContext};
 use std::borrow::Cow;
 use std::fmt;
@@ -72,13 +71,13 @@ impl RuleOrigin {
 /// An application-scoped rule: evaluated once per application.
 pub type AppRule = for<'a> fn(&RuleContext<'a>) -> Vec<Finding>;
 
-/// A census-scoped rule: evaluated once over every application's statics.
-type GlobalRule = fn(&[(String, StaticModel)]) -> Vec<Finding>;
-
 #[derive(Clone)]
 enum RuleBody {
     App(AppRule),
-    Global(GlobalRule),
+    /// The census-scoped M4\* pass: evaluated once over every application,
+    /// by [`crate::Analyzer::analyze_global`] and the interned census paths
+    /// through [`crate::m4_global_collisions_compact`].
+    Global,
     Pack(Arc<CompiledRule>),
 }
 
@@ -140,13 +139,13 @@ impl RuleEntry {
 
     /// True for census-scoped (cluster-wide) rules.
     pub fn is_global(&self) -> bool {
-        matches!(self.body, RuleBody::Global(_))
+        matches!(self.body, RuleBody::Global)
     }
 
     /// Native Rust or pack-loaded.
     pub fn origin(&self) -> RuleOrigin {
         match self.body {
-            RuleBody::App(_) | RuleBody::Global(_) => RuleOrigin::Native,
+            RuleBody::App(_) | RuleBody::Global => RuleOrigin::Native,
             RuleBody::Pack(_) => RuleOrigin::Pack,
         }
     }
@@ -169,16 +168,8 @@ impl RuleEntry {
     pub fn run_app(&self, ctx: &RuleContext<'_>) -> Vec<Finding> {
         match &self.body {
             RuleBody::App(f) => f(ctx),
-            RuleBody::Global(_) => Vec::new(),
+            RuleBody::Global => Vec::new(),
             RuleBody::Pack(rule) => rule.run(ctx),
-        }
-    }
-
-    /// Runs a census-scoped rule; application rules yield nothing here.
-    pub fn run_global(&self, apps: &[(String, StaticModel)]) -> Vec<Finding> {
-        match &self.body {
-            RuleBody::App(_) | RuleBody::Pack(_) => Vec::new(),
-            RuleBody::Global(f) => f(apps),
         }
     }
 }
@@ -271,7 +262,7 @@ impl RuleRegistry {
             rules::m6_missing_policies,
         );
         reg.register_app_rule("m7", &[M::M7], RuleScope::Static, rules::m7_host_network);
-        reg.register_global_rule("m4star", &[M::M4Star], rules::m4_global_collisions);
+        reg.register_global_rule("m4star", &[M::M4Star]);
         reg
     }
 
@@ -298,13 +289,12 @@ impl RuleRegistry {
         &mut self,
         name: &'static str,
         classes: &'static [MisconfigId],
-        rule: GlobalRule,
     ) -> &mut Self {
         self.insert(RuleEntry {
             name: Cow::Borrowed(name),
             classes: Cow::Borrowed(classes),
             scope: RuleScope::Static,
-            body: RuleBody::Global(rule),
+            body: RuleBody::Global,
             enabled: true,
         })
     }
@@ -409,6 +399,7 @@ impl RuleRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::StaticModel;
 
     #[test]
     fn standard_registry_covers_every_class() {
@@ -474,7 +465,7 @@ mod tests {
         let star = reg.get("m4star").expect("registered");
         assert!(star.is_global());
         assert!(!reg.get("m1").unwrap().is_global());
-        // Running a global rule as an app rule (and vice versa) is a no-op.
+        // Running the global rule as an app rule is a no-op.
         assert!(star
             .run_app(&RuleContext {
                 app: "x",
@@ -484,6 +475,5 @@ mod tests {
                 chart_defines_policies: false,
             })
             .is_empty());
-        assert!(reg.get("m1").unwrap().run_global(&[]).is_empty());
     }
 }

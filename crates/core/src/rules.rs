@@ -2,10 +2,8 @@
 //! family. Each rule takes the same context and emits findings; the engine
 //! decides which rules run (hybrid vs static-only vs runtime-only).
 
-use crate::compact::{m4_global_collisions_compact, GlobalAppModel};
 use crate::finding::{Finding, MisconfigId};
 use crate::model::{ComputeUnit, StaticModel};
-use crate::symtab::SymbolTable;
 use ij_model::{Protocol, Service, TargetPort};
 use ij_probe::{ObservedSocket, RuntimeReport};
 use std::collections::{BTreeMap, BTreeSet};
@@ -397,24 +395,6 @@ pub fn m7_host_network(ctx: &RuleContext<'_>) -> Vec<Finding> {
             )
         })
         .collect()
-}
-
-/// M4\* — cross-application label collisions, evaluated over the static
-/// models of every application destined for the same cluster.
-///
-/// This is a thin adapter: it interns the models into a scratch
-/// [`SymbolTable`] and delegates to the flat-memory pass
-/// ([`crate::m4_global_collisions_compact`]), which the streamed corpus
-/// census also drives directly (without materializing `StaticModel`s at
-/// all). One implementation, two entry points — findings are
-/// byte-identical by construction.
-pub fn m4_global_collisions(apps: &[(String, StaticModel)]) -> Vec<Finding> {
-    let mut table = SymbolTable::new();
-    let models: Vec<GlobalAppModel> = apps
-        .iter()
-        .map(|(app, model)| GlobalAppModel::intern(app, model, &mut table))
-        .collect();
-    m4_global_collisions_compact(&models, &table)
 }
 
 #[cfg(test)]

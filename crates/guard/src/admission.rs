@@ -4,39 +4,24 @@ use ij_cluster::{AdmissionController, AdmissionOutcome, AdmissionReview};
 use ij_core::StaticModel;
 use ij_model::Object;
 
-/// Which checks the guard enforces, and how.
+/// How the guard enforces its checks. Label collisions (M4/M4\*),
+/// selectorless services (M5D), services forwarding to undeclared ports
+/// (M5B) and hostNetwork pod templates (M7) are always checked.
 #[derive(Debug, Clone)]
 pub struct GuardPolicy {
     /// Deny instead of warn.
     pub enforce: bool,
-    /// Check new compute units for label collisions with existing ones
-    /// (M4A within a release, M4\* across releases).
-    pub check_label_collisions: bool,
-    /// Check new services for empty/unmatched selectors (M5D). Services
-    /// applied before their workloads are common, so this check only fires
-    /// on selectors that are literally empty or that collide with nothing
-    /// *and* the policy says to be strict about ordering.
-    pub check_service_targets: bool,
-    /// Check new services for numeric targets no selected unit declares
-    /// (M5B).
-    pub check_undeclared_targets: bool,
     /// Strict ordering mode: also deny services whose (non-empty) selector
     /// matches no *existing* compute unit (M5D). Off by default because
     /// installers may legitimately apply services before their workloads.
     pub check_unmatched_selectors: bool,
-    /// Flag hostNetwork pod templates (M7).
-    pub check_host_network: bool,
 }
 
 impl Default for GuardPolicy {
     fn default() -> Self {
         GuardPolicy {
             enforce: true,
-            check_label_collisions: true,
-            check_service_targets: true,
-            check_undeclared_targets: true,
             check_unmatched_selectors: false,
-            check_host_network: true,
         }
     }
 }
@@ -74,7 +59,7 @@ impl GuardAdmission {
                 let Some(unit) = incoming.units.first() else {
                     return out;
                 };
-                if self.policy.check_label_collisions && !unit.labels.is_empty() {
+                if !unit.labels.is_empty() {
                     for other in &existing.units {
                         if other.namespace == unit.namespace
                             && other.labels == unit.labels
@@ -109,7 +94,7 @@ impl GuardAdmission {
                         }
                     }
                 }
-                if self.policy.check_host_network && unit.host_network {
+                if unit.host_network {
                     out.push(format!(
                         "host network (M7): `{}` binds to the host network namespace, \
                          bypassing NetworkPolicies",
@@ -118,7 +103,7 @@ impl GuardAdmission {
                 }
             }
             Object::Service(svc) => {
-                if self.policy.check_service_targets && svc.spec.selector.is_empty() {
+                if svc.spec.selector.is_empty() {
                     out.push(format!(
                         "service without target (M5D): `{}` has no selector",
                         svc.meta.qualified_name()
@@ -138,7 +123,7 @@ impl GuardAdmission {
                         ));
                     }
                 }
-                if self.policy.check_undeclared_targets && !svc.spec.selector.is_empty() {
+                if !svc.spec.selector.is_empty() {
                     let selected: Vec<_> = existing
                         .units
                         .iter()
@@ -315,23 +300,5 @@ mod tests {
         ));
         let err = cluster.apply(pod).unwrap_err();
         assert!(err.to_string().contains("M7"));
-    }
-
-    #[test]
-    fn checks_can_be_disabled() {
-        let policy = GuardPolicy {
-            check_host_network: false,
-            ..Default::default()
-        };
-        let mut cluster = guarded_cluster(policy);
-        let pod = Object::Pod(Pod::new(
-            ObjectMeta::named("exporter"),
-            PodSpec {
-                containers: vec![Container::new("e", "img/exp")],
-                host_network: true,
-                node_name: None,
-            },
-        ));
-        assert!(cluster.apply(pod).is_ok());
     }
 }

@@ -1,20 +1,17 @@
-//! The continuous auditor: periodic re-analysis with finding deltas.
+//! Finding deltas between two audit rounds.
 
 use std::collections::HashMap;
 
-use ij_cluster::Cluster;
-use ij_core::{Analyzer, Finding};
-use ij_probe::{HostBaseline, RuntimeAnalyzer};
+use ij_core::Finding;
 
-/// What changed between two audit rounds.
+/// What changed between two audit rounds. The findings open after a round
+/// are [`IncrementalAuditor::current`](crate::IncrementalAuditor::current).
 #[derive(Debug, Clone, Default)]
 pub struct AuditDelta {
     /// Findings present now but not in the previous round.
     pub introduced: Vec<Finding>,
     /// Findings from the previous round that disappeared.
     pub resolved: Vec<Finding>,
-    /// Findings present in both rounds.
-    pub persisting: Vec<Finding>,
 }
 
 impl AuditDelta {
@@ -22,9 +19,9 @@ impl AuditDelta {
     ///
     /// Each previous occurrence cancels at most one current occurrence, so
     /// two identical findings resolving down to one reports exactly one
-    /// `resolved` and one `persisting`. Output order follows input order,
-    /// which keeps the delta deterministic for canonically sorted inputs.
-    /// Runs in O(previous + current).
+    /// `resolved`. Output order follows input order, which keeps the delta
+    /// deterministic for canonically sorted inputs. Runs in
+    /// O(previous + current).
     pub fn between(previous: &[Finding], current: &[Finding]) -> AuditDelta {
         let mut prev_counts: HashMap<u64, usize> = HashMap::new();
         for f in previous {
@@ -38,10 +35,7 @@ impl AuditDelta {
         let mut delta = AuditDelta::default();
         for f in current {
             match prev_counts.get_mut(&f.identity()) {
-                Some(n) if *n > 0 => {
-                    *n -= 1;
-                    delta.persisting.push(f.clone());
-                }
+                Some(n) if *n > 0 => *n -= 1,
                 _ => delta.introduced.push(f.clone()),
             }
         }
@@ -60,64 +54,14 @@ impl AuditDelta {
     }
 }
 
-/// Re-runs the hybrid analyzer against the live cluster, tracking deltas —
-/// the reconciliation loop of the defense.
-pub struct ContinuousAuditor {
-    analyzer: Analyzer,
-    probe: RuntimeAnalyzer,
-    baseline: HostBaseline,
-    app: String,
-    chart_defines_policies: bool,
-    previous: Option<Vec<Finding>>,
-}
-
-impl ContinuousAuditor {
-    /// Creates an auditor for an application installed in the cluster. The
-    /// baseline must have been captured before installation.
-    pub fn new(
-        app: impl Into<String>,
-        baseline: HostBaseline,
-        chart_defines_policies: bool,
-    ) -> Self {
-        ContinuousAuditor {
-            analyzer: Analyzer::hybrid(),
-            probe: RuntimeAnalyzer::default(),
-            baseline,
-            app: app.into(),
-            chart_defines_policies,
-            previous: None,
-        }
-    }
-
-    /// Runs one audit round and reports the delta against the previous one.
-    pub fn tick(&mut self, cluster: &mut Cluster) -> AuditDelta {
-        let runtime = self.probe.analyze(cluster, &self.baseline);
-        let objects = cluster.objects().to_vec();
-        let current = self.analyzer.analyze_app(
-            &self.app,
-            &objects,
-            cluster,
-            Some(&runtime),
-            self.chart_defines_policies,
-        );
-        let previous = self.previous.take().unwrap_or_default();
-        let delta = AuditDelta::between(&previous, &current);
-        self.previous = Some(current);
-        delta
-    }
-
-    /// The most recent full finding list.
-    pub fn latest(&self) -> &[Finding] {
-        self.previous.as_deref().unwrap_or(&[])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::IncrementalAuditor;
     use ij_cluster::{Cluster, ClusterConfig};
     use ij_core::MisconfigId;
     use ij_model::{Container, ContainerPort, Labels, Object, ObjectMeta, Pod, PodSpec};
+    use ij_probe::{HostBaseline, RuntimeAnalyzer};
 
     #[test]
     fn detects_newly_introduced_misconfigurations() {
@@ -136,8 +80,8 @@ mod tests {
             .unwrap();
         cluster.reconcile();
 
-        let mut auditor = ContinuousAuditor::new("app", baseline, false);
-        let first = auditor.tick(&mut cluster);
+        let mut auditor = IncrementalAuditor::with_probe(RuntimeAnalyzer::default(), baseline);
+        let first = auditor.tick(&cluster);
         // Round 1: only M6 (no policies).
         assert_eq!(first.introduced.len(), 1);
         assert_eq!(first.introduced[0].id, MisconfigId::M6);
@@ -156,15 +100,15 @@ mod tests {
             .unwrap();
         cluster.reconcile();
 
-        let second = auditor.tick(&mut cluster);
+        let second = auditor.tick(&cluster);
         assert!(second.introduced.iter().any(|f| f.id == MisconfigId::M4A));
-        assert!(second.persisting.iter().any(|f| f.id == MisconfigId::M6));
-        assert!(!second.is_quiet());
+        assert!(second.resolved.is_empty());
+        assert!(auditor.current().iter().any(|f| f.id == MisconfigId::M6));
 
         // Nothing changes: quiet round.
-        let third = auditor.tick(&mut cluster);
+        let third = auditor.tick(&cluster);
         assert!(third.is_quiet());
-        assert!(!auditor.latest().is_empty());
+        assert!(!auditor.current().is_empty());
     }
 
     #[test]
@@ -186,7 +130,6 @@ mod tests {
             std::slice::from_ref(&finding),
         );
         assert_eq!(down.resolved.len(), 1, "one of two duplicates resolved");
-        assert_eq!(down.persisting.len(), 1, "the other duplicate persists");
         assert!(down.introduced.is_empty());
         assert!(
             !down.is_quiet(),
@@ -199,7 +142,6 @@ mod tests {
             &[finding.clone(), finding.clone()],
         );
         assert_eq!(up.introduced.len(), 1);
-        assert_eq!(up.persisting.len(), 1);
         assert!(up.resolved.is_empty());
 
         // Identity hashing separates near-identical findings.

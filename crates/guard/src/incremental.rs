@@ -1,16 +1,19 @@
-//! The incremental continuous auditor: re-analyzes only what a mutation
-//! touched.
+//! The continuous auditor: re-analyzes only what a mutation touched.
 //!
-//! [`ContinuousAuditor`](crate::ContinuousAuditor) re-runs the full
-//! analysis on every tick — fine for one app, quadratic waste for a tenant
-//! cluster under churn. [`IncrementalAuditor`] instead remembers the
-//! [`Cluster::generation`](ij_cluster::Cluster::generation) it last audited
-//! and asks [`Cluster::dirty_since`](ij_cluster::Cluster::dirty_since) what
-//! changed:
+//! [`IncrementalAuditor`] audits a whole multi-release cluster. It
+//! remembers the [`Cluster::generation`](ij_cluster::Cluster::generation)
+//! it last audited and asks
+//! [`Cluster::dirty_since`](ij_cluster::Cluster::dirty_since) what changed;
+//! the cluster's dirty log is its only change feed (there is no watch
+//! stream):
 //!
 //! * per-app rules re-run only for dirtied releases (installs, uninstalls,
 //!   scale events, pod churn attributed to that release), and only their
 //!   objects are collected;
+//! * objects that carry no release annotation — a pod applied by hand
+//!   next to the releases, the lateral-movement imposter the defense is
+//!   for — are audited together as one more release named
+//!   [`UNATTRIBUTED_RELEASE`], dirtied by unattributed changes;
 //! * each release's input to the cluster-wide label pass (`M4*`) is cached
 //!   as a [`GlobalAppModel`] interned into one symbol table the auditor
 //!   owns, so a re-run re-interns only the dirtied releases;
@@ -27,6 +30,10 @@
 //! re-interns the cached models into a fresh table, so memory stays bounded
 //! over long serve runs. Deltas are diffed as multisets keyed by
 //! [`Finding::identity`] via [`AuditDelta::between`].
+//!
+//! Runtime observation never restarts pods, so a live-cluster audit leaves
+//! the workload alone; the restart-based `M2` differential belongs to the
+//! census's fresh per-app cluster.
 
 use std::collections::BTreeMap;
 
@@ -39,6 +46,11 @@ use ij_model::Object;
 use ij_probe::{HostBaseline, RuntimeAnalyzer, RuntimeReport};
 
 use crate::audit::AuditDelta;
+
+/// The release name objects without a
+/// [`RELEASE_ANNOTATION`](ij_cluster::RELEASE_ANNOTATION) are audited
+/// under. Not a valid DNS-1123 name, so no installed release can take it.
+pub const UNATTRIBUTED_RELEASE: &str = "<unattributed>";
 
 /// Cached per-release analysis state.
 struct AppState {
@@ -130,18 +142,12 @@ impl IncrementalAuditor {
         };
         self.cursor = Some(cluster.generation());
         if summary.is_clean() {
-            return AuditDelta {
-                introduced: Vec::new(),
-                resolved: Vec::new(),
-                persisting: self.previous.clone(),
-            };
+            return AuditDelta::default();
         }
 
-        // Collect the release-stamped objects of the releases to
-        // re-analyze: all of them on a full recompute, else the dirtied
-        // ones. Unattributed objects belong to no audited release and are
-        // skipped by construction (they cannot change any release's object
-        // set).
+        // Collect the objects of the releases to re-analyze: all of them on
+        // a full recompute, else the dirtied ones. Objects without a release
+        // annotation form the release `UNATTRIBUTED_RELEASE`.
         let recompute_all = summary.everything || summary.all_apps;
         if recompute_all {
             self.table = SymbolTable::new();
@@ -149,15 +155,20 @@ impl IncrementalAuditor {
         let mut grouped: BTreeMap<&str, Vec<Object>> = summary
             .apps
             .iter()
-            .map(|name| (name.as_str(), Vec::new()))
+            .map(String::as_str)
+            .chain(summary.unattributed.then_some(UNATTRIBUTED_RELEASE))
+            .map(|name| (name, Vec::new()))
             .collect();
         for o in cluster.objects() {
-            if let Some(release) = o.meta().annotations.get(RELEASE_ANNOTATION) {
-                if recompute_all {
-                    grouped.entry(release.as_str()).or_default().push(o.clone());
-                } else if let Some(objects) = grouped.get_mut(release.as_str()) {
-                    objects.push(o.clone());
-                }
+            let release = o
+                .meta()
+                .annotations
+                .get(RELEASE_ANNOTATION)
+                .map_or(UNATTRIBUTED_RELEASE, String::as_str);
+            if recompute_all {
+                grouped.entry(release).or_default().push(o.clone());
+            } else if let Some(objects) = grouped.get_mut(release) {
+                objects.push(o.clone());
             }
         }
 
@@ -256,6 +267,7 @@ mod tests {
     use ij_chart::{Chart, Release};
     use ij_cluster::{BehaviorRegistry, Cluster, ClusterConfig};
     use ij_core::MisconfigId;
+    use ij_model::{Container, Labels, ObjectMeta, Pod, PodSpec};
 
     fn demo_chart(app_label: &str) -> Chart {
         Chart::builder("demo")
@@ -320,13 +332,14 @@ spec:
         let full = oracle.full_tick(&cluster);
         assert_eq!(incremental.current(), oracle.current());
         assert_eq!(delta.introduced, full.introduced);
-        assert_eq!(delta.persisting, full.persisting);
+        assert_eq!(delta.resolved, full.resolved);
         assert!(delta.introduced.iter().any(|f| f.id == MisconfigId::M4Star));
 
         // Quiet round: no mutation, no work, no delta.
+        let before = incremental.current().to_vec();
         let quiet = incremental.tick(&cluster);
         assert!(quiet.is_quiet());
-        assert_eq!(quiet.persisting, incremental.current());
+        assert_eq!(incremental.current(), before);
 
         // Uninstall resolves the imposter's findings on both sides.
         cluster.uninstall("imposter");
@@ -336,6 +349,44 @@ spec:
         assert_eq!(delta.resolved, full.resolved);
         assert!(delta.resolved.iter().any(|f| f.id == MisconfigId::M4Star));
         assert_eq!(incremental.tracked_apps(), 1);
+    }
+
+    #[test]
+    fn bare_imposter_is_caught_as_a_cross_release_collision() {
+        let mut cluster = Cluster::new(ClusterConfig {
+            nodes: 3,
+            seed: 5,
+            behaviors: BehaviorRegistry::new(),
+        });
+        let mut incremental = IncrementalAuditor::new();
+        let mut oracle = IncrementalAuditor::new();
+        install(&mut cluster, "shop", "shop");
+        incremental.tick(&cluster);
+        oracle.full_tick(&cluster);
+
+        // A pod applied by hand, outside any release, wearing the release's
+        // labels: it joins every selector that targets the release's pods.
+        cluster
+            .apply(Object::Pod(Pod::new(
+                ObjectMeta::named("imposter").with_labels(Labels::from_pairs([("app", "shop")])),
+                PodSpec {
+                    containers: vec![Container::new("c", "evil/web")],
+                    ..Default::default()
+                },
+            )))
+            .unwrap();
+        cluster.reconcile();
+        let delta = incremental.tick(&cluster);
+        let full = oracle.full_tick(&cluster);
+        assert_eq!(incremental.current(), oracle.current());
+        assert_eq!(delta.introduced, full.introduced);
+        assert_eq!(delta.resolved, full.resolved);
+        assert!(
+            delta.introduced.iter().any(|f| f.id == MisconfigId::M4Star),
+            "{:#?}",
+            delta.introduced
+        );
+        assert_eq!(incremental.tracked_apps(), 2);
     }
 
     #[test]

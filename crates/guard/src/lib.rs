@@ -18,14 +18,15 @@
 //!   undeclared M1 port). Dynamic ports (M2) cannot be expressed statically;
 //!   the synthesizer reports those as residual risks instead of silently
 //!   ignoring them.
-//! * [`ContinuousAuditor`] — a reconciler that re-runs the hybrid analyzer
-//!   against the live cluster and reports finding deltas, the
-//!   "monitoring tools that provide proactive advice" the paper calls for.
-//! * [`IncrementalAuditor`] — the delta-aware version of the auditor for
-//!   whole multi-release clusters under churn: it consumes the cluster's
-//!   dirty-set summaries to re-analyze only dirtied releases (and the
-//!   cluster-wide label pass only when labels moved), with the full
-//!   recompute kept as the property-tested oracle.
+//! * [`IncrementalAuditor`] — the continuous auditor, the "monitoring
+//!   tools that provide proactive advice" the paper calls for. It audits a
+//!   whole multi-release cluster and reports finding deltas
+//!   ([`AuditDelta`]), consuming the cluster's dirty-set summaries to
+//!   re-analyze only dirtied releases (and the cluster-wide label pass only
+//!   when labels moved), with the full recompute kept as the
+//!   property-tested oracle. Objects applied outside any release are
+//!   audited together as one more release, [`UNATTRIBUTED_RELEASE`], so a
+//!   hand-deployed pod carrying a release's labels surfaces as `M4*`.
 
 mod admission;
 mod audit;
@@ -33,6 +34,6 @@ mod incremental;
 mod synth;
 
 pub use admission::{GuardAdmission, GuardPolicy};
-pub use audit::{AuditDelta, ContinuousAuditor};
-pub use incremental::IncrementalAuditor;
+pub use audit::AuditDelta;
+pub use incremental::{IncrementalAuditor, UNATTRIBUTED_RELEASE};
 pub use synth::{PolicySynthesizer, SynthesisOutcome};

@@ -1,14 +1,14 @@
 //! The defense layer against the procedural corpus: for every
 //! statically-detectable rule, a generated application carrying that (and
 //! only that) injection must be rejected by [`GuardAdmission`] at install
-//! time — and [`ContinuousAuditor`] must report the full
-//! introduced/persisting/resolved delta arc on a generated application.
+//! time — and [`IncrementalAuditor`] must report the full
+//! introduced/resolved delta arc on a generated application.
 
 use ij_chart::Release;
 use ij_cluster::{Cluster, ClusterConfig, InstallError};
 use ij_datasets::{build_app, AppSpec, Archetype, CorpusGenerator, CorpusProfile, MisconfigMix};
-use ij_guard::{ContinuousAuditor, GuardAdmission, GuardPolicy, PolicySynthesizer};
-use ij_probe::HostBaseline;
+use ij_guard::{GuardAdmission, GuardPolicy, IncrementalAuditor, PolicySynthesizer};
+use ij_probe::{HostBaseline, RuntimeAnalyzer};
 
 /// A generator whose every application carries exactly the injections of
 /// `overrides` (rates on an otherwise clean mix) and nothing else. The
@@ -174,12 +174,12 @@ fn auditor_reports_the_full_delta_arc_on_a_generated_app() {
         .expect("generated charts render");
     cluster.install(&rendered).expect("unguarded install");
 
-    let mut auditor = ContinuousAuditor::new(
+    let mut auditor = IncrementalAuditor::with_probe(RuntimeAnalyzer::default(), baseline);
+    auditor.set_chart_defines_policies(
         &spec.name,
-        baseline,
         ij_core::chart_defines_network_policies(built.chart()),
     );
-    let first = auditor.tick(&mut cluster);
+    let first = auditor.tick(&cluster);
     let ids = |findings: &[ij_core::Finding]| {
         let mut ids: Vec<_> = findings.iter().map(|f| f.id).collect();
         ids.dedup();
@@ -189,22 +189,23 @@ fn auditor_reports_the_full_delta_arc_on_a_generated_app() {
         ids(&first.introduced),
         vec![ij_core::MisconfigId::M6, ij_core::MisconfigId::M7]
     );
-    assert!(first.resolved.is_empty() && first.persisting.is_empty());
+    assert!(first.resolved.is_empty());
 
     // Mitigation: synthesize least-privilege policies from the declared
-    // ports and apply them. M6 resolves; M7 cannot be policied away.
+    // ports and install them into the release. M6 resolves; M7 cannot be
+    // policied away.
     let statics = ij_core::StaticModel::from_objects(cluster.objects());
     let outcome = PolicySynthesizer::new().synthesize(&statics);
     assert!(!outcome.policies.is_empty());
-    for obj in outcome.objects() {
-        cluster.apply(obj).expect("synthesized policies admitted");
-    }
-    let second = auditor.tick(&mut cluster);
+    cluster
+        .install_objects(&spec.name, &outcome.objects())
+        .expect("synthesized policies admitted");
+    let second = auditor.tick(&cluster);
     assert_eq!(ids(&second.resolved), vec![ij_core::MisconfigId::M6]);
-    assert_eq!(ids(&second.persisting), vec![ij_core::MisconfigId::M7]);
+    assert_eq!(ids(auditor.current()), vec![ij_core::MisconfigId::M7]);
     assert!(second.introduced.is_empty(), "{:#?}", second.introduced);
 
-    let third = auditor.tick(&mut cluster);
+    let third = auditor.tick(&cluster);
     assert!(third.is_quiet());
-    assert_eq!(ids(auditor.latest()), vec![ij_core::MisconfigId::M7]);
+    assert_eq!(ids(auditor.current()), vec![ij_core::MisconfigId::M7]);
 }

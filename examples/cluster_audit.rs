@@ -8,14 +8,16 @@
 //! in its own fresh cluster, analyzed on four worker threads with a
 //! progress observer) and prints its Table-2 row.
 //! Part 2 attaches the continuous auditor to a live cluster and shows a
-//! misconfiguration being introduced and caught between audit rounds.
+//! misconfiguration being introduced and caught between audit rounds. The
+//! pods are applied by hand, outside any release, so the auditor reports
+//! them under its unattributed release.
 
 use inside_job::cluster::{Cluster, ClusterConfig};
 use inside_job::core::MisconfigId;
 use inside_job::datasets::{corpus, CensusPipeline, Org};
-use inside_job::guard::ContinuousAuditor;
+use inside_job::guard::IncrementalAuditor;
 use inside_job::model::{Container, ContainerPort, Labels, Object, ObjectMeta, Pod, PodSpec};
-use inside_job::probe::HostBaseline;
+use inside_job::probe::{HostBaseline, RuntimeAnalyzer};
 
 fn main() {
     // --- Part 1: dataset audit -----------------------------------------
@@ -65,8 +67,8 @@ fn main() {
         .expect("apply");
     cluster.reconcile();
 
-    let mut auditor = ContinuousAuditor::new("acme", baseline, false);
-    let round1 = auditor.tick(&mut cluster);
+    let mut auditor = IncrementalAuditor::with_probe(RuntimeAnalyzer::default(), baseline);
+    let round1 = auditor.tick(&cluster);
     println!(
         "round 1: {} finding(s) introduced (expected: M6 — no policies yet)",
         round1.introduced.len()
@@ -85,7 +87,7 @@ fn main() {
         .expect("apply");
     cluster.reconcile();
 
-    let round2 = auditor.tick(&mut cluster);
+    let round2 = auditor.tick(&cluster);
     println!("round 2: {} new finding(s):", round2.introduced.len());
     for f in &round2.introduced {
         println!("  {f}");
@@ -95,7 +97,7 @@ fn main() {
         "the collision is caught as a delta"
     );
 
-    let round3 = auditor.tick(&mut cluster);
+    let round3 = auditor.tick(&cluster);
     assert!(
         round3.is_quiet(),
         "nothing changed; the auditor stays quiet"
