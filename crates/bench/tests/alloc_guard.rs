@@ -9,14 +9,15 @@
 //! fixed startup cost (profiles, chart compilation, interner tables)
 //! cancels out, leaving the steady-state per-app allocation count.
 //!
-//! The measured steady state on the reference machine is ~2,300
+//! The measured steady state on the reference machine is ~1,200
 //! allocations per app — that covers the whole per-app pipeline (spec
 //! generation, chart build, compile, direct-to-Value render, install,
-//! probe, analyze, retained findings), not just rendering. The 3,000
+//! probe, analyze, retained findings), not just rendering. The 1,550
 //! ceiling gives ~30% headroom against small legitimate changes while
-//! failing loudly if text materialization or per-app buffer churn
-//! returns (the emit+reparse path costs hundreds of extra allocations
-//! per app in rendered strings and reparsed document trees alone).
+//! failing loudly if text materialization, the encode → decode round
+//! trip of generated chart objects, or per-app buffer churn returns (each
+//! costs hundreds of extra allocations per app in encoded documents,
+//! rendered strings and reparsed document trees).
 //!
 //! A second arm gates the `ij serve` path the same way: it counts the
 //! allocations of one install mutation plus its incremental audit tick on
@@ -75,7 +76,7 @@ static SERIAL: Mutex<()> = Mutex::new(());
 
 const SMALL: usize = 200;
 const LARGE: usize = 1_200;
-const PER_APP_CEILING: u64 = 3_000;
+const PER_APP_CEILING: u64 = 1_550;
 
 /// Serve arm: tenant sizes, measured installs, and the allowed growth.
 const SMALL_TENANT: usize = 10;
@@ -125,8 +126,8 @@ fn steady_state_census_allocations_stay_bounded() {
     assert!(
         per_app < PER_APP_CEILING,
         "steady-state census allocations regressed: {per_app} allocs/app \
-         breached the {PER_APP_CEILING} ceiling (~2,300 expected; the \
-         emit+reparse round-trip costs hundreds more per app)"
+         breached the {PER_APP_CEILING} ceiling (~1,200 expected; an \
+         encode → decode or emit+reparse round trip costs hundreds more per app)"
     );
 }
 

@@ -4,6 +4,7 @@ use crate::error::{Error, Result};
 use crate::template::{build_root, parse_template, render_file, shared_defines};
 use ij_model::Object;
 use ij_yaml::{Map, Value};
+use std::sync::Arc;
 
 /// A packaged application: default values, templates, and dependencies.
 #[derive(Debug, Clone)]
@@ -26,35 +27,17 @@ pub struct Chart {
 ///
 /// Charts loaded from disk or written by hand carry Helm-style template
 /// `Text`. Programmatic builders (the generated corpus) that already hold a
-/// manifest as a structured [`Value`] can attach it as a `Doc` instead: it
-/// renders exactly as `ij_yaml::to_string` of the document would, and since
-/// the emitter round-trips (`parse(to_string(v)) == v`), the compiled render
-/// layer can hand the document straight to decoding without materializing
-/// the text at all.
+/// typed manifest attach it as an `Object` instead: it renders exactly as the
+/// text `ij_yaml::to_string(&obj.encode())` would, and the compiled render
+/// layer clones it straight into the release without encoding, emitting,
+/// parsing or decoding anything.
 #[derive(Debug, Clone)]
 pub enum TemplateSource {
     /// Helm-style template text, possibly containing actions.
     Text(String),
-    /// A single pre-structured YAML document.
-    Doc(Value),
-}
-
-impl TemplateSource {
-    /// The raw template text, when this source is text.
-    pub fn as_text(&self) -> Option<&str> {
-        match self {
-            TemplateSource::Text(s) => Some(s),
-            TemplateSource::Doc(_) => None,
-        }
-    }
-
-    /// The structured document, when this source is one.
-    pub fn as_doc(&self) -> Option<&Value> {
-        match self {
-            TemplateSource::Text(_) => None,
-            TemplateSource::Doc(d) => Some(d),
-        }
-    }
+    /// A single typed manifest, shared: compiling the chart takes another
+    /// handle instead of deep-cloning it.
+    Object(Arc<Object>),
 }
 
 impl From<&str> for TemplateSource {
@@ -183,12 +166,12 @@ impl Chart {
         // per chart level, so per-file work is evaluation only.
         let mut parsed = Vec::with_capacity(self.templates.len());
         for (tpl_name, source) in &self.templates {
-            // Doc sources carry no actions or partials; they are emitted to
-            // text below so the oracle path still exercises the full
-            // emit → parse → decode round trip.
+            // Object sources carry no actions or partials; they are encoded
+            // and emitted to text below so the oracle path still exercises
+            // the full emit → parse → decode round trip.
             let template = match source {
                 TemplateSource::Text(src) => Some(parse_template(tpl_name, src)?),
-                TemplateSource::Doc(_) => None,
+                TemplateSource::Object(_) => None,
             };
             parsed.push((tpl_name.as_str(), template));
         }
@@ -205,12 +188,10 @@ impl Chart {
             if is_partial_file(tpl_name) {
                 continue;
             }
-            let rendered = match template {
-                Some(template) => render_file(tpl_name, template, &shared, &root)?,
-                None => {
-                    let doc = self.templates[idx].1.as_doc().expect("doc source");
-                    ij_yaml::to_string(doc)
-                }
+            let rendered = match (template, &self.templates[idx].1) {
+                (Some(template), _) => render_file(tpl_name, template, &shared, &root)?,
+                (None, TemplateSource::Object(obj)) => ij_yaml::to_string(&obj.encode()),
+                (None, TemplateSource::Text(_)) => unreachable!("text sources are parsed"),
             };
             decode_rendered(tpl_name, &rendered, &release.namespace, objects)?;
         }
@@ -338,13 +319,20 @@ impl ChartBuilder {
         self
     }
 
-    /// Adds a template as a pre-structured document (one manifest per
-    /// file). Equivalent to `template(name, ij_yaml::to_string(&doc))`, but
-    /// lets the compiled render layer skip the text round trip entirely.
-    pub fn template_doc(mut self, name: impl Into<String>, doc: Value) -> Self {
+    /// Adds a template as a typed manifest (one object per file).
+    /// Equivalent to `template(name, obj.to_manifest())` for any object that
+    /// survives the manifest round trip (`Object::decode(&obj.encode())`
+    /// returns it unchanged, as it does for every object the corpus builder
+    /// makes), but lets the compiled render layer skip encoding and decoding.
+    pub fn template_object(mut self, name: impl Into<String>, obj: Object) -> Self {
+        debug_assert_eq!(
+            Object::decode(&obj.encode()).ok().as_ref(),
+            Some(&obj),
+            "template objects must survive the manifest round trip"
+        );
         self.chart
             .templates
-            .push((name.into(), TemplateSource::Doc(doc)));
+            .push((name.into(), TemplateSource::Object(Arc::new(obj))));
         self
     }
 

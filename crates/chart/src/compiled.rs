@@ -9,9 +9,12 @@
 //!
 //! * every template file — including dependency charts — is lexed and
 //!   parsed exactly **once**, at compile time;
-//! * files without template actions (the common case for generated corpus
-//!   charts) are rendered and decoded to typed objects at compile time;
-//!   rendering them again is a clone plus a namespace stamp;
+//! * files without template actions are rendered and decoded to typed
+//!   objects at compile time; rendering them again is a clone plus a
+//!   namespace stamp;
+//! * typed [`TemplateSource::Object`] files (the generated corpus charts)
+//!   are never encoded or decoded: compile keeps the object, and a render
+//!   clones and stamps it like a pre-decoded file;
 //! * per render, the root dot (`.Values`/`.Release`/`.Chart`) is built once
 //!   per chart level and the shared partial set is borrowed — no partial
 //!   body or values subtree is ever deep-cloned.
@@ -71,8 +74,9 @@ struct CompiledDep {
 #[derive(Debug)]
 struct CompiledFile {
     name: String,
-    /// Cached AST for text-sourced files; `None` for [`TemplateSource::Doc`]
-    /// sources, which have nothing to parse (and contribute no partials).
+    /// Cached AST for text-sourced files; `None` for
+    /// [`TemplateSource::Object`] sources, which have nothing to parse (and
+    /// contribute no partials).
     parsed: Option<ParsedTemplate>,
     plan: RenderPlan,
 }
@@ -94,10 +98,14 @@ enum RenderPlan {
     Partial,
     /// Action-free file whose output is all whitespace: renders nothing.
     Blank,
-    /// Action-free file (or a pre-structured document): output never
-    /// depends on the release, so documents and typed objects are decoded
-    /// once at compile time and cloned per render.
+    /// Action-free text file: output never depends on the release, so
+    /// documents and typed objects are decoded once at compile time and
+    /// cloned per render.
     Static(StaticDocs),
+    /// Typed manifest, shared with the source chart: cloned and
+    /// namespace-stamped per render; its document (for
+    /// [`CompiledChart::render_values`]) is encoded on demand.
+    Object(Arc<Object>),
     /// Text file whose only action is a single top-level `if`: every
     /// branch outcome is pre-rendered and pre-decoded at compile time, so a
     /// render evaluates the condition pipelines and clones the chosen
@@ -232,20 +240,7 @@ fn compile_level(chart: &Chart) -> Result<CompiledLevel> {
     let mut files = Vec::with_capacity(chart.templates.len());
     for (tpl_name, source) in &chart.templates {
         let (parsed, plan) = match source {
-            TemplateSource::Doc(doc) => {
-                // Already structured: no lexing, no emit, no reparse. The
-                // typed decoding is the same one the text round trip would
-                // produce, because the emitter round-trips documents
-                // exactly (`parse(to_string(doc)) == doc`).
-                let plan = if doc.is_null() {
-                    RenderPlan::Blank
-                } else {
-                    let docs = vec![doc.clone()];
-                    let objects = decode_docs(tpl_name, &docs)?;
-                    RenderPlan::Static(StaticDocs { docs, objects })
-                };
-                (None, plan)
-            }
+            TemplateSource::Object(obj) => (None, RenderPlan::Object(Arc::clone(obj))),
             TemplateSource::Text(src) => {
                 let parsed = parse_template(tpl_name, src)?;
                 let plan = if crate::chart::is_partial_file(tpl_name) {
@@ -316,19 +311,26 @@ fn static_docs_from_text(tpl_name: &str, rendered: &str) -> Result<StaticDocs> {
         rendered: rendered.to_string(),
     })?;
     let docs: Vec<Value> = docs.into_iter().filter(|d| !d.is_null()).collect();
-    let objects = decode_docs(tpl_name, &docs)?;
+    let objects = docs
+        .iter()
+        .map(|doc| {
+            Object::decode(doc).map_err(|e| Error::Decode {
+                template: tpl_name.to_string(),
+                message: e.to_string(),
+            })
+        })
+        .collect::<Result<Vec<_>>>()?;
     Ok(StaticDocs { docs, objects })
 }
 
-fn decode_docs(tpl_name: &str, docs: &[Value]) -> Result<Vec<Object>> {
-    let mut objects = Vec::with_capacity(docs.len());
-    for doc in docs.iter().filter(|d| !d.is_null()) {
-        objects.push(Object::decode(doc).map_err(|e| Error::Decode {
-            template: tpl_name.to_string(),
-            message: e.to_string(),
-        })?);
+/// Appends clones of compile-time objects with the release namespace
+/// stamped, as decoding them from rendered text would.
+fn push_stamped(cached: &[Object], release: &Release, objects: &mut Vec<Object>) {
+    for obj in cached {
+        let mut obj = obj.clone();
+        stamp_namespace(&mut obj, &release.namespace);
+        objects.push(obj);
     }
-    Ok(objects)
 }
 
 /// Recognizes files whose only action is one top-level `if` whose branch
@@ -399,12 +401,9 @@ impl CompiledLevel {
         for file in &self.files {
             match &file.plan {
                 RenderPlan::Partial | RenderPlan::Blank => {}
-                RenderPlan::Static(sd) => {
-                    for obj in &sd.objects {
-                        let mut obj = obj.clone();
-                        stamp_namespace(&mut obj, &release.namespace);
-                        objects.push(obj);
-                    }
+                RenderPlan::Static(sd) => push_stamped(&sd.objects, release, objects),
+                RenderPlan::Object(obj) => {
+                    push_stamped(std::slice::from_ref(obj), release, objects)
                 }
                 RenderPlan::Gated {
                     branches,
@@ -425,11 +424,7 @@ impl CompiledLevel {
                             break;
                         }
                     }
-                    for obj in &chosen.objects {
-                        let mut obj = obj.clone();
-                        stamp_namespace(&mut obj, &release.namespace);
-                        objects.push(obj);
-                    }
+                    push_stamped(&chosen.objects, release, objects);
                 }
                 RenderPlan::Dynamic => {
                     let parsed = file
@@ -485,6 +480,7 @@ impl CompiledLevel {
             match &file.plan {
                 RenderPlan::Partial | RenderPlan::Blank => {}
                 RenderPlan::Static(sd) => docs.extend(sd.docs.iter().cloned()),
+                RenderPlan::Object(obj) => docs.push(obj.encode()),
                 RenderPlan::Gated {
                     branches,
                     fallthrough,
@@ -802,27 +798,40 @@ spec:
     }
 
     #[test]
-    fn doc_sourced_templates_render_without_text() {
-        let svc = ij_yaml::parse(
-            "apiVersion: v1\nkind: Service\nmetadata:\n  name: doc-svc\n\
-             spec:\n  selector:\n    app: d\n  ports:\n    - port: 9\n",
+    fn object_sourced_templates_compile_without_decoding() {
+        let svc = Object::decode(
+            &ij_yaml::parse(
+                "apiVersion: v1\nkind: Service\nmetadata:\n  name: obj-svc\n\
+                 spec:\n  selector:\n    app: d\n  ports:\n    - port: 9\n",
+            )
+            .unwrap(),
         )
         .unwrap();
-        let chart = Chart::builder("docsrc")
-            .template_doc("00-svc.yaml", svc.clone())
+        let chart = Chart::builder("objsrc")
+            .template_object("00-svc.yaml", svc.clone())
             .build();
         let compiled = chart.compile().expect("compiles");
         let release = Release::new("r", "prod");
 
-        // Text path and compiled path agree, and the object is stamped.
+        // The file shares the chart's typed object: nothing is encoded,
+        // decoded or even cloned at compile time.
+        let (TemplateSource::Object(source), RenderPlan::Object(planned)) =
+            (&chart.templates[0].1, &compiled.root.files[0].plan)
+        else {
+            panic!("object source should compile to an object plan");
+        };
+        assert!(Arc::ptr_eq(source, planned));
+
+        // The text oracle and the compiled path agree, and the release
+        // namespace is stamped.
         let naive = chart.render(&release).expect("text path renders");
         let replay = compiled.render(&release).expect("compiled render");
         assert_eq!(bytes(&naive), bytes(&replay));
         assert_eq!(replay.objects[0].meta().namespace, "prod");
 
-        // The value stream hands back the document itself, unstamped.
+        // The value stream hands back the object's document, unstamped.
         let docs = compiled.render_values(&release).expect("value stream");
-        assert_eq!(format!("{docs:?}"), format!("{:?}", vec![svc]));
+        assert_eq!(format!("{docs:?}"), format!("{:?}", vec![svc.encode()]));
     }
 
     #[test]

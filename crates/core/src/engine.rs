@@ -192,14 +192,34 @@ impl Analyzer {
 /// "policies defined but not enabled" in M6.
 pub fn chart_defines_network_policies(chart: &Chart) -> bool {
     chart.templates.iter().any(|(_, src)| match src {
-        ij_chart::TemplateSource::Text(s) => s.contains("kind: NetworkPolicy"),
-        ij_chart::TemplateSource::Doc(d) => {
-            d.get("kind").and_then(ij_yaml::Value::as_str) == Some("NetworkPolicy")
-        }
+        ij_chart::TemplateSource::Text(s) => s.lines().any(is_network_policy_kind_line),
+        ij_chart::TemplateSource::Object(o) => o.kind() == "NetworkPolicy",
     }) || chart
         .dependencies
         .iter()
         .any(|d| chart_defines_network_policies(&d.chart))
+}
+
+/// Whether one template line is the key `kind:` with the value
+/// `NetworkPolicy`, plain or quoted, optionally followed by a comment.
+/// Comment lines and other kinds (`NetworkPolicyList`) never match.
+fn is_network_policy_kind_line(line: &str) -> bool {
+    let Some(value) = line.trim().strip_prefix("kind:") else {
+        return false;
+    };
+    // A YAML comment starts at a `#` preceded by whitespace; the value
+    // itself must be separated from the key by whitespace.
+    if !value.starts_with(char::is_whitespace) {
+        return false;
+    }
+    let end = value
+        .char_indices()
+        .find(|&(i, c)| c == '#' && value[..i].ends_with(char::is_whitespace))
+        .map_or(value.len(), |(i, _)| i);
+    matches!(
+        value[..end].trim(),
+        "NetworkPolicy" | "\"NetworkPolicy\"" | "'NetworkPolicy'"
+    )
 }
 
 #[cfg(test)]
@@ -489,6 +509,61 @@ spec:
             .collect();
         assert_eq!(m6.len(), 1);
         assert!(m6[0].detail.contains("not enabled"));
+    }
+
+    fn text_defines_policies(template: &str) -> bool {
+        chart_defines_network_policies(&Chart::builder("c").template("t.yaml", template).build())
+    }
+
+    #[test]
+    fn policy_kind_matches_quoted_spaced_and_commented_values() {
+        for src in [
+            "kind: NetworkPolicy\n",
+            "kind: \"NetworkPolicy\"\n",
+            "kind: 'NetworkPolicy'\n",
+            "kind:  NetworkPolicy\n",
+            "kind:\tNetworkPolicy\r\n",
+            "  kind: NetworkPolicy   # the app's lock\n",
+            "{{- if .Values.np }}\napiVersion: networking.k8s.io/v1\nkind: NetworkPolicy\n{{- end }}\n",
+        ] {
+            assert!(text_defines_policies(src), "{src:?} defines a policy");
+        }
+    }
+
+    #[test]
+    fn policy_kind_ignores_comments_and_other_kinds() {
+        for src in [
+            "# kind: NetworkPolicy\n",
+            "  #kind: NetworkPolicy\n",
+            "kind: NetworkPolicyList\n",
+            "kind: NetworkPolicy#x\n",
+            "kind: Service # not a NetworkPolicy\n",
+            "kind:NetworkPolicy\n",
+            "kind: \"NetworkPolicy\n",
+        ] {
+            assert!(!text_defines_policies(src), "{src:?} defines no policy");
+        }
+    }
+
+    #[test]
+    fn policy_kind_of_object_sources_and_dependencies() {
+        let policy = Object::NetworkPolicy(ij_model::NetworkPolicy::deny_all_ingress(
+            ij_model::ObjectMeta::named("lock"),
+            ij_model::LabelSelector::default(),
+        ));
+        let namespace = Object::Namespace(ij_model::ObjectMeta {
+            namespace: String::new(),
+            ..ij_model::ObjectMeta::named("apps")
+        });
+        let with_policy = Chart::builder("dep")
+            .template_object("np.yaml", policy)
+            .build();
+        let app = || Chart::builder("app").template_object("ns.yaml", namespace.clone());
+        assert!(chart_defines_network_policies(&with_policy));
+        assert!(!chart_defines_network_policies(&app().build()));
+        assert!(chart_defines_network_policies(
+            &app().dependency(with_policy).build()
+        ));
     }
 
     #[test]

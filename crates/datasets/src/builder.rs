@@ -419,21 +419,22 @@ pub fn build_app(spec: &AppSpec) -> BuiltApp {
                 "enabled" => spec.plan.netpol.enabled_by_default(),
             },
         });
-    for (i, obj) in objects.iter().enumerate() {
-        // Attach the already-encoded document instead of emitted text: the
-        // compiled render layer decodes it directly, skipping the
-        // emit → reparse round trip per (app, file). `template_doc` renders
-        // byte-identically to `template(name, obj.to_manifest())`.
-        builder = builder.template_doc(
-            format!("{:02}-{}.yaml", i, obj.kind().to_lowercase()),
-            obj.encode(),
-        );
+    // The policy text reads the objects, so render it before they move.
+    let netpol = plan
+        .netpol
+        .defines_policy()
+        .then(|| netpol_template(app, plan, &objects));
+    for (i, obj) in objects.into_iter().enumerate() {
+        // Attach the typed object itself: the compiled render layer clones
+        // it per render, with no encode → emit → reparse → decode round trip.
+        // `template_object` renders byte-identically to
+        // `template(name, obj.to_manifest())`.
+        let name = format!("{:02}-{}.yaml", i, obj.kind().to_lowercase());
+        builder = builder.template_object(name, obj);
     }
-    if plan.netpol.defines_policy() {
-        builder = builder.template(
-            "zz-networkpolicy.yaml",
-            netpol_template(app, plan, &objects),
-        );
+    if let Some(netpol) = netpol {
+        // Kept as a gated text template, the shape real charts use.
+        builder = builder.template("zz-networkpolicy.yaml", netpol);
     }
     BuiltApp::new(spec.clone(), builder.build(), behaviors)
 }
