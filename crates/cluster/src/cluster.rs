@@ -268,7 +268,7 @@ impl Cluster {
 
     /// Looks up a running pod by qualified name.
     pub fn pod(&self, qualified: &str) -> Option<&RunningPod> {
-        self.pods.iter().find(|p| p.qualified_name() == qualified)
+        self.pods.iter().find(|p| is_named(&p.pod.meta, qualified))
     }
 
     /// Persisted services.

@@ -10,11 +10,11 @@
 //! [`crate::Finding::identity`] see no difference between the two
 //! representations.
 //!
-//! The module also hosts the interned cluster-wide M4\* pass
-//! ([`m4_global_collisions_compact`]): the string-keyed implementation that
-//! used to live in `rules.rs` is now a thin wrapper that interns its input
-//! and delegates here, so both entry points produce byte-identical findings
-//! by construction.
+//! The module also hosts the interned cluster-wide M4\* kernel: the census
+//! and [`crate::Analyzer::analyze_global`] call its all-scope form
+//! ([`m4_global_collisions_compact`]), and the continuous auditor its
+//! scoped form ([`m4_global_collisions_scoped`]), which re-derives only
+//! what a set of changed applications can move.
 
 use crate::finding::{identity_over, Finding, MisconfigId};
 use crate::model::StaticModel;
@@ -359,9 +359,54 @@ impl GlobalAppModel {
     }
 }
 
-/// The cluster-wide M4\* pass over interned models. Produces the same
-/// findings, in the same order, as the historical string-keyed pass in
-/// `rules.rs` (which now wraps this function):
+/// Who derives an M4\* finding. A scoped pass ([`m4_global_collisions_scoped`])
+/// re-derives whole owners, so a caller that keeps M4\* findings per owner
+/// replaces exactly the owners the pass reports and keeps the rest.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum M4Owner {
+    /// The collision group of every labelled unit with this namespace and
+    /// label set. It owns at most one finding.
+    Group {
+        /// Interned namespace.
+        namespace: Sym,
+        /// Interned `Labels` rendering.
+        labels: Sym,
+    },
+    /// The captures of one service.
+    Capture {
+        /// Index of the service's application in the pass's `apps`.
+        app: usize,
+        /// Index of the service in that application's services.
+        service: usize,
+    },
+}
+
+/// One owner a pass derived, with every finding it owns now: none when its
+/// findings resolved.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct M4Part {
+    /// The owner.
+    pub owner: M4Owner,
+    /// Its findings, in the order the all-scope pass reports them.
+    pub findings: Vec<Finding>,
+}
+
+/// The releases that changed since a caller's last M4\* pass. A pass in this
+/// scope re-derives only what those changes can move.
+#[derive(Debug, Clone, Copy)]
+pub struct M4Scope<'a> {
+    /// Indices into the pass's `apps` of the changed releases that are still
+    /// present, ascending.
+    pub dirty: &'a [usize],
+    /// The units every changed release had before the change — removed
+    /// releases included — interned into the pass's table.
+    pub old_units: &'a [GlobalUnit],
+}
+
+/// The cluster-wide M4\* pass over interned models: the all-scope call of
+/// the one M4\* kernel, which [`m4_global_collisions_scoped`] also scopes.
+/// Produces the same findings, in the same order, as the historical
+/// string-keyed pass (kept as the test oracle):
 ///
 /// * **Unit ↔ unit collisions** group units by `(namespace, rendered label
 ///   set)`. Grouping happens on symbol ids (cheap integer sort); the
@@ -379,40 +424,190 @@ pub fn m4_global_collisions_compact<M: Borrow<GlobalAppModel>>(
     table: &SymbolTable,
 ) -> Vec<Finding> {
     let mut findings = Vec::new();
+    m4_pass(apps, table, None, &mut findings);
+    findings
+}
 
-    // --- Unit ↔ unit collisions spanning at least two applications. ---
-    // One flat row per labelled unit: group key as symbol ids plus a global
-    // sequence number that encodes (application, unit) order.
-    let units: usize = apps.iter().map(|m| m.borrow().units.len()).sum();
-    let mut rows: Vec<(Sym, Sym, u32, usize)> = Vec::with_capacity(units); // (ns, labels, app, seq)
+/// The M4\* kernel with its findings tagged by owner, in the order
+/// [`m4_global_collisions_compact`] reports them.
+///
+/// With `scope` `None` the pass derives everything and reports every
+/// collision group that spans two applications and every service with a
+/// selector. With a scope it re-derives only what the scope's changes can
+/// move, and reports each owner it re-derived, also when none of its
+/// findings remain:
+///
+/// * the collision group of every key a touched unit has — an old unit of
+///   the scope, or a current unit of a dirty release;
+/// * the captures of every service of a dirty release, and of every other
+///   service whose selector *covers* a touched unit: same namespace, and
+///   every selector pair among the unit's labels. A capture needs exactly
+///   that, so no other service's captures can change.
+///
+/// The pass scans the cluster's units and services once and filters its
+/// rows and postings to those keys and selectors before it sorts them, so
+/// a scoped pass costs that scan plus what it re-derives. In a previous
+/// result, dropping the captures of the changed releases' services and
+/// replacing every owner a scoped pass reports gives the all-scope result.
+pub fn m4_global_collisions_scoped<M: Borrow<GlobalAppModel>>(
+    apps: &[M],
+    table: &SymbolTable,
+    scope: Option<M4Scope<'_>>,
+) -> Vec<M4Part> {
+    let mut parts = Vec::new();
+    m4_pass(apps, table, scope, &mut parts);
+    parts
+}
+
+/// Where [`m4_pass`] writes: each owner it derives, then that owner's
+/// findings.
+trait M4Sink {
+    fn owner(&mut self, owner: M4Owner);
+    fn finding(&mut self, finding: Finding);
+}
+
+impl M4Sink for Vec<Finding> {
+    fn owner(&mut self, _: M4Owner) {}
+    fn finding(&mut self, finding: Finding) {
+        self.push(finding);
+    }
+}
+
+impl M4Sink for Vec<M4Part> {
+    fn owner(&mut self, owner: M4Owner) {
+        self.push(M4Part {
+            owner,
+            findings: Vec::new(),
+        });
+    }
+    fn finding(&mut self, finding: Finding) {
+        self.last_mut()
+            .expect("a finding follows its owner")
+            .findings
+            .push(finding);
+    }
+}
+
+/// The one M4\* kernel; see [`m4_global_collisions_compact`] and
+/// [`m4_global_collisions_scoped`].
+fn m4_pass<M: Borrow<GlobalAppModel>>(
+    apps: &[M],
+    table: &SymbolTable,
+    scope: Option<M4Scope<'_>>,
+    out: &mut impl M4Sink,
+) {
+    // What a scoped pass re-derives; `None` derives everything. `keys`: the
+    // sorted collision-group keys of touched units (the changed releases'
+    // units before and after the change). `selected`: the services to
+    // probe, as (app, service) indices.
+    let mut keys: Option<Vec<(Sym, Sym)>> = None;
+    let mut selected: Option<Vec<(usize, usize)>> = None;
+    if let Some(scope) = scope {
+        let touched: Vec<&GlobalUnit> = scope
+            .old_units
+            .iter()
+            .chain(scope.dirty.iter().flat_map(|&i| &apps[i].borrow().units))
+            .collect();
+        let mut services = Vec::new();
+        for (idx, model) in apps.iter().map(Borrow::borrow).enumerate() {
+            let dirty = scope.dirty.binary_search(&idx).is_ok();
+            for (i, svc) in model.services.iter().enumerate() {
+                // An empty selector captures nothing (and would cover every
+                // unit of its namespace).
+                if svc.selector_pairs.is_empty() {
+                    continue;
+                }
+                if dirty || touched.iter().any(|u| covers(svc, u)) {
+                    services.push((idx, i));
+                }
+            }
+        }
+        let mut touched_keys: Vec<(Sym, Sym)> = touched
+            .iter()
+            .filter(|u| !u.label_pairs.is_empty())
+            .map(|u| (u.namespace, u.labels_rendered))
+            .collect();
+        touched_keys.sort_unstable();
+        touched_keys.dedup();
+        keys = Some(touched_keys);
+        selected = Some(services);
+    }
+    // A probed selector only ever matches units it covers, so a scoped pass
+    // indexes just those.
+    let probed = |u: &GlobalUnit| {
+        selected.as_ref().is_none_or(|selected| {
+            selected
+                .iter()
+                .any(|&(idx, i)| covers(&apps[idx].borrow().services[i], u))
+        })
+    };
+
+    // One pass over every unit fills two flat tables, each restricted to
+    // what the pass derives before it is sorted:
+    // * rows, one per labelled unit: its collision-group key as symbol ids
+    //   plus a global sequence number that encodes (application, unit)
+    //   order;
+    // * the inverted index, one posting per (namespace, key, value) label
+    //   pair, sorted so each triple's postings form a contiguous range in
+    //   (application, unit) order.
+    // (ns, labels, app, seq)
+    type Row = (Sym, Sym, u32, usize);
+    // (namespace, key, value, sequence rank, app index, unit name)
+    type Posting = (Sym, Sym, Sym, usize, u32, Sym);
+    let (units, pairs) = apps
+        .iter()
+        .flat_map(|m| &m.borrow().units)
+        .fold((0, 0), |(n, p), u| (n + 1, p + u.label_pairs.len()));
+    let mut rows: Vec<Row> = Vec::with_capacity(units);
     let mut names: Vec<Sym> = Vec::with_capacity(units);
+    let mut postings: Vec<Posting> = Vec::with_capacity(pairs);
+    let mut seq = 0usize; // (app, unit) rank
     for (idx, model) in apps.iter().map(Borrow::borrow).enumerate() {
         for u in &model.units {
-            if u.label_pairs.is_empty() {
-                continue;
+            let key = (u.namespace, u.labels_rendered);
+            if !u.label_pairs.is_empty()
+                && keys.as_ref().is_none_or(|k| k.binary_search(&key).is_ok())
+            {
+                rows.push((key.0, key.1, idx as u32, names.len()));
+                names.push(u.name);
             }
-            rows.push((u.namespace, u.labels_rendered, idx as u32, names.len()));
-            names.push(u.name);
+            if probed(u) {
+                for &(k, v) in &u.label_pairs {
+                    postings.push((u.namespace, k, v, seq, idx as u32, u.name));
+                }
+            }
+            seq += 1;
         }
     }
     rows.sort_unstable();
-    let mut groups: Vec<&[(Sym, Sym, u32, usize)]> = Vec::new();
-    let mut start = 0;
-    for end in 1..=rows.len() {
-        if end == rows.len() || (rows[end].0, rows[end].1) != (rows[start].0, rows[start].1) {
-            // Sequence numbers ascend with (app, unit), so the first and
-            // last rows bracket the app range: distinct apps ≥ 2 iff they
-            // differ.
-            if rows[start].2 != rows[end - 1].2 {
-                groups.push(&rows[start..end]);
-            }
-            start = end;
-        }
-    }
+    postings.sort_unstable();
+
+    // --- Unit ↔ unit collisions spanning at least two applications. ---
+    // Sequence numbers ascend with (app, unit), so a group's first and last
+    // rows bracket its app range: distinct apps ≥ 2 iff they differ.
+    let spans_apps = |g: &[Row]| g.first().map(|r| r.2) != g.last().map(|r| r.2);
+    let mut groups: Vec<(Sym, Sym, &[Row])> = match &keys {
+        Some(keys) => keys
+            .iter()
+            .map(|&key| {
+                let lo = rows.partition_point(|r| (r.0, r.1) < key);
+                let hi = rows.partition_point(|r| (r.0, r.1) <= key);
+                (key.0, key.1, &rows[lo..hi])
+            })
+            .collect(),
+        None => rows
+            .chunk_by(|a, b| (a.0, a.1) == (b.0, b.1))
+            .filter(|g| spans_apps(g))
+            .map(|g| (g[0].0, g[0].1, g))
+            .collect(),
+    };
     // Resolve group keys to restore the historical string order.
-    groups.sort_by_key(|g| (table.resolve(g[0].0), table.resolve(g[0].1)));
-    for group in groups {
-        let labels = table.resolve(group[0].1);
+    groups.sort_by_key(|g| (table.resolve(g.0), table.resolve(g.1)));
+    for (namespace, labels, group) in groups {
+        out.owner(M4Owner::Group { namespace, labels });
+        if !spans_apps(group) {
+            continue;
+        }
         let members: Vec<String> = group
             .iter()
             .map(|&(_, _, app, seq)| {
@@ -423,39 +618,19 @@ pub fn m4_global_collisions_compact<M: Borrow<GlobalAppModel>>(
                 )
             })
             .collect();
-        findings.push(Finding::new(
+        out.finding(Finding::new(
             MisconfigId::M4Star,
             table.resolve(apps[group[0].2 as usize].borrow().app),
             members[0].clone(),
             format!(
-                "label set `{labels}` collides across applications: {}",
+                "label set `{}` collides across applications: {}",
+                table.resolve(labels),
                 members.join(", ")
             ),
         ));
     }
 
     // --- Service ↔ foreign-unit captures. ---
-    // Inverted index: one posting per (namespace, key, value) label pair,
-    // sorted so each triple's postings form a contiguous range in
-    // (application, unit) order.
-    // (namespace, key, value, sequence rank, app index, unit name)
-    type Posting = (Sym, Sym, Sym, usize, u32, Sym);
-    let pairs: usize = apps
-        .iter()
-        .flat_map(|m| &m.borrow().units)
-        .map(|u| u.label_pairs.len())
-        .sum();
-    let mut postings: Vec<Posting> = Vec::with_capacity(pairs);
-    let mut seq = 0usize; // (app, unit) rank
-    for (idx, model) in apps.iter().map(Borrow::borrow).enumerate() {
-        for u in &model.units {
-            for &(k, v) in &u.label_pairs {
-                postings.push((u.namespace, k, v, seq, idx as u32, u.name));
-            }
-            seq += 1;
-        }
-    }
-    postings.sort_unstable();
     let range_of = |ns: Sym, k: Sym, v: Sym| {
         let key = (ns, k, v);
         let lo = postings.partition_point(|p| (p.0, p.1, p.2) < key);
@@ -464,53 +639,71 @@ pub fn m4_global_collisions_compact<M: Borrow<GlobalAppModel>>(
     };
     // One selector's posting ranges, reused across services.
     let mut ranges: Vec<&[Posting]> = Vec::new();
-    for (idx, model) in apps.iter().map(Borrow::borrow).enumerate() {
-        for svc in &model.services {
-            if svc.selector_pairs.is_empty() {
+    let mut probe = |idx: usize, service: usize| {
+        let model = apps[idx].borrow();
+        let svc = &model.services[service];
+        if svc.selector_pairs.is_empty() {
+            return;
+        }
+        out.owner(M4Owner::Capture { app: idx, service });
+        ranges.clear();
+        ranges.extend(
+            svc.selector_pairs
+                .iter()
+                .map(|&(k, v)| range_of(svc.namespace, k, v)),
+        );
+        // Probe on the selector's *rarest* pair (first minimum, as
+        // `min_by_key` picked it before).
+        let rarest_pos = ranges
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, r)| r.len())
+            .map(|(i, _)| i)
+            .expect("non-empty selector");
+        // A candidate matches the full selector exactly when it appears in
+        // every pair's posting range. Postings within a range ascend by
+        // sequence number, so each membership test is a binary search: a
+        // corpus-wide label pair makes its range O(apps), and walking it
+        // per service would be quadratic in the population.
+        for &(_, _, _, cand_seq, other_idx, unit_name) in ranges[rarest_pos] {
+            if other_idx as usize == idx
+                || !ranges.iter().enumerate().all(|(i, range)| {
+                    i == rarest_pos || range.binary_search_by_key(&cand_seq, |p| p.3).is_ok()
+                })
+            {
                 continue;
             }
-            ranges.clear();
-            ranges.extend(
-                svc.selector_pairs
-                    .iter()
-                    .map(|&(k, v)| range_of(svc.namespace, k, v)),
-            );
-            // Probe on the selector's *rarest* pair (first minimum, as
-            // `min_by_key` picked it before).
-            let rarest_pos = ranges
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, r)| r.len())
-                .map(|(i, _)| i)
-                .expect("non-empty selector");
-            // A candidate matches the full selector exactly when it appears
-            // in every pair's posting range. Postings within a range ascend
-            // by sequence number, so each membership test is a binary
-            // search: a corpus-wide label pair makes its range O(apps), and
-            // walking it per service would be quadratic in the population.
-            for &(_, _, _, cand_seq, other_idx, unit_name) in ranges[rarest_pos] {
-                if other_idx as usize == idx
-                    || !ranges.iter().enumerate().all(|(i, range)| {
-                        i == rarest_pos || range.binary_search_by_key(&cand_seq, |p| p.3).is_ok()
-                    })
-                {
-                    continue;
-                }
-                findings.push(Finding::new(
-                    MisconfigId::M4Star,
-                    table.resolve(model.app),
-                    table.resolve(svc.object),
-                    format!(
-                        "service selector `{}` captures unit {} of application {}",
-                        table.resolve(svc.selector_rendered),
-                        table.resolve(unit_name),
-                        table.resolve(apps[other_idx as usize].borrow().app)
-                    ),
-                ));
+            out.finding(Finding::new(
+                MisconfigId::M4Star,
+                table.resolve(model.app),
+                table.resolve(svc.object),
+                format!(
+                    "service selector `{}` captures unit {} of application {}",
+                    table.resolve(svc.selector_rendered),
+                    table.resolve(unit_name),
+                    table.resolve(apps[other_idx as usize].borrow().app)
+                ),
+            ));
+        }
+    };
+    match &selected {
+        Some(selected) => selected.iter().for_each(|&(idx, i)| probe(idx, i)),
+        None => {
+            for (idx, model) in apps.iter().map(Borrow::borrow).enumerate() {
+                (0..model.services.len()).for_each(|i| probe(idx, i));
             }
         }
     }
-    findings
+}
+
+/// True when `svc` selects `unit`: same namespace, and every selector pair
+/// among the unit's labels.
+fn covers(svc: &GlobalService, unit: &GlobalUnit) -> bool {
+    svc.namespace == unit.namespace
+        && svc
+            .selector_pairs
+            .iter()
+            .all(|p| unit.label_pairs.contains(p))
 }
 
 #[cfg(test)]
@@ -686,6 +879,115 @@ mod tests {
             );
             assert_eq!(got, expected, "seed {seed} diverged from the oracle");
         }
+    }
+
+    /// M4\* findings kept per owner under resolved keys, as a caller whose
+    /// findings outlive symbol ids keeps them.
+    #[derive(Default)]
+    struct PerOwner {
+        groups: BTreeMap<(String, String), Vec<Finding>>,
+        captures: BTreeMap<(String, usize), Vec<Finding>>,
+    }
+
+    impl PerOwner {
+        /// Replaces every owner a pass over `models` reported.
+        fn splice(&mut self, parts: Vec<M4Part>, models: &[GlobalAppModel], table: &SymbolTable) {
+            for part in parts {
+                match part.owner {
+                    M4Owner::Group { namespace, labels } => {
+                        let key = (
+                            table.resolve(namespace).to_string(),
+                            table.resolve(labels).to_string(),
+                        );
+                        self.groups.insert(key, part.findings);
+                    }
+                    M4Owner::Capture { app, service } => {
+                        let key = (table.resolve(models[app].app).to_string(), service);
+                        self.captures.insert(key, part.findings);
+                    }
+                }
+            }
+        }
+
+        /// The findings in batch order: groups, then captures in `models`
+        /// order.
+        fn flatten(&self, models: &[GlobalAppModel], table: &SymbolTable) -> Vec<Finding> {
+            let captures = models.iter().flat_map(|m| {
+                let app = table.resolve(m.app).to_string();
+                self.captures
+                    .range((app.clone(), 0)..=(app, usize::MAX))
+                    .flat_map(|(_, findings)| findings)
+            });
+            self.groups
+                .values()
+                .flatten()
+                .chain(captures)
+                .cloned()
+                .collect()
+        }
+    }
+
+    #[test]
+    fn scoped_m4star_spliced_into_the_previous_result_matches_the_oracle() {
+        fn intern(apps: &[(String, StaticModel)], table: &mut SymbolTable) -> Vec<GlobalAppModel> {
+            apps.iter()
+                .map(|(app, model)| GlobalAppModel::intern(app, model, table))
+                .collect()
+        }
+        let (mut moved, mut foreign) = (0, 0);
+        for seed in [1, 7, 42, 1234] {
+            let mut apps = pseudo_random_corpus(seed, 10);
+            let mut table = SymbolTable::new();
+            let before = intern(&apps, &mut table);
+            let mut owned = PerOwner::default();
+            owned.splice(
+                m4_global_collisions_scoped(&before, &table, None),
+                &before,
+                &table,
+            );
+            let previous = oracle(&apps);
+            assert_eq!(owned.flatten(&before, &table), previous, "seed {seed}");
+
+            // Replace app 3, remove app 6, add one app at the end.
+            let fresh = pseudo_random_corpus(seed ^ 0x5eed, 11);
+            apps[3].1 = fresh[3].1.clone();
+            let removed = apps.remove(6).0;
+            apps.push(("gen-new".to_string(), fresh[10].1.clone()));
+            let old_units: Vec<GlobalUnit> = [3, 6]
+                .iter()
+                .flat_map(|&i| before[i].units.iter().cloned())
+                .collect();
+            let after = intern(&apps, &mut table);
+            let dirty = [3, apps.len() - 1];
+            let parts = m4_global_collisions_scoped(
+                &after,
+                &table,
+                Some(M4Scope {
+                    dirty: &dirty,
+                    old_units: &old_units,
+                }),
+            );
+            foreign += parts
+                .iter()
+                .filter(
+                    |p| matches!(p.owner, M4Owner::Capture { app, .. } if !dirty.contains(&app)),
+                )
+                .count();
+            // Services of changed releases may be gone: drop their
+            // captures, then splice.
+            owned
+                .captures
+                .retain(|(app, _), _| app != "gen-3" && *app != removed);
+            owned.splice(parts, &after, &table);
+            let expected = oracle(&apps);
+            moved += usize::from(expected != previous);
+            assert_eq!(owned.flatten(&after, &table), expected, "seed {seed}");
+        }
+        assert!(moved > 0, "no change moved an M4* finding");
+        assert!(
+            foreign > 0,
+            "no scoped pass re-derived a service of an unchanged application"
+        );
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use ij_model::Protocol;
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::fmt;
 
 /// The thirteen misconfiguration classes of Table 1.
@@ -320,7 +321,13 @@ impl fmt::Display for Finding {
 /// findings, census rows, disclosure output — uses this order, so both the
 /// per-app pass and the cluster-wide M4\* attribution re-sort through it.
 pub fn sort_canonical(findings: &mut [Finding]) {
-    findings.sort_by(|a, b| (a.id, &a.object, a.port).cmp(&(b.id, &b.object, b.port)));
+    findings.sort_by(canonical_cmp);
+}
+
+/// The canonical report order [`sort_canonical`] sorts by, for callers that
+/// sort something other than a `[Finding]` slice.
+pub fn canonical_cmp(a: &Finding, b: &Finding) -> Ordering {
+    (a.id, &a.object, a.port).cmp(&(b.id, &b.object, b.port))
 }
 
 #[cfg(test)]

@@ -90,12 +90,13 @@ mod rules;
 mod symtab;
 
 pub use compact::{
-    m4_global_collisions_compact, sort_canonical_compact, CompactAppReport, CompactCensus,
-    CompactFinding, GlobalAppModel, GlobalService, GlobalUnit,
+    m4_global_collisions_compact, m4_global_collisions_scoped, sort_canonical_compact,
+    CompactAppReport, CompactCensus, CompactFinding, GlobalAppModel, GlobalService, GlobalUnit,
+    M4Owner, M4Part, M4Scope,
 };
 pub use disclosure::{disclosure_report, questionnaire, THREAT_MODEL};
 pub use engine::{chart_defines_network_policies, Analyzer, AnalyzerOptions};
-pub use finding::{sort_canonical, Finding, MisconfigId, Severity};
+pub use finding::{canonical_cmp, sort_canonical, Finding, MisconfigId, Severity};
 pub use lang::{CompiledRule, LangError, RulePack, TraceAtom, BUILTIN_PACK_SOURCE};
 pub use model::{ComputeUnit, StaticModel};
 pub use registry::{AppRule, RuleEntry, RuleOrigin, RuleRegistry, RuleScope, UnknownRule};

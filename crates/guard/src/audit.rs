@@ -21,37 +21,51 @@ impl AuditDelta {
     /// two identical findings resolving down to one reports exactly one
     /// `resolved`. Output order follows input order, which keeps the delta
     /// deterministic for canonically sorted inputs. Runs in
-    /// O(previous + current).
+    /// O(previous + current). This wrapper hashes every finding, then runs
+    /// the one multiset diff over the identities; the incremental auditor
+    /// runs that same diff on the identities it stored when each finding
+    /// was made, so a tick hashes only the findings it re-derived.
     pub fn between(previous: &[Finding], current: &[Finding]) -> AuditDelta {
-        let mut prev_counts: HashMap<u64, usize> = HashMap::new();
-        for f in previous {
-            *prev_counts.entry(f.identity()).or_default() += 1;
+        let identities =
+            |findings: &[Finding]| -> Vec<u64> { findings.iter().map(Finding::identity).collect() };
+        let (previous_ids, current_ids) = (identities(previous), identities(current));
+        let pick = |findings: &[Finding], mask: Vec<bool>| {
+            findings
+                .iter()
+                .zip(mask)
+                .filter(|(_, unmatched)| *unmatched)
+                .map(|(f, _)| f.clone())
+                .collect()
+        };
+        AuditDelta {
+            introduced: pick(current, unmatched(&current_ids, &previous_ids)),
+            resolved: pick(previous, unmatched(&previous_ids, &current_ids)),
         }
-        let mut cur_counts: HashMap<u64, usize> = HashMap::new();
-        for f in current {
-            *cur_counts.entry(f.identity()).or_default() += 1;
-        }
-
-        let mut delta = AuditDelta::default();
-        for f in current {
-            match prev_counts.get_mut(&f.identity()) {
-                Some(n) if *n > 0 => *n -= 1,
-                _ => delta.introduced.push(f.clone()),
-            }
-        }
-        for f in previous {
-            match cur_counts.get_mut(&f.identity()) {
-                Some(n) if *n > 0 => *n -= 1,
-                _ => delta.resolved.push(f.clone()),
-            }
-        }
-        delta
     }
 
     /// True when nothing changed.
     pub fn is_quiet(&self) -> bool {
         self.introduced.is_empty() && self.resolved.is_empty()
     }
+}
+
+/// The multiset diff of two identity lists: a mask over `ids` marking the
+/// occurrences `other` does not cancel. Of an identity `other` holds `n`
+/// times, the first `n` occurrences in `ids` are cancelled.
+pub(crate) fn unmatched(ids: &[u64], other: &[u64]) -> Vec<bool> {
+    let mut held: HashMap<u64, usize> = HashMap::with_capacity(other.len());
+    for &id in other {
+        *held.entry(id).or_default() += 1;
+    }
+    ids.iter()
+        .map(|id| match held.get_mut(id) {
+            Some(n) if *n > 0 => {
+                *n -= 1;
+                false
+            }
+            _ => true,
+        })
+        .collect()
 }
 
 #[cfg(test)]

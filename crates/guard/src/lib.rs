@@ -22,11 +22,12 @@
 //!   tools that provide proactive advice" the paper calls for. It audits a
 //!   whole multi-release cluster and reports finding deltas
 //!   ([`AuditDelta`]), consuming the cluster's dirty-set summaries to
-//!   re-analyze only dirtied releases (and the cluster-wide label pass only
-//!   when labels moved), with the full recompute kept as the
-//!   property-tested oracle. Objects applied outside any release are
-//!   audited together as one more release, [`UNATTRIBUTED_RELEASE`], so a
-//!   hand-deployed pod carrying a release's labels surfaces as `M4*`.
+//!   re-analyze only dirtied releases (and, when labels moved, only the
+//!   part of the cluster-wide label pass they touch), with the full
+//!   recompute kept as the property-tested oracle. Objects applied outside
+//!   any release are audited together as one more release,
+//!   [`UNATTRIBUTED_RELEASE`], so a hand-deployed pod carrying a release's
+//!   labels surfaces as `M4*`.
 
 mod admission;
 mod audit;
