@@ -14,7 +14,7 @@ fn main() {
         what.as_str(),
         "table2" | "fig3a" | "fig3b" | "fig4a" | "averages" | "all"
     );
-    let census = needs_census.then(ij_bench::full_census);
+    let census = needs_census.then(full_census);
     let census = census.as_ref();
 
     let print_section = |name: &str, body: String| {
@@ -51,5 +51,4 @@ fn main() {
             std::process::exit(2);
         }
     }
-    let _ = full_census; // referenced for the `all` closure above
 }

@@ -2,7 +2,8 @@
 //!
 //! Each experiment of the evaluation section has a function here that runs
 //! the full pipeline and renders the artifact as text; the `repro` binary
-//! prints them and the Criterion benches in `benches/` time them.
+//! prints them. Timing is the repository benchmark's job (`perfbench/`);
+//! this crate keeps the census memory and allocation gates beside it.
 //!
 //! | artifact | function |
 //! |---|---|
@@ -25,26 +26,19 @@ use ij_guard::{GuardAdmission, GuardPolicy, PolicySynthesizer};
 use ij_model::{Container, Object, ObjectMeta, Pod, PodSpec};
 use ij_probe::ReachMatrix;
 
-/// Runs the census over the full corpus with default options (sequential,
-/// so the criterion benches time the single-threaded pipeline).
+/// Runs the census over the full corpus with default options: one worker,
+/// since the result is byte-identical for every thread count (enforced by
+/// the root determinism suites).
 pub fn full_census() -> Census {
-    full_census_threaded(1)
-}
-
-/// Runs the census over the full corpus on `threads` pipeline workers. The
-/// result is byte-identical for every thread count (enforced by the root
-/// determinism suites); only the wall-clock changes.
-pub fn full_census_threaded(threads: usize) -> Census {
     CensusPipeline::builder()
-        .threads(threads)
         .build()
         .run(&corpus())
         .expect("the synthetic corpus renders and installs")
 }
 
 /// Peak resident-set size of this process in kibibytes, from the kernel's
-/// `VmHWM` high-water mark — the number committed next to the corpus-scale
-/// curve in `BENCH_corpus.json`. Returns `None` off Linux (or if
+/// `VmHWM` high-water mark — the number recorded in the `peak_rss` rows of
+/// `BENCH_corpus.json`. Returns `None` off Linux (or if
 /// `/proc/self/status` is unreadable); callers treat that as "cannot
 /// measure", not as zero.
 pub fn peak_rss_kb() -> Option<u64> {

@@ -115,7 +115,8 @@ pub struct RuleEntry {
 }
 
 impl RuleEntry {
-    /// The registry key used by [`RuleRegistry::enable`] / [`disable`].
+    /// The registry key used by [`RuleRegistry::set_enabled`] /
+    /// [`disable`].
     ///
     /// [`disable`]: RuleRegistry::disable
     pub fn name(&self) -> &str {
@@ -365,34 +366,19 @@ impl RuleRegistry {
         }
     }
 
-    /// Like [`set_enabled`](RuleRegistry::set_enabled), but an unknown name
-    /// is a typed [`UnknownRule`] error instead of a silent `false`.
-    pub fn try_set_enabled(&mut self, name: &str, enabled: bool) -> Result<(), UnknownRule> {
-        if self.set_enabled(name, enabled) {
-            Ok(())
-        } else {
-            Err(self.unknown(name))
-        }
-    }
-
-    /// Enables one rule; `false` when the name is unknown.
-    pub fn enable(&mut self, name: &str) -> bool {
-        self.set_enabled(name, true)
-    }
-
     /// Disables one rule; `false` when the name is unknown.
     pub fn disable(&mut self, name: &str) -> bool {
         self.set_enabled(name, false)
     }
 
-    /// Enables one rule, erroring on unknown names.
-    pub fn try_enable(&mut self, name: &str) -> Result<(), UnknownRule> {
-        self.try_set_enabled(name, true)
-    }
-
-    /// Disables one rule, erroring on unknown names.
+    /// Disables one rule; an unknown name is a typed [`UnknownRule`] error
+    /// (the registry is unchanged).
     pub fn try_disable(&mut self, name: &str) -> Result<(), UnknownRule> {
-        self.try_set_enabled(name, false)
+        if self.set_enabled(name, false) {
+            Ok(())
+        } else {
+            Err(self.unknown(name))
+        }
     }
 }
 
@@ -420,9 +406,11 @@ mod tests {
         assert!(reg.is_enabled("m7"));
         assert!(reg.disable("m7"));
         assert!(!reg.is_enabled("m7"));
-        assert!(reg.enable("m7"));
+        assert!(reg.set_enabled("m7", true));
         assert!(reg.is_enabled("m7"));
         assert!(!reg.disable("no-such-rule"));
+        assert!(!reg.set_enabled("no-such-rule", true));
+        assert!(!reg.is_enabled("no-such-rule"));
     }
 
     #[test]
@@ -438,9 +426,9 @@ mod tests {
 
         assert!(reg.try_get("m7").is_ok());
         assert_eq!(reg.try_get("nope").expect_err("typed").name, "nope");
-        assert!(reg.try_enable("m7").is_ok());
-        assert!(reg.try_set_enabled("m7", false).is_ok());
+        assert!(reg.try_disable("m7").is_ok());
         assert!(!reg.is_enabled("m7"));
+        assert!(reg.try_disable("m7").is_ok(), "idempotent");
     }
 
     #[test]

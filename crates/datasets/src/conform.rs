@@ -20,7 +20,7 @@
 //!
 //! [`ConformanceReport::to_json`] renders a stable machine-readable
 //! artifact (committed as `CONFORMANCE.json` and regression-checked like
-//! the `BENCH_*.json` baselines); [`ConformanceReport::to_markdown`] ranks
+//! the `BENCH_corpus.json` pins); [`ConformanceReport::to_markdown`] ranks
 //! the losses — divergences first, then unsupported features by how many
 //! charts they cost.
 

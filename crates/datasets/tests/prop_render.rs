@@ -3,10 +3,12 @@
 //! path ([`ij_chart::CompiledChart`]) must produce output byte-identical to
 //! the parse-per-call seed path ([`ij_chart::Chart::render`]). This is the
 //! acceptance bar of the compiled render layer, mirroring how the compiled
-//! policy index was verified against the naive engine.
+//! policy index was verified against the naive engine. The built-in corpus
+//! is checked app by app as well: its named Figure 3a/3b profiles are
+//! hand-written plans that `arb_plan` does not generate.
 
 use ij_chart::{Release, RenderScratch};
-use ij_datasets::{build_app, AppSpec, NetpolSpec, Org, Plan};
+use ij_datasets::{build_app, corpus, AppSpec, NetpolSpec, Org, Plan};
 use ij_model::Object;
 use proptest::prelude::*;
 
@@ -68,6 +70,30 @@ fn arb_release() -> impl Strategy<Value = Release> {
             release
         }
     })
+}
+
+/// Every app of the built-in corpus (all 290, named profiles included)
+/// renders byte-identically through the compiled and the seed path.
+#[test]
+fn compiled_render_matches_seed_path_on_the_whole_corpus() {
+    let specs = corpus();
+    assert_eq!(specs.len(), 290);
+    for spec in &specs {
+        let built = build_app(spec);
+        let release = Release::new(&spec.name, "default");
+        let naive = built.chart().render(&release).expect("seed path renders");
+        let replay = built
+            .compiled()
+            .expect("corpus charts compile")
+            .render(&release)
+            .expect("compiled path renders");
+        assert_eq!(
+            format!("{naive:#?}"),
+            format!("{replay:#?}"),
+            "compiled render diverged from the seed path for {}",
+            spec.name
+        );
+    }
 }
 
 proptest! {

@@ -1,7 +1,9 @@
 //! Property suite for the batch [`ReachMatrix`]: on random clusters (pods,
 //! namespaces, policies, hostNetwork pods) the matrix must agree with the
 //! naive per-pair [`PolicyEngine`] verdict — the oracle the compiled index
-//! replaces on the hot path.
+//! replaces on the hot path. A fixed three-tier cluster with per-tier
+//! ingress locks and hostNetwork exporters (the §4.3.2 shape) is checked
+//! against the same oracle at three sizes.
 
 use ij_cluster::{Cluster, ClusterConfig, PolicyEngine};
 use ij_model::{
@@ -196,6 +198,87 @@ fn arb_pods() -> impl Strategy<Value = Vec<(Labels, bool, String)>> {
         ),
         2..6,
     )
+}
+
+/// `apps` three-tier applications (web, api, db pod each) where only
+/// web → api and api → db are allowed in by per-tier NetworkPolicies, plus
+/// one hostNetwork exporter per app that no policy selects.
+fn tiered_cluster(apps: usize) -> Cluster {
+    let mut cluster = Cluster::new(ClusterConfig {
+        nodes: 3,
+        seed: 17,
+        behaviors: Default::default(),
+    });
+    for a in 0..apps {
+        for (tier, port) in [("web", 8080u16), ("api", 9090), ("db", 5432)] {
+            let labels = Labels::from_pairs([("app", format!("a{a}")), ("tier", tier.to_string())]);
+            cluster
+                .apply(Object::Pod(Pod::new(
+                    ObjectMeta::named(format!("a{a}-{tier}")).with_labels(labels),
+                    PodSpec {
+                        containers: vec![Container::new(tier, format!("img/{tier}"))
+                            .with_ports(vec![ContainerPort::named("main", port)])],
+                        ..Default::default()
+                    },
+                )))
+                .expect("pod applies");
+        }
+        cluster
+            .apply(Object::Pod(Pod::new(
+                ObjectMeta::named(format!("a{a}-exporter"))
+                    .with_labels(Labels::from_pairs([("app", format!("a{a}"))])),
+                PodSpec {
+                    containers: vec![Container::new("exp", "img/exporter")
+                        .with_ports(vec![ContainerPort::tcp(9100)])],
+                    host_network: true,
+                    node_name: None,
+                },
+            )))
+            .expect("exporter applies");
+        for (tier, from, port) in [("db", "api", 5432u16), ("api", "web", 9090)] {
+            cluster
+                .apply(Object::NetworkPolicy(NetworkPolicy::allow_ingress(
+                    ObjectMeta::named(format!("a{a}-lock-{tier}")),
+                    LabelSelector::from_labels(Labels::from_pairs([
+                        ("app", format!("a{a}")),
+                        ("tier", tier.to_string()),
+                    ])),
+                    vec![NetworkPolicyPeer::pods(LabelSelector::from_labels(
+                        Labels::from_pairs([("app", format!("a{a}")), ("tier", from.to_string())]),
+                    ))],
+                    vec![PolicyPort::tcp(port)],
+                )))
+                .expect("policy applies");
+        }
+    }
+    cluster.reconcile();
+    cluster
+}
+
+/// On the tiered cluster the matrix-backed endpoint list equals the naive
+/// oracle for every vantage pod, and the locks hold: web reaches its own
+/// api but not its db, while every exporter stays open to everyone.
+#[test]
+fn tiered_cluster_matches_naive_oracle() {
+    for apps in [3usize, 12, 48] {
+        let cluster = tiered_cluster(apps);
+        let applied: Vec<NetworkPolicy> = cluster.network_policies().into_iter().cloned().collect();
+        assert_eq!(applied.len(), 2 * apps);
+        for src in cluster.pods() {
+            let name = src.qualified_name();
+            assert_eq!(
+                reachable_pod_endpoints(&cluster, &name),
+                naive_reachable(&cluster, &applied, &name),
+                "{apps} apps, vantage {name}"
+            );
+        }
+        let from_web = reachable_pod_endpoints(&cluster, "default/a0-web");
+        let reaches = |pod: &str| from_web.iter().any(|e| e.pod == pod);
+        assert!(reaches("default/a0-api"));
+        assert!(!reaches("default/a0-db"));
+        assert!(!reaches("default/a1-api"));
+        assert!((0..apps).all(|a| reaches(&format!("default/a{a}-exporter"))));
+    }
 }
 
 proptest! {

@@ -2,7 +2,7 @@
 //! conformance artifacts.
 //!
 //! `CONFORMANCE.json` and `CONFORMANCE.md` are committed like the
-//! `BENCH_*.json` baselines: this suite re-runs the differential harness
+//! `BENCH_corpus.json` pins: this suite re-runs the differential harness
 //! over `fixtures/charts/` and byte-compares the fresh artifacts against
 //! the committed ones, so any behavior change — a chart gaining support, a
 //! pipeline pair drifting apart, a new finding — shows up as a reviewable

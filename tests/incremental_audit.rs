@@ -206,6 +206,36 @@ proptest! {
     }
 }
 
+/// One long fixed stream beside the short random ones above: 60 mutations
+/// of a `baseline` tenant at seed 7, long enough to cover every mutation
+/// kind (install, uninstall, label flip, policy add, scale), with the
+/// incremental tick checked against a full recompute after each.
+#[test]
+fn sixty_step_baseline_stream_equals_full_recompute() {
+    let (mut cluster, mut session) = harness("baseline", 7);
+    let mut incremental = IncrementalAuditor::new();
+    let mut oracle = IncrementalAuditor::new();
+    let mut kinds = std::collections::BTreeSet::new();
+    for _ in 0..60 {
+        let mutation = session.next_mutation();
+        kinds.insert(mutation.kind());
+        register_spec(&mut [&mut incremental, &mut oracle], &mutation);
+        apply_mutation(&mut cluster, &mutation).expect("churn mutations apply");
+        let delta = incremental.tick(&cluster);
+        let full = oracle.full_tick(&cluster);
+        assert_eq!(
+            incremental.current(),
+            oracle.current(),
+            "finding sets diverged after `{}` of `{}`",
+            mutation.kind(),
+            mutation.app()
+        );
+        assert_eq!(delta.introduced, full.introduced);
+        assert_eq!(delta.resolved, full.resolved);
+    }
+    assert_eq!(kinds.len(), 5, "mutation kinds seen: {kinds:?}");
+}
+
 /// FNV-1a 64 step over raw bytes.
 fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {

@@ -103,7 +103,7 @@ fn every_scenario_profile_scores_perfectly() {
     }
 }
 
-/// The acceptance criterion verbatim: `ij census --synthetic 1000 --seed 7
+/// The acceptance bar verbatim: `ij census --synthetic 1000 --seed 7
 /// --threads 8` completes and is byte-identical to `--threads 1`.
 #[test]
 fn cli_synthetic_census_is_byte_identical_across_thread_counts() {
@@ -140,17 +140,25 @@ fn cli_synthetic_census_is_byte_identical_across_thread_counts() {
 }
 
 /// `ij corpus --describe --synthetic …` prints exactly the ground truth the
-/// census then reproduces: total findings and affected counts line up.
+/// census then reproduces: every class count (M4\* groups included), the
+/// total and the affected count line up. The `baseline` input is the
+/// `ij census --synthetic 100 --seed 7` population at the default mix.
 #[test]
 fn describe_matches_the_census_it_predicts() {
-    let generator = generator("mesh-heavy", 120, 9);
-    let summary = generator.describe();
-    let census = CensusPipeline::builder()
-        .seed(9)
-        .build()
-        .run_generated(&generator)
-        .expect("generated corpus renders and installs");
-    assert_eq!(census.total_misconfigurations(), summary.expected_total());
-    let affected = census.apps.iter().filter(|a| a.total() > 0).count();
-    assert_eq!(affected, summary.affected);
+    for (profile, apps, seed) in [("mesh-heavy", 120, 9), ("baseline", 100, 7)] {
+        let generator = generator(profile, apps, seed);
+        let summary = generator.describe();
+        let census = CensusPipeline::builder()
+            .seed(seed)
+            .build()
+            .run_generated(&generator)
+            .expect("generated corpus renders and installs");
+        for id in MisconfigId::ALL {
+            let found: usize = census.apps.iter().map(|a| a.count_of(id)).sum();
+            assert_eq!(found, summary.expected[&id], "{profile}: {id}");
+        }
+        assert_eq!(census.total_misconfigurations(), summary.expected_total());
+        let affected = census.apps.iter().filter(|a| a.total() > 0).count();
+        assert_eq!(affected, summary.affected, "{profile}");
+    }
 }
