@@ -2,10 +2,9 @@
 //! the representative per-class charts and classify the outcomes.
 
 use crate::tools::{all_tools, Tool};
-use ij_chart::Release;
 use ij_cluster::{Cluster, ClusterConfig};
 use ij_core::{chart_defines_network_policies, Analyzer, MisconfigId, StaticModel};
-use ij_datasets::{build_app, representative_charts, CorpusOptions};
+use ij_datasets::{build_app, co_deploy, representative_charts, CorpusOptions};
 use ij_probe::{HostBaseline, RuntimeAnalyzer};
 use std::collections::BTreeMap;
 
@@ -88,27 +87,15 @@ pub fn run_comparison() -> Vec<ComparisonRow> {
         // Install every app of the case into one cluster (the M4* case
         // needs both apps co-resident for API-reading tools).
         let builts: Vec<_> = case.apps.iter().map(build_app).collect();
-        let mut registry = ij_cluster::BehaviorRegistry::new();
-        for b in &builts {
-            for (image, behavior) in &b.behaviors {
-                registry.register(image.clone(), behavior.clone());
-            }
-        }
         let mut cluster = Cluster::new(ClusterConfig {
             nodes: 3,
             seed: 9,
-            behaviors: registry,
+            ..Default::default()
         });
         let baseline = HostBaseline::capture(&cluster);
-        let mut objects = Vec::new();
-        for b in &builts {
-            let rendered = b
-                .chart()
-                .render(&Release::new(&b.spec.name, "default"))
-                .expect("representative charts render");
-            cluster.install(&rendered).expect("no admission");
-            objects.extend(rendered.objects);
-        }
+        let apps: Vec<_> = builts.iter().map(|b| (b, None)).collect();
+        let rendered = co_deploy(&mut cluster, &apps, false).expect("representative charts deploy");
+        let objects: Vec<_> = rendered.iter().flat_map(|r| r.objects.clone()).collect();
         let statics = StaticModel::from_objects(&objects);
         let runtime = RuntimeAnalyzer::new(opts.probe.clone()).analyze(&mut cluster, &baseline);
 
@@ -125,14 +112,10 @@ pub fn run_comparison() -> Vec<ComparisonRow> {
         // Our solution: per-app analysis plus the cluster-wide pass.
         let mut found = Vec::new();
         let mut statics_per_app = Vec::new();
-        for b in &builts {
-            let rendered = b
-                .chart()
-                .render(&Release::new(&b.spec.name, "default"))
-                .expect("already rendered once");
+        for (b, release) in builts.iter().zip(&rendered) {
             let findings = Analyzer::hybrid().analyze_app(
                 &b.spec.name,
-                &rendered.objects,
+                &release.objects,
                 &cluster,
                 Some(&runtime),
                 chart_defines_network_policies(b.chart()),
@@ -140,7 +123,7 @@ pub fn run_comparison() -> Vec<ComparisonRow> {
             found.extend(findings);
             statics_per_app.push((
                 b.spec.name.clone(),
-                StaticModel::from_objects(&rendered.objects),
+                StaticModel::from_objects(&release.objects),
             ));
         }
         found.extend(Analyzer::hybrid().analyze_global(&statics_per_app));

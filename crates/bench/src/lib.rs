@@ -18,13 +18,10 @@
 //! | ground-truth precision/recall | [`score`] |
 
 use ij_baselines::run_comparison;
-use ij_chart::Release;
-use ij_cluster::{BehaviorRegistry, Cluster, ClusterConfig};
+use ij_cluster::{Cluster, ClusterConfig};
 use ij_core::{Census, MisconfigId, StaticModel};
-use ij_datasets::{build_app, corpus, representative_charts, CensusPipeline};
+use ij_datasets::{build_app, co_deploy, corpus, exposure, representative_charts, CensusPipeline};
 use ij_guard::{GuardAdmission, GuardPolicy, PolicySynthesizer};
-use ij_model::{Container, Object, ObjectMeta, Pod, PodSpec};
-use ij_probe::ReachMatrix;
 
 /// Runs the census over the full corpus with default options: one worker,
 /// since the result is byte-identical for every thread count (enforced by
@@ -291,71 +288,41 @@ pub fn defense_outcomes() -> Vec<DefenseOutcome> {
             for spec in &mut case.apps {
                 spec.plan.netpol = ij_datasets::NetpolSpec::Missing;
             }
-            // Admission leg.
-            let mut guarded = Cluster::new(ClusterConfig::default());
-            // Strict mode: the generated charts apply workloads before their
+            // Synthesis leg: unguarded install, measure attacker-reachable
+            // misconfigured endpoints before/after synthesized policies.
+            let builts: Vec<_> = case.apps.iter().map(build_app).collect();
+            let apps: Vec<_> = builts.iter().map(|b| (b, None)).collect();
+            let mut cluster = Cluster::new(ClusterConfig {
+                nodes: 3,
+                seed: 5,
+                ..Default::default()
+            });
+            let rendered =
+                co_deploy(&mut cluster, &apps, true).expect("representative charts deploy");
+            let objects: Vec<_> = rendered.iter().flat_map(|r| r.objects.clone()).collect();
+            let statics = StaticModel::from_objects(&objects);
+            let before = exposure(&cluster, &statics).sockets;
+            let synthesized = PolicySynthesizer::new().synthesize(&statics);
+            for obj in synthesized.objects() {
+                cluster.apply(obj).expect("policies admitted");
+            }
+            let after = exposure(&cluster, &statics).sockets;
+
+            // Admission leg: the same releases against the guard. Strict
+            // mode: the generated charts apply workloads before their
             // services, so unmatched selectors are decidable at admission.
+            let mut guarded = Cluster::new(ClusterConfig::default());
             let policy = GuardPolicy {
                 check_unmatched_selectors: true,
                 ..Default::default()
             };
             guarded.push_admission(Box::new(GuardAdmission::new(policy)));
             let mut blocked = false;
-            for spec in &case.apps {
-                // Built fresh and rendered exactly once: the parse-per-call
-                // path is the right trade-off here (no compilation to
-                // amortize).
-                let built = build_app(spec);
-                let rendered = built
-                    .chart()
-                    .render(&Release::new(&spec.name, "default"))
-                    .expect("representative charts render");
-                if guarded.install(&rendered).is_err() {
+            for release in &rendered {
+                if guarded.install(release).is_err() {
                     blocked = true;
                 }
             }
-
-            // Synthesis leg: unguarded install, measure attacker-reachable
-            // misconfigured endpoints before/after synthesized policies.
-            let mut registry = BehaviorRegistry::new();
-            let builts: Vec<_> = case.apps.iter().map(build_app).collect();
-            for b in &builts {
-                for (image, behavior) in &b.behaviors {
-                    registry.register(image.clone(), behavior.clone());
-                }
-            }
-            let mut cluster = Cluster::new(ClusterConfig {
-                nodes: 3,
-                seed: 5,
-                behaviors: registry,
-            });
-            let mut objects = Vec::new();
-            for b in &builts {
-                let rendered = b
-                    .chart()
-                    .render(&Release::new(&b.spec.name, "default"))
-                    .expect("representative charts render");
-                cluster.install(&rendered).expect("unguarded install");
-                objects.extend(rendered.objects);
-            }
-            cluster
-                .apply(Object::Pod(Pod::new(
-                    ObjectMeta::named("attacker"),
-                    PodSpec {
-                        containers: vec![Container::new("sh", "attacker/recon")],
-                        ..Default::default()
-                    },
-                )))
-                .expect("unguarded apply");
-            cluster.reconcile();
-
-            let statics = StaticModel::from_objects(&objects);
-            let before = reachable_misconfigured(&cluster, &statics);
-            let synthesized = PolicySynthesizer::new().synthesize(&statics);
-            for obj in synthesized.objects() {
-                cluster.apply(obj).expect("policies admitted");
-            }
-            let after = reachable_misconfigured(&cluster, &statics);
 
             DefenseOutcome {
                 id: case.id,
@@ -365,38 +332,6 @@ pub fn defense_outcomes() -> Vec<DefenseOutcome> {
             }
         })
         .collect()
-}
-
-/// Counts attacker-reachable endpoints that are misconfigured (undeclared
-/// stable ports or dynamic ports). One [`ReachMatrix`] pass per call.
-fn reachable_misconfigured(cluster: &Cluster, statics: &StaticModel) -> usize {
-    let matrix = ReachMatrix::compute(cluster);
-    let Some(attacker) = matrix.pod_index("default/attacker") else {
-        return 0;
-    };
-    let mut count = 0;
-    for (dst, rp) in cluster.pods().iter().enumerate() {
-        let name = rp.qualified_name();
-        if name.ends_with("/attacker") {
-            continue;
-        }
-        let unit = rp.owner.clone().unwrap_or_else(|| name.clone());
-        for socket in &rp.sockets {
-            if socket.loopback_only {
-                continue;
-            }
-            let declared = statics
-                .unit(&unit)
-                .map(|u| u.declares(socket.port, socket.protocol))
-                .unwrap_or(true);
-            if (socket.ephemeral || !declared)
-                && matrix.connected(attacker, dst, socket.port, socket.protocol)
-            {
-                count += 1;
-            }
-        }
-    }
-    count
 }
 
 /// Renders the defense ablation.

@@ -1,11 +1,10 @@
-//! Compile-once chart rendering.
+//! Compile-once chart rendering: the production render path.
 //!
-//! [`Chart::render`] is a parse-per-call API: every call re-lexes and
-//! re-parses each template file of the chart and its dependencies. That is
-//! the right trade-off for a one-shot `ij render`, but the census pipeline
-//! renders hundreds of charts (and renders some of them several times:
-//! census, policy-impact, repeated studies). [`CompiledChart`] front-loads
-//! all of that work:
+//! Every command and experiment renders through [`CompiledChart`];
+//! [`Chart::render`], which re-lexes and re-parses each template file of
+//! the chart and its dependencies on every call, is kept as the oracle the
+//! differential tests and `ij conform` compare against. [`CompiledChart`]
+//! front-loads the parse work:
 //!
 //! * every template file — including dependency charts — is lexed and
 //!   parsed exactly **once**, at compile time;
@@ -19,12 +18,12 @@
 //!   per chart level and the shared partial set is borrowed — no partial
 //!   body or values subtree is ever deep-cloned.
 //!
-//! Output is byte-identical to [`Chart::render`] (property-tested against
-//! random corpus charts in `ij-datasets`). The one behavioural difference
-//! is error timing: [`Chart::compile`] surfaces template syntax errors and
-//! static-file decode errors eagerly — even for files of a dependency whose
-//! enable condition is off — where the parse-per-call path only reports
-//! them when the file is actually rendered.
+//! Output and errors match [`Chart::render`] (property-tested against
+//! random corpus charts in `ij-datasets`). [`Chart::compile`] fails only on
+//! a template syntax error in the root chart's own files, which every
+//! oracle render reports too. A dependency's syntax error is kept and
+//! raised when that dependency renders, and a static file that does not
+//! decode is rendered per call, so its error surfaces in file order.
 //!
 //! The handle is `Arc`-backed: clones share the compiled representation and
 //! are cheap enough to cache per app (see `BuiltApp::compiled` in
@@ -58,7 +57,10 @@ struct CompiledLevel {
     name: String,
     version: String,
     values: Value,
-    files: Vec<CompiledFile>,
+    /// The compiled files, or the level's first template syntax error,
+    /// raised when the level renders (after its values merge, where the
+    /// oracle parses the level).
+    files: Result<Vec<CompiledFile>>,
     deps: Vec<CompiledDep>,
 }
 
@@ -164,8 +166,12 @@ impl CompiledChart {
     /// assert_eq!(format!("{fast:?}"), format!("{oracle:?}"));
     /// ```
     pub fn compile(chart: &Chart) -> Result<CompiledChart> {
+        let root = compile_level(chart);
+        if let Err(e) = &root.files {
+            return Err(e.clone());
+        }
         Ok(CompiledChart {
-            root: Arc::new(compile_level(chart)?),
+            root: Arc::new(root),
         })
     }
 
@@ -236,7 +242,26 @@ pub struct RenderScratch {
     rendered: String,
 }
 
-fn compile_level(chart: &Chart) -> Result<CompiledLevel> {
+fn compile_level(chart: &Chart) -> CompiledLevel {
+    CompiledLevel {
+        name: chart.name.clone(),
+        version: chart.version.clone(),
+        values: chart.values.clone(),
+        files: compile_files(chart),
+        deps: chart
+            .dependencies
+            .iter()
+            .map(|dep| CompiledDep {
+                chart_name: dep.chart.name.clone(),
+                condition: dep.condition.clone(),
+                level: compile_level(&dep.chart),
+            })
+            .collect(),
+    }
+}
+
+/// Compiles one level's own files, stopping at the first syntax error.
+fn compile_files(chart: &Chart) -> Result<Vec<CompiledFile>> {
     let mut files = Vec::with_capacity(chart.templates.len());
     for (tpl_name, source) in &chart.templates {
         let (parsed, plan) = match source {
@@ -251,12 +276,15 @@ fn compile_level(chart: &Chart) -> Result<CompiledLevel> {
                     // now. Stamping with the "default" namespace is the
                     // identity, so the cached objects carry their manifest
                     // namespaces and the release namespace is stamped per
-                    // render.
+                    // render. Text that does not decode stays dynamic, so
+                    // its error surfaces at render time in file order, as
+                    // the oracle reports it.
                     let rendered = concat_text(&parsed.nodes);
                     if rendered.trim().is_empty() {
                         RenderPlan::Blank
                     } else {
-                        RenderPlan::Static(static_docs_from_text(tpl_name, &rendered)?)
+                        static_docs_from_text(tpl_name, &rendered)
+                            .map_or(RenderPlan::Dynamic, RenderPlan::Static)
                     }
                 } else if let Some(plan) = gated_plan(tpl_name, &parsed) {
                     plan
@@ -272,21 +300,7 @@ fn compile_level(chart: &Chart) -> Result<CompiledLevel> {
             plan,
         });
     }
-    let mut deps = Vec::with_capacity(chart.dependencies.len());
-    for dep in &chart.dependencies {
-        deps.push(CompiledDep {
-            chart_name: dep.chart.name.clone(),
-            condition: dep.condition.clone(),
-            level: compile_level(&dep.chart)?,
-        });
-    }
-    Ok(CompiledLevel {
-        name: chart.name.clone(),
-        version: chart.version.clone(),
-        values: chart.values.clone(),
-        files,
-        deps,
-    })
+    Ok(files)
 }
 
 fn concat_text(nodes: &[Node]) -> String {
@@ -390,7 +404,8 @@ impl CompiledLevel {
         scratch: &mut RenderScratch,
         objects: &mut Vec<Object>,
     ) -> Result<()> {
-        let shared = shared_defines(self.files.iter().filter_map(|f| f.parsed.as_ref()));
+        let files = self.files.as_ref().map_err(Clone::clone)?;
+        let shared = shared_defines(files.iter().filter_map(|f| f.parsed.as_ref()));
         let root = build_root(
             values,
             &release.name,
@@ -398,7 +413,7 @@ impl CompiledLevel {
             &self.name,
             &self.version,
         );
-        for file in &self.files {
+        for file in files {
             match &file.plan {
                 RenderPlan::Partial | RenderPlan::Blank => {}
                 RenderPlan::Static(sd) => push_stamped(&sd.objects, release, objects),
@@ -468,7 +483,8 @@ impl CompiledLevel {
         values: Value,
         docs: &mut Vec<Value>,
     ) -> Result<()> {
-        let shared = shared_defines(self.files.iter().filter_map(|f| f.parsed.as_ref()));
+        let files = self.files.as_ref().map_err(Clone::clone)?;
+        let shared = shared_defines(files.iter().filter_map(|f| f.parsed.as_ref()));
         let root = build_root(
             values,
             &release.name,
@@ -476,7 +492,7 @@ impl CompiledLevel {
             &self.name,
             &self.version,
         );
-        for file in &self.files {
+        for file in files {
             match &file.plan {
                 RenderPlan::Partial | RenderPlan::Blank => {}
                 RenderPlan::Static(sd) => docs.extend(sd.docs.iter().cloned()),
@@ -660,26 +676,70 @@ spec:
     }
 
     #[test]
-    fn compile_surfaces_disabled_dependency_errors_eagerly() {
-        // The parse-per-call path only parses a dependency when its
-        // condition enables it; the compiled path parses everything up
-        // front — the documented (stricter) difference.
-        let bad_dep = Chart::builder("dep")
+    fn dependency_errors_match_the_oracle() {
+        // A dependency with a syntax error, and one whose static file does
+        // not decode: both render fine while disabled, and fail with the
+        // oracle's message once enabled.
+        let syntax = Chart::builder("syntax")
             .template("broken.yaml", "{{ end }}")
             .build();
-        let chart = Chart {
-            name: "parent".into(),
-            version: "1.0.0".into(),
-            description: String::new(),
-            values: ij_yaml::parse("dep:\n  enabled: false\n").unwrap(),
-            templates: Vec::new(),
-            dependencies: vec![Dependency {
-                chart: bad_dep,
-                condition: Some("dep.enabled".into()),
-            }],
-        };
-        assert!(chart.render(&Release::new("r", "default")).is_ok());
-        assert!(chart.compile().is_err());
+        let decode = Chart::builder("decode")
+            .template("bad.yaml", "apiVersion: v1\nkind: Pod\n")
+            .build();
+        for (dep, expect) in [
+            (syntax, "template `broken.yaml`"),
+            (decode, "template `bad.yaml`"),
+        ] {
+            let name = dep.name.clone();
+            let chart = Chart {
+                name: "parent".into(),
+                version: "1.0.0".into(),
+                description: String::new(),
+                values: ij_yaml::parse(&format!("{name}:\n  enabled: false\n")).unwrap(),
+                templates: Vec::new(),
+                dependencies: vec![Dependency {
+                    chart: dep,
+                    condition: Some(format!("{name}.enabled")),
+                }],
+            };
+            let compiled = chart
+                .compile()
+                .expect("a disabled dependency's error waits");
+            let disabled = Release::new("r", "default");
+            assert!(chart.render(&disabled).is_ok());
+            assert!(compiled.render(&disabled).is_ok());
+
+            let enabled = Release::new("r", "default")
+                .with_values_yaml(&format!("{name}:\n  enabled: true\n"))
+                .unwrap();
+            let oracle = chart
+                .render(&enabled)
+                .expect_err("oracle rejects")
+                .to_string();
+            let replay = compiled.render(&enabled).expect_err("compiled rejects");
+            assert_eq!(oracle, replay.to_string(), "{name}");
+            assert!(oracle.contains(expect), "{oracle}");
+            if name == "syntax" {
+                assert!(compiled.render_values(&enabled).is_err());
+            }
+        }
+    }
+
+    #[test]
+    fn render_errors_surface_in_file_order() {
+        // A dynamic file failing before a static file that does not
+        // decode: the oracle reports the earlier file, and so must the
+        // compiled path.
+        let chart = Chart::builder("order")
+            .template("a.yaml", "{{ required \"need x\" .Values.x }}")
+            .template("b.yaml", "apiVersion: v1\nkind: Pod\n")
+            .build();
+        let compiled = chart.compile().expect("static decode errors wait");
+        let release = Release::new("r", "default");
+        let oracle = chart.render(&release).expect_err("oracle rejects");
+        let replay = compiled.render(&release).expect_err("compiled rejects");
+        assert_eq!(oracle, replay);
+        assert!(oracle.to_string().contains("need x"), "{oracle}");
     }
 
     #[test]
@@ -725,7 +785,7 @@ spec:
     #[test]
     fn single_if_files_compile_to_gated_plans() {
         let compiled = gated_chart().compile().expect("compiles");
-        let file = &compiled.root.files[0];
+        let file = &compiled.root.files.as_ref().expect("root compiles")[0];
         assert!(
             matches!(file.plan, RenderPlan::Gated { .. }),
             "netpol-shaped template should compile to a gated plan, got {:?}",
@@ -815,9 +875,10 @@ spec:
 
         // The file shares the chart's typed object: nothing is encoded,
         // decoded or even cloned at compile time.
-        let (TemplateSource::Object(source), RenderPlan::Object(planned)) =
-            (&chart.templates[0].1, &compiled.root.files[0].plan)
-        else {
+        let (TemplateSource::Object(source), RenderPlan::Object(planned)) = (
+            &chart.templates[0].1,
+            &compiled.root.files.as_ref().expect("root compiles")[0].plan,
+        ) else {
             panic!("object source should compile to an object plan");
         };
         assert!(Arc::ptr_eq(source, planned));

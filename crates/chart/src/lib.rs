@@ -17,15 +17,15 @@
 //!   enable conditions, deep value overlays;
 //! * a render pipeline producing typed [`ij_model::Object`]s for a release.
 //!
-//! Rendering comes in two forms, byte-identical in output:
-//!
-//! * [`Chart::render`] — parse-per-call, for render-once workloads;
-//! * [`Chart::compile`] → [`CompiledChart::render`] — the parse-once /
-//!   render-many form (Helm's own engine shape): template ASTs are cached,
-//!   action-free files are pre-decoded to objects, and each render builds
-//!   one context per chart level while borrowing everything else.
-//!   Template evaluation itself is copy-on-write — `.Values.a.b` lookups
-//!   borrow from the values tree instead of cloning the addressed subtree.
+//! Every production caller renders through [`Chart::compile`] →
+//! [`CompiledChart::render`], the parse-once / render-many form (Helm's own
+//! engine shape): template ASTs are cached, action-free files are
+//! pre-decoded to objects, and each render builds one context per chart
+//! level while borrowing everything else. Template evaluation itself is
+//! copy-on-write — `.Values.a.b` lookups borrow from the values tree
+//! instead of cloning the addressed subtree. [`Chart::render`] re-parses
+//! every file per call; it is the oracle the compiled path is tested
+//! against, with the same output and the same errors.
 //!
 //! ```
 //! use ij_chart::{Chart, Release};
@@ -44,7 +44,11 @@
 //!     - port: {{ .Values.service.port }}
 //! ")
 //!     .build();
-//! let release = chart.render(&Release::new("test", "default")).unwrap();
+//! let release = chart
+//!     .compile()
+//!     .unwrap()
+//!     .render(&Release::new("test", "default"))
+//!     .unwrap();
 //! assert_eq!(release.objects.len(), 1);
 //! assert_eq!(release.objects[0].meta().name, "test-demo");
 //! ```
@@ -60,6 +64,3 @@ pub use chart::{
 };
 pub use compiled::{CompiledChart, RenderScratch};
 pub use error::{Error, IngestError, Result};
-pub use template::{
-    merge_defines, parse_template, render_parsed, render_template, Context, Node, ParsedTemplate,
-};

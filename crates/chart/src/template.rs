@@ -23,34 +23,6 @@ use ij_yaml::{Map, Value};
 use std::borrow::Cow;
 use std::collections::HashMap;
 
-/// The evaluation context of a render: `.Values`, `.Release`, `.Chart`.
-#[derive(Debug, Clone)]
-pub struct Context {
-    /// Merged values tree (chart defaults overlaid with user values).
-    pub values: Value,
-    /// Release name (`.Release.Name`).
-    pub release_name: String,
-    /// Release namespace (`.Release.Namespace`).
-    pub release_namespace: String,
-    /// Chart name (`.Chart.Name`).
-    pub chart_name: String,
-    /// Chart version (`.Chart.Version`).
-    pub chart_version: String,
-}
-
-impl Context {
-    /// Builds the root dot value visible to templates.
-    fn root_dot(&self) -> Value {
-        build_root(
-            self.values.clone(),
-            &self.release_name,
-            &self.release_namespace,
-            &self.chart_name,
-            &self.chart_version,
-        )
-    }
-}
-
 /// Builds the root dot value (`.Values` / `.Release` / `.Chart`) for a
 /// render, taking ownership of the merged values tree so the chart render
 /// path pays exactly one values clone per chart level per render (the seed
@@ -78,20 +50,13 @@ pub(crate) fn build_root(
 
 /// A parsed template file: its body plus any named partials it defines.
 #[derive(Debug, Clone)]
-pub struct ParsedTemplate {
+pub(crate) struct ParsedTemplate {
     pub(crate) nodes: Vec<Node>,
     pub(crate) defines: HashMap<String, Vec<Node>>,
 }
 
-impl ParsedTemplate {
-    /// Names of the partials this file defines.
-    pub fn defined_names(&self) -> impl Iterator<Item = &str> {
-        self.defines.keys().map(String::as_str)
-    }
-}
-
 /// Parses a template file without rendering it.
-pub fn parse_template(name: &str, source: &str) -> Result<ParsedTemplate> {
+pub(crate) fn parse_template(name: &str, source: &str) -> Result<ParsedTemplate> {
     let segments = lex(name, source)?;
     let mut parser = NodeParser {
         name,
@@ -113,30 +78,13 @@ pub fn parse_template(name: &str, source: &str) -> Result<ParsedTemplate> {
     })
 }
 
-/// Renders a parsed template with access to a shared partial set (the
-/// union of every file's defines; the file's own defines take precedence).
-pub fn render_parsed(
-    name: &str,
-    template: &ParsedTemplate,
-    shared_defines: &HashMap<String, Vec<Node>>,
-    ctx: &Context,
-) -> Result<String> {
-    let root = ctx.root_dot();
-    let shared: SharedDefines<'_> = shared_defines
-        .iter()
-        .map(|(k, v)| (k.as_str(), v.as_slice()))
-        .collect();
-    render_file(name, template, &shared, &root)
-}
-
 /// A borrowed view of the partials shared across a chart's template files.
 /// Built once per render from the parsed templates — no `Vec<Node>` is ever
-/// cloned to assemble it (the seed's `merge_defines` deep-cloned every
-/// partial body on every render).
+/// cloned to assemble it.
 pub(crate) type SharedDefines<'a> = HashMap<&'a str, &'a [Node]>;
 
 /// Collects every file's defines into one borrowed shared set; a later
-/// file's define wins, like `merge_defines`.
+/// file's define wins.
 pub(crate) fn shared_defines<'a, I>(templates: I) -> SharedDefines<'a>
 where
     I: IntoIterator<Item = &'a ParsedTemplate>,
@@ -204,27 +152,6 @@ pub(crate) fn eval_condition(
         root,
     };
     Ok(eval_pipeline(&env, pipeline, root, line, 0)?.truthy())
-}
-
-/// Collects the partials of several parsed templates into one shared set.
-///
-/// Kept for callers that pair it with [`render_parsed`]; the chart render
-/// paths use a borrowed equivalent internally and never clone partial
-/// bodies.
-pub fn merge_defines(templates: &[ParsedTemplate]) -> HashMap<String, Vec<Node>> {
-    let mut out = HashMap::new();
-    for t in templates {
-        for (k, v) in &t.defines {
-            out.insert(k.clone(), v.clone());
-        }
-    }
-    out
-}
-
-/// Renders a standalone template source against a context.
-pub fn render_template(name: &str, source: &str, ctx: &Context) -> Result<String> {
-    let parsed = parse_template(name, source)?;
-    render_parsed(name, &parsed, &HashMap::new(), ctx)
 }
 
 fn template_err(name: &str, line: usize, msg: impl Into<String>) -> Error {
@@ -309,7 +236,7 @@ fn truncate_trailing_whitespace(s: &mut String) {
 // ---------------------------------------------------------------------------
 
 #[derive(Debug, Clone)]
-pub enum Node {
+pub(crate) enum Node {
     Text(String),
     Output {
         pipeline: Pipeline,
@@ -726,7 +653,7 @@ struct EvalEnv<'a> {
 
 impl<'a> EvalEnv<'a> {
     /// Looks up a partial: the file's own defines take precedence over the
-    /// shared chart-wide set (the precedence `render_parsed` always had).
+    /// shared chart-wide set.
     fn partial(&self, name: &str) -> Option<&'a [Node]> {
         match self.own.get(name) {
             Some(v) => Some(v.as_slice()),
@@ -1236,18 +1163,22 @@ fn printf(name: &str, args: &[Evaluated<'_>], line: usize) -> Result<Value> {
 mod tests {
     use super::*;
 
-    fn ctx(values: &str) -> Context {
-        Context {
-            values: ij_yaml::parse(values).unwrap(),
-            release_name: "rel".into(),
-            release_namespace: "default".into(),
-            chart_name: "demo".into(),
-            chart_version: "1.0.0".into(),
-        }
+    /// Parses and renders one standalone file against `values`, as release
+    /// `rel` of chart `demo` 1.0.0.
+    fn render_src(src: &str, values: &str) -> Result<String> {
+        let parsed = parse_template("t", src)?;
+        let root = build_root(
+            ij_yaml::parse(values).unwrap(),
+            "rel",
+            "default",
+            "demo",
+            "1.0.0",
+        );
+        render_file("t", &parsed, &SharedDefines::new(), &root)
     }
 
     fn render(src: &str, values: &str) -> String {
-        render_template("t", src, &ctx(values)).unwrap()
+        render_src(src, values).unwrap()
     }
 
     #[test]
@@ -1379,33 +1310,28 @@ mod tests {
 
     #[test]
     fn required_function_errors() {
-        let err = render_template(
-            "t",
-            "{{ required \"port is required\" .Values.port }}",
-            &ctx(""),
-        )
-        .unwrap_err();
+        let err = render_src("{{ required \"port is required\" .Values.port }}", "").unwrap_err();
         assert!(matches!(err, Error::Required(m) if m.contains("port is required")));
     }
 
     #[test]
     fn unknown_function_errors() {
-        assert!(render_template("t", "{{ bogus 1 }}", &ctx("")).is_err());
+        assert!(render_src("{{ bogus 1 }}", "").is_err());
     }
 
     #[test]
     fn unterminated_action_errors() {
-        assert!(render_template("t", "{{ .Values.a ", &ctx("")).is_err());
+        assert!(render_src("{{ .Values.a ", "").is_err());
     }
 
     #[test]
     fn dangling_end_errors() {
-        assert!(render_template("t", "{{ end }}", &ctx("")).is_err());
+        assert!(render_src("{{ end }}", "").is_err());
     }
 
     #[test]
     fn unclosed_if_errors() {
-        assert!(render_template("t", "{{ if .Values.a }}x", &ctx("")).is_err());
+        assert!(render_src("{{ if .Values.a }}x", "").is_err());
     }
 
     #[test]
@@ -1485,7 +1411,7 @@ mod tests {
 
     #[test]
     fn range_over_scalar_errors() {
-        assert!(render_template("t", "{{ range .Values.n }}x{{ end }}", &ctx("n: 3")).is_err());
+        assert!(render_src("{{ range .Values.n }}x{{ end }}", "n: 3").is_err());
     }
 
     #[test]
@@ -1517,14 +1443,14 @@ mod tests {
 
     #[test]
     fn arity_errors_are_reported() {
-        assert!(render_template("t", "{{ quote 1 2 }}", &ctx("")).is_err());
-        assert!(render_template("t", "{{ default 1 }}", &ctx("")).is_err());
-        assert!(render_template("t", "{{ add 1 \"x\" }}", &ctx("")).is_err());
+        assert!(render_src("{{ quote 1 2 }}", "").is_err());
+        assert!(render_src("{{ default 1 }}", "").is_err());
+        assert!(render_src("{{ add 1 \"x\" }}", "").is_err());
     }
 
     #[test]
     fn pipe_into_value_errors() {
-        assert!(render_template("t", "{{ 1 | .Values.x }}", &ctx("x: 2")).is_err());
+        assert!(render_src("{{ 1 | .Values.x }}", "x: 2").is_err());
     }
 
     #[test]
@@ -1560,21 +1486,22 @@ mod tests {
         )
         .unwrap();
         let main = parse_template("deploy.yaml", "name: {{ include \"common.name\" . }}").unwrap();
-        let shared = merge_defines(&[helpers]);
-        let out = render_parsed("deploy.yaml", &main, &shared, &ctx("")).unwrap();
+        let shared = shared_defines([&helpers]);
+        let root = build_root(Value::Null, "rel", "default", "demo", "1.0.0");
+        let out = render_file("deploy.yaml", &main, &shared, &root).unwrap();
         assert_eq!(out, "name: rel-app");
     }
 
     #[test]
     fn unknown_partial_errors() {
-        let err = render_template("t", "{{ include \"missing\" . }}", &ctx("")).unwrap_err();
+        let err = render_src("{{ include \"missing\" . }}", "").unwrap_err();
         assert!(err.to_string().contains("missing"));
     }
 
     #[test]
     fn recursive_includes_are_bounded() {
         let tpl = "{{ define \"loop\" }}{{ include \"loop\" . }}{{ end }}{{ include \"loop\" . }}";
-        let err = render_template("t", tpl, &ctx("")).unwrap_err();
+        let err = render_src(tpl, "").unwrap_err();
         assert!(err.to_string().contains("recursion"));
     }
 
@@ -1587,7 +1514,7 @@ mod tests {
 
     #[test]
     fn define_requires_quoted_name() {
-        assert!(render_template("t", "{{ define unquoted }}x{{ end }}", &ctx("")).is_err());
+        assert!(render_src("{{ define unquoted }}x{{ end }}", "").is_err());
     }
 
     #[test]
@@ -1597,7 +1524,7 @@ mod tests {
             "{{ define \"a\" }}1{{ end }}{{ define \"b\" }}2{{ end }}",
         )
         .unwrap();
-        let mut names: Vec<&str> = parsed.defined_names().collect();
+        let mut names: Vec<&str> = parsed.defines.keys().map(String::as_str).collect();
         names.sort();
         assert_eq!(names, vec!["a", "b"]);
     }

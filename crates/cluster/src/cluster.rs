@@ -182,14 +182,6 @@ impl Cluster {
         }
     }
 
-    /// Boots a default three-node cluster with the given behaviour registry.
-    pub fn with_behaviors(behaviors: BehaviorRegistry) -> Self {
-        Cluster::new(ClusterConfig {
-            behaviors,
-            ..Default::default()
-        })
-    }
-
     /// Installs an admission controller at the end of the chain.
     pub fn push_admission(&mut self, controller: Box<dyn AdmissionController>) {
         self.admission.push(controller);

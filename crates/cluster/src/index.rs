@@ -23,7 +23,7 @@
 //! and rebuilt only after a mutation; results are bit-for-bit identical to
 //! the naive engine (property-tested in `tests/prop_netpol.rs`).
 
-use crate::cluster::{Cluster, RunningPod};
+use crate::cluster::Cluster;
 use crate::netpol::{parse_cidr, parse_v4, AllowReason, ConnectionVerdict};
 use ij_model::{
     LabelInterner, LabelSet, NetworkPolicy, PolicyPort, PolicyType, Protocol, SelectorMatcher,
@@ -126,18 +126,6 @@ impl PodSet {
         for (a, b) in self.bits.iter_mut().zip(&other.bits) {
             *a &= !b;
         }
-    }
-
-    /// `|self ∪ other|` without materializing the union: one fused
-    /// or-and-popcount pass over the blocks. Capacities must agree
-    /// (asserted in debug builds).
-    pub fn union_count(&self, other: &PodSet) -> usize {
-        debug_assert_eq!(self.len, other.len, "capacity mismatch in union_count");
-        self.bits
-            .iter()
-            .zip(&other.bits)
-            .map(|(a, b)| (a | b).count_ones() as usize)
-            .sum()
     }
 
     /// Number of members.
@@ -547,11 +535,6 @@ impl PolicyIndex {
         &self.pods[index].name
     }
 
-    /// True when the pod at `index` runs on the host network.
-    pub fn is_host_network(&self, index: usize) -> bool {
-        self.pods[index].host_network
-    }
-
     /// Pods selected by the compiled policy at `index` (test/debug aid).
     pub fn matched_pods(&self, policy: usize) -> &PodSet {
         &self.policies[policy].matched
@@ -630,19 +613,6 @@ impl PolicyIndex {
         } else {
             ConnectionVerdict::Allowed(AllowReason::PolicyRuleMatch)
         }
-    }
-
-    /// Convenience verdict over [`RunningPod`]s (resolves both by name).
-    pub fn verdict_for(
-        &self,
-        src: &RunningPod,
-        dst: &RunningPod,
-        port: u16,
-        protocol: Protocol,
-    ) -> Option<ConnectionVerdict> {
-        let src = self.pod_index(&src.qualified_name())?;
-        let dst = self.pod_index(&dst.qualified_name())?;
-        Some(self.verdict(src, dst, port, protocol))
     }
 
     /// The whole source column of the reachability matrix for one
@@ -752,11 +722,6 @@ mod tests {
         }
         let expect = |f: fn(usize) -> bool| (0..n).filter(|&i| f(i)).collect::<Vec<_>>();
 
-        assert_eq!(
-            a.union_count(&b),
-            expect(|i| i % 3 == 0 || i % 5 == 0).len()
-        );
-
         let mut inter = a.clone();
         inter.intersect_with(&b);
         assert_eq!(inter.ones().collect::<Vec<_>>(), expect(|i| i % 15 == 0));
@@ -770,7 +735,10 @@ mod tests {
 
         let mut union = a.clone();
         union.union_with(&b);
-        assert_eq!(union.count(), a.union_count(&b));
+        assert_eq!(
+            union.ones().collect::<Vec<_>>(),
+            expect(|i| i % 3 == 0 || i % 5 == 0)
+        );
 
         // Slack bits stay zero through every kernel, so `words()` popcounts
         // agree with `count()`.

@@ -70,12 +70,6 @@ impl Analyzer {
         }
     }
 
-    /// Replaces the rule registry (builder style).
-    pub fn with_registry(mut self, registry: RuleRegistry) -> Self {
-        self.registry = registry;
-        self
-    }
-
     /// Disables one named rule (builder style); unknown names are ignored.
     pub fn without_rule(mut self, name: &str) -> Self {
         self.registry.disable(name);

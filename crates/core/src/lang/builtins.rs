@@ -10,12 +10,8 @@
 //!   [`RuleResolver`](super::RuleResolver). The `labels.*` calls never reach
 //!   [`BuiltinKind::run`]: the compiler requires literal arguments and
 //!   lowers them to interned [`KeyId`](ij_model::KeyId)/
-//!   [`LabelId`](ij_model::LabelId) probes;
-//! * custom builtins registered by embedders via
-//!   [`BuiltinsRegistry::register_custom`] (monomorphic signature, plain
-//!   `fn` so registries stay `Send + Sync + Clone`).
+//!   [`LabelId`](ij_model::LabelId) probes.
 
-use super::compile::Type;
 use super::eval::Value;
 use std::sync::Arc;
 
@@ -48,15 +44,6 @@ pub enum BuiltinKind {
     /// `labels.get("key") -> string` (empty string when absent) — compiled
     /// to a `KeyId` probe.
     LabelsGet,
-    /// An embedder-registered pure function with a fixed signature.
-    Custom {
-        /// Parameter types, checked exactly.
-        params: Vec<Type>,
-        /// Return type.
-        ret: Type,
-        /// The implementation; must be pure and deterministic.
-        run: fn(&[Value]) -> Value,
-    },
 }
 
 impl BuiltinKind {
@@ -115,7 +102,6 @@ impl BuiltinKind {
                 Value::Str(s) => Value::str(s.to_lowercase()),
                 other => unreachable!("type checker admitted core.lower({other:?})"),
             },
-            BuiltinKind::Custom { run, .. } => run(args),
             BuiltinKind::Ternary
             | BuiltinKind::PortsDeclared
             | BuiltinKind::LabelsHas
@@ -184,26 +170,6 @@ impl BuiltinsRegistry {
         reg
     }
 
-    /// Registers (or replaces) a custom builtin under a dotted name. The
-    /// function must be pure: rule evaluation assumes same-input
-    /// same-output.
-    pub fn register_custom(
-        &mut self,
-        name: &str,
-        params: Vec<Type>,
-        ret: Type,
-        run: fn(&[Value]) -> Value,
-    ) {
-        let kind = BuiltinKind::Custom { params, ret, run };
-        match self.defs.iter_mut().find(|d| d.name == name) {
-            Some(existing) => existing.kind = kind,
-            None => self.defs.push(BuiltinDef {
-                name: name.to_string(),
-                kind,
-            }),
-        }
-    }
-
     /// Resolves a dotted name.
     pub fn lookup(&self, name: &str) -> Option<&BuiltinDef> {
         self.defs.iter().find(|d| d.name == name)
@@ -220,8 +186,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn standard_table_is_complete_and_custom_registration_replaces() {
-        let mut reg = BuiltinsRegistry::standard();
+    fn standard_table_is_complete() {
+        let reg = BuiltinsRegistry::standard();
         for name in [
             "core.len",
             "core.contains",
@@ -238,25 +204,6 @@ mod tests {
             assert!(reg.lookup(name).is_some(), "missing builtin {name}");
         }
         assert!(reg.lookup("core.nope").is_none());
-
-        fn double(args: &[Value]) -> Value {
-            match &args[0] {
-                Value::Number(n) => Value::Number(n * 2.0),
-                _ => unreachable!(),
-            }
-        }
-        let before = reg.iter().count();
-        reg.register_custom("math.double", vec![Type::Number], Type::Number, double);
-        assert_eq!(reg.iter().count(), before + 1);
-        reg.register_custom("math.double", vec![Type::Number], Type::Number, double);
-        assert_eq!(reg.iter().count(), before + 1, "replacement, not append");
-        let def = reg.lookup("math.double").unwrap();
-        match def.kind() {
-            BuiltinKind::Custom { run, .. } => {
-                assert_eq!(run(&[Value::Number(21.0)]), Value::Number(42.0));
-            }
-            other => panic!("expected custom builtin, got {other:?}"),
-        }
     }
 
     #[test]

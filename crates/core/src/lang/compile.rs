@@ -455,20 +455,6 @@ fn compile_call(
             }
             Type::String
         }
-        BuiltinKind::Custom { params, ret, .. } => {
-            if compiled.len() != params.len() {
-                return Err(arity(&name, params.len(), compiled.len(), expr.span));
-            }
-            for (arg, want) in compiled.iter().zip(params) {
-                if arg.ty != *want {
-                    return Err(LangError::new(
-                        format!("`{name}` expects {want} here, found {}", arg.ty),
-                        arg.span,
-                    ));
-                }
-            }
-            ret.clone()
-        }
         BuiltinKind::PortsDeclared
         | BuiltinKind::LabelsHas
         | BuiltinKind::LabelsIs

@@ -42,7 +42,11 @@
 //! // Fresh cluster per application (§4.2.1), baseline before install.
 //! let mut cluster = Cluster::new(ClusterConfig::default());
 //! let baseline = HostBaseline::capture(&cluster);
-//! let rendered = chart.render(&Release::new("demo", "default")).unwrap();
+//! let rendered = chart
+//!     .compile()
+//!     .unwrap()
+//!     .render(&Release::new("demo", "default"))
+//!     .unwrap();
 //! cluster.install(&rendered).unwrap();
 //!
 //! // Runtime analysis: two observation passes around a restart.

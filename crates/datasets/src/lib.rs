@@ -47,6 +47,7 @@
 //! ```
 
 mod builder;
+mod codeploy;
 mod conform;
 pub mod gen;
 mod orgs;
@@ -58,6 +59,7 @@ mod score;
 mod spec;
 
 pub use builder::{build_app, ports, BuiltApp, INSTANCE_KEY};
+pub use codeploy::{co_deploy, exposure, Exposure, ATTACKER};
 pub use conform::{
     run_conformance, ChartConformance, ChartStatus, ConformanceError, ConformanceReport,
 };

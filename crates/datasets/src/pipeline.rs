@@ -29,6 +29,7 @@
 //! `tests/smoke.rs`, `tests/determinism.rs` and `tests/sharded_census.rs`).
 
 use crate::builder::{build_app, BuiltApp};
+use crate::codeploy::{co_deploy, declared, exposure, ATTACKER};
 use crate::gen::CorpusGenerator;
 use crate::runner::{AppAnalysis, CorpusOptions, PolicyImpact};
 use crate::spec::AppSpec;
@@ -39,8 +40,8 @@ use ij_core::{
     Census, CompactAppReport, CompactCensus, CompactFinding, GlobalAppModel, RulePack, StaticModel,
     Sym, SymbolTable, UnknownRule,
 };
-use ij_model::{Container, Object, ObjectMeta, Pod, PodSpec};
-use ij_probe::{HostBaseline, ProbeConfig, ReachMatrix, RuntimeAnalyzer};
+use ij_model::Object;
+use ij_probe::{HostBaseline, ProbeConfig, RuntimeAnalyzer};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
@@ -863,92 +864,17 @@ impl CensusPipeline {
             let mut cluster = Cluster::new(ClusterConfig {
                 nodes: opts.nodes,
                 seed: opts.app_seed(&app_spec.name),
-                behaviors: built.registry(),
+                ..Default::default()
             });
-            let render_err = |source| CensusError::Render {
-                app: app_spec.name.clone(),
-                source,
-            };
-            let release = Release::new(&app_spec.name, "default")
-                .with_values_yaml("networkPolicy:\n  enabled: true\n")
-                .map_err(render_err)?;
-            let rendered = built
-                .compiled()
-                .and_then(|compiled| compiled.render(&release))
-                .map_err(render_err)?;
-            cluster
-                .install(&rendered)
-                .map_err(|source| CensusError::Install {
-                    app: app_spec.name.clone(),
-                    source,
-                })?;
-            // Vantage point: an unrelated attacker pod in the same cluster.
-            cluster
-                .apply(Object::Pod(Pod::new(
-                    ObjectMeta::named("ij-attacker"),
-                    PodSpec {
-                        containers: vec![Container::new("sh", "attacker/recon")],
-                        ..Default::default()
-                    },
-                )))
-                .map_err(|source| CensusError::Install {
-                    app: app_spec.name.clone(),
-                    source,
-                })?;
-            cluster.reconcile();
-
-            let statics = StaticModel::from_objects(&rendered.objects);
-            let declares = |owner: &Option<String>, pod_name: &str, port: u16, proto| {
-                let unit_name = owner.clone().unwrap_or_else(|| pod_name.to_string());
-                statics
-                    .unit(&unit_name)
-                    .map(|u| u.declares(port, proto))
-                    .unwrap_or(true)
-            };
-
-            // One reachability matrix per rendered chart: the batch pass
-            // over the cluster's cached policy index replaces the per-pair
-            // connect loop, and the same index snapshot then serves the
-            // service leg below (`send_to_service` shares the cache).
-            // A missing attacker pod degrades to "nothing reachable", the
-            // same answer the per-pair probe gave (connect → None).
-            let matrix = ReachMatrix::compute(&cluster);
-            let attacker = matrix.pod_index("default/ij-attacker");
-
-            let mut pods_hit = 0usize;
-            let mut dynamic_hit = 0usize;
-            for (dst, rp) in cluster.pods().iter().enumerate() {
-                let name = rp.qualified_name();
-                if name.ends_with("/ij-attacker") {
-                    continue;
-                }
-                let mut hit = false;
-                let mut dynamic = false;
-                for socket in &rp.sockets {
-                    if socket.loopback_only {
-                        continue;
-                    }
-                    let misconfigured = socket.ephemeral
-                        || !declares(&rp.owner, &name, socket.port, socket.protocol);
-                    if !misconfigured {
-                        continue;
-                    }
-                    if attacker
-                        .is_some_and(|a| matrix.connected(a, dst, socket.port, socket.protocol))
-                    {
-                        hit = true;
-                        dynamic |= socket.ephemeral;
-                    }
-                }
-                if hit {
-                    pods_hit += 1;
-                    row.reachable_pods += 1;
-                    if dynamic {
-                        dynamic_hit += 1;
-                        row.reachable_dynamic_pods += 1;
-                    }
-                }
-            }
+            let rendered = co_deploy(
+                &mut cluster,
+                &[(&built, Some("networkPolicy:\n  enabled: true\n"))],
+                true,
+            )?;
+            let statics = StaticModel::from_objects(&rendered[0].objects);
+            let exposure = exposure(&cluster, &statics);
+            row.reachable_pods += exposure.pods;
+            row.reachable_dynamic_pods += exposure.dynamic_pods;
 
             // Services that still forward to an undeclared target port.
             let mut services_hit = 0usize;
@@ -960,7 +886,13 @@ impl CensusPipeline {
                     let Some(dst) = cluster.pod(&addr.pod) else {
                         continue;
                     };
-                    if declares(&dst.owner, &addr.pod, addr.port, addr.protocol) {
+                    if declared(
+                        &statics,
+                        dst.owner.as_deref(),
+                        &addr.pod,
+                        addr.port,
+                        addr.protocol,
+                    ) {
                         continue;
                     }
                     if !dst.listens_on(addr.port, addr.protocol) {
@@ -973,12 +905,7 @@ impl CensusPipeline {
                         for sp in &svc.spec.ports {
                             if sp.name == addr.port_name
                                 && !cluster
-                                    .send_to_service(
-                                        "default/ij-attacker",
-                                        &svc_ns,
-                                        &svc_name,
-                                        sp.port,
-                                    )
+                                    .send_to_service(ATTACKER, &svc_ns, &svc_name, sp.port)
                                     .is_empty()
                             {
                                 svc_hit = true;
@@ -992,7 +919,7 @@ impl CensusPipeline {
                 }
             }
 
-            if pods_hit > 0 || dynamic_hit > 0 || services_hit > 0 {
+            if exposure.pods > 0 || services_hit > 0 {
                 row.affected += 1;
             }
         }

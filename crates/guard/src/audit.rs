@@ -15,43 +15,17 @@ pub struct AuditDelta {
 }
 
 impl AuditDelta {
-    /// Diffs two finding lists as multisets, keyed by [`Finding::identity`].
-    ///
-    /// Each previous occurrence cancels at most one current occurrence, so
-    /// two identical findings resolving down to one reports exactly one
-    /// `resolved`. Output order follows input order, which keeps the delta
-    /// deterministic for canonically sorted inputs. Runs in
-    /// O(previous + current). This wrapper hashes every finding, then runs
-    /// the one multiset diff over the identities; the incremental auditor
-    /// runs that same diff on the identities it stored when each finding
-    /// was made, so a tick hashes only the findings it re-derived.
-    pub fn between(previous: &[Finding], current: &[Finding]) -> AuditDelta {
-        let identities =
-            |findings: &[Finding]| -> Vec<u64> { findings.iter().map(Finding::identity).collect() };
-        let (previous_ids, current_ids) = (identities(previous), identities(current));
-        let pick = |findings: &[Finding], mask: Vec<bool>| {
-            findings
-                .iter()
-                .zip(mask)
-                .filter(|(_, unmatched)| *unmatched)
-                .map(|(f, _)| f.clone())
-                .collect()
-        };
-        AuditDelta {
-            introduced: pick(current, unmatched(&current_ids, &previous_ids)),
-            resolved: pick(previous, unmatched(&previous_ids, &current_ids)),
-        }
-    }
-
     /// True when nothing changed.
     pub fn is_quiet(&self) -> bool {
         self.introduced.is_empty() && self.resolved.is_empty()
     }
 }
 
-/// The multiset diff of two identity lists: a mask over `ids` marking the
-/// occurrences `other` does not cancel. Of an identity `other` holds `n`
-/// times, the first `n` occurrences in `ids` are cancelled.
+/// The multiset diff of two identity lists ([`Finding::identity`]): a mask
+/// over `ids` marking the occurrences `other` does not cancel. Of an
+/// identity `other` holds `n` times, the first `n` occurrences in `ids` are
+/// cancelled, so two identical findings resolving down to one leave exactly
+/// one unmatched. Runs in O(ids + other).
 pub(crate) fn unmatched(ids: &[u64], other: &[u64]) -> Vec<bool> {
     let mut held: HashMap<u64, usize> = HashMap::with_capacity(other.len());
     for &id in other {
@@ -137,26 +111,27 @@ mod tests {
         )
         .with_port(9200, Protocol::Tcp);
 
+        let id = finding.identity();
+        let count = |mask: Vec<bool>| mask.into_iter().filter(|&u| u).count();
+
         // Two identical findings, one resolves: the naive Vec::contains diff
         // collapsed the pair and reported a quiet round.
-        let down = AuditDelta::between(
-            &[finding.clone(), finding.clone()],
-            std::slice::from_ref(&finding),
+        let (previous, current) = ([id, id], [id]);
+        assert_eq!(
+            count(unmatched(&previous, &current)),
+            1,
+            "one of two duplicates resolved"
         );
-        assert_eq!(down.resolved.len(), 1, "one of two duplicates resolved");
-        assert!(down.introduced.is_empty());
-        assert!(
-            !down.is_quiet(),
-            "a resolved duplicate is not a quiet round"
-        );
+        assert_eq!(count(unmatched(&current, &previous)), 0);
 
         // And the mirror image: a second identical finding appearing.
-        let up = AuditDelta::between(
-            std::slice::from_ref(&finding),
-            &[finding.clone(), finding.clone()],
-        );
-        assert_eq!(up.introduced.len(), 1);
-        assert!(up.resolved.is_empty());
+        let (previous, current) = ([id], [id, id]);
+        assert_eq!(count(unmatched(&current, &previous)), 1);
+        assert_eq!(count(unmatched(&previous, &current)), 0);
+
+        // The first occurrences are the ones cancelled, in input order.
+        let distinct = id.wrapping_add(1);
+        assert_eq!(unmatched(&[id, distinct, id], &[id]), [false, true, true]);
 
         // Identity hashing separates near-identical findings.
         let other = finding.clone().with_port(9300, Protocol::Tcp);

@@ -36,7 +36,7 @@
 //! than twice the symbols it held after its last rebuild; the tick then
 //! re-interns the cached models into a fresh table, so memory stays bounded
 //! over long serve runs. Deltas are diffed as multisets keyed by
-//! [`Finding::identity`], the diff behind [`AuditDelta::between`]. Each
+//! [`Finding::identity`] (`audit::unmatched`). Each
 //! identity is hashed once, when its finding is made, and findings that
 //! stay open move from one finding list to the next instead of being
 //! cloned.

@@ -107,12 +107,6 @@ impl Workload {
         self
     }
 
-    /// Builder-style replica count.
-    pub fn with_replicas(mut self, replicas: u32) -> Self {
-        self.replicas = replicas;
-        self
-    }
-
     /// True when the selector actually matches the pod template labels.
     /// Kubernetes validates this for Deployments at admission; violations in
     /// hand-written ReplicaSets produce orphan pods.

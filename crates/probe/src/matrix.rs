@@ -96,27 +96,6 @@ impl ReachMatrix {
             .is_some_and(|k| row.allowed[k].contains(src))
     }
 
-    /// Number of distinct sources that may reach *any* socket of `dst` —
-    /// the exposure breadth of one pod under the current policies. Runs on
-    /// the [`PodSet`] block kernels: the common one- and two-socket rows
-    /// use the fused [`PodSet::union_count`] (no temporary set at all);
-    /// wider rows fold the columns with block-wise unions.
-    pub fn sources_reaching_any(&self, dst: usize) -> usize {
-        let allowed = &self.rows[dst].allowed;
-        match allowed.as_slice() {
-            [] => 0,
-            [only] => only.count(),
-            [a, b] => a.union_count(b),
-            [first, rest @ ..] => {
-                let mut union = first.clone();
-                for set in rest {
-                    union.union_with(set);
-                }
-                union.count()
-            }
-        }
-    }
-
     /// Name-based convenience form of [`connected`](Self::connected).
     pub fn reaches(&self, src: &str, dst: &str, port: u16, protocol: Protocol) -> bool {
         match (self.pod_index(src), self.pod_index(dst)) {
@@ -238,29 +217,6 @@ mod tests {
         // … and a fresh one sees the policy (generation bump recompiled).
         let after = ReachMatrix::compute(&cluster);
         assert!(!after.reaches("default/web", "default/db", 5432, Protocol::Tcp));
-    }
-
-    #[test]
-    fn sources_reaching_any_matches_per_socket_columns() {
-        let mut cluster = demo_cluster();
-        // Lock db down to nothing so the two pods differ in exposure.
-        cluster
-            .apply(Object::NetworkPolicy(NetworkPolicy::deny_all_ingress(
-                ObjectMeta::named("lock-db"),
-                LabelSelector::from_labels(Labels::from_pairs([("app", "db")])),
-            )))
-            .unwrap();
-        let matrix = ReachMatrix::compute(&cluster);
-        for dst in 0..matrix.pod_count() {
-            // Reference: the union of the socket columns, bit by bit.
-            let expected = (0..matrix.pod_count())
-                .filter(|&src| {
-                    (0..matrix.sockets(dst).len())
-                        .any(|k| matrix.allowed_sources(dst, k).contains(src))
-                })
-                .count();
-            assert_eq!(matrix.sources_reaching_any(dst), expected, "dst={dst}");
-        }
     }
 
     #[test]

@@ -177,14 +177,6 @@ impl Value {
         }
     }
 
-    /// Returns a boolean from a `Bool` value.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Returns the sequence items.
     pub fn as_seq(&self) -> Option<&[Value]> {
         match self {
@@ -195,14 +187,6 @@ impl Value {
 
     /// Returns the map.
     pub fn as_map(&self) -> Option<&Map> {
-        match self {
-            Value::Map(m) => Some(m),
-            _ => None,
-        }
-    }
-
-    /// Mutable map access.
-    pub fn as_map_mut(&mut self) -> Option<&mut Map> {
         match self {
             Value::Map(m) => Some(m),
             _ => None,

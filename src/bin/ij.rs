@@ -795,7 +795,8 @@ fn run_chart_command(args: ChartArgs) -> Result<(), CliError> {
         Chart::from_dir(Path::new(&args.chart_dir)).map_err(|e| CliError::other(e.to_string()))?;
     let release = load_release(&args, &chart.name.clone())?;
     let rendered = chart
-        .render(&release)
+        .compile()
+        .and_then(|compiled| compiled.render(&release))
         .map_err(|e| CliError::render(format!("chart {} failed to render: {e}", chart.name)))?;
 
     match args.command.as_str() {

@@ -1,5 +1,7 @@
 //! End-to-end tests of the `ij` CLI binary against charts on disk.
 
+use ij_chart::{Chart, Release};
+use ij_datasets::{run_conformance, ChartStatus};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -731,6 +733,87 @@ fn render_failure_uses_render_exit_code() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("failed to render"), "{stderr}");
     let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn chart_commands_match_the_oracle_on_the_fixture_charts() {
+    let repo = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let fixtures = repo.join("fixtures/charts");
+    let report = run_conformance(&fixtures).expect("fixtures are readable");
+    let committed = fs::read_to_string(repo.join("CONFORMANCE.json")).expect("baseline");
+    assert_eq!(report.to_json(), committed, "CONFORMANCE.json is current");
+
+    // Every conformant fixture: `ij render` prints exactly the oracle's
+    // manifest stream.
+    let mut conformant = 0;
+    for chart in &report.charts {
+        if chart.status != ChartStatus::Conformant {
+            continue;
+        }
+        let dir = fixtures.join(&chart.chart);
+        let loaded = Chart::from_dir(&dir).expect("conformant fixtures load");
+        let oracle = loaded
+            .render(&Release::new(&loaded.name, "default"))
+            .expect("the oracle renders conformant fixtures");
+        let expected: String = oracle
+            .objects
+            .iter()
+            .map(|o| format!("---\n{}", o.to_manifest()))
+            .collect();
+        let out = ij(&["render", dir.to_str().unwrap()]);
+        assert!(out.status.success(), "{}", chart.chart);
+        assert_eq!(
+            String::from_utf8_lossy(&out.stdout),
+            expected,
+            "{}",
+            chart.chart
+        );
+        conformant += 1;
+    }
+    assert_eq!(conformant, 11);
+
+    // The unsupported fixtures keep their exit codes and messages.
+    let crypto = fixtures.join("crypto-hooks");
+    let anchors = fixtures.join("anchors-values");
+    let packed = fixtures.join("packed-dep");
+    let cases = [
+        (
+            &crypto,
+            3,
+            "chart crypto-hooks failed to render: template `secret.yaml`: line 7: \
+             unknown function `b64enc`"
+                .to_string(),
+        ),
+        (
+            &anchors,
+            1,
+            format!(
+                "chart ingest failed: {}: invalid values.yaml: yaml parse error at line 1: \
+                 YAML anchors (`&...`) are not supported",
+                anchors.join("values.yaml").display()
+            ),
+        ),
+        (
+            &packed,
+            1,
+            format!(
+                "chart ingest failed: {}: packed subchart archives are not supported \
+                 (unpack into charts/<name>/)",
+                packed.join("charts/common-1.0.0.tgz").display()
+            ),
+        ),
+    ];
+    for (dir, code, message) in cases {
+        for command in ["render", "analyze", "disclose"] {
+            let out = ij(&[command, dir.to_str().unwrap()]);
+            assert_eq!(out.status.code(), Some(code), "{command} {}", dir.display());
+            assert!(out.stdout.is_empty());
+            assert_eq!(
+                String::from_utf8_lossy(&out.stderr),
+                format!("error: {message}\n")
+            );
+        }
+    }
 }
 
 #[test]
