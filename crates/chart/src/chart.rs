@@ -254,13 +254,8 @@ pub(crate) fn decode_rendered(
 }
 
 /// Helm stamps the release namespace onto namespaced objects that do not
-/// set one themselves. Public so differential harnesses can reproduce the
-/// render pipeline's decode step from a [`CompiledChart::render_values`]
-/// document stream (emit → parse → decode → `stamp_namespace` equals
-/// [`Chart::render`] exactly).
-///
-/// [`CompiledChart::render_values`]: crate::CompiledChart::render_values
-pub fn stamp_namespace(obj: &mut Object, release_namespace: &str) {
+/// set one themselves.
+pub(crate) fn stamp_namespace(obj: &mut Object, release_namespace: &str) {
     if obj.kind() != "Namespace" && obj.meta().namespace == "default" {
         obj.meta_mut().namespace = release_namespace.to_string();
     }

@@ -34,8 +34,8 @@ use crate::chart::{
 };
 use crate::error::{Error, Result};
 use crate::template::{
-    build_root, eval_condition, parse_template, render_file, render_file_into, shared_defines,
-    Node, ParsedTemplate, Pipeline,
+    build_root, eval_condition, parse_template, render_file_into, shared_defines, Node,
+    ParsedTemplate, Pipeline,
 };
 use ij_model::Object;
 use ij_yaml::{Map, Value};
@@ -83,16 +83,6 @@ struct CompiledFile {
     plan: RenderPlan,
 }
 
-/// A pre-rendered file outcome: the document values it produces and their
-/// typed decodings, both computed at compile time. The docs carry their
-/// manifest namespaces ("default" when unset — stamping the compile-time
-/// namespace is the identity); the release namespace is stamped per render.
-#[derive(Debug, Default)]
-struct StaticDocs {
-    docs: Vec<Value>,
-    objects: Vec<Object>,
-}
-
 /// What rendering a compiled file amounts to.
 #[derive(Debug)]
 enum RenderPlan {
@@ -100,13 +90,14 @@ enum RenderPlan {
     Partial,
     /// Action-free file whose output is all whitespace: renders nothing.
     Blank,
-    /// Action-free text file: output never depends on the release, so
-    /// documents and typed objects are decoded once at compile time and
-    /// cloned per render.
-    Static(StaticDocs),
+    /// Action-free text file: output never depends on the release, so its
+    /// typed objects are decoded once at compile time and cloned per
+    /// render. They carry their manifest namespaces ("default" when unset —
+    /// stamping the compile-time namespace is the identity); the release
+    /// namespace is stamped per render.
+    Static(Vec<Object>),
     /// Typed manifest, shared with the source chart: cloned and
-    /// namespace-stamped per render; its document (for
-    /// [`CompiledChart::render_values`]) is encoded on demand.
+    /// namespace-stamped per render.
     Object(Arc<Object>),
     /// Text file whose only action is a single top-level `if`: every
     /// branch outcome is pre-rendered and pre-decoded at compile time, so a
@@ -115,9 +106,9 @@ enum RenderPlan {
     /// corpus gates like `{{- if .Values.networkPolicy.enabled }}…{{- end }}`.
     Gated {
         /// `(condition, outcome)` in source order; `None` is `else`.
-        branches: Vec<(Option<Pipeline>, StaticDocs)>,
+        branches: Vec<(Option<Pipeline>, Vec<Object>)>,
         /// Outcome when no branch is taken: the surrounding text alone.
-        fallthrough: StaticDocs,
+        fallthrough: Vec<Object>,
         line: usize,
     },
     /// File with template actions: evaluated per render (the cached AST is
@@ -212,25 +203,6 @@ impl CompiledChart {
         let merged = merge_values(&self.root.values, &release.overrides)?;
         self.root.render_into(release, merged, scratch, out)
     }
-
-    /// Evaluates the chart for a release directly into per-file document
-    /// values — the manifest stream the text path would emit and reparse,
-    /// without the text. Static and gated files clone compile-time
-    /// documents; only genuinely dynamic files render text (which is then
-    /// parsed, never emitted).
-    ///
-    /// The documents carry their manifest namespaces: the release namespace
-    /// is **not** stamped here, because stamping is part of decoding (see
-    /// `decode_rendered`). Emitting each returned document and decoding it
-    /// under the release namespace yields exactly
-    /// [`render`](Self::render)`(release)?.objects` — the property test in
-    /// `ij-datasets` holds this path to the text oracle.
-    pub fn render_values(&self, release: &Release) -> Result<Vec<Value>> {
-        let merged = merge_values(&self.root.values, &release.overrides)?;
-        let mut docs = Vec::new();
-        self.root.render_values_into(release, merged, &mut docs)?;
-        Ok(docs)
-    }
 }
 
 /// Reusable render state owned by a pipeline worker: the text buffer
@@ -283,7 +255,7 @@ fn compile_files(chart: &Chart) -> Result<Vec<CompiledFile>> {
                     if rendered.trim().is_empty() {
                         RenderPlan::Blank
                     } else {
-                        static_docs_from_text(tpl_name, &rendered)
+                        static_objects_from_text(tpl_name, &rendered)
                             .map_or(RenderPlan::Dynamic, RenderPlan::Static)
                     }
                 } else if let Some(plan) = gated_plan(tpl_name, &parsed) {
@@ -313,28 +285,26 @@ fn concat_text(nodes: &[Node]) -> String {
         .collect()
 }
 
-/// Parses pre-rendered text into the documents and objects a render of it
-/// would produce (null documents dropped, like `decode_rendered`).
-fn static_docs_from_text(tpl_name: &str, rendered: &str) -> Result<StaticDocs> {
+/// Parses pre-rendered text into the objects a render of it would produce
+/// (null documents dropped, like `decode_rendered`).
+fn static_objects_from_text(tpl_name: &str, rendered: &str) -> Result<Vec<Object>> {
     if rendered.trim().is_empty() {
-        return Ok(StaticDocs::default());
+        return Ok(Vec::new());
     }
     let docs = ij_yaml::parse_all(rendered).map_err(|e| Error::RenderedYaml {
         template: tpl_name.to_string(),
         source: e,
         rendered: rendered.to_string(),
     })?;
-    let docs: Vec<Value> = docs.into_iter().filter(|d| !d.is_null()).collect();
-    let objects = docs
-        .iter()
+    docs.iter()
+        .filter(|doc| !doc.is_null())
         .map(|doc| {
             Object::decode(doc).map_err(|e| Error::Decode {
                 template: tpl_name.to_string(),
                 message: e.to_string(),
             })
         })
-        .collect::<Result<Vec<_>>>()?;
-    Ok(StaticDocs { docs, objects })
+        .collect()
 }
 
 /// Appends clones of compile-time objects with the release namespace
@@ -381,10 +351,10 @@ fn gated_plan(tpl_name: &str, parsed: &ParsedTemplate) -> Option<RenderPlan> {
         let outcome = format!("{prefix}{}{suffix}", concat_text(body));
         compiled.push((
             cond.clone(),
-            static_docs_from_text(tpl_name, &outcome).ok()?,
+            static_objects_from_text(tpl_name, &outcome).ok()?,
         ));
     }
-    let fallthrough = static_docs_from_text(tpl_name, &format!("{prefix}{suffix}")).ok()?;
+    let fallthrough = static_objects_from_text(tpl_name, &format!("{prefix}{suffix}")).ok()?;
     Some(RenderPlan::Gated {
         branches: compiled,
         fallthrough,
@@ -416,7 +386,7 @@ impl CompiledLevel {
         for file in files {
             match &file.plan {
                 RenderPlan::Partial | RenderPlan::Blank => {}
-                RenderPlan::Static(sd) => push_stamped(&sd.objects, release, objects),
+                RenderPlan::Static(cached) => push_stamped(cached, release, objects),
                 RenderPlan::Object(obj) => {
                     push_stamped(std::slice::from_ref(obj), release, objects)
                 }
@@ -439,7 +409,7 @@ impl CompiledLevel {
                             break;
                         }
                     }
-                    push_stamped(&chosen.objects, release, objects);
+                    push_stamped(chosen, release, objects);
                 }
                 RenderPlan::Dynamic => {
                     let parsed = file
@@ -469,89 +439,6 @@ impl CompiledLevel {
             let sub_values = merge_values(&dep.level.values, &scoped)?;
             dep.level
                 .render_into(release, sub_values, scratch, objects)?;
-        }
-        Ok(())
-    }
-
-    /// The document-stream mirror of `render_into`: appends every file's
-    /// rendered documents as `Value`s, in the same file and dependency
-    /// order, without stamping the release namespace (that belongs to
-    /// decoding).
-    fn render_values_into(
-        &self,
-        release: &Release,
-        values: Value,
-        docs: &mut Vec<Value>,
-    ) -> Result<()> {
-        let files = self.files.as_ref().map_err(Clone::clone)?;
-        let shared = shared_defines(files.iter().filter_map(|f| f.parsed.as_ref()));
-        let root = build_root(
-            values,
-            &release.name,
-            &release.namespace,
-            &self.name,
-            &self.version,
-        );
-        for file in files {
-            match &file.plan {
-                RenderPlan::Partial | RenderPlan::Blank => {}
-                RenderPlan::Static(sd) => docs.extend(sd.docs.iter().cloned()),
-                RenderPlan::Object(obj) => docs.push(obj.encode()),
-                RenderPlan::Gated {
-                    branches,
-                    fallthrough,
-                    line,
-                } => {
-                    let parsed = file.parsed.as_ref().expect("gated files are text-sourced");
-                    let mut chosen = fallthrough;
-                    for (cond, outcome) in branches {
-                        let take = match cond {
-                            Some(p) => {
-                                eval_condition(&file.name, parsed, &shared, &root, p, *line)?
-                            }
-                            None => true,
-                        };
-                        if take {
-                            chosen = outcome;
-                            break;
-                        }
-                    }
-                    docs.extend(chosen.docs.iter().cloned());
-                }
-                RenderPlan::Dynamic => {
-                    let parsed = file
-                        .parsed
-                        .as_ref()
-                        .expect("dynamic files are text-sourced");
-                    let rendered = render_file(&file.name, parsed, &shared, &root)?;
-                    if rendered.trim().is_empty() {
-                        continue;
-                    }
-                    let parsed_docs =
-                        ij_yaml::parse_all(&rendered).map_err(|e| Error::RenderedYaml {
-                            template: file.name.clone(),
-                            source: e,
-                            rendered: rendered.clone(),
-                        })?;
-                    docs.extend(parsed_docs.into_iter().filter(|d| !d.is_null()));
-                }
-            }
-        }
-        let values = root.get("Values").expect("root always carries Values");
-        for dep in &self.deps {
-            if let Some(cond) = &dep.condition {
-                let path: Vec<&str> = cond.split('.').collect();
-                let enabled = values.path(&path).map(Value::truthy).unwrap_or(false);
-                if !enabled {
-                    continue;
-                }
-            }
-            let scoped = values
-                .get(&dep.chart_name)
-                .cloned()
-                .unwrap_or(Value::Map(Map::new()));
-            let sub_values = merge_values(&dep.level.values, &scoped)?;
-            dep.level.render_values_into(release, sub_values, docs)?;
         }
         Ok(())
     }
@@ -719,9 +606,6 @@ spec:
             let replay = compiled.render(&enabled).expect_err("compiled rejects");
             assert_eq!(oracle, replay.to_string(), "{name}");
             assert!(oracle.contains(expect), "{oracle}");
-            if name == "syntax" {
-                assert!(compiled.render_values(&enabled).is_err());
-            }
         }
     }
 
@@ -889,29 +773,5 @@ spec:
         let replay = compiled.render(&release).expect("compiled render");
         assert_eq!(bytes(&naive), bytes(&replay));
         assert_eq!(replay.objects[0].meta().namespace, "prod");
-
-        // The value stream hands back the object's document, unstamped.
-        let docs = compiled.render_values(&release).expect("value stream");
-        assert_eq!(format!("{docs:?}"), format!("{:?}", vec![svc.encode()]));
-    }
-
-    #[test]
-    fn render_values_round_trips_to_render_objects() {
-        let chart = chart_with_everything();
-        let compiled = chart.compile().expect("compiles");
-        for release in [
-            Release::new("demo", "apps"),
-            Release::new("other", "default"),
-        ] {
-            let oracle = compiled.render(&release).expect("compiled render");
-            let docs = compiled.render_values(&release).expect("value stream");
-            let mut decoded = Vec::new();
-            for doc in &docs {
-                let emitted = ij_yaml::to_string(doc);
-                decode_rendered("stream", &emitted, &release.namespace, &mut decoded)
-                    .expect("emitted document decodes");
-            }
-            assert_eq!(format!("{:#?}", oracle.objects), format!("{decoded:#?}"));
-        }
     }
 }

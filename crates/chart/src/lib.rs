@@ -59,8 +59,6 @@ mod error;
 mod fsload;
 mod template;
 
-pub use chart::{
-    stamp_namespace, Chart, ChartBuilder, Dependency, Release, RenderedRelease, TemplateSource,
-};
+pub use chart::{Chart, ChartBuilder, Dependency, Release, RenderedRelease, TemplateSource};
 pub use compiled::{CompiledChart, RenderScratch};
 pub use error::{Error, IngestError, Result};

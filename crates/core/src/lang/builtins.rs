@@ -1,5 +1,4 @@
-//! The builtins registry: namespaced pure functions callable from rule
-//! expressions.
+//! The builtins: namespaced pure functions callable from rule expressions.
 //!
 //! Every builtin is deterministic — same arguments, same value — which is
 //! what keeps whole-rule evaluation reproducible. Three families exist:
@@ -7,9 +6,9 @@
 //! * `core.*` — generic value helpers (`len`, `contains`, `str`, `concat`,
 //!   `ternary`, `upper`, `lower`);
 //! * `ports.*` / `labels.*` — domain probes answered by the
-//!   [`RuleResolver`](super::RuleResolver). The `labels.*` calls never reach
-//!   [`BuiltinKind::run`]: the compiler requires literal arguments and
-//!   lowers them to interned [`KeyId`](ij_model::KeyId)/
+//!   [`EntityResolver`](super::resolve::EntityResolver). The `labels.*`
+//!   calls never reach [`BuiltinKind::run`]: the compiler requires literal
+//!   arguments and lowers them to interned [`KeyId`](ij_model::KeyId)/
 //!   [`LabelId`](ij_model::LabelId) probes.
 
 use super::eval::Value;
@@ -18,8 +17,8 @@ use std::sync::Arc;
 /// The semantics of one builtin. The compiler matches on this to type-check
 /// calls (several `core.*` builtins are polymorphic); the evaluator matches
 /// on it to execute.
-#[derive(Debug, Clone)]
-pub enum BuiltinKind {
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum BuiltinKind {
     /// `core.len(list | string) -> number`
     Len,
     /// `core.contains(list, elem) -> bool`, `core.contains(string, string) -> bool`
@@ -46,7 +45,30 @@ pub enum BuiltinKind {
     LabelsGet,
 }
 
+/// Every builtin by its dotted name, as `docs/RULES.md` documents them.
+pub(super) const BUILTINS: &[(&str, BuiltinKind)] = &[
+    ("core.len", BuiltinKind::Len),
+    ("core.contains", BuiltinKind::Contains),
+    ("core.str", BuiltinKind::Str),
+    ("core.concat", BuiltinKind::Concat),
+    ("core.ternary", BuiltinKind::Ternary),
+    ("core.upper", BuiltinKind::Upper),
+    ("core.lower", BuiltinKind::Lower),
+    ("ports.declared", BuiltinKind::PortsDeclared),
+    ("labels.has", BuiltinKind::LabelsHas),
+    ("labels.is", BuiltinKind::LabelsIs),
+    ("labels.get", BuiltinKind::LabelsGet),
+];
+
 impl BuiltinKind {
+    /// Resolves a dotted builtin name.
+    pub(crate) fn lookup(name: &str) -> Option<BuiltinKind> {
+        BUILTINS
+            .iter()
+            .find(|(builtin, _)| *builtin == name)
+            .map(|(_, kind)| *kind)
+    }
+
     /// `Some(arity)` when the builtin evaluates its arguments lazily
     /// (only `core.ternary` today: condition first, then one branch).
     pub(crate) fn lazy_arity(&self) -> Option<usize> {
@@ -113,98 +135,9 @@ impl BuiltinKind {
     }
 }
 
-/// One registered builtin: a dotted name bound to its semantics.
-#[derive(Debug, Clone)]
-pub struct BuiltinDef {
-    name: String,
-    kind: BuiltinKind,
-}
-
-impl BuiltinDef {
-    /// The dotted name, e.g. `core.len`.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The builtin's semantics tag.
-    pub fn kind(&self) -> &BuiltinKind {
-        &self.kind
-    }
-}
-
-/// The table of builtins an expression may call, keyed by dotted name.
-#[derive(Debug, Clone)]
-pub struct BuiltinsRegistry {
-    defs: Vec<BuiltinDef>,
-}
-
-impl Default for BuiltinsRegistry {
-    fn default() -> Self {
-        BuiltinsRegistry::standard()
-    }
-}
-
-impl BuiltinsRegistry {
-    /// The standard table: every `core.*`, `ports.*`, and `labels.*`
-    /// builtin documented in `docs/RULES.md`.
-    pub fn standard() -> Self {
-        let mut reg = BuiltinsRegistry { defs: Vec::new() };
-        for (name, kind) in [
-            ("core.len", BuiltinKind::Len),
-            ("core.contains", BuiltinKind::Contains),
-            ("core.str", BuiltinKind::Str),
-            ("core.concat", BuiltinKind::Concat),
-            ("core.ternary", BuiltinKind::Ternary),
-            ("core.upper", BuiltinKind::Upper),
-            ("core.lower", BuiltinKind::Lower),
-            ("ports.declared", BuiltinKind::PortsDeclared),
-            ("labels.has", BuiltinKind::LabelsHas),
-            ("labels.is", BuiltinKind::LabelsIs),
-            ("labels.get", BuiltinKind::LabelsGet),
-        ] {
-            reg.defs.push(BuiltinDef {
-                name: name.to_string(),
-                kind,
-            });
-        }
-        reg
-    }
-
-    /// Resolves a dotted name.
-    pub fn lookup(&self, name: &str) -> Option<&BuiltinDef> {
-        self.defs.iter().find(|d| d.name == name)
-    }
-
-    /// Every registered builtin, in registration order.
-    pub fn iter(&self) -> impl Iterator<Item = &BuiltinDef> + '_ {
-        self.defs.iter()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn standard_table_is_complete() {
-        let reg = BuiltinsRegistry::standard();
-        for name in [
-            "core.len",
-            "core.contains",
-            "core.str",
-            "core.concat",
-            "core.ternary",
-            "core.upper",
-            "core.lower",
-            "ports.declared",
-            "labels.has",
-            "labels.is",
-            "labels.get",
-        ] {
-            assert!(reg.lookup(name).is_some(), "missing builtin {name}");
-        }
-        assert!(reg.lookup("core.nope").is_none());
-    }
 
     #[test]
     fn eager_builtins_compute() {

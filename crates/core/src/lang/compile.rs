@@ -2,8 +2,8 @@
 //!
 //! Compilation resolves every name once:
 //!
-//! * attribute paths become dense [`AttrId`]s against the selection scope's
-//!   declared [`AttrSchema`];
+//! * attribute paths become the [`AttrKey`] the evaluator reads, looked up
+//!   in the attribute tables the selection scope exposes;
 //! * `labels.*` calls require literal arguments and are lowered to
 //!   [`KeyId`]/[`LabelId`] probes, interned into the pack's
 //!   [`LabelInterner`] *now* so evaluation never hashes a string;
@@ -14,16 +14,17 @@
 //! the evaluator is infallible.
 
 use super::ast::{Comparator, Expr, ExprKind};
-use super::builtins::{BuiltinKind, BuiltinsRegistry};
+use super::builtins::BuiltinKind;
 use super::lex::{LangError, Span};
-use ij_model::{AttrId, AttrSchema, AttrType, KeyId, LabelId, LabelInterner};
+use super::resolve::{AttrKey, Select};
+use ij_model::{KeyId, LabelId, LabelInterner};
 use std::fmt;
 use std::sync::Arc;
 
 /// An expression type. Attribute types are the primitive subset; list
 /// types arise from literals and are consumed by `CONTAINS`/`IN`/`core.len`.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Type {
+pub(crate) enum Type {
     /// Boolean.
     Bool,
     /// Number.
@@ -32,16 +33,6 @@ pub enum Type {
     String,
     /// Homogeneous list.
     List(Box<Type>),
-}
-
-impl From<AttrType> for Type {
-    fn from(ty: AttrType) -> Self {
-        match ty {
-            AttrType::Bool => Type::Bool,
-            AttrType::Number => Type::Number,
-            AttrType::String => Type::String,
-        }
-    }
 }
 
 impl fmt::Display for Type {
@@ -58,7 +49,7 @@ impl fmt::Display for Type {
 /// A type-checked expression node. Kind and type are fixed; the span still
 /// points into the original source for traces and diagnostics.
 #[derive(Debug, Clone)]
-pub struct CompiledExpr {
+pub(crate) struct CompiledExpr {
     pub(crate) kind: CKind,
     pub(crate) span: Span,
     pub(crate) ty: Type,
@@ -66,7 +57,7 @@ pub struct CompiledExpr {
 
 impl CompiledExpr {
     /// The node's type.
-    pub fn ty(&self) -> &Type {
+    pub(crate) fn ty(&self) -> &Type {
         &self.ty
     }
 }
@@ -76,7 +67,7 @@ pub(crate) enum CKind {
     Bool(bool),
     Number(f64),
     Str(Arc<str>),
-    Attr(AttrId),
+    Attr(AttrKey),
     List(Vec<CompiledExpr>),
     Cmp {
         op: Comparator,
@@ -105,22 +96,16 @@ pub(crate) enum CKind {
 }
 
 /// Everything compilation checks against.
-pub struct CompileEnv<'a> {
-    /// The selection scope's attribute schema.
-    pub schema: &'a AttrSchema,
-    /// Human name of the scope, for diagnostics (`unit`, `service_port`, …).
-    pub scope_name: &'a str,
-    /// True when the scope carries a compute unit (enables `ports.*` /
-    /// `labels.*`).
-    pub unit_scoped: bool,
-    /// Callable builtins.
-    pub builtins: &'a BuiltinsRegistry,
+pub(crate) struct CompileEnv<'a> {
+    /// The selection scope: which attributes resolve, and whether the
+    /// unit probes (`ports.*` / `labels.*`) are available.
+    pub(crate) select: Select,
     /// The pack-wide intern table `labels.*` literals resolve into.
-    pub interner: &'a mut LabelInterner,
+    pub(crate) interner: &'a mut LabelInterner,
 }
 
 /// Type-checks and compiles one parsed expression.
-pub fn compile(expr: &Expr, env: &mut CompileEnv<'_>) -> Result<CompiledExpr, LangError> {
+pub(crate) fn compile(expr: &Expr, env: &mut CompileEnv<'_>) -> Result<CompiledExpr, LangError> {
     match &expr.kind {
         ExprKind::Bool(b) => Ok(CompiledExpr {
             kind: CKind::Bool(*b),
@@ -139,19 +124,19 @@ pub fn compile(expr: &Expr, env: &mut CompileEnv<'_>) -> Result<CompiledExpr, La
         }),
         ExprKind::Attribute(path) => {
             let name = path.join(".");
-            let Some((id, ty)) = env.schema.lookup(&name) else {
+            let Some((key, ty)) = env.select.attr(&name) else {
                 return Err(LangError::new(
                     format!(
                         "unknown attribute `{name}` in the `{}` scope",
-                        env.scope_name
+                        env.select.as_str()
                     ),
                     expr.span,
                 ));
             };
             Ok(CompiledExpr {
-                kind: CKind::Attr(id),
+                kind: CKind::Attr(key),
                 span: expr.span,
-                ty: ty.into(),
+                ty,
             })
         }
         ExprKind::ListLiteral(items) => {
@@ -287,18 +272,17 @@ fn compile_call(
     env: &mut CompileEnv<'_>,
 ) -> Result<CompiledExpr, LangError> {
     let name = path.join(".");
-    let Some(def) = env.builtins.lookup(&name) else {
+    let Some(kind) = BuiltinKind::lookup(&name) else {
         return Err(LangError::new(
             format!("unknown function `{name}`"),
             expr.span,
         ));
     };
-    let kind = def.kind().clone();
-    if kind.needs_unit() && !env.unit_scoped {
+    if kind.needs_unit() && !env.select.unit_scoped() {
         return Err(LangError::new(
             format!(
                 "`{name}` probes the current compute unit and is not available in the `{}` scope",
-                env.scope_name
+                env.select.as_str()
             ),
             expr.span,
         ));
@@ -359,7 +343,7 @@ fn compile_call(
         .iter()
         .map(|arg| compile(arg, env))
         .collect::<Result<_, _>>()?;
-    let ty = match &kind {
+    let ty = match kind {
         BuiltinKind::Len => {
             let [arg] = compiled.as_slice() else {
                 return Err(arity(&name, 1, compiled.len(), expr.span));

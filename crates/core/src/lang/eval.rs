@@ -2,19 +2,20 @@
 //! atom-level trace.
 //!
 //! Evaluation is infallible by construction: the type-check pass
-//! ([`super::compile`]) guarantees operand types, attribute ids index the
-//! scope schema, and label probes carry pre-interned ids. The resolver is
-//! queried only through integer ids — no string lookup happens at eval time.
+//! ([`super::compile`]) guarantees operand types, attribute keys belong to
+//! the rule's scope, and label probes carry pre-interned ids. The
+//! [`EntityResolver`] is queried by key and integer id only — no string
+//! lookup happens at eval time.
 
 use super::compile::{CKind, CompiledExpr};
+use super::resolve::EntityResolver;
 use super::Comparator;
-use ij_model::{AttrId, KeyId, LabelId};
 use std::fmt;
 use std::sync::Arc;
 
 /// A runtime value of the expression language.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Value {
+pub(crate) enum Value {
     /// Boolean.
     Bool(bool),
     /// Number (integral in practice; `f64` keeps literals simple).
@@ -27,7 +28,7 @@ pub enum Value {
 
 impl Value {
     /// Convenience constructor for string values.
-    pub fn str(s: impl AsRef<str>) -> Value {
+    pub(crate) fn str(s: impl AsRef<str>) -> Value {
         Value::Str(Arc::from(s.as_ref()))
     }
 
@@ -41,7 +42,7 @@ impl Value {
 
     /// Renders the value the way message templates and traces print it:
     /// integral numbers without a decimal point, strings bare (unquoted).
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         match self {
             Value::Bool(b) => b.to_string(),
             Value::Number(n) if n.fract() == 0.0 && n.abs() < 1e15 => {
@@ -54,47 +55,6 @@ impl Value {
                 format!("[{}]", inner.join(", "))
             }
         }
-    }
-}
-
-impl fmt::Display for Value {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.render())
-    }
-}
-
-/// What an expression evaluates against: one entity (application, compute
-/// unit, observed socket, service, or service port) exposed as typed
-/// attributes behind dense ids.
-///
-/// Implementations resolve ids assigned at compile time:
-/// [`AttrId`]s index the scope's attribute schema, [`KeyId`]/[`LabelId`]s
-/// come from the pack's label interner. The label and port hooks have
-/// defaults so scopes without a compute unit (and test doubles) only
-/// implement [`attr`](RuleResolver::attr).
-pub trait RuleResolver {
-    /// The value of one schema attribute. Must return the declared type.
-    fn attr(&self, id: AttrId) -> Value;
-
-    /// True when the current unit's labels contain the key (any value).
-    fn label_key_present(&self, _id: KeyId) -> bool {
-        false
-    }
-
-    /// True when the current unit's labels contain the exact pair.
-    fn label_pair_present(&self, _id: LabelId) -> bool {
-        false
-    }
-
-    /// The value the current unit's labels map the key to.
-    fn label_value(&self, _id: KeyId) -> Option<&str> {
-        None
-    }
-
-    /// True when the current unit declares `(port, protocol)`;
-    /// `protocol` is the canonical upper-case name (`TCP`/`UDP`/`SCTP`).
-    fn port_declared(&self, _port: u16, _protocol: &str) -> bool {
-        false
     }
 }
 
@@ -124,7 +84,7 @@ impl fmt::Display for TraceAtom {
 
 /// Evaluates a compiled expression. Deterministic: same entity, same
 /// result, independent of thread count or iteration order.
-pub fn evaluate(expr: &CompiledExpr, resolver: &dyn RuleResolver) -> Value {
+pub(crate) fn evaluate(expr: &CompiledExpr, resolver: &EntityResolver<'_>) -> Value {
     eval(expr, resolver, "", None)
 }
 
@@ -133,9 +93,9 @@ pub fn evaluate(expr: &CompiledExpr, resolver: &dyn RuleResolver) -> Value {
 /// the evaluator looked at, which is what makes it an explanation.
 /// `source` must be the text the expression was compiled from (atom spans
 /// slice it).
-pub fn evaluate_with_trace(
+pub(crate) fn evaluate_with_trace(
     expr: &CompiledExpr,
-    resolver: &dyn RuleResolver,
+    resolver: &EntityResolver<'_>,
     source: &str,
 ) -> (Value, Vec<TraceAtom>) {
     let mut atoms = Vec::new();
@@ -145,7 +105,7 @@ pub fn evaluate_with_trace(
 
 fn eval(
     expr: &CompiledExpr,
-    resolver: &dyn RuleResolver,
+    resolver: &EntityResolver<'_>,
     src: &str,
     mut trace: Option<&mut Vec<TraceAtom>>,
 ) -> Value {
@@ -159,8 +119,8 @@ fn eval(
                 .map(|item| eval(item, resolver, src, trace.as_deref_mut()))
                 .collect(),
         )),
-        CKind::Attr(id) => {
-            let value = resolver.attr(*id);
+        CKind::Attr(key) => {
+            let value = resolver.attr(*key);
             record(&mut trace, expr, src, Vec::new(), &value);
             value
         }

@@ -19,18 +19,19 @@
 //!    primary:= literal | list | path | path "(" args ")" | "(" expr ")"
 //!    ```
 //!
-//! 2. **Type-check/compile** ([`compile`]): attributes resolve to dense
-//!    [`AttrId`](ij_model::AttrId)s against the selection scope's schema,
-//!    `labels.*` literals intern to [`KeyId`](ij_model::KeyId)/
-//!    [`LabelId`](ij_model::LabelId) probes, builtin calls bind to their
-//!    [`BuiltinKind`]. What survives cannot fail at run time.
+//! 2. **Type-check/compile** (`compile`): attribute paths resolve through
+//!    the selection scope's attribute tables to the key the evaluator
+//!    reads, `labels.*` literals intern to [`KeyId`](ij_model::KeyId)/
+//!    [`LabelId`](ij_model::LabelId) probes, and builtin names resolve
+//!    through one static table. What survives cannot fail at run time.
 //!
-//! 3. **Evaluate** ([`evaluate`] / [`evaluate_with_trace`]): deterministic,
-//!    infallible, resolver-driven — the [`RuleResolver`] answers integer-id
-//!    probes only; no string lookup happens per entity. The traced variant
-//!    records one [`TraceAtom`] per attribute read, label/port probe,
-//!    call, and comparison, in evaluation order; short-circuited branches
-//!    leave no atoms, so the trace *is* the explanation of the verdict.
+//! 3. **Evaluate** (`evaluate` / `evaluate_with_trace`): deterministic,
+//!    infallible, and driven by the entity resolver, which answers reads by
+//!    attribute key and integer id only; no string lookup happens per
+//!    entity. The traced variant records one [`TraceAtom`] per attribute
+//!    read, label/port probe, call, and comparison, in evaluation order;
+//!    short-circuited branches leave no atoms, so the trace *is* the
+//!    explanation of the verdict.
 //!
 //! [`RulePack`] layers a file format on top (rules + `disable` directives)
 //! and compiles into registry entries; the built-in pack
@@ -46,9 +47,7 @@ mod pack;
 mod resolve;
 
 pub use ast::{parse, Comparator, Expr, ExprKind};
-pub use builtins::{BuiltinDef, BuiltinKind, BuiltinsRegistry};
-pub use compile::{compile, CompileEnv, CompiledExpr, Type};
-pub use eval::{evaluate, evaluate_with_trace, RuleResolver, TraceAtom, Value};
+pub use eval::TraceAtom;
 pub use lex::{LangError, Span};
 pub use pack::{CompiledRule, RulePack, BUILTIN_PACK_SOURCE};
 pub use resolve::Select;

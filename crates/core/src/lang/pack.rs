@@ -24,23 +24,19 @@
 //! given together). The `message` value is a template: `{expr}` interpolates
 //! a scalar expression, `{{`/`}}` escape literal braces.
 //!
-//! Every expression is compiled at load time against the scope's attribute
-//! schema (see [`super::resolve`]); label probes intern into one pack-wide
-//! table. Loading therefore front-loads *all* failure: a pack that parses
-//! and type-checks evaluates without error, deterministically.
+//! Every expression is compiled at load time against the attributes the
+//! scope exposes (see [`super::resolve`]); label probes intern into one
+//! pack-wide table. Loading therefore front-loads *all* failure: a pack
+//! that parses and type-checks evaluates without error, deterministically.
 
 use super::ast::parse;
-use super::builtins::BuiltinsRegistry;
 use super::compile::{compile, CompileEnv, CompiledExpr, Type};
 use super::eval::{evaluate, evaluate_with_trace, TraceAtom, Value};
 use super::lex::{LangError, Span};
-use super::resolve::{
-    parse_protocol, schema_for, AttrKey, Entity, EntityResolver, PortFacts, Select, SvcView,
-    UnitView,
-};
+use super::resolve::{parse_protocol, Entity, EntityResolver, Select, UnitView};
 use crate::finding::{Finding, MisconfigId};
 use crate::registry::{RuleRegistry, RuleScope, UnknownRule};
-use crate::rules::RuleContext;
+use crate::rules::{PortFacts, RuleContext, SvcView};
 use ij_model::LabelInterner;
 use std::str::FromStr;
 use std::sync::Arc;
@@ -69,7 +65,7 @@ pub struct CompiledRule {
     message_src: String,
     port: Option<(CompiledExpr, String)>,
     protocol: Option<(CompiledExpr, String)>,
-    keys: Vec<AttrKey>,
+    /// The pack-wide table the rule's `labels.*` probes interned into.
     interner: Arc<LabelInterner>,
 }
 
@@ -186,18 +182,7 @@ impl CompiledRule {
         traced: bool,
         sink: &mut dyn FnMut(Finding, Vec<TraceAtom>),
     ) {
-        let object: String = match &entity {
-            Entity::App => ctx.app.to_string(),
-            Entity::Unit(view) | Entity::Socket { unit: view, .. } => view.unit.name.clone(),
-            Entity::Service(view) | Entity::ServicePort { svc: view, .. } => {
-                view.svc.meta.qualified_name()
-            }
-        };
-        let resolver = EntityResolver {
-            ctx,
-            keys: &self.keys,
-            entity,
-        };
+        let resolver = EntityResolver { ctx, entity };
         let (verdict, trace) = if traced {
             let (v, t) = evaluate_with_trace(&self.when, &resolver, &self.when_src);
             (v, t)
@@ -210,6 +195,13 @@ impl CompiledRule {
         if !fired {
             return;
         }
+        let object: String = match &resolver.entity {
+            Entity::App => ctx.app.to_string(),
+            Entity::Unit(view) | Entity::Socket { unit: view, .. } => view.unit.name.clone(),
+            Entity::Service(view) | Entity::ServicePort { svc: view, .. } => {
+                view.svc.meta.qualified_name()
+            }
+        };
         let mut detail = String::new();
         for segment in &self.message {
             match segment {
@@ -243,23 +235,18 @@ pub struct RulePack {
 /// embedded here so the binary needs no file at run time).
 pub const BUILTIN_PACK_SOURCE: &str = include_str!("../../../../packs/builtin.rules");
 
-/// Loads a pack from its text form with the standard builtins (so
-/// `RulePack::from_str(src)` and `src.parse()` both work). All parse/type
-/// errors surface here, positioned by line and column in the pack file.
+/// Loads a pack from its text form (so `RulePack::from_str(src)` and
+/// `src.parse()` both work). All parse/type errors surface here, positioned
+/// by line and column in the pack file.
 impl std::str::FromStr for RulePack {
     type Err = LangError;
 
     fn from_str(src: &str) -> Result<RulePack, LangError> {
-        RulePack::load(src, &BuiltinsRegistry::standard())
+        Loader::default().load(src)
     }
 }
 
 impl RulePack {
-    /// Loads a pack against a caller-extended builtins registry.
-    pub fn load(src: &str, builtins: &BuiltinsRegistry) -> Result<RulePack, LangError> {
-        Loader::new(builtins).load(src)
-    }
-
     /// The built-in pack: M1, M2, the M5 family, M6, and M7 expressed in
     /// the rule language. Compiled from [`BUILTIN_PACK_SOURCE`]; loading it
     /// cannot fail (guarded by tests).
@@ -331,19 +318,12 @@ struct Block {
     protocol: Option<Field>,
 }
 
-struct Loader<'a> {
-    builtins: &'a BuiltinsRegistry,
+#[derive(Default)]
+struct Loader {
     interner: LabelInterner,
 }
 
-impl<'a> Loader<'a> {
-    fn new(builtins: &'a BuiltinsRegistry) -> Self {
-        Loader {
-            builtins,
-            interner: LabelInterner::new(),
-        }
-    }
-
+impl Loader {
     fn load(mut self, src: &str) -> Result<RulePack, LangError> {
         let mut blocks: Vec<Block> = Vec::new();
         let mut disables: Vec<String> = Vec::new();
@@ -455,30 +435,21 @@ impl<'a> Loader<'a> {
         for block in &blocks {
             rules.push(self.compile_block(block)?);
         }
+        // Every rule shares the table all of them interned into.
         let interner = Arc::new(self.interner);
         let rules = rules
             .into_iter()
-            .map(|pending: PendingRule| {
-                Arc::new(CompiledRule {
-                    name: pending.name,
-                    class: pending.class,
-                    evidence: pending.evidence,
-                    select: pending.select,
-                    when: pending.when,
-                    when_src: pending.when_src,
-                    message: pending.message,
-                    message_src: pending.message_src,
-                    port: pending.port,
-                    protocol: pending.protocol,
-                    keys: pending.keys,
-                    interner: Arc::clone(&interner),
-                })
+            .map(|mut rule| {
+                rule.interner = Arc::clone(&interner);
+                Arc::new(rule)
             })
             .collect();
         Ok(RulePack { rules, disables })
     }
 
-    fn compile_block(&mut self, block: &Block) -> Result<PendingRule, LangError> {
+    /// Compiles one block. The rule's `interner` is left empty; `load`
+    /// attaches the shared table once every block has interned into it.
+    fn compile_block(&mut self, block: &Block) -> Result<CompiledRule, LangError> {
         let require = |field: &Option<Field>, name: &str| -> Result<(), LangError> {
             if field.is_none() {
                 return Err(pack_err(
@@ -531,12 +502,8 @@ impl<'a> Loader<'a> {
                 }
             },
         };
-        let (schema, keys) = schema_for(select);
         let mut env = CompileEnv {
-            schema: &schema,
-            scope_name: select.as_str(),
-            unit_scoped: select.unit_scoped(),
-            builtins: self.builtins,
+            select,
             interner: &mut self.interner,
         };
 
@@ -595,7 +562,7 @@ impl<'a> Loader<'a> {
             ));
         }
 
-        Ok(PendingRule {
+        Ok(CompiledRule {
             name: block.name.clone(),
             class,
             evidence,
@@ -606,23 +573,9 @@ impl<'a> Loader<'a> {
             message_src: message_field.value.clone(),
             port,
             protocol,
-            keys,
+            interner: Arc::default(),
         })
     }
-}
-
-struct PendingRule {
-    name: String,
-    class: MisconfigId,
-    evidence: RuleScope,
-    select: Select,
-    when: CompiledExpr,
-    when_src: String,
-    message: Vec<Segment>,
-    message_src: String,
-    port: Option<(CompiledExpr, String)>,
-    protocol: Option<(CompiledExpr, String)>,
-    keys: Vec<AttrKey>,
 }
 
 /// Parses and compiles one expression field, relocating errors into the

@@ -2,24 +2,23 @@
 //! analyzer's model.
 //!
 //! A pack rule declares a **selection scope** ([`Select`]): the kind of
-//! entity its expression runs once per. Each scope exposes a fixed, typed
-//! attribute schema (dense [`AttrId`]s in declaration order); broader scopes
-//! nest — a `socket` expression can read every `unit.*` and `app.*`
-//! attribute too, because a socket belongs to exactly one unit of one
-//! application.
+//! entity its expression runs once per. Each scope exposes a fixed set of
+//! typed attributes, listed in the tables below; broader scopes nest — a
+//! `socket` expression can read every `unit.*` and `app.*` attribute too,
+//! because a socket belongs to exactly one unit of one application. The
+//! compiler resolves an attribute path to its [`AttrKey`] once, at load
+//! time.
 //!
-//! [`EntityResolver`] adapts one concrete entity (plus the facts the native
-//! rules derive: observed sockets, dynamic ports, service selection, target
-//! resolution) to the evaluator's [`RuleResolver`] interface. All derived
+//! [`EntityResolver`] answers the evaluator's reads for one concrete entity,
+//! using the facts the native rules derive (observed sockets, dynamic ports,
+//! and the service views and port facts of [`crate::rules`]). All derived
 //! facts are computed once per entity, before evaluation.
 
-use super::eval::{RuleResolver, Value};
+use super::compile::Type;
+use super::eval::Value;
 use crate::model::ComputeUnit;
-use crate::rules::RuleContext;
-use ij_model::{
-    AttrId, AttrSchema, AttrType, KeyId, LabelId, LabelInterner, Protocol, Service, ServicePort,
-    TargetPort,
-};
+use crate::rules::{PortFacts, RuleContext, SvcView};
+use ij_model::{KeyId, LabelId, LabelInterner, Protocol, ServicePort, TargetPort};
 use ij_probe::ObservedSocket;
 use std::collections::BTreeSet;
 
@@ -68,10 +67,27 @@ impl Select {
     pub fn unit_scoped(&self) -> bool {
         matches!(self, Select::Unit | Select::Socket)
     }
+
+    /// Resolves a dotted attribute name among the attributes this scope
+    /// exposes.
+    pub(crate) fn attr(&self, name: &str) -> Option<(AttrKey, Type)> {
+        let tables: &[&[(&str, Type, AttrKey)]] = match self {
+            Select::App => &[APP_ATTRS],
+            Select::Unit => &[APP_ATTRS, UNIT_ATTRS],
+            Select::Socket => &[APP_ATTRS, UNIT_ATTRS, SOCKET_ATTRS],
+            Select::Service => &[APP_ATTRS, SERVICE_ATTRS],
+            Select::ServicePort => &[APP_ATTRS, SERVICE_ATTRS, SERVICE_PORT_ATTRS],
+        };
+        tables
+            .iter()
+            .flat_map(|table| table.iter())
+            .find(|(attr, _, _)| *attr == name)
+            .map(|(_, ty, key)| (*key, ty.clone()))
+    }
 }
 
-/// What one attribute id resolves to. The compiled rule stores a
-/// `Vec<AttrKey>` indexed by [`AttrId`], so evaluation is a table jump.
+/// One readable attribute. A compiled expression holds the key itself, so
+/// evaluation is a jump on the key, never a name lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum AttrKey {
     AppName,
@@ -108,142 +124,88 @@ pub(crate) enum AttrKey {
     PortTargetOpen,
 }
 
-const APP_ATTRS: &[(&str, AttrType, AttrKey)] = &[
-    ("app.name", AttrType::String, AttrKey::AppName),
-    ("app.unit_count", AttrType::Number, AttrKey::AppUnitCount),
-    (
-        "app.service_count",
-        AttrType::Number,
-        AttrKey::AppServiceCount,
-    ),
-    (
-        "app.policy_count",
-        AttrType::Number,
-        AttrKey::AppPolicyCount,
-    ),
-    ("app.has_policies", AttrType::Bool, AttrKey::AppHasPolicies),
+const APP_ATTRS: &[(&str, Type, AttrKey)] = &[
+    ("app.name", Type::String, AttrKey::AppName),
+    ("app.unit_count", Type::Number, AttrKey::AppUnitCount),
+    ("app.service_count", Type::Number, AttrKey::AppServiceCount),
+    ("app.policy_count", Type::Number, AttrKey::AppPolicyCount),
+    ("app.has_policies", Type::Bool, AttrKey::AppHasPolicies),
     (
         "app.chart_defines_policies",
-        AttrType::Bool,
+        Type::Bool,
         AttrKey::AppChartDefinesPolicies,
     ),
-    ("app.has_runtime", AttrType::Bool, AttrKey::AppHasRuntime),
+    ("app.has_runtime", Type::Bool, AttrKey::AppHasRuntime),
 ];
 
-const UNIT_ATTRS: &[(&str, AttrType, AttrKey)] = &[
-    ("unit.name", AttrType::String, AttrKey::UnitName),
-    ("unit.kind", AttrType::String, AttrKey::UnitKind),
-    ("unit.namespace", AttrType::String, AttrKey::UnitNamespace),
-    (
-        "unit.host_network",
-        AttrType::Bool,
-        AttrKey::UnitHostNetwork,
-    ),
-    ("unit.observed", AttrType::Bool, AttrKey::UnitObserved),
+const UNIT_ATTRS: &[(&str, Type, AttrKey)] = &[
+    ("unit.name", Type::String, AttrKey::UnitName),
+    ("unit.kind", Type::String, AttrKey::UnitKind),
+    ("unit.namespace", Type::String, AttrKey::UnitNamespace),
+    ("unit.host_network", Type::Bool, AttrKey::UnitHostNetwork),
+    ("unit.observed", Type::Bool, AttrKey::UnitObserved),
     (
         "unit.has_dynamic_ports",
-        AttrType::Bool,
+        Type::Bool,
         AttrKey::UnitHasDynamicPorts,
     ),
     (
         "unit.declared_count",
-        AttrType::Number,
+        Type::Number,
         AttrKey::UnitDeclaredCount,
     ),
-    (
-        "unit.label_count",
-        AttrType::Number,
-        AttrKey::UnitLabelCount,
-    ),
+    ("unit.label_count", Type::Number, AttrKey::UnitLabelCount),
 ];
 
-const SOCKET_ATTRS: &[(&str, AttrType, AttrKey)] = &[
-    ("socket.port", AttrType::Number, AttrKey::SocketPort),
-    ("socket.protocol", AttrType::String, AttrKey::SocketProtocol),
+const SOCKET_ATTRS: &[(&str, Type, AttrKey)] = &[
+    ("socket.port", Type::Number, AttrKey::SocketPort),
+    ("socket.protocol", Type::String, AttrKey::SocketProtocol),
 ];
 
-const SERVICE_ATTRS: &[(&str, AttrType, AttrKey)] = &[
-    ("service.name", AttrType::String, AttrKey::ServiceName),
-    (
-        "service.namespace",
-        AttrType::String,
-        AttrKey::ServiceNamespace,
-    ),
-    (
-        "service.selector",
-        AttrType::String,
-        AttrKey::ServiceSelector,
-    ),
-    ("service.headless", AttrType::Bool, AttrKey::ServiceHeadless),
+const SERVICE_ATTRS: &[(&str, Type, AttrKey)] = &[
+    ("service.name", Type::String, AttrKey::ServiceName),
+    ("service.namespace", Type::String, AttrKey::ServiceNamespace),
+    ("service.selector", Type::String, AttrKey::ServiceSelector),
+    ("service.headless", Type::Bool, AttrKey::ServiceHeadless),
     (
         "service.selector_empty",
-        AttrType::Bool,
+        Type::Bool,
         AttrKey::ServiceSelectorEmpty,
     ),
     (
         "service.selected_count",
-        AttrType::Number,
+        Type::Number,
         AttrKey::ServiceSelectedCount,
     ),
 ];
 
-const SERVICE_PORT_ATTRS: &[(&str, AttrType, AttrKey)] = &[
-    ("port.port", AttrType::Number, AttrKey::PortPort),
-    ("port.protocol", AttrType::String, AttrKey::PortProtocol),
-    (
-        "port.target_kind",
-        AttrType::String,
-        AttrKey::PortTargetKind,
-    ),
-    (
-        "port.target_name",
-        AttrType::String,
-        AttrKey::PortTargetName,
-    ),
+const SERVICE_PORT_ATTRS: &[(&str, Type, AttrKey)] = &[
+    ("port.port", Type::Number, AttrKey::PortPort),
+    ("port.protocol", Type::String, AttrKey::PortProtocol),
+    ("port.target_kind", Type::String, AttrKey::PortTargetKind),
+    ("port.target_name", Type::String, AttrKey::PortTargetName),
     (
         "port.target_resolved",
-        AttrType::Bool,
+        Type::Bool,
         AttrKey::PortTargetResolved,
     ),
     (
         "port.target_number",
-        AttrType::Number,
+        Type::Number,
         AttrKey::PortTargetNumber,
     ),
     (
         "port.target_declared",
-        AttrType::Bool,
+        Type::Bool,
         AttrKey::PortTargetDeclared,
     ),
     (
         "port.any_selected_observed",
-        AttrType::Bool,
+        Type::Bool,
         AttrKey::PortAnySelectedObserved,
     ),
-    ("port.target_open", AttrType::Bool, AttrKey::PortTargetOpen),
+    ("port.target_open", Type::Bool, AttrKey::PortTargetOpen),
 ];
-
-/// Builds the attribute schema of a scope, plus the parallel `AttrId` →
-/// [`AttrKey`] table the resolver jumps through.
-pub(crate) fn schema_for(select: Select) -> (AttrSchema, Vec<AttrKey>) {
-    let tables: &[&[(&str, AttrType, AttrKey)]] = match select {
-        Select::App => &[APP_ATTRS],
-        Select::Unit => &[APP_ATTRS, UNIT_ATTRS],
-        Select::Socket => &[APP_ATTRS, UNIT_ATTRS, SOCKET_ATTRS],
-        Select::Service => &[APP_ATTRS, SERVICE_ATTRS],
-        Select::ServicePort => &[APP_ATTRS, SERVICE_ATTRS, SERVICE_PORT_ATTRS],
-    };
-    let mut schema = AttrSchema::new();
-    let mut keys = Vec::new();
-    for table in tables {
-        for (name, ty, key) in *table {
-            let id = schema.declare(name, *ty);
-            debug_assert_eq!(id.index(), keys.len());
-            keys.push(*key);
-        }
-    }
-    (schema, keys)
-}
 
 /// A compute unit's labels lowered to the pack's interned id space, plus a
 /// `KeyId` → value table for `labels.get`. Keys or pairs the pack never
@@ -296,60 +258,6 @@ impl<'a> UnitView<'a> {
     }
 }
 
-/// One service with its selection resolved.
-pub(crate) struct SvcView<'a> {
-    pub(crate) svc: &'a Service,
-    pub(crate) selected: Vec<&'a ComputeUnit>,
-}
-
-impl<'a> SvcView<'a> {
-    pub(crate) fn new(ctx: &RuleContext<'a>, svc: &'a Service) -> Self {
-        SvcView {
-            svc,
-            selected: ctx.statics.units_selected_by(svc),
-        }
-    }
-}
-
-/// Facts about one service port mapping, mirroring the native M5 logic.
-pub(crate) struct PortFacts {
-    resolved: Option<u16>,
-    declared: bool,
-    any_observed: bool,
-    open: bool,
-}
-
-impl PortFacts {
-    pub(crate) fn compute(ctx: &RuleContext<'_>, view: &SvcView<'_>, sp: &ServicePort) -> Self {
-        let resolved = match &sp.target_port {
-            TargetPort::Number(n) => Some(*n),
-            TargetPort::Name(name) => view.selected.iter().find_map(|u| u.resolve_port_name(name)),
-        };
-        let declared =
-            resolved.is_some_and(|t| view.selected.iter().any(|u| u.declares(t, sp.protocol)));
-        let observed_units: Vec<&&ComputeUnit> = view
-            .selected
-            .iter()
-            .filter(|u| ctx.unit_observed(&u.name))
-            .collect();
-        let any_observed = !observed_units.is_empty();
-        let open = resolved.is_some_and(|target| {
-            observed_units.iter().any(|u| {
-                ctx.unit_stable(&u.name).contains(&ObservedSocket {
-                    port: target,
-                    protocol: sp.protocol,
-                })
-            })
-        });
-        PortFacts {
-            resolved,
-            declared,
-            any_observed,
-            open,
-        }
-    }
-}
-
 /// The concrete entity an expression is being evaluated against.
 pub(crate) enum Entity<'a> {
     App,
@@ -366,33 +274,49 @@ pub(crate) enum Entity<'a> {
     },
 }
 
-/// Adapter from one entity (plus its precomputed facts) to the evaluator's
-/// [`RuleResolver`] interface.
+/// One entity (plus its precomputed facts) as the evaluator reads it:
+/// attributes by [`AttrKey`], labels by interned id, declared ports by
+/// `(port, protocol)`.
 pub(crate) struct EntityResolver<'a> {
     pub(crate) ctx: &'a RuleContext<'a>,
-    pub(crate) keys: &'a [AttrKey],
     pub(crate) entity: Entity<'a>,
 }
 
 impl<'a> EntityResolver<'a> {
-    fn unit_view(&self) -> Option<&UnitView<'a>> {
+    // The compiler admits a `unit.*`, `socket.*`, `service.*` or `port.*`
+    // read, and a unit probe, only in a scope whose entity carries it, so
+    // these accessors cannot miss.
+
+    fn unit(&self) -> &UnitView<'a> {
         match &self.entity {
-            Entity::Unit(u) | Entity::Socket { unit: u, .. } => Some(u),
-            _ => None,
+            Entity::Unit(u) | Entity::Socket { unit: u, .. } => u,
+            _ => unreachable!("unit read outside a unit scope"),
         }
     }
 
-    fn svc_view(&self) -> Option<&SvcView<'a>> {
+    fn socket(&self) -> ObservedSocket {
         match &self.entity {
-            Entity::Service(s) | Entity::ServicePort { svc: s, .. } => Some(s),
-            _ => None,
+            Entity::Socket { socket, .. } => *socket,
+            _ => unreachable!("socket read outside the socket scope"),
         }
     }
-}
 
-impl RuleResolver for EntityResolver<'_> {
-    fn attr(&self, id: AttrId) -> Value {
-        let key = self.keys[id.index()];
+    fn svc(&self) -> &SvcView<'a> {
+        match &self.entity {
+            Entity::Service(s) | Entity::ServicePort { svc: s, .. } => s,
+            _ => unreachable!("service read outside a service scope"),
+        }
+    }
+
+    fn port(&self) -> (&ServicePort, &PortFacts) {
+        match &self.entity {
+            Entity::ServicePort { sp, facts, .. } => (sp, facts),
+            _ => unreachable!("port read outside the service_port scope"),
+        }
+    }
+
+    /// The value of one attribute, of the type its table declares.
+    pub(crate) fn attr(&self, key: AttrKey) -> Value {
         let ctx = self.ctx;
         match key {
             AttrKey::AppName => Value::str(ctx.app),
@@ -402,106 +326,57 @@ impl RuleResolver for EntityResolver<'_> {
             AttrKey::AppHasPolicies => Value::Bool(!ctx.statics.policies.is_empty()),
             AttrKey::AppChartDefinesPolicies => Value::Bool(ctx.chart_defines_policies),
             AttrKey::AppHasRuntime => Value::Bool(ctx.runtime.is_some()),
-            AttrKey::UnitName
-            | AttrKey::UnitKind
-            | AttrKey::UnitNamespace
-            | AttrKey::UnitHostNetwork
-            | AttrKey::UnitObserved
-            | AttrKey::UnitHasDynamicPorts
-            | AttrKey::UnitDeclaredCount
-            | AttrKey::UnitLabelCount => {
-                let view = self.unit_view().expect("unit attribute outside unit scope");
-                match key {
-                    AttrKey::UnitName => Value::str(&view.unit.name),
-                    AttrKey::UnitKind => Value::str(&view.unit.kind),
-                    AttrKey::UnitNamespace => Value::str(&view.unit.namespace),
-                    AttrKey::UnitHostNetwork => Value::Bool(view.unit.host_network),
-                    AttrKey::UnitObserved => Value::Bool(view.observed),
-                    AttrKey::UnitHasDynamicPorts => Value::Bool(view.has_dynamic),
-                    AttrKey::UnitDeclaredCount => {
-                        Value::Number(view.unit.declared_ports().count() as f64)
-                    }
-                    AttrKey::UnitLabelCount => Value::Number(view.unit.labels.len() as f64),
-                    _ => unreachable!(),
-                }
+            AttrKey::UnitName => Value::str(&self.unit().unit.name),
+            AttrKey::UnitKind => Value::str(&self.unit().unit.kind),
+            AttrKey::UnitNamespace => Value::str(&self.unit().unit.namespace),
+            AttrKey::UnitHostNetwork => Value::Bool(self.unit().unit.host_network),
+            AttrKey::UnitObserved => Value::Bool(self.unit().observed),
+            AttrKey::UnitHasDynamicPorts => Value::Bool(self.unit().has_dynamic),
+            AttrKey::UnitDeclaredCount => {
+                Value::Number(self.unit().unit.declared_ports().count() as f64)
             }
-            AttrKey::SocketPort | AttrKey::SocketProtocol => {
-                let Entity::Socket { socket, .. } = &self.entity else {
-                    unreachable!("socket attribute outside socket scope")
-                };
-                match key {
-                    AttrKey::SocketPort => Value::Number(f64::from(socket.port)),
-                    AttrKey::SocketProtocol => Value::str(socket.protocol.as_str()),
-                    _ => unreachable!(),
-                }
+            AttrKey::UnitLabelCount => Value::Number(self.unit().unit.labels.len() as f64),
+            AttrKey::SocketPort => Value::Number(f64::from(self.socket().port)),
+            AttrKey::SocketProtocol => Value::str(self.socket().protocol.as_str()),
+            AttrKey::ServiceName => Value::str(self.svc().svc.meta.qualified_name()),
+            AttrKey::ServiceNamespace => Value::str(&self.svc().svc.meta.namespace),
+            AttrKey::ServiceSelector => Value::str(self.svc().svc.spec.selector.to_string()),
+            AttrKey::ServiceHeadless => Value::Bool(self.svc().svc.is_headless()),
+            AttrKey::ServiceSelectorEmpty => Value::Bool(self.svc().svc.spec.selector.is_empty()),
+            AttrKey::ServiceSelectedCount => Value::Number(self.svc().selected.len() as f64),
+            AttrKey::PortPort => Value::Number(f64::from(self.port().0.port)),
+            AttrKey::PortProtocol => Value::str(self.port().0.protocol.as_str()),
+            AttrKey::PortTargetKind => Value::str(match &self.port().0.target_port {
+                TargetPort::Number(_) => "number",
+                TargetPort::Name(_) => "name",
+            }),
+            AttrKey::PortTargetName => Value::str(match &self.port().0.target_port {
+                TargetPort::Number(_) => "",
+                TargetPort::Name(n) => n.as_str(),
+            }),
+            AttrKey::PortTargetResolved => Value::Bool(self.port().1.resolved.is_some()),
+            AttrKey::PortTargetNumber => {
+                Value::Number(f64::from(self.port().1.resolved.unwrap_or(0)))
             }
-            AttrKey::ServiceName
-            | AttrKey::ServiceNamespace
-            | AttrKey::ServiceSelector
-            | AttrKey::ServiceHeadless
-            | AttrKey::ServiceSelectorEmpty
-            | AttrKey::ServiceSelectedCount => {
-                let view = self
-                    .svc_view()
-                    .expect("service attribute outside service scope");
-                match key {
-                    AttrKey::ServiceName => Value::str(view.svc.meta.qualified_name()),
-                    AttrKey::ServiceNamespace => Value::str(&view.svc.meta.namespace),
-                    AttrKey::ServiceSelector => Value::str(view.svc.spec.selector.to_string()),
-                    AttrKey::ServiceHeadless => Value::Bool(view.svc.is_headless()),
-                    AttrKey::ServiceSelectorEmpty => Value::Bool(view.svc.spec.selector.is_empty()),
-                    AttrKey::ServiceSelectedCount => Value::Number(view.selected.len() as f64),
-                    _ => unreachable!(),
-                }
-            }
-            AttrKey::PortPort
-            | AttrKey::PortProtocol
-            | AttrKey::PortTargetKind
-            | AttrKey::PortTargetName
-            | AttrKey::PortTargetResolved
-            | AttrKey::PortTargetNumber
-            | AttrKey::PortTargetDeclared
-            | AttrKey::PortAnySelectedObserved
-            | AttrKey::PortTargetOpen => {
-                let Entity::ServicePort { sp, facts, .. } = &self.entity else {
-                    unreachable!("port attribute outside service_port scope")
-                };
-                match key {
-                    AttrKey::PortPort => Value::Number(f64::from(sp.port)),
-                    AttrKey::PortProtocol => Value::str(sp.protocol.as_str()),
-                    AttrKey::PortTargetKind => Value::str(match &sp.target_port {
-                        TargetPort::Number(_) => "number",
-                        TargetPort::Name(_) => "name",
-                    }),
-                    AttrKey::PortTargetName => Value::str(match &sp.target_port {
-                        TargetPort::Number(_) => "",
-                        TargetPort::Name(n) => n.as_str(),
-                    }),
-                    AttrKey::PortTargetResolved => Value::Bool(facts.resolved.is_some()),
-                    AttrKey::PortTargetNumber => {
-                        Value::Number(f64::from(facts.resolved.unwrap_or(0)))
-                    }
-                    AttrKey::PortTargetDeclared => Value::Bool(facts.declared),
-                    AttrKey::PortAnySelectedObserved => Value::Bool(facts.any_observed),
-                    AttrKey::PortTargetOpen => Value::Bool(facts.open),
-                    _ => unreachable!(),
-                }
-            }
+            AttrKey::PortTargetDeclared => Value::Bool(self.port().1.declared),
+            AttrKey::PortAnySelectedObserved => Value::Bool(self.port().1.any_observed),
+            AttrKey::PortTargetOpen => Value::Bool(self.port().1.open),
         }
     }
 
-    fn label_key_present(&self, id: KeyId) -> bool {
-        self.unit_view()
-            .is_some_and(|v| v.probe.key_vals.iter().any(|(k, _)| *k == id))
+    /// True when the current unit's labels contain the key (any value).
+    pub(crate) fn label_key_present(&self, id: KeyId) -> bool {
+        self.label_value(id).is_some()
     }
 
-    fn label_pair_present(&self, id: LabelId) -> bool {
-        self.unit_view()
-            .is_some_and(|v| v.probe.pair_ids.binary_search(&id).is_ok())
+    /// True when the current unit's labels contain the exact pair.
+    pub(crate) fn label_pair_present(&self, id: LabelId) -> bool {
+        self.unit().probe.pair_ids.binary_search(&id).is_ok()
     }
 
-    fn label_value(&self, id: KeyId) -> Option<&str> {
-        self.unit_view()?
+    /// The value the current unit's labels map the key to.
+    pub(crate) fn label_value(&self, id: KeyId) -> Option<&str> {
+        self.unit()
             .probe
             .key_vals
             .iter()
@@ -509,14 +384,10 @@ impl RuleResolver for EntityResolver<'_> {
             .map(|(_, v)| *v)
     }
 
-    fn port_declared(&self, port: u16, protocol: &str) -> bool {
-        let Some(view) = self.unit_view() else {
-            return false;
-        };
-        let Some(protocol) = parse_protocol(protocol) else {
-            return false;
-        };
-        view.unit.declares(port, protocol)
+    /// True when the current unit declares `(port, protocol)`; `protocol`
+    /// is the canonical upper-case name (`TCP`/`UDP`/`SCTP`).
+    pub(crate) fn port_declared(&self, port: u16, protocol: &str) -> bool {
+        parse_protocol(protocol).is_some_and(|protocol| self.unit().unit.declares(port, protocol))
     }
 }
 
@@ -534,30 +405,114 @@ pub(crate) fn parse_protocol(s: &str) -> Option<Protocol> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lang::builtins::{BuiltinKind, BUILTINS};
+    use crate::lang::compile::{compile, CompileEnv};
+    use crate::lang::parse;
+
+    /// The language reference these tests hold the implementation to.
+    const RULES_MD: &str = include_str!("../../../../docs/RULES.md");
+
+    /// The body rows of the markdown table whose header row starts with
+    /// `header`, split into trimmed cells.
+    fn table(header: &str) -> Vec<Vec<&'static str>> {
+        RULES_MD
+            .lines()
+            .skip_while(|line| !line.starts_with(header))
+            .take_while(|line| line.starts_with('|'))
+            .skip(2)
+            .map(|line| line.trim_matches('|').split(" | ").map(str::trim).collect())
+            .collect()
+    }
+
+    /// The backquoted spans of a table cell.
+    fn code_spans(cell: &str) -> Vec<&str> {
+        cell.split('`').skip(1).step_by(2).collect()
+    }
+
+    fn compile_in(select: Select, src: &str) -> Result<Type, String> {
+        let ast = parse(src).map_err(|e| e.message)?;
+        let mut interner = LabelInterner::new();
+        let mut env = CompileEnv {
+            select,
+            interner: &mut interner,
+        };
+        compile(&ast, &mut env)
+            .map(|c| c.ty().clone())
+            .map_err(|e| e.message)
+    }
 
     #[test]
-    fn schemas_nest_and_stay_dense() {
-        for select in [
-            Select::App,
-            Select::Unit,
-            Select::Socket,
-            Select::Service,
-            Select::ServicePort,
-        ] {
-            let (schema, keys) = schema_for(select);
-            assert_eq!(schema.len(), keys.len(), "{select:?}");
-            // Every broader scope embeds the app attributes.
-            for (name, _, _) in APP_ATTRS {
-                assert!(schema.lookup(name).is_some(), "{select:?} misses {name}");
+    fn documented_attributes_resolve_in_the_documented_scopes() {
+        // `select` → the attribute families it exposes; every scope nests
+        // the application attributes.
+        let scopes: Vec<(Select, Vec<&str>)> = table("| `select` |")
+            .into_iter()
+            .map(|row| {
+                let select = Select::parse(code_spans(row[0])[0]).expect("documented scope");
+                let mut families = vec!["app"];
+                for family in code_spans(row[2]) {
+                    families.push(family.strip_suffix(".*").expect("`family.*`"));
+                }
+                (select, families)
+            })
+            .collect();
+        assert_eq!(scopes.len(), 5, "every selection scope is documented");
+
+        let attrs = table("| attribute |");
+        let all = [
+            APP_ATTRS,
+            UNIT_ATTRS,
+            SOCKET_ATTRS,
+            SERVICE_ATTRS,
+            SERVICE_PORT_ATTRS,
+        ];
+        assert_eq!(
+            attrs.len(),
+            all.iter().map(|table| table.len()).sum::<usize>(),
+            "every attribute is documented once"
+        );
+        for row in attrs {
+            let name = code_spans(row[0])[0];
+            let ty = row[1];
+            let family = name.split('.').next().expect("dotted name");
+            for (select, families) in &scopes {
+                match compile_in(*select, name) {
+                    Ok(got) => {
+                        assert!(
+                            families.contains(&family),
+                            "`{name}` must not resolve in the `{}` scope",
+                            select.as_str()
+                        );
+                        assert_eq!(got.to_string(), ty, "type of `{name}`");
+                    }
+                    Err(message) => {
+                        assert!(
+                            !families.contains(&family),
+                            "`{name}` must resolve in the `{}` scope: {message}",
+                            select.as_str()
+                        );
+                        assert!(message.contains("unknown attribute"), "{message}");
+                    }
+                }
             }
         }
-        let (socket_schema, _) = schema_for(Select::Socket);
-        assert!(socket_schema.lookup("unit.host_network").is_some());
-        assert!(socket_schema.lookup("socket.port").is_some());
-        assert!(socket_schema.lookup("service.name").is_none());
-        assert_eq!(Select::parse("service_port"), Some(Select::ServicePort));
-        assert_eq!(Select::parse("pod"), None);
-        assert!(Select::Socket.unit_scoped());
-        assert!(!Select::ServicePort.unit_scoped());
+    }
+
+    #[test]
+    fn documented_builtins_resolve() {
+        let mut documented = 0;
+        for row in table("| builtin |") {
+            for call in code_spans(row[0]) {
+                let name = call.split('(').next().expect("call syntax");
+                assert!(BuiltinKind::lookup(name).is_some(), "`{name}` resolves");
+                documented += 1;
+            }
+        }
+        assert_eq!(
+            documented,
+            BUILTINS.len(),
+            "every builtin is documented once"
+        );
+        assert!(BuiltinKind::lookup("core.nope").is_none());
     }
 }

@@ -4,7 +4,7 @@
 
 use crate::finding::{Finding, MisconfigId};
 use crate::model::{ComputeUnit, StaticModel};
-use ij_model::{Protocol, Service, TargetPort};
+use ij_model::{Protocol, Service, ServicePort, TargetPort};
 use ij_probe::{ObservedSocket, RuntimeReport};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -48,6 +48,15 @@ impl<'a> RuleContext<'a> {
             .any(|(pod, _)| rt.pod(pod).is_some_and(|p| p.has_dynamic_ports()))
     }
 
+    /// True when a pod of the unit has the stable socket open (only
+    /// observed units can).
+    pub(crate) fn unit_listens(&self, unit: &str, socket: ObservedSocket) -> bool {
+        let Some(rt) = self.runtime else { return false };
+        self.ownership.iter().any(|(pod, owner)| {
+            owner == unit && rt.pod(pod).is_some_and(|p| p.stable.contains(&socket))
+        })
+    }
+
     /// True when the unit has at least one observed pod (rules about
     /// runtime deltas only make sense then).
     pub(crate) fn unit_observed(&self, unit: &str) -> bool {
@@ -55,6 +64,63 @@ impl<'a> RuleContext<'a> {
         self.ownership
             .iter()
             .any(|(pod, owner)| owner == unit && rt.pod(pod).is_some())
+    }
+}
+
+/// One service with its selection resolved.
+pub(crate) struct SvcView<'a> {
+    pub(crate) svc: &'a Service,
+    pub(crate) selected: Vec<&'a ComputeUnit>,
+}
+
+impl<'a> SvcView<'a> {
+    pub(crate) fn new(ctx: &RuleContext<'a>, svc: &'a Service) -> Self {
+        SvcView {
+            svc,
+            selected: ctx.statics.units_selected_by(svc),
+        }
+    }
+}
+
+/// What one service port mapping reaches among the service's selected
+/// units. Native M5 and the rule language's `port.*` attributes both read
+/// these facts.
+pub(crate) struct PortFacts {
+    /// The target port number: numeric targets as given, named targets
+    /// through the first selected unit that declares the name.
+    pub(crate) resolved: Option<u16>,
+    /// Some selected unit declares the resolved target.
+    pub(crate) declared: bool,
+    /// The probe observed at least one selected unit.
+    pub(crate) any_observed: bool,
+    /// An observed selected unit listens on the resolved target.
+    pub(crate) open: bool,
+}
+
+impl PortFacts {
+    pub(crate) fn compute(ctx: &RuleContext<'_>, view: &SvcView<'_>, sp: &ServicePort) -> Self {
+        let resolved = match &sp.target_port {
+            TargetPort::Number(n) => Some(*n),
+            TargetPort::Name(name) => view.selected.iter().find_map(|u| u.resolve_port_name(name)),
+        };
+        let declared =
+            resolved.is_some_and(|t| view.selected.iter().any(|u| u.declares(t, sp.protocol)));
+        let any_observed = view.selected.iter().any(|u| ctx.unit_observed(&u.name));
+        let open = resolved.is_some_and(|port| {
+            let socket = ObservedSocket {
+                port,
+                protocol: sp.protocol,
+            };
+            view.selected
+                .iter()
+                .any(|u| ctx.unit_listens(&u.name, socket))
+        });
+        PortFacts {
+            resolved,
+            declared,
+            any_observed,
+            open,
+        }
     }
 }
 
@@ -264,9 +330,9 @@ pub fn m4c_subset_collisions(ctx: &RuleContext<'_>) -> Vec<Finding> {
 pub fn m5_service_references(ctx: &RuleContext<'_>) -> Vec<Finding> {
     let mut findings = Vec::new();
     for svc in &ctx.statics.services {
-        let selected = ctx.statics.units_selected_by(svc);
+        let view = SvcView::new(ctx, svc);
         // M5D: no selector, or a selector that matches nothing.
-        if selected.is_empty() {
+        if view.selected.is_empty() {
             let why = if svc.spec.selector.is_empty() {
                 "service has no selector".to_string()
             } else {
@@ -281,62 +347,26 @@ pub fn m5_service_references(ctx: &RuleContext<'_>) -> Vec<Finding> {
             continue;
         }
         for sp in &svc.spec.ports {
-            // Resolve the target against the selected units.
-            let resolved: Option<u16> = match &sp.target_port {
-                TargetPort::Number(n) => Some(*n),
-                TargetPort::Name(name) => selected.iter().find_map(|u| u.resolve_port_name(name)),
-            };
-            let Some(target) = resolved else {
+            let facts = PortFacts::compute(ctx, &view, sp);
+            let (id, detail, port) = match (facts.resolved, &sp.target_port) {
                 // A named target no selected unit declares.
-                let name = match &sp.target_port {
-                    TargetPort::Name(n) => n.as_str(),
-                    TargetPort::Number(_) => unreachable!("numbers always resolve"),
-                };
-                findings.push(
-                    Finding::new(
-                        MisconfigId::M5B,
-                        ctx.app,
-                        svc.meta.qualified_name(),
-                        format!(
-                            "service targets port name `{name}` that no selected unit declares"
-                        ),
-                    )
-                    .with_port(sp.port, sp.protocol),
-                );
-                continue;
-            };
-            let declared_somewhere = selected.iter().any(|u| u.declares(target, sp.protocol));
-            if !declared_somewhere {
-                findings.push(
-                    Finding::new(
-                        MisconfigId::M5B,
-                        ctx.app,
-                        svc.meta.qualified_name(),
-                        format!(
-                            "service targets {target}/{} which no selected unit declares",
-                            sp.protocol
-                        ),
-                    )
-                    .with_port(target, sp.protocol),
-                );
-                continue;
-            }
-            // Declared: check whether it is actually open (needs runtime).
-            if ctx.runtime.is_some() {
-                let observed_units: Vec<_> = selected
-                    .iter()
-                    .filter(|u| ctx.unit_observed(&u.name))
-                    .collect();
-                if observed_units.is_empty() {
-                    continue;
-                }
-                let open = observed_units.iter().any(|u| {
-                    ctx.unit_stable(&u.name).contains(&ObservedSocket {
-                        port: target,
-                        protocol: sp.protocol,
-                    })
-                });
-                if !open {
+                (None, TargetPort::Name(name)) => (
+                    MisconfigId::M5B,
+                    format!("service targets port name `{name}` that no selected unit declares"),
+                    sp.port,
+                ),
+                (None, TargetPort::Number(_)) => unreachable!("numbers always resolve"),
+                (Some(target), _) if !facts.declared => (
+                    MisconfigId::M5B,
+                    format!(
+                        "service targets {target}/{} which no selected unit declares",
+                        sp.protocol
+                    ),
+                    target,
+                ),
+                // Declared but not open: needs runtime evidence about at
+                // least one selected unit.
+                (Some(target), _) if ctx.runtime.is_some() && facts.any_observed && !facts.open => {
                     let (id, what) = if svc.is_headless() {
                         (MisconfigId::M5C, "headless service port is not available")
                     } else {
@@ -345,17 +375,14 @@ pub fn m5_service_references(ctx: &RuleContext<'_>) -> Vec<Finding> {
                             "service targets a declared but unopened port",
                         )
                     };
-                    findings.push(
-                        Finding::new(
-                            id,
-                            ctx.app,
-                            svc.meta.qualified_name(),
-                            format!("{what}: {target}/{}", sp.protocol),
-                        )
-                        .with_port(target, sp.protocol),
-                    );
+                    (id, format!("{what}: {target}/{}", sp.protocol), target)
                 }
-            }
+                (Some(_), _) => continue,
+            };
+            findings.push(
+                Finding::new(id, ctx.app, svc.meta.qualified_name(), detail)
+                    .with_port(port, sp.protocol),
+            );
         }
     }
     findings

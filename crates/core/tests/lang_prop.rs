@@ -8,7 +8,7 @@
 //!    built-in pack with characters deleted, inserted, duplicated, or
 //!    replaced;
 //! 3. **Mutated pack documents** — the whole built-in pack source with the
-//!    same mutations applied, pushed through [`RulePack::load`].
+//!    same mutations applied, pushed through `RulePack::from_str`.
 //!
 //! The property is uniform: the pipeline must return `Ok` or a typed
 //! [`LangError`] whose span carries 1-based line/column positions inside
@@ -206,7 +206,7 @@ proptest! {
         }
     }
 
-    /// The whole built-in pack document, mutated: `RulePack::load` (and
+    /// The whole built-in pack document, mutated: `RulePack::from_str` (and
     /// registration of whatever survives) never panics.
     #[test]
     fn mutated_pack_documents_never_panic(

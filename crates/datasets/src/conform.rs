@@ -1,8 +1,8 @@
 //! Differential conformance over real on-disk charts.
 //!
 //! The analyzer's trustworthiness rests on a chain of equivalences: the
-//! compiled render equals the naive render byte-for-byte, the value-tree
-//! render equals the emit-and-reparse text path, the compiled policy index
+//! compiled render equals the naive render byte-for-byte, every rendered
+//! object survives emit → reparse → decode unchanged, the compiled policy index
 //! answers exactly like the naive [`PolicyEngine`] oracle, and interned
 //! findings carry the identity of their owned originals. Each link has its
 //! own property tests over *generated* inputs; this module closes the loop
@@ -24,7 +24,7 @@
 //! the losses — divergences first, then unsupported features by how many
 //! charts they cost.
 
-use ij_chart::{stamp_namespace, Chart, Release};
+use ij_chart::{Chart, Release};
 use ij_cluster::{Cluster, ClusterConfig, PolicyEngine};
 use ij_core::{chart_defines_network_policies, Analyzer, CompactFinding, SymbolTable};
 use ij_model::{NetworkPolicy, Object, Protocol};
@@ -377,19 +377,12 @@ fn conform_chart(dir: &Path, fixtures_dir: &Path) -> ChartConformance {
         );
     }
 
-    // Value-tree render: each document must survive emit + reparse exactly,
-    // and decoding the stream under the release namespace must reproduce
-    // the naive objects.
-    let docs = match compiled.render_values(&release) {
-        Ok(d) => d,
-        Err(e) => divergent!(
-            "render-values",
-            "naive render succeeded but render_values failed: {e}"
-        ),
-    };
-    let mut decoded_manifests = Vec::new();
-    for doc in docs.iter().filter(|d| !d.is_null()) {
-        let text = ij_yaml::to_string(doc);
+    // Emit fixpoint: each compiled object's document must survive emit +
+    // reparse exactly and decode back to the naive object, which keeps the
+    // YAML emitter checked on every fixture object.
+    for (obj, naive_manifest) in compiled_render.objects.iter().zip(&naive_manifests) {
+        let doc = obj.encode();
+        let text = ij_yaml::to_string(&doc);
         let back = match ij_yaml::parse(&text) {
             Ok(v) => v,
             Err(e) => divergent!(
@@ -397,27 +390,22 @@ fn conform_chart(dir: &Path, fixtures_dir: &Path) -> ChartConformance {
                 "emitted document failed to reparse: {e}\n{text}"
             ),
         };
-        if &back != doc {
+        if back != doc {
             divergent!(
                 "value-fixpoint",
                 "document changed across emit+reparse:\n{text}"
             );
         }
-        let mut obj = match Object::decode(&back) {
-            Ok(o) => o,
+        let decoded = match Object::decode(&back) {
+            Ok(o) => o.to_manifest(),
             Err(e) => divergent!("value-decode", "document failed to decode: {e}\n{text}"),
         };
-        stamp_namespace(&mut obj, CONFORM_NAMESPACE);
-        decoded_manifests.push(obj.to_manifest());
-    }
-    if decoded_manifests != naive_manifests {
-        divergent!(
-            "render-values",
-            "value-tree render decoded {} object(s) vs naive {}; first mismatch: {}",
-            decoded_manifests.len(),
-            naive_manifests.len(),
-            first_mismatch(&naive_manifests, &decoded_manifests)
-        );
+        if decoded != *naive_manifest {
+            divergent!(
+                "value-decode",
+                "emitted document decoded to a different object:\n--- naive ---\n{naive_manifest}\n--- decoded ---\n{decoded}"
+            );
+        }
     }
 
     // Install into a fresh simulated cluster. A denial is a feature gap of

@@ -9,7 +9,6 @@
 
 use ij_chart::{Release, RenderScratch};
 use ij_datasets::{build_app, corpus, AppSpec, NetpolSpec, Org, Plan};
-use ij_model::Object;
 use proptest::prelude::*;
 
 fn arb_netpol() -> impl Strategy<Value = NetpolSpec> {
@@ -119,45 +118,6 @@ proptest! {
         // Replaying the cached ASTs again changes nothing.
         let again = compiled.render(&release).expect("second replay renders");
         prop_assert_eq!(format!("{replay:#?}"), format!("{again:#?}"));
-    }
-
-    /// The direct-to-Value hot path carries a determinism contract: emitting
-    /// each [`ij_chart::CompiledChart::render_values`] document back to text
-    /// and reparsing it must reproduce the document exactly, and decoding the
-    /// stream under the release namespace must yield the oracle
-    /// [`ij_chart::Chart::render`] objects byte-for-byte.
-    #[test]
-    fn render_values_emitted_and_reparsed_matches_oracle(
-        plan in arb_plan(),
-        release in arb_release(),
-    ) {
-        let spec = AppSpec::new("prop-values", Org::Bitnami, "0.0.1", plan);
-        let built = build_app(&spec);
-
-        let oracle = built.chart().render(&release).expect("seed path renders");
-        let compiled = built.compiled().expect("corpus charts compile");
-        let docs = compiled.render_values(&release).expect("value path renders");
-
-        let mut decoded = Vec::with_capacity(docs.len());
-        for doc in &docs {
-            let emitted = ij_yaml::to_string(doc);
-            let reparsed = ij_yaml::parse(&emitted).expect("emitted document reparses");
-            prop_assert_eq!(
-                format!("{doc:#?}"),
-                format!("{reparsed:#?}"),
-                "emit/reparse round-trip changed a rendered document"
-            );
-            let mut obj = Object::decode(&reparsed).expect("document decodes");
-            if obj.kind() != "Namespace" && obj.meta().namespace == "default" {
-                obj.meta_mut().namespace = release.namespace.clone();
-            }
-            decoded.push(obj);
-        }
-        prop_assert_eq!(
-            format!("{:#?}", oracle.objects),
-            format!("{decoded:#?}"),
-            "render_values, emitted and reparsed, diverged from the oracle render"
-        );
     }
 
     /// Worker scratch must not leak state between apps: rendering two

@@ -14,7 +14,6 @@
 //! resource that owns a pod template (Deployment, StatefulSet, DaemonSet,
 //! ReplicaSet, Job) or a bare Pod.
 
-mod attrs;
 mod codec;
 mod endpoints;
 mod error;
@@ -26,7 +25,6 @@ mod pod;
 mod service;
 mod workload;
 
-pub use attrs::{AttrId, AttrSchema, AttrType};
 pub use endpoints::{EndpointAddress, Endpoints};
 pub use error::{Error, Result};
 pub use intern::{KeyId, LabelId, LabelInterner, LabelSet, SelectorMatcher};
