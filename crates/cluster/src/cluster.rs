@@ -6,6 +6,7 @@ use crate::dirty::{DirtyEntry, DirtyLog, DirtyScope, DirtySummary, DIRTY_LOG_CAP
 use crate::index::PolicyIndex;
 use crate::netpol::ConnectionVerdict;
 use crate::node::Node;
+use crate::release_index::{release_name, remap_positions, ReleaseIndex};
 use ij_chart::RenderedRelease;
 use ij_model::{
     EndpointAddress, Endpoints, Labels, NetworkPolicy, Object, ObjectMeta, Pod, Protocol, Service,
@@ -152,10 +153,14 @@ pub struct Cluster {
     /// Cached compiled [`PolicyIndex`] for [`Cluster::policy_index`],
     /// tagged with the generation it was built at.
     index_cache: Mutex<Option<(u64, Arc<PolicyIndex>)>>,
-    /// Qualified names of the workloads and bare pods applied or scaled
-    /// since the last [`Cluster::reconcile`] — the only objects it expands.
-    /// A name stays here while one of its pods cannot be scheduled.
-    pending: Vec<String>,
+    /// Positions of the workloads and bare pods applied or scaled since the
+    /// last [`Cluster::reconcile`]: it expands every pod-defining object
+    /// sharing one of their names. An object stays here while one of its
+    /// pods cannot be scheduled, and leaves when it is removed.
+    pending: Vec<usize>,
+    /// Where each release's objects, each name's objects and each running
+    /// pod sit; patched by every mutation, never rebuilt.
+    release_index: ReleaseIndex,
 }
 
 impl Cluster {
@@ -179,6 +184,7 @@ impl Cluster {
             dirty: DirtyLog::new(0, DIRTY_LOG_CAP),
             index_cache: Mutex::new(None),
             pending: Vec::new(),
+            release_index: ReleaseIndex::default(),
         }
     }
 
@@ -258,9 +264,36 @@ impl Cluster {
         &self.pods
     }
 
+    /// The objects of one release, in apply order: those whose
+    /// [`RELEASE_ANNOTATION`] is `release`, or with `None` those without
+    /// one. Served from the release index, so the cost follows the
+    /// release's size, not the cluster's.
+    pub fn release_objects<'a>(
+        &'a self,
+        release: Option<&'a str>,
+    ) -> impl Iterator<Item = &'a Object> + 'a {
+        self.release_index
+            .release(&self.objects, release)
+            .map(|pos| &self.objects[pos])
+    }
+
     /// Looks up a running pod by qualified name.
     pub fn pod(&self, qualified: &str) -> Option<&RunningPod> {
-        self.pods.iter().find(|p| is_named(&p.pod.meta, qualified))
+        let (namespace, name) = split_qualified(qualified);
+        self.release_index
+            .pods_named(&self.pods, namespace, name)
+            .next()
+            .map(|pos| &self.pods[pos])
+    }
+
+    /// The first service named `namespace/name`, in apply order.
+    fn service(&self, namespace: &str, name: &str) -> Option<&Service> {
+        self.release_index
+            .named(&self.objects, namespace, name)
+            .find_map(|pos| match &self.objects[pos] {
+                Object::Service(s) => Some(s),
+                _ => None,
+            })
     }
 
     /// Persisted services.
@@ -303,6 +336,15 @@ impl Cluster {
 
     /// Applies one object through the admission chain.
     pub fn apply(&mut self, object: Object) -> Result<Vec<String>, InstallError> {
+        let warnings = self.admit(object)?;
+        self.release_index
+            .add_objects(&self.objects, self.objects.len() - 1);
+        Ok(warnings)
+    }
+
+    /// [`apply`](Self::apply) without indexing the object: installs index
+    /// a release's objects in one batch.
+    fn admit(&mut self, object: Object) -> Result<Vec<String>, InstallError> {
         let mut warnings = Vec::new();
         for controller in &self.admission {
             let review = AdmissionReview {
@@ -340,15 +382,15 @@ impl Cluster {
                 self.cluster_ips.insert(s.meta.qualified_name(), ip);
             }
         }
-        let scope = match object.meta().annotations.get(RELEASE_ANNOTATION) {
-            Some(release) => DirtyScope::App(release.clone()),
+        let scope = match release_name(&object) {
+            Some(release) => DirtyScope::App(release.to_string()),
             None => DirtyScope::Unattributed,
         };
         // Policies change verdicts and per-app policy rules, but not the
         // labelled object sets cluster-wide label analysis consumes.
         let labels = !matches!(object, Object::NetworkPolicy(_));
-        if let Some(meta) = definer_meta(&object) {
-            self.pending.push(meta.qualified_name());
+        if definer_meta(&object).is_some() {
+            self.pending.push(self.objects.len());
         }
         self.objects.push(object);
         self.touch(DirtyEntry {
@@ -376,28 +418,32 @@ impl Cluster {
         objects: &[Object],
     ) -> Result<Vec<String>, InstallError> {
         let checkpoint = self.objects.len();
+        self.objects.reserve(objects.len());
         let mut warnings = Vec::new();
         for obj in objects {
             let mut obj = obj.clone();
             obj.meta_mut()
                 .annotations
                 .insert(RELEASE_ANNOTATION.to_string(), release_name.to_string());
-            match self.apply(obj) {
+            match self.admit(obj) {
                 Ok(mut w) => warnings.append(&mut w),
                 Err(e) => {
                     // Roll back the ClusterIPs of services applied before
-                    // the denial along with the objects themselves.
+                    // the denial along with the objects themselves; none of
+                    // them was indexed yet.
                     for rolled_back in &self.objects[checkpoint..] {
                         if let Object::Service(s) = rolled_back {
                             self.cluster_ips.remove(&s.meta.qualified_name());
                         }
                     }
                     self.objects.truncate(checkpoint);
+                    self.pending.retain(|&pos| pos < checkpoint);
                     self.touch(DirtyEntry::app(release_name, true, false));
                     return Err(e);
                 }
             }
         }
+        self.release_index.add_objects(&self.objects, checkpoint);
         self.reconcile();
         Ok(warnings)
     }
@@ -405,39 +451,48 @@ impl Cluster {
     /// Uninstalls a release: removes every object stamped with its name,
     /// reaps the pods those objects defined (unless a remaining object
     /// still desires the same pod) and releases the ClusterIPs of its
-    /// services. Other releases are untouched.
+    /// services. Other releases are untouched, and are not visited: the
+    /// release index yields the release's objects and the pods each of
+    /// them may have expanded to.
     pub fn uninstall(&mut self, release_name: &str) {
-        let mut removed_services: Vec<String> = Vec::new();
-        let mut removed_definers: Vec<String> = Vec::new();
-        self.objects.retain(|o| {
-            let keep = o
-                .meta()
-                .annotations
-                .get(RELEASE_ANNOTATION)
-                .map(String::as_str)
-                != Some(release_name);
-            if !keep {
-                if let Object::Service(s) = o {
-                    removed_services.push(s.meta.qualified_name());
-                }
-                if let Some(meta) = definer_meta(o) {
-                    removed_definers.push(meta.qualified_name());
-                }
+        let removed: Vec<usize> = self
+            .release_index
+            .release(&self.objects, Some(release_name))
+            .collect();
+        let mut reaped: Vec<usize> = Vec::new();
+        for &pos in &removed {
+            let object = &self.objects[pos];
+            if let Object::Service(s) = object {
+                self.cluster_ips.remove(&s.meta.qualified_name());
             }
-            keep
-        });
-        for service in &removed_services {
-            self.cluster_ips.remove(service);
+            if let Some(meta) = definer_meta(object) {
+                reaped.extend(self.release_index.pods_under(
+                    &self.pods,
+                    &meta.namespace,
+                    &meta.name,
+                ));
+            }
         }
-        if !removed_definers.is_empty() {
-            let (objects, nodes) = (&self.objects, &self.nodes);
-            self.pods.retain(|rp| {
-                !removed_definers.iter().any(|q| may_define(q, &rp.pod.meta))
-                    || objects.iter().any(|o| desires(o, nodes, &rp.pod.meta))
-            });
+        if !removed.is_empty() {
+            let remap = self
+                .release_index
+                .remove_objects(&mut self.objects, &removed);
+            remap_positions(&mut self.pending, remap, |pos| pos);
         }
+        reaped.sort_unstable();
+        reaped.dedup();
+        reaped.retain(|&pos| !self.desired(&self.pods[pos].pod.meta));
+        self.release_index.remove_pods(&mut self.pods, &reaped);
         self.events.push(format!("uninstall {release_name}"));
         self.touch(DirtyEntry::app(release_name, true, true));
+    }
+
+    /// True when some object desires the pod `pod`. Only an object named
+    /// like the pod, or like a `-`-separated prefix of its name, can.
+    fn desired(&self, pod: &ObjectMeta) -> bool {
+        self.release_index
+            .prefix_named(&pod.namespace, &pod.name)
+            .any(|pos| desires(&self.objects[pos], &self.nodes, pod))
     }
 
     /// Removes everything — the paper's per-application fresh cluster.
@@ -446,6 +501,7 @@ impl Cluster {
         self.pods.clear();
         self.cluster_ips.clear();
         self.pending.clear();
+        self.release_index.clear();
         self.events.push("reset".to_string());
         self.touch(DirtyEntry {
             scope: DirtyScope::AllApps,
@@ -457,10 +513,12 @@ impl Cluster {
     }
 
     /// Runs the controller loop over the workloads and bare pods applied or
-    /// scaled since the last call: expands them into pods (workloads first,
-    /// then bare pods, each in object order), schedules and starts the
-    /// missing ones, then reaps their running pods that no object desires
-    /// any more (scale-downs). Objects nobody touched are not visited, so
+    /// scaled since the last call: expands every pod-defining object that
+    /// shares a name with one of them into pods (workloads first, then bare
+    /// pods, each in object order), schedules and starts the missing ones,
+    /// then reaps the running pods those names may have expanded to that no
+    /// object desires any more (scale-downs). The release index answers
+    /// every lookup, so objects and pods nobody touched are not visited and
     /// the cost follows the mutation, not the cluster. An object whose pods
     /// could not be scheduled (no worker nodes) stays pending and is retried
     /// by the next call. Idempotent.
@@ -468,39 +526,34 @@ impl Cluster {
         if self.pending.is_empty() {
             return;
         }
-        // Sorted by (namespace, name) so each object's lookup is a binary
-        // search: one install of a large chart stays linear.
-        let mut dirty = std::mem::take(&mut self.pending);
-        dirty.sort_unstable_by(|a, b| split_qualified(a).cmp(&split_qualified(b)));
-        dirty.dedup();
+        let dirty = std::mem::take(&mut self.pending);
+        let (objects, index) = (&self.objects, &self.release_index);
+        let mut expand: Vec<usize> = Vec::new();
+        for &pos in &dirty {
+            let meta = objects[pos].meta();
+            expand.extend(
+                index
+                    .named(objects, &meta.namespace, &meta.name)
+                    .filter(|&pos| definer_meta(&objects[pos]).is_some()),
+            );
+        }
+        expand.sort_unstable_by_key(|&pos| (!matches!(objects[pos], Object::Workload(_)), pos));
+        expand.dedup();
         let running = self.pods.len();
-        let is_running = |ns: &str, name: &str| {
-            self.pods
-                .iter()
-                .any(|rp| rp.pod.meta.name == name && rp.pod.meta.namespace == ns)
-        };
         let mut starts: Vec<(usize, String)> = Vec::new();
-        for workloads_pass in [true, false] {
-            for (i, o) in self.objects.iter().enumerate() {
-                let Some(meta) = definer_meta(o) else {
-                    continue;
-                };
-                if matches!(o, Object::Workload(_)) != workloads_pass
-                    || dirty
-                        .binary_search_by(|q| {
-                            split_qualified(q).cmp(&(meta.namespace.as_str(), meta.name.as_str()))
-                        })
-                        .is_err()
+        for pos in expand {
+            let namespace = &objects[pos].meta().namespace;
+            for name in desired_pod_names(&objects[pos], &self.nodes) {
+                if index
+                    .pods_named(&self.pods, namespace, &name)
+                    .next()
+                    .is_none()
                 {
-                    continue;
-                }
-                for name in desired_pod_names(o, &self.nodes) {
-                    if !is_running(&meta.namespace, &name) {
-                        starts.push((i, name));
-                    }
+                    starts.push((pos, name));
                 }
             }
         }
+        self.pods.reserve(starts.len());
         for (i, name) in starts {
             let (pod, owner) = match &self.objects[i] {
                 Object::Workload(w) => (
@@ -518,46 +571,38 @@ impl Cluster {
                 Object::Pod(p) => (p.clone(), None),
                 _ => unreachable!("only workloads and bare pods are expanded"),
             };
-            let release = self.objects[i]
-                .meta()
-                .annotations
-                .get(RELEASE_ANNOTATION)
-                .cloned();
+            let release = release_name(&self.objects[i]).map(str::to_string);
             if !self.start_pod(pod, owner, release) {
-                self.pending.push(self.objects[i].qualified_name());
+                self.pending.push(i);
             }
         }
 
         // Scale-down: a dirty object now desires fewer pods than are
         // running. Pods started above are desired by construction; older
-        // ones are reaped only when no object at all desires them. Recent
-        // objects sit at the end, so the search runs newest first.
-        let (objects, nodes) = (&self.objects, &self.nodes);
-        let stale: Vec<usize> = (0..running)
-            .filter(|&i| {
-                let meta = &self.pods[i].pod.meta;
-                dirty.iter().any(|q| may_define(q, meta))
-                    && !objects.iter().rev().any(|o| desires(o, nodes, meta))
-            })
-            .collect();
+        // ones are reaped only when no object at all desires them.
+        let mut stale: Vec<usize> = Vec::new();
+        for &pos in &dirty {
+            let meta = self.objects[pos].meta();
+            stale.extend(
+                self.release_index
+                    .pods_under(&self.pods, &meta.namespace, &meta.name)
+                    .filter(|&pod| pod < running),
+            );
+        }
+        stale.sort_unstable();
+        stale.dedup();
+        stale.retain(|&pos| !self.desired(&self.pods[pos].pod.meta));
         if stale.is_empty() {
             return;
         }
         let reaped: Vec<(String, Option<String>)> = stale
             .iter()
-            .map(|&i| {
-                (
-                    self.pods[i].qualified_name(),
-                    self.release_of(&self.pods[i]),
-                )
+            .map(|&pos| {
+                let rp = &self.pods[pos];
+                (rp.qualified_name(), self.release_of(rp))
             })
             .collect();
-        let mut index = 0;
-        self.pods.retain(|_| {
-            let keep = stale.binary_search(&index).is_err();
-            index += 1;
-            keep
-        });
+        self.release_index.remove_pods(&mut self.pods, &stale);
         for (name, release) in reaped {
             self.events.push(format!("reap {name}"));
             self.touch(DirtyEntry {
@@ -569,19 +614,25 @@ impl Cluster {
     }
 
     /// The release a running pod belongs to, resolved through its defining
-    /// object (owner workload, or the bare pod object itself).
+    /// object (owner workload, or the bare pod object itself): the first
+    /// object of that name in apply order.
     fn release_of(&self, rp: &RunningPod) -> Option<String> {
-        self.objects
-            .iter()
-            .find(|o| match &rp.owner {
-                Some(owner) => is_named(o.meta(), owner),
-                None => {
-                    o.meta().name == rp.pod.meta.name && o.meta().namespace == rp.pod.meta.namespace
-                }
+        let (namespace, name) = match &rp.owner {
+            Some(owner) => split_qualified(owner),
+            None => (rp.pod.meta.namespace.as_str(), rp.pod.meta.name.as_str()),
+        };
+        self.release_index
+            .named(&self.objects, namespace, name)
+            .next()
+            .and_then(|pos| release_name(&self.objects[pos]))
+            .or_else(|| {
+                rp.pod
+                    .meta
+                    .annotations
+                    .get(RELEASE_ANNOTATION)
+                    .map(String::as_str)
             })
-            .and_then(|o| o.meta().annotations.get(RELEASE_ANNOTATION))
-            .or_else(|| rp.pod.meta.annotations.get(RELEASE_ANNOTATION))
-            .cloned()
+            .map(str::to_string)
     }
 
     /// Updates a workload's replica count in place (`kubectl scale`),
@@ -589,16 +640,21 @@ impl Cluster {
     /// Call [`Cluster::reconcile`] to realize the change — spawn new pods
     /// or reap excess ones.
     pub fn scale_workload(&mut self, qualified: &str, replicas: u32) -> bool {
-        let Some(w) = self.objects.iter_mut().find_map(|o| match o {
-            Object::Workload(w) if is_named(&w.meta, qualified) => Some(w),
-            _ => None,
-        }) else {
+        let (namespace, name) = split_qualified(qualified);
+        let Some(pos) = self
+            .release_index
+            .named(&self.objects, namespace, name)
+            .find(|&pos| matches!(self.objects[pos], Object::Workload(_)))
+        else {
             return false;
+        };
+        let Object::Workload(w) = &mut self.objects[pos] else {
+            unreachable!("found as a workload");
         };
         w.replicas = replicas;
         let release = w.meta.annotations.get(RELEASE_ANNOTATION).cloned();
         self.events.push(format!("scale {qualified} to {replicas}"));
-        self.pending.push(qualified.to_string());
+        self.pending.push(pos);
         self.touch(DirtyEntry {
             scope: release.map_or(DirtyScope::Unattributed, DirtyScope::App),
             labels: false,
@@ -671,6 +727,7 @@ impl Cluster {
             sockets,
             owner,
         });
+        self.release_index.add_pod(&self.pods, self.pods.len() - 1);
         self.touch(DirtyEntry {
             scope: release.map_or(DirtyScope::Unattributed, DirtyScope::App),
             labels: false,
@@ -754,45 +811,47 @@ impl Cluster {
     /// container declares produce none.
     pub fn endpoints(&self) -> Vec<Endpoints> {
         self.services()
-            .map(|svc| {
-                let mut addresses = Vec::new();
-                if !svc.spec.selector.is_empty() {
-                    for rp in &self.pods {
-                        if rp.pod.meta.namespace != svc.meta.namespace {
-                            continue;
-                        }
-                        if !rp.pod.meta.labels.contains_all(&svc.spec.selector) {
-                            continue;
-                        }
-                        for sp in &svc.spec.ports {
-                            let target = match &sp.target_port {
-                                TargetPort::Number(n) => Some(*n),
-                                TargetPort::Name(name) => rp.pod.resolve_port_name(name),
-                            };
-                            let Some(target) = target else { continue };
-                            addresses.push(EndpointAddress {
-                                ip: rp.ip.clone(),
-                                pod: rp.qualified_name(),
-                                port: target,
-                                protocol: sp.protocol,
-                                port_name: sp.name.clone(),
-                            });
-                        }
-                    }
-                }
-                Endpoints {
-                    meta: svc.meta.clone(),
-                    addresses,
-                }
-            })
+            .map(|svc| self.service_endpoints(svc))
             .collect()
     }
 
     /// Endpoints for one service.
     pub fn endpoints_for(&self, namespace: &str, name: &str) -> Option<Endpoints> {
-        self.endpoints()
-            .into_iter()
-            .find(|e| e.meta.namespace == namespace && e.meta.name == name)
+        self.service(namespace, name)
+            .map(|svc| self.service_endpoints(svc))
+    }
+
+    /// The endpoints object of one service (see [`Cluster::endpoints`]).
+    fn service_endpoints(&self, svc: &Service) -> Endpoints {
+        let mut addresses = Vec::new();
+        if !svc.spec.selector.is_empty() {
+            for rp in &self.pods {
+                if rp.pod.meta.namespace != svc.meta.namespace {
+                    continue;
+                }
+                if !rp.pod.meta.labels.contains_all(&svc.spec.selector) {
+                    continue;
+                }
+                for sp in &svc.spec.ports {
+                    let target = match &sp.target_port {
+                        TargetPort::Number(n) => Some(*n),
+                        TargetPort::Name(name) => rp.pod.resolve_port_name(name),
+                    };
+                    let Some(target) = target else { continue };
+                    addresses.push(EndpointAddress {
+                        ip: rp.ip.clone(),
+                        pod: rp.qualified_name(),
+                        port: target,
+                        protocol: sp.protocol,
+                        port_name: sp.name.clone(),
+                    });
+                }
+            }
+        }
+        Endpoints {
+            meta: svc.meta.clone(),
+            addresses,
+        }
     }
 
     /// The virtual IP assigned to a (non-headless) service.
@@ -805,17 +864,16 @@ impl Cluster {
     /// Cluster-DNS resolution: ClusterIP for normal services, the backing
     /// pod IPs for headless ones.
     pub fn resolve_dns(&self, namespace: &str, name: &str) -> Vec<String> {
-        let Some(svc) = self
-            .services()
-            .find(|s| s.meta.namespace == namespace && s.meta.name == name)
-        else {
+        let Some(svc) = self.service(namespace, name) else {
             return Vec::new();
         };
         if svc.is_headless() {
             let mut ips: Vec<String> = self
-                .endpoints_for(namespace, name)
-                .map(|e| e.addresses.iter().map(|a| a.ip.clone()).collect())
-                .unwrap_or_default();
+                .service_endpoints(svc)
+                .addresses
+                .into_iter()
+                .map(|a| a.ip)
+                .collect();
             ips.sort();
             ips.dedup();
             ips
@@ -843,19 +901,13 @@ impl Cluster {
         let Some(src_idx) = index.pod_index(src) else {
             return Vec::new();
         };
-        let Some(svc) = self
-            .services()
-            .find(|s| s.meta.namespace == namespace && s.meta.name == name)
-        else {
+        let Some(svc) = self.service(namespace, name) else {
             return Vec::new();
         };
         let Some(sp) = svc.spec.ports.iter().find(|p| p.port == port) else {
             return Vec::new();
         };
-        let endpoints = match self.endpoints_for(namespace, name) {
-            Some(e) => e,
-            None => return Vec::new(),
-        };
+        let endpoints = self.service_endpoints(svc);
         let mut receivers = Vec::new();
         for addr in &endpoints.addresses {
             if addr.port_name != sp.name {
@@ -917,24 +969,6 @@ fn split_qualified(qualified: &str) -> (&str, &str) {
     qualified.split_once('/').unwrap_or((qualified, ""))
 }
 
-/// True when `meta` carries the qualified `namespace/name`, compared
-/// without allocating the qualified form.
-fn is_named(meta: &ObjectMeta, qualified: &str) -> bool {
-    split_qualified(qualified) == (meta.namespace.as_str(), meta.name.as_str())
-}
-
-/// True when a pod could have been expanded from the object named
-/// `qualified`: same namespace, and the object's own name or a
-/// `name-<suffix>` of it.
-fn may_define(qualified: &str, pod: &ObjectMeta) -> bool {
-    let (ns, name) = split_qualified(qualified);
-    ns == pod.namespace
-        && pod
-            .name
-            .strip_prefix(name)
-            .is_some_and(|rest| rest.is_empty() || rest.starts_with('-'))
-}
-
 /// The names of the pods an object desires: one per replica for
 /// workloads (`name-<i>`, none at `replicas: 0`), one per node for
 /// DaemonSets (`name-<node>`), the pod itself for a bare pod.
@@ -984,6 +1018,35 @@ mod tests {
     use super::*;
     use crate::behavior::{ContainerBehavior, ListenerSpec};
     use ij_chart::{Chart, Release};
+
+    /// True when a pod could have been expanded from the object named
+    /// `qualified`: same namespace, and the object's own name or a
+    /// `name-<suffix>` of it.
+    fn may_define(qualified: &str, pod: &ObjectMeta) -> bool {
+        let (ns, name) = split_qualified(qualified);
+        ns == pod.namespace
+            && pod
+                .name
+                .strip_prefix(name)
+                .is_some_and(|rest| rest.is_empty() || rest.starts_with('-'))
+    }
+
+    impl Cluster {
+        /// Panics unless the release index equals one rebuilt from the
+        /// objects and pods, and every pending entry is a pod-defining
+        /// object.
+        fn assert_index_exact(&self, context: &str) {
+            self.release_index
+                .assert_exact(&self.objects, &self.pods, context);
+            for &pos in &self.pending {
+                let object = self.objects.get(pos);
+                assert!(
+                    object.and_then(definer_meta).is_some(),
+                    "{context}: pending entry {pos} is no pod-defining object"
+                );
+            }
+        }
+    }
 
     fn demo_chart() -> Chart {
         Chart::builder("demo")
@@ -1670,7 +1733,11 @@ spec:
                 };
                 if desires_pods {
                     assert!(
-                        cluster.pending.contains(&o.qualified_name()),
+                        cluster
+                            .pending
+                            .iter()
+                            .any(|&pos| cluster.objects[pos].qualified_name()
+                                == o.qualified_name()),
                         "{context}: {} dropped from the pending set",
                         o.qualified_name()
                     );
@@ -1692,9 +1759,51 @@ spec:
         assert!(cluster.dirty_since(generation).is_clean(), "{context}");
     }
 
+    /// Uninstalls `release` and checks the reap against a full scan of a
+    /// snapshot taken before it: the pods a removed pod-defining object
+    /// may have expanded to that no remaining object desires go, and every
+    /// other pod stays as it was, in order. Returns the number reaped.
+    fn uninstall_checked(cluster: &mut Cluster, release: &str, context: &str) -> usize {
+        let in_release = |o: &Object| {
+            o.meta()
+                .annotations
+                .get(RELEASE_ANNOTATION)
+                .map(String::as_str)
+                == Some(release)
+        };
+        let pod_row = |rp: &RunningPod| (rp.qualified_name(), rp.node.clone(), rp.ip.clone());
+        let expected: Vec<_> = cluster
+            .pods()
+            .iter()
+            .filter(|rp| {
+                let meta = &rp.pod.meta;
+                let removed = cluster.objects().iter().any(|o| {
+                    in_release(o)
+                        && definer_meta(o).is_some()
+                        && may_define(&o.qualified_name(), meta)
+                });
+                let desired = cluster
+                    .objects()
+                    .iter()
+                    .any(|o| !in_release(o) && desires(o, cluster.nodes(), meta));
+                !removed || desired
+            })
+            .map(pod_row)
+            .collect();
+        let before = cluster.pods().len();
+        cluster.uninstall(release);
+        assert!(
+            !cluster.objects().iter().any(in_release),
+            "{context}: uninstall left objects of {release}"
+        );
+        let kept: Vec<_> = cluster.pods().iter().map(pod_row).collect();
+        assert_eq!(kept, expected, "{context}: uninstall of {release}");
+        before - kept.len()
+    }
+
     #[test]
     fn scoped_reconcile_matches_the_full_scan_oracle() {
-        let (mut starts, mut reaps) = (0, 0);
+        let (mut starts, mut reaps, mut uninstall_reaps) = (0, 0, 0);
         for nodes in [3, 0] {
             for seed in 0..256u64 {
                 let mut rng = StdRng::seed_from_u64(seed);
@@ -1727,7 +1836,9 @@ spec:
                                 rng.gen_range(0..4u32),
                             );
                         }
-                        60..=74 => cluster.uninstall(release),
+                        60..=74 => {
+                            uninstall_reaps += uninstall_checked(&mut cluster, release, &context);
+                        }
                         75..=77 => cluster.reset(),
                         78..=84 => cluster.restart_pods(),
                         _ => {
@@ -1735,6 +1846,7 @@ spec:
                             assert_converged(&mut cluster, &context);
                         }
                     }
+                    cluster.assert_index_exact(&context);
                 }
                 cluster.reconcile();
                 assert_converged(&mut cluster, &format!("nodes {nodes}, seed {seed}, end"));
@@ -1751,7 +1863,7 @@ spec:
             }
         }
         assert!(
-            starts > 0 && reaps > 0,
+            starts > 0 && reaps > 0 && uninstall_reaps > 0,
             "the streams must start and reap pods"
         );
     }

@@ -44,6 +44,7 @@ pub mod dirty;
 pub mod index;
 pub mod netpol;
 pub mod node;
+mod release_index;
 
 pub use admission::{AdmissionController, AdmissionOutcome, AdmissionReview};
 pub use behavior::{BehaviorRegistry, ContainerBehavior, ListenerSpec, PortSpec};

@@ -1,0 +1,364 @@
+//! The release index: where each release's objects sit in the cluster's
+//! object list, and `(namespace, name)` lookups for objects and running
+//! pods.
+//!
+//! The cluster keeps its objects and pods in plain vectors (apply order and
+//! start order are observable: [`Cluster::objects`] returns the first, the
+//! scheduler round-robins over the second). This index holds positions into
+//! both, so that a serve-path mutation (an uninstall, a reconcile of what
+//! was applied or scaled, an audit tick collecting one release) finds what
+//! it touches without walking the whole cluster:
+//!
+//! * `by_release`: `(release key, position)` for every object, sorted, so
+//!   one release's objects form one run in apply order;
+//! * `by_name`: `(name key, position)` for every object, sorted, so the
+//!   objects sharing a `(namespace, name)` form one run in apply order;
+//! * `pods`: running-pod positions sorted by `(namespace, name)`, then
+//!   position, so the pods an object named `n` may have expanded to (`n`
+//!   itself or `n-…`) form one contiguous stretch.
+//!
+//! Keys are 64-bit FNV-1a hashes, never owned strings; every lookup
+//! re-checks the object it lands on, so a hash collision costs a skipped
+//! entry, not a wrong answer. Adding objects merges one sorted batch, adding
+//! a pod is one binary insertion, and removing positions shifts the later
+//! ones down in a single pass over integers. The index never allocates per
+//! object or per pod: its vectors only grow.
+//!
+//! [`Cluster::objects`]: crate::Cluster::objects
+
+use crate::cluster::{RunningPod, RELEASE_ANNOTATION};
+use ij_model::Object;
+
+/// The remap entry of a removed position.
+const GONE: usize = usize::MAX;
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Separates the parts of a key. Never part of UTF-8 text, so no two
+/// different part lists feed the hash the same bytes.
+const SEPARATOR: u8 = 0xff;
+
+fn fnv(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(FNV_PRIME);
+    }
+    hash
+}
+
+/// The [`RELEASE_ANNOTATION`] value of an object, if any.
+pub(crate) fn release_name(o: &Object) -> Option<&str> {
+    o.meta()
+        .annotations
+        .get(RELEASE_ANNOTATION)
+        .map(String::as_str)
+}
+
+/// The key of a release; `None` is the unattributed objects' key.
+fn release_key(release: Option<&str>) -> u64 {
+    match release {
+        None => FNV_OFFSET,
+        Some(name) => fnv(fnv(FNV_OFFSET, &[SEPARATOR]), name.as_bytes()),
+    }
+}
+
+/// The key of a `(namespace, name)` pair.
+fn name_key(namespace: &str, name: &str) -> u64 {
+    fnv(namespace_key(namespace), name.as_bytes())
+}
+
+/// The name key of an object.
+fn object_name_key(o: &Object) -> u64 {
+    name_key(&o.meta().namespace, &o.meta().name)
+}
+
+/// The hash state [`name_key`] extends with the name's bytes.
+fn namespace_key(namespace: &str) -> u64 {
+    fnv(fnv(FNV_OFFSET, namespace.as_bytes()), &[SEPARATOR])
+}
+
+/// The name keys of `namespace/name` and of every `-`-separated prefix of
+/// `name` (`a`, `a-b`, … for `a-b-c`).
+fn prefix_keys<'a>(namespace: &str, name: &'a str) -> impl Iterator<Item = u64> + 'a {
+    let mut hash = namespace_key(namespace);
+    name.bytes()
+        .filter_map(move |b| {
+            let prefix = (b == b'-').then_some(hash);
+            hash = fnv(hash, &[b]);
+            prefix
+        })
+        .chain(std::iter::once(name_key(namespace, name)))
+}
+
+/// The positions stored under `key` in a sorted `(key, position)` list,
+/// ascending.
+fn run(list: &[(u64, usize)], key: u64) -> impl Iterator<Item = usize> + '_ {
+    let start = list.partition_point(|&(k, _)| k < key);
+    list[start..]
+        .iter()
+        .take_while(move |&&(k, _)| k == key)
+        .map(|&(_, pos)| pos)
+}
+
+/// Merges `batch` (sorted) into the sorted `list`, back to front: each
+/// batch entry finds its place by binary search and the old entries after
+/// it move up in one block, so a batch of one is a single insertion.
+fn merge(list: &mut Vec<(u64, usize)>, batch: &[(u64, usize)]) {
+    let mut old = list.len();
+    list.extend_from_slice(batch);
+    for (before, &entry) in batch.iter().enumerate().rev() {
+        let at = list[..old].partition_point(|&e| e < entry);
+        list.copy_within(at..old, at + before + 1);
+        list[at + before] = entry;
+        old = at;
+    }
+}
+
+/// Rewrites the positions in `list` (found by `pos`) through `remap`,
+/// dropping the removed ones; order is kept because the remap is monotonic.
+pub(crate) fn remap_positions<T>(
+    list: &mut Vec<T>,
+    remap: &[usize],
+    pos: fn(&mut T) -> &mut usize,
+) {
+    list.retain_mut(|entry| {
+        let pos = pos(entry);
+        *pos = remap[*pos];
+        *pos != GONE
+    });
+}
+
+/// Removes the items at `removed` (ascending positions) from `items`, and
+/// fills `remap` with each old position's new one ([`GONE`] if removed).
+fn remove_at<T>(items: &mut Vec<T>, removed: &[usize], remap: &mut Vec<usize>) {
+    remap.clear();
+    let mut gone = removed.iter().copied().peekable();
+    let mut next = 0;
+    for pos in 0..items.len() {
+        if gone.next_if_eq(&pos).is_some() {
+            remap.push(GONE);
+        } else {
+            remap.push(next);
+            next += 1;
+        }
+    }
+    let mut pos = 0;
+    items.retain(|_| {
+        pos += 1;
+        remap[pos - 1] != GONE
+    });
+}
+
+/// `(namespace, name)` of a running pod.
+fn pod_name(pods: &[RunningPod], pos: usize) -> (&str, &str) {
+    let meta = &pods[pos].pod.meta;
+    (meta.namespace.as_str(), meta.name.as_str())
+}
+
+/// Positions into the cluster's objects and pods; see the module docs.
+#[derive(Debug, Default)]
+pub(crate) struct ReleaseIndex {
+    by_release: Vec<(u64, usize)>,
+    by_name: Vec<(u64, usize)>,
+    pods: Vec<usize>,
+    /// Reused buffer: the sorted batch [`ReleaseIndex::add_objects`] merges.
+    batch: Vec<(u64, usize)>,
+    /// Reused buffer: old position → new position of the last removal.
+    remap: Vec<usize>,
+}
+
+impl ReleaseIndex {
+    /// Forgets everything (the cluster was reset).
+    pub(crate) fn clear(&mut self) {
+        self.by_release.clear();
+        self.by_name.clear();
+        self.pods.clear();
+    }
+
+    /// Indexes the objects appended at `from..`.
+    pub(crate) fn add_objects(&mut self, objects: &[Object], from: usize) {
+        let added = objects[from..].iter().zip(from..);
+        self.batch.clear();
+        self.batch.extend(
+            added
+                .clone()
+                .map(|(o, pos)| (release_key(release_name(o)), pos)),
+        );
+        self.batch.sort_unstable();
+        merge(&mut self.by_release, &self.batch);
+        self.batch.clear();
+        self.batch
+            .extend(added.map(|(o, pos)| (object_name_key(o), pos)));
+        self.batch.sort_unstable();
+        merge(&mut self.by_name, &self.batch);
+    }
+
+    /// Positions of the objects of `release` (`None`: those without a
+    /// release annotation), in apply order.
+    pub(crate) fn release<'a>(
+        &'a self,
+        objects: &'a [Object],
+        release: Option<&'a str>,
+    ) -> impl Iterator<Item = usize> + 'a {
+        run(&self.by_release, release_key(release))
+            .filter(move |&pos| release_name(&objects[pos]) == release)
+    }
+
+    /// Positions of the objects of any kind named `namespace/name`, in
+    /// apply order.
+    pub(crate) fn named<'a>(
+        &'a self,
+        objects: &'a [Object],
+        namespace: &'a str,
+        name: &'a str,
+    ) -> impl Iterator<Item = usize> + 'a {
+        run(&self.by_name, name_key(namespace, name)).filter(move |&pos| {
+            let meta = objects[pos].meta();
+            meta.namespace == namespace && meta.name == name
+        })
+    }
+
+    /// Positions of the objects that may be named `namespace/name` or like
+    /// a `-`-separated prefix of `name`: the only objects that can desire a
+    /// pod so named. The caller checks the names.
+    pub(crate) fn prefix_named<'a>(
+        &'a self,
+        namespace: &str,
+        name: &'a str,
+    ) -> impl Iterator<Item = usize> + 'a {
+        prefix_keys(namespace, name).flat_map(move |key| run(&self.by_name, key))
+    }
+
+    /// Removes the objects at `removed` (ascending) from `objects` and the
+    /// index; returns each old position's new one ([`GONE`] if removed)
+    /// for [`remap_positions`] of the caller's own position lists.
+    pub(crate) fn remove_objects(
+        &mut self,
+        objects: &mut Vec<Object>,
+        removed: &[usize],
+    ) -> &[usize] {
+        remove_at(objects, removed, &mut self.remap);
+        remap_positions(&mut self.by_release, &self.remap, |(_, pos)| pos);
+        remap_positions(&mut self.by_name, &self.remap, |(_, pos)| pos);
+        &self.remap
+    }
+
+    /// Indexes the pod appended at `pos`.
+    pub(crate) fn add_pod(&mut self, pods: &[RunningPod], pos: usize) {
+        let key = pod_name(pods, pos);
+        let at = self
+            .pods
+            .partition_point(|&other| pod_name(pods, other) <= key);
+        self.pods.insert(at, pos);
+    }
+
+    /// Positions of the running pods named `namespace/name`, ascending:
+    /// the head of [`ReleaseIndex::pods_under`]'s stretch.
+    pub(crate) fn pods_named<'a>(
+        &'a self,
+        pods: &'a [RunningPod],
+        namespace: &'a str,
+        name: &'a str,
+    ) -> impl Iterator<Item = usize> + 'a {
+        self.pods_under(pods, namespace, name)
+            .take_while(move |&pos| pods[pos].pod.meta.name == name)
+    }
+
+    /// Positions of the running pods an object named `namespace/name` may
+    /// have expanded to: `name` itself or `name-<suffix>`, in name order
+    /// (so those named `name` come first).
+    pub(crate) fn pods_under<'a>(
+        &'a self,
+        pods: &'a [RunningPod],
+        namespace: &'a str,
+        name: &'a str,
+    ) -> impl Iterator<Item = usize> + 'a {
+        let start = self
+            .pods
+            .partition_point(|&pos| pod_name(pods, pos) < (namespace, name));
+        self.pods[start..]
+            .iter()
+            .map(move |&pos| (pos, pod_name(pods, pos)))
+            .take_while(move |&(_, (ns, pod))| ns == namespace && pod.starts_with(name))
+            .filter(move |&(_, (_, pod))| {
+                pod.len() == name.len() || pod[name.len()..].starts_with('-')
+            })
+            .map(|(pos, _)| pos)
+    }
+
+    /// Removes the pods at `removed` (ascending) from `pods` and the index.
+    pub(crate) fn remove_pods(&mut self, pods: &mut Vec<RunningPod>, removed: &[usize]) {
+        if removed.is_empty() {
+            return;
+        }
+        remove_at(pods, removed, &mut self.remap);
+        remap_positions(&mut self.pods, &self.remap, |pos| pos);
+    }
+
+    /// Panics unless the index equals one rebuilt from the vectors.
+    #[cfg(test)]
+    pub(crate) fn assert_exact(&self, objects: &[Object], pods: &[RunningPod], context: &str) {
+        let keyed = |key: fn(&Object) -> u64| {
+            let mut list: Vec<(u64, usize)> = objects
+                .iter()
+                .zip(0..)
+                .map(|(o, pos)| (key(o), pos))
+                .collect();
+            list.sort_unstable();
+            list
+        };
+        assert_eq!(
+            self.by_release,
+            keyed(|o| release_key(release_name(o))),
+            "{context}: release index"
+        );
+        assert_eq!(
+            self.by_name,
+            keyed(object_name_key),
+            "{context}: name index"
+        );
+        let mut by_pod: Vec<usize> = (0..pods.len()).collect();
+        by_pod.sort_by_key(|&pos| (pod_name(pods, pos), pos));
+        assert_eq!(self.pods, by_pod, "{context}: pod index");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn prefix_keys_cover_every_dash_prefix() {
+        let keys: Vec<u64> = prefix_keys("ns", "a-bc-d").collect();
+        let expected = ["a", "a-bc", "a-bc-d"].map(|name| name_key("ns", name));
+        assert_eq!(keys, expected);
+        assert_eq!(
+            prefix_keys("ns", "solo").collect::<Vec<_>>(),
+            [name_key("ns", "solo")]
+        );
+        assert_ne!(name_key("a", "b"), name_key("ab", ""));
+        assert_ne!(release_key(None), release_key(Some("")));
+    }
+
+    #[test]
+    fn merge_keeps_the_list_sorted() {
+        let mut list = vec![(1, 0), (3, 1), (5, 2)];
+        merge(&mut list, &[(0, 3), (3, 4), (9, 5)]);
+        assert_eq!(list, [(0, 3), (1, 0), (3, 1), (3, 4), (5, 2), (9, 5)]);
+        merge(&mut list, &[]);
+        assert_eq!(list.len(), 6);
+    }
+
+    #[test]
+    fn removal_shifts_later_positions_down() {
+        let mut items = vec!['a', 'b', 'c', 'd', 'e'];
+        let mut remap = Vec::new();
+        remove_at(&mut items, &[1, 3], &mut remap);
+        assert_eq!(items, ['a', 'c', 'e']);
+        assert_eq!(remap, [0, GONE, 1, GONE, 2]);
+        let mut list = vec![(7, 4), (7, 1), (8, 2)];
+        remap_positions(&mut list, &remap, |(_, pos)| pos);
+        assert_eq!(list, [(7, 2), (8, 1)]);
+    }
+}

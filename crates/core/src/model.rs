@@ -55,8 +55,9 @@ pub struct StaticModel {
 }
 
 impl StaticModel {
-    /// Builds the model from rendered objects.
-    pub fn from_objects(objects: &[Object]) -> Self {
+    /// Builds the model from rendered objects — a slice, or objects
+    /// borrowed from anywhere (one release of a live cluster).
+    pub fn from_objects<'a>(objects: impl IntoIterator<Item = &'a Object>) -> Self {
         let mut model = StaticModel::default();
         for obj in objects {
             match obj {

@@ -180,30 +180,35 @@ impl IncrementalAuditor {
             return AuditDelta::default();
         }
 
-        // Collect the objects of the releases to re-analyze: all of them on
-        // a full recompute, else the dirtied ones. Objects without a release
-        // annotation form the release `UNATTRIBUTED_RELEASE`.
+        // Collect the objects of the releases to re-analyze, borrowed from
+        // the cluster: all of them on a full recompute, else the dirtied
+        // ones, which the cluster's release index yields without a scan.
+        // Objects without a release annotation form the release
+        // `UNATTRIBUTED_RELEASE`.
         let recompute_all = summary.everything || summary.all_apps;
         if recompute_all {
             self.table = SymbolTable::new();
         }
-        let mut grouped: BTreeMap<&str, Vec<Object>> = summary
+        let mut grouped: BTreeMap<&str, Vec<&Object>> = summary
             .apps
             .iter()
             .map(String::as_str)
             .chain(summary.unattributed.then_some(UNATTRIBUTED_RELEASE))
             .map(|name| (name, Vec::new()))
             .collect();
-        for o in cluster.objects() {
-            let release = o
-                .meta()
-                .annotations
-                .get(RELEASE_ANNOTATION)
-                .map_or(UNATTRIBUTED_RELEASE, String::as_str);
-            if recompute_all {
-                grouped.entry(release).or_default().push(o.clone());
-            } else if let Some(objects) = grouped.get_mut(release) {
-                objects.push(o.clone());
+        if recompute_all {
+            for o in cluster.objects() {
+                let release = o
+                    .meta()
+                    .annotations
+                    .get(RELEASE_ANNOTATION)
+                    .map_or(UNATTRIBUTED_RELEASE, String::as_str);
+                grouped.entry(release).or_default().push(o);
+            }
+        } else {
+            for (name, objects) in &mut grouped {
+                let release = (*name != UNATTRIBUTED_RELEASE).then_some(*name);
+                objects.extend(cluster.release_objects(release));
             }
         }
 
@@ -236,7 +241,7 @@ impl IncrementalAuditor {
         };
         let runs_global = self.analyzer.runs_global();
         for (name, objects) in &grouped {
-            let statics = StaticModel::from_objects(objects);
+            let statics = StaticModel::from_objects(objects.iter().copied());
             let defines = self.defines_policies.get(*name).copied().unwrap_or(false);
             let findings = self
                 .analyzer
@@ -324,7 +329,11 @@ impl IncrementalAuditor {
     /// Re-derives the `M4*` owners that the releases re-analyzed this tick
     /// (`dirty`) and the removed ones touch, given `old_units`, the units
     /// they all had before this tick; `None` re-derives every owner.
-    fn update_m4(&mut self, dirty: &BTreeMap<&str, Vec<Object>>, old_units: Option<&[GlobalUnit]>) {
+    fn update_m4(
+        &mut self,
+        dirty: &BTreeMap<&str, Vec<&Object>>,
+        old_units: Option<&[GlobalUnit]>,
+    ) {
         let (names, models): (Vec<&str>, Vec<&GlobalAppModel>) = self
             .apps
             .iter()
