@@ -21,11 +21,12 @@
 //!
 //! A second arm gates the `ij serve` path the same way: it counts the
 //! allocations of one install mutation plus its incremental audit tick on
-//! tenants preinstalled with 10 and with 100 releases, installing the same
-//! releases into both. A mutation should cost what it touches, so the
-//! larger tenant may allocate at most 1.5× as much per install; work that
-//! scales with the whole cluster (a full-scan reconcile, re-interning every
-//! release for `M4*`) pushes the ratio towards the tenant-size ratio.
+//! tenants preinstalled with 10, 100 and 400 releases, installing the same
+//! releases into each. A mutation should cost what it touches, so a larger
+//! tenant may allocate at most 1.5× as much per install as the 10-release
+//! one; work that scales with the whole cluster (a full-scan reconcile,
+//! re-interning every release for `M4*`) pushes the ratio towards the
+//! tenant-size ratio.
 //!
 //! Debug builds are skipped (unoptimized collections allocate on a
 //! different schedule); CI runs this with
@@ -80,7 +81,7 @@ const PER_APP_CEILING: u64 = 1_550;
 
 /// Serve arm: tenant sizes, measured installs, and the allowed growth.
 const SMALL_TENANT: usize = 10;
-const LARGE_TENANT: usize = 100;
+const LARGE_TENANTS: [usize; 2] = [100, 400];
 const INSTALLS: usize = 20;
 const TENANT_RATIO_CEILING: f64 = 1.5;
 
@@ -137,14 +138,18 @@ fn install(cluster: &mut Cluster, auditor: &mut IncrementalAuditor, spec: AppSpe
     apply_mutation(cluster, &ChurnMutation::Install { spec }).expect("install applies");
 }
 
+/// The first release every tenant installs under measurement: the releases
+/// before it are the preinstalled ones.
+const MEASURED: usize = LARGE_TENANTS[1];
+
 /// Allocations per install mutation plus its incremental tick, averaged
-/// over the releases `LARGE_TENANT..LARGE_TENANT + INSTALLS` of one
-/// generator, on a tenant preinstalled with its first `releases` releases.
+/// over the releases `MEASURED..MEASURED + INSTALLS` of one generator, on
+/// a tenant preinstalled with its first `releases` releases.
 fn serve_allocs_per_install(releases: usize) -> u64 {
     let generator = CorpusGenerator::new(
         CorpusProfile::named("baseline")
             .expect("baseline profile")
-            .with_apps(LARGE_TENANT + INSTALLS)
+            .with_apps(MEASURED + INSTALLS)
             .with_seed(7),
     );
     let mut cluster = Cluster::new(ClusterConfig {
@@ -156,7 +161,7 @@ fn serve_allocs_per_install(releases: usize) -> u64 {
     for idx in 0..releases {
         install(&mut cluster, &mut auditor, generator.spec(idx));
     }
-    let measured: Vec<AppSpec> = (LARGE_TENANT..LARGE_TENANT + INSTALLS)
+    let measured: Vec<AppSpec> = (MEASURED..MEASURED + INSTALLS)
         .map(|idx| generator.spec(idx))
         .collect();
     auditor.full_tick(&cluster);
@@ -178,16 +183,18 @@ fn serve_allocs_per_install(releases: usize) -> u64 {
 fn serve_install_allocations_do_not_scale_with_the_tenant() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let small = serve_allocs_per_install(SMALL_TENANT);
-    let large = serve_allocs_per_install(LARGE_TENANT);
-    let ratio = large as f64 / small as f64;
-    eprintln!(
-        "alloc_guard: {small} allocs per install + tick @ {SMALL_TENANT} releases, \
-         {large} @ {LARGE_TENANT}; ratio {ratio:.2} (ceiling {TENANT_RATIO_CEILING})"
-    );
-    assert!(
-        ratio <= TENANT_RATIO_CEILING,
-        "an install plus its tick allocates {ratio:.2}x as much on a \
-         {LARGE_TENANT}-release tenant as on a {SMALL_TENANT}-release one \
-         ({large} vs {small}); serve-path work scales with the cluster again"
-    );
+    for tenant in LARGE_TENANTS {
+        let large = serve_allocs_per_install(tenant);
+        let ratio = large as f64 / small as f64;
+        eprintln!(
+            "alloc_guard: {small} allocs per install + tick @ {SMALL_TENANT} releases, \
+             {large} @ {tenant}; ratio {ratio:.2} (ceiling {TENANT_RATIO_CEILING})"
+        );
+        assert!(
+            ratio <= TENANT_RATIO_CEILING,
+            "an install plus its tick allocates {ratio:.2}x as much on a \
+             {tenant}-release tenant as on a {SMALL_TENANT}-release one \
+             ({large} vs {small}); serve-path work scales with the cluster again"
+        );
+    }
 }

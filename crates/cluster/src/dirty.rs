@@ -99,8 +99,12 @@ impl DirtySummary {
 
     fn merge(&mut self, entry: &DirtyEntry) {
         match &entry.scope {
+            // A release is usually dirtied by many entries in a row: clone
+            // its name only the first time.
             DirtyScope::App(name) => {
-                self.apps.insert(name.clone());
+                if !self.apps.contains(name) {
+                    self.apps.insert(name.clone());
+                }
             }
             DirtyScope::AllApps => self.all_apps = true,
             DirtyScope::Unattributed => self.unattributed = true,

@@ -10,11 +10,12 @@
 //! [`crate::Finding::identity`] see no difference between the two
 //! representations.
 //!
-//! The module also hosts the interned cluster-wide M4\* kernel: the census
-//! and [`crate::Analyzer::analyze_global`] call its all-scope form
-//! ([`m4_global_collisions_compact`]), and the continuous auditor its
-//! scoped form ([`m4_global_collisions_scoped`]), which re-derives only
-//! what a set of changed applications can move.
+//! The module also hosts the interned cluster-wide M4\* kernel and its
+//! [`M4Index`]: the census and [`crate::Analyzer::analyze_global`] call its
+//! all-scope form ([`m4_global_collisions_compact`]), which indexes every
+//! application once, and the continuous auditor its scoped form
+//! ([`m4_global_collisions_scoped`]) over an index it patches per changed
+//! application, which re-derives only what those changes can move.
 
 use crate::finding::{identity_over, Finding, MisconfigId};
 use crate::model::StaticModel;
@@ -374,7 +375,7 @@ pub enum M4Owner {
     },
     /// The captures of one service.
     Capture {
-        /// Index of the service's application in the pass's `apps`.
+        /// Rank of the service's application: its index in the pass's `apps`.
         app: usize,
         /// Index of the service in that application's services.
         service: usize,
@@ -395,12 +396,237 @@ pub struct M4Part {
 /// scope re-derives only what those changes can move.
 #[derive(Debug, Clone, Copy)]
 pub struct M4Scope<'a> {
-    /// Indices into the pass's `apps` of the changed releases that are still
-    /// present, ascending.
+    /// Ranks of the changed releases that are still present, ascending.
     pub dirty: &'a [usize],
     /// The units every changed release had before the change — removed
     /// releases included — interned into the pass's table.
     pub old_units: &'a [GlobalUnit],
+}
+
+/// A collision-group row: `(namespace, rendered labels, rank, position)`
+/// of one labelled unit, where `rank` is its application's index in the
+/// list and `position` its index among that application's units.
+type Row = (Sym, Sym, u32, u32);
+/// A label posting: `(namespace, key, value, rank, position)` of one label
+/// pair of a unit.
+type Posting = (Sym, Sym, Sym, u32, u32);
+/// A selector entry: `(namespace, key, value, rank, position)` of a service
+/// under its first selector pair.
+type Selector = (Sym, Sym, Sym, u32, u32);
+
+/// The M4\* kernel's index over a list of applications, each numbered by
+/// its rank (its index in the list). Three flat tables, each sorted so that
+/// one key's entries form a contiguous run in (rank, position) order, the
+/// order the all-scope pass reports units in:
+///
+/// * collision-group rows: the labelled units of each `(namespace,
+///   rendered label set)`;
+/// * label postings: the units carrying each `(namespace, key, value)`
+///   label pair, so that a unit is in the run of every pair of a selector
+///   exactly when the selector covers it;
+/// * selectors: the services with a non-empty selector under their
+///   namespace and *first* selector pair — a unit finds every service that
+///   may cover it by looking up its own label pairs.
+///
+/// A caller that keeps the index across changes to the list
+/// [`M4Index::patch`]es it: one integer pass drops the changed
+/// applications' entries and renumbers the others, and a merge adds the
+/// new ones, so only those are sorted. After every patch the index equals
+/// [`M4Index::build`] over the same list.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct M4Index {
+    rows: Vec<Row>,
+    postings: Vec<Posting>,
+    selectors: Vec<Selector>,
+}
+
+impl M4Index {
+    /// The rank [`M4Index::patch`] maps an application to whose entries it
+    /// drops.
+    pub const GONE: u32 = u32::MAX;
+
+    /// Indexes `apps` from scratch.
+    pub fn build<M: Borrow<GlobalAppModel>>(apps: &[M]) -> Self {
+        M4Index::of(apps, true)
+    }
+
+    /// [`M4Index::build`], with the selector table only if asked for: a
+    /// pass over every service never reads it.
+    fn of<M: Borrow<GlobalAppModel>>(apps: &[M], selectors: bool) -> Self {
+        let mut index = M4Index::default();
+        let (units, pairs) = apps
+            .iter()
+            .flat_map(|m| &m.borrow().units)
+            .fold((0, 0), |(n, p), u| (n + 1, p + u.label_pairs.len()));
+        index.rows.reserve(units);
+        index.postings.reserve(pairs);
+        for (rank, model) in apps.iter().enumerate() {
+            index.push(rank, model.borrow(), selectors);
+        }
+        index.sort();
+        index
+    }
+
+    /// Appends the entries of `model` at `rank`, unsorted.
+    fn push(&mut self, rank: usize, model: &GlobalAppModel, selectors: bool) {
+        let rank = to_u32(rank);
+        for (pos, u) in model.units.iter().enumerate() {
+            if u.label_pairs.is_empty() {
+                continue;
+            }
+            let pos = to_u32(pos);
+            self.rows.push((u.namespace, u.labels_rendered, rank, pos));
+            for &(k, v) in &u.label_pairs {
+                self.postings.push((u.namespace, k, v, rank, pos));
+            }
+        }
+        if selectors {
+            for (pos, s) in model.services.iter().enumerate() {
+                if let Some(&(k, v)) = s.selector_pairs.first() {
+                    self.selectors.push((s.namespace, k, v, rank, to_u32(pos)));
+                }
+            }
+        }
+    }
+
+    fn sort(&mut self) {
+        self.rows.sort_unstable();
+        self.postings.sort_unstable();
+        self.selectors.sort_unstable();
+    }
+
+    /// Follows a change to the indexed list: `ranks[old]` is the new rank
+    /// of the application indexed at rank `old`, or [`M4Index::GONE`] for
+    /// one removed or replaced, and `added` are the new and replacing
+    /// applications at their new ranks. The kept ranks must keep their
+    /// order, as removing and inserting applications does.
+    pub fn patch<'m>(
+        &mut self,
+        ranks: &[u32],
+        added: impl IntoIterator<Item = (usize, &'m GlobalAppModel)>,
+    ) {
+        let mut fresh = M4Index::default();
+        for (rank, model) in added {
+            fresh.push(rank, model, true);
+        }
+        fresh.sort();
+        patch_table(&mut self.rows, &fresh.rows, ranks, |r| &mut r.2);
+        patch_table(&mut self.postings, &fresh.postings, ranks, |p| &mut p.3);
+        patch_table(&mut self.selectors, &fresh.selectors, ranks, |s| &mut s.3);
+    }
+
+    /// The units indexed under a collision-group key.
+    fn group(&self, key: (Sym, Sym)) -> &[Row] {
+        run(&self.rows, |r| (r.0, r.1), key)
+    }
+
+    /// The units carrying one label pair.
+    fn posting(&self, key: (Sym, Sym, Sym)) -> &[Posting] {
+        run(&self.postings, |p| (p.0, p.1, p.2), key)
+    }
+
+    /// What a pass in `scope` re-derives: the collision-group keys of the
+    /// touched units (the scope's old units and the current units of its
+    /// dirty applications), and the services to probe — every service with
+    /// a selector of a dirty application, and every other one whose
+    /// selector covers a touched unit: same namespace, and every selector
+    /// pair among the unit's labels. A capture needs exactly that, so no
+    /// other service's captures can change.
+    fn scope<M: Borrow<GlobalAppModel>>(&self, apps: &[M], scope: M4Scope<'_>) -> Rederived {
+        let mut keys = Vec::new();
+        let mut services = Vec::new();
+        for &rank in scope.dirty {
+            let model = apps[rank].borrow();
+            services.extend(
+                (0..model.services.len())
+                    .filter(|&i| !model.services[i].selector_pairs.is_empty())
+                    .map(|i| (rank, i)),
+            );
+        }
+        let touched = scope.old_units.iter().chain(
+            scope
+                .dirty
+                .iter()
+                .flat_map(|&rank| &apps[rank].borrow().units),
+        );
+        for u in touched.filter(|u| !u.label_pairs.is_empty()) {
+            keys.push((u.namespace, u.labels_rendered));
+            // A covering selector's first pair is one of the unit's pairs.
+            for &(k, v) in &u.label_pairs {
+                let candidates = run(&self.selectors, |s| (s.0, s.1, s.2), (u.namespace, k, v));
+                for &(_, _, _, rank, i) in candidates {
+                    let (rank, i) = (rank as usize, i as usize);
+                    if covers(&apps[rank].borrow().services[i], u) {
+                        services.push((rank, i));
+                    }
+                }
+            }
+        }
+        keys.sort_unstable();
+        keys.dedup();
+        services.sort_unstable();
+        services.dedup();
+        Rederived { keys, services }
+    }
+}
+
+/// What a scoped pass re-derives, each list sorted and free of duplicates.
+struct Rederived {
+    /// Collision-group keys, as `(namespace, rendered labels)`.
+    keys: Vec<(Sym, Sym)>,
+    /// Services to probe, as `(rank, position)`.
+    services: Vec<(usize, usize)>,
+}
+
+fn to_u32(i: usize) -> u32 {
+    u32::try_from(i).expect("an M4* index counts fewer than 2^32 applications and units")
+}
+
+/// The run of the sorted `table` whose entries have `key`.
+fn run<T, K: Ord>(table: &[T], key_of: impl Fn(&T) -> K, key: K) -> &[T] {
+    let rest = &table[table.partition_point(|t| key_of(t) < key)..];
+    // Runs are mostly short: gallop from the start of this one, over memory
+    // close by, instead of searching the whole table again for its end.
+    let mut bound = 1;
+    while bound < rest.len() && key_of(&rest[bound]) <= key {
+        bound *= 2;
+    }
+    let window = &rest[bound / 2..bound.min(rest.len())];
+    &rest[..bound / 2 + window.partition_point(|t| key_of(t) <= key)]
+}
+
+/// Renumbers the ranks of the sorted `table` through `ranks`, dropping the
+/// entries mapped to [`M4Index::GONE`], then merges the sorted `fresh`
+/// entries in from the back, so only the tail after the first of them
+/// moves.
+fn patch_table<T: Ord + Copy>(
+    table: &mut Vec<T>,
+    fresh: &[T],
+    ranks: &[u32],
+    rank_of: fn(&mut T) -> &mut u32,
+) {
+    table.retain_mut(|entry| {
+        let rank = rank_of(entry);
+        *rank = ranks[*rank as usize];
+        *rank != M4Index::GONE
+    });
+    let Some(&first) = fresh.first() else {
+        return;
+    };
+    let (mut kept, mut added) = (table.len(), fresh.len());
+    // The table keeps its size across ticks: grow it only as far as needed.
+    table.reserve_exact(added);
+    table.resize(kept + added, first);
+    while added > 0 {
+        let slot = kept + added - 1;
+        if kept > 0 && table[kept - 1] > fresh[added - 1] {
+            table[slot] = table[kept - 1];
+            kept -= 1;
+        } else {
+            table[slot] = fresh[added - 1];
+            added -= 1;
+        }
+    }
 }
 
 /// The cluster-wide M4\* pass over interned models: the all-scope call of
@@ -409,27 +635,29 @@ pub struct M4Scope<'a> {
 /// string-keyed pass (kept as the test oracle):
 ///
 /// * **Unit ↔ unit collisions** group units by `(namespace, rendered label
-///   set)`. Grouping happens on symbol ids (cheap integer sort); the
-///   qualifying groups are then ordered by their resolved strings, which
-///   reproduces the old `BTreeMap<(String, String), _>` iteration order.
-/// * **Service ↔ foreign-unit captures** probe an inverted index on
-///   `(namespace, label key, label value)` symbol triples. A selector with
-///   several pairs walks its rarest pair's posting range and binary-searches
-///   the others instead of calling `contains_all` per candidate —
-///   membership in every pair's posting list *is* the subset check, since
-///   the namespace is part of the key. Nothing is allocated per service:
-///   the pass allocates a few flat buffers plus the findings it reports.
+///   set)` in the [`M4Index`]; the qualifying groups are then ordered by
+///   their resolved strings, which reproduces the old `BTreeMap<(String,
+///   String), _>` iteration order.
+/// * **Service ↔ foreign-unit captures** probe the index's label postings.
+///   A selector with several pairs walks its rarest pair's posting list and
+///   binary-searches the others instead of calling `contains_all` per
+///   candidate — membership in every pair's posting list *is* the subset
+///   check, since the namespace is part of the key.
+///
+/// The pass builds the index once, without the selector index, and derives
+/// everything from it.
 pub fn m4_global_collisions_compact<M: Borrow<GlobalAppModel>>(
     apps: &[M],
     table: &SymbolTable,
 ) -> Vec<Finding> {
     let mut findings = Vec::new();
-    m4_pass(apps, table, None, &mut findings);
+    m4_pass(&M4Index::of(apps, false), apps, table, None, &mut findings);
     findings
 }
 
 /// The M4\* kernel with its findings tagged by owner, in the order
-/// [`m4_global_collisions_compact`] reports them.
+/// [`m4_global_collisions_compact`] reports them. `index` is the
+/// [`M4Index`] of `apps`.
 ///
 /// With `scope` `None` the pass derives everything and reports every
 /// collision group that spans two applications and every service with a
@@ -441,21 +669,21 @@ pub fn m4_global_collisions_compact<M: Borrow<GlobalAppModel>>(
 ///   the scope, or a current unit of a dirty release;
 /// * the captures of every service of a dirty release, and of every other
 ///   service whose selector *covers* a touched unit: same namespace, and
-///   every selector pair among the unit's labels. A capture needs exactly
-///   that, so no other service's captures can change.
+///   every selector pair among the unit's labels.
 ///
-/// The pass scans the cluster's units and services once and filters its
-/// rows and postings to those keys and selectors before it sorts them, so
-/// a scoped pass costs that scan plus what it re-derives. In a previous
+/// A scoped pass reads only the index and the models its scope names: the
+/// touched units look up their groups and, through the selector index, the
+/// services that cover them, so it costs what it re-derives. In a previous
 /// result, dropping the captures of the changed releases' services and
 /// replacing every owner a scoped pass reports gives the all-scope result.
 pub fn m4_global_collisions_scoped<M: Borrow<GlobalAppModel>>(
+    index: &M4Index,
     apps: &[M],
     table: &SymbolTable,
     scope: Option<M4Scope<'_>>,
 ) -> Vec<M4Part> {
     let mut parts = Vec::new();
-    m4_pass(apps, table, scope, &mut parts);
+    m4_pass(index, apps, table, scope, &mut parts);
     parts
 }
 
@@ -491,136 +719,51 @@ impl M4Sink for Vec<M4Part> {
 /// The one M4\* kernel; see [`m4_global_collisions_compact`] and
 /// [`m4_global_collisions_scoped`].
 fn m4_pass<M: Borrow<GlobalAppModel>>(
+    index: &M4Index,
     apps: &[M],
     table: &SymbolTable,
     scope: Option<M4Scope<'_>>,
     out: &mut impl M4Sink,
 ) {
-    // What a scoped pass re-derives; `None` derives everything. `keys`: the
-    // sorted collision-group keys of touched units (the changed releases'
-    // units before and after the change). `selected`: the services to
-    // probe, as (app, service) indices.
-    let mut keys: Option<Vec<(Sym, Sym)>> = None;
-    let mut selected: Option<Vec<(usize, usize)>> = None;
-    if let Some(scope) = scope {
-        let touched: Vec<&GlobalUnit> = scope
-            .old_units
-            .iter()
-            .chain(scope.dirty.iter().flat_map(|&i| &apps[i].borrow().units))
-            .collect();
-        let mut services = Vec::new();
-        for (idx, model) in apps.iter().map(Borrow::borrow).enumerate() {
-            let dirty = scope.dirty.binary_search(&idx).is_ok();
-            for (i, svc) in model.services.iter().enumerate() {
-                // An empty selector captures nothing (and would cover every
-                // unit of its namespace).
-                if svc.selector_pairs.is_empty() {
-                    continue;
-                }
-                if dirty || touched.iter().any(|u| covers(svc, u)) {
-                    services.push((idx, i));
-                }
-            }
-        }
-        let mut touched_keys: Vec<(Sym, Sym)> = touched
-            .iter()
-            .filter(|u| !u.label_pairs.is_empty())
-            .map(|u| (u.namespace, u.labels_rendered))
-            .collect();
-        touched_keys.sort_unstable();
-        touched_keys.dedup();
-        keys = Some(touched_keys);
-        selected = Some(services);
-    }
-    // A probed selector only ever matches units it covers, so a scoped pass
-    // indexes just those.
-    let probed = |u: &GlobalUnit| {
-        selected.as_ref().is_none_or(|selected| {
-            selected
-                .iter()
-                .any(|&(idx, i)| covers(&apps[idx].borrow().services[i], u))
-        })
-    };
-
-    // One pass over every unit fills two flat tables, each restricted to
-    // what the pass derives before it is sorted:
-    // * rows, one per labelled unit: its collision-group key as symbol ids
-    //   plus a global sequence number that encodes (application, unit)
-    //   order;
-    // * the inverted index, one posting per (namespace, key, value) label
-    //   pair, sorted so each triple's postings form a contiguous range in
-    //   (application, unit) order.
-    // (ns, labels, app, seq)
-    type Row = (Sym, Sym, u32, usize);
-    // (namespace, key, value, sequence rank, app index, unit name)
-    type Posting = (Sym, Sym, Sym, usize, u32, Sym);
-    let (units, pairs) = apps
-        .iter()
-        .flat_map(|m| &m.borrow().units)
-        .fold((0, 0), |(n, p), u| (n + 1, p + u.label_pairs.len()));
-    let mut rows: Vec<Row> = Vec::with_capacity(units);
-    let mut names: Vec<Sym> = Vec::with_capacity(units);
-    let mut postings: Vec<Posting> = Vec::with_capacity(pairs);
-    let mut seq = 0usize; // (app, unit) rank
-    for (idx, model) in apps.iter().map(Borrow::borrow).enumerate() {
-        for u in &model.units {
-            let key = (u.namespace, u.labels_rendered);
-            if !u.label_pairs.is_empty()
-                && keys.as_ref().is_none_or(|k| k.binary_search(&key).is_ok())
-            {
-                rows.push((key.0, key.1, idx as u32, names.len()));
-                names.push(u.name);
-            }
-            if probed(u) {
-                for &(k, v) in &u.label_pairs {
-                    postings.push((u.namespace, k, v, seq, idx as u32, u.name));
-                }
-            }
-            seq += 1;
-        }
-    }
-    rows.sort_unstable();
-    postings.sort_unstable();
+    // What a scoped pass re-derives; `None` derives everything.
+    let scoped = scope.map(|scope| index.scope(apps, scope));
+    let app_name = |rank: u32| table.resolve(apps[rank as usize].borrow().app);
+    let unit_name =
+        |rank: u32, pos: u32| table.resolve(apps[rank as usize].borrow().units[pos as usize].name);
 
     // --- Unit ↔ unit collisions spanning at least two applications. ---
-    // Sequence numbers ascend with (app, unit), so a group's first and last
-    // rows bracket its app range: distinct apps ≥ 2 iff they differ.
+    // Members ascend with (app, unit), so a group's first and last members
+    // bracket its app range: distinct apps ≥ 2 iff they differ.
     let spans_apps = |g: &[Row]| g.first().map(|r| r.2) != g.last().map(|r| r.2);
-    let mut groups: Vec<(Sym, Sym, &[Row])> = match &keys {
-        Some(keys) => keys
+    let mut groups: Vec<((Sym, Sym), &[Row])> = match &scoped {
+        Some(scoped) => scoped
+            .keys
             .iter()
-            .map(|&key| {
-                let lo = rows.partition_point(|r| (r.0, r.1) < key);
-                let hi = rows.partition_point(|r| (r.0, r.1) <= key);
-                (key.0, key.1, &rows[lo..hi])
-            })
+            .map(|&key| (key, index.group(key)))
             .collect(),
-        None => rows
+        None => index
+            .rows
             .chunk_by(|a, b| (a.0, a.1) == (b.0, b.1))
             .filter(|g| spans_apps(g))
-            .map(|g| (g[0].0, g[0].1, g))
+            .map(|g| ((g[0].0, g[0].1), g))
             .collect(),
     };
     // Resolve group keys to restore the historical string order.
-    groups.sort_by_key(|g| (table.resolve(g.0), table.resolve(g.1)));
-    for (namespace, labels, group) in groups {
+    groups.sort_by_key(|((namespace, labels), _)| {
+        (table.resolve(*namespace), table.resolve(*labels))
+    });
+    for ((namespace, labels), group) in groups {
         out.owner(M4Owner::Group { namespace, labels });
         if !spans_apps(group) {
             continue;
         }
         let members: Vec<String> = group
             .iter()
-            .map(|&(_, _, app, seq)| {
-                format!(
-                    "{} ({})",
-                    table.resolve(names[seq]),
-                    table.resolve(apps[app as usize].borrow().app)
-                )
-            })
+            .map(|&(_, _, rank, pos)| format!("{} ({})", unit_name(rank, pos), app_name(rank)))
             .collect();
         out.finding(Finding::new(
             MisconfigId::M4Star,
-            table.resolve(apps[group[0].2 as usize].borrow().app),
+            app_name(group[0].2),
             members[0].clone(),
             format!(
                 "label set `{}` collides across applications: {}",
@@ -631,26 +774,20 @@ fn m4_pass<M: Borrow<GlobalAppModel>>(
     }
 
     // --- Service ↔ foreign-unit captures. ---
-    let range_of = |ns: Sym, k: Sym, v: Sym| {
-        let key = (ns, k, v);
-        let lo = postings.partition_point(|p| (p.0, p.1, p.2) < key);
-        let hi = postings.partition_point(|p| (p.0, p.1, p.2) <= key);
-        &postings[lo..hi]
-    };
-    // One selector's posting ranges, reused across services.
+    // One selector's posting lists, reused across services.
     let mut ranges: Vec<&[Posting]> = Vec::new();
-    let mut probe = |idx: usize, service: usize| {
-        let model = apps[idx].borrow();
+    let mut probe = |rank: usize, service: usize| {
+        let model = apps[rank].borrow();
         let svc = &model.services[service];
         if svc.selector_pairs.is_empty() {
             return;
         }
-        out.owner(M4Owner::Capture { app: idx, service });
+        out.owner(M4Owner::Capture { app: rank, service });
         ranges.clear();
         ranges.extend(
             svc.selector_pairs
                 .iter()
-                .map(|&(k, v)| range_of(svc.namespace, k, v)),
+                .map(|&(k, v)| index.posting((svc.namespace, k, v))),
         );
         // Probe on the selector's *rarest* pair (first minimum, as
         // `min_by_key` picked it before).
@@ -661,14 +798,17 @@ fn m4_pass<M: Borrow<GlobalAppModel>>(
             .map(|(i, _)| i)
             .expect("non-empty selector");
         // A candidate matches the full selector exactly when it appears in
-        // every pair's posting range. Postings within a range ascend by
-        // sequence number, so each membership test is a binary search: a
-        // corpus-wide label pair makes its range O(apps), and walking it
-        // per service would be quadratic in the population.
-        for &(_, _, _, cand_seq, other_idx, unit_name) in ranges[rarest_pos] {
-            if other_idx as usize == idx
+        // every pair's posting list. Each list ascends by (app, unit), so
+        // each membership test is a binary search: a corpus-wide label pair
+        // makes its list O(apps), and walking it per service would be
+        // quadratic in the population.
+        for &(_, _, _, other, pos) in ranges[rarest_pos] {
+            if other as usize == rank
                 || !ranges.iter().enumerate().all(|(i, range)| {
-                    i == rarest_pos || range.binary_search_by_key(&cand_seq, |p| p.3).is_ok()
+                    i == rarest_pos
+                        || range
+                            .binary_search_by_key(&(other, pos), |p| (p.3, p.4))
+                            .is_ok()
                 })
             {
                 continue;
@@ -680,17 +820,17 @@ fn m4_pass<M: Borrow<GlobalAppModel>>(
                 format!(
                     "service selector `{}` captures unit {} of application {}",
                     table.resolve(svc.selector_rendered),
-                    table.resolve(unit_name),
-                    table.resolve(apps[other_idx as usize].borrow().app)
+                    unit_name(other, pos),
+                    app_name(other)
                 ),
             ));
         }
     };
-    match &selected {
-        Some(selected) => selected.iter().for_each(|&(idx, i)| probe(idx, i)),
+    match &scoped {
+        Some(scoped) => scoped.services.iter().for_each(|&(rank, i)| probe(rank, i)),
         None => {
-            for (idx, model) in apps.iter().map(Borrow::borrow).enumerate() {
-                (0..model.services.len()).for_each(|i| probe(idx, i));
+            for (rank, model) in apps.iter().map(Borrow::borrow).enumerate() {
+                (0..model.services.len()).for_each(|i| probe(rank, i));
             }
         }
     }
@@ -939,9 +1079,10 @@ mod tests {
             let mut apps = pseudo_random_corpus(seed, 10);
             let mut table = SymbolTable::new();
             let before = intern(&apps, &mut table);
+            let mut index = M4Index::build(&before);
             let mut owned = PerOwner::default();
             owned.splice(
-                m4_global_collisions_scoped(&before, &table, None),
+                m4_global_collisions_scoped(&index, &before, &table, None),
                 &before,
                 &table,
             );
@@ -959,7 +1100,19 @@ mod tests {
                 .collect();
             let after = intern(&apps, &mut table);
             let dirty = [3, apps.len() - 1];
+            // Patch the index: drop the replaced and removed apps, shift the
+            // ranks after the removed one down, index the new models.
+            let ranks: Vec<u32> = (0..10)
+                .map(|r| match r {
+                    3 | 6 => M4Index::GONE,
+                    7.. => r - 1,
+                    _ => r,
+                })
+                .collect();
+            index.patch(&ranks, dirty.iter().map(|&rank| (rank, &after[rank])));
+            assert_eq!(index, M4Index::build(&after), "seed {seed}");
             let parts = m4_global_collisions_scoped(
+                &index,
                 &after,
                 &table,
                 Some(M4Scope {

@@ -96,7 +96,7 @@ mod symtab;
 pub use compact::{
     m4_global_collisions_compact, m4_global_collisions_scoped, sort_canonical_compact,
     CompactAppReport, CompactCensus, CompactFinding, GlobalAppModel, GlobalService, GlobalUnit,
-    M4Owner, M4Part, M4Scope,
+    M4Index, M4Owner, M4Part, M4Scope,
 };
 pub use disclosure::{disclosure_report, questionnaire, THREAT_MODEL};
 pub use engine::{chart_defines_network_policies, Analyzer, AnalyzerOptions};
