@@ -45,35 +45,9 @@ pub trait AdmissionController: Send + Sync {
     fn review(&self, review: &AdmissionReview<'_>) -> AdmissionOutcome;
 }
 
-/// An admission controller that allows everything (the Kubernetes default
-/// posture for networking objects).
-#[derive(Debug, Default)]
-pub struct AllowAll;
-
-impl AdmissionController for AllowAll {
-    fn name(&self) -> &str {
-        "allow-all"
-    }
-
-    fn review(&self, _review: &AdmissionReview<'_>) -> AdmissionOutcome {
-        AdmissionOutcome::Allow
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ij_model::{ObjectMeta, Pod, PodSpec};
-
-    #[test]
-    fn allow_all_allows() {
-        let pod = Object::Pod(Pod::new(ObjectMeta::named("p"), PodSpec::default()));
-        let review = AdmissionReview {
-            object: &pod,
-            existing: &[],
-        };
-        assert!(AllowAll.review(&review).is_allowed());
-    }
 
     #[test]
     fn deny_is_not_allowed() {

@@ -1,12 +1,11 @@
 //! Misconfiguration taxonomy (Table 1 of the paper) and findings.
 
 use ij_model::Protocol;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 
 /// The thirteen misconfiguration classes of Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum MisconfigId {
     /// Port open on container is not declared.
     M1,
@@ -200,7 +199,7 @@ impl fmt::Display for MisconfigId {
 }
 
 /// Coarse severity, per the disclosure assessment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
     /// Requires several other weaknesses to matter.
     Low,
@@ -211,7 +210,7 @@ pub enum Severity {
 }
 
 /// One detected misconfiguration instance.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     /// Misconfiguration class.
     pub id: MisconfigId,

@@ -706,7 +706,7 @@ impl CensusPipeline {
                 true
             });
         } else {
-            let (tx, rx) = crossbeam::channel::unbounded();
+            let (tx, rx) = std::sync::mpsc::channel();
             std::thread::scope(|scope| {
                 for _ in 0..workers {
                     let tx = tx.clone();

@@ -8,10 +8,12 @@
 //! * [`GuardAdmission`] — a validating admission controller for the
 //!   simulator's API server. It rejects (or warns about) objects that would
 //!   introduce statically-detectable misconfigurations *before* they land in
-//!   the cluster: label collisions with existing resources (M4/M4\*, the
-//!   check Kubernetes itself never performs), services without targets
-//!   (M5D), services referencing undeclared ports (M5B), and hostNetwork
-//!   pods (M7).
+//!   the cluster. The verdict is the analyzer's own rules run over the
+//!   incoming object's neighbourhood in its namespace: label collisions
+//!   with existing resources (M4A, and M4C for a service the object would
+//!   join; the check Kubernetes itself never performs), hostNetwork pods
+//!   (M7), services referencing undeclared ports (M5B) and services
+//!   without targets (M5D).
 //! * [`PolicySynthesizer`] — derives least-privilege NetworkPolicies from
 //!   the declared ports of each compute unit, turning the default-allow
 //!   cluster into declared-ports-only (mitigating M6 and cutting off every

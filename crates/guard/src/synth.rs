@@ -71,18 +71,16 @@ impl SynthesisOutcome {
 ///     Some(PolicyPortRef::Number(8080))
 /// );
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct PolicySynthesizer {
-    /// Prefix for generated policy names.
-    pub name_prefix: String,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PolicySynthesizer;
+
+/// Prefix of every generated policy's name: `ij-guard-<unit>`.
+const NAME_PREFIX: &str = "ij-guard";
 
 impl PolicySynthesizer {
-    /// A synthesizer with the default `ij-guard` name prefix.
+    /// A synthesizer; the same as [`PolicySynthesizer::default`].
     pub fn new() -> Self {
-        PolicySynthesizer {
-            name_prefix: "ij-guard".to_string(),
-        }
+        PolicySynthesizer
     }
 
     /// Synthesizes policies for every labeled, non-hostNetwork compute unit
@@ -125,8 +123,7 @@ impl PolicySynthesizer {
             .collect();
         let short = unit.name.rsplit('/').next().unwrap_or(&unit.name);
         NetworkPolicy {
-            meta: ObjectMeta::named(format!("{}-{}", self.name_prefix, short))
-                .in_namespace(&unit.namespace),
+            meta: ObjectMeta::named(format!("{NAME_PREFIX}-{short}")).in_namespace(&unit.namespace),
             spec: NetworkPolicySpec {
                 pod_selector: LabelSelector::from_labels(unit.labels.clone()),
                 policy_types: vec![PolicyType::Ingress],
@@ -172,6 +169,16 @@ mod tests {
                 node_name: None,
             },
         ))
+    }
+
+    #[test]
+    fn default_and_new_name_policies_alike() {
+        let model = model_with(vec![pod_obj("web", &[("app", "web")], vec![], false)]);
+        let default: PolicySynthesizer = Default::default();
+        for synthesizer in [default, PolicySynthesizer::new()] {
+            let outcome = synthesizer.synthesize(&model);
+            assert_eq!(outcome.policies[0].meta.name, "ij-guard-web");
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! The defense layer against the procedural corpus: for every
-//! statically-detectable rule, a generated application carrying that (and
-//! only that) injection must be rejected by [`GuardAdmission`] at install
-//! time — and [`IncrementalAuditor`] must report the full
+//! The defense layer against the procedural corpus: for every rule the
+//! guard checks, a generated application carrying that (and only that)
+//! injection must be rejected by [`GuardAdmission`] at install time; clean
+//! applications and those carrying only a class it does not check must be
+//! admitted — and [`IncrementalAuditor`] must report the full
 //! introduced/resolved delta arc on a generated application.
 
 use ij_chart::Release;
@@ -150,6 +151,60 @@ fn admission_rejects_cross_application_collisions_m4star() {
     let err = install(&mut cluster, second).expect_err("second carrier collides");
     assert!(matches!(err, InstallError::Denied { .. }), "{err}");
     assert!(err.to_string().contains("label collision (M4)"), "{err}");
+}
+
+/// The strict guard: every class it checks, with unmatched selectors
+/// decidable because the generated charts apply workloads first.
+fn strict() -> GuardPolicy {
+    GuardPolicy {
+        check_unmatched_selectors: true,
+        ..Default::default()
+    }
+}
+
+#[test]
+fn admission_admits_clean_generated_apps() {
+    for spec in generated(&[], 40, 17).iter() {
+        assert_eq!(spec.plan.expected_local_findings(), 0, "{}", spec.name);
+        if let Some(denial) = install_denied(&spec, strict()) {
+            panic!("{} is clean but was denied: {denial}", spec.name);
+        }
+    }
+}
+
+#[test]
+fn admission_admits_classes_it_does_not_check() {
+    // The "and only those" half of the guard's contract: runtime-only
+    // classes (M1, M2, M3, M5A, M5C), the missing-policy posture (M6) and
+    // the service-side collisions M4B and M4C (the charts apply a
+    // service after the units it captures) are the auditor's, not
+    // admission's.
+    use ij_core::MisconfigId as M;
+    let unchecked = [
+        ("m1", M::M1),
+        ("m2", M::M2),
+        ("m3", M::M3),
+        ("m4b", M::M4B),
+        ("m4c", M::M4C),
+        ("m5a", M::M5A),
+        ("m5c", M::M5C),
+        ("m6", M::M6),
+    ];
+    for (seed, (rule, id)) in (18..).zip(unchecked) {
+        for spec in generated(&[(rule, 1.0)], 12, seed).iter() {
+            let injected = spec.plan.expected_of(id);
+            assert!(injected >= 1, "{}: no {id} injection", spec.name);
+            assert_eq!(
+                spec.plan.expected_local_findings(),
+                injected,
+                "{}",
+                spec.name
+            );
+            if let Some(denial) = install_denied(&spec, strict()) {
+                panic!("{} carries only {id} but was denied: {denial}", spec.name);
+            }
+        }
+    }
 }
 
 #[test]

@@ -3,10 +3,9 @@
 
 use crate::meta::ObjectMeta;
 use crate::pod::Protocol;
-use serde::{Deserialize, Serialize};
 
 /// A single ready address backing a service port.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EndpointAddress {
     /// Pod IP.
     pub ip: String,
@@ -21,7 +20,7 @@ pub struct EndpointAddress {
 }
 
 /// The endpoints object for one service.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Endpoints {
     /// Mirrors the service's metadata.
     pub meta: ObjectMeta,

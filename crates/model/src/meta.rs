@@ -9,7 +9,6 @@
 use crate::codec;
 use crate::error::{Error, Result};
 use ij_yaml::{Map, Value};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -17,7 +16,7 @@ use std::fmt;
 ///
 /// Ordering is lexicographic by key so that label sets compare and hash
 /// deterministically — collision detection depends on that.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Labels(pub BTreeMap<String, String>);
 
 impl Labels {
@@ -108,7 +107,7 @@ impl<K: Into<String>, V: Into<String>> FromIterator<(K, V)> for Labels {
 }
 
 /// Standard object metadata.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ObjectMeta {
     /// Object name, unique per kind within a namespace.
     pub name: String,
@@ -194,7 +193,7 @@ impl ObjectMeta {
 }
 
 /// Operator of a set-based selector requirement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SelectorOp {
     /// Label value must be in the given set.
     In,
@@ -207,7 +206,7 @@ pub enum SelectorOp {
 }
 
 /// One `matchExpressions` entry.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SelectorRequirement {
     /// Label key the requirement applies to.
     pub key: String,
@@ -232,7 +231,7 @@ impl SelectorRequirement {
 /// A `metav1.LabelSelector`: the conjunction of `matchLabels` and all
 /// `matchExpressions`. An *empty* selector selects everything — the footgun
 /// behind over-broad NetworkPolicies.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct LabelSelector {
     /// Equality requirements.
     pub match_labels: Labels,

@@ -11,10 +11,9 @@ use crate::error::{Error, Result};
 use crate::meta::{LabelSelector, ObjectMeta};
 use crate::pod::Protocol;
 use ij_yaml::{Map, Value};
-use serde::{Deserialize, Serialize};
 
 /// Direction a policy applies to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PolicyType {
     /// Controls traffic *into* the selected pods.
     Ingress,
@@ -23,7 +22,7 @@ pub enum PolicyType {
 }
 
 /// A CIDR allow with optional carve-outs.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IpBlock {
     /// Allowed CIDR, e.g. `10.0.0.0/8`.
     pub cidr: String,
@@ -32,7 +31,7 @@ pub struct IpBlock {
 }
 
 /// A peer in a `from`/`to` clause.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct NetworkPolicyPeer {
     /// Pods matched by label (within the policy's namespace unless a
     /// namespace selector is present).
@@ -56,7 +55,7 @@ impl NetworkPolicyPeer {
 /// A port entry in a policy rule. `port: None` means *all* ports. `end_port`
 /// extends the entry to a numeric range — the only (coarse) way to cover
 /// dynamic ports (M2), as §3.3 notes.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PolicyPort {
     /// Transport protocol (default TCP).
     pub protocol: Protocol,
@@ -68,7 +67,7 @@ pub struct PolicyPort {
 }
 
 /// Numeric or named port reference in a policy.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PolicyPortRef {
     /// Literal port number.
     Number(u16),
@@ -117,7 +116,7 @@ impl PolicyPort {
 
 /// One ingress or egress rule: a set of peers and a set of ports, each
 /// empty-means-all.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct NetworkPolicyRule {
     /// Allowed peers (`from` for ingress, `to` for egress). Empty allows all
     /// sources/destinations.
@@ -127,7 +126,7 @@ pub struct NetworkPolicyRule {
 }
 
 /// NetworkPolicy spec.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct NetworkPolicySpec {
     /// Pods this policy applies to. Empty selector = all pods in namespace.
     pub pod_selector: LabelSelector,
@@ -140,7 +139,7 @@ pub struct NetworkPolicySpec {
 }
 
 /// A NetworkPolicy object.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetworkPolicy {
     /// Metadata.
     pub meta: ObjectMeta,

@@ -4,13 +4,10 @@ use crate::codec;
 use crate::error::{Error, Result};
 use crate::meta::ObjectMeta;
 use ij_yaml::{Map, Value};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Transport protocol of a port. Kubernetes defaults to TCP everywhere.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum Protocol {
     /// Transmission Control Protocol (the default).
     #[default]
@@ -55,7 +52,7 @@ impl fmt::Display for Protocol {
 /// Per the paper (§3.4), this declaration is *documentative*: Kubernetes never
 /// verifies that the container actually listens here (M3) nor that every open
 /// socket is declared (M1). The analyzer's whole job is to close that gap.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ContainerPort {
     /// Optional IANA-style name, referenced by services' named targetPorts.
     pub name: Option<String>,
@@ -139,7 +136,7 @@ impl ContainerPort {
 /// An environment variable. The simulator's container behaviour models read
 /// these to decide deployment modes (e.g. a `CLUSTER_MODE` switch that opens
 /// or closes ports), mirroring how real applications behave.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EnvVar {
     /// Variable name.
     pub name: String,
@@ -148,7 +145,7 @@ pub struct EnvVar {
 }
 
 /// A container within a pod.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Container {
     /// Container name, unique within the pod.
     pub name: String,
@@ -252,7 +249,7 @@ impl Container {
 }
 
 /// Pod specification.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PodSpec {
     /// Containers sharing the pod's network namespace.
     pub containers: Vec<Container>,
@@ -294,7 +291,7 @@ impl PodSpec {
 }
 
 /// Observed pod status, populated by the simulator.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PodStatus {
     /// Pod IP on the cluster network (node IP for hostNetwork pods).
     pub pod_ip: Option<String>,
@@ -303,7 +300,7 @@ pub struct PodStatus {
 }
 
 /// A pod: the smallest deployable compute unit.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Pod {
     /// Metadata (name, namespace, labels).
     pub meta: ObjectMeta,

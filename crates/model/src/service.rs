@@ -5,10 +5,9 @@ use crate::error::{Error, Result};
 use crate::meta::{Labels, ObjectMeta};
 use crate::pod::Protocol;
 use ij_yaml::{Map, Value};
-use serde::{Deserialize, Serialize};
 
 /// Service exposure type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ServiceType {
     /// Cluster-internal virtual IP (the default).
     #[default]
@@ -36,7 +35,7 @@ impl ServiceType {
 /// The port a service forwards to: either a number or the *name* of a
 /// declared container port. Named targets make M5B subtler: the name may
 /// resolve to nothing.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TargetPort {
     /// Forward to this literal port on the pod.
     Number(u16),
@@ -45,7 +44,7 @@ pub enum TargetPort {
 }
 
 /// One port mapping of a service.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServicePort {
     /// Optional mapping name (required when a service has several ports).
     pub name: Option<String>,
@@ -156,7 +155,7 @@ impl ServicePort {
 }
 
 /// Service specification.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ServiceSpec {
     /// Exposure type.
     pub service_type: ServiceType,
@@ -171,7 +170,7 @@ pub struct ServiceSpec {
 }
 
 /// A Kubernetes Service.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Service {
     /// Metadata.
     pub meta: ObjectMeta,

@@ -5,11 +5,10 @@ use crate::error::{Error, Result};
 use crate::meta::{LabelSelector, Labels, ObjectMeta};
 use crate::pod::PodSpec;
 use ij_yaml::{Map, Value};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The workload kinds the simulator reconciles into pods.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum WorkloadKind {
     /// Stateless replicated workload.
     Deployment,
@@ -63,7 +62,7 @@ impl fmt::Display for WorkloadKind {
 }
 
 /// The pod template embedded in a workload spec.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PodTemplate {
     /// Labels stamped onto every pod the workload creates. These are what
     /// services and policies select — and what collides in M4.
@@ -73,7 +72,7 @@ pub struct PodTemplate {
 }
 
 /// A workload resource.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Workload {
     /// Which controller owns this shape of workload.
     pub kind: WorkloadKind,
