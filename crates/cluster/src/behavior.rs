@@ -7,7 +7,8 @@
 //! the two is exactly what M1/M2/M3 measure, so the substitution exercises
 //! the same analyzer code path as a live container would.
 
-use ij_model::{Container, Protocol};
+use ij_model::{Container, ContainerPort, Protocol};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// How a listener picks its port.
@@ -109,26 +110,34 @@ pub enum ContainerBehavior {
 }
 
 impl ContainerBehavior {
-    /// Resolves the concrete listener specs for a container: either its
-    /// declared ports or the explicit behaviour list filtered by env gates.
-    pub fn listeners_for(&self, container: &Container) -> Vec<ListenerSpec> {
-        match self {
-            ContainerBehavior::DeclaredPorts => container
-                .ports
-                .iter()
-                .map(|p| ListenerSpec {
+    /// The listeners a container opens, in order: its declared ports, or
+    /// the explicit behaviour list filtered by env gates. Explicit specs
+    /// are borrowed and declared ports become gate-free static specs, so
+    /// the walk allocates nothing.
+    pub fn listeners<'a>(
+        &'a self,
+        container: &'a Container,
+    ) -> impl Iterator<Item = Cow<'a, ListenerSpec>> + 'a {
+        let (declared, specs): (&[ContainerPort], &[ListenerSpec]) = match self {
+            ContainerBehavior::DeclaredPorts => (&container.ports, &[]),
+            ContainerBehavior::Listeners(specs) => (&[], specs),
+        };
+        declared
+            .iter()
+            .map(|p| {
+                Cow::Owned(ListenerSpec {
                     port: PortSpec::Static(p.container_port),
                     protocol: p.protocol,
                     loopback_only: false,
                     when_env: None,
                 })
-                .collect(),
-            ContainerBehavior::Listeners(specs) => specs
-                .iter()
-                .filter(|s| s.enabled_for(container))
-                .cloned()
-                .collect(),
-        }
+            })
+            .chain(
+                specs
+                    .iter()
+                    .filter(move |s| s.enabled_for(container))
+                    .map(Cow::Borrowed),
+            )
     }
 }
 
@@ -190,14 +199,13 @@ impl BehaviorRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ij_model::ContainerPort;
 
     #[test]
     fn default_behavior_opens_declared_ports() {
         let c = Container::new("flink", "bitnami/flink")
             .with_ports(vec![ContainerPort::tcp(6123), ContainerPort::tcp(8081)]);
         let b = ContainerBehavior::DeclaredPorts;
-        let l = b.listeners_for(&c);
+        let l: Vec<_> = b.listeners(&c).collect();
         assert_eq!(l.len(), 2);
         assert_eq!(l[0].port, PortSpec::Static(6123));
     }
@@ -216,7 +224,7 @@ mod tests {
             ListenerSpec::tcp(8081),
             ListenerSpec::ephemeral(),
         ]);
-        let l = b.listeners_for(&c);
+        let l: Vec<_> = b.listeners(&c).collect();
         assert_eq!(l.len(), 3);
         assert!(l.iter().any(|s| s.port == PortSpec::Ephemeral));
         assert!(!l.iter().any(|s| s.port == PortSpec::Static(6121)));
@@ -230,8 +238,8 @@ mod tests {
         assert!(!spec.enabled_for(&off));
         assert!(spec.enabled_for(&on));
         let b = ContainerBehavior::Listeners(vec![spec]);
-        assert!(b.listeners_for(&off).is_empty());
-        assert_eq!(b.listeners_for(&on).len(), 1);
+        assert_eq!(b.listeners(&off).count(), 0);
+        assert_eq!(b.listeners(&on).count(), 1);
     }
 
     #[test]

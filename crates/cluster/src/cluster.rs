@@ -14,8 +14,8 @@ use ij_model::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{HashMap, HashSet};
-use std::fmt;
+use std::fmt::{self, Write as _};
+use std::net::Ipv4Addr;
 use std::sync::{Arc, Mutex};
 
 /// Cluster construction parameters.
@@ -62,7 +62,7 @@ pub struct RunningPod {
     /// Node the pod runs on.
     pub node: String,
     /// Pod IP — a flat-network address, or the node IP for hostNetwork pods.
-    pub ip: String,
+    pub ip: Ipv4Addr,
     /// Sockets currently open inside the pod's network namespace.
     pub sockets: Vec<OpenSocket>,
     /// Qualified name of the owning workload, if any.
@@ -141,7 +141,10 @@ pub struct Cluster {
     admission: Vec<Box<dyn AdmissionController>>,
     rng: StdRng,
     next_pod_ip: u32,
-    cluster_ips: HashMap<String, String>,
+    /// `(object position, virtual IP)` of every non-headless service,
+    /// sorted by position: each service keeps the address it got at apply
+    /// until it is removed. Positions are remapped like `pending`.
+    cluster_ips: Vec<(usize, Ipv4Addr)>,
     next_cluster_ip: u32,
     events: Vec<String>,
     /// Bumped on every mutation of objects or pods; the policy-index cache
@@ -177,7 +180,7 @@ impl Cluster {
             admission: Vec::new(),
             rng,
             next_pod_ip: 1,
-            cluster_ips: HashMap::new(),
+            cluster_ips: Vec::new(),
             next_cluster_ip: 1,
             events: Vec::new(),
             generation: 0,
@@ -286,12 +289,13 @@ impl Cluster {
             .map(|pos| &self.pods[pos])
     }
 
-    /// The first service named `namespace/name`, in apply order.
-    fn service(&self, namespace: &str, name: &str) -> Option<&Service> {
+    /// The first service named `namespace/name`, in apply order, with its
+    /// position.
+    fn service(&self, namespace: &str, name: &str) -> Option<(usize, &Service)> {
         self.release_index
             .named(&self.objects, namespace, name)
             .find_map(|pos| match &self.objects[pos] {
-                Object::Service(s) => Some(s),
+                Object::Service(s) => Some((pos, s)),
                 _ => None,
             })
     }
@@ -355,8 +359,11 @@ impl Cluster {
                 AdmissionOutcome::Allow => {}
                 AdmissionOutcome::Warn(mut w) => warnings.append(&mut w),
                 AdmissionOutcome::Deny(reason) => {
-                    self.events
-                        .push(format!("deny {}: {reason}", object.qualified_name()));
+                    let meta = object.meta();
+                    self.events.push(event_line(format_args!(
+                        "deny {}/{}: {reason}",
+                        meta.namespace, meta.name
+                    )));
                     return Err(InstallError::Denied {
                         controller: controller.name().to_string(),
                         reason,
@@ -365,27 +372,22 @@ impl Cluster {
                 }
             }
         }
-        self.events.push(format!(
-            "apply {} {}",
+        let meta = object.meta();
+        self.events.push(event_line(format_args!(
+            "apply {} {}/{}",
             object.kind(),
-            object.qualified_name()
-        ));
+            meta.namespace,
+            meta.name
+        )));
         // Services get a virtual IP at creation.
         if let Object::Service(s) = &object {
             if !s.is_headless() {
-                let ip = format!(
-                    "10.96.{}.{}",
-                    self.next_cluster_ip / 254,
-                    self.next_cluster_ip % 254 + 1
-                );
+                let ip = pool_address([10, 96], self.next_cluster_ip);
                 self.next_cluster_ip += 1;
-                self.cluster_ips.insert(s.meta.qualified_name(), ip);
+                self.cluster_ips.push((self.objects.len(), ip));
             }
         }
-        let scope = match release_name(&object) {
-            Some(release) => DirtyScope::App(release.to_string()),
-            None => DirtyScope::Unattributed,
-        };
+        let scope = self.dirty.scope(release_name(&object));
         // Policies change verdicts and per-app policy rules, but not the
         // labelled object sets cluster-wide label analysis consumes.
         let labels = !matches!(object, Object::NetworkPolicy(_));
@@ -401,27 +403,23 @@ impl Cluster {
         Ok(warnings)
     }
 
-    /// Installs a rendered release: applies every object (stamped with a
-    /// release annotation so [`Cluster::uninstall`] can find them later),
-    /// then reconciles. On an admission denial the release's
-    /// already-applied objects are rolled back (Helm-style atomic install).
-    pub fn install(&mut self, release: &RenderedRelease) -> Result<Vec<String>, InstallError> {
-        self.install_objects(&release.release_name, &release.objects)
-    }
-
-    /// [`install`](Self::install) from a borrowed object slice — the census
-    /// workers render into a reusable scratch vec and install it directly,
-    /// without wrapping the slice in a `RenderedRelease`.
-    pub fn install_objects(
+    /// Installs a release from its objects, taking each one: stamps it
+    /// with a release annotation (so [`Cluster::uninstall`] can find it
+    /// later), applies it, then reconciles. On an admission denial the
+    /// release's already-applied objects are rolled back (Helm-style atomic
+    /// install) and the rest are dropped. The census workers and the serve
+    /// churn path move their rendered objects in, so an install allocates
+    /// only what the cluster keeps.
+    pub fn install_owned(
         &mut self,
         release_name: &str,
-        objects: &[Object],
+        objects: impl IntoIterator<Item = Object>,
     ) -> Result<Vec<String>, InstallError> {
+        let objects = objects.into_iter();
         let checkpoint = self.objects.len();
-        self.objects.reserve(objects.len());
+        self.objects.reserve(objects.size_hint().0);
         let mut warnings = Vec::new();
-        for obj in objects {
-            let mut obj = obj.clone();
+        for mut obj in objects {
             obj.meta_mut()
                 .annotations
                 .insert(RELEASE_ANNOTATION.to_string(), release_name.to_string());
@@ -431,11 +429,10 @@ impl Cluster {
                     // Roll back the ClusterIPs of services applied before
                     // the denial along with the objects themselves; none of
                     // them was indexed yet.
-                    for rolled_back in &self.objects[checkpoint..] {
-                        if let Object::Service(s) = rolled_back {
-                            self.cluster_ips.remove(&s.meta.qualified_name());
-                        }
-                    }
+                    let kept = self
+                        .cluster_ips
+                        .partition_point(|&(pos, _)| pos < checkpoint);
+                    self.cluster_ips.truncate(kept);
                     self.objects.truncate(checkpoint);
                     self.pending.retain(|&pos| pos < checkpoint);
                     self.touch(DirtyEntry::app(release_name, true, false));
@@ -446,6 +443,22 @@ impl Cluster {
         self.release_index.add_objects(&self.objects, checkpoint);
         self.reconcile();
         Ok(warnings)
+    }
+
+    /// [`install_owned`](Self::install_owned) from a copy of a rendered
+    /// release.
+    pub fn install(&mut self, release: &RenderedRelease) -> Result<Vec<String>, InstallError> {
+        self.install_owned(&release.release_name, release.objects.iter().cloned())
+    }
+
+    /// [`install_owned`](Self::install_owned) from a copy of a borrowed
+    /// object slice.
+    pub fn install_objects(
+        &mut self,
+        release_name: &str,
+        objects: &[Object],
+    ) -> Result<Vec<String>, InstallError> {
+        self.install_owned(release_name, objects.iter().cloned())
     }
 
     /// Uninstalls a release: removes every object stamped with its name,
@@ -461,11 +474,7 @@ impl Cluster {
             .collect();
         let mut reaped: Vec<usize> = Vec::new();
         for &pos in &removed {
-            let object = &self.objects[pos];
-            if let Object::Service(s) = object {
-                self.cluster_ips.remove(&s.meta.qualified_name());
-            }
-            if let Some(meta) = definer_meta(object) {
+            if let Some(meta) = definer_meta(&self.objects[pos]) {
                 reaped.extend(self.release_index.pods_under(
                     &self.pods,
                     &meta.namespace,
@@ -478,12 +487,14 @@ impl Cluster {
                 .release_index
                 .remove_objects(&mut self.objects, &removed);
             remap_positions(&mut self.pending, remap, |pos| pos);
+            remap_positions(&mut self.cluster_ips, remap, |(pos, _)| pos);
         }
         reaped.sort_unstable();
         reaped.dedup();
         reaped.retain(|&pos| !self.desired(&self.pods[pos].pod.meta));
         self.release_index.remove_pods(&mut self.pods, &reaped);
-        self.events.push(format!("uninstall {release_name}"));
+        self.events
+            .push(event_line(format_args!("uninstall {release_name}")));
         self.touch(DirtyEntry::app(release_name, true, true));
     }
 
@@ -571,8 +582,8 @@ impl Cluster {
                 Object::Pod(p) => (p.clone(), None),
                 _ => unreachable!("only workloads and bare pods are expanded"),
             };
-            let release = release_name(&self.objects[i]).map(str::to_string);
-            if !self.start_pod(pod, owner, release) {
+            let scope = self.dirty.scope(release_name(&self.objects[i]));
+            if !self.start_pod(pod, owner, scope) {
                 self.pending.push(i);
             }
         }
@@ -595,18 +606,20 @@ impl Cluster {
         if stale.is_empty() {
             return;
         }
-        let reaped: Vec<(String, Option<String>)> = stale
+        let reaped: Vec<(String, DirtyScope)> = stale
             .iter()
             .map(|&pos| {
                 let rp = &self.pods[pos];
-                (rp.qualified_name(), self.release_of(rp))
+                let meta = &rp.pod.meta;
+                let line = event_line(format_args!("reap {}/{}", meta.namespace, meta.name));
+                (line, self.dirty.scope(self.release_of(rp)))
             })
             .collect();
         self.release_index.remove_pods(&mut self.pods, &stale);
-        for (name, release) in reaped {
-            self.events.push(format!("reap {name}"));
+        for (line, scope) in reaped {
+            self.events.push(line);
             self.touch(DirtyEntry {
-                scope: release.map_or(DirtyScope::Unattributed, DirtyScope::App),
+                scope,
                 labels: false,
                 pods: true,
             });
@@ -616,7 +629,7 @@ impl Cluster {
     /// The release a running pod belongs to, resolved through its defining
     /// object (owner workload, or the bare pod object itself): the first
     /// object of that name in apply order.
-    fn release_of(&self, rp: &RunningPod) -> Option<String> {
+    fn release_of<'a>(&'a self, rp: &'a RunningPod) -> Option<&'a str> {
         let (namespace, name) = match &rp.owner {
             Some(owner) => split_qualified(owner),
             None => (rp.pod.meta.namespace.as_str(), rp.pod.meta.name.as_str()),
@@ -632,7 +645,6 @@ impl Cluster {
                     .get(RELEASE_ANNOTATION)
                     .map(String::as_str)
             })
-            .map(str::to_string)
     }
 
     /// Updates a workload's replica count in place (`kubectl scale`),
@@ -652,11 +664,12 @@ impl Cluster {
             unreachable!("found as a workload");
         };
         w.replicas = replicas;
-        let release = w.meta.annotations.get(RELEASE_ANNOTATION).cloned();
-        self.events.push(format!("scale {qualified} to {replicas}"));
+        let scope = self.dirty.scope(release_name(&self.objects[pos]));
+        self.events
+            .push(event_line(format_args!("scale {qualified} to {replicas}")));
         self.pending.push(pos);
         self.touch(DirtyEntry {
-            scope: release.map_or(DirtyScope::Unattributed, DirtyScope::App),
+            scope,
             labels: false,
             pods: true,
         });
@@ -666,12 +679,14 @@ impl Cluster {
     /// Restarts every pod: containers re-draw their ephemeral ports. This is
     /// how the probe's second pass observes M2 (§4.2.2).
     pub fn restart_pods(&mut self) {
-        let mut pods = std::mem::take(&mut self.pods);
-        for rp in &mut pods {
-            rp.sockets = self.open_sockets_for(&rp.pod);
-            self.events.push(format!("restart {}", rp.qualified_name()));
+        for rp in &mut self.pods {
+            rp.sockets = open_sockets(&self.config.behaviors, &mut self.rng, &rp.pod);
+            let meta = &rp.pod.meta;
+            self.events.push(event_line(format_args!(
+                "restart {}/{}",
+                meta.namespace, meta.name
+            )));
         }
-        self.pods = pods;
         self.touch(DirtyEntry {
             scope: DirtyScope::AllApps,
             labels: false,
@@ -679,16 +694,16 @@ impl Cluster {
         });
     }
 
-    /// Schedules and starts one pod of `release`; false when it stays
-    /// Pending.
-    fn start_pod(&mut self, mut pod: Pod, owner: Option<String>, release: Option<String>) -> bool {
+    /// Schedules and starts one pod, dirtying `scope` (its release); false
+    /// when it stays Pending.
+    fn start_pod(&mut self, mut pod: Pod, owner: Option<String>, scope: DirtyScope) -> bool {
         // No schedulable node: the pod stays Pending (Kubernetes semantics)
         // instead of crashing the control loop; the next reconcile retries.
         if self.nodes.is_empty() {
-            self.events.push(format!(
-                "pending {}: no schedulable nodes",
-                pod.meta.qualified_name()
-            ));
+            self.events.push(event_line(format_args!(
+                "pending {}/{}: no schedulable nodes",
+                pod.meta.namespace, pod.meta.name
+            )));
             return false;
         }
         // Scheduler: round-robin by current pod count, honouring nodeName.
@@ -702,24 +717,24 @@ impl Cluster {
             None => &self.nodes[node_idx],
         };
         let node_name = node.name.clone();
-        let node_ip = node.ip.clone();
         // IPAM: flat pod network, or the node IP under hostNetwork.
         let ip = if pod.spec.host_network {
-            node_ip
+            node.ip
         } else {
             let n = self.next_pod_ip;
             self.next_pod_ip += 1;
-            format!("10.244.{}.{}", n / 254, n % 254 + 1)
+            pool_address([10, 244], n)
         };
         pod.spec.node_name = Some(node_name.clone());
-        pod.status.pod_ip = Some(ip.clone());
+        pod.status.pod_ip = Some(ip);
         pod.status.phase = "Running".to_string();
-        let sockets = self.open_sockets_for(&pod);
-        self.events.push(format!(
-            "start {} on {node_name} ip={ip} sockets={}",
-            pod.meta.qualified_name(),
+        let sockets = open_sockets(&self.config.behaviors, &mut self.rng, &pod);
+        self.events.push(event_line(format_args!(
+            "start {}/{} on {node_name} ip={ip} sockets={}",
+            pod.meta.namespace,
+            pod.meta.name,
             sockets.len()
-        ));
+        )));
         self.pods.push(RunningPod {
             pod,
             node: node_name,
@@ -729,51 +744,11 @@ impl Cluster {
         });
         self.release_index.add_pod(&self.pods, self.pods.len() - 1);
         self.touch(DirtyEntry {
-            scope: release.map_or(DirtyScope::Unattributed, DirtyScope::App),
+            scope,
             labels: false,
             pods: true,
         });
         true
-    }
-
-    /// Instantiates the behaviour model of every container in a pod.
-    fn open_sockets_for(&mut self, pod: &Pod) -> Vec<OpenSocket> {
-        let mut sockets = Vec::new();
-        let mut used: HashSet<(u16, Protocol)> = HashSet::new();
-        for container in &pod.spec.containers {
-            let behavior = self.config.behaviors.resolve(&container.image).clone();
-            for spec in behavior.listeners_for(container) {
-                let port = match &spec.port {
-                    PortSpec::Static(p) => Some(*p),
-                    PortSpec::Ephemeral => {
-                        // Draw until free within this pod (ranges are huge, so
-                        // this terminates immediately in practice).
-                        let mut p = self.rng.gen_range(32768..=60999u16);
-                        while used.contains(&(p, spec.protocol)) {
-                            p = self.rng.gen_range(32768..=60999u16);
-                        }
-                        Some(p)
-                    }
-                    PortSpec::FromEnv { var, default } => container
-                        .env_value(var)
-                        .and_then(|v| v.parse::<u16>().ok())
-                        .or(*default),
-                };
-                let Some(port) = port else { continue };
-                if !used.insert((port, spec.protocol)) {
-                    continue; // two containers racing for one port: first wins
-                }
-                sockets.push(OpenSocket {
-                    port,
-                    protocol: spec.protocol,
-                    loopback_only: spec.loopback_only,
-                    ephemeral: matches!(spec.port, PortSpec::Ephemeral),
-                    container: container.name.clone(),
-                });
-            }
-        }
-        sockets.sort_by_key(|s| (s.port, s.protocol));
-        sockets
     }
 
     /// Simulates a connection from one pod to another. Verdicts come from
@@ -818,7 +793,7 @@ impl Cluster {
     /// Endpoints for one service.
     pub fn endpoints_for(&self, namespace: &str, name: &str) -> Option<Endpoints> {
         self.service(namespace, name)
-            .map(|svc| self.service_endpoints(svc))
+            .map(|(_, svc)| self.service_endpoints(svc))
     }
 
     /// The endpoints object of one service (see [`Cluster::endpoints`]).
@@ -839,7 +814,7 @@ impl Cluster {
                     };
                     let Some(target) = target else { continue };
                     addresses.push(EndpointAddress {
-                        ip: rp.ip.clone(),
+                        ip: rp.ip,
                         pod: rp.qualified_name(),
                         port: target,
                         protocol: sp.protocol,
@@ -854,17 +829,28 @@ impl Cluster {
         }
     }
 
-    /// The virtual IP assigned to a (non-headless) service.
-    pub fn cluster_ip(&self, namespace: &str, name: &str) -> Option<&str> {
-        self.cluster_ips
-            .get(&format!("{namespace}/{name}"))
-            .map(String::as_str)
+    /// The virtual IP of the first service named `namespace/name`, in
+    /// apply order, as it was assigned at apply; `None` when that service
+    /// is headless or none exists.
+    pub fn cluster_ip(&self, namespace: &str, name: &str) -> Option<Ipv4Addr> {
+        let (pos, _) = self.service(namespace, name)?;
+        self.cluster_ip_at(pos)
     }
 
-    /// Cluster-DNS resolution: ClusterIP for normal services, the backing
-    /// pod IPs for headless ones.
+    /// The virtual IP of the service at object position `pos`.
+    fn cluster_ip_at(&self, pos: usize) -> Option<Ipv4Addr> {
+        let at = self
+            .cluster_ips
+            .binary_search_by_key(&pos, |&(p, _)| p)
+            .ok()?;
+        Some(self.cluster_ips[at].1)
+    }
+
+    /// Cluster-DNS resolution of the first service named `namespace/name`:
+    /// its ClusterIP for a normal service, the backing pod IPs for a
+    /// headless one.
     pub fn resolve_dns(&self, namespace: &str, name: &str) -> Vec<String> {
-        let Some(svc) = self.service(namespace, name) else {
+        let Some((pos, svc)) = self.service(namespace, name) else {
             return Vec::new();
         };
         if svc.is_headless() {
@@ -872,13 +858,13 @@ impl Cluster {
                 .service_endpoints(svc)
                 .addresses
                 .into_iter()
-                .map(|a| a.ip)
+                .map(|a| a.ip.to_string())
                 .collect();
             ips.sort();
             ips.dedup();
             ips
         } else {
-            self.cluster_ip(namespace, name)
+            self.cluster_ip_at(pos)
                 .map(|ip| vec![ip.to_string()])
                 .unwrap_or_default()
         }
@@ -901,7 +887,7 @@ impl Cluster {
         let Some(src_idx) = index.pod_index(src) else {
             return Vec::new();
         };
-        let Some(svc) = self.service(namespace, name) else {
+        let Some((_, svc)) = self.service(namespace, name) else {
             return Vec::new();
         };
         let Some(sp) = svc.spec.ports.iter().find(|p| p.port == port) else {
@@ -964,6 +950,75 @@ fn definer_meta(o: &Object) -> Option<&ObjectMeta> {
     }
 }
 
+/// One event line, formatted into a single allocation of its exact length.
+fn event_line(args: fmt::Arguments<'_>) -> String {
+    struct Len(usize);
+    impl fmt::Write for Len {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            self.0 += s.len();
+            Ok(())
+        }
+    }
+    let mut len = Len(0);
+    let _ = len.write_fmt(args);
+    let mut line = String::with_capacity(len.0);
+    let _ = line.write_fmt(args);
+    line
+}
+
+/// The `n`-th address of a pool handed out in 254-host blocks below the
+/// /16 `prefix` (`prefix.0.1`, …, `prefix.0.254`, `prefix.1.1`, …). A pool
+/// that outgrows its /16 carries into the next one.
+fn pool_address(prefix: [u8; 2], n: u32) -> Ipv4Addr {
+    let [a, b] = prefix;
+    Ipv4Addr::from(u32::from_be_bytes([a, b, 0, 0]) + ((n / 254) << 8) + n % 254 + 1)
+}
+
+/// Instantiates the behaviour model of every container in a pod: the
+/// sockets its processes open, sorted by `(port, protocol)`. Listeners are
+/// walked by reference, so only the kept sockets allocate.
+fn open_sockets(behaviors: &BehaviorRegistry, rng: &mut StdRng, pod: &Pod) -> Vec<OpenSocket> {
+    let mut sockets: Vec<OpenSocket> = Vec::new();
+    let taken = |sockets: &[OpenSocket], port: u16, protocol: Protocol| {
+        sockets
+            .iter()
+            .any(|s| s.port == port && s.protocol == protocol)
+    };
+    for container in &pod.spec.containers {
+        for spec in behaviors.resolve(&container.image).listeners(container) {
+            let port = match &spec.port {
+                PortSpec::Static(p) => Some(*p),
+                PortSpec::Ephemeral => {
+                    // Draw until free within this pod (ranges are huge, so
+                    // this terminates immediately in practice).
+                    let mut p = rng.gen_range(32768..=60999u16);
+                    while taken(&sockets, p, spec.protocol) {
+                        p = rng.gen_range(32768..=60999u16);
+                    }
+                    Some(p)
+                }
+                PortSpec::FromEnv { var, default } => container
+                    .env_value(var)
+                    .and_then(|v| v.parse::<u16>().ok())
+                    .or(*default),
+            };
+            let Some(port) = port else { continue };
+            if taken(&sockets, port, spec.protocol) {
+                continue; // two containers racing for one port: first wins
+            }
+            sockets.push(OpenSocket {
+                port,
+                protocol: spec.protocol,
+                loopback_only: spec.loopback_only,
+                ephemeral: matches!(spec.port, PortSpec::Ephemeral),
+                container: container.name.clone(),
+            });
+        }
+    }
+    sockets.sort_by_key(|s| (s.port, s.protocol));
+    sockets
+}
+
 /// A qualified `namespace/name` as its two parts.
 fn split_qualified(qualified: &str) -> (&str, &str) {
     qualified.split_once('/').unwrap_or((qualified, ""))
@@ -1018,6 +1073,7 @@ mod tests {
     use super::*;
     use crate::behavior::{ContainerBehavior, ListenerSpec};
     use ij_chart::{Chart, Release};
+    use std::collections::HashSet;
 
     /// True when a pod could have been expanded from the object named
     /// `qualified`: same namespace, and the object's own name or a
@@ -1044,6 +1100,75 @@ mod tests {
                     object.and_then(definer_meta).is_some(),
                     "{context}: pending entry {pos} is no pod-defining object"
                 );
+            }
+        }
+
+        /// Panics unless every live non-headless service has a ClusterIP,
+        /// no two live services share one, and `cluster_ip`/`resolve_dns`
+        /// answer for the first same-named service a scan of the objects
+        /// finds.
+        fn assert_cluster_ips(&self, names: &[&str], context: &str) {
+            let ip_at = |pos: usize| {
+                self.cluster_ips
+                    .iter()
+                    .find(|&&(p, _)| p == pos)
+                    .map(|&(_, ip)| ip)
+            };
+            let mut seen = HashSet::new();
+            for (pos, o) in self.objects.iter().enumerate() {
+                let Object::Service(s) = o else { continue };
+                let ip = ip_at(pos);
+                assert_eq!(
+                    ip.is_some(),
+                    !s.is_headless(),
+                    "{context}: service {} at {pos} has address {ip:?}",
+                    o.qualified_name()
+                );
+                if let Some(ip) = ip {
+                    assert!(seen.insert(ip), "{context}: {ip} handed out twice");
+                }
+            }
+            assert_eq!(
+                seen.len(),
+                self.cluster_ips.len(),
+                "{context}: addresses of removed services linger"
+            );
+            for namespace in ["default", "prod"] {
+                for &name in names {
+                    let first = self.objects.iter().position(|o| {
+                        matches!(o, Object::Service(s)
+                            if s.meta.namespace == namespace && s.meta.name == name)
+                    });
+                    let ip = first.and_then(ip_at);
+                    assert_eq!(
+                        self.cluster_ip(namespace, name),
+                        ip,
+                        "{context}: cluster_ip of {namespace}/{name}"
+                    );
+                    let dns: Vec<String> = match first.map(|pos| &self.objects[pos]) {
+                        Some(Object::Service(s)) if s.is_headless() => {
+                            let endpoints = self
+                                .endpoints()
+                                .into_iter()
+                                .find(|ep| ep.meta.namespace == namespace && ep.meta.name == name)
+                                .expect("every service has an endpoints object");
+                            let mut ips: Vec<String> = endpoints
+                                .addresses
+                                .iter()
+                                .map(|a| a.ip.to_string())
+                                .collect();
+                            ips.sort();
+                            ips.dedup();
+                            ips
+                        }
+                        _ => ip.iter().map(Ipv4Addr::to_string).collect(),
+                    };
+                    assert_eq!(
+                        self.resolve_dns(namespace, name),
+                        dns,
+                        "{context}: resolve_dns of {namespace}/{name}"
+                    );
+                }
             }
         }
     }
@@ -1111,10 +1236,10 @@ spec:
     fn install_creates_pods_with_ips() {
         let cluster = install_demo(BehaviorRegistry::new());
         assert_eq!(cluster.pods().len(), 2);
-        let ips: HashSet<&str> = cluster.pods().iter().map(|p| p.ip.as_str()).collect();
+        let ips: HashSet<Ipv4Addr> = cluster.pods().iter().map(|p| p.ip).collect();
         assert_eq!(ips.len(), 2, "distinct pod IPs");
         for p in cluster.pods() {
-            assert!(p.ip.starts_with("10.244."));
+            assert!(p.ip.to_string().starts_with("10.244."));
             assert_eq!(p.pod.status.phase, "Running");
             assert!(
                 p.listens_on(8080, Protocol::Tcp),
@@ -1273,7 +1398,7 @@ spec:
         assert_eq!(cluster.pods().len(), 3);
         // hostNetwork pods take their node's IP and appear in host sockets.
         for p in cluster.pods() {
-            assert!(p.ip.starts_with("192.168.49."));
+            assert!(p.ip.to_string().starts_with("192.168.49."));
         }
         let host = cluster.host_sockets("node-0");
         assert!(host
@@ -1329,25 +1454,50 @@ spec:
     #[test]
     fn watch_stream_delivers_lifecycle_events() {
         let mut cluster = install_demo(BehaviorRegistry::new());
-        let start = cluster.events().len();
-        let pod = Pod::new(
-            ij_model::ObjectMeta::named("late"),
-            ij_model::PodSpec {
-                containers: vec![ij_model::Container::new("c", "img")],
-                ..Default::default()
-            },
-        );
-        cluster.apply(Object::Pod(pod)).unwrap();
+        let bare = |name: &str, host_network: bool| {
+            Object::Pod(Pod::new(
+                ij_model::ObjectMeta::named(name),
+                ij_model::PodSpec {
+                    containers: vec![ij_model::Container::new("c", "img")
+                        .with_ports(vec![ij_model::ContainerPort::tcp(9100)])],
+                    host_network,
+                    node_name: None,
+                },
+            ))
+        };
+        cluster.apply(bare("late", false)).unwrap();
+        cluster.reconcile();
+        cluster.apply(bare("exporter", true)).unwrap();
+        cluster.reconcile();
+        assert!(cluster.scale_workload("default/d-web", 1));
         cluster.reconcile();
         cluster.restart_pods();
+        cluster.push_admission(Box::new(DenyNamed));
+        cluster.apply(bare("denied", false)).unwrap_err();
+        cluster.uninstall("d");
         cluster.reset();
-        let events = &cluster.events()[start..];
-        assert!(events.iter().any(|e| e == "apply Pod default/late"));
-        assert!(events
-            .iter()
-            .any(|e| e.starts_with("start default/late on ")));
-        assert!(events.iter().any(|e| e == "restart default/late"));
-        assert_eq!(events.last().map(String::as_str), Some("reset"));
+        // The full text of every line, as consumers of the log read it.
+        assert_eq!(
+            cluster.events(),
+            [
+                "apply Deployment default/d-web",
+                "apply Service default/d-web",
+                "start default/d-web-0 on node-0 ip=10.244.0.2 sockets=1",
+                "start default/d-web-1 on node-1 ip=10.244.0.3 sockets=1",
+                "apply Pod default/late",
+                "start default/late on node-2 ip=10.244.0.4 sockets=1",
+                "apply Pod default/exporter",
+                "start default/exporter on node-0 ip=192.168.49.2 sockets=1",
+                "scale default/d-web to 1",
+                "reap default/d-web-1",
+                "restart default/d-web-0",
+                "restart default/late",
+                "restart default/exporter",
+                "deny default/denied: denied by name",
+                "uninstall d",
+                "reset",
+            ]
+        );
     }
 
     #[test]
@@ -1518,6 +1668,54 @@ spec:
             cluster.cluster_ip("default", "d-web").is_none(),
             "rollback must release the ClusterIP of already-applied services"
         );
+    }
+
+    /// A ClusterIP service named `name` in `default`, selecting `app: web`.
+    fn web_service(name: &str) -> Object {
+        Object::Service(Service::cluster_ip(
+            ij_model::ObjectMeta::named(name),
+            Labels::from_pairs([("app", "web")]),
+            vec![ij_model::ServicePort::tcp(80)],
+        ))
+    }
+
+    #[test]
+    fn same_named_services_keep_their_cluster_ips() {
+        let mut cluster = Cluster::new(ClusterConfig::default());
+        cluster.push_admission(Box::new(DenyNamed));
+        let ip = |cluster: &Cluster| {
+            cluster
+                .cluster_ip("default", "shared")
+                .map(|ip| ip.to_string())
+        };
+        cluster
+            .install_objects("a", &[web_service("shared")])
+            .unwrap();
+        let first = ip(&cluster).expect("a's service has an address");
+        // A second release's same-named service gets its own address; the
+        // name still answers for the first service in apply order.
+        cluster
+            .install_objects("b", &[web_service("shared")])
+            .unwrap();
+        assert_eq!(ip(&cluster).as_ref(), Some(&first));
+        // A denied install rolls back its own service only.
+        cluster
+            .install_objects("c", &[web_service("shared"), web_service("denied")])
+            .unwrap_err();
+        assert_eq!(ip(&cluster).as_ref(), Some(&first));
+        // Uninstalling the later release leaves the survivor's address.
+        cluster.uninstall("b");
+        assert_eq!(cluster.services().count(), 1);
+        assert_eq!(ip(&cluster).as_ref(), Some(&first));
+        assert_eq!(cluster.resolve_dns("default", "shared"), [first.as_str()]);
+        // Uninstalling the earlier one leaves the later one's own address.
+        cluster
+            .install_objects("b", &[web_service("shared")])
+            .unwrap();
+        cluster.uninstall("a");
+        let second = ip(&cluster).expect("b's service keeps its address");
+        assert_ne!(second, first, "no address is handed out twice");
+        assert_eq!(cluster.resolve_dns("default", "shared"), [second]);
     }
 
     #[test]
@@ -1715,6 +1913,34 @@ spec:
         Object::Workload(w)
     }
 
+    /// Service names of the random streams: shared across releases and with
+    /// workloads, so same-named services coexist.
+    const SERVICE_NAMES: [&str; 4] = ["web", "api", "shared", "denied"];
+
+    /// A service drawn from [`SERVICE_NAMES`], headless at times, selecting
+    /// the workloads of its name.
+    fn random_service(rng: &mut StdRng) -> Object {
+        let namespace = ["default", "prod"][rng.gen_range(0..2usize)];
+        let name = SERVICE_NAMES[rng.gen_range(0..SERVICE_NAMES.len())];
+        let meta = ij_model::ObjectMeta::named(name).in_namespace(namespace);
+        let selector = Labels::from_pairs([("app", name)]);
+        let ports = vec![ij_model::ServicePort::tcp(8080)];
+        Object::Service(if rng.gen_bool(0.3) {
+            Service::headless(meta, selector, ports)
+        } else {
+            Service::cluster_ip(meta, selector, ports)
+        })
+    }
+
+    /// A pod-defining object, or at times a service.
+    fn random_object(rng: &mut StdRng) -> Object {
+        if rng.gen_bool(0.3) {
+            random_service(rng)
+        } else {
+            random_definer(rng)
+        }
+    }
+
     /// After every reconcile the full-scan oracle finds nothing left to
     /// start or reap, and a second reconcile neither bumps the generation
     /// nor records a dirty entry.
@@ -1771,7 +1997,7 @@ spec:
                 .map(String::as_str)
                 == Some(release)
         };
-        let pod_row = |rp: &RunningPod| (rp.qualified_name(), rp.node.clone(), rp.ip.clone());
+        let pod_row = |rp: &RunningPod| (rp.qualified_name(), rp.node.clone(), rp.ip);
         let expected: Vec<_> = cluster
             .pods()
             .iter()
@@ -1818,11 +2044,11 @@ spec:
                     let release = ["r1", "r2", "r3"][rng.gen_range(0..3usize)];
                     match rng.gen_range(0..100u32) {
                         0..=19 => {
-                            let _ = cluster.apply(random_definer(&mut rng));
+                            let _ = cluster.apply(random_object(&mut rng));
                         }
                         20..=44 => {
                             let objects: Vec<Object> = (0..rng.gen_range(1..4usize))
-                                .map(|_| random_definer(&mut rng))
+                                .map(|_| random_object(&mut rng))
                                 .collect();
                             if cluster.install_objects(release, &objects).is_ok() {
                                 assert_converged(&mut cluster, &context);
@@ -1847,6 +2073,7 @@ spec:
                         }
                     }
                     cluster.assert_index_exact(&context);
+                    cluster.assert_cluster_ips(&SERVICE_NAMES, &context);
                 }
                 cluster.reconcile();
                 assert_converged(&mut cluster, &format!("nodes {nodes}, seed {seed}, end"));

@@ -12,6 +12,7 @@
 //! and the cluster's memory stays bounded no matter how long it serves.
 
 use std::collections::{BTreeSet, VecDeque};
+use std::sync::Arc;
 
 /// Maximum dirty-log entries retained before the ring starts dropping its
 /// oldest generation (and cursors older than the horizon go conservative).
@@ -20,8 +21,9 @@ pub const DIRTY_LOG_CAP: usize = 4096;
 /// Which release (application) a recorded mutation touched.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DirtyScope {
-    /// Objects or pods stamped with one release annotation.
-    App(String),
+    /// Objects or pods stamped with one release annotation. Consecutive
+    /// entries of one release share one allocation of the name.
+    App(Arc<str>),
     /// Every installed release at once (pod restart sweeps, resets).
     AllApps,
     /// A change with no release attribution: bare objects applied outside
@@ -46,7 +48,7 @@ pub struct DirtyEntry {
 
 impl DirtyEntry {
     /// An entry touching one release.
-    pub fn app(name: impl Into<String>, labels: bool, pods: bool) -> Self {
+    pub fn app(name: impl Into<Arc<str>>, labels: bool, pods: bool) -> Self {
         DirtyEntry {
             scope: DirtyScope::App(name.into()),
             labels,
@@ -102,8 +104,8 @@ impl DirtySummary {
             // A release is usually dirtied by many entries in a row: clone
             // its name only the first time.
             DirtyScope::App(name) => {
-                if !self.apps.contains(name) {
-                    self.apps.insert(name.clone());
+                if !self.apps.contains(&**name) {
+                    self.apps.insert(name.to_string());
                 }
             }
             DirtyScope::AllApps => self.all_apps = true,
@@ -131,6 +133,19 @@ impl DirtyLog {
             start,
             entries: VecDeque::new(),
             cap,
+        }
+    }
+
+    /// The scope of a mutation of `release` (`None`: unattributed). A
+    /// release named like the newest entry's shares that entry's name, so
+    /// the run of entries one install records allocates the name once.
+    pub(crate) fn scope(&self, release: Option<&str>) -> DirtyScope {
+        let Some(release) = release else {
+            return DirtyScope::Unattributed;
+        };
+        match self.entries.back().map(|entry| &entry.scope) {
+            Some(DirtyScope::App(last)) if **last == *release => DirtyScope::App(Arc::clone(last)),
+            _ => DirtyScope::App(release.into()),
         }
     }
 
@@ -209,6 +224,24 @@ mod tests {
         assert!(!covered.everything && covered.unattributed);
         // A cursor from the future (another cluster) is never trusted.
         assert!(log.summary_since(9, 5).everything);
+    }
+
+    #[test]
+    fn consecutive_entries_of_one_release_share_its_name() {
+        let mut log = DirtyLog::new(0, 8);
+        log.record(DirtyEntry::app("shop", true, false));
+        let DirtyScope::App(first) = log.scope(Some("shop")) else {
+            panic!("a release scope");
+        };
+        let DirtyScope::App(last) = &log.entries[0].scope else {
+            unreachable!("recorded as a release entry");
+        };
+        assert!(Arc::ptr_eq(&first, last), "same release, one allocation");
+        let DirtyScope::App(other) = log.scope(Some("blog")) else {
+            panic!("a release scope");
+        };
+        assert_eq!(&*other, "blog");
+        assert_eq!(log.scope(None), DirtyScope::Unattributed);
     }
 
     #[test]

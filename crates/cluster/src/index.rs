@@ -24,7 +24,7 @@
 //! the naive engine (property-tested in `tests/prop_netpol.rs`).
 
 use crate::cluster::Cluster;
-use crate::netpol::{parse_cidr, parse_v4, AllowReason, ConnectionVerdict};
+use crate::netpol::{parse_cidr, AllowReason, ConnectionVerdict};
 use ij_model::{
     LabelInterner, LabelSet, NetworkPolicy, PolicyPort, PolicyType, Protocol, SelectorMatcher,
 };
@@ -182,8 +182,8 @@ struct CompiledPolicy {
 struct PodEntry {
     name: String,
     host_network: bool,
-    /// Parsed pod IP; `None` never falls inside any ipBlock.
-    ip: Option<u32>,
+    /// Pod IP as an integer, ready for ipBlock masks.
+    ip: u32,
     /// First-wins named container ports, matching
     /// [`ij_model::Pod::resolve_port_name`].
     named_ports: Vec<(String, u16)>,
@@ -197,8 +197,8 @@ struct CompiledIpBlock {
 }
 
 impl CompiledIpBlock {
-    fn admits(&self, ip: Option<u32>) -> bool {
-        let (Some(ip), Some((net, mask))) = (ip, self.cidr) else {
+    fn admits(&self, ip: u32) -> bool {
+        let Some((net, mask)) = self.cidr else {
             return false;
         };
         if (ip & mask) != (net & mask) {
@@ -360,7 +360,7 @@ impl PolicyIndex {
             let entry = PodEntry {
                 name: rp.qualified_name(),
                 host_network: rp.pod.spec.host_network,
-                ip: parse_v4(&rp.ip),
+                ip: u32::from(rp.ip),
                 named_ports,
             };
             by_name.insert(entry.name.clone(), i);

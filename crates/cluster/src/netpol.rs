@@ -15,6 +15,7 @@
 use crate::cluster::RunningPod;
 use ij_model::{Labels, NetworkPolicy, PolicyType, Protocol};
 use std::collections::HashMap;
+use std::net::Ipv4Addr;
 
 /// The outcome of a connection attempt evaluated against policy.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -165,8 +166,8 @@ impl<'a> PolicyEngine<'a> {
         }
         peers.iter().any(|peer| {
             if let Some(block) = &peer.ip_block {
-                if ip_in_cidr(&other.ip, &block.cidr)
-                    && !block.except.iter().any(|e| ip_in_cidr(&other.ip, e))
+                if ip_in_cidr(other.ip, &block.cidr)
+                    && !block.except.iter().any(|e| ip_in_cidr(other.ip, e))
                 {
                     return true;
                 }
@@ -205,10 +206,8 @@ fn ports_match(
     ports.iter().any(|p| p.covers(port, protocol, &resolve))
 }
 
-/// Parses a dotted-quad IPv4 address. Shared with the compiled
-/// [`PolicyIndex`](crate::PolicyIndex) so both paths agree on what counts
-/// as a parseable address.
-pub(crate) fn parse_v4(s: &str) -> Option<u32> {
+/// Parses a dotted-quad IPv4 address.
+fn parse_v4(s: &str) -> Option<u32> {
     let mut out: u32 = 0;
     let mut parts = 0;
     for seg in s.split('.') {
@@ -223,7 +222,9 @@ pub(crate) fn parse_v4(s: &str) -> Option<u32> {
 }
 
 /// Parses a CIDR (or bare address) into `(network, mask)`; `None` means
-/// malformed, which never matches anything.
+/// malformed, which never matches anything. Shared with the compiled
+/// [`PolicyIndex`](crate::PolicyIndex) so both paths agree on what counts
+/// as a parseable block.
 pub(crate) fn parse_cidr(cidr: &str) -> Option<(u32, u32)> {
     let (net, len) = match cidr.split_once('/') {
         Some((net, len)) => (parse_v4(net)?, len.parse::<u32>().ok()?.min(32)),
@@ -234,14 +235,11 @@ pub(crate) fn parse_cidr(cidr: &str) -> Option<(u32, u32)> {
 }
 
 /// Minimal IPv4 CIDR containment test.
-fn ip_in_cidr(ip: &str, cidr: &str) -> bool {
-    let Some(addr) = parse_v4(ip) else {
-        return false;
-    };
+fn ip_in_cidr(ip: Ipv4Addr, cidr: &str) -> bool {
     let Some((net, mask)) = parse_cidr(cidr) else {
         return false;
     };
-    (addr & mask) == (net & mask)
+    (u32::from(ip) & mask) == (net & mask)
 }
 
 #[cfg(test)]
@@ -269,9 +267,9 @@ mod tests {
             ),
             node: "node-0".into(),
             ip: if host_network {
-                "192.168.49.2".into()
+                Ipv4Addr::new(192, 168, 49, 2)
             } else {
-                "10.244.0.5".into()
+                Ipv4Addr::new(10, 244, 0, 5)
             },
             sockets: vec![OpenSocket {
                 port: 8080,
@@ -497,7 +495,7 @@ mod tests {
         let engine = PolicyEngine::new(&policies, []);
         let db = pod("db", "default", &[("app", "db")], false);
         let mut ok = pod("ok", "default", &[("app", "x")], false);
-        ok.ip = "10.244.1.9".into();
+        ok.ip = Ipv4Addr::new(10, 244, 1, 9);
         let excluded = pod("excluded", "default", &[("app", "x")], false); // 10.244.0.5
         assert!(engine.verdict(&ok, &db, 1, Protocol::Tcp).is_allowed());
         assert_eq!(
@@ -508,11 +506,12 @@ mod tests {
 
     #[test]
     fn cidr_math() {
-        assert!(ip_in_cidr("10.244.3.7", "10.244.0.0/16"));
-        assert!(!ip_in_cidr("10.245.0.1", "10.244.0.0/16"));
-        assert!(ip_in_cidr("1.2.3.4", "0.0.0.0/0"));
-        assert!(ip_in_cidr("1.2.3.4", "1.2.3.4"));
-        assert!(!ip_in_cidr("bogus", "10.0.0.0/8"));
+        let ip = |s: &str| s.parse::<Ipv4Addr>().unwrap();
+        assert!(ip_in_cidr(ip("10.244.3.7"), "10.244.0.0/16"));
+        assert!(!ip_in_cidr(ip("10.245.0.1"), "10.244.0.0/16"));
+        assert!(ip_in_cidr(ip("1.2.3.4"), "0.0.0.0/0"));
+        assert!(ip_in_cidr(ip("1.2.3.4"), "1.2.3.4"));
+        assert!(!ip_in_cidr(ip("10.0.0.1"), "bogus"));
     }
 
     #[test]

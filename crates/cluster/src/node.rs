@@ -1,6 +1,7 @@
 //! Cluster nodes and their host network namespaces.
 
 use ij_model::Protocol;
+use std::net::Ipv4Addr;
 
 /// A worker node.
 ///
@@ -12,8 +13,8 @@ use ij_model::Protocol;
 pub struct Node {
     /// Node name (`node-0`, `node-1`, …).
     pub name: String,
-    /// Node IP on the data-center network.
-    pub ip: String,
+    /// Node IP on the data-center network (`192.168.49.2` up).
+    pub ip: Ipv4Addr,
     /// Ports the node's own system daemons hold open (kubelet, containerd
     /// metrics, sshd, …). Present before any pod is scheduled.
     pub baseline_ports: Vec<(u16, Protocol)>,
@@ -24,7 +25,7 @@ impl Node {
     pub fn new(index: usize) -> Self {
         Node {
             name: format!("node-{index}"),
-            ip: format!("192.168.49.{}", index + 2),
+            ip: Ipv4Addr::from(u32::from(Ipv4Addr::new(192, 168, 49, 2)) + index as u32),
             baseline_ports: vec![
                 (22, Protocol::Tcp),    // sshd
                 (10250, Protocol::Tcp), // kubelet API

@@ -280,7 +280,7 @@ fn install_spec(cluster: &mut Cluster, spec: &AppSpec) -> Result<(), CensusError
             source,
         })?;
     cluster
-        .install(&rendered)
+        .install_owned(&rendered.release_name, rendered.objects)
         .map(|_| ())
         .map_err(|source| CensusError::Install {
             app: spec.name.clone(),

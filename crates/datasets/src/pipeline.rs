@@ -510,8 +510,14 @@ impl CensusPipeline {
         compiled
             .render_objects_into(&release, render_scratch, objects)
             .map_err(render_err)?;
-        let objects: &[Object] = objects;
         record_local(&mut local.render, start);
+
+        // The model reads the rendered objects before the cluster takes
+        // them: the cluster's copies carry the release annotation, which the
+        // model would copy into every service it keeps.
+        start = timed.then(Instant::now);
+        let statics = StaticModel::from_objects(objects.iter());
+        record_local(&mut local.analyze, start);
 
         start = timed.then(Instant::now);
         let baseline = HostBaseline::capture(&cluster);
@@ -519,7 +525,7 @@ impl CensusPipeline {
 
         start = timed.then(Instant::now);
         cluster
-            .install_objects(app, objects)
+            .install_owned(app, objects.drain(..))
             .map_err(|source| CensusError::Install {
                 app: app.clone(),
                 source,
@@ -533,7 +539,6 @@ impl CensusPipeline {
         record_local(&mut local.probe, start);
 
         start = timed.then(Instant::now);
-        let statics = StaticModel::from_objects(objects);
         let findings = opts.analyzer.analyze_model(
             app,
             &statics,

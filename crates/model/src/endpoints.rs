@@ -3,12 +3,13 @@
 
 use crate::meta::ObjectMeta;
 use crate::pod::Protocol;
+use std::net::Ipv4Addr;
 
 /// A single ready address backing a service port.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EndpointAddress {
     /// Pod IP.
-    pub ip: String,
+    pub ip: Ipv4Addr,
     /// Backing pod's qualified name (`namespace/name`).
     pub pod: String,
     /// Resolved numeric target port on that pod.
@@ -54,21 +55,21 @@ mod tests {
             meta: ObjectMeta::named("svc"),
             addresses: vec![
                 EndpointAddress {
-                    ip: "10.0.0.1".into(),
+                    ip: Ipv4Addr::new(10, 0, 0, 1),
                     pod: "default/a".into(),
                     port: 80,
                     protocol: Protocol::Tcp,
                     port_name: None,
                 },
                 EndpointAddress {
-                    ip: "10.0.0.1".into(),
+                    ip: Ipv4Addr::new(10, 0, 0, 1),
                     pod: "default/a".into(),
                     port: 443,
                     protocol: Protocol::Tcp,
                     port_name: None,
                 },
                 EndpointAddress {
-                    ip: "10.0.0.2".into(),
+                    ip: Ipv4Addr::new(10, 0, 0, 2),
                     pod: "default/b".into(),
                     port: 80,
                     protocol: Protocol::Tcp,

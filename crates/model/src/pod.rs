@@ -5,6 +5,7 @@ use crate::error::{Error, Result};
 use crate::meta::ObjectMeta;
 use ij_yaml::{Map, Value};
 use std::fmt;
+use std::net::Ipv4Addr;
 
 /// Transport protocol of a port. Kubernetes defaults to TCP everywhere.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -294,7 +295,7 @@ impl PodSpec {
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PodStatus {
     /// Pod IP on the cluster network (node IP for hostNetwork pods).
-    pub pod_ip: Option<String>,
+    pub pod_ip: Option<Ipv4Addr>,
     /// Lifecycle phase (`Pending`, `Running`, ...).
     pub phase: String,
 }
