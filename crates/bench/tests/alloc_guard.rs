@@ -9,16 +9,22 @@
 //! fixed startup cost (profiles, chart compilation, interner tables)
 //! cancels out, leaving the steady-state per-app allocation count.
 //!
-//! The measured steady state on the reference machine is ~930
+//! The measured steady state on the reference machine is ~870
 //! allocations per app — that covers the whole per-app pipeline (spec
 //! generation, chart build, compile, direct-to-Value render, install,
-//! probe, analyze, retained findings), not just rendering. The 1,210
+//! probe, analyze, retained findings), not just rendering. The 1,131
 //! ceiling gives ~30% headroom against small legitimate changes while
 //! failing loudly if text materialization, the encode → decode round
 //! trip of generated chart objects, per-app buffer churn, or a copy of
 //! each rendered object at install returns (each costs hundreds of extra
 //! allocations per app in encoded documents, rendered strings, reparsed
 //! document trees and cloned objects).
+//!
+//! The same census over two shards (still one thread, so the count is
+//! deterministic) runs the spec-order shard merge, which rewrites each
+//! report and model in place: it measures the same ~870 allocations per
+//! app, under the same 1.3× ceiling. A merge that copies every report and
+//! model again costs about a dozen more per app.
 //!
 //! A second arm gates the `ij serve` path the same way: it counts the
 //! allocations of one install mutation plus its incremental audit tick on
@@ -78,7 +84,8 @@ static SERIAL: Mutex<()> = Mutex::new(());
 
 const SMALL: usize = 200;
 const LARGE: usize = 1_200;
-const PER_APP_CEILING: u64 = 1_210;
+const PER_APP_CEILING: u64 = 1_131;
+const SHARDED_PER_APP_CEILING: u64 = 1_131;
 
 /// Serve arm: tenant sizes, measured installs, and the allowed growth.
 const SMALL_TENANT: usize = 10;
@@ -86,14 +93,18 @@ const LARGE_TENANTS: [usize; 2] = [100, 400];
 const INSTALLS: usize = 20;
 const TENANT_RATIO_CEILING: f64 = 1.5;
 
-fn census_allocs(apps: usize) -> u64 {
+fn census_allocs(apps: usize, shards: usize) -> u64 {
     let generator = CorpusGenerator::new(
         CorpusProfile::named("baseline")
             .expect("baseline profile")
             .with_apps(apps)
             .with_seed(7),
     );
-    let pipeline = CensusPipeline::builder().seed(7).build();
+    let pipeline = CensusPipeline::builder()
+        .seed(7)
+        .threads(1)
+        .shards(shards)
+        .build();
     let before = ALLOCS.load(Ordering::Relaxed);
     let census = pipeline
         .run_generated_compact(&generator)
@@ -107,6 +118,23 @@ fn census_allocs(apps: usize) -> u64 {
     after - before
 }
 
+/// Steady-state allocations per app of a one-thread census over `shards`
+/// shards.
+fn census_allocs_per_app(shards: usize) -> u64 {
+    let small = census_allocs(SMALL, shards);
+    let large = census_allocs(LARGE, shards);
+    assert!(
+        large > small,
+        "larger census allocated less ({large} vs {small}); the delta is meaningless"
+    );
+    let per_app = (large - small) / (LARGE - SMALL) as u64;
+    eprintln!(
+        "alloc_guard: {shards} shard(s): {small} allocs @ {SMALL} apps, {large} @ {LARGE}; \
+         steady state {per_app} allocs/app"
+    );
+    per_app
+}
+
 #[test]
 #[cfg_attr(
     debug_assertions,
@@ -114,22 +142,28 @@ fn census_allocs(apps: usize) -> u64 {
 )]
 fn steady_state_census_allocations_stay_bounded() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let small = census_allocs(SMALL);
-    let large = census_allocs(LARGE);
-    assert!(
-        large > small,
-        "larger census allocated less ({large} vs {small}); the delta is meaningless"
-    );
-    let per_app = (large - small) / (LARGE - SMALL) as u64;
-    eprintln!(
-        "alloc_guard: {small} allocs @ {SMALL} apps, {large} @ {LARGE}; \
-         steady state {per_app} allocs/app (ceiling {PER_APP_CEILING})"
-    );
+    let per_app = census_allocs_per_app(1);
     assert!(
         per_app < PER_APP_CEILING,
         "steady-state census allocations regressed: {per_app} allocs/app \
-         breached the {PER_APP_CEILING} ceiling (~1,200 expected; an \
-         encode → decode or emit+reparse round trip costs hundreds more per app)"
+         breached the {PER_APP_CEILING} ceiling (an encode → decode or \
+         emit+reparse round trip costs hundreds more per app)"
+    );
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "allocation counts are calibrated for release builds"
+)]
+fn sharded_census_merge_allocates_nothing_per_report() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let per_app = census_allocs_per_app(2);
+    assert!(
+        per_app < SHARDED_PER_APP_CEILING,
+        "steady-state allocations of a two-shard census regressed: {per_app} \
+         allocs/app breached the {SHARDED_PER_APP_CEILING} ceiling (a merge \
+         that copies each report and model costs about a dozen more per app)"
     );
 }
 

@@ -20,7 +20,7 @@
 use crate::finding::{identity_over, Finding, MisconfigId};
 use crate::model::StaticModel;
 use crate::report::{AppReport, Census, DatasetRow};
-use crate::symtab::{Sym, SymbolTable};
+use crate::symtab::{Sym, SymMemo, SymbolTable};
 use ij_model::Protocol;
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
@@ -81,15 +81,10 @@ impl CompactFinding {
         )
     }
 
-    /// Re-interns into another table.
-    fn remap(&self, from: &SymbolTable, to: &mut SymbolTable) -> CompactFinding {
-        CompactFinding {
-            id: self.id,
-            app: to.intern(from.resolve(self.app)),
-            object: to.intern(from.resolve(self.object)),
-            detail: to.intern(from.resolve(self.detail)),
-            port: self.port,
-            protocol: self.protocol,
+    /// Re-interns into another table, in place.
+    fn remap_in_place(&mut self, from: &SymbolTable, to: &mut SymbolTable, memo: &mut SymMemo) {
+        for sym in [&mut self.app, &mut self.object, &mut self.detail] {
+            *sym = memo.map(*sym, from, to);
         }
     }
 }
@@ -141,13 +136,25 @@ impl CompactAppReport {
         }
     }
 
-    /// Re-interns into another table.
+    /// Re-interns into another table: a copy of the report, rewritten by
+    /// [`CompactAppReport::remap_in_place`] without a memo.
     pub fn remap(&self, from: &SymbolTable, to: &mut SymbolTable) -> CompactAppReport {
-        CompactAppReport {
-            app: to.intern(from.resolve(self.app)),
-            dataset: to.intern(from.resolve(self.dataset)),
-            version: to.intern(from.resolve(self.version)),
-            findings: self.findings.iter().map(|f| f.remap(from, to)).collect(),
+        let mut out = self.clone();
+        out.remap_in_place(from, to, &mut SymMemo::default());
+        out
+    }
+
+    /// Re-interns every symbol into another table, in place: the report
+    /// keeps its allocations. Symbols are visited in a fixed order (app,
+    /// dataset, version, then each finding's app, object and detail), so a
+    /// walk over many reports interns their strings into `to` in
+    /// first-occurrence order whatever `memo` holds.
+    pub fn remap_in_place(&mut self, from: &SymbolTable, to: &mut SymbolTable, memo: &mut SymMemo) {
+        for sym in [&mut self.app, &mut self.dataset, &mut self.version] {
+            *sym = memo.map(*sym, from, to);
+        }
+        for f in &mut self.findings {
+            f.remap_in_place(from, to, memo);
         }
     }
 
@@ -248,7 +255,7 @@ impl CompactCensus {
 
 /// One compute unit of the interned cluster-wide model: just the fields the
 /// M4\* pass reads, as symbols.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GlobalUnit {
     /// Interned qualified name.
     pub name: Sym,
@@ -261,7 +268,7 @@ pub struct GlobalUnit {
 }
 
 /// One service of the interned cluster-wide model.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GlobalService {
     /// Interned qualified name.
     pub object: Sym,
@@ -276,7 +283,7 @@ pub struct GlobalService {
 /// Everything the cluster-wide M4\* pass needs from one application, with
 /// every string interned. At corpus scale the pipeline keeps one of these
 /// per streamed application instead of a full [`StaticModel`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GlobalAppModel {
     /// Interned application name.
     pub app: Sym,
@@ -289,6 +296,9 @@ pub struct GlobalAppModel {
 impl GlobalAppModel {
     /// Interns the M4\*-relevant slice of a static model.
     pub fn intern(app: &str, model: &StaticModel, table: &mut SymbolTable) -> Self {
+        // Label renderings and qualified names are written into one reused
+        // buffer instead of a fresh string each.
+        let mut buf = String::new();
         GlobalAppModel {
             app: table.intern(app),
             units: model
@@ -297,7 +307,8 @@ impl GlobalAppModel {
                 .map(|u| GlobalUnit {
                     name: table.intern(&u.name),
                     namespace: table.intern(&u.namespace),
-                    labels_rendered: table.intern(&u.labels.to_string()),
+                    labels_rendered: table
+                        .intern(rendered(&mut buf, |b| u.labels.write_rendered(b))),
                     label_pairs: u
                         .labels
                         .iter()
@@ -309,9 +320,10 @@ impl GlobalAppModel {
                 .services
                 .iter()
                 .map(|s| GlobalService {
-                    object: table.intern(&s.meta.qualified_name()),
+                    object: table.intern(rendered(&mut buf, |b| s.meta.write_qualified_name(b))),
                     namespace: table.intern(&s.meta.namespace),
-                    selector_rendered: table.intern(&s.spec.selector.to_string()),
+                    selector_rendered: table
+                        .intern(rendered(&mut buf, |b| s.spec.selector.write_rendered(b))),
                     selector_pairs: s
                         .spec
                         .selector
@@ -323,41 +335,48 @@ impl GlobalAppModel {
         }
     }
 
-    /// Re-interns into another table.
+    /// Re-interns into another table: a copy of the model, rewritten by
+    /// [`GlobalAppModel::remap_in_place`] without a memo.
     pub fn remap(&self, from: &SymbolTable, to: &mut SymbolTable) -> GlobalAppModel {
-        let sym = |s: Sym, to: &mut SymbolTable| to.intern(from.resolve(s));
-        GlobalAppModel {
-            app: sym(self.app, to),
-            units: self
-                .units
-                .iter()
-                .map(|u| GlobalUnit {
-                    name: sym(u.name, to),
-                    namespace: sym(u.namespace, to),
-                    labels_rendered: sym(u.labels_rendered, to),
-                    label_pairs: u
-                        .label_pairs
-                        .iter()
-                        .map(|&(k, v)| (sym(k, to), sym(v, to)))
-                        .collect(),
-                })
-                .collect(),
-            services: self
-                .services
-                .iter()
-                .map(|s| GlobalService {
-                    object: sym(s.object, to),
-                    namespace: sym(s.namespace, to),
-                    selector_rendered: sym(s.selector_rendered, to),
-                    selector_pairs: s
-                        .selector_pairs
-                        .iter()
-                        .map(|&(k, v)| (sym(k, to), sym(v, to)))
-                        .collect(),
-                })
-                .collect(),
+        let mut out = self.clone();
+        out.remap_in_place(from, to, &mut SymMemo::default());
+        out
+    }
+
+    /// Re-interns every symbol into another table, in place: the model
+    /// keeps its allocations. Symbols are visited in a fixed order (app,
+    /// then each unit's name, namespace, rendering and pairs, then each
+    /// service's), so a walk over many models interns their strings into
+    /// `to` in first-occurrence order whatever `memo` holds.
+    pub fn remap_in_place(&mut self, from: &SymbolTable, to: &mut SymbolTable, memo: &mut SymMemo) {
+        let mut map = |sym: &mut Sym| *sym = memo.map(*sym, from, to);
+        map(&mut self.app);
+        for u in &mut self.units {
+            map(&mut u.name);
+            map(&mut u.namespace);
+            map(&mut u.labels_rendered);
+            for (k, v) in &mut u.label_pairs {
+                map(k);
+                map(v);
+            }
+        }
+        for s in &mut self.services {
+            map(&mut s.object);
+            map(&mut s.namespace);
+            map(&mut s.selector_rendered);
+            for (k, v) in &mut s.selector_pairs {
+                map(k);
+                map(v);
+            }
         }
     }
+}
+
+/// Clears `buf`, lets `write` fill it and returns it.
+fn rendered(buf: &mut String, write: impl FnOnce(&mut String)) -> &str {
+    buf.clear();
+    write(buf);
+    buf
 }
 
 /// Who derives an M4\* finding. A scoped pass ([`m4_global_collisions_scoped`])
@@ -1159,6 +1178,105 @@ mod tests {
             assert_eq!(compact.identity(&table), f.identity());
             assert_eq!(compact.resolve(&table), *f);
         }
+    }
+
+    #[test]
+    fn memoized_in_place_remap_assigns_the_same_ids() {
+        // Reports and models of a corpus whose strings repeat within and
+        // across applications (datasets, versions, namespaces, labels). The
+        // findings name every unit but each app's first, so some strings
+        // first occur in a report and others in a model.
+        let corpus = pseudo_random_corpus(23, 40);
+        let reports: Vec<AppReport> = corpus
+            .iter()
+            .enumerate()
+            .map(|(i, (app, model))| AppReport {
+                app: app.clone(),
+                dataset: ["cncf", "bitnami", "prometheus"][i % 3].into(),
+                version: format!("1.{}.0", i % 4),
+                findings: model
+                    .units
+                    .iter()
+                    .skip(1)
+                    .map(|u| {
+                        Finding::new(
+                            MisconfigId::M4A,
+                            app,
+                            &u.name,
+                            format!("labels {}", u.labels),
+                        )
+                    })
+                    .collect(),
+            })
+            .collect();
+        let slot = |i: usize, table: &mut SymbolTable| {
+            let report = CompactAppReport::intern(&reports[i], table);
+            let (app, model) = &corpus[i];
+            (report, GlobalAppModel::intern(app, model, table))
+        };
+
+        // Interning every occurrence straight into one table, in spec order.
+        let mut direct = SymbolTable::new();
+        let expected: Vec<_> = (0..corpus.len()).map(|i| slot(i, &mut direct)).collect();
+
+        // Three uneven shards, each filled in a scrambled completion order.
+        let bounds = [0, 7, 25, corpus.len()];
+        let shards: Vec<(SymbolTable, Vec<_>)> = bounds
+            .windows(2)
+            .map(|w| {
+                let mut table = SymbolTable::new();
+                let n = w[1] - w[0];
+                let mut slots = vec![None; n];
+                // Odd slots last-first, then even slots first-last.
+                let odd = (0..n).rev().filter(|j| j % 2 == 1);
+                for j in odd.chain((0..n).filter(|j| j % 2 == 0)) {
+                    slots[j] = Some(slot(w[0] + j, &mut table));
+                }
+                (table, slots.into_iter().map(Option::unwrap).collect())
+            })
+            .collect();
+        assert_ne!(
+            format!("{:?}", shards[1].0),
+            format!("{:?}", {
+                let mut t = SymbolTable::new();
+                (bounds[1]..bounds[2]).for_each(|i| drop(slot(i, &mut t)));
+                t
+            }),
+            "the completion order must differ from spec order for the test to bite"
+        );
+
+        // The per-occurrence remap, walked in spec order.
+        let mut per_occurrence = SymbolTable::new();
+        let mut remapped = Vec::new();
+        for (table, slots) in &shards {
+            for (report, model) in slots {
+                remapped.push((
+                    report.remap(table, &mut per_occurrence),
+                    model.remap(table, &mut per_occurrence),
+                ));
+            }
+        }
+
+        // The memoized in-place remap into a pre-sized table, as the merge
+        // runs it.
+        let mut merged = SymbolTable::with_capacity(
+            shards.iter().map(|(t, _)| t.len()).sum(),
+            shards.iter().map(|(t, _)| t.arena_bytes()).sum(),
+        );
+        let mut in_place = Vec::new();
+        for (table, slots) in shards {
+            let mut memo = SymMemo::new(&table);
+            for (mut report, mut model) in slots {
+                report.remap_in_place(&table, &mut merged, &mut memo);
+                model.remap_in_place(&table, &mut merged, &mut memo);
+                in_place.push((report, model));
+            }
+        }
+
+        assert_eq!(format!("{merged:?}"), format!("{direct:?}"));
+        assert_eq!(format!("{per_occurrence:?}"), format!("{direct:?}"));
+        assert_eq!(in_place, expected);
+        assert_eq!(remapped, expected);
     }
 
     #[test]

@@ -106,4 +106,4 @@ pub use model::{ComputeUnit, StaticModel};
 pub use registry::{AppRule, RuleEntry, RuleOrigin, RuleRegistry, RuleScope, UnknownRule};
 pub use report::{AppReport, Census, ConcentrationStats, DatasetRow};
 pub use rules::RuleContext;
-pub use symtab::{Sym, SymbolTable};
+pub use symtab::{Sym, SymMemo, SymbolTable};

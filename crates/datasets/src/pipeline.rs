@@ -38,7 +38,7 @@ use ij_cluster::{Cluster, ClusterConfig, InstallError};
 use ij_core::{
     chart_defines_network_policies, m4_global_collisions_compact, sort_canonical_compact, Analyzer,
     Census, CompactAppReport, CompactCensus, CompactFinding, GlobalAppModel, RulePack, StaticModel,
-    Sym, SymbolTable, UnknownRule,
+    Sym, SymMemo, SymbolTable, UnknownRule,
 };
 use ij_model::Object;
 use ij_probe::{HostBaseline, ProbeConfig, RuntimeAnalyzer};
@@ -731,7 +731,8 @@ impl CensusPipeline {
     /// merged table *in spec order* — so the merged symbol assignment (and
     /// therefore the entire compact census) is invariant to both shard and
     /// thread counts — then runs the interned cluster-wide pass and
-    /// attributes its findings.
+    /// attributes its findings. Reports and models are rewritten in place,
+    /// and a per-shard [`SymMemo`] re-interns each shard symbol only once.
     fn merge_shards(
         &self,
         shards: Vec<Mutex<ShardState>>,
@@ -769,19 +770,36 @@ impl CensusPipeline {
                 globals.extend(slot.globals);
             }
         } else {
-            table = SymbolTable::new();
-            for (s, shard) in shards.into_iter().enumerate() {
-                let state = shard.into_inner().expect("shard state");
+            let states: Vec<ShardState> = shards
+                .into_iter()
+                .map(|shard| shard.into_inner().expect("shard state"))
+                .collect();
+            // Sized for the sum of the shard tables: the merged table never
+            // regrows, at the price of over-reserving for strings that more
+            // than one shard holds.
+            table = SymbolTable::with_capacity(
+                states.iter().map(|state| state.table.len()).sum(),
+                states.iter().map(|state| state.table.arena_bytes()).sum(),
+            );
+            for (s, state) in states.into_iter().enumerate() {
                 let shard_table = state.table;
+                // Each shard symbol is re-interned once, at its first
+                // occurrence in spec order; the memo answers the rest.
+                let mut memo = SymMemo::new(&shard_table);
                 for (j, slot) in state.slots.into_iter().enumerate() {
-                    let Some(slot) = slot else {
+                    let Some(mut slot) = slot else {
                         return Err(missing(bounds[s] + j));
                     };
-                    apps.push(slot.report.remap(&shard_table, &mut table));
-                    globals.extend(slot.globals.map(|g| g.remap(&shard_table, &mut table)));
+                    slot.report
+                        .remap_in_place(&shard_table, &mut table, &mut memo);
+                    apps.push(slot.report);
+                    if let Some(mut global) = slot.globals {
+                        global.remap_in_place(&shard_table, &mut table, &mut memo);
+                        globals.push(global);
+                    }
                 }
                 // `shard_table` drops here: peak memory is the merged arena
-                // plus one shard's, never the sum of every shard's.
+                // plus the shard arenas not yet merged.
             }
         }
 

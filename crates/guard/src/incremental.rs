@@ -66,7 +66,7 @@ use std::mem::take;
 use ij_cluster::{Cluster, DirtySummary, RELEASE_ANNOTATION};
 use ij_core::{
     canonical_cmp, m4_global_collisions_scoped, Analyzer, Finding, GlobalAppModel, GlobalUnit,
-    M4Index, M4Owner, M4Part, M4Scope, StaticModel, SymbolTable,
+    M4Index, M4Owner, M4Part, M4Scope, StaticModel, SymMemo, SymbolTable,
 };
 use ij_model::Object;
 use ij_probe::{HostBaseline, RuntimeAnalyzer, RuntimeReport};
@@ -504,8 +504,10 @@ impl IncrementalAuditor {
     /// symbols only uninstalled releases used, and re-indexes the models.
     fn rebuild_table(&mut self) {
         let mut table = SymbolTable::new();
+        let mut memo = SymMemo::new(&self.table);
         for app in &mut self.apps {
-            app.global = app.global.remap(&self.table, &mut table);
+            app.global
+                .remap_in_place(&self.table, &mut table, &mut memo);
         }
         self.table = table;
         self.table_floor = self.table.len();

@@ -84,6 +84,19 @@ impl Labels {
         }
         Value::Map(m)
     }
+
+    /// Appends the `Display` form (`k=v,...` in key order) to `out`, without
+    /// going through the formatting machinery.
+    pub fn write_rendered(&self, out: &mut String) {
+        for (i, (k, v)) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(k);
+            out.push('=');
+            out.push_str(v);
+        }
+    }
 }
 
 impl fmt::Display for Labels {
@@ -145,7 +158,16 @@ impl ObjectMeta {
     /// `namespace/name`, the cluster-unique handle used throughout the
     /// simulator and analyzer.
     pub fn qualified_name(&self) -> String {
-        format!("{}/{}", self.namespace, self.name)
+        let mut out = String::with_capacity(self.namespace.len() + 1 + self.name.len());
+        self.write_qualified_name(&mut out);
+        out
+    }
+
+    /// Appends [`ObjectMeta::qualified_name`] to `out`.
+    pub fn write_qualified_name(&self, out: &mut String) {
+        out.push_str(&self.namespace);
+        out.push('/');
+        out.push_str(&self.name);
     }
 
     pub(crate) fn decode(map: &Map) -> Result<ObjectMeta> {
@@ -426,11 +448,23 @@ matchExpressions:
     fn qualified_name() {
         let m = ObjectMeta::named("web").in_namespace("monitoring");
         assert_eq!(m.qualified_name(), "monitoring/web");
+        let mut out = String::from("kept|");
+        m.write_qualified_name(&mut out);
+        assert_eq!(out, "kept|monitoring/web");
     }
 
     #[test]
     fn labels_display_sorted() {
         let l = labels(&[("b", "2"), ("a", "1")]);
         assert_eq!(l.to_string(), "a=1,b=2");
+        for l in [
+            l,
+            labels(&[]),
+            labels(&[("app.kubernetes.io/name", "x=y,z")]),
+        ] {
+            let mut out = String::from("kept|");
+            l.write_rendered(&mut out);
+            assert_eq!(out, format!("kept|{l}"));
+        }
     }
 }
