@@ -7,6 +7,7 @@
 //! against *existing* resources — the M4\* case Kubernetes itself never
 //! performs) are possible at admission time.
 
+use crate::slots::Live;
 use ij_model::Object;
 
 /// What an admission controller decided.
@@ -32,8 +33,9 @@ impl AdmissionOutcome {
 pub struct AdmissionReview<'a> {
     /// The incoming object.
     pub object: &'a Object,
-    /// Objects already persisted in the cluster (cluster-wide).
-    pub existing: &'a [Object],
+    /// Objects already persisted in the cluster (cluster-wide), in apply
+    /// order.
+    pub existing: Live<'a, Object>,
 }
 
 /// A validating admission controller.

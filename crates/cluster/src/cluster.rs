@@ -7,6 +7,7 @@ use crate::index::PolicyIndex;
 use crate::netpol::ConnectionVerdict;
 use crate::node::Node;
 use crate::release_index::{release_name, remap_positions, ReleaseIndex};
+use crate::slots::{Live, Slots};
 use ij_chart::RenderedRelease;
 use ij_model::{
     EndpointAddress, Endpoints, Labels, NetworkPolicy, Object, ObjectMeta, Pod, Protocol, Service,
@@ -132,21 +133,43 @@ pub enum ConnectOutcome {
 /// Annotation key the installer stamps onto release objects.
 pub const RELEASE_ANNOTATION: &str = "inside-job/release";
 
+/// The most lines [`Cluster::events`] keeps: a full log drops its oldest
+/// half before the next line goes in.
+pub const EVENT_LOG_CAP: usize = 1 << 14;
+
+/// The event log: the newest [`EVENT_LOG_CAP`] lines at most.
+#[derive(Default)]
+struct EventLog(Vec<String>);
+
+impl EventLog {
+    /// Appends a line, dropping the oldest half of a full log first
+    /// (amortized O(1) per line).
+    fn push(&mut self, line: String) {
+        if self.0.len() >= EVENT_LOG_CAP {
+            self.0.drain(..EVENT_LOG_CAP / 2);
+        }
+        self.0.push(line);
+    }
+}
+
 /// The cluster simulator.
 pub struct Cluster {
     config: ClusterConfig,
     nodes: Vec<Node>,
-    objects: Vec<Object>,
-    pods: Vec<RunningPod>,
+    /// Objects in apply order, with tombstones where removed ones were.
+    objects: Slots<Object>,
+    /// Running pods in start order, with tombstones where reaped ones were.
+    pods: Slots<RunningPod>,
     admission: Vec<Box<dyn AdmissionController>>,
     rng: StdRng,
     next_pod_ip: u32,
     /// `(object position, virtual IP)` of every non-headless service,
     /// sorted by position: each service keeps the address it got at apply
-    /// until it is removed. Positions are remapped like `pending`.
+    /// until it is removed. A removal drops its entry; a compaction of the
+    /// object slots remaps the rest, like `pending`.
     cluster_ips: Vec<(usize, Ipv4Addr)>,
     next_cluster_ip: u32,
-    events: Vec<String>,
+    events: EventLog,
     /// Bumped on every mutation of objects or pods; the policy-index cache
     /// key.
     generation: u64,
@@ -175,14 +198,14 @@ impl Cluster {
         Cluster {
             config,
             nodes,
-            objects: Vec::new(),
-            pods: Vec::new(),
+            objects: Slots::default(),
+            pods: Slots::default(),
             admission: Vec::new(),
             rng,
             next_pod_ip: 1,
             cluster_ips: Vec::new(),
             next_cluster_ip: 1,
-            events: Vec::new(),
+            events: EventLog::default(),
             generation: 0,
             dirty: DirtyLog::new(0, DIRTY_LOG_CAP),
             index_cache: Mutex::new(None),
@@ -202,10 +225,12 @@ impl Cluster {
     }
 
     /// Event log: one line per applied or denied object, pod start,
-    /// pending pod, reap, restart, scale, uninstall and reset. There is no
-    /// watch stream; incremental consumers read [`Cluster::dirty_since`].
+    /// pending pod, reap, restart, scale, uninstall and reset, oldest
+    /// first. It keeps the newest [`EVENT_LOG_CAP`] lines at most, so a
+    /// long-lived cluster's log stays bounded. There is no watch stream;
+    /// incremental consumers read [`Cluster::dirty_since`].
     pub fn events(&self) -> &[String] {
-        &self.events
+        &self.events.0
     }
 
     /// Marks the cluster mutated: bumps the generation (so the next
@@ -257,14 +282,14 @@ impl Cluster {
         index
     }
 
-    /// All persisted objects.
-    pub fn objects(&self) -> &[Object] {
-        &self.objects
+    /// All persisted objects, in apply order.
+    pub fn objects(&self) -> Live<'_, Object> {
+        self.objects.view()
     }
 
-    /// Running pods.
-    pub fn pods(&self) -> &[RunningPod] {
-        &self.pods
+    /// Running pods, in start order.
+    pub fn pods(&self) -> Live<'_, RunningPod> {
+        self.pods.view()
     }
 
     /// The objects of one release, in apply order: those whose
@@ -342,7 +367,7 @@ impl Cluster {
     pub fn apply(&mut self, object: Object) -> Result<Vec<String>, InstallError> {
         let warnings = self.admit(object)?;
         self.release_index
-            .add_objects(&self.objects, self.objects.len() - 1);
+            .add_objects(&self.objects, self.objects.end() - 1);
         Ok(warnings)
     }
 
@@ -353,7 +378,7 @@ impl Cluster {
         for controller in &self.admission {
             let review = AdmissionReview {
                 object: &object,
-                existing: &self.objects,
+                existing: self.objects.view(),
             };
             match controller.review(&review) {
                 AdmissionOutcome::Allow => {}
@@ -384,7 +409,7 @@ impl Cluster {
             if !s.is_headless() {
                 let ip = pool_address([10, 96], self.next_cluster_ip);
                 self.next_cluster_ip += 1;
-                self.cluster_ips.push((self.objects.len(), ip));
+                self.cluster_ips.push((self.objects.end(), ip));
             }
         }
         let scope = self.dirty.scope(release_name(&object));
@@ -392,7 +417,7 @@ impl Cluster {
         // labelled object sets cluster-wide label analysis consumes.
         let labels = !matches!(object, Object::NetworkPolicy(_));
         if definer_meta(&object).is_some() {
-            self.pending.push(self.objects.len());
+            self.pending.push(self.objects.end());
         }
         self.objects.push(object);
         self.touch(DirtyEntry {
@@ -416,7 +441,7 @@ impl Cluster {
         objects: impl IntoIterator<Item = Object>,
     ) -> Result<Vec<String>, InstallError> {
         let objects = objects.into_iter();
-        let checkpoint = self.objects.len();
+        let checkpoint = self.objects.end();
         self.objects.reserve(objects.size_hint().0);
         let mut warnings = Vec::new();
         for mut obj in objects {
@@ -466,7 +491,9 @@ impl Cluster {
     /// still desires the same pod) and releases the ClusterIPs of its
     /// services. Other releases are untouched, and are not visited: the
     /// release index yields the release's objects and the pods each of
-    /// them may have expanded to.
+    /// them may have expanded to, and their slots become tombstones (a
+    /// compaction, once tombstones outnumber live slots, is amortized O(1)
+    /// per removal).
     pub fn uninstall(&mut self, release_name: &str) {
         let removed: Vec<usize> = self
             .release_index
@@ -483,11 +510,21 @@ impl Cluster {
             }
         }
         if !removed.is_empty() {
-            let remap = self
+            // `removed` is ascending (apply order).
+            self.pending
+                .retain(|pos| removed.binary_search(pos).is_err());
+            for pos in &removed {
+                if let Ok(at) = self.cluster_ips.binary_search_by_key(pos, |&(p, _)| p) {
+                    self.cluster_ips.remove(at);
+                }
+            }
+            if let Some(remap) = self
                 .release_index
-                .remove_objects(&mut self.objects, &removed);
-            remap_positions(&mut self.pending, remap, |pos| pos);
-            remap_positions(&mut self.cluster_ips, remap, |(pos, _)| pos);
+                .remove_objects(&mut self.objects, &removed)
+            {
+                remap_positions(&mut self.pending, remap, |pos| pos);
+                remap_positions(&mut self.cluster_ips, remap, |(pos, _)| pos);
+            }
         }
         reaped.sort_unstable();
         reaped.dedup();
@@ -502,8 +539,8 @@ impl Cluster {
     /// like the pod, or like a `-`-separated prefix of its name, can.
     fn desired(&self, pod: &ObjectMeta) -> bool {
         self.release_index
-            .prefix_named(&pod.namespace, &pod.name)
-            .any(|pos| desires(&self.objects[pos], &self.nodes, pod))
+            .prefix_named(&self.objects, &pod.namespace, &pod.name)
+            .any(|o| desires(o, &self.nodes, pod))
     }
 
     /// Removes everything — the paper's per-application fresh cluster.
@@ -550,7 +587,8 @@ impl Cluster {
         }
         expand.sort_unstable_by_key(|&pos| (!matches!(objects[pos], Object::Workload(_)), pos));
         expand.dedup();
-        let running = self.pods.len();
+        // Pods started below take slots from here on.
+        let running = self.pods.end();
         let mut starts: Vec<(usize, String)> = Vec::new();
         for pos in expand {
             let namespace = &objects[pos].meta().namespace;
@@ -679,7 +717,7 @@ impl Cluster {
     /// Restarts every pod: containers re-draw their ephemeral ports. This is
     /// how the probe's second pass observes M2 (§4.2.2).
     pub fn restart_pods(&mut self) {
-        for rp in &mut self.pods {
+        for rp in self.pods.iter_mut() {
             rp.sockets = open_sockets(&self.config.behaviors, &mut self.rng, &rp.pod);
             let meta = &rp.pod.meta;
             self.events.push(event_line(format_args!(
@@ -707,7 +745,7 @@ impl Cluster {
             return false;
         }
         // Scheduler: round-robin by current pod count, honouring nodeName.
-        let node_idx = self.pods.len() % self.nodes.len();
+        let node_idx = self.pods.live() % self.nodes.len();
         let node = match &pod.spec.node_name {
             Some(n) => self
                 .nodes
@@ -735,14 +773,14 @@ impl Cluster {
             pod.meta.name,
             sockets.len()
         )));
-        self.pods.push(RunningPod {
+        let pos = self.pods.push(RunningPod {
             pod,
             node: node_name,
             ip,
             sockets,
             owner,
         });
-        self.release_index.add_pod(&self.pods, self.pods.len() - 1);
+        self.release_index.add_pod(&self.pods, pos);
         self.touch(DirtyEntry {
             scope,
             labels: false,
@@ -765,7 +803,7 @@ impl Cluster {
         let index = self.policy_index();
         let src_idx = index.pod_index(src)?;
         let dst_idx = index.pod_index(dst)?;
-        let dst = &self.pods[dst_idx];
+        let dst = self.indexed_pod(dst_idx);
         Some(match index.verdict(src_idx, dst_idx, port, protocol) {
             ConnectionVerdict::DeniedIngress => ConnectOutcome::DeniedIngress,
             ConnectionVerdict::DeniedEgress => ConnectOutcome::DeniedEgress,
@@ -777,6 +815,14 @@ impl Cluster {
                 }
             }
         })
+    }
+
+    /// The pod a [`PolicyIndex`] of the current generation numbers `i`:
+    /// the `i`-th live pod in start order.
+    fn indexed_pod(&self, i: usize) -> &RunningPod {
+        self.pods
+            .nth(i)
+            .expect("the policy index numbers the live pods")
     }
 
     /// Computes the endpoints object for every service, mirroring the
@@ -800,7 +846,7 @@ impl Cluster {
     fn service_endpoints(&self, svc: &Service) -> Endpoints {
         let mut addresses = Vec::new();
         if !svc.spec.selector.is_empty() {
-            for rp in &self.pods {
+            for rp in self.pods.iter() {
                 if rp.pod.meta.namespace != svc.meta.namespace {
                     continue;
                 }
@@ -908,7 +954,7 @@ impl Cluster {
             {
                 continue;
             }
-            if self.pods[dst_idx].listens_on(addr.port, sp.protocol) {
+            if self.indexed_pod(dst_idx).listens_on(addr.port, sp.protocol) {
                 receivers.push(addr.pod.clone());
             }
         }
@@ -927,7 +973,7 @@ impl Cluster {
                 out.push((p, proto, None));
             }
         }
-        for rp in &self.pods {
+        for rp in self.pods.iter() {
             if rp.pod.spec.host_network && rp.node == node {
                 for s in &rp.sockets {
                     if !s.loopback_only {
@@ -1115,7 +1161,7 @@ mod tests {
                     .map(|&(_, ip)| ip)
             };
             let mut seen = HashSet::new();
-            for (pos, o) in self.objects.iter().enumerate() {
+            for (pos, o) in self.objects.entries_from(0) {
                 let Object::Service(s) = o else { continue };
                 let ip = ip_at(pos);
                 assert_eq!(
@@ -1135,10 +1181,14 @@ mod tests {
             );
             for namespace in ["default", "prod"] {
                 for &name in names {
-                    let first = self.objects.iter().position(|o| {
-                        matches!(o, Object::Service(s)
-                            if s.meta.namespace == namespace && s.meta.name == name)
-                    });
+                    let first = self
+                        .objects
+                        .entries_from(0)
+                        .find(|(_, o)| {
+                            matches!(o, Object::Service(s)
+                                if s.meta.namespace == namespace && s.meta.name == name)
+                        })
+                        .map(|(pos, _)| pos);
                     let ip = first.and_then(ip_at);
                     assert_eq!(
                         self.cluster_ip(namespace, name),
@@ -1309,7 +1359,8 @@ spec:
             ContainerBehavior::Listeners(vec![ListenerSpec::tcp(8080), ListenerSpec::ephemeral()]),
         );
         let mut cluster = install_demo(behaviors);
-        let before: Vec<u16> = cluster.pods()[0]
+        let first = |cluster: &Cluster| cluster.pods().iter().next().unwrap().clone();
+        let before: Vec<u16> = first(&cluster)
             .sockets
             .iter()
             .filter(|s| s.ephemeral)
@@ -1318,7 +1369,7 @@ spec:
         assert_eq!(before.len(), 1);
         assert!((32768..=60999).contains(&before[0]));
         cluster.restart_pods();
-        let after: Vec<u16> = cluster.pods()[0]
+        let after: Vec<u16> = first(&cluster)
             .sockets
             .iter()
             .filter(|s| s.ephemeral)
@@ -1326,7 +1377,7 @@ spec:
             .collect();
         assert_ne!(before, after, "ephemeral port re-drawn on restart");
         assert!(
-            cluster.pods()[0].listens_on(8080, Protocol::Tcp),
+            first(&cluster).listens_on(8080, Protocol::Tcp),
             "static port stable"
         );
     }
@@ -1372,8 +1423,9 @@ spec:
             ContainerBehavior::Listeners(vec![ListenerSpec::tcp(2222).loopback()]),
         );
         let cluster = install_demo(behaviors);
-        assert!(!cluster.pods()[0].listens_on(2222, Protocol::Tcp));
-        assert!(cluster.pods()[0]
+        let first = cluster.pods().iter().next().unwrap();
+        assert!(!first.listens_on(2222, Protocol::Tcp));
+        assert!(first
             .sockets
             .iter()
             .any(|s| s.port == 2222 && s.loopback_only));
@@ -2027,72 +2079,262 @@ spec:
         before - kept.len()
     }
 
+    /// `(qualified name, node, IP)` of a running pod: unique in the random
+    /// streams, whose pods never use the host network.
+    fn pod_row(rp: &RunningPod) -> (String, String, Ipv4Addr) {
+        (rp.qualified_name(), rp.node.clone(), rp.ip)
+    }
+
+    /// A plain-`Vec` model of what [`Cluster::objects`] and
+    /// [`Cluster::pods`] must list: objects in apply order, pods in start
+    /// order, whatever tombstones or compactions lie beneath.
+    #[derive(Default)]
+    struct Reference {
+        objects: Vec<Object>,
+        pods: Vec<(String, String, Ipv4Addr)>,
+    }
+
+    impl Reference {
+        fn install(&mut self, release: &str, objects: &[Object]) {
+            self.objects.extend(objects.iter().cloned().map(|mut o| {
+                o.meta_mut()
+                    .annotations
+                    .insert(RELEASE_ANNOTATION.to_string(), release.to_string());
+                o
+            }));
+        }
+
+        fn uninstall(&mut self, release: &str) {
+            self.objects.retain(|o| release_name(o) != Some(release));
+        }
+
+        /// `kubectl scale` hits the first workload so named.
+        fn scale(&mut self, namespace: &str, name: &str, replicas: u32) {
+            let first = self.objects.iter_mut().find_map(|o| match o {
+                Object::Workload(w) if w.meta.namespace == namespace && w.meta.name == name => {
+                    Some(w)
+                }
+                _ => None,
+            });
+            if let Some(w) = first {
+                w.replicas = replicas;
+            }
+        }
+
+        fn reset(&mut self) {
+            self.objects.clear();
+            self.pods.clear();
+        }
+
+        /// Compares the cluster with the model after a step that logged the
+        /// events from `logged` on: the objects must match exactly; the
+        /// pods that survived must keep their order ahead of the ones the
+        /// step started, which follow in the order of their start lines.
+        fn check(&mut self, cluster: &Cluster, logged: usize, context: &str) {
+            let objects: Vec<&Object> = cluster.objects().iter().collect();
+            assert!(
+                objects.iter().copied().eq(&self.objects),
+                "{context}: objects() differs from the reference"
+            );
+            assert_eq!(cluster.objects().len(), self.objects.len(), "{context}");
+            let rows: Vec<_> = cluster.pods().iter().map(pod_row).collect();
+            assert_eq!(rows.len(), cluster.pods().len(), "{context}");
+            self.pods.retain(|row| rows.contains(row));
+            let kept = self.pods.len();
+            assert_eq!(rows[..kept], self.pods, "{context}: surviving pods");
+            let started: Vec<&str> = cluster.events()[logged..]
+                .iter()
+                .filter_map(|e| e.strip_prefix("start ")?.split(' ').next())
+                .collect();
+            let new: Vec<String> = rows[kept..].iter().map(|r| r.0.clone()).collect();
+            assert_eq!(new, started, "{context}: started pods");
+            self.pods = rows;
+        }
+    }
+
+    /// The step mix of a random stream: the cumulative upper bounds (out of
+    /// 100) of apply, install, scale, uninstall, reset and restart; the
+    /// rest reconciles.
+    type Mix = [u32; 6];
+
+    /// Tallies of the random streams.
+    #[derive(Default)]
+    struct StreamStats {
+        starts: usize,
+        reaps: usize,
+        uninstall_reaps: usize,
+        /// Uninstalls whose compaction moved objects while `pending` and
+        /// `cluster_ips` held entries.
+        loaded_compactions: usize,
+    }
+
+    /// Drives one random stream of `steps` steps, checking the release
+    /// index, the ClusterIPs and the reference model after each.
+    fn random_stream(nodes: usize, seed: u64, steps: usize, mix: Mix, stats: &mut StreamStats) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut cluster = Cluster::new(ClusterConfig {
+            nodes,
+            seed,
+            behaviors: BehaviorRegistry::new(),
+        });
+        cluster.push_admission(Box::new(DenyNamed));
+        let mut reference = Reference::default();
+        for step in 0..steps {
+            let context = format!("nodes {nodes}, seed {seed}, step {step}");
+            let logged = cluster.events().len();
+            let release = ["r1", "r2", "r3"][rng.gen_range(0..3usize)];
+            let roll = rng.gen_range(0..100u32);
+            if roll < mix[0] {
+                let object = random_object(&mut rng);
+                if cluster.apply(object.clone()).is_ok() {
+                    reference.objects.push(object);
+                }
+            } else if roll < mix[1] {
+                let objects: Vec<Object> = (0..rng.gen_range(1..4usize))
+                    .map(|_| random_object(&mut rng))
+                    .collect();
+                if cluster.install_objects(release, &objects).is_ok() {
+                    reference.install(release, &objects);
+                    assert_converged(&mut cluster, &context);
+                }
+            } else if roll < mix[2] {
+                let namespace = ["default", "prod"][rng.gen_range(0..2usize)];
+                let name = ["web", "api", "web-1"][rng.gen_range(0..3usize)];
+                let replicas = rng.gen_range(0..4u32);
+                cluster.scale_workload(&format!("{namespace}/{name}"), replicas);
+                reference.scale(namespace, name, replicas);
+            } else if roll < mix[3] {
+                let loaded = !cluster.pending.is_empty() && !cluster.cluster_ips.is_empty();
+                let moved = cluster.objects.moved;
+                stats.uninstall_reaps += uninstall_checked(&mut cluster, release, &context);
+                reference.uninstall(release);
+                if loaded && cluster.objects.moved > moved {
+                    stats.loaded_compactions += 1;
+                }
+            } else if roll < mix[4] {
+                cluster.reset();
+                reference.reset();
+            } else if roll < mix[5] {
+                cluster.restart_pods();
+            } else {
+                cluster.reconcile();
+                assert_converged(&mut cluster, &context);
+            }
+            assert!(
+                cluster.events().len() >= logged,
+                "{context}: the log drained"
+            );
+            reference.check(&cluster, logged, &context);
+            cluster.assert_index_exact(&context);
+            cluster.assert_cluster_ips(&SERVICE_NAMES, &context);
+        }
+        cluster.reconcile();
+        assert_converged(&mut cluster, &format!("nodes {nodes}, seed {seed}, end"));
+        let count = |prefix: &str| {
+            cluster
+                .events()
+                .iter()
+                .filter(|e| e.starts_with(prefix))
+                .count()
+        };
+        stats.starts += count("start ");
+        stats.reaps += count("reap ");
+    }
+
     #[test]
     fn scoped_reconcile_matches_the_full_scan_oracle() {
-        let (mut starts, mut reaps, mut uninstall_reaps) = (0, 0, 0);
+        let mut stats = StreamStats::default();
         for nodes in [3, 0] {
             for seed in 0..256u64 {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let mut cluster = Cluster::new(ClusterConfig {
-                    nodes,
-                    seed,
-                    behaviors: BehaviorRegistry::new(),
-                });
-                cluster.push_admission(Box::new(DenyNamed));
-                for step in 0..80 {
-                    let context = format!("nodes {nodes}, seed {seed}, step {step}");
-                    let release = ["r1", "r2", "r3"][rng.gen_range(0..3usize)];
-                    match rng.gen_range(0..100u32) {
-                        0..=19 => {
-                            let _ = cluster.apply(random_object(&mut rng));
-                        }
-                        20..=44 => {
-                            let objects: Vec<Object> = (0..rng.gen_range(1..4usize))
-                                .map(|_| random_object(&mut rng))
-                                .collect();
-                            if cluster.install_objects(release, &objects).is_ok() {
-                                assert_converged(&mut cluster, &context);
-                            }
-                        }
-                        45..=59 => {
-                            let namespace = ["default", "prod"][rng.gen_range(0..2usize)];
-                            let name = ["web", "api", "web-1"][rng.gen_range(0..3usize)];
-                            cluster.scale_workload(
-                                &format!("{namespace}/{name}"),
-                                rng.gen_range(0..4u32),
-                            );
-                        }
-                        60..=74 => {
-                            uninstall_reaps += uninstall_checked(&mut cluster, release, &context);
-                        }
-                        75..=77 => cluster.reset(),
-                        78..=84 => cluster.restart_pods(),
-                        _ => {
-                            cluster.reconcile();
-                            assert_converged(&mut cluster, &context);
-                        }
-                    }
-                    cluster.assert_index_exact(&context);
-                    cluster.assert_cluster_ips(&SERVICE_NAMES, &context);
-                }
-                cluster.reconcile();
-                assert_converged(&mut cluster, &format!("nodes {nodes}, seed {seed}, end"));
-                starts += cluster
-                    .events()
-                    .iter()
-                    .filter(|e| e.starts_with("start "))
-                    .count();
-                reaps += cluster
-                    .events()
-                    .iter()
-                    .filter(|e| e.starts_with("reap "))
-                    .count();
+                random_stream(nodes, seed, 80, [20, 45, 60, 75, 78, 85], &mut stats);
             }
         }
         assert!(
-            starts > 0 && reaps > 0 && uninstall_reaps > 0,
+            stats.starts > 0 && stats.reaps > 0 && stats.uninstall_reaps > 0,
             "the streams must start and reap pods"
         );
+    }
+
+    /// Longer streams with more uninstalls and almost no resets: the slots
+    /// fill with tombstones and compact many times, also while `pending`
+    /// and `cluster_ips` hold live entries that must be remapped.
+    #[test]
+    fn long_streams_compact_under_the_oracle() {
+        let mut stats = StreamStats::default();
+        for nodes in [3, 0] {
+            for seed in 0..24u64 {
+                random_stream(nodes, seed, 400, [25, 50, 62, 92, 93, 96], &mut stats);
+            }
+        }
+        assert!(
+            stats.loaded_compactions >= 20,
+            "only {} compactions ran with pending entries and ClusterIPs",
+            stats.loaded_compactions
+        );
+    }
+
+    /// Removal work follows the removal: over install, uninstall and
+    /// scale-to-zero churn, compactions move at most two slots per removed
+    /// object or pod, at 25 releases as at 400. Shifting the later entries
+    /// down on every removal would move about half the cluster each time.
+    #[test]
+    fn removal_work_follows_the_release_not_the_cluster() {
+        for releases in [25usize, 400] {
+            let mut rng = StdRng::seed_from_u64(releases as u64);
+            let mut cluster = Cluster::new(ClusterConfig::default());
+            let objects = |r: usize| {
+                let name = format!("app{r}");
+                let labels = Labels::from_pairs([("app", name.as_str())]);
+                let spec = ij_model::PodSpec {
+                    containers: vec![ij_model::Container::new("c", "img")],
+                    ..Default::default()
+                };
+                let meta = ij_model::ObjectMeta::named(name.as_str());
+                let mut w = Workload::deployment(meta.clone(), labels.clone(), spec);
+                w.replicas = 2;
+                let service =
+                    Service::cluster_ip(meta, labels, vec![ij_model::ServicePort::tcp(80)]);
+                vec![Object::Workload(w), Object::Service(service)]
+            };
+            for r in 0..releases {
+                cluster
+                    .install_objects(&format!("r{r}"), &objects(r))
+                    .unwrap();
+            }
+            let (mut removed_objects, mut removed_pods) = (0, 0);
+            for _ in 0..4 * releases {
+                let r = rng.gen_range(0..releases);
+                let (release, workload) = (format!("r{r}"), format!("default/app{r}"));
+                let (objects_before, pods_before) = (cluster.objects().len(), cluster.pods().len());
+                if rng.gen_bool(0.5) {
+                    cluster.uninstall(&release);
+                    removed_objects += objects_before - cluster.objects().len();
+                    removed_pods += pods_before - cluster.pods().len();
+                    cluster.install_objects(&release, &objects(r)).unwrap();
+                } else {
+                    cluster.scale_workload(&workload, 0);
+                    cluster.reconcile();
+                    removed_pods += pods_before - cluster.pods().len();
+                    cluster.scale_workload(&workload, 2);
+                    cluster.reconcile();
+                }
+            }
+            cluster.assert_index_exact(&format!("{releases} releases"));
+            let (moved_objects, moved_pods) = (cluster.objects.moved, cluster.pods.moved);
+            assert!(removed_objects > 0 && removed_pods > 0);
+            assert!(
+                moved_objects > 0 && moved_pods > 0,
+                "{releases} releases: the churn must compact"
+            );
+            assert!(
+                moved_objects <= 2 * removed_objects,
+                "{releases} releases: {moved_objects} object slots moved for {removed_objects} removed"
+            );
+            assert!(
+                moved_pods <= 2 * removed_pods,
+                "{releases} releases: {moved_pods} pod slots moved for {removed_pods} reaped"
+            );
+        }
     }
 
     #[test]
@@ -2104,7 +2346,7 @@ spec:
                 ContainerBehavior::Listeners(vec![ListenerSpec::ephemeral()]),
             );
             let cluster = install_demo(behaviors);
-            cluster.pods()[0].sockets[0].port
+            cluster.pods().iter().next().unwrap().sockets[0].port
         };
         assert_eq!(mk(), mk());
     }

@@ -45,14 +45,16 @@ pub mod index;
 pub mod netpol;
 pub mod node;
 mod release_index;
+mod slots;
 
 pub use admission::{AdmissionController, AdmissionOutcome, AdmissionReview};
 pub use behavior::{BehaviorRegistry, ContainerBehavior, ListenerSpec, PortSpec};
 pub use cluster::{
-    Cluster, ClusterConfig, ConnectOutcome, InstallError, OpenSocket, RunningPod,
+    Cluster, ClusterConfig, ConnectOutcome, InstallError, OpenSocket, RunningPod, EVENT_LOG_CAP,
     RELEASE_ANNOTATION,
 };
 pub use dirty::{DirtyEntry, DirtyScope, DirtySummary, DIRTY_LOG_CAP};
 pub use index::{PodSet, PolicyIndex};
 pub use netpol::{ConnectionVerdict, PolicyEngine};
 pub use node::Node;
+pub use slots::{Live, LiveIter};

@@ -1,8 +1,8 @@
 //! The release index: where each release's objects sit in the cluster's
-//! object list, and `(namespace, name)` lookups for objects and running
+//! object slots, and `(namespace, name)` lookups for objects and running
 //! pods.
 //!
-//! The cluster keeps its objects and pods in plain vectors (apply order and
+//! The cluster keeps its objects and pods in [`Slots`] (apply order and
 //! start order are observable: [`Cluster::objects`] returns the first, the
 //! scheduler round-robins over the second). This index holds positions into
 //! both, so that a serve-path mutation (an uninstall, a reconcile of what
@@ -20,17 +20,18 @@
 //! Keys are 64-bit FNV-1a hashes, never owned strings; every lookup
 //! re-checks the object it lands on, so a hash collision costs a skipped
 //! entry, not a wrong answer. Adding objects merges one sorted batch, adding
-//! a pod is one binary insertion, and removing positions shifts the later
-//! ones down in a single pass over integers. The index never allocates per
-//! object or per pod: its vectors only grow.
+//! a pod is one binary insertion. Removing objects leaves their entries in
+//! `by_release` and `by_name`: they point at tombstones, which every lookup
+//! skips, until a compaction of the slots drops them and renumbers the rest
+//! in one pass over integers. A removed pod's entry leaves `pods` at once
+//! (its comparator reads pod names, which a tombstone no longer has). The
+//! index never allocates per object or per pod: its vectors only grow.
 //!
 //! [`Cluster::objects`]: crate::Cluster::objects
 
 use crate::cluster::{RunningPod, RELEASE_ANNOTATION};
+use crate::slots::{Slots, GONE};
 use ij_model::Object;
-
-/// The remap entry of a removed position.
-const GONE: usize = usize::MAX;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -129,29 +130,8 @@ pub(crate) fn remap_positions<T>(
     });
 }
 
-/// Removes the items at `removed` (ascending positions) from `items`, and
-/// fills `remap` with each old position's new one ([`GONE`] if removed).
-fn remove_at<T>(items: &mut Vec<T>, removed: &[usize], remap: &mut Vec<usize>) {
-    remap.clear();
-    let mut gone = removed.iter().copied().peekable();
-    let mut next = 0;
-    for pos in 0..items.len() {
-        if gone.next_if_eq(&pos).is_some() {
-            remap.push(GONE);
-        } else {
-            remap.push(next);
-            next += 1;
-        }
-    }
-    let mut pos = 0;
-    items.retain(|_| {
-        pos += 1;
-        remap[pos - 1] != GONE
-    });
-}
-
 /// `(namespace, name)` of a running pod.
-fn pod_name(pods: &[RunningPod], pos: usize) -> (&str, &str) {
+fn pod_name(pods: &Slots<RunningPod>, pos: usize) -> (&str, &str) {
     let meta = &pods[pos].pod.meta;
     (meta.namespace.as_str(), meta.name.as_str())
 }
@@ -164,7 +144,7 @@ pub(crate) struct ReleaseIndex {
     pods: Vec<usize>,
     /// Reused buffer: the sorted batch [`ReleaseIndex::add_objects`] merges.
     batch: Vec<(u64, usize)>,
-    /// Reused buffer: old position → new position of the last removal.
+    /// Reused buffer: old position → new position of the last compaction.
     remap: Vec<usize>,
 }
 
@@ -177,19 +157,19 @@ impl ReleaseIndex {
     }
 
     /// Indexes the objects appended at `from..`.
-    pub(crate) fn add_objects(&mut self, objects: &[Object], from: usize) {
-        let added = objects[from..].iter().zip(from..);
+    pub(crate) fn add_objects(&mut self, objects: &Slots<Object>, from: usize) {
+        let added = objects.entries_from(from);
         self.batch.clear();
         self.batch.extend(
             added
                 .clone()
-                .map(|(o, pos)| (release_key(release_name(o)), pos)),
+                .map(|(pos, o)| (release_key(release_name(o)), pos)),
         );
         self.batch.sort_unstable();
         merge(&mut self.by_release, &self.batch);
         self.batch.clear();
         self.batch
-            .extend(added.map(|(o, pos)| (object_name_key(o), pos)));
+            .extend(added.map(|(pos, o)| (object_name_key(o), pos)));
         self.batch.sort_unstable();
         merge(&mut self.by_name, &self.batch);
     }
@@ -198,54 +178,66 @@ impl ReleaseIndex {
     /// release annotation), in apply order.
     pub(crate) fn release<'a>(
         &'a self,
-        objects: &'a [Object],
+        objects: &'a Slots<Object>,
         release: Option<&'a str>,
     ) -> impl Iterator<Item = usize> + 'a {
         run(&self.by_release, release_key(release))
-            .filter(move |&pos| release_name(&objects[pos]) == release)
+            .filter(move |&pos| objects.get(pos).is_some_and(|o| release_name(o) == release))
     }
 
     /// Positions of the objects of any kind named `namespace/name`, in
     /// apply order.
     pub(crate) fn named<'a>(
         &'a self,
-        objects: &'a [Object],
+        objects: &'a Slots<Object>,
         namespace: &'a str,
         name: &'a str,
     ) -> impl Iterator<Item = usize> + 'a {
         run(&self.by_name, name_key(namespace, name)).filter(move |&pos| {
-            let meta = objects[pos].meta();
-            meta.namespace == namespace && meta.name == name
+            objects.get(pos).is_some_and(|o| {
+                let meta = o.meta();
+                meta.namespace == namespace && meta.name == name
+            })
         })
     }
 
-    /// Positions of the objects that may be named `namespace/name` or like
-    /// a `-`-separated prefix of `name`: the only objects that can desire a
+    /// The objects that may be named `namespace/name` or like a
+    /// `-`-separated prefix of `name`: the only objects that can desire a
     /// pod so named. The caller checks the names.
     pub(crate) fn prefix_named<'a>(
         &'a self,
+        objects: &'a Slots<Object>,
         namespace: &str,
         name: &'a str,
-    ) -> impl Iterator<Item = usize> + 'a {
-        prefix_keys(namespace, name).flat_map(move |key| run(&self.by_name, key))
+    ) -> impl Iterator<Item = &'a Object> + 'a {
+        prefix_keys(namespace, name)
+            .flat_map(move |key| run(&self.by_name, key))
+            .filter_map(|pos| objects.get(pos))
     }
 
-    /// Removes the objects at `removed` (ascending) from `objects` and the
-    /// index; returns each old position's new one ([`GONE`] if removed)
-    /// for [`remap_positions`] of the caller's own position lists.
+    /// Takes the objects at `removed` out of `objects`, leaving tombstones
+    /// the lookups skip. When tombstones come to outnumber live objects,
+    /// compacts the slots and the index and returns each old position's
+    /// new one ([`GONE`] if removed) for [`remap_positions`] of the
+    /// caller's own position lists.
     pub(crate) fn remove_objects(
         &mut self,
-        objects: &mut Vec<Object>,
+        objects: &mut Slots<Object>,
         removed: &[usize],
-    ) -> &[usize] {
-        remove_at(objects, removed, &mut self.remap);
+    ) -> Option<&[usize]> {
+        for &pos in removed {
+            objects.take(pos);
+        }
+        if !objects.compact_if_sparse(&mut self.remap) {
+            return None;
+        }
         remap_positions(&mut self.by_release, &self.remap, |(_, pos)| pos);
         remap_positions(&mut self.by_name, &self.remap, |(_, pos)| pos);
-        &self.remap
+        Some(&self.remap)
     }
 
     /// Indexes the pod appended at `pos`.
-    pub(crate) fn add_pod(&mut self, pods: &[RunningPod], pos: usize) {
+    pub(crate) fn add_pod(&mut self, pods: &Slots<RunningPod>, pos: usize) {
         let key = pod_name(pods, pos);
         let at = self
             .pods
@@ -257,7 +249,7 @@ impl ReleaseIndex {
     /// the head of [`ReleaseIndex::pods_under`]'s stretch.
     pub(crate) fn pods_named<'a>(
         &'a self,
-        pods: &'a [RunningPod],
+        pods: &'a Slots<RunningPod>,
         namespace: &'a str,
         name: &'a str,
     ) -> impl Iterator<Item = usize> + 'a {
@@ -270,7 +262,7 @@ impl ReleaseIndex {
     /// (so those named `name` come first).
     pub(crate) fn pods_under<'a>(
         &'a self,
-        pods: &'a [RunningPod],
+        pods: &'a Slots<RunningPod>,
         namespace: &'a str,
         name: &'a str,
     ) -> impl Iterator<Item = usize> + 'a {
@@ -287,38 +279,70 @@ impl ReleaseIndex {
             .map(|(pos, _)| pos)
     }
 
-    /// Removes the pods at `removed` (ascending) from `pods` and the index.
-    pub(crate) fn remove_pods(&mut self, pods: &mut Vec<RunningPod>, removed: &[usize]) {
+    /// Takes the pods at `removed` out of `pods` and the index, compacting
+    /// the slots when tombstones come to outnumber live pods. Each pod's
+    /// entry is found by binary search on its name while the pod is still
+    /// there.
+    pub(crate) fn remove_pods(&mut self, pods: &mut Slots<RunningPod>, removed: &[usize]) {
         if removed.is_empty() {
             return;
         }
-        remove_at(pods, removed, &mut self.remap);
-        remap_positions(&mut self.pods, &self.remap, |pos| pos);
+        for &pos in removed {
+            let key = (pod_name(pods, pos), pos);
+            let at = self
+                .pods
+                .partition_point(|&other| (pod_name(pods, other), other) < key);
+            debug_assert_eq!(self.pods.get(at), Some(&pos), "an indexed pod");
+            self.pods.remove(at);
+            pods.take(pos);
+        }
+        if pods.compact_if_sparse(&mut self.remap) {
+            remap_positions(&mut self.pods, &self.remap, |pos| pos);
+        }
     }
 
-    /// Panics unless the index equals one rebuilt from the vectors.
+    /// Panics unless the index equals one rebuilt from the slots, but for
+    /// object entries that point at tombstones; tombstones may not
+    /// outnumber live slots.
     #[cfg(test)]
-    pub(crate) fn assert_exact(&self, objects: &[Object], pods: &[RunningPod], context: &str) {
+    pub(crate) fn assert_exact(
+        &self,
+        objects: &Slots<Object>,
+        pods: &Slots<RunningPod>,
+        context: &str,
+    ) {
+        objects.assert_dense(&format!("{context}: objects"));
+        pods.assert_dense(&format!("{context}: pods"));
         let keyed = |key: fn(&Object) -> u64| {
             let mut list: Vec<(u64, usize)> = objects
-                .iter()
-                .zip(0..)
-                .map(|(o, pos)| (key(o), pos))
+                .entries_from(0)
+                .map(|(pos, o)| (key(o), pos))
                 .collect();
             list.sort_unstable();
             list
         };
+        let live = |list: &[(u64, usize)]| -> Vec<(u64, usize)> {
+            list.iter()
+                .copied()
+                .filter(|&(_, pos)| objects.get(pos).is_some())
+                .collect()
+        };
         assert_eq!(
-            self.by_release,
+            live(&self.by_release),
             keyed(|o| release_key(release_name(o))),
             "{context}: release index"
         );
         assert_eq!(
-            self.by_name,
+            live(&self.by_name),
             keyed(object_name_key),
             "{context}: name index"
         );
-        let mut by_pod: Vec<usize> = (0..pods.len()).collect();
+        let stale = |list: &[(u64, usize)]| list.iter().any(|&(_, pos)| pos >= objects.end());
+        assert!(
+            !stale(&self.by_release) && !stale(&self.by_name),
+            "{context}: an entry past the last slot"
+        );
+        let mut by_pod: Vec<usize> = pods.entries_from(0).map(|(pos, _)| pos).collect();
         by_pod.sort_by_key(|&pos| (pod_name(pods, pos), pos));
         assert_eq!(self.pods, by_pod, "{context}: pod index");
     }
@@ -351,12 +375,8 @@ mod tests {
     }
 
     #[test]
-    fn removal_shifts_later_positions_down() {
-        let mut items = vec!['a', 'b', 'c', 'd', 'e'];
-        let mut remap = Vec::new();
-        remove_at(&mut items, &[1, 3], &mut remap);
-        assert_eq!(items, ['a', 'c', 'e']);
-        assert_eq!(remap, [0, GONE, 1, GONE, 2]);
+    fn remapping_drops_removed_positions_and_keeps_order() {
+        let remap = [0, GONE, 1, GONE, 2];
         let mut list = vec![(7, 4), (7, 1), (8, 2)];
         remap_positions(&mut list, &remap, |(_, pos)| pos);
         assert_eq!(list, [(7, 2), (8, 1)]);

@@ -208,7 +208,7 @@ fn running_pods(specs: Vec<(String, Labels, bool)>) -> Vec<RunningPod> {
             .expect("apply");
     }
     cluster.reconcile();
-    cluster.pods().to_vec()
+    cluster.pods().iter().cloned().collect()
 }
 
 proptest! {

@@ -350,7 +350,7 @@ spec:
             .unwrap();
         cluster.install(&rendered).unwrap();
         let runtime = RuntimeAnalyzer::default().analyze(&mut cluster, &baseline);
-        let objects: Vec<Object> = cluster.objects().to_vec();
+        let objects: Vec<Object> = cluster.objects().iter().cloned().collect();
         analyzer.analyze_app("badapp", &objects, &cluster, Some(&runtime), false)
     }
 
@@ -495,7 +495,7 @@ spec:
             .render(&Release::new("p", "default"))
             .unwrap();
         cluster.install(&rendered).unwrap();
-        let objects: Vec<Object> = cluster.objects().to_vec();
+        let objects: Vec<Object> = cluster.objects().iter().cloned().collect();
         let findings = Analyzer::hybrid().analyze_app("p", &objects, &cluster, None, true);
         let m6: Vec<_> = findings
             .iter()

@@ -333,7 +333,7 @@ proptest! {
         let cluster = build_cluster(&pods, &policies);
         let applied: Vec<NetworkPolicy> =
             cluster.network_policies().into_iter().cloned().collect();
-        for src in cluster.pods().to_vec() {
+        for src in cluster.pods() {
             let name = src.qualified_name();
             prop_assert_eq!(
                 reachable_pod_endpoints(&cluster, &name),
