@@ -563,13 +563,14 @@ impl Cluster {
     /// Runs the controller loop over the workloads and bare pods applied or
     /// scaled since the last call: expands every pod-defining object that
     /// shares a name with one of them into pods (workloads first, then bare
-    /// pods, each in object order), schedules and starts the missing ones,
-    /// then reaps the running pods those names may have expanded to that no
-    /// object desires any more (scale-downs). The release index answers
-    /// every lookup, so objects and pods nobody touched are not visited and
-    /// the cost follows the mutation, not the cluster. An object whose pods
-    /// could not be scheduled (no worker nodes) stays pending and is retried
-    /// by the next call. Idempotent.
+    /// pods, each in object order), schedules and starts the missing ones —
+    /// one pod per name: a name already running, or started by an object
+    /// before it, is skipped — then reaps the running pods those names may
+    /// have expanded to that no object desires any more (scale-downs). The
+    /// release index answers every lookup, so objects and pods nobody
+    /// touched are not visited and the cost follows the mutation, not the
+    /// cluster. An object whose pods could not be scheduled (no worker
+    /// nodes) stays pending and is retried by the next call. Idempotent.
     pub fn reconcile(&mut self) {
         if self.pending.is_empty() {
             return;
@@ -589,21 +590,26 @@ impl Cluster {
         expand.dedup();
         // Pods started below take slots from here on.
         let running = self.pods.end();
-        let mut starts: Vec<(usize, String)> = Vec::new();
-        for pos in expand {
-            let namespace = &objects[pos].meta().namespace;
-            for name in desired_pod_names(&objects[pos], &self.nodes) {
-                if index
-                    .pods_named(&self.pods, namespace, &name)
-                    .next()
-                    .is_none()
-                {
-                    starts.push((pos, name));
-                }
-            }
-        }
+        let starts: Vec<(usize, String)> = expand
+            .into_iter()
+            .flat_map(|pos| {
+                let names = desired_pod_names(&objects[pos], &self.nodes);
+                names.into_iter().map(move |name| (pos, name))
+            })
+            .collect();
         self.pods.reserve(starts.len());
         for (i, name) in starts {
+            // One pod per name: a name already running, or started by an
+            // object before this one (workloads come first), is skipped.
+            let namespace = &self.objects[i].meta().namespace;
+            if self
+                .release_index
+                .pods_named(&self.pods, namespace, &name)
+                .next()
+                .is_some()
+            {
+                continue;
+            }
             let (pod, owner) = match &self.objects[i] {
                 Object::Workload(w) => (
                     Pod::new(
@@ -2225,6 +2231,19 @@ spec:
                 "{context}: the log drained"
             );
             reference.check(&cluster, logged, &context);
+            let mut names: Vec<String> = cluster
+                .pods()
+                .iter()
+                .map(|rp| rp.qualified_name())
+                .collect();
+            names.sort_unstable();
+            let before = names.len();
+            names.dedup();
+            assert_eq!(
+                names.len(),
+                before,
+                "{context}: two running pods share a name"
+            );
             cluster.assert_index_exact(&context);
             cluster.assert_cluster_ips(&SERVICE_NAMES, &context);
         }
@@ -2275,8 +2294,10 @@ spec:
 
     /// Removal work follows the removal: over install, uninstall and
     /// scale-to-zero churn, compactions move at most two slots per removed
-    /// object or pod, at 25 releases as at 400. Shifting the later entries
-    /// down on every removal would move about half the cluster each time.
+    /// object or pod, and a call that reaps pods moves each surviving
+    /// pod-index entry at most once, at 25 releases as at 400. Shifting the
+    /// later entries down on every removal would move about half the
+    /// cluster each time.
     #[test]
     fn removal_work_follows_the_release_not_the_cluster() {
         for releases in [25usize, 400] {
@@ -2302,23 +2323,41 @@ spec:
                     .unwrap();
             }
             let (mut removed_objects, mut removed_pods) = (0, 0);
+            // Pod-index entries one reaping call moved, against the
+            // entries that survived it.
+            let entries_moved = |cluster: &mut Cluster, reap: &mut dyn FnMut(&mut Cluster)| {
+                let moved = cluster.release_index.moved_entries;
+                reap(cluster);
+                let moved = cluster.release_index.moved_entries - moved;
+                assert!(
+                    moved <= cluster.pods().len(),
+                    "{releases} releases: {moved} pod-index entries moved for {} surviving",
+                    cluster.pods().len()
+                );
+                moved
+            };
+            let mut moved_entries = 0;
             for _ in 0..4 * releases {
                 let r = rng.gen_range(0..releases);
                 let (release, workload) = (format!("r{r}"), format!("default/app{r}"));
                 let (objects_before, pods_before) = (cluster.objects().len(), cluster.pods().len());
                 if rng.gen_bool(0.5) {
-                    cluster.uninstall(&release);
+                    moved_entries += entries_moved(&mut cluster, &mut |c| c.uninstall(&release));
                     removed_objects += objects_before - cluster.objects().len();
                     removed_pods += pods_before - cluster.pods().len();
                     cluster.install_objects(&release, &objects(r)).unwrap();
                 } else {
                     cluster.scale_workload(&workload, 0);
-                    cluster.reconcile();
+                    moved_entries += entries_moved(&mut cluster, &mut Cluster::reconcile);
                     removed_pods += pods_before - cluster.pods().len();
                     cluster.scale_workload(&workload, 2);
                     cluster.reconcile();
                 }
             }
+            assert!(
+                moved_entries > 0,
+                "{releases} releases: no reap moved an entry"
+            );
             cluster.assert_index_exact(&format!("{releases} releases"));
             let (moved_objects, moved_pods) = (cluster.objects.moved, cluster.pods.moved);
             assert!(removed_objects > 0 && removed_pods > 0);
@@ -2335,6 +2374,50 @@ spec:
                 "{releases} releases: {moved_pods} pod slots moved for {removed_pods} reaped"
             );
         }
+    }
+
+    /// A workload `web` of one replica and a bare pod `web-0`, applied
+    /// before the same reconcile, both desire `default/web-0`: the workload
+    /// comes first and starts it, the bare pod starts nothing.
+    #[test]
+    fn one_reconcile_starts_one_pod_per_name() {
+        let mut cluster = Cluster::new(ClusterConfig::default());
+        let spec = ij_model::PodSpec {
+            containers: vec![ij_model::Container::new("c", "img")],
+            ..Default::default()
+        };
+        let labels = Labels::from_pairs([("app", "web")]);
+        let mut web = Workload::deployment(
+            ij_model::ObjectMeta::named("web"),
+            labels.clone(),
+            spec.clone(),
+        );
+        web.replicas = 1;
+        let bare = Pod::new(
+            ij_model::ObjectMeta::named("web-0").with_labels(labels),
+            spec,
+        );
+        cluster.apply(Object::Pod(bare)).unwrap();
+        cluster.apply(Object::Workload(web)).unwrap();
+        cluster.reconcile();
+        let pods: Vec<String> = cluster
+            .pods()
+            .iter()
+            .map(|rp| rp.qualified_name())
+            .collect();
+        assert_eq!(pods, ["default/web-0"]);
+        let starts = cluster
+            .events()
+            .iter()
+            .filter(|e| e.starts_with("start "))
+            .count();
+        assert_eq!(starts, 1, "{:?}", cluster.events());
+        let owner = cluster.pods().iter().next().and_then(|rp| rp.owner.clone());
+        assert_eq!(
+            owner.as_deref(),
+            Some("default/web"),
+            "the workload comes first"
+        );
     }
 
     #[test]

@@ -24,8 +24,10 @@
 //! `by_release` and `by_name`: they point at tombstones, which every lookup
 //! skips, until a compaction of the slots drops them and renumbers the rest
 //! in one pass over integers. A removed pod's entry leaves `pods` at once
-//! (its comparator reads pod names, which a tombstone no longer has). The
-//! index never allocates per object or per pod: its vectors only grow.
+//! (its comparator reads pod names, which a tombstone no longer has): the
+//! reaped pods' entries are found first, then `pods` closes their gaps in
+//! one pass. The index never allocates per object or per pod: its vectors
+//! only grow.
 //!
 //! [`Cluster::objects`]: crate::Cluster::objects
 
@@ -146,6 +148,12 @@ pub(crate) struct ReleaseIndex {
     batch: Vec<(u64, usize)>,
     /// Reused buffer: old position → new position of the last compaction.
     remap: Vec<usize>,
+    /// Reused buffer: the `pods` entries [`ReleaseIndex::remove_pods`]
+    /// takes out.
+    cut: Vec<usize>,
+    /// `pods` entries moved to close the gaps of removed ones.
+    #[cfg(test)]
+    pub(crate) moved_entries: usize,
 }
 
 impl ReleaseIndex {
@@ -281,19 +289,37 @@ impl ReleaseIndex {
 
     /// Takes the pods at `removed` out of `pods` and the index, compacting
     /// the slots when tombstones come to outnumber live pods. Each pod's
-    /// entry is found by binary search on its name while the pod is still
-    /// there.
+    /// entry is found by binary search on its name while every pod is still
+    /// there; the pod index then closes the gaps in one pass from the first
+    /// of them, moving each later entry at most once.
     pub(crate) fn remove_pods(&mut self, pods: &mut Slots<RunningPod>, removed: &[usize]) {
         if removed.is_empty() {
             return;
         }
-        for &pos in removed {
+        self.cut.clear();
+        self.cut.extend(removed.iter().map(|&pos| {
             let key = (pod_name(pods, pos), pos);
             let at = self
                 .pods
                 .partition_point(|&other| (pod_name(pods, other), other) < key);
             debug_assert_eq!(self.pods.get(at), Some(&pos), "an indexed pod");
-            self.pods.remove(at);
+            at
+        }));
+        self.cut.sort_unstable();
+        // Each run of entries between two cut ones moves down past the cuts
+        // before it.
+        let mut to = self.cut[0];
+        for (i, &at) in self.cut.iter().enumerate() {
+            let end = self.cut.get(i + 1).copied().unwrap_or(self.pods.len());
+            self.pods.copy_within(at + 1..end, to);
+            to += end - at - 1;
+            #[cfg(test)]
+            {
+                self.moved_entries += end - at - 1;
+            }
+        }
+        self.pods.truncate(to);
+        for &pos in removed {
             pods.take(pos);
         }
         if pods.compact_if_sparse(&mut self.remap) {

@@ -20,9 +20,11 @@
 use crate::finding::{identity_over, Finding, MisconfigId};
 use crate::model::StaticModel;
 use crate::report::{AppReport, Census, DatasetRow};
+use crate::splice::splice_copied;
 use crate::symtab::{Sym, SymMemo, SymbolTable};
 use ij_model::Protocol;
 use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 /// A [`Finding`] with its string fields replaced by interned symbols.
@@ -394,7 +396,7 @@ pub enum M4Owner {
     },
     /// The captures of one service.
     Capture {
-        /// Rank of the service's application: its index in the pass's `apps`.
+        /// Id of the service's application: its index in the pass's `apps`.
         app: usize,
         /// Index of the service in that application's services.
         service: usize,
@@ -415,28 +417,27 @@ pub struct M4Part {
 /// scope re-derives only what those changes can move.
 #[derive(Debug, Clone, Copy)]
 pub struct M4Scope<'a> {
-    /// Ranks of the changed releases that are still present, ascending.
+    /// Ids of the changed releases that are still present.
     pub dirty: &'a [usize],
-    /// The units every changed release had before the change — removed
+    /// The models every changed release had before the change — removed
     /// releases included — interned into the pass's table.
-    pub old_units: &'a [GlobalUnit],
+    pub old: &'a [GlobalAppModel],
 }
 
-/// A collision-group row: `(namespace, rendered labels, rank, position)`
-/// of one labelled unit, where `rank` is its application's index in the
-/// list and `position` its index among that application's units.
+/// A collision-group row: `(namespace, rendered labels, id, position)` of
+/// one labelled unit, where `id` is its application's index in the list and
+/// `position` its index among that application's units.
 type Row = (Sym, Sym, u32, u32);
-/// A label posting: `(namespace, key, value, rank, position)` of one label
+/// A label posting: `(namespace, key, value, id, position)` of one label
 /// pair of a unit.
 type Posting = (Sym, Sym, Sym, u32, u32);
-/// A selector entry: `(namespace, key, value, rank, position)` of a service
+/// A selector entry: `(namespace, key, value, id, position)` of a service
 /// under its first selector pair.
 type Selector = (Sym, Sym, Sym, u32, u32);
 
 /// The M4\* kernel's index over a list of applications, each numbered by
-/// its rank (its index in the list). Three flat tables, each sorted so that
-/// one key's entries form a contiguous run in (rank, position) order, the
-/// order the all-scope pass reports units in:
+/// its id (its index in the list). Three flat tables, each sorted so that
+/// one key's entries form a contiguous run in (id, position) order:
 ///
 /// * collision-group rows: the labelled units of each `(namespace,
 ///   rendered label set)`;
@@ -447,11 +448,13 @@ type Selector = (Sym, Sym, Sym, u32, u32);
 ///   namespace and *first* selector pair — a unit finds every service that
 ///   may cover it by looking up its own label pairs.
 ///
-/// A caller that keeps the index across changes to the list
-/// [`M4Index::patch`]es it: one integer pass drops the changed
-/// applications' entries and renumbers the others, and a merge adds the
-/// new ones, so only those are sorted. After every patch the index equals
-/// [`M4Index::build`] over the same list.
+/// A caller that keeps the index across changes to the list gives each
+/// application an id it keeps while listed (a slot, reused once its
+/// application leaves) and [`M4Index::patch`]es the index with the old and
+/// new models of the applications it changed. Only their entries are
+/// located, one binary search each, or sorted; the runs of other entries
+/// between two edits move as blocks and are never renumbered. After every
+/// patch the index equals [`M4Index::build`] over the same list.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct M4Index {
     rows: Vec<Row>,
@@ -460,10 +463,6 @@ pub struct M4Index {
 }
 
 impl M4Index {
-    /// The rank [`M4Index::patch`] maps an application to whose entries it
-    /// drops.
-    pub const GONE: u32 = u32::MAX;
-
     /// Indexes `apps` from scratch.
     pub fn build<M: Borrow<GlobalAppModel>>(apps: &[M]) -> Self {
         M4Index::of(apps, true)
@@ -472,37 +471,45 @@ impl M4Index {
     /// [`M4Index::build`], with the selector table only if asked for: a
     /// pass over every service never reads it.
     fn of<M: Borrow<GlobalAppModel>>(apps: &[M], selectors: bool) -> Self {
+        M4Index::of_some(apps.iter().map(Borrow::borrow).enumerate(), selectors)
+    }
+
+    /// The index of some models under their ids.
+    fn of_some<'m>(
+        models: impl Iterator<Item = (usize, &'m GlobalAppModel)> + Clone,
+        selectors: bool,
+    ) -> Self {
         let mut index = M4Index::default();
-        let (units, pairs) = apps
-            .iter()
-            .flat_map(|m| &m.borrow().units)
+        let (units, pairs) = models
+            .clone()
+            .flat_map(|(_, m)| &m.units)
             .fold((0, 0), |(n, p), u| (n + 1, p + u.label_pairs.len()));
         index.rows.reserve(units);
         index.postings.reserve(pairs);
-        for (rank, model) in apps.iter().enumerate() {
-            index.push(rank, model.borrow(), selectors);
+        for (id, model) in models {
+            index.push(id, model, selectors);
         }
         index.sort();
         index
     }
 
-    /// Appends the entries of `model` at `rank`, unsorted.
-    fn push(&mut self, rank: usize, model: &GlobalAppModel, selectors: bool) {
-        let rank = to_u32(rank);
+    /// Appends the entries of `model` under `id`, unsorted.
+    fn push(&mut self, id: usize, model: &GlobalAppModel, selectors: bool) {
+        let id = to_u32(id);
         for (pos, u) in model.units.iter().enumerate() {
             if u.label_pairs.is_empty() {
                 continue;
             }
             let pos = to_u32(pos);
-            self.rows.push((u.namespace, u.labels_rendered, rank, pos));
+            self.rows.push((u.namespace, u.labels_rendered, id, pos));
             for &(k, v) in &u.label_pairs {
-                self.postings.push((u.namespace, k, v, rank, pos));
+                self.postings.push((u.namespace, k, v, id, pos));
             }
         }
         if selectors {
             for (pos, s) in model.services.iter().enumerate() {
                 if let Some(&(k, v)) = s.selector_pairs.first() {
-                    self.selectors.push((s.namespace, k, v, rank, to_u32(pos)));
+                    self.selectors.push((s.namespace, k, v, id, to_u32(pos)));
                 }
             }
         }
@@ -514,24 +521,24 @@ impl M4Index {
         self.selectors.sort_unstable();
     }
 
-    /// Follows a change to the indexed list: `ranks[old]` is the new rank
-    /// of the application indexed at rank `old`, or [`M4Index::GONE`] for
-    /// one removed or replaced, and `added` are the new and replacing
-    /// applications at their new ranks. The kept ranks must keep their
-    /// order, as removing and inserting applications does.
+    /// Follows a change to the indexed list: the entries of each `(id,
+    /// model)` of `old` — a model indexed under that id — leave, and those
+    /// of each model of `new` enter under its id. An application that
+    /// changed is in both, one that left in `old` only, one that came (on a
+    /// free id or a reused one) in `new` only.
+    ///
+    /// Returns the number of entries it located or wrote one at a time:
+    /// those of the `old` and `new` models but the ones both hold, which
+    /// stay. The others move in blocks.
     pub fn patch<'m>(
         &mut self,
-        ranks: &[u32],
-        added: impl IntoIterator<Item = (usize, &'m GlobalAppModel)>,
-    ) {
-        let mut fresh = M4Index::default();
-        for (rank, model) in added {
-            fresh.push(rank, model, true);
-        }
-        fresh.sort();
-        patch_table(&mut self.rows, &fresh.rows, ranks, |r| &mut r.2);
-        patch_table(&mut self.postings, &fresh.postings, ranks, |p| &mut p.3);
-        patch_table(&mut self.selectors, &fresh.selectors, ranks, |s| &mut s.3);
+        old: impl Iterator<Item = (usize, &'m GlobalAppModel)> + Clone,
+        new: impl Iterator<Item = (usize, &'m GlobalAppModel)> + Clone,
+    ) -> usize {
+        let (gone, fresh) = (M4Index::of_some(old, true), M4Index::of_some(new, true));
+        patch_table(&mut self.rows, gone.rows, fresh.rows)
+            + patch_table(&mut self.postings, gone.postings, fresh.postings)
+            + patch_table(&mut self.selectors, gone.selectors, fresh.selectors)
     }
 
     /// The units indexed under a collision-group key.
@@ -554,29 +561,28 @@ impl M4Index {
     fn scope<M: Borrow<GlobalAppModel>>(&self, apps: &[M], scope: M4Scope<'_>) -> Rederived {
         let mut keys = Vec::new();
         let mut services = Vec::new();
-        for &rank in scope.dirty {
-            let model = apps[rank].borrow();
+        for &id in scope.dirty {
+            let model = apps[id].borrow();
             services.extend(
                 (0..model.services.len())
                     .filter(|&i| !model.services[i].selector_pairs.is_empty())
-                    .map(|i| (rank, i)),
+                    .map(|i| (id, i)),
             );
         }
-        let touched = scope.old_units.iter().chain(
-            scope
-                .dirty
-                .iter()
-                .flat_map(|&rank| &apps[rank].borrow().units),
-        );
+        let touched = scope
+            .old
+            .iter()
+            .chain(scope.dirty.iter().map(|&id| apps[id].borrow()))
+            .flat_map(|model| &model.units);
         for u in touched.filter(|u| !u.label_pairs.is_empty()) {
             keys.push((u.namespace, u.labels_rendered));
             // A covering selector's first pair is one of the unit's pairs.
             for &(k, v) in &u.label_pairs {
                 let candidates = run(&self.selectors, |s| (s.0, s.1, s.2), (u.namespace, k, v));
-                for &(_, _, _, rank, i) in candidates {
-                    let (rank, i) = (rank as usize, i as usize);
-                    if covers(&apps[rank].borrow().services[i], u) {
-                        services.push((rank, i));
+                for &(_, _, _, id, i) in candidates {
+                    let (id, i) = (id as usize, i as usize);
+                    if covers(&apps[id].borrow().services[i], u) {
+                        services.push((id, i));
                     }
                 }
             }
@@ -593,7 +599,7 @@ impl M4Index {
 struct Rederived {
     /// Collision-group keys, as `(namespace, rendered labels)`.
     keys: Vec<(Sym, Sym)>,
-    /// Services to probe, as `(rank, position)`.
+    /// Services to probe, as `(id, position)`.
     services: Vec<(usize, usize)>,
 }
 
@@ -614,38 +620,46 @@ fn run<T, K: Ord>(table: &[T], key_of: impl Fn(&T) -> K, key: K) -> &[T] {
     &rest[..bound / 2 + window.partition_point(|t| key_of(t) <= key)]
 }
 
-/// Renumbers the ranks of the sorted `table` through `ranks`, dropping the
-/// entries mapped to [`M4Index::GONE`], then merges the sorted `fresh`
-/// entries in from the back, so only the tail after the first of them
-/// moves.
-fn patch_table<T: Ord + Copy>(
-    table: &mut Vec<T>,
-    fresh: &[T],
-    ranks: &[u32],
-    rank_of: fn(&mut T) -> &mut u32,
-) {
-    table.retain_mut(|entry| {
-        let rank = rank_of(entry);
-        *rank = ranks[*rank as usize];
-        *rank != M4Index::GONE
-    });
-    let Some(&first) = fresh.first() else {
-        return;
-    };
-    let (mut kept, mut added) = (table.len(), fresh.len());
-    // The table keeps its size across ticks: grow it only as far as needed.
-    table.reserve_exact(added);
-    table.resize(kept + added, first);
-    while added > 0 {
-        let slot = kept + added - 1;
-        if kept > 0 && table[kept - 1] > fresh[added - 1] {
-            table[slot] = table[kept - 1];
-            kept -= 1;
-        } else {
-            table[slot] = fresh[added - 1];
-            added -= 1;
+/// Replaces the `gone` entries of the sorted `table` with the `fresh` ones
+/// (both sorted), in place. An entry both hold stays where it is; each
+/// other entry that leaves is found by binary search, each that enters goes
+/// before the first entry greater than it. Returns how many entries it
+/// located or wrote one at a time.
+fn patch_table<T: Ord + Copy>(table: &mut Vec<T>, mut gone: Vec<T>, mut fresh: Vec<T>) -> usize {
+    drop_shared(&mut gone, &mut fresh);
+    let cut: Vec<usize> = gone
+        .iter()
+        .map(|entry| table.binary_search(entry).expect("an indexed entry"))
+        .collect();
+    let added: Vec<(usize, T)> = fresh
+        .into_iter()
+        .map(|entry| (table.partition_point(|t| *t < entry), entry))
+        .collect();
+    let touched = cut.len() + added.len();
+    splice_copied(table, &cut, added);
+    touched
+}
+
+/// Drops the entries both sorted lists hold, keeping the others in order.
+fn drop_shared<T: Ord + Copy>(a: &mut Vec<T>, b: &mut Vec<T>) {
+    let (mut i, mut j, mut kept_a, mut kept_b) = (0, 0, 0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            Ordering::Less => {
+                a[kept_a] = a[i];
+                (kept_a, i) = (kept_a + 1, i + 1);
+            }
+            Ordering::Greater => {
+                b[kept_b] = b[j];
+                (kept_b, j) = (kept_b + 1, j + 1);
+            }
+            Ordering::Equal => (i, j) = (i + 1, j + 1),
         }
     }
+    a.copy_within(i.., kept_a);
+    a.truncate(kept_a + a.len() - i);
+    b.copy_within(j.., kept_b);
+    b.truncate(kept_b + b.len() - j);
 }
 
 /// The cluster-wide M4\* pass over interned models: the all-scope call of
@@ -674,9 +688,17 @@ pub fn m4_global_collisions_compact<M: Borrow<GlobalAppModel>>(
     findings
 }
 
-/// The M4\* kernel with its findings tagged by owner, in the order
-/// [`m4_global_collisions_compact`] reports them. `index` is the
+/// The M4\* kernel with its findings tagged by owner. `index` is the
 /// [`M4Index`] of `apps`.
+///
+/// Applications are reported in id order by the all-scope pass, as
+/// [`m4_global_collisions_compact`] reports them, and in name order by a
+/// scoped pass: a caller that patches the index keeps an application's id
+/// while its name's place among the others moves. The scoped pass restores
+/// name order only where it reports — the members of each re-derived
+/// group, the captures of each probed service, the services it probes — so
+/// a caller whose ids ascend with names after each all-scope pass gets the
+/// same order from both.
 ///
 /// With `scope` `None` the pass derives everything and reports every
 /// collision group that spans two applications and every service with a
@@ -745,14 +767,22 @@ fn m4_pass<M: Borrow<GlobalAppModel>>(
     out: &mut impl M4Sink,
 ) {
     // What a scoped pass re-derives; `None` derives everything.
-    let scoped = scope.map(|scope| index.scope(apps, scope));
-    let app_name = |rank: u32| table.resolve(apps[rank as usize].borrow().app);
+    let mut scoped = scope.map(|scope| index.scope(apps, scope));
+    let app_name = |id: u32| table.resolve(apps[id as usize].borrow().app);
     let unit_name =
-        |rank: u32, pos: u32| table.resolve(apps[rank as usize].borrow().units[pos as usize].name);
+        |id: u32, pos: u32| table.resolve(apps[id as usize].borrow().units[pos as usize].name);
+    // `(id, position)` units in report order: by name in a scoped pass.
+    let by_name = scoped.is_some();
+    let report_order = |units: &mut Vec<(u32, u32)>| {
+        if by_name {
+            units.sort_by_key(|&(id, pos)| (app_name(id), pos));
+        }
+    };
+    let mut units: Vec<(u32, u32)> = Vec::new();
 
     // --- Unit ↔ unit collisions spanning at least two applications. ---
-    // Members ascend with (app, unit), so a group's first and last members
-    // bracket its app range: distinct apps ≥ 2 iff they differ.
+    // Rows ascend with (id, unit), so a group's first and last rows bracket
+    // its id range: distinct apps ≥ 2 iff they differ.
     let spans_apps = |g: &[Row]| g.first().map(|r| r.2) != g.last().map(|r| r.2);
     let mut groups: Vec<((Sym, Sym), &[Row])> = match &scoped {
         Some(scoped) => scoped
@@ -776,13 +806,16 @@ fn m4_pass<M: Borrow<GlobalAppModel>>(
         if !spans_apps(group) {
             continue;
         }
-        let members: Vec<String> = group
+        units.clear();
+        units.extend(group.iter().map(|&(_, _, id, pos)| (id, pos)));
+        report_order(&mut units);
+        let members: Vec<String> = units
             .iter()
-            .map(|&(_, _, rank, pos)| format!("{} ({})", unit_name(rank, pos), app_name(rank)))
+            .map(|&(id, pos)| format!("{} ({})", unit_name(id, pos), app_name(id)))
             .collect();
         out.finding(Finding::new(
             MisconfigId::M4Star,
-            app_name(group[0].2),
+            app_name(units[0].0),
             members[0].clone(),
             format!(
                 "label set `{}` collides across applications: {}",
@@ -795,13 +828,13 @@ fn m4_pass<M: Borrow<GlobalAppModel>>(
     // --- Service ↔ foreign-unit captures. ---
     // One selector's posting lists, reused across services.
     let mut ranges: Vec<&[Posting]> = Vec::new();
-    let mut probe = |rank: usize, service: usize| {
-        let model = apps[rank].borrow();
+    let mut probe = |id: usize, service: usize| {
+        let model = apps[id].borrow();
         let svc = &model.services[service];
         if svc.selector_pairs.is_empty() {
             return;
         }
-        out.owner(M4Owner::Capture { app: rank, service });
+        out.owner(M4Owner::Capture { app: id, service });
         ranges.clear();
         ranges.extend(
             svc.selector_pairs
@@ -817,21 +850,27 @@ fn m4_pass<M: Borrow<GlobalAppModel>>(
             .map(|(i, _)| i)
             .expect("non-empty selector");
         // A candidate matches the full selector exactly when it appears in
-        // every pair's posting list. Each list ascends by (app, unit), so
+        // every pair's posting list. Each list ascends by (id, unit), so
         // each membership test is a binary search: a corpus-wide label pair
         // makes its list O(apps), and walking it per service would be
         // quadratic in the population.
-        for &(_, _, _, other, pos) in ranges[rarest_pos] {
-            if other as usize == rank
-                || !ranges.iter().enumerate().all(|(i, range)| {
-                    i == rarest_pos
-                        || range
-                            .binary_search_by_key(&(other, pos), |p| (p.3, p.4))
-                            .is_ok()
-                })
-            {
-                continue;
-            }
+        units.clear();
+        units.extend(
+            ranges[rarest_pos]
+                .iter()
+                .map(|&(_, _, _, other, pos)| (other, pos))
+                .filter(|&(other, pos)| {
+                    other as usize != id
+                        && ranges.iter().enumerate().all(|(i, range)| {
+                            i == rarest_pos
+                                || range
+                                    .binary_search_by_key(&(other, pos), |p| (p.3, p.4))
+                                    .is_ok()
+                        })
+                }),
+        );
+        report_order(&mut units);
+        for &(other, pos) in &units {
             out.finding(Finding::new(
                 MisconfigId::M4Star,
                 table.resolve(model.app),
@@ -845,11 +884,15 @@ fn m4_pass<M: Borrow<GlobalAppModel>>(
             ));
         }
     };
-    match &scoped {
-        Some(scoped) => scoped.services.iter().for_each(|&(rank, i)| probe(rank, i)),
+    match &mut scoped {
+        Some(scoped) => {
+            let services = &mut scoped.services;
+            services.sort_by_key(|&(id, i)| (app_name(to_u32(id)), i));
+            services.iter().for_each(|&(id, i)| probe(id, i));
+        }
         None => {
-            for (rank, model) in apps.iter().map(Borrow::borrow).enumerate() {
-                (0..model.services.len()).for_each(|i| probe(rank, i));
+            for (id, model) in apps.iter().map(Borrow::borrow).enumerate() {
+                (0..model.services.len()).for_each(|i| probe(id, i));
             }
         }
     }
@@ -1108,35 +1151,39 @@ mod tests {
             let previous = oracle(&apps);
             assert_eq!(owned.flatten(&before, &table), previous, "seed {seed}");
 
-            // Replace app 3, remove app 6, add one app at the end.
+            // Replace app 3, remove app 6, add one app, which sorts last
+            // by name and takes the freed id 6: ids no longer follow names.
             let fresh = pseudo_random_corpus(seed ^ 0x5eed, 11);
             apps[3].1 = fresh[3].1.clone();
             let removed = apps.remove(6).0;
             apps.push(("gen-new".to_string(), fresh[10].1.clone()));
-            let old_units: Vec<GlobalUnit> = [3, 6]
-                .iter()
-                .flat_map(|&i| before[i].units.iter().cloned())
-                .collect();
-            let after = intern(&apps, &mut table);
-            let dirty = [3, apps.len() - 1];
-            // Patch the index: drop the replaced and removed apps, shift the
-            // ranks after the removed one down, index the new models.
-            let ranks: Vec<u32> = (0..10)
-                .map(|r| match r {
-                    3 | 6 => M4Index::GONE,
-                    7.. => r - 1,
-                    _ => r,
-                })
-                .collect();
-            index.patch(&ranks, dirty.iter().map(|&rank| (rank, &after[rank])));
+            let by_id = [0, 1, 2, 3, 4, 5, 9, 6, 7, 8].map(|i| apps[i].clone());
+            let after = intern(&by_id, &mut table);
+            let dirty = [3, 6];
+            let old = dirty.map(|id| before[id].clone());
+            let touched = index.patch(
+                dirty.iter().zip(&old).map(|(&id, model)| (id, model)),
+                dirty.iter().map(|&id| (id, &after[id])),
+            );
             assert_eq!(index, M4Index::build(&after), "seed {seed}");
+            let mut edited = M4Index::default();
+            for &id in &dirty {
+                edited.push(id, &before[id], true);
+                edited.push(id, &after[id], true);
+            }
+            let entries = edited.rows.len() + edited.postings.len() + edited.selectors.len();
+            // Entries both models of app 3 hold stay where they are.
+            assert!(
+                touched > 0 && touched <= entries,
+                "seed {seed}: {touched} of {entries}"
+            );
             let parts = m4_global_collisions_scoped(
                 &index,
                 &after,
                 &table,
                 Some(M4Scope {
                     dirty: &dirty,
-                    old_units: &old_units,
+                    old: &old,
                 }),
             );
             foreign += parts
@@ -1153,7 +1200,8 @@ mod tests {
             owned.splice(parts, &after, &table);
             let expected = oracle(&apps);
             moved += usize::from(expected != previous);
-            assert_eq!(owned.flatten(&after, &table), expected, "seed {seed}");
+            let by_name = [0, 1, 2, 3, 4, 5, 7, 8, 9, 6].map(|id| after[id].clone());
+            assert_eq!(owned.flatten(&by_name, &table), expected, "seed {seed}");
         }
         assert!(moved > 0, "no change moved an M4* finding");
         assert!(

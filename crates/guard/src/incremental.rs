@@ -17,12 +17,14 @@
 //! * each release's input to the cluster-wide label pass (`M4*`) is cached
 //!   as a [`GlobalAppModel`] interned into one symbol table the auditor
 //!   owns, so a re-run re-interns only the dirtied releases;
-//! * the auditor keeps the `M4*` kernel's [`M4Index`] over those models
-//!   across ticks, with each release ranked by name. When the labelled
-//!   object set changed (`summary.labels`) or a release appeared or
-//!   disappeared, a tick patches it: one integer pass drops the entries of
-//!   the re-analyzed and removed releases and renumbers the shifted ranks,
-//!   and a merge adds the new models' entries;
+//! * each tracked release holds an id, a slot it keeps while tracked and
+//!   that the next new release reuses once it leaves; a list of the ids in
+//!   name order gives a release's rank. The auditor keeps the `M4*`
+//!   kernel's [`M4Index`] over the models by id across ticks. When the
+//!   labelled object set changed (`summary.labels`) or a release appeared
+//!   or disappeared, a tick patches it with the old and new models of the
+//!   re-analyzed and removed releases: only their entries are located or
+//!   written, and the entries between them move in blocks;
 //! * the label pass then re-runs, only over what the re-analyzed and
 //!   removed releases touch ([`m4_global_collisions_scoped`]): the
 //!   collision groups keyed by their
@@ -37,18 +39,21 @@
 //! The open findings stay sorted as a batch analysis orders them:
 //! [`canonical_cmp`], then source (releases by name, then groups, then
 //! captures), then position within the source. A tick takes the findings
-//! of the sources it replaced out of that list, merges their new findings
-//! in, and diffs identities ([`Finding::identity`], as multisets:
-//! `audit::unmatched`) over those two sets alone. Where an unchanged source
-//! shares an identity or a canonical position with a replaced one, that
-//! shortcut could pick another order for the list or the delta, so the
-//! tick re-sorts and diffs all open findings instead. Each identity is
-//! hashed once, when its finding is made, and findings that stay open move
-//! from one list to the next instead of being cloned.
+//! of the sources it replaced out of that list and diffs identities
+//! ([`Finding::identity`], as multisets: `audit::unmatched`) over those and
+//! the sources' new findings alone. Where an unchanged source shares an
+//! identity or a canonical position with a replaced one, that shortcut
+//! could pick another order for the list or the delta, so the tick
+//! re-sorts and diffs all open findings instead. Otherwise the list is
+//! edited in place ([`splice_in_place`]): the new findings enter where the
+//! merge places them, and the findings that stay move only in blocks,
+//! never cloned, hashed or compared one at a time. Each identity is hashed
+//! once, when its finding is made.
 //!
 //! When the dirty ring no longer covers the cursor (overflow, reset, first
 //! tick) the summary degrades to everything-dirty and the tick becomes a
-//! full recompute into a fresh symbol table and index — the same code path
+//! full recompute into a fresh symbol table, index and set of ids (handed
+//! out in name order) — the same code path
 //! [`IncrementalAuditor::full_tick`] exposes as the property-tested oracle.
 //! Symbols of uninstalled releases stay in the table until it holds more
 //! than twice the symbols it held after its last rebuild; the tick then
@@ -61,12 +66,13 @@
 
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
-use std::mem::take;
+use std::mem::{replace, take};
 
 use ij_cluster::{Cluster, DirtySummary, RELEASE_ANNOTATION};
 use ij_core::{
-    canonical_cmp, m4_global_collisions_scoped, Analyzer, Finding, GlobalAppModel, GlobalUnit,
-    M4Index, M4Owner, M4Part, M4Scope, StaticModel, SymMemo, SymbolTable,
+    canonical_cmp, m4_global_collisions_scoped, splice_copied, splice_in_place, Analyzer, Finding,
+    GlobalAppModel, M4Index, M4Owner, M4Part, M4Scope, MisconfigId, StaticModel, SymMemo,
+    SymbolTable,
 };
 use ij_model::Object;
 use ij_probe::{HostBaseline, RuntimeAnalyzer, RuntimeReport};
@@ -94,7 +100,7 @@ impl Identified {
     }
 }
 
-/// Cached analysis state of one tracked release.
+/// Cached analysis state of one tracked release, in the slot of its id.
 struct Tracked {
     name: String,
     findings: Vec<Identified>,
@@ -102,6 +108,24 @@ struct Tracked {
     global: GlobalAppModel,
     /// The `M4*` captures of its services, by service position.
     captures: BTreeMap<usize, Vec<Identified>>,
+}
+
+impl Tracked {
+    /// Empties the slot of a release that is no longer tracked and returns
+    /// the model it had. An empty slot indexes nothing.
+    fn vacate(&mut self) -> GlobalAppModel {
+        let vacant = Tracked {
+            name: String::new(),
+            findings: Vec::new(),
+            global: GlobalAppModel {
+                app: self.global.app,
+                units: Vec::new(),
+                services: Vec::new(),
+            },
+            captures: BTreeMap::new(),
+        };
+        replace(self, vacant).global
+    }
 }
 
 impl Borrow<GlobalAppModel> for Tracked {
@@ -116,12 +140,25 @@ impl Borrow<GlobalAppModel> for Tracked {
 struct Replaced {
     /// Identities of every cached finding replaced or dropped.
     identities: Vec<u64>,
-    /// Ranks of the re-analyzed releases, ascending.
+    /// Ids of the re-analyzed releases, in name order.
     releases: Vec<usize>,
     /// Keys of the collision groups the `M4*` pass re-derived.
     groups: Vec<(String, String)>,
-    /// `(rank, service)` of the captures the pass re-derived.
+    /// `(id, service)` of the captures the pass re-derived, in the order
+    /// it reports them: by release name, then service.
     captures: Vec<(usize, usize)>,
+}
+
+/// What the last tick did one entry or one finding at a time.
+#[cfg(test)]
+#[derive(Default)]
+struct TickWork {
+    /// `M4Index` entries the patch located or wrote.
+    patched: usize,
+    /// Open findings taken out of or put into the list.
+    moved: usize,
+    /// Whether a new release took the id of one that left.
+    reused_id: bool,
 }
 
 /// A delta-aware auditor for a whole multi-release cluster. See the module
@@ -136,14 +173,18 @@ pub struct IncrementalAuditor {
     probe: Option<(RuntimeAnalyzer, HostBaseline)>,
     defines_policies: BTreeMap<String, bool>,
     cursor: Option<u64>,
-    /// Tracked releases sorted by name; a release's rank in `index` is its
-    /// position.
+    /// Tracked releases by id; a free id's slot is empty.
     apps: Vec<Tracked>,
+    /// The free ids, reused last-freed first.
+    free: Vec<usize>,
+    /// The ids of the tracked releases in name order: a release's place
+    /// here is its rank.
+    order: Vec<usize>,
     /// Symbols of every cached [`GlobalAppModel`].
     table: SymbolTable,
     /// `table.len()` right after its last rebuild.
     table_floor: usize,
-    /// The `M4*` kernel's index over the models of `apps`.
+    /// The `M4*` kernel's index over the models of `apps`, by id.
     index: M4Index,
     /// `M4*` collision groups by resolved `(namespace, labels)`.
     groups: BTreeMap<(String, String), Identified>,
@@ -151,6 +192,8 @@ pub struct IncrementalAuditor {
     previous: Vec<Finding>,
     /// The identities of `previous`, in its order.
     previous_identities: Vec<u64>,
+    #[cfg(test)]
+    work: TickWork,
 }
 
 impl Default for IncrementalAuditor {
@@ -168,12 +211,16 @@ impl IncrementalAuditor {
             defines_policies: BTreeMap::new(),
             cursor: None,
             apps: Vec::new(),
+            free: Vec::new(),
+            order: Vec::new(),
             table: SymbolTable::new(),
             table_floor: 0,
             index: M4Index::default(),
             groups: BTreeMap::new(),
             previous: Vec::new(),
             previous_identities: Vec::new(),
+            #[cfg(test)]
+            work: TickWork::default(),
         }
     }
 
@@ -206,18 +253,22 @@ impl IncrementalAuditor {
 
     /// Number of releases with cached analysis state.
     pub fn tracked_apps(&self) -> usize {
-        self.apps.len()
+        self.order.len()
     }
 
     /// The rank of the tracked release `name`, or the rank it would take.
     fn rank(&self, name: &str) -> Result<usize, usize> {
-        self.apps
-            .binary_search_by(|app| app.name.as_str().cmp(name))
+        self.order
+            .binary_search_by(|&id| self.apps[id].name.as_str().cmp(name))
     }
 
     /// Runs one audit round, re-analyzing only what changed since the last
     /// round, and reports the delta.
     pub fn tick(&mut self, cluster: &Cluster) -> AuditDelta {
+        #[cfg(test)]
+        {
+            self.work = TickWork::default();
+        }
         let summary = match self.cursor {
             Some(cursor) => cluster.dirty_since(cursor),
             None => DirtySummary::everything(),
@@ -268,29 +319,36 @@ impl IncrementalAuditor {
         let labels_moved = recompute_all || summary.labels || apps_changed;
         let runs_m4 = self.analyzer.runs_global() && labels_moved;
 
-        // A full recompute starts from empty caches. Otherwise the findings
-        // of the tracked releases to re-analyze or drop (and, when the pass
-        // re-derives them, their captures) leave the open list, and their
-        // units before the change are what the scoped pass re-derives from;
-        // `dropped` holds their ranks.
+        // A full recompute starts from empty caches and hands out ids
+        // afresh. Otherwise the findings of the tracked releases to
+        // re-analyze or drop (and, when the pass re-derives them, their
+        // captures) leave the open list. Tracked releases left without
+        // objects were uninstalled: they drop out of the cache and the
+        // policy-template record, and free their ids. `old` collects the
+        // models the re-analyzed and removed releases had, which the index
+        // patch drops and the scoped pass re-derives from; `old_ids` their
+        // ids.
         let mut replaced = Replaced::default();
-        let mut old_units: Vec<GlobalUnit> = Vec::new();
-        let mut dropped = Vec::new();
+        let (mut old_ids, mut old) = (Vec::new(), Vec::new());
         if recompute_all {
             self.table = SymbolTable::new();
-            for app in self.apps.drain(..) {
-                if grouped.get(app.name.as_str()).is_none_or(|o| o.is_empty()) {
-                    self.defines_policies.remove(&app.name);
+            for &id in &self.order {
+                let name = &self.apps[id].name;
+                if grouped.get(name.as_str()).is_none_or(|o| o.is_empty()) {
+                    self.defines_policies.remove(name);
                 }
             }
+            self.apps.clear();
+            self.free.clear();
+            self.order.clear();
             self.groups.clear();
         } else {
-            for name in grouped.keys() {
+            for (name, objects) in &grouped {
                 let Ok(rank) = self.rank(name) else {
                     continue;
                 };
-                dropped.push(rank);
-                let app = &mut self.apps[rank];
+                let id = self.order[rank];
+                let app = &mut self.apps[id];
                 let captures = if runs_m4 {
                     take(&mut app.captures)
                 } else {
@@ -298,21 +356,13 @@ impl IncrementalAuditor {
                 };
                 let findings = app.findings.iter().chain(captures.values().flatten());
                 replaced.identities.extend(findings.map(|f| f.identity));
-                old_units.append(&mut app.global.units);
-            }
-        }
-
-        // Tracked releases left without objects were uninstalled: they drop
-        // out of the cache and the policy-template record. `gone` holds
-        // their ranks before this tick, `fresh` the ranks of new releases
-        // after it.
-        let tracked_before = self.apps.len();
-        let mut gone = Vec::new();
-        for (name, _) in grouped.iter().filter(|(_, objects)| objects.is_empty()) {
-            if let Ok(rank) = self.rank(name) {
-                self.apps.remove(rank);
-                gone.push(rank + gone.len());
-                self.defines_policies.remove(*name);
+                if objects.is_empty() {
+                    old_ids.push(id);
+                    old.push(app.vacate());
+                    self.order.remove(rank);
+                    self.free.push(id);
+                    self.defines_policies.remove(*name);
+                }
             }
         }
         grouped.retain(|_, objects| !objects.is_empty());
@@ -323,8 +373,6 @@ impl IncrementalAuditor {
             }
             _ => None,
         };
-        // Names ascend, so a release's rank is final once it is placed.
-        let mut fresh = Vec::new();
         for (name, objects) in &grouped {
             let statics = StaticModel::from_objects(objects.iter().copied());
             let defines = self.defines_policies.get(*name).copied().unwrap_or(false);
@@ -335,12 +383,14 @@ impl IncrementalAuditor {
                 .map(Identified::new)
                 .collect();
             let global = GlobalAppModel::intern(name, &statics, &mut self.table);
-            let rank = match self.rank(name) {
+            let id = match self.rank(name) {
                 Ok(rank) => {
-                    let app = &mut self.apps[rank];
+                    let id = self.order[rank];
+                    let app = &mut self.apps[id];
                     app.findings = findings;
-                    app.global = global;
-                    rank
+                    old_ids.push(id);
+                    old.push(replace(&mut app.global, global));
+                    id
                 }
                 Err(rank) => {
                     let app = Tracked {
@@ -349,12 +399,25 @@ impl IncrementalAuditor {
                         global,
                         captures: BTreeMap::new(),
                     };
-                    self.apps.insert(rank, app);
-                    fresh.push(rank);
-                    rank
+                    let id = match self.free.pop() {
+                        Some(id) => {
+                            self.apps[id] = app;
+                            #[cfg(test)]
+                            {
+                                self.work.reused_id = true;
+                            }
+                            id
+                        }
+                        None => {
+                            self.apps.push(app);
+                            self.apps.len() - 1
+                        }
+                    };
+                    self.order.insert(rank, id);
+                    id
                 }
             };
-            replaced.releases.push(rank);
+            replaced.releases.push(id);
         }
 
         // Without a label change or a release coming or going, re-analyzed
@@ -362,21 +425,21 @@ impl IncrementalAuditor {
         if recompute_all {
             self.index = M4Index::build(&self.apps);
         } else if labels_moved {
-            let mut ranks = rank_map(tracked_before, &gone, &fresh);
-            for &rank in &dropped {
-                ranks[rank] = M4Index::GONE;
-            }
             let apps = &self.apps;
-            let added = replaced
-                .releases
-                .iter()
-                .map(|&rank| (rank, &apps[rank].global));
-            self.index.patch(&ranks, added);
+            #[cfg_attr(not(test), allow(unused_variables))]
+            let patched = self.index.patch(
+                old_ids.iter().copied().zip(&old),
+                replaced.releases.iter().map(|&id| (id, &apps[id].global)),
+            );
+            #[cfg(test)]
+            {
+                self.work.patched = patched;
+            }
         }
         if runs_m4 {
             let scope = (!recompute_all).then_some(M4Scope {
                 dirty: &replaced.releases,
-                old_units: &old_units,
+                old: &old,
             });
             let parts = m4_global_collisions_scoped(&self.index, &self.apps, &self.table, scope);
             self.replace_m4(parts, &mut replaced);
@@ -425,78 +488,67 @@ impl IncrementalAuditor {
         }
     }
 
-    /// Builds the next open list and diffs it against the previous one.
-    /// With `replaced`, the findings it took out leave the list, its
-    /// sources' new findings are merged in, and identities are diffed over
-    /// those two sets alone. Without it, or when [`plan_merge`] turns the
-    /// merge down, every open finding is taken out and every cached one
-    /// sorted back in.
+    /// Edits the open list into the next one in place and diffs it against
+    /// the previous one. With `replaced`, the findings it took out leave
+    /// the list, its sources' new findings enter, and identities are
+    /// diffed over those two sets alone. Without it, or when [`plan_merge`]
+    /// turns the merge down, every open finding is taken out and every
+    /// cached one sorted back in.
     fn next_round(&mut self, replaced: Option<Replaced>) -> AuditDelta {
-        let (apps, groups) = (&self.apps, &self.groups);
+        let (apps, order, groups) = (&self.apps, &self.order, &self.groups);
         let previous = (&self.previous[..], &self.previous_identities[..]);
-        let Merge { fresh, taken, at } = replaced
+        let Merge { fresh, cut, at } = replaced
             .and_then(|replaced| plan_merge(apps, groups, previous, replaced))
-            .unwrap_or_else(|| Merge {
-                fresh: open_findings(apps, groups),
-                taken: vec![true; previous.0.len()],
-                // Nothing stays, so no position is read.
-                at: Vec::new(),
+            .unwrap_or_else(|| {
+                let fresh = open_findings(apps, order, groups);
+                let len = previous.0.len();
+                Merge {
+                    at: vec![len; fresh.len()],
+                    fresh,
+                    cut: (0..len).collect(),
+                }
             });
-        let old_ids: Vec<u64> = self
-            .previous_identities
+        let old_ids: Vec<u64> = cut
             .iter()
-            .zip(&taken)
-            .filter_map(|(&id, &out)| out.then_some(id))
+            .map(|&pos| self.previous_identities[pos])
             .collect();
         let fresh_ids: Vec<u64> = fresh.iter().map(|f| f.identity).collect();
         let introduced = unmatched(&fresh_ids, &old_ids);
-        let mut resolved = unmatched(&old_ids, &fresh_ids).into_iter();
+        let resolved = unmatched(&old_ids, &fresh_ids);
         // Resolved findings move into the delta. The other findings taken
         // out match new ones in the same order, so they move over instead
         // of being cloned; a new finding without a match in line is cloned.
         let mut delta = AuditDelta::default();
-        let mut kept = Vec::with_capacity(self.previous.len());
         let mut reusable = Vec::new();
-        for (pos, ((finding, identity), out)) in take(&mut self.previous)
-            .into_iter()
-            .zip(take(&mut self.previous_identities))
-            .zip(taken)
-            .enumerate()
-        {
-            if !out {
-                kept.push((pos, identity, finding));
-            } else if resolved.next() == Some(true) {
+        for ((&pos, identity), out) in cut.iter().zip(old_ids).zip(resolved) {
+            let finding = replace(&mut self.previous[pos], blank());
+            if out {
                 delta.resolved.push(finding);
             } else {
                 reusable.push((identity, finding));
             }
         }
         let mut reusable = reusable.into_iter().peekable();
-        let mut carry = |f: &Identified, new: bool| {
-            if new {
-                delta.introduced.push(f.finding.clone());
-            } else if let Some((_, finding)) = reusable.next_if(|&(id, _)| id == f.identity) {
-                return finding;
-            }
-            f.finding.clone()
-        };
-        let len = kept.len() + fresh.len();
-        let (mut findings, mut identities) = (Vec::with_capacity(len), Vec::with_capacity(len));
-        let mut fresh = fresh.into_iter().zip(introduced).enumerate().peekable();
-        for (pos, identity, finding) in kept {
-            while let Some((_, (f, new))) = fresh.next_if(|&(j, _)| at[j] <= pos) {
-                findings.push(carry(f, new));
-                identities.push(f.identity);
-            }
-            findings.push(finding);
-            identities.push(identity);
+        let added: Vec<(usize, Finding)> = fresh
+            .iter()
+            .zip(introduced)
+            .zip(&at)
+            .map(|((f, new), &at)| {
+                if new {
+                    delta.introduced.push(f.finding.clone());
+                } else if let Some((_, finding)) = reusable.next_if(|&(id, _)| id == f.identity) {
+                    return (at, finding);
+                }
+                (at, f.finding.clone())
+            })
+            .collect();
+        let added_ids = fresh.iter().zip(&at).map(|(f, &at)| (at, f.identity));
+        #[cfg(test)]
+        {
+            self.work.moved = cut.len() + added.len();
         }
-        for (_, (f, new)) in fresh {
-            findings.push(carry(f, new));
-            identities.push(f.identity);
-        }
-        self.previous = findings;
-        self.previous_identities = identities;
+        splice_in_place(&mut self.previous, &cut, added, blank);
+        splice_copied(&mut self.previous_identities, &cut, added_ids.collect());
         delta
     }
 
@@ -505,8 +557,9 @@ impl IncrementalAuditor {
     fn rebuild_table(&mut self) {
         let mut table = SymbolTable::new();
         let mut memo = SymMemo::new(&self.table);
-        for app in &mut self.apps {
-            app.global
+        for &id in &self.order {
+            self.apps[id]
+                .global
                 .remap_in_place(&self.table, &mut table, &mut memo);
         }
         self.table = table;
@@ -527,30 +580,36 @@ impl IncrementalAuditor {
     }
 }
 
+/// The filler a finding leaves in the open list while the list is edited.
+fn blank() -> Finding {
+    Finding::new(MisconfigId::M1, String::new(), String::new(), String::new())
+}
+
 /// Every cached finding in batch order: per-release findings in release
 /// order, then `M4*` groups, then captures, stably sorted by
 /// [`canonical_cmp`].
 fn open_findings<'a>(
     apps: &'a [Tracked],
+    order: &[usize],
     groups: &'a BTreeMap<(String, String), Identified>,
 ) -> Vec<&'a Identified> {
-    let mut open: Vec<&Identified> = apps
-        .iter()
+    let ranked = || order.iter().map(|&id| &apps[id]);
+    let mut open: Vec<&Identified> = ranked()
         .flat_map(|app| &app.findings)
         .chain(groups.values())
-        .chain(apps.iter().flat_map(|app| app.captures.values().flatten()))
+        .chain(ranked().flat_map(|app| app.captures.values().flatten()))
         .collect();
     open.sort_by(|a, b| canonical_cmp(&a.finding, &b.finding));
     open
 }
 
-/// How the next open list comes from the previous one: the findings
-/// `taken` out of it (a mask over it), and the `fresh` findings merged in,
-/// in batch order, each before the open finding at position `at` and every
-/// later one.
+/// How the next open list comes from the previous one: the findings at the
+/// positions `cut` (ascending) leave it, and the `fresh` findings, in batch
+/// order, enter it, each before the open finding at position `at` and
+/// every later one.
 struct Merge<'a> {
     fresh: Vec<&'a Identified>,
-    taken: Vec<bool>,
+    cut: Vec<usize>,
     at: Vec<usize>,
 }
 
@@ -565,18 +624,16 @@ fn plan_merge<'a>(
 ) -> Option<Merge<'a>> {
     replaced.groups.sort_unstable();
     replaced.groups.dedup();
-    replaced.captures.sort_unstable();
-    replaced.captures.dedup();
     let mut fresh: Vec<&Identified> = replaced
         .releases
         .iter()
-        .flat_map(|&rank| &apps[rank].findings)
+        .flat_map(|&id| &apps[id].findings)
         .chain(replaced.groups.iter().filter_map(|key| groups.get(key)))
         .chain(
             replaced
                 .captures
                 .iter()
-                .filter_map(|&(rank, service)| apps[rank].captures.get(&service))
+                .filter_map(|&(id, service)| apps[id].captures.get(&service))
                 .flatten(),
         )
         .collect();
@@ -589,15 +646,15 @@ fn plan_merge<'a>(
     taken_ids.sort_unstable();
     let mut fresh_ids: Vec<u64> = fresh.iter().map(|f| f.identity).collect();
     fresh_ids.sort_unstable();
-    let mut taken = Vec::with_capacity(previous.len());
-    for id in previous_identities {
-        let out = taken_ids.binary_search(id).is_ok();
-        if !out && fresh_ids.binary_search(id).is_ok() {
+    let mut cut = Vec::with_capacity(taken_ids.len());
+    for (pos, id) in previous_identities.iter().enumerate() {
+        if taken_ids.binary_search(id).is_ok() {
+            cut.push(pos);
+        } else if fresh_ids.binary_search(id).is_ok() {
             return None;
         }
-        taken.push(out);
     }
-    if taken.iter().filter(|&&out| out).count() != taken_ids.len() {
+    if cut.len() != taken_ids.len() {
         return None;
     }
     // A new finding goes before the first open finding that orders after
@@ -608,45 +665,51 @@ fn plan_merge<'a>(
         let lo = previous.partition_point(|p| canonical_cmp(p, &f.finding).is_lt());
         let tied = previous[lo..]
             .iter()
-            .zip(&taken[lo..])
-            .take_while(|(p, _)| canonical_cmp(p, &f.finding).is_eq())
-            .any(|(_, &out)| !out);
+            .take_while(|p| canonical_cmp(p, &f.finding).is_eq())
+            .enumerate()
+            .any(|(i, _)| cut.binary_search(&(lo + i)).is_err());
         if tied {
             return None;
         }
         at.push(lo);
     }
-    Some(Merge { fresh, taken, at })
-}
-
-/// Each old rank's new one in a list of `len` releases that lost those at
-/// the old ranks `gone` and gained those at the new ranks `fresh` (both
-/// ascending); a gone rank maps to [`M4Index::GONE`].
-fn rank_map(len: usize, gone: &[usize], fresh: &[usize]) -> Vec<u32> {
-    let mut gone = gone.iter().copied().peekable();
-    let mut fresh = fresh.iter().copied().peekable();
-    let mut next = 0;
-    (0..len)
-        .map(|old| {
-            if gone.next_if_eq(&old).is_some() {
-                return M4Index::GONE;
-            }
-            while fresh.next_if_eq(&next).is_some() {
-                next += 1;
-            }
-            next += 1;
-            u32::try_from(next - 1).expect("fewer than 2^32 releases")
-        })
-        .collect()
+    Some(Merge { fresh, cut, at })
 }
 
 #[cfg(test)]
 impl IncrementalAuditor {
-    /// The kept index equals one built from the cached models, and the
-    /// open list equals a stable re-sort of the caches.
+    /// The kept index equals one built from the cached models, the ids are
+    /// in name order and every other slot is free and empty, and the open
+    /// list equals a stable re-sort of the caches.
     fn assert_consistent(&self) {
         assert_eq!(self.index, M4Index::build(&self.apps), "kept M4* index");
-        let open = open_findings(&self.apps, &self.groups);
+        let names: Vec<&str> = self
+            .order
+            .iter()
+            .map(|&id| self.apps[id].name.as_str())
+            .collect();
+        assert!(
+            names.windows(2).all(|w| w[0] < w[1]),
+            "ids in name order: {names:?}"
+        );
+        let mut ids: Vec<usize> = self.order.iter().chain(&self.free).copied().collect();
+        ids.sort_unstable();
+        assert!(
+            ids.iter().copied().eq(0..self.apps.len()),
+            "every id held or free once"
+        );
+        for &id in &self.free {
+            let app = &self.apps[id];
+            assert!(
+                app.name.is_empty()
+                    && app.findings.is_empty()
+                    && app.captures.is_empty()
+                    && app.global.units.is_empty()
+                    && app.global.services.is_empty(),
+                "free slot {id} holds state"
+            );
+        }
+        let open = open_findings(&self.apps, &self.order, &self.groups);
         let findings: Vec<&Finding> = open.iter().map(|f| &f.finding).collect();
         let identities: Vec<u64> = open.iter().map(|f| f.identity).collect();
         assert_eq!(
@@ -729,6 +792,39 @@ spec:
         delta
     }
 
+    /// A churn tenant as `ij serve` runs one: a session over `horizon`
+    /// releases of `profile` and an empty 3-node cluster.
+    fn tenant(profile: &str, horizon: usize, seed: u64) -> (ChurnSession, Cluster) {
+        let generator = CorpusGenerator::new(
+            CorpusProfile::named(profile)
+                .expect("known profile")
+                .with_apps(horizon)
+                .with_seed(seed),
+        );
+        let cluster = Cluster::new(ClusterConfig {
+            nodes: 3,
+            seed,
+            behaviors: BehaviorRegistry::new(),
+        });
+        (ChurnSession::new(generator), cluster)
+    }
+
+    /// Records the M6 bit of the releases `mutation` installs, as `ij
+    /// serve` does, and applies it.
+    fn apply(
+        cluster: &mut Cluster,
+        auditors: &mut [&mut IncrementalAuditor],
+        mutation: &ChurnMutation,
+    ) {
+        if let ChurnMutation::Install { spec } | ChurnMutation::LabelFlip { spec, .. } = mutation {
+            let defines = spec.plan.netpol.defines_policy();
+            for auditor in auditors {
+                auditor.set_chart_defines_policies(&spec.name, defines);
+            }
+        }
+        apply_mutation(cluster, mutation).expect("churn mutations apply");
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -742,32 +838,166 @@ spec:
             profile in 0usize..3,
         ) {
             let profile = ["baseline", "mesh-heavy", "legacy"][profile];
-            let generator = CorpusGenerator::new(
-                CorpusProfile::named(profile)
-                    .expect("known profile")
-                    .with_apps(24)
-                    .with_seed(seed),
-            );
-            let mut session = ChurnSession::new(generator);
-            let mut cluster = Cluster::new(ClusterConfig {
-                nodes: 3,
-                seed,
-                behaviors: BehaviorRegistry::new(),
-            });
+            let (mut session, mut cluster) = tenant(profile, 24, seed);
             let mut incremental = IncrementalAuditor::new();
             let mut oracle = IncrementalAuditor::new();
             for _ in 0..steps {
                 let mutation = session.next_mutation();
-                if let ChurnMutation::Install { spec } | ChurnMutation::LabelFlip { spec, .. } =
-                    &mutation
-                {
-                    let defines = spec.plan.netpol.defines_policy();
-                    incremental.set_chart_defines_policies(&spec.name, defines);
-                    oracle.set_chart_defines_policies(&spec.name, defines);
-                }
-                apply_mutation(&mut cluster, &mutation).expect("churn mutations apply");
+                apply(&mut cluster, &mut [&mut incremental, &mut oracle], &mutation);
                 tick_both(&mut incremental, &mut oracle, &cluster);
             }
+        }
+    }
+
+    /// The long arm of `kept_index_and_merged_open_list_match_a_rebuild`:
+    /// streams long enough that releases leave and new ones take their ids
+    /// many times. The kept state is checked after every tick, and its open
+    /// list against the full recompute after every tenth.
+    #[test]
+    fn kept_index_and_merged_open_list_match_a_rebuild_over_long_streams() {
+        let mut reused = 0;
+        for seed in 0..12u64 {
+            for profile in ["baseline", "mesh-heavy", "legacy"] {
+                let (mut session, mut cluster) = tenant(profile, 64, seed);
+                let mut incremental = IncrementalAuditor::new();
+                let mut oracle = IncrementalAuditor::new();
+                for step in 0..300 {
+                    let mutation = session.next_mutation();
+                    apply(
+                        &mut cluster,
+                        &mut [&mut incremental, &mut oracle],
+                        &mutation,
+                    );
+                    incremental.tick(&cluster);
+                    incremental.assert_consistent();
+                    if step % 10 == 9 || step == 299 {
+                        oracle.full_tick(&cluster);
+                        assert_eq!(
+                            incremental.current(),
+                            oracle.current(),
+                            "seed {seed}, {profile}, step {step}"
+                        );
+                    }
+                    reused += usize::from(incremental.work.reused_id);
+                }
+            }
+        }
+        assert!(
+            reused >= 20,
+            "only {reused} ticks gave a new release a freed id"
+        );
+    }
+
+    /// `M4Index` entries of a model: a row and a posting per label pair of
+    /// each labelled unit, a selector entry per service with a selector.
+    fn index_entries(model: &GlobalAppModel) -> usize {
+        let units = model.units.iter().filter(|u| !u.label_pairs.is_empty());
+        let selectors = model
+            .services
+            .iter()
+            .filter(|s| !s.selector_pairs.is_empty());
+        units.map(|u| 1 + u.label_pairs.len()).sum::<usize>() + selectors.count()
+    }
+
+    /// Every finding source of an auditor: `(owner, release, entries,
+    /// finding details)` of each release's own findings (with its model's
+    /// index entries), of each service's captures and of each collision
+    /// group.
+    fn sources(auditor: &IncrementalAuditor) -> Vec<(String, String, usize, Vec<String>)> {
+        let details = |findings: &[Identified]| -> Vec<String> {
+            findings.iter().map(|f| f.finding.detail.clone()).collect()
+        };
+        let mut sources = Vec::new();
+        for &id in &auditor.order {
+            let app = &auditor.apps[id];
+            let entries = index_entries(&app.global);
+            sources.push((
+                format!("release {}", app.name),
+                app.name.clone(),
+                entries,
+                details(&app.findings),
+            ));
+            for (service, captures) in &app.captures {
+                let owner = format!("capture {} {service}", app.name);
+                sources.push((owner, app.name.clone(), 0, details(captures)));
+            }
+        }
+        for ((namespace, labels), group) in &auditor.groups {
+            let owner = format!("group {namespace} {labels}");
+            sources.push((owner, String::new(), 0, vec![group.finding.detail.clone()]));
+        }
+        sources
+    }
+
+    /// A tick's one-at-a-time work follows the releases it touches, not
+    /// the cluster: at 25 and at 400 preinstalled releases, over 200 churn
+    /// mutations, the patch locates or writes at most the index entries of
+    /// the touched releases' models before and after the tick, and the open
+    /// list takes out or puts in at most the findings, before and after, of
+    /// the sources those releases own or are named in. Renumbering every
+    /// index entry, or rebuilding the open list, costs what the whole
+    /// cluster holds.
+    #[test]
+    fn tick_work_follows_the_touched_releases_not_the_cluster() {
+        for releases in [25usize, 400] {
+            let (mut session, mut cluster) = tenant("baseline", releases, 7);
+            let mut auditor = IncrementalAuditor::new();
+            for mutation in session.preinstall(releases) {
+                apply(&mut cluster, &mut [&mut auditor], &mutation);
+            }
+            auditor.tick(&cluster);
+            let (mut max_patched, mut max_moved) = (0, 0);
+            for step in 0..200 {
+                let mutation = session.next_mutation();
+                apply(&mut cluster, &mut [&mut auditor], &mutation);
+                let summary = cluster.dirty_since(auditor.cursor.expect("ticked"));
+                assert!(!summary.everything && !summary.all_apps, "step {step}");
+                let before = sources(&auditor);
+                auditor.tick(&cluster);
+                let after = sources(&auditor);
+                // The sources a touched release owns or is named in, on
+                // either side of the tick, and what they hold on both.
+                let mut touched: Vec<&str> = summary.apps.iter().map(String::as_str).collect();
+                touched.extend(summary.unattributed.then_some(UNATTRIBUTED_RELEASE));
+                let names = |(_, app, _, details): &(String, String, usize, Vec<String>)| {
+                    touched.iter().any(|t| {
+                        app == t
+                            || details.iter().any(|d| {
+                                d.contains(&format!("({t})"))
+                                    || d.ends_with(&format!("application {t}"))
+                            })
+                    })
+                };
+                let owners: Vec<&String> = before
+                    .iter()
+                    .chain(&after)
+                    .filter(|s| names(s))
+                    .map(|s| &s.0)
+                    .collect();
+                let (mut entries, mut findings) = (0, 0);
+                for (owner, _, e, details) in before.iter().chain(&after) {
+                    if owners.contains(&owner) {
+                        entries += e;
+                        findings += details.len();
+                    }
+                }
+                let TickWork { patched, moved, .. } = auditor.work;
+                let context = format!("{releases} releases, step {step}");
+                assert!(
+                    patched <= entries,
+                    "{context}: {patched} entries patched for {entries} touched"
+                );
+                assert!(
+                    moved <= findings,
+                    "{context}: {moved} findings moved for {findings} touched"
+                );
+                max_patched = max_patched.max(patched);
+                max_moved = max_moved.max(moved);
+            }
+            assert!(
+                max_patched > 0 && max_moved > 0,
+                "{releases} releases: the churn must patch and merge"
+            );
         }
     }
 
