@@ -96,6 +96,14 @@ pub enum InstallError {
         /// Qualified name of the rejected object.
         object: String,
     },
+    /// A live object of the same kind, namespace and name has another
+    /// release: Helm's "exists and cannot be imported into the release".
+    Conflict {
+        /// Kind and qualified name of the live object.
+        object: String,
+        /// The live object's release, `None` when it has none.
+        owner: Option<String>,
+    },
 }
 
 impl fmt::Display for InstallError {
@@ -111,6 +119,10 @@ impl fmt::Display for InstallError {
                     "admission controller `{controller}` denied `{object}`: {reason}"
                 )
             }
+            InstallError::Conflict { object, owner } => match owner {
+                Some(owner) => write!(f, "`{object}` exists and belongs to release `{owner}`"),
+                None => write!(f, "`{object}` exists and belongs to no release"),
+            },
         }
     }
 }
@@ -163,11 +175,6 @@ pub struct Cluster {
     admission: Vec<Box<dyn AdmissionController>>,
     rng: StdRng,
     next_pod_ip: u32,
-    /// `(object position, virtual IP)` of every non-headless service,
-    /// sorted by position: each service keeps the address it got at apply
-    /// until it is removed. A removal drops its entry; a compaction of the
-    /// object slots remaps the rest, like `pending`.
-    cluster_ips: Vec<(usize, Ipv4Addr)>,
     next_cluster_ip: u32,
     events: EventLog,
     /// Bumped on every mutation of objects or pods; the policy-index cache
@@ -180,9 +187,9 @@ pub struct Cluster {
     /// tagged with the generation it was built at.
     index_cache: Mutex<Option<(u64, Arc<PolicyIndex>)>>,
     /// Positions of the workloads and bare pods applied or scaled since the
-    /// last [`Cluster::reconcile`]: it expands every pod-defining object
-    /// sharing one of their names. An object stays here while one of its
-    /// pods cannot be scheduled, and leaves when it is removed.
+    /// last [`Cluster::reconcile`], which expands each of them. An object
+    /// stays here while one of its pods cannot be scheduled, and leaves
+    /// when it is removed.
     pending: Vec<usize>,
     /// Where each release's objects, each name's objects and each running
     /// pod sit; patched by every mutation, never rebuilt.
@@ -203,7 +210,6 @@ impl Cluster {
             admission: Vec::new(),
             rng,
             next_pod_ip: 1,
-            cluster_ips: Vec::new(),
             next_cluster_ip: 1,
             events: EventLog::default(),
             generation: 0,
@@ -305,22 +311,20 @@ impl Cluster {
             .map(|pos| &self.objects[pos])
     }
 
-    /// Looks up a running pod by qualified name.
+    /// The running pod with a qualified name.
     pub fn pod(&self, qualified: &str) -> Option<&RunningPod> {
         let (namespace, name) = split_qualified(qualified);
         self.release_index
-            .pods_named(&self.pods, namespace, name)
-            .next()
+            .pod_named(&self.pods, namespace, name)
             .map(|pos| &self.pods[pos])
     }
 
-    /// The first service named `namespace/name`, in apply order, with its
-    /// position.
-    fn service(&self, namespace: &str, name: &str) -> Option<(usize, &Service)> {
+    /// The service named `namespace/name`.
+    fn service(&self, namespace: &str, name: &str) -> Option<&Service> {
         self.release_index
             .named(&self.objects, namespace, name)
             .find_map(|pos| match &self.objects[pos] {
-                Object::Service(s) => Some((pos, s)),
+                Object::Service(s) => Some(s),
                 _ => None,
             })
     }
@@ -363,17 +367,39 @@ impl Cluster {
             .collect()
     }
 
-    /// Applies one object through the admission chain.
+    /// Applies one object through the admission chain. It replaces the
+    /// live object of its kind, namespace and name in place if both have
+    /// one [`RELEASE_ANNOTATION`] (or none); else [`InstallError::Conflict`].
     pub fn apply(&mut self, object: Object) -> Result<Vec<String>, InstallError> {
-        let warnings = self.admit(object)?;
-        self.release_index
-            .add_objects(&self.objects, self.objects.end() - 1);
+        let end = self.objects.end();
+        let warnings = self.admit(object, end, &mut Vec::new())?;
+        self.release_index.add_objects(&self.objects, end);
         Ok(warnings)
     }
 
-    /// [`apply`](Self::apply) without indexing the object: installs index
-    /// a release's objects in one batch.
-    fn admit(&mut self, object: Object) -> Result<Vec<String>, InstallError> {
+    /// [`apply`](Self::apply) without indexing an appended object: installs
+    /// index theirs in one batch, so the objects at `unindexed..` are
+    /// searched too. A replaced object goes on `undo` with its position.
+    fn admit(
+        &mut self,
+        mut object: Object,
+        unindexed: usize,
+        undo: &mut Vec<(usize, Object)>,
+    ) -> Result<Vec<String>, InstallError> {
+        let (kind, meta) = (object.kind(), object.meta());
+        let live = (self.release_index)
+            .named(&self.objects, &meta.namespace, &meta.name)
+            .chain(unindexed..self.objects.end())
+            .find(|&pos| {
+                let (o, m) = (&self.objects[pos], self.objects[pos].meta());
+                o.kind() == kind && m.name == meta.name && m.namespace == meta.namespace
+            });
+        let owner = live.map(|pos| release_name(&self.objects[pos]));
+        if owner.is_some_and(|owner| owner != release_name(&object)) {
+            let object = format!("{kind} {}/{}", meta.namespace, meta.name);
+            let owner = owner.flatten().map(Into::into);
+            return Err(InstallError::Conflict { object, owner });
+        }
         let mut warnings = Vec::new();
         for controller in &self.admission {
             let review = AdmissionReview {
@@ -404,12 +430,17 @@ impl Cluster {
             meta.namespace,
             meta.name
         )));
-        // Services get a virtual IP at creation.
-        if let Object::Service(s) = &object {
+        // Services get a virtual IP at creation and keep it when replaced.
+        if let Object::Service(s) = &mut object {
             if !s.is_headless() {
-                let ip = pool_address([10, 96], self.next_cluster_ip);
-                self.next_cluster_ip += 1;
-                self.cluster_ips.push((self.objects.end(), ip));
+                let kept = live.and_then(|pos| match &self.objects[pos] {
+                    Object::Service(old) => old.spec.cluster_ip,
+                    _ => None,
+                });
+                s.spec.cluster_ip = kept.or_else(|| {
+                    self.next_cluster_ip += 1;
+                    Some(pool_address([10, 96], self.next_cluster_ip - 1))
+                });
             }
         }
         let scope = self.dirty.scope(release_name(&object));
@@ -417,9 +448,13 @@ impl Cluster {
         // labelled object sets cluster-wide label analysis consumes.
         let labels = !matches!(object, Object::NetworkPolicy(_));
         if definer_meta(&object).is_some() {
-            self.pending.push(self.objects.end());
+            self.pending.push(live.unwrap_or(self.objects.end()));
         }
-        self.objects.push(object);
+        if let Some(pos) = live {
+            undo.push((pos, std::mem::replace(&mut self.objects[pos], object)));
+        } else {
+            self.objects.push(object);
+        }
         self.touch(DirtyEntry {
             scope,
             labels,
@@ -430,36 +465,35 @@ impl Cluster {
 
     /// Installs a release from its objects, taking each one: stamps it
     /// with a release annotation (so [`Cluster::uninstall`] can find it
-    /// later), applies it, then reconciles. On an admission denial the
-    /// release's already-applied objects are rolled back (Helm-style atomic
-    /// install) and the rest are dropped. The census workers and the serve
-    /// churn path move their rendered objects in, so an install allocates
-    /// only what the cluster keeps.
+    /// later), applies it, then reconciles. When an object is denied or
+    /// conflicts, the applied ones are rolled back and the replaced ones
+    /// restored (Helm-style atomic install); the rest are dropped. The census
+    /// workers and the serve churn path move their rendered objects in, so
+    /// an install allocates only what the cluster keeps.
     pub fn install_owned(
         &mut self,
         release_name: &str,
         objects: impl IntoIterator<Item = Object>,
     ) -> Result<Vec<String>, InstallError> {
         let objects = objects.into_iter();
-        let checkpoint = self.objects.end();
+        let (checkpoint, pending) = (self.objects.end(), self.pending.len());
         self.objects.reserve(objects.size_hint().0);
         let mut warnings = Vec::new();
+        let mut undo = Vec::new();
         for mut obj in objects {
             obj.meta_mut()
                 .annotations
                 .insert(RELEASE_ANNOTATION.to_string(), release_name.to_string());
-            match self.admit(obj) {
+            match self.admit(obj, checkpoint, &mut undo) {
                 Ok(mut w) => warnings.append(&mut w),
                 Err(e) => {
-                    // Roll back the ClusterIPs of services applied before
-                    // the denial along with the objects themselves; none of
-                    // them was indexed yet.
-                    let kept = self
-                        .cluster_ips
-                        .partition_point(|&(pos, _)| pos < checkpoint);
-                    self.cluster_ips.truncate(kept);
+                    // Restore what was replaced, newest first, then drop the
+                    // appended objects; none of them was indexed yet.
+                    for (pos, old) in undo.into_iter().rev() {
+                        self.objects[pos] = old;
+                    }
                     self.objects.truncate(checkpoint);
-                    self.pending.retain(|&pos| pos < checkpoint);
+                    self.pending.truncate(pending);
                     self.touch(DirtyEntry::app(release_name, true, false));
                     return Err(e);
                 }
@@ -486,10 +520,10 @@ impl Cluster {
         self.install_owned(release_name, objects.iter().cloned())
     }
 
-    /// Uninstalls a release: removes every object stamped with its name,
-    /// reaps the pods those objects defined (unless a remaining object
-    /// still desires the same pod) and releases the ClusterIPs of its
-    /// services. Other releases are untouched, and are not visited: the
+    /// Uninstalls a release: removes every object stamped with its name
+    /// (its services' ClusterIPs with them) and reaps the pods those
+    /// objects defined, unless a remaining object still desires the same
+    /// pod. Other releases are untouched, and are not visited: the
     /// release index yields the release's objects and the pods each of
     /// them may have expanded to, and their slots become tombstones (a
     /// compaction, once tombstones outnumber live slots, is amortized O(1)
@@ -513,17 +547,11 @@ impl Cluster {
             // `removed` is ascending (apply order).
             self.pending
                 .retain(|pos| removed.binary_search(pos).is_err());
-            for pos in &removed {
-                if let Ok(at) = self.cluster_ips.binary_search_by_key(pos, |&(p, _)| p) {
-                    self.cluster_ips.remove(at);
-                }
-            }
             if let Some(remap) = self
                 .release_index
                 .remove_objects(&mut self.objects, &removed)
             {
                 remap_positions(&mut self.pending, remap, |pos| pos);
-                remap_positions(&mut self.cluster_ips, remap, |(pos, _)| pos);
             }
         }
         reaped.sort_unstable();
@@ -547,7 +575,6 @@ impl Cluster {
     pub fn reset(&mut self) {
         self.objects.clear();
         self.pods.clear();
-        self.cluster_ips.clear();
         self.pending.clear();
         self.release_index.clear();
         self.events.push("reset".to_string());
@@ -561,9 +588,9 @@ impl Cluster {
     }
 
     /// Runs the controller loop over the workloads and bare pods applied or
-    /// scaled since the last call: expands every pod-defining object that
-    /// shares a name with one of them into pods (workloads first, then bare
-    /// pods, each in object order), schedules and starts the missing ones —
+    /// scaled since the last call: expands each into pods (workloads first,
+    /// then bare pods, each in object order), schedules and starts the
+    /// missing ones —
     /// one pod per name: a name already running, or started by an object
     /// before it, is skipped — then reaps the running pods those names may
     /// have expanded to that no object desires any more (scale-downs). The
@@ -575,25 +602,15 @@ impl Cluster {
         if self.pending.is_empty() {
             return;
         }
-        let dirty = std::mem::take(&mut self.pending);
-        let (objects, index) = (&self.objects, &self.release_index);
-        let mut expand: Vec<usize> = Vec::new();
-        for &pos in &dirty {
-            let meta = objects[pos].meta();
-            expand.extend(
-                index
-                    .named(objects, &meta.namespace, &meta.name)
-                    .filter(|&pos| definer_meta(&objects[pos]).is_some()),
-            );
-        }
-        expand.sort_unstable_by_key(|&pos| (!matches!(objects[pos], Object::Workload(_)), pos));
-        expand.dedup();
+        let mut dirty = std::mem::take(&mut self.pending);
+        dirty.sort_unstable_by_key(|&pos| (!matches!(self.objects[pos], Object::Workload(_)), pos));
+        dirty.dedup();
         // Pods started below take slots from here on.
         let running = self.pods.end();
-        let starts: Vec<(usize, String)> = expand
-            .into_iter()
-            .flat_map(|pos| {
-                let names = desired_pod_names(&objects[pos], &self.nodes);
+        let starts: Vec<(usize, String)> = dirty
+            .iter()
+            .flat_map(|&pos| {
+                let names = desired_pod_names(&self.objects[pos], &self.nodes);
                 names.into_iter().map(move |name| (pos, name))
             })
             .collect();
@@ -602,10 +619,8 @@ impl Cluster {
             // One pod per name: a name already running, or started by an
             // object before this one (workloads come first), is skipped.
             let namespace = &self.objects[i].meta().namespace;
-            if self
-                .release_index
-                .pods_named(&self.pods, namespace, &name)
-                .next()
+            if (self.release_index)
+                .pod_named(&self.pods, namespace, &name)
                 .is_some()
             {
                 continue;
@@ -671,8 +686,7 @@ impl Cluster {
     }
 
     /// The release a running pod belongs to, resolved through its defining
-    /// object (owner workload, or the bare pod object itself): the first
-    /// object of that name in apply order.
+    /// object: the owner workload, or the bare pod object itself.
     fn release_of<'a>(&'a self, rp: &'a RunningPod) -> Option<&'a str> {
         let (namespace, name) = match &rp.owner {
             Some(owner) => split_qualified(owner),
@@ -680,7 +694,7 @@ impl Cluster {
         };
         self.release_index
             .named(&self.objects, namespace, name)
-            .next()
+            .find(|&pos| definer_meta(&self.objects[pos]).is_some())
             .and_then(|pos| release_name(&self.objects[pos]))
             .or_else(|| {
                 rp.pod
@@ -845,7 +859,7 @@ impl Cluster {
     /// Endpoints for one service.
     pub fn endpoints_for(&self, namespace: &str, name: &str) -> Option<Endpoints> {
         self.service(namespace, name)
-            .map(|(_, svc)| self.service_endpoints(svc))
+            .map(|svc| self.service_endpoints(svc))
     }
 
     /// The endpoints object of one service (see [`Cluster::endpoints`]).
@@ -881,28 +895,18 @@ impl Cluster {
         }
     }
 
-    /// The virtual IP of the first service named `namespace/name`, in
-    /// apply order, as it was assigned at apply; `None` when that service
-    /// is headless or none exists.
+    /// The virtual IP of the service named `namespace/name`, as it was
+    /// assigned at apply; `None` when that service is headless or none
+    /// exists.
     pub fn cluster_ip(&self, namespace: &str, name: &str) -> Option<Ipv4Addr> {
-        let (pos, _) = self.service(namespace, name)?;
-        self.cluster_ip_at(pos)
+        self.service(namespace, name)?.spec.cluster_ip
     }
 
-    /// The virtual IP of the service at object position `pos`.
-    fn cluster_ip_at(&self, pos: usize) -> Option<Ipv4Addr> {
-        let at = self
-            .cluster_ips
-            .binary_search_by_key(&pos, |&(p, _)| p)
-            .ok()?;
-        Some(self.cluster_ips[at].1)
-    }
-
-    /// Cluster-DNS resolution of the first service named `namespace/name`:
-    /// its ClusterIP for a normal service, the backing pod IPs for a
-    /// headless one.
+    /// Cluster-DNS resolution of the service named `namespace/name`: its
+    /// ClusterIP for a normal service, the backing pod IPs for a headless
+    /// one.
     pub fn resolve_dns(&self, namespace: &str, name: &str) -> Vec<String> {
-        let Some((pos, svc)) = self.service(namespace, name) else {
+        let Some(svc) = self.service(namespace, name) else {
             return Vec::new();
         };
         if svc.is_headless() {
@@ -916,9 +920,7 @@ impl Cluster {
             ips.dedup();
             ips
         } else {
-            self.cluster_ip_at(pos)
-                .map(|ip| vec![ip.to_string()])
-                .unwrap_or_default()
+            Vec::from_iter(svc.spec.cluster_ip.map(|ip| ip.to_string()))
         }
     }
 
@@ -939,7 +941,7 @@ impl Cluster {
         let Some(src_idx) = index.pod_index(src) else {
             return Vec::new();
         };
-        let Some((_, svc)) = self.service(namespace, name) else {
+        let Some(svc) = self.service(namespace, name) else {
             return Vec::new();
         };
         let Some(sp) = svc.spec.ports.iter().find(|p| p.port == port) else {
@@ -1155,60 +1157,52 @@ mod tests {
             }
         }
 
-        /// Panics unless every live non-headless service has a ClusterIP,
-        /// no two live services share one, and `cluster_ip`/`resolve_dns`
-        /// answer for the first same-named service a scan of the objects
-        /// finds.
-        fn assert_cluster_ips(&self, names: &[&str], context: &str) {
-            let ip_at = |pos: usize| {
-                self.cluster_ips
-                    .iter()
-                    .find(|&&(p, _)| p == pos)
-                    .map(|&(_, ip)| ip)
-            };
+        /// Panics unless no two live objects share a kind, namespace and
+        /// name; every live non-headless service holds a ClusterIP and no
+        /// other does; no two live services or pods hold one address; and
+        /// `cluster_ip`/`resolve_dns` answer for the service of each name.
+        fn assert_identity_and_addresses(&self, names: &[&str], context: &str) {
+            let mut identities = HashSet::new();
+            for o in self.objects() {
+                let meta = o.meta();
+                assert!(
+                    identities.insert((o.kind(), &meta.namespace, &meta.name)),
+                    "{context}: two live {} {}",
+                    o.kind(),
+                    o.qualified_name()
+                );
+            }
             let mut seen = HashSet::new();
-            for (pos, o) in self.objects.entries_from(0) {
-                let Object::Service(s) = o else { continue };
-                let ip = ip_at(pos);
+            for s in self.services() {
+                let ip = s.spec.cluster_ip;
                 assert_eq!(
                     ip.is_some(),
                     !s.is_headless(),
-                    "{context}: service {} at {pos} has address {ip:?}",
-                    o.qualified_name()
+                    "{context}: service {} holds {ip:?}",
+                    s.meta.qualified_name()
                 );
                 if let Some(ip) = ip {
-                    assert!(seen.insert(ip), "{context}: {ip} handed out twice");
+                    assert!(seen.insert(ip), "{context}: ClusterIP {ip} held twice");
                 }
             }
-            assert_eq!(
-                seen.len(),
-                self.cluster_ips.len(),
-                "{context}: addresses of removed services linger"
-            );
+            for rp in self.pods().iter().filter(|rp| !rp.pod.spec.host_network) {
+                assert!(seen.insert(rp.ip), "{context}: pod IP {} held twice", rp.ip);
+            }
             for namespace in ["default", "prod"] {
                 for &name in names {
-                    let first = self
-                        .objects
-                        .entries_from(0)
-                        .find(|(_, o)| {
-                            matches!(o, Object::Service(s)
-                                if s.meta.namespace == namespace && s.meta.name == name)
-                        })
-                        .map(|(pos, _)| pos);
-                    let ip = first.and_then(ip_at);
+                    let service = self
+                        .services()
+                        .find(|s| s.meta.namespace == namespace && s.meta.name == name);
+                    let ip = service.and_then(|s| s.spec.cluster_ip);
                     assert_eq!(
                         self.cluster_ip(namespace, name),
                         ip,
                         "{context}: cluster_ip of {namespace}/{name}"
                     );
-                    let dns: Vec<String> = match first.map(|pos| &self.objects[pos]) {
-                        Some(Object::Service(s)) if s.is_headless() => {
-                            let endpoints = self
-                                .endpoints()
-                                .into_iter()
-                                .find(|ep| ep.meta.namespace == namespace && ep.meta.name == name)
-                                .expect("every service has an endpoints object");
-                            let mut ips: Vec<String> = endpoints
+                    let dns: Vec<String> = match service {
+                        Some(s) if s.is_headless() => {
+                            let mut ips: Vec<String> = self
+                                .service_endpoints(s)
                                 .addresses
                                 .iter()
                                 .map(|a| a.ip.to_string())
@@ -1750,30 +1744,119 @@ spec:
             .install_objects("a", &[web_service("shared")])
             .unwrap();
         let first = ip(&cluster).expect("a's service has an address");
-        // A second release's same-named service gets its own address; the
-        // name still answers for the first service in apply order.
-        cluster
-            .install_objects("b", &[web_service("shared")])
-            .unwrap();
+        // Another release's service of that name conflicts; the install
+        // rolls back and the live service keeps its address.
+        let err = cluster
+            .install_objects("b", &[web_service("other"), web_service("shared")])
+            .unwrap_err();
+        assert_eq!(
+            err,
+            InstallError::Conflict {
+                object: "Service default/shared".into(),
+                owner: Some("a".into()),
+            }
+        );
+        assert_eq!(cluster.services().count(), 1);
         assert_eq!(ip(&cluster).as_ref(), Some(&first));
-        // A denied install rolls back its own service only.
+        // Re-installing `a` replaces its service in place, address and all;
+        // a denial later in the same install restores the replaced one.
+        let mut headless = web_service("shared");
+        if let Object::Service(s) = &mut headless {
+            s.spec.headless = true;
+        }
         cluster
-            .install_objects("c", &[web_service("shared"), web_service("denied")])
+            .install_objects("a", &[headless, web_service("denied")])
             .unwrap_err();
         assert_eq!(ip(&cluster).as_ref(), Some(&first));
-        // Uninstalling the later release leaves the survivor's address.
-        cluster.uninstall("b");
+        cluster
+            .install_objects("a", &[web_service("shared")])
+            .unwrap();
         assert_eq!(cluster.services().count(), 1);
         assert_eq!(ip(&cluster).as_ref(), Some(&first));
         assert_eq!(cluster.resolve_dns("default", "shared"), [first.as_str()]);
-        // Uninstalling the earlier one leaves the later one's own address.
+        // Once `a` is gone, `b` gets its own address.
+        cluster.uninstall("a");
         cluster
             .install_objects("b", &[web_service("shared")])
             .unwrap();
-        cluster.uninstall("a");
-        let second = ip(&cluster).expect("b's service keeps its address");
+        let second = ip(&cluster).expect("b's service has an address");
         assert_ne!(second, first, "no address is handed out twice");
         assert_eq!(cluster.resolve_dns("default", "shared"), [second]);
+    }
+
+    /// Re-applying a workload replaces it in place: same apply position,
+    /// the running pods keep running, and the reconcile that follows
+    /// realizes only the new replica count.
+    #[test]
+    fn reapplied_workload_replaces_in_place() {
+        let mut cluster = install_demo(BehaviorRegistry::new());
+        let rendered = demo_chart()
+            .render(
+                &Release::new("d", "default")
+                    .with_values_yaml("replicas: 3\n")
+                    .unwrap(),
+            )
+            .unwrap();
+        let before: Vec<String> = cluster
+            .pods()
+            .iter()
+            .map(|rp| rp.qualified_name())
+            .collect();
+        let logged = cluster.events().len();
+        cluster.install(&rendered).unwrap();
+        assert_eq!(
+            cluster.events()[logged..],
+            [
+                "apply Deployment default/d-web",
+                "apply Service default/d-web",
+                "start default/d-web-2 on node-2 ip=10.244.0.4 sockets=1",
+            ]
+        );
+        let kinds: Vec<&str> = cluster.objects().iter().map(Object::kind).collect();
+        assert_eq!(kinds, ["Deployment", "Service"]);
+        let after: Vec<String> = cluster
+            .pods()
+            .iter()
+            .map(|rp| rp.qualified_name())
+            .collect();
+        assert_eq!(after[..2], before[..]);
+        // An unannotated object of the same identity is not the release's.
+        let Some(Object::Workload(w)) = cluster.objects().iter().next().cloned() else {
+            unreachable!("the deployment comes first");
+        };
+        let mut bare = w;
+        bare.meta.annotations = Default::default();
+        let err = cluster.apply(Object::Workload(bare)).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "`Deployment default/d-web` exists and belongs to release `d`"
+        );
+    }
+
+    /// The reap of a scaled-down workload dirties the workload's release,
+    /// not that of another kind of object sharing its name.
+    #[test]
+    fn a_reap_dirties_the_definers_release() {
+        let mut cluster = Cluster::new(ClusterConfig::default());
+        let spec = ij_model::PodSpec {
+            containers: vec![ij_model::Container::new("c", "img")],
+            ..Default::default()
+        };
+        let mut web = Workload::deployment(
+            ij_model::ObjectMeta::named("web"),
+            Labels::from_pairs([("app", "web")]),
+            spec,
+        );
+        web.replicas = 2;
+        cluster.install_objects("a", &[web_service("web")]).unwrap();
+        cluster
+            .install_objects("b", &[Object::Workload(web)])
+            .unwrap();
+        let cursor = cluster.generation();
+        assert!(cluster.scale_workload("default/web", 1));
+        cluster.reconcile();
+        let summary = cluster.dirty_since(cursor);
+        assert_eq!(summary.apps.iter().cloned().collect::<Vec<_>>(), ["b"]);
     }
 
     #[test]
@@ -2091,6 +2174,24 @@ spec:
         (rp.qualified_name(), rp.node.clone(), rp.ip)
     }
 
+    /// What an apply or install came to.
+    #[derive(Debug, PartialEq)]
+    enum Outcome {
+        Applied,
+        Conflict,
+        Denied,
+    }
+
+    impl Outcome {
+        fn of<T>(result: Result<T, InstallError>) -> Outcome {
+            match result {
+                Ok(_) => Outcome::Applied,
+                Err(InstallError::Conflict { .. }) => Outcome::Conflict,
+                Err(InstallError::Denied { .. }) => Outcome::Denied,
+            }
+        }
+    }
+
     /// A plain-`Vec` model of what [`Cluster::objects`] and
     /// [`Cluster::pods`] must list: objects in apply order, pods in start
     /// order, whatever tombstones or compactions lie beneath.
@@ -2098,16 +2199,49 @@ spec:
     struct Reference {
         objects: Vec<Object>,
         pods: Vec<(String, String, Ipv4Addr)>,
+        /// Objects the applied steps replaced in place.
+        replaced: usize,
     }
 
     impl Reference {
-        fn install(&mut self, release: &str, objects: &[Object]) {
-            self.objects.extend(objects.iter().cloned().map(|mut o| {
-                o.meta_mut()
-                    .annotations
-                    .insert(RELEASE_ANNOTATION.to_string(), release.to_string());
-                o
-            }));
+        /// Applies `objects` as one step of `release` (`None`: a plain
+        /// apply, unstamped). Each replaces the live object of its kind,
+        /// namespace and name, which must belong to the same release, or
+        /// else is appended; a conflict, or an object [`DenyNamed`] denies,
+        /// undoes the whole step.
+        fn apply(&mut self, release: Option<&str>, objects: &[Object]) -> Outcome {
+            let mut next = self.objects.clone();
+            let mut replaced = 0;
+            for object in objects {
+                let mut object = object.clone();
+                if let Some(release) = release {
+                    object
+                        .meta_mut()
+                        .annotations
+                        .insert(RELEASE_ANNOTATION.to_string(), release.to_string());
+                }
+                let live = next.iter().position(|o| {
+                    o.kind() == object.kind()
+                        && o.meta().namespace == object.meta().namespace
+                        && o.meta().name == object.meta().name
+                });
+                if live.is_some_and(|pos| release_name(&next[pos]) != release_name(&object)) {
+                    return Outcome::Conflict;
+                }
+                if object.meta().name == "denied" {
+                    return Outcome::Denied;
+                }
+                match live {
+                    Some(pos) => {
+                        next[pos] = object;
+                        replaced += 1;
+                    }
+                    None => next.push(object),
+                }
+            }
+            self.objects = next;
+            self.replaced += replaced;
+            Outcome::Applied
         }
 
         fn uninstall(&mut self, release: &str) {
@@ -2133,13 +2267,24 @@ spec:
         }
 
         /// Compares the cluster with the model after a step that logged the
-        /// events from `logged` on: the objects must match exactly; the
-        /// pods that survived must keep their order ahead of the ones the
-        /// step started, which follow in the order of their start lines.
+        /// events from `logged` on: the objects must match exactly, but for
+        /// the ClusterIPs the cluster filled in; the pods that survived
+        /// must keep their order ahead of the ones the step started, which
+        /// follow in the order of their start lines.
         fn check(&mut self, cluster: &Cluster, logged: usize, context: &str) {
-            let objects: Vec<&Object> = cluster.objects().iter().collect();
+            let objects: Vec<Object> = cluster
+                .objects()
+                .iter()
+                .cloned()
+                .map(|mut o| {
+                    if let Object::Service(s) = &mut o {
+                        s.spec.cluster_ip = None;
+                    }
+                    o
+                })
+                .collect();
             assert!(
-                objects.iter().copied().eq(&self.objects),
+                objects == self.objects,
                 "{context}: objects() differs from the reference"
             );
             assert_eq!(cluster.objects().len(), self.objects.len(), "{context}");
@@ -2169,13 +2314,30 @@ spec:
         starts: usize,
         reaps: usize,
         uninstall_reaps: usize,
-        /// Uninstalls whose compaction moved objects while `pending` and
-        /// `cluster_ips` held entries.
+        /// Uninstalls whose compaction moved objects while `pending` held
+        /// entries.
         loaded_compactions: usize,
+        /// Objects applies and installs replaced in place.
+        replaced: usize,
+        /// Installs rolled back on a conflict with another release.
+        conflicts: usize,
+    }
+
+    impl StreamStats {
+        /// Panics unless both identity arms ran often enough to matter.
+        fn assert_identity_arms(&self) {
+            assert!(
+                self.replaced >= 100 && self.conflicts >= 20,
+                "{} replacements and {} conflict rollbacks",
+                self.replaced,
+                self.conflicts
+            );
+        }
     }
 
     /// Drives one random stream of `steps` steps, checking the release
-    /// index, the ClusterIPs and the reference model after each.
+    /// index, object identity, the addresses and the reference model after
+    /// each.
     fn random_stream(nodes: usize, seed: u64, steps: usize, mix: Mix, stats: &mut StreamStats) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut cluster = Cluster::new(ClusterConfig {
@@ -2192,16 +2354,22 @@ spec:
             let roll = rng.gen_range(0..100u32);
             if roll < mix[0] {
                 let object = random_object(&mut rng);
-                if cluster.apply(object.clone()).is_ok() {
-                    reference.objects.push(object);
-                }
+                let outcome = Outcome::of(cluster.apply(object.clone()));
+                assert_eq!(outcome, reference.apply(None, &[object]), "{context}");
             } else if roll < mix[1] {
                 let objects: Vec<Object> = (0..rng.gen_range(1..4usize))
                     .map(|_| random_object(&mut rng))
                     .collect();
-                if cluster.install_objects(release, &objects).is_ok() {
-                    reference.install(release, &objects);
-                    assert_converged(&mut cluster, &context);
+                let outcome = Outcome::of(cluster.install_objects(release, &objects));
+                assert_eq!(
+                    outcome,
+                    reference.apply(Some(release), &objects),
+                    "{context}"
+                );
+                match outcome {
+                    Outcome::Applied => assert_converged(&mut cluster, &context),
+                    Outcome::Conflict => stats.conflicts += 1,
+                    Outcome::Denied => {}
                 }
             } else if roll < mix[2] {
                 let namespace = ["default", "prod"][rng.gen_range(0..2usize)];
@@ -2210,7 +2378,7 @@ spec:
                 cluster.scale_workload(&format!("{namespace}/{name}"), replicas);
                 reference.scale(namespace, name, replicas);
             } else if roll < mix[3] {
-                let loaded = !cluster.pending.is_empty() && !cluster.cluster_ips.is_empty();
+                let loaded = !cluster.pending.is_empty();
                 let moved = cluster.objects.moved;
                 stats.uninstall_reaps += uninstall_checked(&mut cluster, release, &context);
                 reference.uninstall(release);
@@ -2245,8 +2413,9 @@ spec:
                 "{context}: two running pods share a name"
             );
             cluster.assert_index_exact(&context);
-            cluster.assert_cluster_ips(&SERVICE_NAMES, &context);
+            cluster.assert_identity_and_addresses(&SERVICE_NAMES, &context);
         }
+        stats.replaced += reference.replaced;
         cluster.reconcile();
         assert_converged(&mut cluster, &format!("nodes {nodes}, seed {seed}, end"));
         let count = |prefix: &str| {
@@ -2272,11 +2441,12 @@ spec:
             stats.starts > 0 && stats.reaps > 0 && stats.uninstall_reaps > 0,
             "the streams must start and reap pods"
         );
+        stats.assert_identity_arms();
     }
 
     /// Longer streams with more uninstalls and almost no resets: the slots
     /// fill with tombstones and compact many times, also while `pending`
-    /// and `cluster_ips` hold live entries that must be remapped.
+    /// holds live entries that must be remapped.
     #[test]
     fn long_streams_compact_under_the_oracle() {
         let mut stats = StreamStats::default();
@@ -2287,9 +2457,10 @@ spec:
         }
         assert!(
             stats.loaded_compactions >= 20,
-            "only {} compactions ran with pending entries and ClusterIPs",
+            "only {} compactions ran with pending entries",
             stats.loaded_compactions
         );
+        stats.assert_identity_arms();
     }
 
     /// Removal work follows the removal: over install, uninstall and

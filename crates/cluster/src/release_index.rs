@@ -253,16 +253,15 @@ impl ReleaseIndex {
         self.pods.insert(at, pos);
     }
 
-    /// Positions of the running pods named `namespace/name`, ascending:
-    /// the head of [`ReleaseIndex::pods_under`]'s stretch.
-    pub(crate) fn pods_named<'a>(
-        &'a self,
-        pods: &'a Slots<RunningPod>,
-        namespace: &'a str,
-        name: &'a str,
-    ) -> impl Iterator<Item = usize> + 'a {
-        self.pods_under(pods, namespace, name)
-            .take_while(move |&pos| pods[pos].pod.meta.name == name)
+    /// The position of the running pod named `namespace/name`: the head of
+    /// [`ReleaseIndex::pods_under`]'s stretch.
+    pub(crate) fn pod_named(
+        &self,
+        pods: &Slots<RunningPod>,
+        ns: &str,
+        name: &str,
+    ) -> Option<usize> {
+        (self.pods_under(pods, ns, name).next()).filter(|&pos| pods[pos].pod.meta.name == name)
     }
 
     /// Positions of the running pods an object named `namespace/name` may

@@ -1094,55 +1094,45 @@ spec:
         });
         let mut incremental = IncrementalAuditor::new();
         let mut oracle = IncrementalAuditor::new();
-        // `alpha` and `bravo` each ship a service of the same fixed name
-        // selecting `target`'s pods: their captures share a canonical
-        // position, and only source order (`alpha` first) separates them.
-        let service = "\
-apiVersion: v1
-kind: Service
-metadata:
-  name: shared-svc
-spec:
-  selector:
-    app: target
-  ports:
-    - port: 80
-      targetPort: 8080
-";
-        let with_service = |label: &str| {
+        // `alpha` ships a Deployment and `bravo` a StatefulSet of the same
+        // fixed name, both on the host network: two objects of different
+        // kinds, whose M7 findings share a canonical position, so only
+        // source order (`alpha` first) separates them.
+        let host_unit = |kind: &str, label: &str| {
+            let manifest = deployment(label)
+                .replace("kind: Deployment", &format!("kind: {kind}"))
+                .replace("{{ .Release.Name }}-web", "shared-web")
+                .replace(
+                    "      containers:",
+                    "      hostNetwork: true\n      containers:",
+                );
             Chart::builder("demo")
-                .template("deploy.yaml", deployment(label))
-                .template("svc.yaml", service)
+                .template("unit.yaml", manifest)
                 .build()
         };
-        install(&mut cluster, "target", "target");
-        install_chart(&mut cluster, "alpha", with_service("alpha"));
-        install_chart(&mut cluster, "bravo", with_service("bravo"));
+        let tied = |findings: &[Finding]| -> Vec<String> {
+            findings
+                .iter()
+                .filter(|f| f.id == MisconfigId::M7 && f.object == "default/shared-web")
+                .map(|f| f.app.clone())
+                .collect()
+        };
+        install_chart(&mut cluster, "alpha", host_unit("Deployment", "alpha"));
+        install_chart(&mut cluster, "bravo", host_unit("StatefulSet", "bravo"));
         tick_both(&mut incremental, &mut oracle, &cluster);
-        let tied: Vec<&Finding> = incremental
-            .current()
-            .iter()
-            .filter(|f| f.id == MisconfigId::M4Star && f.object == "default/shared-svc")
-            .collect();
-        assert_eq!(tied.len(), 2, "{tied:#?}");
-        assert!(tied[0].app == "alpha" && tied[1].app == "bravo");
+        assert_eq!(tied(incremental.current()), ["alpha", "bravo"]);
 
-        // Re-derive `alpha`'s capture while `bravo`'s stays: the new one
+        // Re-derive `alpha`'s finding while `bravo`'s stays: the new one
         // must land before `bravo`'s again.
         for label in ["alpha-2", "alpha"] {
             cluster.uninstall("alpha");
-            install_chart(&mut cluster, "alpha", with_service(label));
+            install_chart(&mut cluster, "alpha", host_unit("Deployment", label));
             tick_both(&mut incremental, &mut oracle, &cluster);
+            assert_eq!(tied(incremental.current()), ["alpha", "bravo"]);
         }
-        cluster.uninstall("target");
+        cluster.uninstall("bravo");
         let gone = tick_both(&mut incremental, &mut oracle, &cluster);
-        assert_eq!(
-            gone.resolved
-                .iter()
-                .filter(|f| f.id == MisconfigId::M4Star && f.object == "default/shared-svc")
-                .count(),
-            2
-        );
+        assert_eq!(tied(&gone.resolved), ["bravo"]);
     }
 
     #[test]

@@ -5,6 +5,7 @@ use crate::error::{Error, Result};
 use crate::meta::{Labels, ObjectMeta};
 use crate::pod::Protocol;
 use ij_yaml::{Map, Value};
+use std::net::Ipv4Addr;
 
 /// Service exposure type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -167,6 +168,9 @@ pub struct ServiceSpec {
     pub ports: Vec<ServicePort>,
     /// `clusterIP: None` marks a headless service, resolved purely via DNS.
     pub headless: bool,
+    /// The virtual IP the simulator assigns at apply (none when headless);
+    /// the codec neither reads nor writes it.
+    pub cluster_ip: Option<Ipv4Addr>,
 }
 
 /// A Kubernetes Service.
@@ -184,25 +188,18 @@ impl Service {
         Service {
             meta,
             spec: ServiceSpec {
-                service_type: ServiceType::ClusterIp,
                 selector,
                 ports,
-                headless: false,
+                ..Default::default()
             },
         }
     }
 
     /// Creates a headless service.
     pub fn headless(meta: ObjectMeta, selector: Labels, ports: Vec<ServicePort>) -> Self {
-        Service {
-            meta,
-            spec: ServiceSpec {
-                service_type: ServiceType::ClusterIp,
-                selector,
-                ports,
-                headless: true,
-            },
-        }
+        let mut service = Service::cluster_ip(meta, selector, ports);
+        service.spec.headless = true;
+        service
     }
 
     /// True for headless services (`clusterIP: None`).
@@ -248,6 +245,7 @@ impl Service {
                 selector,
                 ports,
                 headless,
+                ..Default::default()
             },
         })
     }
