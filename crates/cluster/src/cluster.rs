@@ -15,6 +15,8 @@ use ij_model::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::fmt::{self, Write as _};
 use std::net::Ipv4Addr;
 use std::sync::{Arc, Mutex};
@@ -174,8 +176,8 @@ pub struct Cluster {
     pods: Slots<RunningPod>,
     admission: Vec<Box<dyn AdmissionController>>,
     rng: StdRng,
-    next_pod_ip: u32,
-    next_cluster_ip: u32,
+    pod_ips: AddressPool,
+    cluster_ips: AddressPool,
     events: EventLog,
     /// Bumped on every mutation of objects or pods; the policy-index cache
     /// key.
@@ -209,8 +211,8 @@ impl Cluster {
             pods: Slots::default(),
             admission: Vec::new(),
             rng,
-            next_pod_ip: 1,
-            next_cluster_ip: 1,
+            pod_ips: AddressPool::new([10, 244], POOL_CAPACITY),
+            cluster_ips: AddressPool::new([10, 96], POOL_CAPACITY),
             events: EventLog::default(),
             generation: 0,
             dirty: DirtyLog::new(0, DIRTY_LOG_CAP),
@@ -371,15 +373,16 @@ impl Cluster {
     /// live object of its kind, namespace and name in place if both have
     /// one [`RELEASE_ANNOTATION`] (or none); else [`InstallError::Conflict`].
     pub fn apply(&mut self, object: Object) -> Result<Vec<String>, InstallError> {
-        let end = self.objects.end();
-        let warnings = self.admit(object, end, &mut Vec::new())?;
-        self.release_index.add_objects(&self.objects, end);
+        let (end, mut replaced) = (self.objects.end(), Vec::new());
+        let warnings = self.admit(object, end, &mut replaced)?;
+        self.commit(end, replaced);
         Ok(warnings)
     }
 
-    /// [`apply`](Self::apply) without indexing an appended object: installs
-    /// index theirs in one batch, so the objects at `unindexed..` are
-    /// searched too. A replaced object goes on `undo` with its position.
+    /// [`apply`](Self::apply) up to its [`commit`](Self::commit): installs
+    /// commit their objects in one batch, so the uncommitted ones at
+    /// `unindexed..` are searched too. An object from before `unindexed`
+    /// that is replaced for the first time goes on `undo` with its position.
     fn admit(
         &mut self,
         mut object: Object,
@@ -430,18 +433,10 @@ impl Cluster {
             meta.namespace,
             meta.name
         )));
-        // Services get a virtual IP at creation and keep it when replaced.
-        if let Object::Service(s) = &mut object {
-            if !s.is_headless() {
-                let kept = live.and_then(|pos| match &self.objects[pos] {
-                    Object::Service(old) => old.spec.cluster_ip,
-                    _ => None,
-                });
-                s.spec.cluster_ip = kept.or_else(|| {
-                    self.next_cluster_ip += 1;
-                    Some(pool_address([10, 96], self.next_cluster_ip - 1))
-                });
-            }
+        // A replaced service's ClusterIP carries over; new ones get theirs
+        // at commit.
+        if let (Object::Service(s), Some(pos)) = (&mut object, live) {
+            s.spec.cluster_ip = service_ip(&self.objects[pos]).filter(|_| !s.is_headless());
         }
         let scope = self.dirty.scope(release_name(&object));
         // Policies change verdicts and per-app policy rules, but not the
@@ -451,7 +446,10 @@ impl Cluster {
             self.pending.push(live.unwrap_or(self.objects.end()));
         }
         if let Some(pos) = live {
-            undo.push((pos, std::mem::replace(&mut self.objects[pos], object)));
+            let old = std::mem::replace(&mut self.objects[pos], object);
+            if pos < unindexed && !undo.iter().any(|&(at, _)| at == pos) {
+                undo.push((pos, old));
+            }
         } else {
             self.objects.push(object);
         }
@@ -487,9 +485,9 @@ impl Cluster {
             match self.admit(obj, checkpoint, &mut undo) {
                 Ok(mut w) => warnings.append(&mut w),
                 Err(e) => {
-                    // Restore what was replaced, newest first, then drop the
-                    // appended objects; none of them was indexed yet.
-                    for (pos, old) in undo.into_iter().rev() {
+                    // Restore what was replaced, then drop the appended
+                    // objects; none of them was committed yet.
+                    for (pos, old) in undo {
                         self.objects[pos] = old;
                     }
                     self.objects.truncate(checkpoint);
@@ -499,9 +497,32 @@ impl Cluster {
                 }
             }
         }
-        self.release_index.add_objects(&self.objects, checkpoint);
+        self.commit(checkpoint, undo);
         self.reconcile();
         Ok(warnings)
+    }
+
+    /// Ends an apply or install that appended the objects at `from..` and
+    /// replaced the ones in `replaced`: indexes the appended ones, returns
+    /// the ClusterIP of a replaced service to the pool unless its
+    /// replacement holds it, and gives each non-headless service still
+    /// without one the next free address (none once the pool is spent).
+    fn commit(&mut self, from: usize, replaced: Vec<(usize, Object)>) {
+        self.release_index.add_objects(&self.objects, from);
+        for (pos, old) in &replaced {
+            let kept = service_ip(&self.objects[*pos]);
+            if let Some(ip) = service_ip(old).filter(|&ip| kept != Some(ip)) {
+                self.cluster_ips.release(ip);
+            }
+        }
+        let replaced = replaced.into_iter().map(|(pos, _)| pos);
+        for pos in replaced.chain(from..self.objects.end()) {
+            if let Object::Service(s) = &mut self.objects[pos] {
+                if !s.is_headless() && s.spec.cluster_ip.is_none() {
+                    s.spec.cluster_ip = self.cluster_ips.allocate();
+                }
+            }
+        }
     }
 
     /// [`install_owned`](Self::install_owned) from a copy of a rendered
@@ -547,6 +568,12 @@ impl Cluster {
             // `removed` is ascending (apply order).
             self.pending
                 .retain(|pos| removed.binary_search(pos).is_err());
+            for ip in removed
+                .iter()
+                .filter_map(|&pos| service_ip(&self.objects[pos]))
+            {
+                self.cluster_ips.release(ip);
+            }
             if let Some(remap) = self
                 .release_index
                 .remove_objects(&mut self.objects, &removed)
@@ -557,7 +584,7 @@ impl Cluster {
         reaped.sort_unstable();
         reaped.dedup();
         reaped.retain(|&pos| !self.desired(&self.pods[pos].pod.meta));
-        self.release_index.remove_pods(&mut self.pods, &reaped);
+        self.reap(&reaped);
         self.events
             .push(event_line(format_args!("uninstall {release_name}")));
         self.touch(DirtyEntry::app(release_name, true, true));
@@ -571,8 +598,24 @@ impl Cluster {
             .any(|o| desires(o, &self.nodes, pod))
     }
 
-    /// Removes everything — the paper's per-application fresh cluster.
+    /// Takes the running pods at `positions` out, returning their
+    /// addresses to the pool.
+    fn reap(&mut self, positions: &[usize]) {
+        for rp in positions.iter().map(|&pos| &self.pods[pos]) {
+            self.pod_ips.release_pod(rp);
+        }
+        self.release_index.remove_pods(&mut self.pods, positions);
+    }
+
+    /// Removes everything — the paper's per-application fresh cluster —
+    /// and returns every address to its pool.
     pub fn reset(&mut self) {
+        for rp in self.pods.iter() {
+            self.pod_ips.release_pod(rp);
+        }
+        for ip in self.objects.iter().filter_map(service_ip) {
+            self.cluster_ips.release(ip);
+        }
         self.objects.clear();
         self.pods.clear();
         self.pending.clear();
@@ -674,7 +717,7 @@ impl Cluster {
                 (line, self.dirty.scope(self.release_of(rp)))
             })
             .collect();
-        self.release_index.remove_pods(&mut self.pods, &stale);
+        self.reap(&stale);
         for (line, scope) in reaped {
             self.events.push(line);
             self.touch(DirtyEntry {
@@ -778,10 +821,14 @@ impl Cluster {
         // IPAM: flat pod network, or the node IP under hostNetwork.
         let ip = if pod.spec.host_network {
             node.ip
+        } else if let Some(ip) = self.pod_ips.allocate() {
+            ip
         } else {
-            let n = self.next_pod_ip;
-            self.next_pod_ip += 1;
-            pool_address([10, 244], n)
+            self.events.push(event_line(format_args!(
+                "pending {}/{}: pod network exhausted",
+                pod.meta.namespace, pod.meta.name
+            )));
+            return false;
         };
         pod.spec.node_name = Some(node_name.clone());
         pod.status.pod_ip = Some(ip);
@@ -1004,6 +1051,14 @@ fn definer_meta(o: &Object) -> Option<&ObjectMeta> {
     }
 }
 
+/// The ClusterIP a service holds.
+fn service_ip(o: &Object) -> Option<Ipv4Addr> {
+    match o {
+        Object::Service(s) => s.spec.cluster_ip,
+        _ => None,
+    }
+}
+
 /// One event line, formatted into a single allocation of its exact length.
 fn event_line(args: fmt::Arguments<'_>) -> String {
     struct Len(usize);
@@ -1020,12 +1075,59 @@ fn event_line(args: fmt::Arguments<'_>) -> String {
     line
 }
 
-/// The `n`-th address of a pool handed out in 254-host blocks below the
-/// /16 `prefix` (`prefix.0.1`, …, `prefix.0.254`, `prefix.1.1`, …). A pool
-/// that outgrows its /16 carries into the next one.
-fn pool_address(prefix: [u8; 2], n: u32) -> Ipv4Addr {
-    let [a, b] = prefix;
-    Ipv4Addr::from(u32::from_be_bytes([a, b, 0, 0]) + ((n / 254) << 8) + n % 254 + 1)
+/// The addresses of a /16 in 254-host blocks, less the first: `.0.2`, …,
+/// `.0.254`, `.1.1`, …, `.255.254`.
+const POOL_CAPACITY: u32 = 256 * 254 - 1;
+
+/// An address pool below a /16 prefix (pod IPs, ClusterIPs). It hands out
+/// its addresses in order until `capacity` are spent, then the lowest
+/// released one, so the addresses of a run that never spends the pool do
+/// not depend on what it released.
+struct AddressPool {
+    prefix: [u8; 2],
+    capacity: u32,
+    /// Addresses handed out fresh so far.
+    fresh: u32,
+    released: BinaryHeap<Reverse<u32>>,
+}
+
+impl AddressPool {
+    fn new(prefix: [u8; 2], capacity: u32) -> Self {
+        AddressPool {
+            prefix,
+            capacity,
+            fresh: 0,
+            released: BinaryHeap::new(),
+        }
+    }
+
+    /// The next address; `None` when every one is held.
+    fn allocate(&mut self) -> Option<Ipv4Addr> {
+        let n = if self.fresh < self.capacity {
+            self.fresh += 1;
+            self.fresh
+        } else {
+            self.released.pop()?.0
+        };
+        let [a, b] = self.prefix;
+        Some(Ipv4Addr::from(
+            u32::from_be_bytes([a, b, 0, 0]) + ((n / 254) << 8) + n % 254 + 1,
+        ))
+    }
+
+    /// Returns an address [`AddressPool::allocate`] handed out.
+    fn release(&mut self, ip: Ipv4Addr) {
+        let [_, _, block, host] = ip.octets();
+        self.released
+            .push(Reverse(u32::from(block) * 254 + u32::from(host) - 1));
+    }
+
+    /// Returns a pod's address, unless it is its node's (hostNetwork).
+    fn release_pod(&mut self, rp: &RunningPod) {
+        if !rp.pod.spec.host_network {
+            self.release(rp.ip);
+        }
+    }
 }
 
 /// Instantiates the behaviour model of every container in a pod: the
@@ -2589,6 +2691,62 @@ spec:
             Some("default/web"),
             "the workload comes first"
         );
+    }
+
+    /// A pool hands out fresh addresses first, then the lowest released
+    /// one, and nothing once every address is held.
+    #[test]
+    fn address_pool_reuses_the_lowest_released_address_once_spent() {
+        let mut pool = AddressPool::new([10, 244], 4);
+        let mut take = || pool.allocate().map(|ip| ip.to_string());
+        let fresh: Vec<_> = (0..4).map(|_| take().unwrap()).collect();
+        assert_eq!(
+            fresh,
+            ["10.244.0.2", "10.244.0.3", "10.244.0.4", "10.244.0.5"]
+        );
+        assert_eq!(take(), None, "exhausted");
+        for ip in ["10.244.0.4", "10.244.0.2"] {
+            pool.release(ip.parse().unwrap());
+        }
+        let mut take = || pool.allocate().map(|ip| ip.to_string());
+        assert_eq!(take().as_deref(), Some("10.244.0.2"));
+        assert_eq!(take().as_deref(), Some("10.244.0.4"));
+        assert_eq!(take(), None);
+        // The production pool spans the /16 and numbers across its blocks.
+        let mut pool = AddressPool::new([10, 96], POOL_CAPACITY);
+        let last = (0..POOL_CAPACITY).map(|_| pool.allocate().unwrap()).last();
+        assert_eq!(last, Some(Ipv4Addr::new(10, 96, 255, 254)));
+        pool.release(Ipv4Addr::new(10, 96, 1, 1));
+        assert_eq!(pool.allocate(), Some(Ipv4Addr::new(10, 96, 1, 1)));
+        assert_eq!(pool.allocate(), None);
+    }
+
+    /// Reaped pods, removed services and a reset give their addresses back:
+    /// a cluster that has spent its pod network starts pods again once
+    /// others are reaped, and stays Pending while none is free.
+    #[test]
+    fn reaped_pods_and_removed_services_return_their_addresses() {
+        let mut cluster = install_demo(BehaviorRegistry::new());
+        cluster.pod_ips = AddressPool::new([10, 244], 2);
+        cluster.cluster_ips = AddressPool::new([10, 96], 1);
+        cluster.pod_ips.fresh = 2;
+        cluster.cluster_ips.fresh = 1;
+        let rendered = demo_chart().render(&Release::new("e", "default")).unwrap();
+        cluster.install(&rendered).unwrap();
+        assert_eq!(cluster.pods().len(), 2, "e's pods wait for addresses");
+        assert_eq!(cluster.cluster_ip("default", "e-web"), None);
+        cluster.uninstall("e");
+        cluster.uninstall("d");
+        cluster.install(&rendered).unwrap();
+        let ips: Vec<String> = cluster.pods().iter().map(|rp| rp.ip.to_string()).collect();
+        assert_eq!(ips, ["10.244.0.2", "10.244.0.3"]);
+        assert_eq!(
+            cluster.cluster_ip("default", "e-web"),
+            Some(Ipv4Addr::new(10, 96, 0, 2))
+        );
+        cluster.reset();
+        assert_eq!(cluster.pod_ips.released.len(), 2);
+        assert_eq!(cluster.cluster_ips.released.len(), 1);
     }
 
     #[test]
