@@ -1,8 +1,8 @@
 //! # ij-bench — regenerating every table and figure of the paper
 //!
 //! Each experiment of the evaluation section has a function here that runs
-//! the full pipeline and renders the artifact as text; the `repro` binary
-//! prints them. Timing is the repository benchmark's job (`perfbench/`);
+//! the full pipeline and renders the artifact as text; [`repro`] frames
+//! them as the `repro` binary prints them. Timing is the repository benchmark's job (`perfbench/`);
 //! this crate keeps the census memory and allocation gates beside it.
 //!
 //! | artifact | function |
@@ -31,6 +31,40 @@ pub fn full_census() -> Census {
         .build()
         .run(&corpus())
         .expect("the synthetic corpus renders and installs")
+}
+
+/// What `repro <what>` prints: one `==== <title> ====` section per
+/// artifact, `all` of them in report order. `None` for an unknown name.
+pub fn repro(what: &str) -> Option<String> {
+    let section = |title: &str, body: String| format!("==== {title} ====\n{body}\n");
+    let with_census = |render: fn(&Census) -> String| render(&full_census());
+    Some(match what {
+        "table2" => section("Table 2", with_census(table2)),
+        "table3" => section("Table 3", table3()),
+        "fig3a" => section("Figure 3a", with_census(fig3a)),
+        "fig3b" => section("Figure 3b", with_census(fig3b)),
+        "fig4a" => section("Figure 4a", with_census(fig4a)),
+        "fig4b" => section("Figure 4b", fig4b()),
+        "averages" => section("Averages", with_census(averages)),
+        "defense" => section("Defense", defense()),
+        "score" => section("Scoring", score()),
+        "all" => {
+            let census = full_census();
+            [
+                section("Table 2", table2(&census)),
+                section("Figure 3a", fig3a(&census)),
+                section("Figure 3b", fig3b(&census)),
+                section("Figure 4a", fig4a(&census)),
+                section("Averages", averages(&census)),
+                section("Figure 4b", fig4b()),
+                section("Table 3", table3()),
+                section("Defense ablation", defense()),
+                section("Ground-truth scoring", score()),
+            ]
+            .concat()
+        }
+        _ => return None,
+    })
 }
 
 /// Peak resident-set size of this process in kibibytes, from the kernel's
