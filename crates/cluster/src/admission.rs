@@ -34,7 +34,8 @@ pub struct AdmissionReview<'a> {
     /// The incoming object.
     pub object: &'a Object,
     /// Objects already persisted in the cluster (cluster-wide), in apply
-    /// order.
+    /// order, among them the one the incoming object replaces if it has its
+    /// kind, namespace and name.
     pub existing: Live<'a, Object>,
 }
 

@@ -166,7 +166,8 @@ impl EventLog {
     }
 }
 
-/// The cluster simulator.
+/// The cluster simulator. Like an API server, it keeps one object per
+/// (kind, namespace, name): see [`Cluster::apply`].
 pub struct Cluster {
     config: ClusterConfig,
     nodes: Vec<Node>,

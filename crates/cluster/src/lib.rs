@@ -6,13 +6,15 @@
 //! simulation of the control plane and data plane with exactly the
 //! abstractions the analyzer observes.
 //!
-//! * **API server** — typed object store with a pluggable admission chain
-//!   (the hook the `ij-guard` defense attaches to).
+//! * **API server** — typed object store, one object per (kind, namespace,
+//!   name), with a pluggable admission chain (the hook the `ij-guard`
+//!   defense attaches to).
 //! * **Controller manager** — expands workloads into pods (Deployments,
 //!   StatefulSets, DaemonSets, ReplicaSets, Jobs).
 //! * **Scheduler + IPAM** — places pods on nodes round-robin and assigns
-//!   cluster IPs from a flat `10.244.0.0/16` pod network; hostNetwork pods
-//!   take their node's IP.
+//!   pod IPs from a flat `10.244.0.0/16` network and ClusterIPs from
+//!   `10.96.0.0/16`, reusing released addresses once a pool is spent;
+//!   hostNetwork pods take their node's IP.
 //! * **Container runtime behaviour models** — each image resolves to a
 //!   [`ContainerBehavior`] describing which sockets it *really* opens:
 //!   declared ports, undeclared extras, ephemeral ports re-drawn on every

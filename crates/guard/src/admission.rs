@@ -559,7 +559,8 @@ mod tests {
 
     proptest! {
         /// The guard and the hand-written oracle admit and refuse the same
-        /// objects of random apply streams, under every policy.
+        /// objects of random apply streams, under every policy, and no two
+        /// live objects ever share a kind, namespace and name.
         #[test]
         fn guard_agrees_with_the_hand_written_oracle(
             ops in prop::collection::vec(op_strategy(), 1..32),
@@ -580,6 +581,16 @@ mod tests {
                             check_unmatched_selectors,
                             object
                         );
+                        let mut identities = std::collections::HashSet::new();
+                        for o in guarded.objects() {
+                            let meta = o.meta();
+                            prop_assert!(
+                                identities.insert((o.kind(), &meta.namespace, &meta.name)),
+                                "two live {} {}",
+                                o.kind(),
+                                o.qualified_name()
+                            );
+                        }
                     }
                 }
             }

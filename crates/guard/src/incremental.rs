@@ -1122,11 +1122,16 @@ spec:
         tick_both(&mut incremental, &mut oracle, &cluster);
         assert_eq!(tied(incremental.current()), ["alpha", "bravo"]);
 
-        // Re-derive `alpha`'s finding while `bravo`'s stays: the new one
-        // must land before `bravo`'s again.
-        for label in ["alpha-2", "alpha"] {
-            cluster.uninstall("alpha");
-            install_chart(&mut cluster, "alpha", host_unit("Deployment", label));
+        // Re-derive one release's finding while the other's stays: the new
+        // one must land in source order again, before `bravo`'s or after
+        // `alpha`'s.
+        for (release, kind, label) in [
+            ("alpha", "Deployment", "alpha-2"),
+            ("bravo", "StatefulSet", "bravo-2"),
+            ("alpha", "Deployment", "alpha"),
+        ] {
+            cluster.uninstall(release);
+            install_chart(&mut cluster, release, host_unit(kind, label));
             tick_both(&mut incremental, &mut oracle, &cluster);
             assert_eq!(tied(incremental.current()), ["alpha", "bravo"]);
         }
