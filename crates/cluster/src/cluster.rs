@@ -318,7 +318,7 @@ impl Cluster {
     pub fn pod(&self, qualified: &str) -> Option<&RunningPod> {
         let (namespace, name) = split_qualified(qualified);
         self.release_index
-            .pod_named(&self.pods, namespace, name)
+            .pod(&self.pods, namespace, name)
             .map(|pos| &self.pods[pos])
     }
 
@@ -370,9 +370,9 @@ impl Cluster {
             .collect()
     }
 
-    /// Applies one object through the admission chain. It replaces the
-    /// live object of its kind, namespace and name in place if both have
-    /// one [`RELEASE_ANNOTATION`] (or none); else [`InstallError::Conflict`].
+    /// Applies one object through the admission chain. It replaces the live
+    /// object of its kind, namespace and name in place when both carry the
+    /// same [`RELEASE_ANNOTATION`] or neither does; else [`InstallError::Conflict`].
     pub fn apply(&mut self, object: Object) -> Result<Vec<String>, InstallError> {
         let (end, mut replaced) = (self.objects.end(), Vec::new());
         let warnings = self.admit(object, end, &mut replaced)?;
@@ -381,19 +381,20 @@ impl Cluster {
     }
 
     /// [`apply`](Self::apply) up to its [`commit`](Self::commit): installs
-    /// commit their objects in one batch, so the uncommitted ones at
-    /// `unindexed..` are searched too. An object from before `unindexed`
-    /// that is replaced for the first time goes on `undo` with its position.
+    /// commit their objects in one batch, so the ones at `uncommitted..`
+    /// are searched too. An object from before `uncommitted` that is
+    /// replaced for the first time goes on `undo` with its position.
     fn admit(
         &mut self,
         mut object: Object,
-        unindexed: usize,
+        uncommitted: usize,
         undo: &mut Vec<(usize, Object)>,
     ) -> Result<Vec<String>, InstallError> {
         let (kind, meta) = (object.kind(), object.meta());
-        let live = (self.release_index)
+        let live = self
+            .release_index
             .named(&self.objects, &meta.namespace, &meta.name)
-            .chain(unindexed..self.objects.end())
+            .chain(uncommitted..self.objects.end())
             .find(|&pos| {
                 let (o, m) = (&self.objects[pos], self.objects[pos].meta());
                 o.kind() == kind && m.name == meta.name && m.namespace == meta.namespace
@@ -448,7 +449,7 @@ impl Cluster {
         }
         if let Some(pos) = live {
             let old = std::mem::replace(&mut self.objects[pos], object);
-            if pos < unindexed && !undo.iter().any(|&(at, _)| at == pos) {
+            if pos < uncommitted && !undo.iter().any(|&(at, _)| at == pos) {
                 undo.push((pos, old));
             }
         } else {
@@ -663,10 +664,8 @@ impl Cluster {
             // One pod per name: a name already running, or started by an
             // object before this one (workloads come first), is skipped.
             let namespace = &self.objects[i].meta().namespace;
-            if (self.release_index)
-                .pod_named(&self.pods, namespace, &name)
-                .is_some()
-            {
+            let running = self.release_index.pod(&self.pods, namespace, &name);
+            if running.is_some() {
                 continue;
             }
             let (pod, owner) = match &self.objects[i] {
@@ -730,7 +729,8 @@ impl Cluster {
     }
 
     /// The release a running pod belongs to, resolved through its defining
-    /// object: the owner workload, or the bare pod object itself.
+    /// object: the owner workload, or the bare pod object itself, never
+    /// another kind of object sharing its name.
     fn release_of<'a>(&'a self, rp: &'a RunningPod) -> Option<&'a str> {
         let (namespace, name) = match &rp.owner {
             Some(owner) => split_qualified(owner),
@@ -738,7 +738,11 @@ impl Cluster {
         };
         self.release_index
             .named(&self.objects, namespace, name)
-            .find(|&pos| definer_meta(&self.objects[pos]).is_some())
+            .find(|&pos| match self.objects[pos] {
+                Object::Workload(_) => rp.owner.is_some(),
+                Object::Pod(_) => rp.owner.is_none(),
+                _ => false,
+            })
             .and_then(|pos| release_name(&self.objects[pos]))
             .or_else(|| {
                 rp.pod
@@ -1937,7 +1941,8 @@ spec:
     }
 
     /// The reap of a scaled-down workload dirties the workload's release,
-    /// not that of another kind of object sharing its name.
+    /// not that of another kind of object sharing its name: a service, or
+    /// a bare pod, which defines pods too.
     #[test]
     fn a_reap_dirties_the_definers_release() {
         let mut cluster = Cluster::new(ClusterConfig::default());
@@ -1951,7 +1956,13 @@ spec:
             spec,
         );
         web.replicas = 2;
-        cluster.install_objects("a", &[web_service("web")]).unwrap();
+        let bare = Pod::new(
+            ij_model::ObjectMeta::named("web"),
+            web.template.spec.clone(),
+        );
+        cluster
+            .install_objects("a", &[web_service("web"), Object::Pod(bare)])
+            .unwrap();
         cluster
             .install_objects("b", &[Object::Workload(web)])
             .unwrap();

@@ -253,15 +253,11 @@ impl ReleaseIndex {
         self.pods.insert(at, pos);
     }
 
-    /// The position of the running pod named `namespace/name`: the head of
+    /// The position of the running pod named `ns/name`: the head of
     /// [`ReleaseIndex::pods_under`]'s stretch.
-    pub(crate) fn pod_named(
-        &self,
-        pods: &Slots<RunningPod>,
-        ns: &str,
-        name: &str,
-    ) -> Option<usize> {
-        (self.pods_under(pods, ns, name).next()).filter(|&pos| pods[pos].pod.meta.name == name)
+    pub(crate) fn pod(&self, pods: &Slots<RunningPod>, ns: &str, name: &str) -> Option<usize> {
+        let head = self.pods_under(pods, ns, name).next();
+        head.filter(|&pos| pods[pos].pod.meta.name == name)
     }
 
     /// Positions of the running pods an object named `namespace/name` may
