@@ -144,12 +144,11 @@ impl ContainerBehavior {
 /// Maps image references to behaviours.
 ///
 /// Lookup tries the exact reference first, then the reference with its tag
-/// stripped, then registered prefixes — so `bitnami/flink:1.17` matches a
-/// behaviour registered for `bitnami/flink`.
+/// stripped — so `bitnami/flink:1.17` matches a behaviour registered for
+/// `bitnami/flink`.
 #[derive(Debug, Clone, Default)]
 pub struct BehaviorRegistry {
     exact: HashMap<String, ContainerBehavior>,
-    prefixes: Vec<(String, ContainerBehavior)>,
 }
 
 impl BehaviorRegistry {
@@ -163,36 +162,25 @@ impl BehaviorRegistry {
         self.exact.insert(image.into(), behavior);
     }
 
-    /// Registers a behaviour for any image starting with `prefix`.
-    pub fn register_prefix(&mut self, prefix: impl Into<String>, behavior: ContainerBehavior) {
-        self.prefixes.push((prefix.into(), behavior));
-    }
-
     /// Resolves an image reference to its behaviour.
     pub fn resolve(&self, image: &str) -> &ContainerBehavior {
         if let Some(b) = self.exact.get(image) {
             return b;
         }
         let untagged = image.split(':').next().unwrap_or(image);
-        if let Some(b) = self.exact.get(untagged) {
-            return b;
-        }
-        for (prefix, b) in &self.prefixes {
-            if image.starts_with(prefix.as_str()) {
-                return b;
-            }
-        }
-        &ContainerBehavior::DeclaredPorts
+        self.exact
+            .get(untagged)
+            .unwrap_or(&ContainerBehavior::DeclaredPorts)
     }
 
     /// Number of registered behaviours.
     pub fn len(&self) -> usize {
-        self.exact.len() + self.prefixes.len()
+        self.exact.len()
     }
 
     /// True when nothing is registered.
     pub fn is_empty(&self) -> bool {
-        self.exact.is_empty() && self.prefixes.is_empty()
+        self.exact.is_empty()
     }
 }
 
@@ -249,19 +237,10 @@ mod tests {
             "bitnami/flink",
             ContainerBehavior::Listeners(vec![ListenerSpec::tcp(1)]),
         );
-        reg.register_prefix(
-            "bitnami/",
-            ContainerBehavior::Listeners(vec![ListenerSpec::tcp(2)]),
-        );
 
-        // Tag-stripped exact match wins over the prefix.
+        // Tag-stripped exact match.
         match reg.resolve("bitnami/flink:1.17") {
             ContainerBehavior::Listeners(l) => assert_eq!(l[0].port, PortSpec::Static(1)),
-            _ => panic!(),
-        }
-        // Prefix match.
-        match reg.resolve("bitnami/redis:7") {
-            ContainerBehavior::Listeners(l) => assert_eq!(l[0].port, PortSpec::Static(2)),
             _ => panic!(),
         }
         // Unknown image: declared ports.

@@ -190,9 +190,11 @@ pub struct Cluster {
     /// tagged with the generation it was built at.
     index_cache: Mutex<Option<(u64, Arc<PolicyIndex>)>>,
     /// Positions of the workloads and bare pods applied or scaled since the
-    /// last [`Cluster::reconcile`], which expands each of them. An object
-    /// stays here while one of its pods cannot be scheduled, and leaves
-    /// when it is removed.
+    /// last [`Cluster::reconcile`], which expands each of them, and of the
+    /// services committed while the ClusterIP pool was spent, which it
+    /// gives an address. An object stays here while one of its pods cannot
+    /// be scheduled, or while no address is free, and leaves when it is
+    /// removed.
     pending: Vec<usize>,
     /// Where each release's objects, each name's objects and each running
     /// pod sit; patched by every mutation, never rebuilt.
@@ -508,7 +510,8 @@ impl Cluster {
     /// replaced the ones in `replaced`: indexes the appended ones, returns
     /// the ClusterIP of a replaced service to the pool unless its
     /// replacement holds it, and gives each non-headless service still
-    /// without one the next free address (none once the pool is spent).
+    /// without one the next free address. While the pool is spent, such a
+    /// service goes on `pending` for [`Cluster::reconcile`] to retry.
     fn commit(&mut self, from: usize, replaced: Vec<(usize, Object)>) {
         self.release_index.add_objects(&self.objects, from);
         for (pos, old) in &replaced {
@@ -519,11 +522,23 @@ impl Cluster {
         }
         let replaced = replaced.into_iter().map(|(pos, _)| pos);
         for pos in replaced.chain(from..self.objects.end()) {
-            if let Object::Service(s) = &mut self.objects[pos] {
-                if !s.is_headless() && s.spec.cluster_ip.is_none() {
-                    s.spec.cluster_ip = self.cluster_ips.allocate();
+            self.assign_cluster_ip(pos);
+        }
+    }
+
+    /// Gives the object at `pos`, if a non-headless service without a
+    /// ClusterIP, the next free address, or puts it on `pending` while the
+    /// pool is spent. True when it took one.
+    fn assign_cluster_ip(&mut self, pos: usize) -> bool {
+        match &mut self.objects[pos] {
+            Object::Service(s) if !s.is_headless() && s.spec.cluster_ip.is_none() => {
+                s.spec.cluster_ip = self.cluster_ips.allocate();
+                if s.spec.cluster_ip.is_none() {
+                    self.pending.push(pos);
                 }
+                s.spec.cluster_ip.is_some()
             }
+            _ => false,
         }
     }
 
@@ -642,12 +657,26 @@ impl Cluster {
     /// release index answers every lookup, so objects and pods nobody
     /// touched are not visited and the cost follows the mutation, not the
     /// cluster. An object whose pods could not be scheduled (no worker
-    /// nodes) stays pending and is retried by the next call. Idempotent.
+    /// nodes) stays pending and is retried by the next call. So does a
+    /// service waiting for a ClusterIP: each call first gives it the lowest
+    /// released address, if one is free. Idempotent.
     pub fn reconcile(&mut self) {
         if self.pending.is_empty() {
             return;
         }
         let mut dirty = std::mem::take(&mut self.pending);
+        dirty.retain(|&pos| {
+            let service = matches!(self.objects[pos], Object::Service(_));
+            if service && self.assign_cluster_ip(pos) {
+                let scope = self.dirty.scope(release_name(&self.objects[pos]));
+                self.touch(DirtyEntry {
+                    scope,
+                    labels: false,
+                    pods: false,
+                });
+            }
+            !service
+        });
         dirty.sort_unstable_by_key(|&pos| (!matches!(self.objects[pos], Object::Workload(_)), pos));
         dirty.dedup();
         // Pods started below take slots from here on.
@@ -1251,15 +1280,17 @@ mod tests {
     impl Cluster {
         /// Panics unless the release index equals one rebuilt from the
         /// objects and pods, and every pending entry is a pod-defining
-        /// object.
+        /// object or a service without a ClusterIP.
         fn assert_index_exact(&self, context: &str) {
             self.release_index
                 .assert_exact(&self.objects, &self.pods, context);
             for &pos in &self.pending {
                 let object = self.objects.get(pos);
+                let waiting =
+                    matches!(object, Some(Object::Service(s)) if s.spec.cluster_ip.is_none());
                 assert!(
-                    object.and_then(definer_meta).is_some(),
-                    "{context}: pending entry {pos} is no pod-defining object"
+                    waiting || object.and_then(definer_meta).is_some(),
+                    "{context}: pending entry {pos} is neither a pod-defining object nor a waiting service"
                 );
             }
         }
@@ -2759,6 +2790,32 @@ spec:
         cluster.reset();
         assert_eq!(cluster.pod_ips.released.len(), 2);
         assert_eq!(cluster.cluster_ips.released.len(), 1);
+    }
+
+    /// A service committed while the ClusterIP pool is spent waits, and
+    /// the next reconcile after an address frees gives it that address,
+    /// dirtying its release.
+    #[test]
+    fn a_service_waiting_for_a_cluster_ip_gets_one_once_an_address_frees() {
+        let mut cluster = install_demo(BehaviorRegistry::new());
+        cluster.cluster_ips = AddressPool::new([10, 96], 1);
+        cluster.cluster_ips.fresh = 1;
+        let rendered = demo_chart().render(&Release::new("e", "default")).unwrap();
+        cluster.install(&rendered).unwrap();
+        assert_eq!(cluster.cluster_ip("default", "e-web"), None);
+        cluster.reconcile();
+        assert_eq!(cluster.cluster_ip("default", "e-web"), None, "none free");
+        cluster.uninstall("d");
+        let cursor = cluster.generation();
+        cluster.reconcile();
+        assert_eq!(
+            cluster.cluster_ip("default", "e-web"),
+            Some(Ipv4Addr::new(10, 96, 0, 2))
+        );
+        let summary = cluster.dirty_since(cursor);
+        assert!(summary.apps.iter().eq(["e"]), "{:?}", summary.apps);
+        cluster.assert_index_exact("after the retry");
+        assert!(cluster.pending.is_empty());
     }
 
     #[test]

@@ -48,6 +48,7 @@ pub mod netpol;
 pub mod node;
 mod release_index;
 mod slots;
+mod splice;
 
 pub use admission::{AdmissionController, AdmissionOutcome, AdmissionReview};
 pub use behavior::{BehaviorRegistry, ContainerBehavior, ListenerSpec, PortSpec};
@@ -60,3 +61,4 @@ pub use index::{PodSet, PolicyIndex};
 pub use netpol::{ConnectionVerdict, PolicyEngine};
 pub use node::Node;
 pub use slots::{Live, LiveIter};
+pub use splice::splice_copied;

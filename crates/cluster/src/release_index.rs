@@ -33,6 +33,7 @@
 
 use crate::cluster::{RunningPod, RELEASE_ANNOTATION};
 use crate::slots::{Slots, GONE};
+use crate::splice::splice_copied;
 use ij_model::Object;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -104,18 +105,21 @@ fn run(list: &[(u64, usize)], key: u64) -> impl Iterator<Item = usize> + '_ {
         .map(|&(_, pos)| pos)
 }
 
-/// Merges `batch` (sorted) into the sorted `list`, back to front: each
-/// batch entry finds its place by binary search and the old entries after
-/// it move up in one block, so a batch of one is a single insertion.
-fn merge(list: &mut Vec<(u64, usize)>, batch: &[(u64, usize)]) {
-    let mut old = list.len();
-    list.extend_from_slice(batch);
-    for (before, &entry) in batch.iter().enumerate().rev() {
-        let at = list[..old].partition_point(|&e| e < entry);
-        list.copy_within(at..old, at + before + 1);
-        list[at + before] = entry;
-        old = at;
+/// Merges `entries` into the sorted `list`: each finds its place by binary
+/// search, and the old entries between two places move up in one block,
+/// so one entry is a single insertion. `batch` is a reused buffer.
+fn merge(
+    list: &mut Vec<(u64, usize)>,
+    batch: &mut Vec<(usize, (u64, usize))>,
+    entries: impl Iterator<Item = (u64, usize)>,
+) {
+    batch.clear();
+    batch.extend(entries.map(|entry| (0, entry)));
+    batch.sort_unstable_by_key(|&(_, entry)| entry);
+    for (at, entry) in batch.iter_mut() {
+        *at = list.partition_point(|e| e < entry);
     }
+    splice_copied(list, &[], batch);
 }
 
 /// Rewrites the positions in `list` (found by `pos`) through `remap`,
@@ -144,8 +148,9 @@ pub(crate) struct ReleaseIndex {
     by_release: Vec<(u64, usize)>,
     by_name: Vec<(u64, usize)>,
     pods: Vec<usize>,
-    /// Reused buffer: the sorted batch [`ReleaseIndex::add_objects`] merges.
-    batch: Vec<(u64, usize)>,
+    /// Reused buffer: the sorted batch [`ReleaseIndex::add_objects`] merges,
+    /// each entry with its place.
+    batch: Vec<(usize, (u64, usize))>,
     /// Reused buffer: old position → new position of the last compaction.
     remap: Vec<usize>,
     /// Reused buffer: the `pods` entries [`ReleaseIndex::remove_pods`]
@@ -167,19 +172,12 @@ impl ReleaseIndex {
     /// Indexes the objects appended at `from..`.
     pub(crate) fn add_objects(&mut self, objects: &Slots<Object>, from: usize) {
         let added = objects.entries_from(from);
-        self.batch.clear();
-        self.batch.extend(
-            added
-                .clone()
-                .map(|(pos, o)| (release_key(release_name(o)), pos)),
-        );
-        self.batch.sort_unstable();
-        merge(&mut self.by_release, &self.batch);
-        self.batch.clear();
-        self.batch
-            .extend(added.map(|(pos, o)| (object_name_key(o), pos)));
-        self.batch.sort_unstable();
-        merge(&mut self.by_name, &self.batch);
+        let releases = added
+            .clone()
+            .map(|(pos, o)| (release_key(release_name(o)), pos));
+        merge(&mut self.by_release, &mut self.batch, releases);
+        let names = added.map(|(pos, o)| (object_name_key(o), pos));
+        merge(&mut self.by_name, &mut self.batch, names);
     }
 
     /// Positions of the objects of `release` (`None`: those without a
@@ -286,7 +284,7 @@ impl ReleaseIndex {
     /// the slots when tombstones come to outnumber live pods. Each pod's
     /// entry is found by binary search on its name while every pod is still
     /// there; the pod index then closes the gaps in one pass from the first
-    /// of them, moving each later entry at most once.
+    /// of them, moving each later entry at most once ([`splice_copied`]).
     pub(crate) fn remove_pods(&mut self, pods: &mut Slots<RunningPod>, removed: &[usize]) {
         if removed.is_empty() {
             return;
@@ -301,19 +299,12 @@ impl ReleaseIndex {
             at
         }));
         self.cut.sort_unstable();
-        // Each run of entries between two cut ones moves down past the cuts
-        // before it.
-        let mut to = self.cut[0];
-        for (i, &at) in self.cut.iter().enumerate() {
-            let end = self.cut.get(i + 1).copied().unwrap_or(self.pods.len());
-            self.pods.copy_within(at + 1..end, to);
-            to += end - at - 1;
-            #[cfg(test)]
-            {
-                self.moved_entries += end - at - 1;
-            }
+        #[cfg(test)]
+        {
+            // Every entry after the first cut one that stays moves once.
+            self.moved_entries += self.pods.len() - self.cut[0] - self.cut.len();
         }
-        self.pods.truncate(to);
+        splice_copied(&mut self.pods, &self.cut, &[]);
         for &pos in removed {
             pods.take(pos);
         }
@@ -389,9 +380,10 @@ mod tests {
     #[test]
     fn merge_keeps_the_list_sorted() {
         let mut list = vec![(1, 0), (3, 1), (5, 2)];
-        merge(&mut list, &[(0, 3), (3, 4), (9, 5)]);
+        let mut batch = Vec::new();
+        merge(&mut list, &mut batch, [(9, 5), (0, 3), (3, 4)].into_iter());
         assert_eq!(list, [(0, 3), (1, 0), (3, 1), (3, 4), (5, 2), (9, 5)]);
-        merge(&mut list, &[]);
+        merge(&mut list, &mut batch, std::iter::empty());
         assert_eq!(list.len(), 6);
     }
 

@@ -20,8 +20,8 @@
 use crate::finding::{identity_over, Finding, MisconfigId};
 use crate::model::StaticModel;
 use crate::report::{AppReport, Census, DatasetRow};
-use crate::splice::splice_copied;
 use crate::symtab::{Sym, SymMemo, SymbolTable};
+use ij_cluster::splice_copied;
 use ij_model::Protocol;
 use std::borrow::Borrow;
 use std::cmp::Ordering;
@@ -636,7 +636,7 @@ fn patch_table<T: Ord + Copy>(table: &mut Vec<T>, mut gone: Vec<T>, mut fresh: V
         .map(|entry| (table.partition_point(|t| *t < entry), entry))
         .collect();
     let touched = cut.len() + added.len();
-    splice_copied(table, &cut, added);
+    splice_copied(table, &cut, &added);
     touched
 }
 

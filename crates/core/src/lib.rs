@@ -91,7 +91,6 @@ mod model;
 mod registry;
 mod report;
 mod rules;
-mod splice;
 mod symtab;
 
 pub use compact::{
@@ -107,5 +106,4 @@ pub use model::{ComputeUnit, StaticModel};
 pub use registry::{AppRule, RuleEntry, RuleOrigin, RuleRegistry, RuleScope, UnknownRule};
 pub use report::{AppReport, Census, ConcentrationStats, DatasetRow};
 pub use rules::RuleContext;
-pub use splice::{splice_copied, splice_in_place};
 pub use symtab::{Sym, SymMemo, SymbolTable};

@@ -36,24 +36,26 @@
 //!   the pass reports;
 //! * everything else is served from the per-app finding cache.
 //!
-//! The open findings stay sorted as a batch analysis orders them:
-//! [`canonical_cmp`], then source (releases by name, then groups, then
-//! captures), then position within the source. A tick takes the findings
-//! of the sources it replaced out of that list and diffs identities
-//! ([`Finding::identity`], as multisets: `audit::unmatched`) over those and
-//! the sources' new findings alone. Where an unchanged source shares an
-//! identity or a canonical position with a replaced one, that shortcut
-//! could pick another order for the list or the delta, so the tick
-//! re-sorts and diffs all open findings instead. Otherwise the list is
-//! edited in place ([`splice_in_place`]): the new findings enter where the
-//! merge places them, and the findings that stay move only in blocks,
-//! never cloned, hashed or compared one at a time. Each identity is hashed
+//! The open findings live in one ordered map whose key order is the batch
+//! order: a finding's key is the position
+//! [`canonical_cmp`](ij_core::canonical_cmp) sorts it by (class, object,
+//! port), then its [`Place`]: its source (releases by name, then groups,
+//! then captures by release name and service) and its position there. The
+//! findings that tie on the position form a run, one range of the map. Keys
+//! name releases, never ids or ranks, so no entry moves when other releases
+//! come or go. A tick takes the entries of the sources it replaced out of
+//! the map, puts their new findings in, and diffs identities
+//! ([`Finding::identity`], as multisets: `audit::unmatched`) run by run,
+//! over each touched run before and after the edit. The identity hashes
+//! every field, so all open findings of one identity sit in one run, and
+//! that diff equals the diff of the whole lists. Each identity is hashed
 //! once, when its finding is made.
 //!
 //! When the dirty ring no longer covers the cursor (overflow, reset, first
 //! tick) the summary degrades to everything-dirty and the tick becomes a
 //! full recompute into a fresh symbol table, index and set of ids (handed
-//! out in name order) — the same code path
+//! out in name order), which replaces every source and so touches every
+//! run — the same code path
 //! [`IncrementalAuditor::full_tick`] exposes as the property-tested oracle.
 //! Symbols of uninstalled releases stay in the table until it holds more
 //! than twice the symbols it held after its last rebuild; the tick then
@@ -70,9 +72,8 @@ use std::mem::{replace, take};
 
 use ij_cluster::{Cluster, DirtySummary, RELEASE_ANNOTATION};
 use ij_core::{
-    canonical_cmp, m4_global_collisions_scoped, splice_copied, splice_in_place, Analyzer, Finding,
-    GlobalAppModel, M4Index, M4Owner, M4Part, M4Scope, MisconfigId, StaticModel, SymMemo,
-    SymbolTable,
+    m4_global_collisions_scoped, Analyzer, Finding, GlobalAppModel, M4Index, M4Owner, M4Part,
+    M4Scope, MisconfigId, StaticModel, SymMemo, SymbolTable,
 };
 use ij_model::Object;
 use ij_probe::{HostBaseline, RuntimeAnalyzer, RuntimeReport};
@@ -86,6 +87,7 @@ pub const UNATTRIBUTED_RELEASE: &str = "<unattributed>";
 
 /// A finding with its [`Finding::identity`], hashed once when the finding
 /// is made.
+#[derive(Clone)]
 struct Identified {
     identity: u64,
     finding: Finding,
@@ -98,6 +100,43 @@ impl Identified {
             finding,
         }
     }
+
+    /// The key of the run the finding sits in: the position
+    /// [`canonical_cmp`](ij_core::canonical_cmp) sorts it by.
+    fn canonical(&self) -> Canonical {
+        let f = &self.finding;
+        (f.id, f.object.clone(), f.port)
+    }
+}
+
+/// Class, object and port: the key of a run of open findings.
+type Canonical = (MisconfigId, String, Option<u16>);
+
+/// Where an open finding sits among those it ties with on [`Canonical`]:
+/// its source, in the order a batch analysis lists the sources before its
+/// stable canonical sort, then its position in the source.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord)]
+enum Place {
+    /// A release's own finding: the release's name, the finding's
+    /// position.
+    Release(String, usize),
+    /// An `M4*` collision group: its resolved `(namespace, labels)`.
+    Group((String, String)),
+    /// An `M4*` capture: the release's name, the service's position in
+    /// it, the finding's position among the service's captures.
+    Capture(String, usize, usize),
+}
+
+/// The open findings, each by the key of its run and its [`Place`] in the
+/// run: in key order, the batch order.
+type Open = BTreeMap<(Canonical, Place), Identified>;
+
+/// A source's findings with their places, `place(i)`.
+fn placed<'a>(
+    findings: &'a [Identified],
+    place: impl Fn(usize) -> Place + 'a,
+) -> impl Iterator<Item = (Place, &'a Identified)> + 'a {
+    findings.iter().enumerate().map(move |(i, f)| (place(i), f))
 }
 
 /// Cached analysis state of one tracked release, in the slot of its id.
@@ -134,19 +173,26 @@ impl Borrow<GlobalAppModel> for Tracked {
     }
 }
 
-/// What a tick replaced in the caches: the findings it took out, by
-/// identity, and the sources whose findings it put in.
+/// What a tick replaced in the caches: where the findings it took out sat
+/// in the open map, and the sources whose findings it put in.
 #[derive(Default)]
 struct Replaced {
-    /// Identities of every cached finding replaced or dropped.
-    identities: Vec<u64>,
+    /// The open-map keys of every cached finding replaced or dropped.
+    removed: Vec<(Canonical, Place)>,
     /// Ids of the re-analyzed releases, in name order.
     releases: Vec<usize>,
     /// Keys of the collision groups the `M4*` pass re-derived.
     groups: Vec<(String, String)>,
-    /// `(id, service)` of the captures the pass re-derived, in the order
-    /// it reports them: by release name, then service.
+    /// `(id, service)` of the captures the pass re-derived.
     captures: Vec<(usize, usize)>,
+}
+
+impl Replaced {
+    /// Notes that the cached findings at these places leave the open map.
+    fn remove<'a>(&mut self, placed: impl Iterator<Item = (Place, &'a Identified)>) {
+        self.removed
+            .extend(placed.map(|(place, f)| (f.canonical(), place)));
+    }
 }
 
 /// What the last tick did one entry or one finding at a time.
@@ -155,7 +201,7 @@ struct Replaced {
 struct TickWork {
     /// `M4Index` entries the patch located or wrote.
     patched: usize,
-    /// Open findings taken out of or put into the list.
+    /// Open findings taken out of or put into the open map.
     moved: usize,
     /// Whether a new release took the id of one that left.
     reused_id: bool,
@@ -164,10 +210,10 @@ struct TickWork {
 /// A delta-aware auditor for a whole multi-release cluster. See the module
 /// docs for the re-evaluation policy. A tick costs what the releases it
 /// re-analyzes cost, plus, when labels changed, an `M4*` pass that patches
-/// the kept index and re-derives only what those releases touch, plus a
-/// merge of their findings into the open list. Unchanged releases are
-/// neither re-analyzed nor re-interned, and their findings are neither
-/// re-hashed nor cloned.
+/// the kept index and re-derives only what those releases touch, plus an
+/// edit of the runs of the open map their findings sit in. Unchanged
+/// releases are neither re-analyzed nor re-interned, and their findings are
+/// neither re-hashed nor cloned.
 pub struct IncrementalAuditor {
     analyzer: Analyzer,
     probe: Option<(RuntimeAnalyzer, HostBaseline)>,
@@ -189,9 +235,7 @@ pub struct IncrementalAuditor {
     /// `M4*` collision groups by resolved `(namespace, labels)`.
     groups: BTreeMap<(String, String), Identified>,
     /// The open findings, in batch order (see the module docs).
-    previous: Vec<Finding>,
-    /// The identities of `previous`, in its order.
-    previous_identities: Vec<u64>,
+    open: Open,
     #[cfg(test)]
     work: TickWork,
 }
@@ -217,8 +261,7 @@ impl IncrementalAuditor {
             table_floor: 0,
             index: M4Index::default(),
             groups: BTreeMap::new(),
-            previous: Vec::new(),
-            previous_identities: Vec::new(),
+            open: BTreeMap::new(),
             #[cfg(test)]
             work: TickWork::default(),
         }
@@ -246,9 +289,11 @@ impl IncrementalAuditor {
         self.defines_policies.insert(app.to_string(), defines);
     }
 
-    /// The most recent full finding list (canonically sorted).
-    pub fn current(&self) -> &[Finding] {
-        &self.previous
+    /// The open findings after the last tick, in batch order: sorted by
+    /// [`canonical_cmp`](ij_core::canonical_cmp), ties in source order
+    /// (see the module docs). Collected from the open map on each call.
+    pub fn current(&self) -> Vec<&Finding> {
+        self.open.values().map(|f| &f.finding).collect()
     }
 
     /// Number of releases with cached analysis state.
@@ -320,9 +365,9 @@ impl IncrementalAuditor {
         let runs_m4 = self.analyzer.runs_global() && labels_moved;
 
         // A full recompute starts from empty caches and hands out ids
-        // afresh. Otherwise the findings of the tracked releases to
-        // re-analyze or drop (and, when the pass re-derives them, their
-        // captures) leave the open list. Tracked releases left without
+        // afresh, and every open finding leaves the open map. Otherwise the
+        // findings of the tracked releases to re-analyze or drop (and, when
+        // the pass re-derives them, their captures) leave it. Tracked releases left without
         // objects were uninstalled: they drop out of the cache and the
         // policy-template record, and free their ids. `old` collects the
         // models the re-analyzed and removed releases had, which the index
@@ -332,6 +377,7 @@ impl IncrementalAuditor {
         let (mut old_ids, mut old) = (Vec::new(), Vec::new());
         if recompute_all {
             self.table = SymbolTable::new();
+            replaced.removed = self.open.keys().cloned().collect();
             for &id in &self.order {
                 let name = &self.apps[id].name;
                 if grouped.get(name.as_str()).is_none_or(|o| o.is_empty()) {
@@ -354,8 +400,14 @@ impl IncrementalAuditor {
                 } else {
                     BTreeMap::new()
                 };
-                let findings = app.findings.iter().chain(captures.values().flatten());
-                replaced.identities.extend(findings.map(|f| f.identity));
+                let release = &app.name;
+                replaced.remove(placed(&app.findings, |i| {
+                    Place::Release(release.clone(), i)
+                }));
+                for (&service, findings) in &captures {
+                    let place = |i| Place::Capture(release.clone(), service, i);
+                    replaced.remove(placed(findings, place));
+                }
                 if objects.is_empty() {
                     old_ids.push(id);
                     old.push(app.vacate());
@@ -446,12 +498,10 @@ impl IncrementalAuditor {
         }
         if recompute_all {
             self.table_floor = self.table.len();
-            return self.next_round(None);
-        }
-        if self.table.len() > 2 * self.table_floor {
+        } else if self.table.len() > 2 * self.table_floor {
             self.rebuild_table();
         }
-        self.next_round(Some(replaced))
+        self.next_round(replaced)
     }
 
     /// Replaces the `M4*` owners a pass reported, noting what it replaced.
@@ -468,88 +518,53 @@ impl IncrementalAuditor {
                         Some(finding) => self.groups.insert(key.clone(), finding),
                         None => self.groups.remove(&key),
                     };
-                    replaced.identities.extend(old.map(|f| f.identity));
+                    replaced.remove(old.iter().map(|f| (Place::Group(key.clone()), f)));
                     replaced.groups.push(key);
                 }
                 M4Owner::Capture { app, service } => {
-                    let captures = &mut self.apps[app].captures;
+                    let tracked = &mut self.apps[app];
                     let findings: Vec<Identified> = findings.collect();
                     let old = if findings.is_empty() {
-                        captures.remove(&service)
+                        tracked.captures.remove(&service)
                     } else {
-                        captures.insert(service, findings)
+                        tracked.captures.insert(service, findings)
                     };
-                    replaced
-                        .identities
-                        .extend(old.iter().flatten().map(|f| f.identity));
+                    let place = |i| Place::Capture(tracked.name.clone(), service, i);
+                    replaced.remove(placed(old.as_deref().unwrap_or_default(), place));
                     replaced.captures.push((app, service));
                 }
             }
         }
     }
 
-    /// Edits the open list into the next one in place and diffs it against
-    /// the previous one. With `replaced`, the findings it took out leave
-    /// the list, its sources' new findings enter, and identities are
-    /// diffed over those two sets alone. Without it, or when [`plan_merge`]
-    /// turns the merge down, every open finding is taken out and every
-    /// cached one sorted back in.
-    fn next_round(&mut self, replaced: Option<Replaced>) -> AuditDelta {
-        let (apps, order, groups) = (&self.apps, &self.order, &self.groups);
-        let previous = (&self.previous[..], &self.previous_identities[..]);
-        let Merge { fresh, cut, at } = replaced
-            .and_then(|replaced| plan_merge(apps, groups, previous, replaced))
-            .unwrap_or_else(|| {
-                let fresh = open_findings(apps, order, groups);
-                let len = previous.0.len();
-                Merge {
-                    at: vec![len; fresh.len()],
-                    fresh,
-                    cut: (0..len).collect(),
-                }
-            });
-        let old_ids: Vec<u64> = cut
-            .iter()
-            .map(|&pos| self.previous_identities[pos])
-            .collect();
-        let fresh_ids: Vec<u64> = fresh.iter().map(|f| f.identity).collect();
-        let introduced = unmatched(&fresh_ids, &old_ids);
-        let resolved = unmatched(&old_ids, &fresh_ids);
-        // Resolved findings move into the delta. The other findings taken
-        // out match new ones in the same order, so they move over instead
-        // of being cloned; a new finding without a match in line is cloned.
-        let mut delta = AuditDelta::default();
-        let mut reusable = Vec::new();
-        for ((&pos, identity), out) in cut.iter().zip(old_ids).zip(resolved) {
-            let finding = replace(&mut self.previous[pos], blank());
-            if out {
-                delta.resolved.push(finding);
-            } else {
-                reusable.push((identity, finding));
+    /// Takes the findings `replaced` names out of the open map, puts the
+    /// new findings of its sources in, and diffs the touched runs.
+    fn next_round(&mut self, replaced: Replaced) -> AuditDelta {
+        let (apps, groups) = (&self.apps, &self.groups);
+        let mut fresh = Vec::new();
+        for &id in &replaced.releases {
+            let app = &apps[id];
+            fresh.extend(placed(&app.findings, move |i| {
+                Place::Release(app.name.clone(), i)
+            }));
+        }
+        for key in replaced.groups {
+            if let Some(f) = groups.get(&key) {
+                fresh.push((Place::Group(key), f));
             }
         }
-        let mut reusable = reusable.into_iter().peekable();
-        let added: Vec<(usize, Finding)> = fresh
-            .iter()
-            .zip(introduced)
-            .zip(&at)
-            .map(|((f, new), &at)| {
-                if new {
-                    delta.introduced.push(f.finding.clone());
-                } else if let Some((_, finding)) = reusable.next_if(|&(id, _)| id == f.identity) {
-                    return (at, finding);
-                }
-                (at, f.finding.clone())
-            })
-            .collect();
-        let added_ids = fresh.iter().zip(&at).map(|(f, &at)| (at, f.identity));
+        for &(id, service) in &replaced.captures {
+            let app = &apps[id];
+            if let Some(findings) = app.captures.get(&service) {
+                let place = move |i| Place::Capture(app.name.clone(), service, i);
+                fresh.extend(placed(findings, place));
+            }
+        }
         #[cfg(test)]
         {
-            self.work.moved = cut.len() + added.len();
+            self.work.moved = replaced.removed.len() + fresh.len();
         }
-        splice_in_place(&mut self.previous, &cut, added, blank);
-        splice_copied(&mut self.previous_identities, &cut, added_ids.collect());
-        delta
+        edit(&mut self.open, replaced.removed, fresh)
     }
 
     /// Re-interns every cached model into a fresh table, dropping the
@@ -580,145 +595,80 @@ impl IncrementalAuditor {
     }
 }
 
-/// The filler a finding leaves in the open list while the list is edited.
-fn blank() -> Finding {
-    Finding::new(MisconfigId::M1, String::new(), String::new(), String::new())
-}
-
-/// Every cached finding in batch order: per-release findings in release
-/// order, then `M4*` groups, then captures, stably sorted by
-/// [`canonical_cmp`].
-fn open_findings<'a>(
-    apps: &'a [Tracked],
-    order: &[usize],
-    groups: &'a BTreeMap<(String, String), Identified>,
-) -> Vec<&'a Identified> {
-    let ranked = || order.iter().map(|&id| &apps[id]);
-    let mut open: Vec<&Identified> = ranked()
-        .flat_map(|app| &app.findings)
-        .chain(groups.values())
-        .chain(ranked().flat_map(|app| app.captures.values().flatten()))
-        .collect();
-    open.sort_by(|a, b| canonical_cmp(&a.finding, &b.finding));
-    open
-}
-
-/// How the next open list comes from the previous one: the findings at the
-/// positions `cut` (ascending) leave it, and the `fresh` findings, in batch
-/// order, enter it, each before the open finding at position `at` and
-/// every later one.
-struct Merge<'a> {
-    fresh: Vec<&'a Identified>,
-    cut: Vec<usize>,
-    at: Vec<usize>,
-}
-
-/// The merge that replaces the findings of the sources `replaced` names,
-/// or `None` when an unchanged source shares an identity or a canonical
-/// position with them: only a full sort then gives the batch order.
-fn plan_merge<'a>(
-    apps: &'a [Tracked],
-    groups: &'a BTreeMap<(String, String), Identified>,
-    (previous, previous_identities): (&[Finding], &[u64]),
-    mut replaced: Replaced,
-) -> Option<Merge<'a>> {
-    replaced.groups.sort_unstable();
-    replaced.groups.dedup();
-    let mut fresh: Vec<&Identified> = replaced
-        .releases
-        .iter()
-        .flat_map(|&id| &apps[id].findings)
-        .chain(replaced.groups.iter().filter_map(|key| groups.get(key)))
-        .chain(
-            replaced
-                .captures
-                .iter()
-                .filter_map(|&(id, service)| apps[id].captures.get(&service))
-                .flatten(),
-        )
-        .collect();
-    fresh.sort_by(|a, b| canonical_cmp(&a.finding, &b.finding));
-
-    // Each taken identity must be held by replaced findings only, as often
-    // as they hold it, and no open finding that stays may share an
-    // identity with a new one.
-    let mut taken_ids = replaced.identities;
-    taken_ids.sort_unstable();
-    let mut fresh_ids: Vec<u64> = fresh.iter().map(|f| f.identity).collect();
-    fresh_ids.sort_unstable();
-    let mut cut = Vec::with_capacity(taken_ids.len());
-    for (pos, id) in previous_identities.iter().enumerate() {
-        if taken_ids.binary_search(id).is_ok() {
-            cut.push(pos);
-        } else if fresh_ids.binary_search(id).is_ok() {
-            return None;
+/// Edits the open map and diffs it: the entries at the `removed` keys
+/// leave, the `fresh` findings enter at their places, and each touched run,
+/// in order, is diffed over its identities before and after the edit
+/// (`audit::unmatched`). An identity hashes every field of its finding, so
+/// all open findings of one identity share a run, and the runs' deltas
+/// together are the diff of the whole flattened lists.
+fn edit(
+    open: &mut Open,
+    removed: Vec<(Canonical, Place)>,
+    fresh: Vec<(Place, &Identified)>,
+) -> AuditDelta {
+    // Each touched run's identities before the edit, and the entries taken
+    // out of it.
+    let mut touched: BTreeMap<Canonical, (Vec<u64>, Vec<Identified>)> = BTreeMap::new();
+    for entry in removed {
+        let (_, out) = touched
+            .entry(entry.0.clone())
+            .or_insert_with_key(|key| (identities(open, key), Vec::new()));
+        out.push(open.remove(&entry).expect("a replaced finding is open"));
+    }
+    for (place, f) in fresh {
+        let key = f.canonical();
+        let (_, out) = touched
+            .entry(key.clone())
+            .or_insert_with_key(|key| (identities(open, key), Vec::new()));
+        // An entry taken out with the same identity holds the same finding:
+        // it moves back in instead of the cached one being cloned.
+        let entry = take_identity(out, f.identity).unwrap_or_else(|| f.clone());
+        open.insert((key, place), entry);
+    }
+    let mut delta = AuditDelta::default();
+    for (key, (before, mut out)) in touched {
+        let entries: Vec<&Identified> = run(open, &key).collect();
+        let after: Vec<u64> = entries.iter().map(|f| f.identity).collect();
+        if after == before {
+            // Every entry taken out went back in.
+            continue;
+        }
+        // An identity resolves as often as more of its entries left the run
+        // than entered it, and that many were not moved back in.
+        for (identity, resolved) in before.iter().zip(unmatched(&before, &after)) {
+            if resolved {
+                let f =
+                    take_identity(&mut out, *identity).expect("a resolved finding was taken out");
+                delta.resolved.push(f.finding);
+            }
+        }
+        for (f, introduced) in entries.into_iter().zip(unmatched(&after, &before)) {
+            if introduced {
+                delta.introduced.push(f.finding.clone());
+            }
         }
     }
-    if cut.len() != taken_ids.len() {
-        return None;
-    }
-    // A new finding goes before the first open finding that orders after
-    // it. A tie with one that stays is decided by source order, which the
-    // list does not hold.
-    let mut at = Vec::with_capacity(fresh.len());
-    for f in &fresh {
-        let lo = previous.partition_point(|p| canonical_cmp(p, &f.finding).is_lt());
-        let tied = previous[lo..]
-            .iter()
-            .take_while(|p| canonical_cmp(p, &f.finding).is_eq())
-            .enumerate()
-            .any(|(i, _)| cut.binary_search(&(lo + i)).is_err());
-        if tied {
-            return None;
-        }
-        at.push(lo);
-    }
-    Some(Merge { fresh, cut, at })
+    delta
 }
 
-#[cfg(test)]
-impl IncrementalAuditor {
-    /// The kept index equals one built from the cached models, the ids are
-    /// in name order and every other slot is free and empty, and the open
-    /// list equals a stable re-sort of the caches.
-    fn assert_consistent(&self) {
-        assert_eq!(self.index, M4Index::build(&self.apps), "kept M4* index");
-        let names: Vec<&str> = self
-            .order
-            .iter()
-            .map(|&id| self.apps[id].name.as_str())
-            .collect();
-        assert!(
-            names.windows(2).all(|w| w[0] < w[1]),
-            "ids in name order: {names:?}"
-        );
-        let mut ids: Vec<usize> = self.order.iter().chain(&self.free).copied().collect();
-        ids.sort_unstable();
-        assert!(
-            ids.iter().copied().eq(0..self.apps.len()),
-            "every id held or free once"
-        );
-        for &id in &self.free {
-            let app = &self.apps[id];
-            assert!(
-                app.name.is_empty()
-                    && app.findings.is_empty()
-                    && app.captures.is_empty()
-                    && app.global.units.is_empty()
-                    && app.global.services.is_empty(),
-                "free slot {id} holds state"
-            );
-        }
-        let open = open_findings(&self.apps, &self.order, &self.groups);
-        let findings: Vec<&Finding> = open.iter().map(|f| &f.finding).collect();
-        let identities: Vec<u64> = open.iter().map(|f| f.identity).collect();
-        assert_eq!(
-            self.previous.iter().collect::<Vec<_>>(),
-            findings,
-            "open list"
-        );
-        assert_eq!(self.previous_identities, identities, "open identities");
-    }
+/// The identities of the run whose findings tie on `key`, in its order.
+fn identities(open: &Open, key: &Canonical) -> Vec<u64> {
+    run(open, key).map(|f| f.identity).collect()
+}
+
+/// The entries of `open` in the run whose findings tie on `key`, in order.
+fn run<'a>(open: &'a Open, key: &'a Canonical) -> impl Iterator<Item = &'a Identified> {
+    // No place orders before the first release's, named "", at 0.
+    let first = (key.clone(), Place::Release(String::new(), 0));
+    open.range(&first..)
+        .take_while(move |((k, _), _)| k == key)
+        .map(|(_, f)| f)
+}
+
+/// Takes an entry of this identity out of `out`, if it holds one.
+fn take_identity(out: &mut Vec<Identified>, identity: u64) -> Option<Identified> {
+    let i = out.iter().position(|o| o.identity == identity)?;
+    Some(out.swap_remove(i))
 }
 
 #[cfg(test)]
@@ -732,6 +682,93 @@ mod tests {
     };
     use ij_model::{Container, Labels, ObjectMeta, Pod, PodSpec};
     use proptest::prelude::*;
+
+    /// Every cached finding in batch order: per-release findings in release
+    /// order, then `M4*` groups, then captures, stably sorted by
+    /// [`canonical_cmp`](ij_core::canonical_cmp). The oracle of the open map.
+    fn open_findings<'a>(
+        apps: &'a [Tracked],
+        order: &[usize],
+        groups: &'a BTreeMap<(String, String), Identified>,
+    ) -> Vec<&'a Identified> {
+        let ranked = || order.iter().map(|&id| &apps[id]);
+        let mut open: Vec<&Identified> = ranked()
+            .flat_map(|app| &app.findings)
+            .chain(groups.values())
+            .chain(ranked().flat_map(|app| app.captures.values().flatten()))
+            .collect();
+        open.sort_by(|a, b| ij_core::canonical_cmp(&a.finding, &b.finding));
+        open
+    }
+
+    /// The diff of two whole open lists, as identity multisets: the oracle of
+    /// the run-by-run diff in [`edit`].
+    fn whole_list_diff(before: &[Identified], after: &[Identified]) -> AuditDelta {
+        let ids = |list: &[Identified]| -> Vec<u64> { list.iter().map(|f| f.identity).collect() };
+        let (old, new) = (ids(before), ids(after));
+        let unmatched_of = |list: &[Identified], mask: Vec<bool>| -> Vec<Finding> {
+            list.iter()
+                .zip(mask)
+                .filter(|&(_, out)| out)
+                .map(|(f, _)| f.finding.clone())
+                .collect()
+        };
+        AuditDelta {
+            introduced: unmatched_of(after, unmatched(&new, &old)),
+            resolved: unmatched_of(before, unmatched(&old, &new)),
+        }
+    }
+
+    impl IncrementalAuditor {
+        /// The open map, flattened.
+        fn flattened(&self) -> Vec<Identified> {
+            self.open.values().cloned().collect()
+        }
+
+        /// The kept index equals one built from the cached models, the ids are
+        /// in name order and every other slot is free and empty, and the open
+        /// map holds each finding in the run of its canonical key and,
+        /// flattened, equals a stable re-sort of the caches.
+        fn assert_consistent(&self) {
+            assert_eq!(self.index, M4Index::build(&self.apps), "kept M4* index");
+            let names: Vec<&str> = self
+                .order
+                .iter()
+                .map(|&id| self.apps[id].name.as_str())
+                .collect();
+            assert!(
+                names.windows(2).all(|w| w[0] < w[1]),
+                "ids in name order: {names:?}"
+            );
+            let mut ids: Vec<usize> = self.order.iter().chain(&self.free).copied().collect();
+            ids.sort_unstable();
+            assert!(
+                ids.iter().copied().eq(0..self.apps.len()),
+                "every id held or free once"
+            );
+            for &id in &self.free {
+                let app = &self.apps[id];
+                assert!(
+                    app.name.is_empty()
+                        && app.findings.is_empty()
+                        && app.captures.is_empty()
+                        && app.global.units.is_empty()
+                        && app.global.services.is_empty(),
+                    "free slot {id} holds state"
+                );
+            }
+            for ((key, _), f) in &self.open {
+                assert_eq!(f.canonical(), *key, "a finding outside its run");
+            }
+            let pair = |f: &Identified| (f.identity, f.finding.clone());
+            let open: Vec<_> = open_findings(&self.apps, &self.order, &self.groups)
+                .into_iter()
+                .map(pair)
+                .collect();
+            let kept: Vec<_> = self.flattened().iter().map(pair).collect();
+            assert_eq!(kept, open, "open map");
+        }
+    }
 
     fn demo_chart(app_label: &str) -> Chart {
         Chart::builder("demo")
@@ -776,17 +813,22 @@ spec:
     }
 
     /// Ticks both auditors and checks the incremental one against the
-    /// full recompute; returns the incremental delta.
+    /// full recompute, and its delta against the diff of the whole open
+    /// lists before and after; returns the incremental delta.
     fn tick_both(
         incremental: &mut IncrementalAuditor,
         oracle: &mut IncrementalAuditor,
         cluster: &Cluster,
     ) -> AuditDelta {
+        let before = incremental.flattened();
         let delta = incremental.tick(cluster);
         let full = oracle.full_tick(cluster);
         assert_eq!(incremental.current(), oracle.current());
         assert_eq!(delta.introduced, full.introduced);
         assert_eq!(delta.resolved, full.resolved);
+        let whole = whole_list_diff(&before, &incremental.flattened());
+        assert_eq!(delta.introduced, whole.introduced, "introduced");
+        assert_eq!(delta.resolved, whole.resolved, "resolved");
         incremental.assert_consistent();
         oracle.assert_consistent();
         delta
@@ -1034,13 +1076,17 @@ spec:
             .build();
         install_chart(&mut cluster, "bravo", bravo);
         tick_both(&mut incremental, &mut oracle, &cluster);
-        let m4 = |findings: &[Finding], object: &str, needle: &str| {
-            findings.iter().any(|f| {
+        fn m4<'a>(
+            findings: impl IntoIterator<Item = &'a Finding>,
+            object: &str,
+            needle: &str,
+        ) -> bool {
+            findings.into_iter().any(|f| {
                 f.id == MisconfigId::M4Star
                     && f.object.starts_with(object)
                     && f.detail.contains(needle)
             })
-        };
+        }
 
         // `charlie` joins the group and is captured by `bravo`'s service.
         install(&mut cluster, "charlie", "shared");
@@ -1085,6 +1131,67 @@ spec:
         assert!(m4(incremental.current(), "default/bravo-svc", "delta-web"));
     }
 
+    /// The run-by-run diff on two touched runs: one holds a duplicated
+    /// identity of which one copy resolves, the other a canonical tie
+    /// across two releases of which one is re-derived. The map flattens to
+    /// the batch order, and the delta is the diff of the whole lists, order
+    /// included.
+    #[test]
+    fn run_by_run_diff_equals_the_whole_list_diff() {
+        let finding = |id, app: &str, object: &str, detail: &str| {
+            Identified::new(Finding::new(id, app, object, detail))
+        };
+        let dup = finding(MisconfigId::M1, "shop", "default/web", "port 9200 open");
+        let other = finding(MisconfigId::M1, "zeta", "default/web", "port 9200 open");
+        let alpha = finding(MisconfigId::M7, "alpha", "default/shared", "host network");
+        let alpha_2 = finding(
+            MisconfigId::M7,
+            "alpha",
+            "default/shared",
+            "host network, v2",
+        );
+        let bravo = finding(MisconfigId::M7, "bravo", "default/shared", "host network");
+        let release = |name: &str, i| Place::Release(name.to_string(), i);
+        let flattened = |open: &Open| -> Vec<Identified> { open.values().cloned().collect() };
+        let findings = |list: &[Identified]| -> Vec<Finding> {
+            list.iter().map(|f| f.finding.clone()).collect()
+        };
+
+        let mut open = Open::new();
+        let first = vec![
+            (release("alpha", 0), &alpha),
+            (release("bravo", 0), &bravo),
+            (release("shop", 0), &dup),
+            (release("shop", 1), &dup),
+            (release("zeta", 0), &other),
+        ];
+        let delta = edit(&mut open, Vec::new(), first);
+        let before = flattened(&open);
+        let batch = [&dup, &dup, &other, &alpha, &bravo].map(|f| f.finding.clone());
+        assert_eq!(findings(&before), batch);
+        assert_eq!(delta.introduced, batch);
+
+        // `shop` is re-derived with one copy of its duplicate, `alpha` with
+        // a new finding that still ties with `bravo`'s and precedes it.
+        let removed = vec![
+            (alpha.canonical(), release("alpha", 0)),
+            (dup.canonical(), release("shop", 0)),
+            (dup.canonical(), release("shop", 1)),
+        ];
+        let fresh = vec![(release("alpha", 0), &alpha_2), (release("shop", 0), &dup)];
+        let delta = edit(&mut open, removed, fresh);
+        let after = flattened(&open);
+        assert_eq!(
+            findings(&after),
+            [&dup, &other, &alpha_2, &bravo].map(|f| f.finding.clone())
+        );
+        let whole = whole_list_diff(&before, &after);
+        assert_eq!(delta.introduced, whole.introduced);
+        assert_eq!(delta.resolved, whole.resolved);
+        assert_eq!(delta.introduced, std::slice::from_ref(&alpha_2.finding));
+        assert_eq!(delta.resolved, [dup.finding.clone(), alpha.finding.clone()]);
+    }
+
     #[test]
     fn findings_tied_across_sources_keep_the_batch_order() {
         let mut cluster = Cluster::new(ClusterConfig {
@@ -1110,13 +1217,13 @@ spec:
                 .template("unit.yaml", manifest)
                 .build()
         };
-        let tied = |findings: &[Finding]| -> Vec<String> {
+        fn tied<'a>(findings: impl IntoIterator<Item = &'a Finding>) -> Vec<String> {
             findings
-                .iter()
+                .into_iter()
                 .filter(|f| f.id == MisconfigId::M7 && f.object == "default/shared-web")
                 .map(|f| f.app.clone())
                 .collect()
-        };
+        }
         install_chart(&mut cluster, "alpha", host_unit("Deployment", "alpha"));
         install_chart(&mut cluster, "bravo", host_unit("StatefulSet", "bravo"));
         tick_both(&mut incremental, &mut oracle, &cluster);
@@ -1168,10 +1275,10 @@ spec:
         assert!(delta.introduced.iter().any(|f| f.id == MisconfigId::M4Star));
 
         // Quiet round: no mutation, no work, no delta.
-        let before = incremental.current().to_vec();
+        let before: Vec<Finding> = incremental.current().into_iter().cloned().collect();
         let quiet = incremental.tick(&cluster);
         assert!(quiet.is_quiet());
-        assert_eq!(incremental.current(), before);
+        assert_eq!(incremental.current(), before.iter().collect::<Vec<_>>());
 
         // Uninstall resolves the imposter's findings on both sides.
         cluster.uninstall("imposter");

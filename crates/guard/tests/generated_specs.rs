@@ -235,11 +235,13 @@ fn auditor_reports_the_full_delta_arc_on_a_generated_app() {
         ij_core::chart_defines_network_policies(built.chart()),
     );
     let first = auditor.tick(&cluster);
-    let ids = |findings: &[ij_core::Finding]| {
-        let mut ids: Vec<_> = findings.iter().map(|f| f.id).collect();
+    fn ids<'a>(
+        findings: impl IntoIterator<Item = &'a ij_core::Finding>,
+    ) -> Vec<ij_core::MisconfigId> {
+        let mut ids: Vec<_> = findings.into_iter().map(|f| f.id).collect();
         ids.dedup();
         ids
-    };
+    }
     assert_eq!(
         ids(&first.introduced),
         vec![ij_core::MisconfigId::M6, ij_core::MisconfigId::M7]

@@ -221,11 +221,6 @@ impl SelectorMatcher {
     pub fn matches(&self, set: &LabelSet) -> bool {
         set.contains_all(&self.equality) && self.requirements.iter().all(|r| r.matches(set))
     }
-
-    /// True when the selector has no requirements (matches everything).
-    pub fn matches_everything(&self) -> bool {
-        self.equality.is_empty() && self.requirements.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -317,7 +312,6 @@ mod tests {
     fn empty_selector_matches_everything() {
         let mut interner = LabelInterner::new();
         let matcher = SelectorMatcher::compile(&LabelSelector::everything(), &mut interner);
-        assert!(matcher.matches_everything());
         assert!(matcher.matches(&interner.intern(&labels(&[("a", "b")]))));
         assert!(matcher.matches(&LabelSet::default()));
     }

@@ -19,11 +19,6 @@ impl PodRuntime {
         self.stable.iter().chain(self.dynamic.iter())
     }
 
-    /// True when the pod holds a stable listener on this port/protocol.
-    pub fn has_stable(&self, socket: ObservedSocket) -> bool {
-        self.stable.contains(&socket)
-    }
-
     /// True when any dynamic port was observed.
     pub fn has_dynamic_ports(&self) -> bool {
         !self.dynamic.is_empty()
@@ -83,7 +78,8 @@ mod tests {
         assert!(report
             .pod("default/b")
             .unwrap()
-            .has_stable(ObservedSocket::udp(53)));
+            .stable
+            .contains(&ObservedSocket::udp(53)));
         assert!(report.pod("default/c").is_none());
     }
 }

@@ -171,10 +171,10 @@ proptest! {
             apply_mutation(&mut cluster, &mutation).expect("churn mutations apply");
             auditor.tick(&cluster);
         }
-        let before = auditor.current().to_vec();
+        let before: Vec<inside_job::core::Finding> = auditor.current().into_iter().cloned().collect();
         let quiet = auditor.tick(&cluster);
         prop_assert!(quiet.is_quiet());
-        prop_assert_eq!(auditor.current(), before.as_slice());
+        prop_assert_eq!(auditor.current(), before.iter().collect::<Vec<_>>());
     }
 
     /// The whole engine is deterministic: replaying the same stream against
