@@ -26,6 +26,14 @@
 //! app, under the same 1.3× ceiling. A merge that copies every report and
 //! model again costs about a dozen more per app.
 //!
+//! The threaded arm runs that two-shard census on two threads, the shape
+//! of the benchmark's `census` workload: one spawned worker plus the
+//! calling thread. Which worker takes which app depends on scheduling, but
+//! the per-app work does not, so it must stay under the same ceiling and
+//! within 1% of the one-thread count. A pool that allocates per app (a
+//! boxed message per finished app, a fresh scratch per claim) shows up
+//! here.
+//!
 //! A second arm gates the `ij serve` path the same way: it counts the
 //! allocations of one install mutation plus its incremental audit tick on
 //! tenants preinstalled with 10, 100 and 400 releases, installing the same
@@ -86,6 +94,8 @@ const SMALL: usize = 200;
 const LARGE: usize = 1_200;
 const PER_APP_CEILING: u64 = 1_131;
 const SHARDED_PER_APP_CEILING: u64 = 1_131;
+/// Largest allowed gap between the threaded and the one-thread count.
+const THREADED_TOLERANCE: f64 = 0.01;
 
 /// Serve arm: tenant sizes, measured installs, and the allowed growth.
 const SMALL_TENANT: usize = 10;
@@ -93,7 +103,7 @@ const LARGE_TENANTS: [usize; 2] = [100, 400];
 const INSTALLS: usize = 20;
 const TENANT_RATIO_CEILING: f64 = 1.5;
 
-fn census_allocs(apps: usize, shards: usize) -> u64 {
+fn census_allocs(apps: usize, threads: usize, shards: usize) -> u64 {
     let generator = CorpusGenerator::new(
         CorpusProfile::named("baseline")
             .expect("baseline profile")
@@ -102,7 +112,7 @@ fn census_allocs(apps: usize, shards: usize) -> u64 {
     );
     let pipeline = CensusPipeline::builder()
         .seed(7)
-        .threads(1)
+        .threads(threads)
         .shards(shards)
         .build();
     let before = ALLOCS.load(Ordering::Relaxed);
@@ -118,18 +128,18 @@ fn census_allocs(apps: usize, shards: usize) -> u64 {
     after - before
 }
 
-/// Steady-state allocations per app of a one-thread census over `shards`
-/// shards.
-fn census_allocs_per_app(shards: usize) -> u64 {
-    let small = census_allocs(SMALL, shards);
-    let large = census_allocs(LARGE, shards);
+/// Steady-state allocations per app of a census on `threads` threads over
+/// `shards` shards.
+fn census_allocs_per_app(threads: usize, shards: usize) -> u64 {
+    let small = census_allocs(SMALL, threads, shards);
+    let large = census_allocs(LARGE, threads, shards);
     assert!(
         large > small,
         "larger census allocated less ({large} vs {small}); the delta is meaningless"
     );
     let per_app = (large - small) / (LARGE - SMALL) as u64;
     eprintln!(
-        "alloc_guard: {shards} shard(s): {small} allocs @ {SMALL} apps, {large} @ {LARGE}; \
+        "alloc_guard: {threads} thread(s), {shards} shard(s): {small} allocs @ {SMALL} apps, {large} @ {LARGE}; \
          steady state {per_app} allocs/app"
     );
     per_app
@@ -142,7 +152,7 @@ fn census_allocs_per_app(shards: usize) -> u64 {
 )]
 fn steady_state_census_allocations_stay_bounded() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let per_app = census_allocs_per_app(1);
+    let per_app = census_allocs_per_app(1, 1);
     assert!(
         per_app < PER_APP_CEILING,
         "steady-state census allocations regressed: {per_app} allocs/app \
@@ -158,12 +168,35 @@ fn steady_state_census_allocations_stay_bounded() {
 )]
 fn sharded_census_merge_allocates_nothing_per_report() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let per_app = census_allocs_per_app(2);
+    let per_app = census_allocs_per_app(1, 2);
     assert!(
         per_app < SHARDED_PER_APP_CEILING,
         "steady-state allocations of a two-shard census regressed: {per_app} \
          allocs/app breached the {SHARDED_PER_APP_CEILING} ceiling (a merge \
          that copies each report and model costs about a dozen more per app)"
+    );
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "allocation counts are calibrated for release builds"
+)]
+fn threaded_census_allocates_what_one_thread_does() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let one_thread = census_allocs_per_app(1, 2);
+    let threaded = census_allocs_per_app(2, 2);
+    assert!(
+        threaded < SHARDED_PER_APP_CEILING,
+        "steady-state allocations of a two-thread, two-shard census regressed: \
+         {threaded} allocs/app breached the {SHARDED_PER_APP_CEILING} ceiling"
+    );
+    let gap = (threaded as f64 - one_thread as f64).abs() / one_thread as f64;
+    assert!(
+        gap <= THREADED_TOLERANCE,
+        "a two-thread census allocates {threaded} per app against {one_thread} \
+         on one thread ({:.1}% apart); the worker pool allocates per app",
+        gap * 100.0
     );
 }
 

@@ -624,8 +624,13 @@ impl Cluster {
         self.release_index.remove_pods(&mut self.pods, positions);
     }
 
-    /// Removes everything — the paper's per-application fresh cluster —
-    /// and returns every address to its pool.
+    /// Removes every object, pod and pending service, returns every
+    /// address to its pool and logs `reset`; the nodes and the
+    /// configuration stay. This is not a fresh cluster: the socket RNG is
+    /// not reseeded and the pools keep their fresh counters, so pods
+    /// started after a reset get other IPs and ephemeral ports than a
+    /// [`Cluster::new`] with the same seed would give them. The census
+    /// boots a fresh cluster for each application instead.
     pub fn reset(&mut self) {
         for rp in self.pods.iter() {
             self.pod_ips.release_pod(rp);

@@ -120,7 +120,8 @@ impl std::error::Error for CensusError {
 /// One progress tick of a census run, delivered to the observer hook as
 /// each application's analysis completes. Under parallel execution the
 /// *completion order* follows worker scheduling (only the final census is
-/// deterministic), so `completed / total` is the reliable signal here.
+/// deterministic), so `completed / total` is the reliable signal here:
+/// `completed` increases by one in call order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CensusProgress {
     /// Application that just finished.
@@ -131,8 +132,9 @@ pub struct CensusProgress {
     pub total: usize,
 }
 
-/// The observer hook: shared so the pipeline stays cheap to clone and the
-/// callback can be invoked from the collector regardless of thread count.
+/// The observer hook: shared so the pipeline stays cheap to clone. It runs
+/// on the worker thread that finished the app, under the census's one
+/// collector lock, so calls never overlap whatever the thread count.
 pub type CensusObserver = Arc<dyn Fn(&CensusProgress) + Send + Sync>;
 
 /// Wall-clock accumulators for the census phases, shared across worker
@@ -355,7 +357,8 @@ impl CensusPipelineBuilder {
         Ok(self)
     }
 
-    /// Number of analysis workers. `0` and `1` both mean sequential; the
+    /// Number of analysis workers, the calling thread included: `n` spawns
+    /// `n - 1` scoped threads. `0` and `1` both mean sequential; the
     /// census is byte-identical for every value.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -372,7 +375,8 @@ impl CensusPipelineBuilder {
         self
     }
 
-    /// Installs a progress observer, called once per completed application.
+    /// Installs a progress observer, called once per completed application
+    /// on the worker that finished it, one call at a time.
     pub fn observer(mut self, observer: impl Fn(&CensusProgress) + Send + Sync + 'static) -> Self {
         self.observer = Some(Arc::new(observer));
         self
@@ -646,11 +650,14 @@ impl CensusPipeline {
 
     /// The worker loop: `workers` loops claim spec indices in order from one
     /// atomic counter and run `analyze` on each, stopping at the first
-    /// failure (a caught panic counts as one). One worker runs inline; more
-    /// run on scoped threads while the calling thread drains their results
-    /// and calls the observer. In-flight analyses still complete after a
-    /// failure, so every index below it is analyzed and the minimum-index
-    /// error — the one a sequential run hits — is returned.
+    /// failure (a caught panic counts as one). The calling thread is one of
+    /// the workers; the other `workers - 1` run on scoped threads, so one
+    /// worker spawns nothing. Each worker reports the app it finished
+    /// through one lock, so observer calls never overlap and `completed`
+    /// increases by one from call to call. In-flight analyses still
+    /// complete after a failure, so every index below it is analyzed and
+    /// the minimum-index error — the one a sequential run hits — is
+    /// returned.
     fn for_each_spec<F>(
         &self,
         source: SpecSource<'_>,
@@ -663,9 +670,21 @@ impl CensusPipeline {
         let total = source.len();
         let next = AtomicUsize::new(0);
         let failed = AtomicBool::new(false);
-        // Reports each outcome (the app name on success) through `report`,
-        // which returns false when nobody is listening any more.
-        let work = |report: &mut dyn FnMut(usize, Result<String, CensusError>) -> bool| {
+        let mut completed = 0usize;
+        let mut first_err: Option<(usize, CensusError)> = None;
+        let collect = Mutex::new(|i: usize, result: Result<String, CensusError>| {
+            completed += 1;
+            match result {
+                Ok(app) => self.notify(&app, completed, total),
+                Err(err) => {
+                    self.notify(err.app(), completed, total);
+                    if first_err.as_ref().is_none_or(|(k, _)| i < *k) {
+                        first_err = Some((i, err));
+                    }
+                }
+            }
+        });
+        let work = || {
             let mut scratch = WorkerScratch::default();
             while !failed.load(Ordering::SeqCst) {
                 let i = next.fetch_add(1, Ordering::SeqCst);
@@ -684,46 +703,16 @@ impl CensusPipeline {
                 if result.is_err() {
                     failed.store(true, Ordering::SeqCst);
                 }
-                if !report(i, result) {
-                    break;
-                }
+                (*collect.lock().expect("no observer panicked"))(i, result);
             }
             self.flush_scratch(&mut scratch);
         };
-
-        let mut completed = 0usize;
-        let mut first_err: Option<(usize, CensusError)> = None;
-        let mut collect = |i: usize, result: Result<String, CensusError>| {
-            completed += 1;
-            match result {
-                Ok(app) => self.notify(&app, completed, total),
-                Err(err) => {
-                    self.notify(err.app(), completed, total);
-                    if first_err.as_ref().is_none_or(|(k, _)| i < *k) {
-                        first_err = Some((i, err));
-                    }
-                }
+        std::thread::scope(|scope| {
+            for _ in 1..workers {
+                scope.spawn(work);
             }
-        };
-        if workers <= 1 {
-            work(&mut |i, result| {
-                collect(i, result);
-                true
-            });
-        } else {
-            let (tx, rx) = std::sync::mpsc::channel();
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    let tx = tx.clone();
-                    let work = &work;
-                    scope.spawn(move || work(&mut |i, result| tx.send((i, result)).is_ok()));
-                }
-                drop(tx);
-                for (i, result) in rx {
-                    collect(i, result);
-                }
-            });
-        }
+            work();
+        });
         first_err.map_or(Ok(()), |(_, err)| Err(err))
     }
 
@@ -1195,18 +1184,34 @@ mod tests {
     fn observer_sees_every_app_exactly_once() {
         let seen: Arc<Mutex<Vec<CensusProgress>>> = Arc::default();
         let sink = Arc::clone(&seen);
+        // Set on entry and cleared on exit: a call that finds it set
+        // overlaps another. The yield inside a call widens the window.
+        let in_call = Arc::new(AtomicBool::new(false));
+        let overlaps = Arc::new(AtomicUsize::new(0));
+        let overlap_count = Arc::clone(&overlaps);
         CensusPipeline::builder()
             .threads(3)
-            .observer(move |p: &CensusProgress| sink.lock().unwrap().push(p.clone()))
+            .observer(move |p: &CensusProgress| {
+                if in_call.swap(true, Ordering::SeqCst) {
+                    overlap_count.fetch_add(1, Ordering::SeqCst);
+                }
+                sink.lock().unwrap().push(p.clone());
+                std::thread::yield_now();
+                in_call.store(false, Ordering::SeqCst);
+            })
             .build()
             .run(&specs())
             .expect("observed run");
+        assert_eq!(
+            overlaps.load(Ordering::SeqCst),
+            0,
+            "observer calls overlapped"
+        );
         let ticks = seen.lock().unwrap();
         assert_eq!(ticks.len(), specs().len());
-        // Completion counters are contiguous even though app order is
-        // scheduling-dependent under parallel execution.
-        let mut counters: Vec<usize> = ticks.iter().map(|p| p.completed).collect();
-        counters.sort_unstable();
+        // The counter increases by one in call order even though app order
+        // is scheduling-dependent under parallel execution.
+        let counters: Vec<usize> = ticks.iter().map(|p| p.completed).collect();
         assert_eq!(counters, (1..=specs().len()).collect::<Vec<_>>());
         let mut apps: Vec<&str> = ticks.iter().map(|p| p.app.as_str()).collect();
         apps.sort_unstable();
