@@ -17,7 +17,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::fmt::{self, Write as _};
+use std::fmt;
 use std::net::Ipv4Addr;
 use std::sync::{Arc, Mutex};
 
@@ -53,8 +53,6 @@ pub struct OpenSocket {
     pub loopback_only: bool,
     /// Drawn from the ephemeral range at container start.
     pub ephemeral: bool,
-    /// Name of the container holding the socket.
-    pub container: String,
 }
 
 /// A scheduled, started pod.
@@ -147,25 +145,6 @@ pub enum ConnectOutcome {
 /// Annotation key the installer stamps onto release objects.
 pub const RELEASE_ANNOTATION: &str = "inside-job/release";
 
-/// The most lines [`Cluster::events`] keeps: a full log drops its oldest
-/// half before the next line goes in.
-pub const EVENT_LOG_CAP: usize = 1 << 14;
-
-/// The event log: the newest [`EVENT_LOG_CAP`] lines at most.
-#[derive(Default)]
-struct EventLog(Vec<String>);
-
-impl EventLog {
-    /// Appends a line, dropping the oldest half of a full log first
-    /// (amortized O(1) per line).
-    fn push(&mut self, line: String) {
-        if self.0.len() >= EVENT_LOG_CAP {
-            self.0.drain(..EVENT_LOG_CAP / 2);
-        }
-        self.0.push(line);
-    }
-}
-
 /// The cluster simulator. Like an API server, it keeps one object per
 /// (kind, namespace, name): see [`Cluster::apply`].
 pub struct Cluster {
@@ -179,7 +158,6 @@ pub struct Cluster {
     rng: StdRng,
     pod_ips: AddressPool,
     cluster_ips: AddressPool,
-    events: EventLog,
     /// Bumped on every mutation of objects or pods; the policy-index cache
     /// key.
     generation: u64,
@@ -216,7 +194,6 @@ impl Cluster {
             rng,
             pod_ips: AddressPool::new([10, 244], POOL_CAPACITY),
             cluster_ips: AddressPool::new([10, 96], POOL_CAPACITY),
-            events: EventLog::default(),
             generation: 0,
             dirty: DirtyLog::new(0, DIRTY_LOG_CAP),
             index_cache: Mutex::new(None),
@@ -233,15 +210,6 @@ impl Cluster {
     /// Worker nodes.
     pub fn nodes(&self) -> &[Node] {
         &self.nodes
-    }
-
-    /// Event log: one line per applied or denied object, pod start,
-    /// pending pod, reap, restart, scale, uninstall and reset, oldest
-    /// first. It keeps the newest [`EVENT_LOG_CAP`] lines at most, so a
-    /// long-lived cluster's log stays bounded. There is no watch stream;
-    /// incremental consumers read [`Cluster::dirty_since`].
-    pub fn events(&self) -> &[String] {
-        &self.events.0
     }
 
     /// Marks the cluster mutated: bumps the generation (so the next
@@ -375,6 +343,9 @@ impl Cluster {
     /// Applies one object through the admission chain. It replaces the live
     /// object of its kind, namespace and name in place when both carry the
     /// same [`RELEASE_ANNOTATION`] or neither does; else [`InstallError::Conflict`].
+    /// A denied or conflicting object changes nothing; an applied one shows
+    /// in [`Cluster::objects`] and dirties its release for
+    /// [`Cluster::dirty_since`].
     pub fn apply(&mut self, object: Object) -> Result<Vec<String>, InstallError> {
         let (end, mut replaced) = (self.objects.end(), Vec::new());
         let warnings = self.admit(object, end, &mut replaced)?;
@@ -417,11 +388,6 @@ impl Cluster {
                 AdmissionOutcome::Allow => {}
                 AdmissionOutcome::Warn(mut w) => warnings.append(&mut w),
                 AdmissionOutcome::Deny(reason) => {
-                    let meta = object.meta();
-                    self.events.push(event_line(format_args!(
-                        "deny {}/{}: {reason}",
-                        meta.namespace, meta.name
-                    )));
                     return Err(InstallError::Denied {
                         controller: controller.name().to_string(),
                         reason,
@@ -430,13 +396,6 @@ impl Cluster {
                 }
             }
         }
-        let meta = object.meta();
-        self.events.push(event_line(format_args!(
-            "apply {} {}/{}",
-            object.kind(),
-            meta.namespace,
-            meta.name
-        )));
         // A replaced service's ClusterIP carries over; new ones get theirs
         // at commit.
         if let (Object::Service(s), Some(pos)) = (&mut object, live) {
@@ -565,7 +524,7 @@ impl Cluster {
     /// release index yields the release's objects and the pods each of
     /// them may have expanded to, and their slots become tombstones (a
     /// compaction, once tombstones outnumber live slots, is amortized O(1)
-    /// per removal).
+    /// per removal). The release shows as dirty to [`Cluster::dirty_since`].
     pub fn uninstall(&mut self, release_name: &str) {
         let removed: Vec<usize> = self
             .release_index
@@ -602,8 +561,6 @@ impl Cluster {
         reaped.dedup();
         reaped.retain(|&pos| !self.desired(&self.pods[pos].pod.meta));
         self.reap(&reaped);
-        self.events
-            .push(event_line(format_args!("uninstall {release_name}")));
         self.touch(DirtyEntry::app(release_name, true, true));
     }
 
@@ -625,8 +582,9 @@ impl Cluster {
     }
 
     /// Removes every object, pod and pending service, returns every
-    /// address to its pool and logs `reset`; the nodes and the
-    /// configuration stay. This is not a fresh cluster: the socket RNG is
+    /// address to its pool and forgets the dirty log, so every earlier
+    /// cursor reads as everything-dirty; the nodes and the configuration
+    /// stay. This is not a fresh cluster: the socket RNG is
     /// not reseeded and the pools keep their fresh counters, so pods
     /// started after a reset get other IPs and ephemeral ports than a
     /// [`Cluster::new`] with the same seed would give them. The census
@@ -642,7 +600,6 @@ impl Cluster {
         self.pods.clear();
         self.pending.clear();
         self.release_index.clear();
-        self.events.push("reset".to_string());
         self.touch(DirtyEntry {
             scope: DirtyScope::AllApps,
             labels: true,
@@ -742,18 +699,12 @@ impl Cluster {
         if stale.is_empty() {
             return;
         }
-        let reaped: Vec<(String, DirtyScope)> = stale
+        let scopes: Vec<DirtyScope> = stale
             .iter()
-            .map(|&pos| {
-                let rp = &self.pods[pos];
-                let meta = &rp.pod.meta;
-                let line = event_line(format_args!("reap {}/{}", meta.namespace, meta.name));
-                (line, self.dirty.scope(self.release_of(rp)))
-            })
+            .map(|&pos| self.dirty.scope(self.release_of(&self.pods[pos])))
             .collect();
         self.reap(&stale);
-        for (line, scope) in reaped {
-            self.events.push(line);
+        for scope in scopes {
             self.touch(DirtyEntry {
                 scope,
                 labels: false,
@@ -790,7 +741,8 @@ impl Cluster {
     /// Updates a workload's replica count in place (`kubectl scale`),
     /// returning false when no workload with that qualified name exists.
     /// Call [`Cluster::reconcile`] to realize the change — spawn new pods
-    /// or reap excess ones.
+    /// or reap excess ones. The workload's release shows as dirty to
+    /// [`Cluster::dirty_since`] at once.
     pub fn scale_workload(&mut self, qualified: &str, replicas: u32) -> bool {
         let (namespace, name) = split_qualified(qualified);
         let Some(pos) = self
@@ -805,8 +757,6 @@ impl Cluster {
         };
         w.replicas = replicas;
         let scope = self.dirty.scope(release_name(&self.objects[pos]));
-        self.events
-            .push(event_line(format_args!("scale {qualified} to {replicas}")));
         self.pending.push(pos);
         self.touch(DirtyEntry {
             scope,
@@ -816,16 +766,13 @@ impl Cluster {
         true
     }
 
-    /// Restarts every pod: containers re-draw their ephemeral ports. This is
-    /// how the probe's second pass observes M2 (§4.2.2).
+    /// Restarts every pod in place: containers re-draw their ephemeral
+    /// ports, names, nodes and IPs stay. This is how the probe's second pass
+    /// observes M2 (§4.2.2). Every release shows as dirty to
+    /// [`Cluster::dirty_since`].
     pub fn restart_pods(&mut self) {
         for rp in self.pods.iter_mut() {
             rp.sockets = open_sockets(&self.config.behaviors, &mut self.rng, &rp.pod);
-            let meta = &rp.pod.meta;
-            self.events.push(event_line(format_args!(
-                "restart {}/{}",
-                meta.namespace, meta.name
-            )));
         }
         self.touch(DirtyEntry {
             scope: DirtyScope::AllApps,
@@ -836,14 +783,10 @@ impl Cluster {
 
     /// Schedules and starts one pod, dirtying `scope` (its release); false
     /// when it stays Pending.
-    fn start_pod(&mut self, mut pod: Pod, owner: Option<String>, scope: DirtyScope) -> bool {
+    fn start_pod(&mut self, pod: Pod, owner: Option<String>, scope: DirtyScope) -> bool {
         // No schedulable node: the pod stays Pending (Kubernetes semantics)
         // instead of crashing the control loop; the next reconcile retries.
         if self.nodes.is_empty() {
-            self.events.push(event_line(format_args!(
-                "pending {}/{}: no schedulable nodes",
-                pod.meta.namespace, pod.meta.name
-            )));
             return false;
         }
         // Scheduler: round-robin by current pod count, honouring nodeName.
@@ -863,22 +806,9 @@ impl Cluster {
         } else if let Some(ip) = self.pod_ips.allocate() {
             ip
         } else {
-            self.events.push(event_line(format_args!(
-                "pending {}/{}: pod network exhausted",
-                pod.meta.namespace, pod.meta.name
-            )));
             return false;
         };
-        pod.spec.node_name = Some(node_name.clone());
-        pod.status.pod_ip = Some(ip);
-        pod.status.phase = "Running".to_string();
         let sockets = open_sockets(&self.config.behaviors, &mut self.rng, &pod);
-        self.events.push(event_line(format_args!(
-            "start {}/{} on {node_name} ip={ip} sockets={}",
-            pod.meta.namespace,
-            pod.meta.name,
-            sockets.len()
-        )));
         let pos = self.pods.push(RunningPod {
             pod,
             node: node_name,
@@ -1098,22 +1028,6 @@ fn service_ip(o: &Object) -> Option<Ipv4Addr> {
     }
 }
 
-/// One event line, formatted into a single allocation of its exact length.
-fn event_line(args: fmt::Arguments<'_>) -> String {
-    struct Len(usize);
-    impl fmt::Write for Len {
-        fn write_str(&mut self, s: &str) -> fmt::Result {
-            self.0 += s.len();
-            Ok(())
-        }
-    }
-    let mut len = Len(0);
-    let _ = len.write_fmt(args);
-    let mut line = String::with_capacity(len.0);
-    let _ = line.write_fmt(args);
-    line
-}
-
 /// The addresses of a /16 in 254-host blocks, less the first: `.0.2`, …,
 /// `.0.254`, `.1.1`, …, `.255.254`.
 const POOL_CAPACITY: u32 = 256 * 254 - 1;
@@ -1206,7 +1120,6 @@ fn open_sockets(behaviors: &BehaviorRegistry, rng: &mut StdRng, pod: &Pod) -> Ve
                 protocol: spec.protocol,
                 loopback_only: spec.loopback_only,
                 ephemeral: matches!(spec.port, PortSpec::Ephemeral),
-                container: container.name.clone(),
             });
         }
     }
@@ -1433,7 +1346,6 @@ spec:
         assert_eq!(ips.len(), 2, "distinct pod IPs");
         for p in cluster.pods() {
             assert!(p.ip.to_string().starts_with("10.244."));
-            assert_eq!(p.pod.status.phase, "Running");
             assert!(
                 p.listens_on(8080, Protocol::Tcp),
                 "default behaviour opens declared port"
@@ -1646,6 +1558,18 @@ spec:
         assert!(cluster.pods().is_empty());
     }
 
+    /// Each running pod as `name node ip sockets`, in start order.
+    fn pod_rows(cluster: &Cluster) -> Vec<String> {
+        cluster
+            .pods()
+            .iter()
+            .map(|rp| {
+                let (name, node, ip) = (rp.qualified_name(), &rp.node, rp.ip);
+                format!("{name} {node} {ip} {}", rp.sockets.len())
+            })
+            .collect()
+    }
+
     #[test]
     fn watch_stream_delivers_lifecycle_events() {
         let mut cluster = install_demo(BehaviorRegistry::new());
@@ -1660,39 +1584,72 @@ spec:
                 },
             ))
         };
-        cluster.apply(bare("late", false)).unwrap();
-        cluster.reconcile();
-        cluster.apply(bare("exporter", true)).unwrap();
-        cluster.reconcile();
-        assert!(cluster.scale_workload("default/d-web", 1));
-        cluster.reconcile();
-        cluster.restart_pods();
-        cluster.push_admission(Box::new(DenyNamed));
-        cluster.apply(bare("denied", false)).unwrap_err();
-        cluster.uninstall("d");
-        cluster.reset();
-        // The full text of every line, as consumers of the log read it.
+        let object_rows = |cluster: &Cluster| -> Vec<String> {
+            let objects = cluster.objects();
+            objects
+                .iter()
+                .map(|o| format!("{} {}", o.kind(), o.qualified_name()))
+                .collect()
+        };
         assert_eq!(
-            cluster.events(),
+            object_rows(&cluster),
+            ["Deployment default/d-web", "Service default/d-web"]
+        );
+        assert_eq!(
+            pod_rows(&cluster),
             [
-                "apply Deployment default/d-web",
-                "apply Service default/d-web",
-                "start default/d-web-0 on node-0 ip=10.244.0.2 sockets=1",
-                "start default/d-web-1 on node-1 ip=10.244.0.3 sockets=1",
-                "apply Pod default/late",
-                "start default/late on node-2 ip=10.244.0.4 sockets=1",
-                "apply Pod default/exporter",
-                "start default/exporter on node-0 ip=192.168.49.2 sockets=1",
-                "scale default/d-web to 1",
-                "reap default/d-web-1",
-                "restart default/d-web-0",
-                "restart default/late",
-                "restart default/exporter",
-                "deny default/denied: denied by name",
-                "uninstall d",
-                "reset",
+                "default/d-web-0 node-0 10.244.0.2 1",
+                "default/d-web-1 node-1 10.244.0.3 1",
             ]
         );
+        cluster.apply(bare("late", false)).unwrap();
+        cluster.reconcile();
+        assert_eq!(
+            pod_rows(&cluster)[2..],
+            ["default/late node-2 10.244.0.4 1"]
+        );
+        // A hostNetwork pod holds its node's IP.
+        cluster.apply(bare("exporter", true)).unwrap();
+        cluster.reconcile();
+        assert_eq!(cluster.nodes()[0].ip, Ipv4Addr::new(192, 168, 49, 2));
+        assert_eq!(
+            pod_rows(&cluster)[3..],
+            ["default/exporter node-0 192.168.49.2 1"]
+        );
+        assert!(cluster.scale_workload("default/d-web", 1));
+        cluster.reconcile();
+        let running = [
+            "default/d-web-0 node-0 10.244.0.2 1",
+            "default/late node-2 10.244.0.4 1",
+            "default/exporter node-0 192.168.49.2 1",
+        ];
+        assert_eq!(pod_rows(&cluster), running, "d-web-1 reaped");
+        cluster.restart_pods();
+        assert_eq!(pod_rows(&cluster), running, "restarts keep pods in place");
+        cluster.push_admission(Box::new(DenyNamed));
+        let objects = object_rows(&cluster);
+        assert_eq!(
+            cluster.apply(bare("denied", false)).unwrap_err(),
+            InstallError::Denied {
+                controller: "deny-named".into(),
+                reason: "denied by name".into(),
+                object: "default/denied".into(),
+            }
+        );
+        assert_eq!(
+            object_rows(&cluster),
+            objects,
+            "a denied object is not kept"
+        );
+        cluster.uninstall("d");
+        assert_eq!(
+            object_rows(&cluster),
+            ["Pod default/late", "Pod default/exporter"]
+        );
+        assert_eq!(pod_rows(&cluster), running[1..]);
+        cluster.reset();
+        assert!(cluster.objects().is_empty());
+        assert!(cluster.pods().is_empty());
     }
 
     #[test]
@@ -1716,8 +1673,16 @@ spec:
             ij_model::ObjectMeta::named("p"),
             ij_model::PodSpec::default(),
         );
-        let _ = cluster.apply(Object::Pod(pod));
-        assert_eq!(cluster.events(), ["deny default/p: no pods"]);
+        assert_eq!(
+            cluster.apply(Object::Pod(pod)),
+            Err(InstallError::Denied {
+                controller: "deny-pods".into(),
+                reason: "no pods".into(),
+                object: "default/p".into(),
+            })
+        );
+        assert!(cluster.objects().is_empty());
+        assert!(cluster.pending.is_empty());
     }
 
     #[test]
@@ -1945,16 +1910,13 @@ spec:
             .iter()
             .map(|rp| rp.qualified_name())
             .collect();
-        let logged = cluster.events().len();
+        let ip = cluster.cluster_ip("default", "d-web");
         cluster.install(&rendered).unwrap();
         assert_eq!(
-            cluster.events()[logged..],
-            [
-                "apply Deployment default/d-web",
-                "apply Service default/d-web",
-                "start default/d-web-2 on node-2 ip=10.244.0.4 sockets=1",
-            ]
+            pod_rows(&cluster)[2..],
+            ["default/d-web-2 node-2 10.244.0.4 1"]
         );
+        assert_eq!(cluster.cluster_ip("default", "d-web"), ip);
         let kinds: Vec<&str> = cluster.objects().iter().map(Object::kind).collect();
         assert_eq!(kinds, ["Deployment", "Service"]);
         let after: Vec<String> = cluster
@@ -2013,20 +1975,15 @@ spec:
     fn zero_replicas_spawn_no_pods_and_scale_down_reaps() {
         let mut cluster = install_demo(BehaviorRegistry::new());
         assert_eq!(cluster.pods().len(), 2);
-        let start = cluster.events().len();
+        let cursor = cluster.generation();
         assert!(cluster.scale_workload("default/d-web", 0));
         cluster.reconcile();
         assert!(
             cluster.pods().is_empty(),
             "replicas: 0 means zero pods, not one"
         );
-        assert_eq!(
-            cluster.events()[start..]
-                .iter()
-                .filter(|e| e.starts_with("reap "))
-                .count(),
-            2
-        );
+        assert_eq!(cluster.pod_ips.released.len(), 2, "both reaps freed an IP");
+        assert!(cluster.dirty_since(cursor).apps.contains("d"));
         // Scaling back up respawns pods; partial scale-down reaps only the
         // excess replica.
         assert!(cluster.scale_workload("default/d-web", 3));
@@ -2034,7 +1991,12 @@ spec:
         assert_eq!(cluster.pods().len(), 3);
         assert!(cluster.scale_workload("default/d-web", 1));
         cluster.reconcile();
-        assert_eq!(cluster.pods().len(), 1);
+        let names: Vec<String> = cluster
+            .pods()
+            .iter()
+            .map(|rp| rp.qualified_name())
+            .collect();
+        assert_eq!(names, ["default/d-web-0"]);
         assert!(!cluster.scale_workload("default/missing", 2));
     }
 
@@ -2072,10 +2034,7 @@ spec:
         cluster.apply(Object::Pod(pod)).unwrap();
         cluster.reconcile(); // previously: divide-by-zero panic
         assert!(cluster.pods().is_empty());
-        assert!(cluster
-            .events()
-            .iter()
-            .any(|e| e == "pending default/p: no schedulable nodes"));
+        assert_eq!(cluster.pending, [0], "the pod waits for a node");
     }
 
     #[test]
@@ -2416,12 +2375,12 @@ spec:
             self.pods.clear();
         }
 
-        /// Compares the cluster with the model after a step that logged the
-        /// events from `logged` on: the objects must match exactly, but for
-        /// the ClusterIPs the cluster filled in; the pods that survived
-        /// must keep their order ahead of the ones the step started, which
-        /// follow in the order of their start lines.
-        fn check(&mut self, cluster: &Cluster, logged: usize, context: &str) {
+        /// Compares the cluster with the model after a step: the objects
+        /// must match exactly, but for the ClusterIPs the cluster filled
+        /// in; the pods that survived must keep their order ahead of the
+        /// ones the step started. Returns how many pods the step started
+        /// and how many it took out.
+        fn check(&mut self, cluster: &Cluster, context: &str) -> (usize, usize) {
             let objects: Vec<Object> = cluster
                 .objects()
                 .iter()
@@ -2440,16 +2399,12 @@ spec:
             assert_eq!(cluster.objects().len(), self.objects.len(), "{context}");
             let rows: Vec<_> = cluster.pods().iter().map(pod_row).collect();
             assert_eq!(rows.len(), cluster.pods().len(), "{context}");
+            let before = self.pods.len();
             self.pods.retain(|row| rows.contains(row));
             let kept = self.pods.len();
             assert_eq!(rows[..kept], self.pods, "{context}: surviving pods");
-            let started: Vec<&str> = cluster.events()[logged..]
-                .iter()
-                .filter_map(|e| e.strip_prefix("start ")?.split(' ').next())
-                .collect();
-            let new: Vec<String> = rows[kept..].iter().map(|r| r.0.clone()).collect();
-            assert_eq!(new, started, "{context}: started pods");
             self.pods = rows;
+            (self.pods.len() - kept, before - kept)
         }
     }
 
@@ -2499,7 +2454,7 @@ spec:
         let mut reference = Reference::default();
         for step in 0..steps {
             let context = format!("nodes {nodes}, seed {seed}, step {step}");
-            let logged = cluster.events().len();
+            let mut sweep = false;
             let release = ["r1", "r2", "r3"][rng.gen_range(0..3usize)];
             let roll = rng.gen_range(0..100u32);
             if roll < mix[0] {
@@ -2532,23 +2487,25 @@ spec:
                 let moved = cluster.objects.moved;
                 stats.uninstall_reaps += uninstall_checked(&mut cluster, release, &context);
                 reference.uninstall(release);
+                sweep = true;
                 if loaded && cluster.objects.moved > moved {
                     stats.loaded_compactions += 1;
                 }
             } else if roll < mix[4] {
                 cluster.reset();
                 reference.reset();
+                sweep = true;
             } else if roll < mix[5] {
                 cluster.restart_pods();
             } else {
                 cluster.reconcile();
                 assert_converged(&mut cluster, &context);
             }
-            assert!(
-                cluster.events().len() >= logged,
-                "{context}: the log drained"
-            );
-            reference.check(&cluster, logged, &context);
+            let (started, gone) = reference.check(&cluster, &context);
+            stats.starts += started;
+            if !sweep {
+                stats.reaps += gone;
+            }
             let mut names: Vec<String> = cluster
                 .pods()
                 .iter()
@@ -2567,16 +2524,11 @@ spec:
         }
         stats.replaced += reference.replaced;
         cluster.reconcile();
-        assert_converged(&mut cluster, &format!("nodes {nodes}, seed {seed}, end"));
-        let count = |prefix: &str| {
-            cluster
-                .events()
-                .iter()
-                .filter(|e| e.starts_with(prefix))
-                .count()
-        };
-        stats.starts += count("start ");
-        stats.reaps += count("reap ");
+        let context = format!("nodes {nodes}, seed {seed}, end");
+        assert_converged(&mut cluster, &context);
+        let (started, reaped) = reference.check(&cluster, &context);
+        stats.starts += started;
+        stats.reaps += reaped;
     }
 
     #[test]
@@ -2727,12 +2679,7 @@ spec:
             .map(|rp| rp.qualified_name())
             .collect();
         assert_eq!(pods, ["default/web-0"]);
-        let starts = cluster
-            .events()
-            .iter()
-            .filter(|e| e.starts_with("start "))
-            .count();
-        assert_eq!(starts, 1, "{:?}", cluster.events());
+        assert_eq!(cluster.pod_ips.fresh, 1, "one start drew one address");
         let owner = cluster.pods().iter().next().and_then(|rp| rp.owner.clone());
         assert_eq!(
             owner.as_deref(),

@@ -53,7 +53,7 @@ mod splice;
 pub use admission::{AdmissionController, AdmissionOutcome, AdmissionReview};
 pub use behavior::{BehaviorRegistry, ContainerBehavior, ListenerSpec, PortSpec};
 pub use cluster::{
-    Cluster, ClusterConfig, ConnectOutcome, InstallError, OpenSocket, RunningPod, EVENT_LOG_CAP,
+    Cluster, ClusterConfig, ConnectOutcome, InstallError, OpenSocket, RunningPod,
     RELEASE_ANNOTATION,
 };
 pub use dirty::{DirtyEntry, DirtyScope, DirtySummary, DIRTY_LOG_CAP};

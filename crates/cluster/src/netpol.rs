@@ -262,7 +262,7 @@ mod tests {
                     containers: vec![Container::new("c", "img")
                         .with_ports(vec![ContainerPort::named("http", 8080)])],
                     host_network,
-                    node_name: Some("node-0".into()),
+                    node_name: None,
                 },
             ),
             node: "node-0".into(),
@@ -276,7 +276,6 @@ mod tests {
                 protocol: Protocol::Tcp,
                 loopback_only: false,
                 ephemeral: false,
-                container: "c".into(),
             }],
             owner: None,
         }

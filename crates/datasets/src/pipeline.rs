@@ -672,10 +672,10 @@ impl CensusPipeline {
         let failed = AtomicBool::new(false);
         let mut completed = 0usize;
         let mut first_err: Option<(usize, CensusError)> = None;
-        let collect = Mutex::new(|i: usize, result: Result<String, CensusError>| {
+        let collect = Mutex::new(|i: usize, result: Result<&str, CensusError>| {
             completed += 1;
             match result {
-                Ok(app) => self.notify(&app, completed, total),
+                Ok(app) => self.notify(app, completed, total),
                 Err(err) => {
                     self.notify(err.app(), completed, total);
                     if first_err.as_ref().is_none_or(|(k, _)| i < *k) {
@@ -696,10 +696,7 @@ impl CensusPipeline {
                     analyze(i, &spec, &mut scratch)
                 }))
                 .unwrap_or_else(|payload| Err(panic_probe_error(&spec.name, payload)))
-                .map(|()| match spec {
-                    Cow::Borrowed(spec) => spec.name.clone(),
-                    Cow::Owned(spec) => spec.name,
-                });
+                .map(|()| spec.name.as_str());
                 if result.is_err() {
                     failed.store(true, Ordering::SeqCst);
                 }

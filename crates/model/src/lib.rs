@@ -34,6 +34,6 @@ pub use netpol::{
     PolicyPortRef, PolicyType,
 };
 pub use object::{decode_manifest, decode_manifests, Object};
-pub use pod::{Container, ContainerPort, EnvVar, Pod, PodSpec, PodStatus, Protocol};
+pub use pod::{Container, ContainerPort, EnvVar, Pod, PodSpec, Protocol};
 pub use service::{Service, ServicePort, ServiceSpec, ServiceType, TargetPort};
 pub use workload::{PodTemplate, Workload, WorkloadKind};

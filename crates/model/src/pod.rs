@@ -5,7 +5,6 @@ use crate::error::{Error, Result};
 use crate::meta::ObjectMeta;
 use ij_yaml::{Map, Value};
 use std::fmt;
-use std::net::Ipv4Addr;
 
 /// Transport protocol of a port. Kubernetes defaults to TCP everywhere.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -257,7 +256,9 @@ pub struct PodSpec {
     /// When true the pod binds directly into the node's network namespace,
     /// bypassing all NetworkPolicies (the paper's M7).
     pub host_network: bool,
-    /// Scheduling pin, set by the scheduler.
+    /// Scheduling pin: the node the pod must run on. The simulated
+    /// scheduler honours it but never writes it; a running pod's node is
+    /// kept beside the pod.
     pub node_name: Option<String>,
 }
 
@@ -291,15 +292,6 @@ impl PodSpec {
     }
 }
 
-/// Observed pod status, populated by the simulator.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct PodStatus {
-    /// Pod IP on the cluster network (node IP for hostNetwork pods).
-    pub pod_ip: Option<Ipv4Addr>,
-    /// Lifecycle phase (`Pending`, `Running`, ...).
-    pub phase: String,
-}
-
 /// A pod: the smallest deployable compute unit.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Pod {
@@ -307,18 +299,12 @@ pub struct Pod {
     pub meta: ObjectMeta,
     /// Desired specification.
     pub spec: PodSpec,
-    /// Observed status.
-    pub status: PodStatus,
 }
 
 impl Pod {
     /// Creates a pod with the given metadata and spec.
     pub fn new(meta: ObjectMeta, spec: PodSpec) -> Self {
-        Pod {
-            meta,
-            spec,
-            status: PodStatus::default(),
-        }
+        Pod { meta, spec }
     }
 
     /// All declared ports across containers.

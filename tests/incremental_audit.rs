@@ -247,8 +247,9 @@ fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
 
 /// The serve-path byte pin: a 100-release `baseline` tenant at seed 7 under
 /// 300 churn mutations, ticked after each. The fingerprint folds every
-/// tick's introduced and resolved finding identities, the final pod table
-/// and the cluster's event log. Pod start order fixes pod IPs and
+/// tick's introduced and resolved finding identities and the final pod
+/// table: each pod's name, node and IP, and each socket's port, protocol,
+/// loopback and ephemeral flags. Pod start order fixes pod IPs and
 /// ephemeral-port draws, so any change to the order in which `reconcile`
 /// starts or reaps pods moves the hash.
 #[test]
@@ -289,18 +290,16 @@ fn serve_path_matches_the_pinned_fnv64() {
         h = fnv1a(h, b"\n");
     }
     for rp in cluster.pods() {
-        let row = format!(
-            "{} {} {} {:?}\n",
-            rp.qualified_name(),
-            rp.node,
-            rp.ip,
-            rp.sockets
-        );
+        let row = format!("{} {} {}", rp.qualified_name(), rp.node, rp.ip);
         h = fnv1a(h, row.as_bytes());
-    }
-    for event in cluster.events() {
-        h = fnv1a(h, event.as_bytes());
+        for s in &rp.sockets {
+            let socket = format!(
+                " {}/{} loopback={} ephemeral={}",
+                s.port, s.protocol, s.loopback_only, s.ephemeral
+            );
+            h = fnv1a(h, socket.as_bytes());
+        }
         h = fnv1a(h, b"\n");
     }
-    assert_eq!(format!("{h:016x}"), "ccbaadb7e89e4d84");
+    assert_eq!(format!("{h:016x}"), "22777192a3b7672b");
 }
