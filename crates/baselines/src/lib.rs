@@ -27,4 +27,4 @@ mod compare;
 mod tools;
 
 pub use compare::{run_comparison, ComparisonRow, Detection, ToolInput};
-pub use tools::{all_tools, Tool, ToolKind};
+pub use tools::{Tool, ToolKind};

@@ -32,7 +32,7 @@ pub struct Tool {
 
 impl Tool {
     /// Runs the tool over a case and reports what it flags.
-    pub fn run(&self, input: &ToolInput<'_>) -> Vec<(MisconfigId, Detection)> {
+    pub(crate) fn run(&self, input: &ToolInput<'_>) -> Vec<(MisconfigId, Detection)> {
         (self.check)(input)
     }
 
@@ -42,7 +42,7 @@ impl Tool {
     /// (multi-manifest) dimension. Note the paper treats M5C as statically
     /// checkable — headless services should not carry port settings at all —
     /// so it is a miss (×), not a dash, for static tools.
-    pub fn not_applicable(&self, id: MisconfigId) -> bool {
+    pub(crate) fn not_applicable(&self, id: MisconfigId) -> bool {
         match self.kind {
             ToolKind::Static => {
                 matches!(
@@ -223,7 +223,7 @@ fn stackrox(input: &ToolInput<'_>) -> Vec<(MisconfigId, Detection)> {
 }
 
 /// The eleven tools, Table 3 order.
-pub fn all_tools() -> Vec<Tool> {
+pub(crate) fn all_tools() -> Vec<Tool> {
     vec![
         Tool {
             name: "Checkov",

@@ -84,7 +84,7 @@ impl Release {
     }
 
     /// Builder-style override attachment (must be a mapping).
-    pub fn with_values(mut self, overrides: Value) -> Self {
+    pub(crate) fn with_values(mut self, overrides: Value) -> Self {
         self.overrides = overrides;
         self
     }
@@ -331,24 +331,6 @@ impl ChartBuilder {
         self
     }
 
-    /// Adds an unconditional dependency.
-    pub fn dependency(mut self, chart: Chart) -> Self {
-        self.chart.dependencies.push(Dependency {
-            chart,
-            condition: None,
-        });
-        self
-    }
-
-    /// Adds a dependency gated on a values path.
-    pub fn dependency_if(mut self, chart: Chart, condition: impl Into<String>) -> Self {
-        self.chart.dependencies.push(Dependency {
-            chart,
-            condition: Some(condition.into()),
-        });
-        self
-    }
-
     /// Finishes the chart.
     pub fn build(self) -> Chart {
         self.chart
@@ -483,11 +465,14 @@ spec:
 ",
             )
             .build();
-        let app = Chart::builder("app")
+        let mut app = Chart::builder("app")
             .values_yaml("db:\n  enabled: true\n  port: 6543\n")
             .unwrap()
-            .dependency_if(db, "db.enabled")
             .build();
+        app.dependencies.push(Dependency {
+            chart: db,
+            condition: Some("db.enabled".into()),
+        });
 
         let r = app.render(&Release::new("x", "default")).unwrap();
         assert_eq!(r.objects.len(), 1);
@@ -598,7 +583,7 @@ spec:
         }
         let deploy = rendered.of_kind("Deployment").next().unwrap();
         if let Object::Workload(w) = deploy {
-            assert!(w.selector_matches_template());
+            assert!(w.selector.matches(&w.template.labels));
             assert_eq!(w.template.labels.len(), 2);
         } else {
             panic!("expected workload");

@@ -166,16 +166,6 @@ impl CompiledChart {
         })
     }
 
-    /// Root chart name.
-    pub fn name(&self) -> &str {
-        &self.root.name
-    }
-
-    /// Root chart version.
-    pub fn version(&self) -> &str {
-        &self.root.version
-    }
-
     /// Renders the chart (and enabled dependencies) into typed objects.
     /// Byte-identical to [`Chart::render`] for the same chart and release.
     pub fn render(&self, release: &Release) -> Result<RenderedRelease> {
@@ -468,7 +458,7 @@ spec:
 ",
             )
             .build();
-        Chart::builder("app")
+        let mut app = Chart::builder("app")
             .version("2.4.8")
             .values_yaml("db:\n  enabled: true\n  port: 6543\nreplicas: 3\n")
             .unwrap()
@@ -511,8 +501,12 @@ spec:
 ",
             )
             .template("blank.yaml", "{{ if .Values.never }}kind: Pod\n{{ end }}")
-            .dependency_if(db, "db.enabled")
-            .build()
+            .build();
+        app.dependencies.push(Dependency {
+            chart: db,
+            condition: Some("db.enabled".into()),
+        });
+        app
     }
 
     fn bytes(r: &RenderedRelease) -> String {
@@ -629,8 +623,8 @@ spec:
     #[test]
     fn metadata_accessors() {
         let compiled = chart_with_everything().compile().expect("compiles");
-        assert_eq!(compiled.name(), "app");
-        assert_eq!(compiled.version(), "2.4.8");
+        assert_eq!(compiled.root.name, "app");
+        assert_eq!(compiled.root.version, "2.4.8");
     }
 
     fn gated_chart() -> Chart {

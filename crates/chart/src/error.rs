@@ -66,22 +66,6 @@ pub enum IngestError {
     },
 }
 
-impl IngestError {
-    /// The offending path, whichever variant this is.
-    pub fn path(&self) -> &PathBuf {
-        match self {
-            IngestError::NotADirectory { path }
-            | IngestError::MissingChartYaml { path }
-            | IngestError::InvalidChartYaml { path, .. }
-            | IngestError::InvalidValuesYaml { path, .. }
-            | IngestError::EmptyTemplates { path }
-            | IngestError::NonUtf8File { path }
-            | IngestError::PackedSubchart { path }
-            | IngestError::Io { path, .. } => path,
-        }
-    }
-}
-
 impl fmt::Display for IngestError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -21,13 +21,6 @@ pub enum AdmissionOutcome {
     Deny(String),
 }
 
-impl AdmissionOutcome {
-    /// True unless the outcome is a denial.
-    pub fn is_allowed(&self) -> bool {
-        !matches!(self, AdmissionOutcome::Deny(_))
-    }
-}
-
 /// The request under review.
 #[derive(Debug)]
 pub struct AdmissionReview<'a> {
@@ -51,10 +44,29 @@ pub trait AdmissionController: Send + Sync {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Cluster, ClusterConfig};
+    use ij_model::{ObjectMeta, Pod, PodSpec};
+
+    struct Decides(AdmissionOutcome);
+
+    impl AdmissionController for Decides {
+        fn name(&self) -> &str {
+            "decides"
+        }
+        fn review(&self, _: &AdmissionReview<'_>) -> AdmissionOutcome {
+            self.0.clone()
+        }
+    }
 
     #[test]
     fn deny_is_not_allowed() {
-        assert!(!AdmissionOutcome::Deny("nope".into()).is_allowed());
-        assert!(AdmissionOutcome::Warn(vec!["careful".into()]).is_allowed());
+        let apply = |outcome: AdmissionOutcome| {
+            let mut cluster = Cluster::new(ClusterConfig::default());
+            cluster.push_admission(Box::new(Decides(outcome)));
+            let pod = Pod::new(ObjectMeta::named("p"), PodSpec::default());
+            cluster.apply(Object::Pod(pod)).is_ok()
+        };
+        assert!(!apply(AdmissionOutcome::Deny("nope".into())));
+        assert!(apply(AdmissionOutcome::Warn(vec!["careful".into()])));
     }
 }

@@ -59,14 +59,6 @@ impl ListenerSpec {
         }
     }
 
-    /// A UDP listener on all interfaces.
-    pub fn udp(port: u16) -> Self {
-        ListenerSpec {
-            protocol: Protocol::Udp,
-            ..ListenerSpec::tcp(port)
-        }
-    }
-
     /// An ephemeral TCP listener (new port every start).
     pub fn ephemeral() -> Self {
         ListenerSpec {
@@ -83,14 +75,8 @@ impl ListenerSpec {
         self
     }
 
-    /// Builder-style: gate on an env var value.
-    pub fn when(mut self, var: impl Into<String>, value: impl Into<String>) -> Self {
-        self.when_env = Some((var.into(), value.into()));
-        self
-    }
-
     /// True when the gate (if any) is satisfied by the container's env.
-    pub fn enabled_for(&self, container: &Container) -> bool {
+    pub(crate) fn enabled_for(&self, container: &Container) -> bool {
         match &self.when_env {
             None => true,
             Some((var, want)) => container.env_value(var) == Some(want.as_str()),
@@ -114,7 +100,7 @@ impl ContainerBehavior {
     /// the explicit behaviour list filtered by env gates. Explicit specs
     /// are borrowed and declared ports become gate-free static specs, so
     /// the walk allocates nothing.
-    pub fn listeners<'a>(
+    pub(crate) fn listeners<'a>(
         &'a self,
         container: &'a Container,
     ) -> impl Iterator<Item = Cow<'a, ListenerSpec>> + 'a {
@@ -163,7 +149,7 @@ impl BehaviorRegistry {
     }
 
     /// Resolves an image reference to its behaviour.
-    pub fn resolve(&self, image: &str) -> &ContainerBehavior {
+    pub(crate) fn resolve(&self, image: &str) -> &ContainerBehavior {
         if let Some(b) = self.exact.get(image) {
             return b;
         }
@@ -171,16 +157,6 @@ impl BehaviorRegistry {
         self.exact
             .get(untagged)
             .unwrap_or(&ContainerBehavior::DeclaredPorts)
-    }
-
-    /// Number of registered behaviours.
-    pub fn len(&self) -> usize {
-        self.exact.len()
-    }
-
-    /// True when nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.exact.is_empty()
     }
 }
 
@@ -220,7 +196,10 @@ mod tests {
 
     #[test]
     fn env_gated_listener() {
-        let spec = ListenerSpec::tcp(7077).when("CLUSTER_MODE", "true");
+        let spec = ListenerSpec {
+            when_env: Some(("CLUSTER_MODE".into(), "true".into())),
+            ..ListenerSpec::tcp(7077)
+        };
         let off = Container::new("spark", "spark");
         let on = Container::new("spark", "spark").with_env("CLUSTER_MODE", "true");
         assert!(!spec.enabled_for(&off));

@@ -11,7 +11,7 @@ use crate::slots::{Live, Slots};
 use ij_chart::RenderedRelease;
 use ij_model::{
     EndpointAddress, Endpoints, Labels, NetworkPolicy, Object, ObjectMeta, Pod, Protocol, Service,
-    TargetPort, Workload, WorkloadKind,
+    TargetPort, WorkloadKind,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -229,8 +229,7 @@ impl Cluster {
     /// Summarizes everything that changed since `cursor` — a generation
     /// previously returned by [`Cluster::generation`]. The backing log is a
     /// bounded ring ([`DIRTY_LOG_CAP`] entries): cursors that fell off its
-    /// horizon (or predate a [`Cluster::reset`]) yield a conservative
-    /// everything-dirty summary, so incremental consumers degrade to a full
+    /// horizon yield a conservative everything-dirty summary, so incremental consumers degrade to a full
     /// recompute instead of ever missing a change.
     pub fn dirty_since(&self, cursor: u64) -> DirtySummary {
         self.dirty.summary_since(cursor, self.generation)
@@ -319,14 +318,6 @@ impl Cluster {
                 _ => None,
             })
             .collect()
-    }
-
-    /// Persisted workloads.
-    pub fn workloads(&self) -> impl Iterator<Item = &Workload> {
-        self.objects.iter().filter_map(|o| match o {
-            Object::Workload(w) => Some(w),
-            _ => None,
-        })
     }
 
     /// Namespace labels declared via Namespace objects.
@@ -579,34 +570,6 @@ impl Cluster {
             self.pod_ips.release_pod(rp);
         }
         self.release_index.remove_pods(&mut self.pods, positions);
-    }
-
-    /// Removes every object, pod and pending service, returns every
-    /// address to its pool and forgets the dirty log, so every earlier
-    /// cursor reads as everything-dirty; the nodes and the configuration
-    /// stay. This is not a fresh cluster: the socket RNG is
-    /// not reseeded and the pools keep their fresh counters, so pods
-    /// started after a reset get other IPs and ephemeral ports than a
-    /// [`Cluster::new`] with the same seed would give them. The census
-    /// boots a fresh cluster for each application instead.
-    pub fn reset(&mut self) {
-        for rp in self.pods.iter() {
-            self.pod_ips.release_pod(rp);
-        }
-        for ip in self.objects.iter().filter_map(service_ip) {
-            self.cluster_ips.release(ip);
-        }
-        self.objects.clear();
-        self.pods.clear();
-        self.pending.clear();
-        self.release_index.clear();
-        self.touch(DirtyEntry {
-            scope: DirtyScope::AllApps,
-            labels: true,
-            pods: true,
-        });
-        // Pre-reset cursors must not see an incremental path at all.
-        self.dirty.forget(self.generation);
     }
 
     /// Runs the controller loop over the workloads and bare pods applied or
@@ -872,12 +835,6 @@ impl Cluster {
             .collect()
     }
 
-    /// Endpoints for one service.
-    pub fn endpoints_for(&self, namespace: &str, name: &str) -> Option<Endpoints> {
-        self.service(namespace, name)
-            .map(|svc| self.service_endpoints(svc))
-    }
-
     /// The endpoints object of one service (see [`Cluster::endpoints`]).
     fn service_endpoints(&self, svc: &Service) -> Endpoints {
         let mut addresses = Vec::new();
@@ -908,35 +865,6 @@ impl Cluster {
         Endpoints {
             meta: svc.meta.clone(),
             addresses,
-        }
-    }
-
-    /// The virtual IP of the service named `namespace/name`, as it was
-    /// assigned at apply; `None` when that service is headless or none
-    /// exists.
-    pub fn cluster_ip(&self, namespace: &str, name: &str) -> Option<Ipv4Addr> {
-        self.service(namespace, name)?.spec.cluster_ip
-    }
-
-    /// Cluster-DNS resolution of the service named `namespace/name`: its
-    /// ClusterIP for a normal service, the backing pod IPs for a headless
-    /// one.
-    pub fn resolve_dns(&self, namespace: &str, name: &str) -> Vec<String> {
-        let Some(svc) = self.service(namespace, name) else {
-            return Vec::new();
-        };
-        if svc.is_headless() {
-            let mut ips: Vec<String> = self
-                .service_endpoints(svc)
-                .addresses
-                .into_iter()
-                .map(|a| a.ip.to_string())
-                .collect();
-            ips.sort();
-            ips.dedup();
-            ips
-        } else {
-            Vec::from_iter(svc.spec.cluster_ip.map(|ip| ip.to_string()))
         }
     }
 
@@ -1181,6 +1109,7 @@ mod tests {
     use super::*;
     use crate::behavior::{ContainerBehavior, ListenerSpec};
     use ij_chart::{Chart, Release};
+    use ij_model::Workload;
     use std::collections::HashSet;
 
     /// True when a pod could have been expanded from the object named
@@ -1196,6 +1125,13 @@ mod tests {
     }
 
     impl Cluster {
+        /// The virtual IP of the service named `namespace/name`, as it was
+        /// assigned at apply; `None` when that service is headless or none
+        /// exists.
+        fn cluster_ip(&self, namespace: &str, name: &str) -> Option<Ipv4Addr> {
+            self.service(namespace, name)?.spec.cluster_ip
+        }
+
         /// Panics unless the release index equals one rebuilt from the
         /// objects and pods, and every pending entry is a pod-defining
         /// object or a service without a ClusterIP.
@@ -1216,7 +1152,7 @@ mod tests {
         /// Panics unless no two live objects share a kind, namespace and
         /// name; every live non-headless service holds a ClusterIP and no
         /// other does; no two live services or pods hold one address; and
-        /// `cluster_ip`/`resolve_dns` answer for the service of each name.
+        /// the name lookup finds the ClusterIP of the service of each name.
         fn assert_identity_and_addresses(&self, names: &[&str], context: &str) {
             let mut identities = HashSet::new();
             for o in self.objects() {
@@ -1254,25 +1190,6 @@ mod tests {
                         self.cluster_ip(namespace, name),
                         ip,
                         "{context}: cluster_ip of {namespace}/{name}"
-                    );
-                    let dns: Vec<String> = match service {
-                        Some(s) if s.is_headless() => {
-                            let mut ips: Vec<String> = self
-                                .service_endpoints(s)
-                                .addresses
-                                .iter()
-                                .map(|a| a.ip.to_string())
-                                .collect();
-                            ips.sort();
-                            ips.dedup();
-                            ips
-                        }
-                        _ => ip.iter().map(Ipv4Addr::to_string).collect(),
-                    };
-                    assert_eq!(
-                        self.resolve_dns(namespace, name),
-                        dns,
-                        "{context}: resolve_dns of {namespace}/{name}"
                     );
                 }
             }
@@ -1364,7 +1281,11 @@ spec:
     #[test]
     fn endpoints_resolve_named_target_port() {
         let cluster = install_demo(BehaviorRegistry::new());
-        let ep = cluster.endpoints_for("default", "d-web").unwrap();
+        let ep = cluster
+            .endpoints()
+            .into_iter()
+            .find(|ep| ep.meta.name == "d-web")
+            .unwrap();
         assert_eq!(ep.addresses.len(), 2);
         assert!(ep.addresses.iter().all(|a| a.port == 8080));
     }
@@ -1525,13 +1446,22 @@ spec:
             vec![ij_model::ServicePort::tcp(8080)],
         );
         cluster.apply(Object::Service(headless)).unwrap();
-        let ips = cluster.resolve_dns("default", "web-headless");
+        // A headless service resolves to its backing pods' IPs...
+        assert_eq!(cluster.cluster_ip("default", "web-headless"), None);
+        let mut ips: Vec<String> = cluster
+            .endpoints()
+            .into_iter()
+            .filter(|ep| ep.meta.name == "web-headless")
+            .flat_map(|ep| ep.addresses)
+            .map(|a| a.ip.to_string())
+            .collect();
+        ips.sort();
+        ips.dedup();
         assert_eq!(ips.len(), 2);
         assert!(ips.iter().all(|ip| ip.starts_with("10.244.")));
-        // Normal service resolves to one virtual IP.
-        let vip = cluster.resolve_dns("default", "d-web");
-        assert_eq!(vip.len(), 1);
-        assert!(vip[0].starts_with("10.96."));
+        // ...a normal service to its one virtual IP.
+        let vip = cluster.cluster_ip("default", "d-web").unwrap();
+        assert!(vip.to_string().starts_with("10.96."));
     }
 
     #[test]
@@ -1647,9 +1577,6 @@ spec:
             ["Pod default/late", "Pod default/exporter"]
         );
         assert_eq!(pod_rows(&cluster), running[1..]);
-        cluster.reset();
-        assert!(cluster.objects().is_empty());
-        assert!(cluster.pods().is_empty());
     }
 
     #[test]
@@ -1699,8 +1626,12 @@ spec:
             .all(|p| p.qualified_name().contains("e-web")));
         assert!(cluster.services().all(|s| s.meta.name == "e-web"));
         // Endpoints follow: the removed release's service is gone.
-        assert!(cluster.endpoints_for("default", "d-web").is_none());
-        assert!(cluster.endpoints_for("default", "e-web").is_some());
+        let services: Vec<String> = cluster
+            .endpoints()
+            .into_iter()
+            .map(|ep| ep.meta.name)
+            .collect();
+        assert_eq!(services, ["e-web"]);
     }
 
     #[test]
@@ -1725,21 +1656,31 @@ spec:
             !Arc::ptr_eq(&first, &third),
             "mutation must invalidate the cached index"
         );
-        assert_eq!(third.policy_count(), 1);
+        let web = |index: &PolicyIndex, i: usize| {
+            index
+                .pod_index(&format!("default/d-web-{i}"))
+                .expect("indexed")
+        };
+        assert_eq!(
+            third.verdict(web(&third, 0), web(&third, 1), 8080, Protocol::Tcp),
+            ConnectionVerdict::DeniedIngress
+        );
         // The old Arc remains a consistent pre-mutation snapshot.
-        assert_eq!(first.policy_count(), 0);
+        assert!(first
+            .verdict(web(&first, 0), web(&first, 1), 8080, Protocol::Tcp)
+            .is_allowed());
     }
 
     #[test]
-    fn restart_and_reset_invalidate_the_index() {
+    fn restart_invalidates_the_index() {
         let mut cluster = install_demo(BehaviorRegistry::new());
+        let before = cluster.policy_index();
         let g0 = cluster.generation();
         cluster.restart_pods();
-        let g1 = cluster.generation();
-        assert_ne!(g0, g1);
-        cluster.reset();
-        assert_ne!(cluster.generation(), g1);
-        assert_eq!(cluster.policy_index().pod_count(), 0);
+        assert_ne!(cluster.generation(), g0);
+        let after = cluster.policy_index();
+        assert!(!Arc::ptr_eq(&before, &after), "a restart recompiles");
+        assert_eq!(after.pod_count(), before.pod_count());
     }
 
     #[test]
@@ -1751,7 +1692,6 @@ spec:
             cluster.cluster_ip("default", "d-web").is_none(),
             "uninstalled service must not resolve a stale ClusterIP"
         );
-        assert!(cluster.resolve_dns("default", "d-web").is_empty());
         // Install/uninstall churn must not leak map entries for the name.
         for _ in 0..5 {
             let rendered = demo_chart().render(&Release::new("d", "default")).unwrap();
@@ -1881,7 +1821,6 @@ spec:
             .unwrap();
         assert_eq!(cluster.services().count(), 1);
         assert_eq!(ip(&cluster).as_ref(), Some(&first));
-        assert_eq!(cluster.resolve_dns("default", "shared"), [first.as_str()]);
         // Once `a` is gone, `b` gets its own address.
         cluster.uninstall("a");
         cluster
@@ -1889,7 +1828,6 @@ spec:
             .unwrap();
         let second = ip(&cluster).expect("b's service has an address");
         assert_ne!(second, first, "no address is handed out twice");
-        assert_eq!(cluster.resolve_dns("default", "shared"), [second]);
     }
 
     /// Re-applying a workload replaces it in place: same apply position,
@@ -2072,9 +2010,6 @@ spec:
         let s = cluster.dirty_since(cursor);
         assert!(s.all_apps && s.pods && !s.labels);
 
-        // Reset invalidates every earlier cursor.
-        cluster.reset();
-        assert!(cluster.dirty_since(cursor).everything);
         // A stale cursor far older than the ring is conservative too.
         let s = cluster.dirty_since(u64::MAX);
         assert!(s.everything);
@@ -2085,7 +2020,11 @@ spec:
     /// the running pods it would reap (running, not desired).
     fn full_scan_plan(cluster: &Cluster) -> (Vec<String>, Vec<String>) {
         let mut desired: Vec<String> = Vec::new();
-        for w in cluster.workloads() {
+        let workloads = cluster.objects().iter().filter_map(|o| match o {
+            Object::Workload(w) => Some(w),
+            _ => None,
+        });
+        for w in workloads {
             match w.kind {
                 WorkloadKind::DaemonSet => {
                     for node in cluster.nodes() {
@@ -2370,11 +2309,6 @@ spec:
             }
         }
 
-        fn reset(&mut self) {
-            self.objects.clear();
-            self.pods.clear();
-        }
-
         /// Compares the cluster with the model after a step: the objects
         /// must match exactly, but for the ClusterIPs the cluster filled
         /// in; the pods that survived must keep their order ahead of the
@@ -2409,8 +2343,8 @@ spec:
     }
 
     /// The step mix of a random stream: the cumulative upper bounds (out of
-    /// 100) of apply, install, scale, uninstall, reset and restart; the
-    /// rest reconciles.
+    /// 100) of apply, install, scale, uninstall, uninstall-all and restart;
+    /// the rest reconciles.
     type Mix = [u32; 6];
 
     /// Tallies of the random streams.
@@ -2440,6 +2374,9 @@ spec:
         }
     }
 
+    /// The releases a random stream installs.
+    const RELEASES: [&str; 3] = ["r1", "r2", "r3"];
+
     /// Drives one random stream of `steps` steps, checking the release
     /// index, object identity, the addresses and the reference model after
     /// each.
@@ -2455,7 +2392,7 @@ spec:
         for step in 0..steps {
             let context = format!("nodes {nodes}, seed {seed}, step {step}");
             let mut sweep = false;
-            let release = ["r1", "r2", "r3"][rng.gen_range(0..3usize)];
+            let release = RELEASES[rng.gen_range(0..RELEASES.len())];
             let roll = rng.gen_range(0..100u32);
             if roll < mix[0] {
                 let object = random_object(&mut rng);
@@ -2492,8 +2429,11 @@ spec:
                     stats.loaded_compactions += 1;
                 }
             } else if roll < mix[4] {
-                cluster.reset();
-                reference.reset();
+                // Empties the cluster of every release the stream installs.
+                for release in RELEASES {
+                    stats.uninstall_reaps += uninstall_checked(&mut cluster, release, &context);
+                    reference.uninstall(release);
+                }
                 sweep = true;
             } else if roll < mix[5] {
                 cluster.restart_pods();
@@ -2546,7 +2486,7 @@ spec:
         stats.assert_identity_arms();
     }
 
-    /// Longer streams with more uninstalls and almost no resets: the slots
+    /// Longer streams with more uninstalls and almost no uninstall-alls: the slots
     /// fill with tombstones and compact many times, also while `pending`
     /// holds live entries that must be remapped.
     #[test]
@@ -2716,7 +2656,7 @@ spec:
         assert_eq!(pool.allocate(), None);
     }
 
-    /// Reaped pods, removed services and a reset give their addresses back:
+    /// Reaped pods and removed services give their addresses back:
     /// a cluster that has spent its pod network starts pods again once
     /// others are reaped, and stays Pending while none is free.
     #[test]
@@ -2739,7 +2679,7 @@ spec:
             cluster.cluster_ip("default", "e-web"),
             Some(Ipv4Addr::new(10, 96, 0, 2))
         );
-        cluster.reset();
+        cluster.uninstall("e");
         assert_eq!(cluster.pod_ips.released.len(), 2);
         assert_eq!(cluster.cluster_ips.released.len(), 1);
     }

@@ -6,7 +6,7 @@
 //! generation it last audited and asks
 //! [`Cluster::dirty_since`](crate::Cluster::dirty_since) for a merged
 //! [`DirtySummary`] of everything after that cursor. The log is a ring: when
-//! it overflows (or the cluster is reset) old cursors fall off its horizon
+//! it overflows old cursors fall off its horizon
 //! and the summary degrades to a conservative everything-dirty answer — the
 //! auditor falls back to a full recompute instead of ever missing a change,
 //! and the cluster's memory stays bounded no matter how long it serves.
@@ -24,7 +24,7 @@ pub enum DirtyScope {
     /// Objects or pods stamped with one release annotation. Consecutive
     /// entries of one release share one allocation of the name.
     App(Arc<str>),
-    /// Every installed release at once (pod restart sweeps, resets).
+    /// Every installed release at once (pod restart sweeps).
     AllApps,
     /// A change with no release attribution: bare objects applied outside
     /// any release, and their pods. Auditors audit all unattributed objects
@@ -48,7 +48,7 @@ pub struct DirtyEntry {
 
 impl DirtyEntry {
     /// An entry touching one release.
-    pub fn app(name: impl Into<Arc<str>>, labels: bool, pods: bool) -> Self {
+    pub(crate) fn app(name: impl Into<Arc<str>>, labels: bool, pods: bool) -> Self {
         DirtyEntry {
             scope: DirtyScope::App(name.into()),
             labels,
@@ -159,13 +159,6 @@ impl DirtyLog {
         self.entries.push_back(entry);
     }
 
-    /// Forgets all history: every cursor older than `generation` now reads
-    /// everything-dirty. Used on [`Cluster::reset`](crate::Cluster::reset).
-    pub(crate) fn forget(&mut self, generation: u64) {
-        self.entries.clear();
-        self.start = generation;
-    }
-
     /// Merged summary of the entries after `cursor`, where `current` is the
     /// cluster's present generation.
     pub(crate) fn summary_since(&self, cursor: u64, current: u64) -> DirtySummary {
@@ -242,14 +235,5 @@ mod tests {
         };
         assert_eq!(&*other, "blog");
         assert_eq!(log.scope(None), DirtyScope::Unattributed);
-    }
-
-    #[test]
-    fn forget_invalidates_old_cursors() {
-        let mut log = DirtyLog::new(0, 8);
-        log.record(DirtyEntry::app("shop", true, true));
-        log.forget(1);
-        assert!(log.summary_since(0, 1).everything);
-        assert!(log.summary_since(1, 1).is_clean());
     }
 }

@@ -39,7 +39,7 @@ pub struct PodSet {
 
 impl PodSet {
     /// The empty set over `len` pods.
-    pub fn empty(len: usize) -> Self {
+    pub(crate) fn empty(len: usize) -> Self {
         PodSet {
             bits: vec![0; len.div_ceil(64)],
             len,
@@ -47,7 +47,7 @@ impl PodSet {
     }
 
     /// The full set over `len` pods.
-    pub fn full(len: usize) -> Self {
+    pub(crate) fn full(len: usize) -> Self {
         let mut set = PodSet::empty(len);
         for (i, word) in set.bits.iter_mut().enumerate() {
             let remaining = len - i * 64;
@@ -60,20 +60,15 @@ impl PodSet {
         set
     }
 
-    /// Number of pods the set ranges over (not the number of members).
-    pub fn capacity(&self) -> usize {
-        self.len
-    }
-
     /// Adds a pod.
     ///
-    /// `i` must be below [`capacity`](Self::capacity). Unlike
+    /// `i` must be below the number of pods the set ranges over. Unlike
     /// [`contains`](Self::contains) — which answers `false` for any
     /// out-of-range index — inserting out of range would either corrupt a
-    /// phantom slack bit of the last word (breaking [`count`](Self::count)
+    /// phantom slack bit of the last word (breaking [`ones`](Self::ones)
     /// and the block-at-a-time kernels) or panic on the word index, so the
     /// bound is asserted up front in debug builds.
-    pub fn insert(&mut self, i: usize) {
+    pub(crate) fn insert(&mut self, i: usize) {
         debug_assert!(
             i < self.len,
             "insert({i}) out of range for capacity {}",
@@ -82,9 +77,9 @@ impl PodSet {
         self.bits[i / 64] |= 1 << (i % 64);
     }
 
-    /// Removes a pod. Like [`insert`](Self::insert), `i` must be below
-    /// [`capacity`](Self::capacity) (asserted in debug builds).
-    pub fn remove(&mut self, i: usize) {
+    /// Removes a pod. Like [`insert`](Self::insert), `i` must be below the
+    /// number of pods the set ranges over (asserted in debug builds).
+    pub(crate) fn remove(&mut self, i: usize) {
         debug_assert!(
             i < self.len,
             "remove({i}) out of range for capacity {}",
@@ -103,7 +98,7 @@ impl PodSet {
     /// the same pod count: a silent `zip` over mismatched word vectors
     /// would truncate the longer operand, so the capacities are asserted in
     /// debug builds (as in every other binary kernel here).
-    pub fn union_with(&mut self, other: &PodSet) {
+    pub(crate) fn union_with(&mut self, other: &PodSet) {
         debug_assert_eq!(self.len, other.len, "capacity mismatch in union_with");
         for (a, b) in self.bits.iter_mut().zip(&other.bits) {
             *a |= b;
@@ -112,7 +107,7 @@ impl PodSet {
 
     /// In-place intersection, one `u64` block at a time. Capacities must
     /// agree (asserted in debug builds).
-    pub fn intersect_with(&mut self, other: &PodSet) {
+    pub(crate) fn intersect_with(&mut self, other: &PodSet) {
         debug_assert_eq!(self.len, other.len, "capacity mismatch in intersect_with");
         for (a, b) in self.bits.iter_mut().zip(&other.bits) {
             *a &= b;
@@ -121,27 +116,15 @@ impl PodSet {
 
     /// In-place difference (`self \ other`), one `u64` block at a time.
     /// Capacities must agree (asserted in debug builds).
-    pub fn difference_with(&mut self, other: &PodSet) {
+    pub(crate) fn difference_with(&mut self, other: &PodSet) {
         debug_assert_eq!(self.len, other.len, "capacity mismatch in difference_with");
         for (a, b) in self.bits.iter_mut().zip(&other.bits) {
             *a &= !b;
         }
     }
 
-    /// Number of members.
-    pub fn count(&self) -> usize {
-        self.bits.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// The backing `u64` blocks, 64 pods per word in ascending index order
-    /// (slack bits of the last word are always zero). For callers that want
-    /// to run their own fused block kernels over several sets at once.
-    pub fn words(&self) -> &[u64] {
-        &self.bits
-    }
-
     /// Iterates member indices in ascending order.
-    pub fn ones(&self) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn ones(&self) -> impl Iterator<Item = usize> + '_ {
         self.bits.iter().enumerate().flat_map(|(wi, &word)| {
             let mut w = word;
             std::iter::from_fn(move || {
@@ -221,9 +204,8 @@ struct CompiledPeer {
 
 /// The compiled policy index over one snapshot of a cluster.
 ///
-/// Build with [`Cluster::policy_index`] (cached per generation) or
-/// [`PolicyIndex::build`] for a one-off. Pod indices follow
-/// [`Cluster::pods`] order.
+/// Obtained from [`Cluster::policy_index`] (cached per generation). Pod
+/// indices follow [`Cluster::pods`] order.
 ///
 /// ```
 /// use ij_cluster::{Cluster, ClusterConfig, ConnectionVerdict};
@@ -333,7 +315,7 @@ impl NamespaceTable {
 
 impl PolicyIndex {
     /// Compiles the cluster's current policies and pods.
-    pub fn build(cluster: &Cluster) -> Self {
+    pub(crate) fn build(cluster: &Cluster) -> Self {
         let mut interner = LabelInterner::new();
         let pods_src = cluster.pods();
         let n = pods_src.len();
@@ -520,11 +502,6 @@ impl PolicyIndex {
         self.pods.len()
     }
 
-    /// Number of compiled policies.
-    pub fn policy_count(&self) -> usize {
-        self.policies.len()
-    }
-
     /// Index of a pod by qualified `namespace/name`.
     pub fn pod_index(&self, qualified: &str) -> Option<usize> {
         self.by_name.get(qualified).copied()
@@ -533,11 +510,6 @@ impl PolicyIndex {
     /// Qualified name of the pod at `index`.
     pub fn pod_name(&self, index: usize) -> &str {
         &self.pods[index].name
-    }
-
-    /// Pods selected by the compiled policy at `index` (test/debug aid).
-    pub fn matched_pods(&self, policy: usize) -> &PodSet {
-        &self.policies[policy].matched
     }
 
     fn ports_cover(&self, ports: &[PolicyPort], dst: usize, port: u16, protocol: Protocol) -> bool {
@@ -695,7 +667,7 @@ mod tests {
     #[test]
     fn podset_full_and_ones() {
         let full = PodSet::full(70);
-        assert_eq!(full.count(), 70);
+        assert_eq!(full.ones().count(), 70);
         assert!(full.contains(69));
         assert!(!full.contains(70));
         let mut set = PodSet::empty(70);
@@ -704,7 +676,7 @@ mod tests {
         set.insert(69);
         assert_eq!(set.ones().collect::<Vec<_>>(), vec![0, 64, 69]);
         set.remove(64);
-        assert_eq!(set.count(), 2);
+        assert_eq!(set.ones().count(), 2);
     }
 
     #[test]
@@ -740,15 +712,15 @@ mod tests {
             expect(|i| i % 3 == 0 || i % 5 == 0)
         );
 
-        // Slack bits stay zero through every kernel, so `words()` popcounts
-        // agree with `count()`.
+        // Slack bits stay zero through every kernel, so the words'
+        // popcounts agree with the members.
         assert_eq!(
             union
-                .words()
+                .bits
                 .iter()
                 .map(|w| w.count_ones() as usize)
                 .sum::<usize>(),
-            union.count()
+            union.ones().count()
         );
     }
 
@@ -764,7 +736,7 @@ mod tests {
         set.insert(69);
         assert!(set.contains(69));
         set.remove(69);
-        assert_eq!(set.count(), 0);
+        assert_eq!(set.ones().count(), 0);
     }
 
     #[cfg(debug_assertions)]
@@ -804,11 +776,11 @@ mod tests {
             )))
             .unwrap();
         let index = PolicyIndex::build(&cluster);
-        assert_eq!(index.policy_count(), 1);
+        assert_eq!(index.policies.len(), 1);
         let db = index.pod_index("default/db").unwrap();
         let web = index.pod_index("default/web").unwrap();
-        assert!(index.matched_pods(0).contains(db));
-        assert!(!index.matched_pods(0).contains(web));
+        assert!(index.policies[0].matched.contains(db));
+        assert!(!index.policies[0].matched.contains(web));
         assert_eq!(
             index.verdict(web, db, 8080, Protocol::Tcp),
             ConnectionVerdict::DeniedIngress

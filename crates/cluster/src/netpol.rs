@@ -66,7 +66,7 @@ impl<'a> PolicyEngine<'a> {
 
     /// Builds an engine from policy references (used when policies live
     /// inside a heterogeneous object store).
-    pub fn from_refs(
+    pub(crate) fn from_refs(
         policies: Vec<&'a NetworkPolicy>,
         namespaces: impl IntoIterator<Item = (String, Labels)>,
     ) -> Self {

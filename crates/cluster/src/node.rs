@@ -22,7 +22,7 @@ pub struct Node {
 
 impl Node {
     /// Creates a node with the standard daemon baseline.
-    pub fn new(index: usize) -> Self {
+    pub(crate) fn new(index: usize) -> Self {
         Node {
             name: format!("node-{index}"),
             ip: Ipv4Addr::from(u32::from(Ipv4Addr::new(192, 168, 49, 2)) + index as u32),
@@ -34,13 +34,6 @@ impl Node {
                 (53, Protocol::Udp),    // node-local DNS cache
             ],
         }
-    }
-
-    /// True when the node's own daemons hold this port.
-    pub fn baseline_holds(&self, port: u16, protocol: Protocol) -> bool {
-        self.baseline_ports
-            .iter()
-            .any(|&(p, pr)| p == port && pr == protocol)
     }
 }
 
@@ -59,8 +52,8 @@ mod tests {
     #[test]
     fn baseline_contains_kubelet() {
         let n = Node::new(0);
-        assert!(n.baseline_holds(10250, Protocol::Tcp));
-        assert!(!n.baseline_holds(10250, Protocol::Udp));
-        assert!(!n.baseline_holds(8080, Protocol::Tcp));
+        assert!(n.baseline_ports.contains(&(10250, Protocol::Tcp)));
+        assert!(!n.baseline_ports.contains(&(10250, Protocol::Udp)));
+        assert!(!n.baseline_ports.contains(&(8080, Protocol::Tcp)));
     }
 }

@@ -162,13 +162,6 @@ pub(crate) struct ReleaseIndex {
 }
 
 impl ReleaseIndex {
-    /// Forgets everything (the cluster was reset).
-    pub(crate) fn clear(&mut self) {
-        self.by_release.clear();
-        self.by_name.clear();
-        self.pods.clear();
-    }
-
     /// Indexes the objects appended at `from..`.
     pub(crate) fn add_objects(&mut self, objects: &Slots<Object>, from: usize) {
         let added = objects.entries_from(from);

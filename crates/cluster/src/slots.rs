@@ -81,12 +81,6 @@ impl<T> Slots<T> {
         self.slots.truncate(end);
     }
 
-    /// Drops everything.
-    pub(crate) fn clear(&mut self) {
-        self.slots.clear();
-        self.live = 0;
-    }
-
     /// The live entries, in slot order.
     pub(crate) fn view(&self) -> Live<'_, T> {
         Live {

@@ -129,7 +129,7 @@ impl CompactAppReport {
     }
 
     /// Materializes the owned representation.
-    pub fn resolve(&self, table: &SymbolTable) -> AppReport {
+    pub(crate) fn resolve(&self, table: &SymbolTable) -> AppReport {
         AppReport {
             app: table.resolve(self.app).to_string(),
             dataset: table.resolve(self.dataset).to_string(),
@@ -161,17 +161,12 @@ impl CompactAppReport {
     }
 
     /// Total misconfiguration count.
-    pub fn total(&self) -> usize {
+    pub(crate) fn total(&self) -> usize {
         self.findings.len()
     }
 
-    /// Count of one class.
-    pub fn count_of(&self, id: MisconfigId) -> usize {
-        self.findings.iter().filter(|f| f.id == id).count()
-    }
-
     /// True when any finding exists.
-    pub fn is_affected(&self) -> bool {
+    pub(crate) fn is_affected(&self) -> bool {
         !self.findings.is_empty()
     }
 }

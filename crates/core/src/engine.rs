@@ -70,12 +70,6 @@ impl Analyzer {
         }
     }
 
-    /// Disables one named rule (builder style); unknown names are ignored.
-    pub fn without_rule(mut self, name: &str) -> Self {
-        self.registry.disable(name);
-        self
-    }
-
     /// Analyzes one installed application.
     ///
     /// * `objects` — the rendered objects of the application (for the
@@ -431,7 +425,9 @@ spec:
     #[test]
     fn disabling_one_rule_drops_exactly_that_class() {
         let full = run_analysis(Analyzer::hybrid());
-        let without = run_analysis(Analyzer::hybrid().without_rule("m7"));
+        let mut ablated = Analyzer::hybrid();
+        ablated.registry.try_disable("m7").unwrap();
+        let without = run_analysis(ablated);
         assert!(full.iter().any(|f| f.id == MisconfigId::M7));
         let expected: Vec<_> = full
             .iter()
@@ -450,7 +446,8 @@ spec:
             ("a".to_string(), StaticModel::default()),
             ("b".to_string(), StaticModel::default()),
         ];
-        let analyzer = Analyzer::hybrid().without_rule("m4star");
+        let mut analyzer = Analyzer::hybrid();
+        analyzer.registry.try_disable("m4star").unwrap();
         assert!(analyzer.analyze_global(&apps).is_empty());
     }
 
@@ -555,9 +552,12 @@ spec:
         let app = || Chart::builder("app").template_object("ns.yaml", namespace.clone());
         assert!(chart_defines_network_policies(&with_policy));
         assert!(!chart_defines_network_policies(&app().build()));
-        assert!(chart_defines_network_policies(
-            &app().dependency(with_policy).build()
-        ));
+        let mut parent = app().build();
+        parent.dependencies.push(ij_chart::Dependency {
+            chart: with_policy,
+            condition: None,
+        });
+        assert!(chart_defines_network_policies(&parent));
     }
 
     #[test]

@@ -92,7 +92,7 @@ impl MisconfigId {
     }
 
     /// Table 1 "Issue" column.
-    pub fn issue(&self) -> &'static str {
+    pub(crate) fn issue(&self) -> &'static str {
         match self {
             MisconfigId::M1 => "Listening on all interfaces by default",
             MisconfigId::M2 => "Dynamic ports cannot be controlled",
@@ -109,7 +109,7 @@ impl MisconfigId {
     }
 
     /// Table 1 "Possible attack(s)" column.
-    pub fn possible_attacks(&self) -> &'static [&'static str] {
+    pub(crate) fn possible_attacks(&self) -> &'static [&'static str] {
         match self {
             MisconfigId::M1 => &["Command and control", "Sensitive port information"],
             MisconfigId::M2 => &["Loosened security policies"],

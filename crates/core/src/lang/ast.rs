@@ -45,7 +45,7 @@ pub enum Comparator {
 
 impl Comparator {
     /// Source spelling.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             Comparator::Eq => "==",
             Comparator::Ne => "!=",

@@ -71,17 +71,17 @@ pub struct CompiledRule {
 
 impl CompiledRule {
     /// The registry name.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
     /// The misconfiguration class every finding of this rule carries.
-    pub fn class(&self) -> MisconfigId {
+    pub(crate) fn class(&self) -> MisconfigId {
         self.class
     }
 
     /// Static or runtime evidence (the engine's gating axis).
-    pub fn evidence(&self) -> RuleScope {
+    pub(crate) fn evidence(&self) -> RuleScope {
         self.evidence
     }
 
@@ -101,13 +101,13 @@ impl CompiledRule {
     }
 
     /// Evaluates the rule over one application.
-    pub fn run(&self, ctx: &RuleContext<'_>) -> Vec<Finding> {
+    pub(crate) fn run(&self, ctx: &RuleContext<'_>) -> Vec<Finding> {
         let mut out = Vec::new();
         self.run_impl(ctx, false, &mut |finding, _| out.push(finding));
         out
     }
 
-    /// Like [`run`](CompiledRule::run), but each finding comes with the
+    /// Like `run`, but each finding comes with the
     /// atom-level trace of its `when` evaluation — the explanation of *why*
     /// it fired. Entities whose `when` is false contribute nothing.
     pub fn run_traced(&self, ctx: &RuleContext<'_>) -> Vec<(Finding, Vec<TraceAtom>)> {
@@ -257,11 +257,6 @@ impl RulePack {
     /// The compiled rules, in file order.
     pub fn rules(&self) -> impl Iterator<Item = &Arc<CompiledRule>> + '_ {
         self.rules.iter()
-    }
-
-    /// The names this pack disables, in file order.
-    pub fn disables(&self) -> &[String] {
-        &self.disables
     }
 
     /// Installs the pack into a registry: every rule is registered (pack
@@ -721,13 +716,16 @@ spec:
         let pack = RulePack::builtin();
         let names: Vec<&str> = pack.rules().map(|r| r.name()).collect();
         assert_eq!(names, ["m1", "m2", "m5a", "m5b", "m5c", "m5d", "m6", "m7"]);
-        assert_eq!(pack.disables(), ["m5".to_string()]);
+        assert_eq!(pack.disables, ["m5".to_string()]);
         let mut reg = RuleRegistry::standard();
         let count_before = reg.entries().len();
         pack.register_into(&mut reg).unwrap();
         // m1/m2/m6/m7 replaced in place, m5a–m5d appended.
         assert_eq!(reg.entries().len(), count_before + 4);
-        assert!(!reg.is_enabled("m5"), "the native m5 aggregate is disabled");
+        assert!(
+            !reg.get("m5").unwrap().is_enabled(),
+            "the native m5 aggregate is disabled"
+        );
         assert_eq!(
             reg.get("m1").unwrap().origin(),
             crate::registry::RuleOrigin::Pack
@@ -736,7 +734,7 @@ spec:
             reg.get("m3").unwrap().origin(),
             crate::registry::RuleOrigin::Native
         );
-        assert!(reg.get("m1").unwrap().expression().is_some());
+        assert!(reg.get("m1").unwrap().pack_rule().is_some());
     }
 
     #[test]

@@ -51,7 +51,7 @@ impl Select {
     }
 
     /// Parses a pack-file spelling.
-    pub fn parse(s: &str) -> Option<Select> {
+    pub(crate) fn parse(s: &str) -> Option<Select> {
         match s {
             "app" => Some(Select::App),
             "unit" => Some(Select::Unit),
@@ -64,7 +64,7 @@ impl Select {
 
     /// True when the scope carries a compute unit, enabling `ports.*` and
     /// `labels.*` builtins.
-    pub fn unit_scoped(&self) -> bool {
+    pub(crate) fn unit_scoped(&self) -> bool {
         matches!(self, Select::Unit | Select::Socket)
     }
 

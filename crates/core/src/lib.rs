@@ -76,10 +76,13 @@
 //! ```
 //! use ij_core::Analyzer;
 //!
-//! // Per-rule ablation: everything except hostNetwork checks.
-//! let quiet = Analyzer::hybrid().without_rule("m7");
-//! assert!(!quiet.registry.is_enabled("m7"));
-//! assert!(quiet.registry.is_enabled("m1"));
+//! // Per-rule ablation: everything except hostNetwork checks. A misspelt
+//! // rule name is a typed error, not a silently unchanged analyzer.
+//! let mut quiet = Analyzer::hybrid();
+//! quiet.registry.try_disable("m7").expect("m7 is a standard rule");
+//! assert!(!quiet.registry.try_get("m7").unwrap().is_enabled());
+//! assert!(quiet.registry.try_get("m1").unwrap().is_enabled());
+//! assert!(quiet.registry.try_disable("m8").is_err());
 //! ```
 
 mod compact;

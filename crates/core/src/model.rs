@@ -35,7 +35,7 @@ impl ComputeUnit {
     }
 
     /// Resolves a declared port name to its number.
-    pub fn resolve_port_name(&self, name: &str) -> Option<u16> {
+    pub(crate) fn resolve_port_name(&self, name: &str) -> Option<u16> {
         self.declared
             .iter()
             .find(|(_, p)| p.name.as_deref() == Some(name))

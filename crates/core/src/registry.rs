@@ -3,7 +3,7 @@
 //!
 //! The [`crate::Analyzer`] used to call each rule function in a hardcoded
 //! list; it now iterates a [`RuleRegistry`] instead. That makes per-rule
-//! ablations a one-liner (`analyzer.registry.disable("m7")`) and lets
+//! ablations a one-liner (`analyzer.registry.try_disable("m7")`) and lets
 //! downstream users register custom application rules next to the built-in
 //! ones without touching the engine.
 //!
@@ -115,10 +115,7 @@ pub struct RuleEntry {
 }
 
 impl RuleEntry {
-    /// The registry key used by [`RuleRegistry::set_enabled`] /
-    /// [`disable`].
-    ///
-    /// [`disable`]: RuleRegistry::disable
+    /// The registry key used by [`RuleRegistry::try_disable`].
     pub fn name(&self) -> &str {
         &self.name
     }
@@ -157,12 +154,6 @@ impl RuleEntry {
             RuleBody::Pack(rule) => Some(rule),
             _ => None,
         }
-    }
-
-    /// A pack entry's `when` expression source; `None` for native rules
-    /// (their body is Rust, not an expression).
-    pub fn expression(&self) -> Option<&str> {
-        self.pack_rule().map(CompiledRule::expression)
     }
 
     /// Runs an application-scoped rule; global rules yield nothing here.
@@ -209,7 +200,7 @@ impl Default for RuleRegistry {
 impl RuleRegistry {
     /// A registry with no rules; combine with the `register_*` methods to
     /// build a custom rule set from scratch.
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         RuleRegistry {
             entries: Vec::new(),
         }
@@ -303,7 +294,7 @@ impl RuleRegistry {
     /// Registers (or replaces) a compiled pack rule. Name, class, and
     /// evidence scope come from the rule's own declaration, so a pack rule
     /// named like a built-in one shadows it in place.
-    pub fn register_pack_rule(&mut self, rule: Arc<CompiledRule>) -> &mut Self {
+    pub(crate) fn register_pack_rule(&mut self, rule: Arc<CompiledRule>) -> &mut Self {
         self.insert(RuleEntry {
             name: Cow::Owned(rule.name().to_string()),
             classes: Cow::Owned(vec![rule.class()]),
@@ -327,7 +318,7 @@ impl RuleRegistry {
     }
 
     /// The registered names, in evaluation order.
-    pub fn names(&self) -> impl Iterator<Item = &str> + '_ {
+    pub(crate) fn names(&self) -> impl Iterator<Item = &str> + '_ {
         self.entries.iter().map(|e| e.name())
     }
 
@@ -339,7 +330,7 @@ impl RuleRegistry {
     }
 
     /// Looks an entry up by name.
-    pub fn get(&self, name: &str) -> Option<&RuleEntry> {
+    pub(crate) fn get(&self, name: &str) -> Option<&RuleEntry> {
         self.entries.iter().find(|e| e.name == name)
     }
 
@@ -349,14 +340,9 @@ impl RuleRegistry {
         self.get(name).ok_or_else(|| self.unknown(name))
     }
 
-    /// True when `name` is registered and enabled.
-    pub fn is_enabled(&self, name: &str) -> bool {
-        self.get(name).is_some_and(RuleEntry::is_enabled)
-    }
-
     /// Switches one rule on or off. Returns `false` when no rule of that
     /// name is registered (the registry is unchanged).
-    pub fn set_enabled(&mut self, name: &str, enabled: bool) -> bool {
+    pub(crate) fn set_enabled(&mut self, name: &str, enabled: bool) -> bool {
         match self.entries.iter_mut().find(|e| e.name == name) {
             Some(e) => {
                 e.enabled = enabled;
@@ -364,11 +350,6 @@ impl RuleRegistry {
             }
             None => false,
         }
-    }
-
-    /// Disables one rule; `false` when the name is unknown.
-    pub fn disable(&mut self, name: &str) -> bool {
-        self.set_enabled(name, false)
     }
 
     /// Disables one rule; an unknown name is a typed [`UnknownRule`] error
@@ -403,14 +384,16 @@ mod tests {
     #[test]
     fn enable_disable_round_trip() {
         let mut reg = RuleRegistry::standard();
-        assert!(reg.is_enabled("m7"));
-        assert!(reg.disable("m7"));
-        assert!(!reg.is_enabled("m7"));
+        let enabled =
+            |reg: &RuleRegistry, name: &str| reg.get(name).is_some_and(RuleEntry::is_enabled);
+        assert!(enabled(&reg, "m7"));
+        assert!(reg.set_enabled("m7", false));
+        assert!(!enabled(&reg, "m7"));
         assert!(reg.set_enabled("m7", true));
-        assert!(reg.is_enabled("m7"));
-        assert!(!reg.disable("no-such-rule"));
+        assert!(enabled(&reg, "m7"));
+        assert!(!reg.set_enabled("no-such-rule", false));
         assert!(!reg.set_enabled("no-such-rule", true));
-        assert!(!reg.is_enabled("no-such-rule"));
+        assert!(reg.get("no-such-rule").is_none());
     }
 
     #[test]
@@ -422,12 +405,15 @@ mod tests {
         let rendered = err.to_string();
         assert!(rendered.contains("unknown rule `m8`"), "{rendered}");
         assert!(rendered.contains("m4star"), "{rendered}");
-        assert!(reg.is_enabled("m7"), "failed disable must not change state");
+        assert!(
+            reg.get("m7").is_some_and(RuleEntry::is_enabled),
+            "failed disable must not change state"
+        );
 
         assert!(reg.try_get("m7").is_ok());
         assert_eq!(reg.try_get("nope").expect_err("typed").name, "nope");
         assert!(reg.try_disable("m7").is_ok());
-        assert!(!reg.is_enabled("m7"));
+        assert!(!reg.get("m7").is_some_and(RuleEntry::is_enabled));
         assert!(reg.try_disable("m7").is_ok(), "idempotent");
     }
 
@@ -444,7 +430,7 @@ mod tests {
         let replaced = reg.try_get("m7").expect("still registered");
         assert!(replaced.classes().is_empty());
         assert_eq!(replaced.origin(), RuleOrigin::Native);
-        assert!(replaced.expression().is_none());
+        assert!(replaced.pack_rule().is_none());
     }
 
     #[test]

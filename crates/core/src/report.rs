@@ -33,7 +33,7 @@ impl AppReport {
     }
 
     /// True when any finding exists.
-    pub fn is_affected(&self) -> bool {
+    pub(crate) fn is_affected(&self) -> bool {
         !self.findings.is_empty()
     }
 }
@@ -72,7 +72,7 @@ pub struct Census {
 
 impl Census {
     /// Dataset names in first-appearance order.
-    pub fn datasets(&self) -> Vec<String> {
+    pub(crate) fn datasets(&self) -> Vec<String> {
         let mut seen = BTreeSet::new();
         let mut out = Vec::new();
         for a in &self.apps {

@@ -126,7 +126,7 @@ impl PortFacts {
 
 /// M1 — open ports that are not declared. Stable sockets only: dynamic ones
 /// are M2's domain.
-pub fn m1_undeclared_open_ports(ctx: &RuleContext<'_>) -> Vec<Finding> {
+pub(crate) fn m1_undeclared_open_ports(ctx: &RuleContext<'_>) -> Vec<Finding> {
     let mut findings = Vec::new();
     for unit in &ctx.statics.units {
         if !ctx.unit_observed(&unit.name) {
@@ -153,7 +153,7 @@ pub fn m1_undeclared_open_ports(ctx: &RuleContext<'_>) -> Vec<Finding> {
 }
 
 /// M2 — dynamic (ephemeral) ports, one finding per affected compute unit.
-pub fn m2_dynamic_ports(ctx: &RuleContext<'_>) -> Vec<Finding> {
+pub(crate) fn m2_dynamic_ports(ctx: &RuleContext<'_>) -> Vec<Finding> {
     ctx.statics
         .units
         .iter()
@@ -175,7 +175,7 @@ pub fn m2_dynamic_ports(ctx: &RuleContext<'_>) -> Vec<Finding> {
 /// references a declared-but-closed port the issue is classified as M5A (or
 /// M5C for headless services), not double-counted as M3 — matching the
 /// paper's disjoint per-class accounting in Table 2.
-pub fn m3_declared_not_open(ctx: &RuleContext<'_>) -> Vec<Finding> {
+pub(crate) fn m3_declared_not_open(ctx: &RuleContext<'_>) -> Vec<Finding> {
     let mut findings = Vec::new();
     for unit in &ctx.statics.units {
         if !ctx.unit_observed(&unit.name) {
@@ -232,7 +232,7 @@ fn service_targeted_ports(statics: &StaticModel, unit: &ComputeUnit) -> BTreeSet
 
 /// M4A — compute unit collision: distinct units carrying identical,
 /// non-empty label sets. One finding per collision group.
-pub fn m4a_unit_collisions(ctx: &RuleContext<'_>) -> Vec<Finding> {
+pub(crate) fn m4a_unit_collisions(ctx: &RuleContext<'_>) -> Vec<Finding> {
     collision_groups(&ctx.statics.units)
         .into_iter()
         .map(|group| {
@@ -268,7 +268,7 @@ fn collision_groups(units: &[ComputeUnit]) -> Vec<Vec<&ComputeUnit>> {
 
 /// M4B — service label collision: two or more services targeting the same
 /// compute unit. One finding per unit.
-pub fn m4b_service_collisions(ctx: &RuleContext<'_>) -> Vec<Finding> {
+pub(crate) fn m4b_service_collisions(ctx: &RuleContext<'_>) -> Vec<Finding> {
     let mut findings = Vec::new();
     for unit in &ctx.statics.units {
         let selecting: Vec<&Service> = ctx
@@ -300,7 +300,7 @@ pub fn m4b_service_collisions(ctx: &RuleContext<'_>) -> Vec<Finding> {
 /// M4C — compute unit subset collision: one service selecting several
 /// *unrelated* units (units whose full label sets differ). One finding per
 /// service.
-pub fn m4c_subset_collisions(ctx: &RuleContext<'_>) -> Vec<Finding> {
+pub(crate) fn m4c_subset_collisions(ctx: &RuleContext<'_>) -> Vec<Finding> {
     let mut findings = Vec::new();
     for svc in &ctx.statics.services {
         let selected = ctx.statics.units_selected_by(svc);
@@ -327,7 +327,7 @@ pub fn m4c_subset_collisions(ctx: &RuleContext<'_>) -> Vec<Finding> {
 }
 
 /// M5 family — services with incorrect references.
-pub fn m5_service_references(ctx: &RuleContext<'_>) -> Vec<Finding> {
+pub(crate) fn m5_service_references(ctx: &RuleContext<'_>) -> Vec<Finding> {
     let mut findings = Vec::new();
     for svc in &ctx.statics.services {
         let view = SvcView::new(ctx, svc);
@@ -391,7 +391,7 @@ pub fn m5_service_references(ctx: &RuleContext<'_>) -> Vec<Finding> {
 /// M6 — lack of (enabled) network policies: nothing rendered a
 /// NetworkPolicy. The detail distinguishes "none defined" from "defined in
 /// the chart but not enabled".
-pub fn m6_missing_policies(ctx: &RuleContext<'_>) -> Vec<Finding> {
+pub(crate) fn m6_missing_policies(ctx: &RuleContext<'_>) -> Vec<Finding> {
     if !ctx.statics.policies.is_empty() {
         return Vec::new();
     }
@@ -408,7 +408,7 @@ pub fn m6_missing_policies(ctx: &RuleContext<'_>) -> Vec<Finding> {
 }
 
 /// M7 — compute units binding to the host network.
-pub fn m7_host_network(ctx: &RuleContext<'_>) -> Vec<Finding> {
+pub(crate) fn m7_host_network(ctx: &RuleContext<'_>) -> Vec<Finding> {
     ctx.statics
         .units
         .iter()

@@ -32,7 +32,7 @@ pub struct Sym(u32);
 
 impl Sym {
     /// The dense index of this symbol (interning order).
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -219,7 +219,7 @@ impl SymMemo {
     }
 
     /// `sym` of `from`, interned into `to`.
-    pub fn map(&mut self, sym: Sym, from: &SymbolTable, to: &mut SymbolTable) -> Sym {
+    pub(crate) fn map(&mut self, sym: Sym, from: &SymbolTable, to: &mut SymbolTable) -> Sym {
         match self.0.get_mut(sym.index()) {
             Some(Some(mapped)) => *mapped,
             Some(slot) => *slot.insert(to.intern(from.resolve(sym))),

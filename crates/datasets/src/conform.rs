@@ -89,7 +89,7 @@ pub enum ChartStatus {
 
 impl ChartStatus {
     /// Machine-readable status tag used in the JSON artifact.
-    pub fn tag(&self) -> &'static str {
+    pub(crate) fn tag(&self) -> &'static str {
         match self {
             ChartStatus::Conformant => "conformant",
             ChartStatus::Unsupported { .. } => "unsupported",

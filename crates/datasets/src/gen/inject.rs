@@ -142,7 +142,7 @@ impl MisconfigMix {
     /// Every rate multiplied by `factor` (probabilities are clamped to
     /// `[0, 1]` at sampling time). A cheap way to derive a quieter or
     /// noisier variant of an existing mix.
-    pub fn scaled(mut self, factor: f64) -> Self {
+    pub(crate) fn scaled(mut self, factor: f64) -> Self {
         for slot in [
             &mut self.m1,
             &mut self.m2,
@@ -199,7 +199,7 @@ impl MisconfigMix {
     }
 
     /// The rate for one rule.
-    pub fn rate(&self, id: MisconfigId) -> f64 {
+    pub(crate) fn rate(&self, id: MisconfigId) -> f64 {
         use MisconfigId::*;
         match id {
             M1 => self.m1,
@@ -233,13 +233,6 @@ impl MisconfigMix {
             self.set(rule.trim(), rate)?;
         }
         Ok(())
-    }
-
-    /// [`baseline`](Self::baseline) with an override list applied.
-    pub fn parse(spec: &str) -> Result<Self, MixError> {
-        let mut mix = MisconfigMix::baseline();
-        mix.apply_overrides(spec)?;
-        Ok(mix)
     }
 
     /// Samples this mix (scaled by the archetype's propensities) into a
@@ -295,9 +288,16 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
 
+    /// The baseline mix with an override list applied.
+    fn parse(spec: &str) -> Result<MisconfigMix, MixError> {
+        let mut mix = MisconfigMix::baseline();
+        mix.apply_overrides(spec)?;
+        Ok(mix)
+    }
+
     #[test]
     fn parse_overrides_known_rules() {
-        let mix = MisconfigMix::parse("m1=0.2, m7=0.05,m4star=0.5").expect("valid mix");
+        let mix = parse("m1=0.2, m7=0.05,m4star=0.5").expect("valid mix");
         assert_eq!(mix.m1, 0.2);
         assert_eq!(mix.m7, 0.05);
         assert_eq!(mix.m4star, 0.5);
@@ -307,18 +307,15 @@ mod tests {
 
     #[test]
     fn parse_rejects_unknown_rule_and_bad_rate() {
-        assert!(MisconfigMix::parse("m9=1.0").is_err());
-        assert!(MisconfigMix::parse("m1=lots").is_err());
-        assert!(MisconfigMix::parse("m1").is_err());
-        assert!(MisconfigMix::parse("m1=-0.5").is_err());
+        assert!(parse("m9=1.0").is_err());
+        assert!(parse("m1=lots").is_err());
+        assert!(parse("m1").is_err());
+        assert!(parse("m1=-0.5").is_err());
     }
 
     #[test]
     fn empty_override_list_is_baseline() {
-        assert_eq!(
-            MisconfigMix::parse("").expect("empty"),
-            MisconfigMix::baseline()
-        );
+        assert_eq!(parse("").expect("empty"), MisconfigMix::baseline());
     }
 
     #[test]

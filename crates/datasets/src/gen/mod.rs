@@ -69,11 +69,6 @@ impl CorpusGenerator {
         self.len() == 0
     }
 
-    /// The archetype application `index` is drawn from.
-    pub fn archetype(&self, index: usize) -> Archetype {
-        self.profile.pick_archetype(&mut self.rng_for(index))
-    }
-
     /// Generates application `index` (`0..len()`): a pure function of the
     /// profile and index — calling it twice, on any thread, yields the same
     /// spec.
@@ -177,7 +172,7 @@ impl PopulationSummary {
     /// Builds a summary from `(group label, spec)` pairs. Specs are
     /// consumed one at a time, so callers can stream a generated
     /// population through without holding it in memory.
-    pub fn from_specs(
+    pub(crate) fn from_specs(
         label: impl Into<String>,
         seed: Option<u64>,
         entries: impl IntoIterator<Item = (String, AppSpec)>,
@@ -344,12 +339,12 @@ mod tests {
     fn archetype_matches_the_spec_prefix() {
         let generator = tiny("baseline", 48, 3);
         for i in 0..48 {
-            let spec = generator.spec(i);
+            let (archetype, spec) = generator.generate(i);
+            assert_eq!(spec, generator.spec(i));
             assert!(
-                spec.name.starts_with(generator.archetype(i).slug()),
-                "{} vs {}",
-                spec.name,
-                generator.archetype(i)
+                spec.name.starts_with(archetype.slug()),
+                "{} vs {archetype}",
+                spec.name
             );
         }
     }

@@ -111,23 +111,18 @@ impl CorpusProfile {
     }
 
     /// Population size.
-    pub fn apps(&self) -> usize {
+    pub(crate) fn apps(&self) -> usize {
         self.apps
     }
 
     /// Base seed.
-    pub fn seed(&self) -> u64 {
+    pub(crate) fn seed(&self) -> u64 {
         self.seed
     }
 
     /// The injection mix.
     pub fn mix(&self) -> &MisconfigMix {
         &self.mix
-    }
-
-    /// Archetype weights (zero-weight entries are never drawn).
-    pub fn weights(&self) -> &[(Archetype, u32)] {
-        &self.weights
     }
 
     /// Same profile, different population size.
@@ -169,8 +164,6 @@ impl CorpusProfile {
 #[derive(Debug, Clone)]
 pub struct CorpusProfileBuilder {
     name: String,
-    apps: usize,
-    seed: u64,
     weights: Vec<(Archetype, u32)>,
     mix: MisconfigMix,
 }
@@ -179,8 +172,6 @@ impl Default for CorpusProfileBuilder {
     fn default() -> Self {
         CorpusProfileBuilder {
             name: "custom".to_string(),
-            apps: 100,
-            seed: 42,
             weights: Archetype::ALL.map(|a| (a, 1)).to_vec(),
             mix: MisconfigMix::baseline(),
         }
@@ -191,18 +182,6 @@ impl CorpusProfileBuilder {
     /// Display name.
     pub fn name(mut self, name: impl Into<String>) -> Self {
         self.name = name.into();
-        self
-    }
-
-    /// Population size.
-    pub fn apps(mut self, apps: usize) -> Self {
-        self.apps = apps;
-        self
-    }
-
-    /// Base seed (generation and census both derive from it).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
         self
     }
 
@@ -230,8 +209,8 @@ impl CorpusProfileBuilder {
         }
         CorpusProfile {
             name: self.name,
-            apps: self.apps,
-            seed: self.seed,
+            apps: 100,
+            seed: 42,
             weights,
             mix: self.mix,
         }
@@ -265,7 +244,7 @@ mod tests {
             .weight(Archetype::HostNetworkLegacy, 0)
             .weight(Archetype::PolicyMature, 0)
             .build();
-        assert!(profile.weights().iter().any(|(_, w)| *w > 0));
+        assert!(profile.weights.iter().any(|(_, w)| *w > 0));
     }
 
     #[test]

@@ -23,13 +23,13 @@
 //! ## The census pipeline
 //!
 //! [`CensusPipeline`] is the front door to the evaluation: a builder
-//! configures the seed, cluster size, probe, analyzer (including per-rule
-//! registry ablations), worker-thread count, and an optional progress
+//! configures the seed, probe, analyzer (including per-rule registry
+//! ablations), worker-thread and shard counts, and an optional progress
 //! observer; `run` executes baseline → install → double-pass probe → rule
 //! evaluation → cluster-wide pass and returns a typed [`CensusError`]
 //! instead of panicking when a chart fails to render or install. One
 //! engine runs every census, from a slice of specs (`run`) or a streamed
-//! [`CorpusGenerator`] (`run_generated`, `run_generated_compact`), and is
+//! [`CorpusGenerator`] (`run_generated_compact`), and is
 //! deterministic: the census is byte-identical for every
 //! `(threads, shards)` combination.
 //!
@@ -75,5 +75,5 @@ pub use pipeline::{
 pub use poc::{concourse_behaviors, concourse_chart, thanos_behaviors, thanos_chart};
 pub use representative::representative_charts;
 pub use runner::{AppAnalysis, CorpusOptions, PolicyImpact};
-pub use score::{score_app, score_corpus, ClassScore, ScoreReport};
-pub use spec::{AppSpec, NetpolSpec, Org, Plan, UseCase};
+pub use score::{score_corpus, ClassScore, ScoreReport};
+pub use spec::{AppSpec, NetpolSpec, Org, Plan};

@@ -301,9 +301,9 @@ struct ShardSlot {
     globals: Option<GlobalAppModel>,
 }
 
-/// Builder for [`CensusPipeline`]. Obtained via [`CensusPipeline::builder`];
-/// every knob has the same default as [`CorpusOptions::default`], one
-/// worker thread, and no observer.
+/// Builder for [`CensusPipeline`]. Obtained via [`CensusPipeline::builder`].
+/// Every option it does not set keeps its [`CorpusOptions::default`] value;
+/// the defaults are one worker thread, one shard and no observer.
 #[derive(Clone, Default)]
 pub struct CensusPipelineBuilder {
     opts: CorpusOptions,
@@ -314,22 +314,9 @@ pub struct CensusPipelineBuilder {
 }
 
 impl CensusPipelineBuilder {
-    /// Replaces the whole option block at once, for callers that already
-    /// own a [`CorpusOptions`].
-    pub fn options(mut self, opts: CorpusOptions) -> Self {
-        self.opts = opts;
-        self
-    }
-
     /// Base seed; each application derives its own from this and its name.
     pub fn seed(mut self, seed: u64) -> Self {
         self.opts.seed = seed;
-        self
-    }
-
-    /// Worker nodes per ephemeral cluster.
-    pub fn nodes(mut self, nodes: usize) -> Self {
-        self.opts.nodes = nodes;
         self
     }
 
@@ -419,8 +406,9 @@ impl CensusPipelineBuilder {
 ///     .seed(7)
 ///     .threads(2) // byte-identical to the sequential run
 ///     .build()
-///     .run_generated(&generator)
-///     .expect("generated charts render and install");
+///     .run_generated_compact(&generator)
+///     .expect("generated charts render and install")
+///     .resolve();
 /// assert_eq!(census.apps.len(), 8);
 ///
 /// // The analyzer found exactly what the generator injected.
@@ -568,20 +556,13 @@ impl CensusPipeline {
         Ok(self.run_compact(SpecSource::Slice(specs))?.resolve())
     }
 
-    /// [`run`](Self::run) over a procedural population: each worker asks
-    /// the generator for spec `i` as it claims the index, so the population
-    /// is **streamed** — no `Vec<AppSpec>` of the whole corpus ever exists.
-    /// This is [`run_generated_compact`](Self::run_generated_compact) plus
-    /// a final materialization; corpus-scale callers should stay on the
-    /// compact form and render from it lazily.
-    pub fn run_generated(&self, generator: &CorpusGenerator) -> Result<Census, CensusError> {
-        Ok(self.run_generated_compact(generator)?.resolve())
-    }
-
-    /// The flat-memory generated census: streams every spec of `generator`
-    /// through the census engine and keeps only interned
+    /// [`run`](Self::run) over a procedural population, kept compact: each
+    /// worker asks the generator for spec `i` as it claims the index, so
+    /// the population is **streamed**, and the census keeps only interned
     /// [`CompactAppReport`]s — never a materialized `Vec<AppSpec>`,
     /// `Vec<StaticModel>`, or owned-`String` census.
+    /// [`CompactCensus::resolve`] materializes it when a caller wants the
+    /// owned form.
     pub fn run_generated_compact(
         &self,
         generator: &CorpusGenerator,
@@ -1017,16 +998,18 @@ mod tests {
         let sequential = CensusPipeline::builder()
             .seed(7)
             .build()
-            .run_generated(&generator)
-            .expect("generated census runs");
+            .run_generated_compact(&generator)
+            .expect("generated census runs")
+            .resolve();
         assert_eq!(sequential.apps.len(), 24);
         for threads in [2, 8] {
             let parallel = CensusPipeline::builder()
                 .seed(7)
                 .threads(threads)
                 .build()
-                .run_generated(&generator)
-                .expect("generated parallel census runs");
+                .run_generated_compact(&generator)
+                .expect("generated parallel census runs")
+                .resolve();
             assert_eq!(
                 format!("{sequential:#?}"),
                 format!("{parallel:#?}"),
@@ -1038,7 +1021,7 @@ mod tests {
     #[test]
     fn generated_census_equals_the_materialized_equivalent() {
         // Streaming is an implementation detail: running the generator
-        // through `run_generated` must produce the same census as
+        // through `run_generated_compact` must produce the same census as
         // collecting the specs first and running the slice path.
         let generator = CorpusGenerator::new(
             CorpusProfile::named("legacy")
@@ -1049,8 +1032,9 @@ mod tests {
         let streamed = CensusPipeline::builder()
             .seed(3)
             .build()
-            .run_generated(&generator)
-            .expect("streamed run");
+            .run_generated_compact(&generator)
+            .expect("streamed run")
+            .resolve();
         let materialized: Vec<_> = generator.iter().collect();
         let sliced = CensusPipeline::builder()
             .seed(3)
@@ -1240,13 +1224,14 @@ mod tests {
     fn builder_knobs_land_in_options() {
         let pipeline = CensusPipeline::builder()
             .seed(99)
-            .nodes(5)
             .threads(8)
+            .shards(3)
             .analyzer(Analyzer::static_only())
             .build();
         assert_eq!(pipeline.options().seed, 99);
-        assert_eq!(pipeline.options().nodes, 5);
+        assert_eq!(pipeline.options().nodes, CorpusOptions::default().nodes);
         assert_eq!(pipeline.threads(), 8);
+        assert_eq!(pipeline.shards(), 3);
         assert!(!pipeline.options().analyzer.options.runtime_rules);
         let debug = format!("{pipeline:?}");
         assert!(debug.contains("threads: 8"), "{debug}");
@@ -1292,8 +1277,10 @@ mod tests {
             .build()
             .run(&specs())
             .expect("full run");
+        let mut ablated = Analyzer::hybrid();
+        ablated.registry.try_disable("m4star").unwrap();
         let without_m4star = CensusPipeline::builder()
-            .analyzer(Analyzer::hybrid().without_rule("m4star"))
+            .analyzer(ablated)
             .build()
             .run(&specs())
             .expect("ablated run");

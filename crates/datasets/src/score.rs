@@ -42,7 +42,7 @@ impl ClassScore {
     }
 
     /// Harmonic mean of precision and recall.
-    pub fn f1(&self) -> f64 {
+    pub(crate) fn f1(&self) -> f64 {
         let (p, r) = (self.precision(), self.recall());
         if p + r == 0.0 {
             0.0
@@ -118,7 +118,7 @@ impl ScoreReport {
 /// `min(found, expected)` are true positives; surplus findings are false
 /// positives; shortfall is false negatives. (M4\* is attributed at the
 /// cluster level, so it is scored only when `expected_m4star` is supplied.)
-pub fn score_app(spec: &AppSpec, findings: &[Finding]) -> ScoreReport {
+pub(crate) fn score_app(spec: &AppSpec, findings: &[Finding]) -> ScoreReport {
     let mut report = ScoreReport::default();
     for id in MisconfigId::ALL {
         if id == MisconfigId::M4Star {
@@ -181,7 +181,8 @@ mod tests {
 
     fn analyze(built: &crate::BuiltApp, opts: CorpusOptions) -> crate::AppAnalysis {
         CensusPipeline::builder()
-            .options(opts)
+            .probe(opts.probe)
+            .analyzer(opts.analyzer)
             .build()
             .analyze_one(built)
             .expect("corpus app analyzes")

@@ -44,26 +44,6 @@ impl Org {
             Org::Wikimedia => "Wikimedia",
         }
     }
-
-    /// §4.1.1 use-case grouping.
-    pub fn use_case(&self) -> UseCase {
-        match self {
-            Org::BanzaiCloud | Org::Bitnami => UseCase::Sharing,
-            Org::Cncf | Org::PrometheusCommunity => UseCase::Production,
-            Org::Eea | Org::Wikimedia => UseCase::Internal,
-        }
-    }
-}
-
-/// The three dataset use cases.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UseCase {
-    /// Charts built for third parties to reuse.
-    Sharing,
-    /// Charts the organization runs for its own software.
-    Internal,
-    /// Charts purpose-built for production deployments.
-    Production,
 }
 
 /// How the chart handles NetworkPolicies (the M6 axis plus the §4.3.2
@@ -96,7 +76,7 @@ impl NetpolSpec {
     }
 
     /// True when the (defined) policy is of the allow-everything flavour.
-    pub fn is_loose(&self) -> bool {
+    pub(crate) fn is_loose(&self) -> bool {
         matches!(
             self,
             NetpolSpec::DefinedDisabled { loose: true } | NetpolSpec::Enabled { loose: true }
@@ -104,7 +84,7 @@ impl NetpolSpec {
     }
 
     /// True when a policy is rendered with default values.
-    pub fn enabled_by_default(&self) -> bool {
+    pub(crate) fn enabled_by_default(&self) -> bool {
         matches!(self, NetpolSpec::Enabled { .. })
     }
 
@@ -220,19 +200,6 @@ impl Plan {
             MisconfigId::M7 => self.m7,
         }
     }
-
-    /// Expected distinct misconfiguration types (local classes only).
-    pub fn expected_types(&self) -> usize {
-        MisconfigId::ALL
-            .iter()
-            .filter(|&&id| self.expected_of(id) > 0)
-            .count()
-    }
-
-    /// True when the chart will be counted as affected.
-    pub fn is_affected(&self) -> bool {
-        self.expected_local_findings() > 0 || !self.m4star_tokens.is_empty()
-    }
 }
 
 /// One synthetic chart in the corpus.
@@ -278,15 +245,18 @@ mod tests {
         assert_eq!(plan.expected_local_findings(), 7);
         assert_eq!(plan.expected_of(MisconfigId::M1), 2);
         assert_eq!(plan.expected_of(MisconfigId::M6), 1);
-        assert_eq!(plan.expected_types(), 6);
-        assert!(plan.is_affected());
+        let types = MisconfigId::ALL
+            .iter()
+            .filter(|&&id| plan.expected_of(id) > 0)
+            .count();
+        assert_eq!(types, 6);
     }
 
     #[test]
     fn clean_plan_has_no_findings() {
         let plan = Plan::clean();
         assert_eq!(plan.expected_local_findings(), 0);
-        assert!(!plan.is_affected());
+        assert!(plan.m4star_tokens.is_empty());
         assert!(!plan.netpol.yields_m6());
     }
 
@@ -299,12 +269,5 @@ mod tests {
         assert!(!NetpolSpec::Enabled { loose: true }.yields_m6());
         assert!(NetpolSpec::Enabled { loose: true }.is_loose());
         assert!(!NetpolSpec::Missing.is_loose());
-    }
-
-    #[test]
-    fn use_case_grouping() {
-        assert_eq!(Org::Bitnami.use_case(), UseCase::Sharing);
-        assert_eq!(Org::Cncf.use_case(), UseCase::Production);
-        assert_eq!(Org::Wikimedia.use_case(), UseCase::Internal);
     }
 }

@@ -24,15 +24,15 @@ fn generated(overrides: &[(&str, f64)], apps: usize, seed: u64) -> CorpusGenerat
     CorpusGenerator::new(
         CorpusProfile::builder()
             .name("guard-test")
-            .apps(apps)
-            .seed(seed)
             .weight(Archetype::MicroserviceMesh, 0)
             .weight(Archetype::Monolith, 0)
             .weight(Archetype::DataPipeline, 1)
             .weight(Archetype::HostNetworkLegacy, 0)
             .weight(Archetype::PolicyMature, 0)
             .mix(mix)
-            .build(),
+            .build()
+            .with_apps(apps)
+            .with_seed(seed),
     )
 }
 

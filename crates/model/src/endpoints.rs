@@ -29,55 +29,3 @@ pub struct Endpoints {
     /// observable symptom of M5D.
     pub addresses: Vec<EndpointAddress>,
 }
-
-impl Endpoints {
-    /// True when no pod backs the service.
-    pub fn is_empty(&self) -> bool {
-        self.addresses.is_empty()
-    }
-
-    /// Distinct backing pods.
-    pub fn pod_count(&self) -> usize {
-        let mut pods: Vec<&str> = self.addresses.iter().map(|a| a.pod.as_str()).collect();
-        pods.sort_unstable();
-        pods.dedup();
-        pods.len()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn pod_count_dedupes() {
-        let ep = Endpoints {
-            meta: ObjectMeta::named("svc"),
-            addresses: vec![
-                EndpointAddress {
-                    ip: Ipv4Addr::new(10, 0, 0, 1),
-                    pod: "default/a".into(),
-                    port: 80,
-                    protocol: Protocol::Tcp,
-                    port_name: None,
-                },
-                EndpointAddress {
-                    ip: Ipv4Addr::new(10, 0, 0, 1),
-                    pod: "default/a".into(),
-                    port: 443,
-                    protocol: Protocol::Tcp,
-                    port_name: None,
-                },
-                EndpointAddress {
-                    ip: Ipv4Addr::new(10, 0, 0, 2),
-                    pod: "default/b".into(),
-                    port: 80,
-                    protocol: Protocol::Tcp,
-                    port_name: None,
-                },
-            ],
-        };
-        assert_eq!(ep.pod_count(), 2);
-        assert!(!ep.is_empty());
-    }
-}

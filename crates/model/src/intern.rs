@@ -87,16 +87,6 @@ impl LabelInterner {
         keys.sort_unstable();
         LabelSet { pairs, keys }
     }
-
-    /// Number of distinct keys interned so far.
-    pub fn key_count(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// Number of distinct `(key, value)` pairs interned so far.
-    pub fn pair_count(&self) -> usize {
-        self.pairs.len()
-    }
 }
 
 /// A label set in interned form: sorted pair ids plus sorted key ids.
@@ -108,19 +98,19 @@ pub struct LabelSet {
 
 impl LabelSet {
     /// True when the `(key, value)` pair is present.
-    pub fn contains_pair(&self, id: LabelId) -> bool {
+    pub(crate) fn contains_pair(&self, id: LabelId) -> bool {
         self.pairs.binary_search(&id).is_ok()
     }
 
     /// True when the key is present (with any value).
-    pub fn contains_key(&self, id: KeyId) -> bool {
+    pub(crate) fn contains_key(&self, id: KeyId) -> bool {
         self.keys.binary_search(&id).is_ok()
     }
 
     /// True when every pair in `required` (sorted ascending) is present —
     /// the interned form of [`Labels::contains_all`], as a linear merge
     /// over two sorted id vectors.
-    pub fn contains_all(&self, required: &[LabelId]) -> bool {
+    pub(crate) fn contains_all(&self, required: &[LabelId]) -> bool {
         let mut mine = self.pairs.iter();
         'outer: for want in required {
             for have in mine.by_ref() {
@@ -133,16 +123,6 @@ impl LabelSet {
             return false;
         }
         true
-    }
-
-    /// Number of labels in the set.
-    pub fn len(&self) -> usize {
-        self.pairs.len()
-    }
-
-    /// True when the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.pairs.is_empty()
     }
 }
 
@@ -240,8 +220,8 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(interner.pair("app", "db"), a);
         assert_eq!(interner.key("app"), interner.key("app"));
-        assert_eq!(interner.key_count(), 1);
-        assert_eq!(interner.pair_count(), 2);
+        assert_eq!(interner.keys.len(), 1);
+        assert_eq!(interner.pairs.len(), 2);
     }
 
     #[test]
@@ -255,8 +235,8 @@ mod tests {
         assert_eq!(interner.lookup_key("tier"), None);
         assert_eq!(interner.lookup_pair("app", "db"), None);
         assert_eq!(interner.lookup_pair("tier", "front"), None);
-        assert_eq!(interner.key_count(), 1, "lookups must not grow the table");
-        assert_eq!(interner.pair_count(), 1);
+        assert_eq!(interner.keys.len(), 1, "lookups must not grow the table");
+        assert_eq!(interner.pairs.len(), 1);
     }
 
     #[test]

@@ -276,7 +276,7 @@ impl LabelSelector {
     }
 
     /// True when the selector has no requirements at all.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.match_labels.is_empty() && self.match_expressions.is_empty()
     }
 

@@ -85,12 +85,6 @@ impl ContainerPort {
         }
     }
 
-    /// Builder-style protocol override.
-    pub fn with_protocol(mut self, protocol: Protocol) -> Self {
-        self.protocol = protocol;
-        self
-    }
-
     pub(crate) fn decode(map: &Map, ctx: &str) -> Result<ContainerPort> {
         let container_port = codec::opt_int(map, "containerPort", ctx)?
             .ok_or_else(|| Error::malformed(format!("missing `{ctx}.containerPort`")))?;
@@ -184,7 +178,7 @@ impl Container {
     }
 
     /// Finds a declared port by its name.
-    pub fn port_by_name(&self, name: &str) -> Option<&ContainerPort> {
+    pub(crate) fn port_by_name(&self, name: &str) -> Option<&ContainerPort> {
         self.ports.iter().find(|p| p.name.as_deref() == Some(name))
     }
 
@@ -411,7 +405,10 @@ spec:
                 containers: vec![Container::new("web", "nginx:1.25")
                     .with_ports(vec![
                         ContainerPort::named("http", 8080),
-                        ContainerPort::tcp(9090).with_protocol(Protocol::Udp),
+                        ContainerPort {
+                            protocol: Protocol::Udp,
+                            ..ContainerPort::tcp(9090)
+                        },
                     ])
                     .with_env("MODE", "cluster")],
                 host_network: true,

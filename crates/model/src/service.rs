@@ -23,7 +23,7 @@ pub enum ServiceType {
 
 impl ServiceType {
     /// Kubernetes wire spelling.
-    pub fn as_str(&self) -> &'static str {
+    pub(crate) fn as_str(&self) -> &'static str {
         match self {
             ServiceType::ClusterIp => "ClusterIP",
             ServiceType::NodePort => "NodePort",
@@ -207,11 +207,6 @@ impl Service {
         self.spec.headless
     }
 
-    /// True when the service has no selector at all (M5D candidate).
-    pub fn has_selector(&self) -> bool {
-        !self.spec.selector.is_empty()
-    }
-
     pub(crate) fn decode(root: &Map) -> Result<Service> {
         let meta = ObjectMeta::decode(root)?;
         let spec = codec::opt_map(root, "spec", "service")?
@@ -304,7 +299,7 @@ spec:
         assert_eq!(s.spec.ports[0].port, 3306);
         assert_eq!(s.spec.ports[0].target_port, TargetPort::Number(3306));
         assert!(!s.is_headless());
-        assert!(s.has_selector());
+        assert!(!s.spec.selector.is_empty());
     }
 
     #[test]
@@ -358,7 +353,7 @@ spec:
 ";
         let v = ij_yaml::parse(src).unwrap();
         let s = Service::decode(v.as_map().unwrap()).unwrap();
-        assert!(!s.has_selector());
+        assert!(s.spec.selector.is_empty());
     }
 
     #[test]

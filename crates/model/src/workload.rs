@@ -35,7 +35,7 @@ impl WorkloadKind {
     }
 
     /// Parses a `kind` field; `None` for non-workload kinds.
-    pub fn from_kind(kind: &str) -> Option<WorkloadKind> {
+    pub(crate) fn from_kind(kind: &str) -> Option<WorkloadKind> {
         Some(match kind {
             "Deployment" => WorkloadKind::Deployment,
             "StatefulSet" => WorkloadKind::StatefulSet,
@@ -47,7 +47,7 @@ impl WorkloadKind {
     }
 
     /// `apiVersion` the kind is served under.
-    pub fn api_version(&self) -> &'static str {
+    pub(crate) fn api_version(&self) -> &'static str {
         match self {
             WorkloadKind::Job => "batch/v1",
             _ => "apps/v1",
@@ -104,13 +104,6 @@ impl Workload {
     pub fn with_kind(mut self, kind: WorkloadKind) -> Self {
         self.kind = kind;
         self
-    }
-
-    /// True when the selector actually matches the pod template labels.
-    /// Kubernetes validates this for Deployments at admission; violations in
-    /// hand-written ReplicaSets produce orphan pods.
-    pub fn selector_matches_template(&self) -> bool {
-        self.selector.matches(&self.template.labels)
     }
 
     pub(crate) fn decode(kind: WorkloadKind, root: &Map) -> Result<Workload> {
@@ -207,7 +200,7 @@ spec:
         let v = ij_yaml::parse(src).unwrap();
         let w = Workload::decode(WorkloadKind::Deployment, v.as_map().unwrap()).unwrap();
         assert_eq!(w.replicas, 3);
-        assert!(w.selector_matches_template());
+        assert!(w.selector.matches(&w.template.labels));
         assert_eq!(w.template.spec.containers[0].ports[0].container_port, 80);
     }
 
@@ -219,7 +212,7 @@ spec:
             PodSpec::default(),
         );
         w.selector = LabelSelector::from_labels(Labels::from_pairs([("app", "other")]));
-        assert!(!w.selector_matches_template());
+        assert!(!w.selector.matches(&w.template.labels));
     }
 
     #[test]

@@ -141,7 +141,8 @@ proptest! {
         protocol in arb_protocol(),
         named in any::<bool>(),
     ) {
-        let mut p = ContainerPort::tcp(port).with_protocol(protocol);
+        let mut p = ContainerPort::tcp(port);
+        p.protocol = protocol;
         if named {
             p.name = Some("metrics".into());
         }

@@ -35,20 +35,15 @@ impl HostBaseline {
     }
 
     /// True when the baseline already held this port on the node.
-    pub fn holds(&self, node: &str, port: u16, protocol: Protocol) -> bool {
+    pub(crate) fn holds(&self, node: &str, port: u16, protocol: Protocol) -> bool {
         self.ports
             .get(node)
             .is_some_and(|s| s.contains(&(port, protocol)))
     }
 
-    /// Number of baseline entries across all nodes.
-    pub fn len(&self) -> usize {
-        self.ports.values().map(BTreeSet::len).sum()
-    }
-
     /// True when no node has baseline entries.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.ports.values().all(BTreeSet::is_empty)
     }
 }
 

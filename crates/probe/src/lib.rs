@@ -33,7 +33,7 @@ mod topology;
 
 pub use baseline::HostBaseline;
 pub use matrix::ReachMatrix;
-pub use reach::{reachable_pod_endpoints, reachable_service_ports, ReachableEndpoint};
+pub use reach::{reachable_pod_endpoints, ReachableEndpoint};
 pub use report::{PodRuntime, RuntimeReport};
 pub use snapshot::{ObservedSocket, ProbeConfig, RuntimeAnalyzer, Snapshot};
 pub use topology::connectivity_dot;

@@ -60,29 +60,9 @@ impl ReachMatrix {
         ReachMatrix { index, rows }
     }
 
-    /// Number of pods in the snapshot.
-    pub fn pod_count(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Index of a pod by qualified `namespace/name`.
     pub fn pod_index(&self, qualified: &str) -> Option<usize> {
         self.index.pod_index(qualified)
-    }
-
-    /// Qualified name of the pod at `index`.
-    pub fn pod_name(&self, index: usize) -> &str {
-        self.index.pod_name(index)
-    }
-
-    /// The probeable (non-loopback) sockets of the pod at `dst`.
-    pub fn sockets(&self, dst: usize) -> &[(u16, Protocol)] {
-        &self.rows[dst].sockets
-    }
-
-    /// The sources allowed by policy on the `k`-th socket of `dst`.
-    pub fn allowed_sources(&self, dst: usize, k: usize) -> &PodSet {
-        &self.rows[dst].allowed[k]
     }
 
     /// True when `src` would successfully connect to `dst` on
@@ -106,7 +86,7 @@ impl ReachMatrix {
 
     /// Every endpoint reachable from `src`, in the canonical
     /// (pod, port) order of the sequential probe.
-    pub fn reachable_from(&self, src: &str) -> Vec<ReachableEndpoint> {
+    pub(crate) fn reachable_from(&self, src: &str) -> Vec<ReachableEndpoint> {
         let mut out = Vec::new();
         let Some(src_idx) = self.pod_index(src) else {
             return out;

@@ -23,28 +23,9 @@ pub struct ReachableEndpoint {
 /// endpoints where a connection would succeed.
 ///
 /// One call computes a [`ReachMatrix`] column set over the cluster's cached
-/// policy index; probing several vantage pods is cheaper still via
-/// [`ReachMatrix::reachable_from`] on one shared matrix.
+/// policy index.
 pub fn reachable_pod_endpoints(cluster: &Cluster, src: &str) -> Vec<ReachableEndpoint> {
     ReachMatrix::compute(cluster).reachable_from(src)
-}
-
-/// Probes every service port from `src`, returning `(service qualified
-/// name, port)` pairs for which at least one backend would answer.
-pub fn reachable_service_ports(cluster: &Cluster, src: &str) -> Vec<(String, u16)> {
-    let mut out = Vec::new();
-    for svc in cluster.services() {
-        for sp in &svc.spec.ports {
-            if !cluster
-                .send_to_service(src, &svc.meta.namespace, &svc.meta.name, sp.port)
-                .is_empty()
-            {
-                out.push((svc.meta.qualified_name(), sp.port));
-            }
-        }
-    }
-    out.sort();
-    out
 }
 
 #[cfg(test)]
@@ -124,7 +105,12 @@ mod tests {
                 vec![ServicePort::tcp_to(5433, 9999)],
             )))
             .unwrap();
-        let reach = reachable_service_ports(&cluster, "default/attacker");
-        assert_eq!(reach, vec![("default/db".to_string(), 5432)]);
+        let answers = |name: &str, port: u16| {
+            !cluster
+                .send_to_service("default/attacker", "default", name, port)
+                .is_empty()
+        };
+        assert!(answers("db", 5432));
+        assert!(!answers("db-broken", 5433));
     }
 }

@@ -14,11 +14,6 @@ pub struct PodRuntime {
 }
 
 impl PodRuntime {
-    /// All observed sockets, stable first.
-    pub fn all_ports(&self) -> impl Iterator<Item = &ObservedSocket> {
-        self.stable.iter().chain(self.dynamic.iter())
-    }
-
     /// True when any dynamic port was observed.
     pub fn has_dynamic_ports(&self) -> bool {
         !self.dynamic.is_empty()

@@ -39,7 +39,7 @@ impl ObservedSocket {
     }
 
     /// True when the port falls into the OS ephemeral range.
-    pub fn in_ephemeral_range(&self) -> bool {
+    pub(crate) fn in_ephemeral_range(&self) -> bool {
         EPHEMERAL_RANGE.contains(&self.port)
     }
 }
@@ -94,7 +94,7 @@ impl RuntimeAnalyzer {
 
     /// Captures a single snapshot (with noise injection, baseline
     /// subtraction, and loopback filtering applied).
-    pub fn snapshot(
+    pub(crate) fn snapshot(
         &self,
         cluster: &Cluster,
         baseline: &HostBaseline,
@@ -362,7 +362,7 @@ mod tests {
         let baseline = HostBaseline::capture(&cluster);
         let report = RuntimeAnalyzer::default().analyze(&mut cluster, &baseline);
         let rt = &report.pods["default/app"];
-        assert!(rt.all_ports().all(|s| s.port != 6060));
+        assert!(rt.stable.iter().chain(&rt.dynamic).all(|s| s.port != 6060));
     }
 
     #[test]

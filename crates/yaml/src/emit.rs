@@ -14,12 +14,9 @@ pub fn to_string(value: &Value) -> String {
     out
 }
 
-/// Serializes into a caller-provided buffer, clearing it first.
-///
-/// Produces exactly the bytes of [`to_string`]; the buffer's capacity is the
-/// only thing that survives between calls, which lets hot loops amortize the
-/// emit allocation across documents.
-pub fn to_string_into(value: &Value, out: &mut String) {
+/// Serializes into a caller-provided buffer, clearing it first. Produces
+/// exactly the bytes of [`to_string`].
+fn to_string_into(value: &Value, out: &mut String) {
     out.clear();
     match value {
         Value::Map(m) => emit_map(out, m, 0),
@@ -63,14 +60,12 @@ fn emit_seq(out: &mut String, seq: &[Value], depth: usize) {
         match item {
             Value::Map(m) if !m.is_empty() => {
                 // `- key: value` inline first entry, siblings below.
-                let mut it = m.iter();
-                let (k0, v0) = it.next().expect("non-empty");
-                out.push(' ');
-                quote_key(out, k0);
-                out.push(':');
-                emit_entry_value(out, v0, depth + 1);
-                for (k, v) in it {
-                    indent(out, depth + 1);
+                for (i, (k, v)) in m.iter().enumerate() {
+                    if i == 0 {
+                        out.push(' ');
+                    } else {
+                        indent(out, depth + 1);
+                    }
                     quote_key(out, k);
                     out.push(':');
                     emit_entry_value(out, v, depth + 1);
@@ -82,7 +77,7 @@ fn emit_seq(out: &mut String, seq: &[Value], depth: usize) {
             }
             other => {
                 out.push(' ');
-                emit_scalar_or_empty_collection(out, other);
+                emit_scalar(out, other);
                 out.push('\n');
             }
         }
@@ -102,20 +97,14 @@ fn emit_entry_value(out: &mut String, v: &Value, depth: usize) {
         }
         other => {
             out.push(' ');
-            emit_scalar_or_empty_collection(out, other);
+            emit_scalar(out, other);
             out.push('\n');
         }
     }
 }
 
-fn emit_scalar_or_empty_collection(out: &mut String, v: &Value) {
-    match v {
-        Value::Map(m) if m.is_empty() => out.push_str("{}"),
-        Value::Seq(s) if s.is_empty() => out.push_str("[]"),
-        other => emit_scalar(out, other),
-    }
-}
-
+/// Emits a value inline. Collections reach here only when empty (callers
+/// emit non-empty ones in block form) and print in flow form.
 fn emit_scalar(out: &mut String, v: &Value) {
     use std::fmt::Write as _;
     match v {
@@ -134,7 +123,8 @@ fn emit_scalar(out: &mut String, v: &Value) {
             }
         }
         Value::Str(s) => quote_str(out, s),
-        Value::Seq(_) | Value::Map(_) => unreachable!("collections handled by callers"),
+        Value::Map(_) => out.push_str("{}"),
+        Value::Seq(_) => out.push_str("[]"),
     }
 }
 
@@ -281,7 +271,7 @@ mod tests {
         doc.insert("ports", Value::Seq(vec![Value::Int(80), Value::Int(443)]));
         let doc = Value::Map(doc);
         let mut buf = String::from("stale bytes from a previous, longer document\n---\n");
-        crate::to_string_into(&doc, &mut buf);
+        super::to_string_into(&doc, &mut buf);
         assert_eq!(buf, to_string(&doc));
     }
 

@@ -30,12 +30,30 @@
 //! assert_eq!(doc.path(&["spec", "ports", "0", "port"]).and_then(Value::as_int), Some(80));
 //! ```
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::indexing_slicing
+)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::indexing_slicing
+    )
+)]
+
 mod emit;
 mod error;
 mod parse;
 mod value;
 
-pub use emit::{to_string, to_string_into};
+pub use emit::to_string;
 pub use error::{Error, Result};
 pub use parse::{parse, parse_all};
 pub use value::{Map, Value};

@@ -17,11 +17,13 @@ struct Line<'a> {
 /// Parses a single-document source. Fails if the stream holds more than one
 /// non-empty document.
 pub fn parse(src: &str) -> Result<Value> {
-    let mut docs = parse_all(src)?;
-    match docs.len() {
-        0 => Ok(Value::Null),
-        1 => Ok(docs.pop().expect("len checked")),
-        n => Err(Error::new(1, format!("expected one document, found {n}"))),
+    let docs = parse_all(src)?;
+    let n = docs.len();
+    let mut docs = docs.into_iter();
+    match (docs.next(), docs.next()) {
+        (None, _) => Ok(Value::Null),
+        (Some(doc), None) => Ok(doc),
+        _ => Err(Error::new(1, format!("expected one document, found {n}"))),
     }
 }
 
@@ -30,15 +32,15 @@ pub fn parse_all(src: &str) -> Result<Vec<Value>> {
     let mut docs = Vec::new();
     for chunk in split_documents(src) {
         let lines = logical_lines(chunk.text, chunk.first_line)?;
-        if lines.is_empty() {
+        let Some(first) = lines.first() else {
             continue;
-        }
+        };
         let mut p = Parser {
             lines: &lines,
             pos: 0,
             depth: 0,
         };
-        let value = p.parse_node(lines[0].indent)?;
+        let value = p.parse_node(first.indent)?;
         if let Some(extra) = p.peek() {
             return Err(Error::new(
                 extra.number,
@@ -121,8 +123,8 @@ fn strip_comment(line: &str) -> &str {
     let mut in_single = false;
     let mut in_double = false;
     let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
+    while let Some(&b) = bytes.get(i) {
+        match b {
             // Skip the escaped character inside double quotes so `\"` (and
             // `\\` before a real closing quote) track correctly.
             b'\\' if in_double => {
@@ -133,7 +135,10 @@ fn strip_comment(line: &str) -> &str {
             b'"' if !in_single => in_double = !in_double,
             b'#' if !in_single && !in_double => {
                 let at_start = line[..i].trim().is_empty();
-                let after_space = i > 0 && (bytes[i - 1] == b' ' || bytes[i - 1] == b'\t');
+                let after_space = matches!(
+                    i.checked_sub(1).and_then(|j| bytes.get(j)),
+                    Some(b' ' | b'\t')
+                );
                 if at_start || after_space {
                     return &line[..i];
                 }
@@ -161,14 +166,12 @@ struct Parser<'a, 'b> {
 }
 
 impl<'a, 'b> Parser<'a, 'b> {
-    fn peek(&self) -> Option<&Line<'a>> {
+    fn peek(&self) -> Option<&'b Line<'a>> {
         self.lines.get(self.pos)
     }
 
-    fn bump(&mut self) -> &Line<'a> {
-        let l = &self.lines[self.pos];
+    fn bump(&mut self) {
         self.pos += 1;
-        l
     }
 
     /// Bumps the recursion depth, erroring out (instead of overflowing the
@@ -208,8 +211,8 @@ impl<'a, 'b> Parser<'a, 'b> {
         } else {
             // A bare scalar document (e.g. the output of a template that
             // rendered to a single value).
-            let l = self.bump();
-            parse_scalar(l.content, l.number)
+            self.bump();
+            parse_scalar(line.content, line.number)
         }
     }
 
@@ -364,10 +367,9 @@ impl<'a, 'b> Parser<'a, 'b> {
             raw_lines.push((line.indent, line.content));
             self.bump();
         }
-        if raw_lines.is_empty() {
+        let Some(base) = raw_lines.iter().map(|(i, _)| *i).min() else {
             return Ok(Value::Str(String::new()));
-        }
-        let base = raw_lines.iter().map(|(i, _)| *i).min().expect("non-empty");
+        };
         let parts: Vec<String> = raw_lines
             .iter()
             .map(|(i, c)| format!("{}{}", " ".repeat(i - base), c))
@@ -413,8 +415,8 @@ fn split_key(s: &str) -> Option<(&str, &str)> {
     let mut in_double = false;
     let mut depth = 0usize; // [..] / {..} nesting in a flow key (rare)
     let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
+    while let Some(&b) = bytes.get(i) {
+        match b {
             // Skip the escaped character inside double quotes so `\"` does
             // not desync the quote tracking.
             b'\\' if in_double => {
@@ -428,7 +430,7 @@ fn split_key(s: &str) -> Option<(&str, &str)> {
             b':' if !in_single
                 && !in_double
                 && depth == 0
-                && (i + 1 == bytes.len() || bytes[i + 1] == b' ') =>
+                && matches!(bytes.get(i + 1), None | Some(b' ')) =>
             {
                 let key = s[..i].trim();
                 if key.is_empty() {
@@ -584,7 +586,7 @@ impl<'a> FlowParser<'a> {
     }
 
     fn skip_ws(&mut self) {
-        while self.pos < self.src.len() && (self.src[self.pos] == b' ') {
+        while self.src.get(self.pos) == Some(&b' ') {
             self.pos += 1;
         }
     }
@@ -595,7 +597,7 @@ impl<'a> FlowParser<'a> {
             Some(b'[') => self.nested(Self::parse_flow_seq),
             Some(b'{') => self.nested(Self::parse_flow_map),
             Some(_) => {
-                let raw = self.take_scalar_text();
+                let raw = self.take_scalar_text()?;
                 parse_scalar(raw.trim(), self.line)
             }
             None => Err(Error::new(self.line, "unexpected end of flow collection")),
@@ -667,8 +669,8 @@ impl<'a> FlowParser<'a> {
         let start = self.pos;
         let mut in_single = false;
         let mut in_double = false;
-        while self.pos < self.src.len() {
-            match self.src[self.pos] {
+        while let Some(&b) = self.src.get(self.pos) {
+            match b {
                 b'\\' if in_double => {
                     self.pos = (self.pos + 2).min(self.src.len());
                     continue;
@@ -676,7 +678,7 @@ impl<'a> FlowParser<'a> {
                 b'\'' if !in_double => in_single = !in_single,
                 b'"' if !in_single => in_double = !in_double,
                 b':' if !in_single && !in_double => {
-                    let key = String::from_utf8_lossy(&self.src[start..self.pos]).into_owned();
+                    let key = self.text_from(start)?;
                     self.pos += 1;
                     return Ok(key);
                 }
@@ -688,12 +690,12 @@ impl<'a> FlowParser<'a> {
     }
 
     /// Consumes a scalar up to a flow delimiter, honouring quotes.
-    fn take_scalar_text(&mut self) -> String {
+    fn take_scalar_text(&mut self) -> Result<String> {
         let start = self.pos;
         let mut in_single = false;
         let mut in_double = false;
-        while self.pos < self.src.len() {
-            match self.src[self.pos] {
+        while let Some(&b) = self.src.get(self.pos) {
+            match b {
                 b'\\' if in_double => {
                     self.pos = (self.pos + 2).min(self.src.len());
                     continue;
@@ -705,7 +707,15 @@ impl<'a> FlowParser<'a> {
             }
             self.pos += 1;
         }
-        String::from_utf8_lossy(&self.src[start..self.pos]).into_owned()
+        self.text_from(start)
+    }
+
+    /// The source text from `start` up to the cursor.
+    fn text_from(&self, start: usize) -> Result<String> {
+        self.src
+            .get(start..self.pos)
+            .map(|text| String::from_utf8_lossy(text).into_owned())
+            .ok_or_else(|| Error::new(self.line, "flow scalar runs past the end of the line"))
     }
 }
 

@@ -26,11 +26,6 @@ impl Map {
         }
     }
 
-    /// Reserves room for at least `additional` more entries.
-    pub fn reserve(&mut self, additional: usize) {
-        self.entries.reserve(additional);
-    }
-
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -75,17 +70,11 @@ impl Map {
     }
 
     /// Mutable lookup.
-    pub fn get_mut(&mut self, key: &str) -> Option<&mut Value> {
+    pub(crate) fn get_mut(&mut self, key: &str) -> Option<&mut Value> {
         self.entries
             .iter_mut()
             .find(|(k, _)| k == key)
             .map(|(_, v)| v)
-    }
-
-    /// Removes a key, returning its value if present.
-    pub fn remove(&mut self, key: &str) -> Option<Value> {
-        let idx = self.entries.iter().position(|(k, _)| k == key)?;
-        Some(self.entries.remove(idx).1)
     }
 
     /// True when the key exists.
@@ -96,11 +85,6 @@ impl Map {
     /// Iterates entries in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
         self.entries.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Iterates keys in insertion order.
-    pub fn keys(&self) -> impl Iterator<Item = &str> {
-        self.entries.iter().map(|(k, _)| k.as_str())
     }
 
     /// Iterates values in insertion order.
@@ -357,7 +341,7 @@ mod tests {
         m.insert("a", Value::Int(1));
         m.insert("b", Value::Int(2));
         m.insert("a", Value::Int(3));
-        assert_eq!(m.keys().collect::<Vec<_>>(), vec!["a", "b"]);
+        assert_eq!(m.iter().map(|(k, _)| k).collect::<Vec<_>>(), vec!["a", "b"]);
         assert_eq!(m.get("a"), Some(&Value::Int(3)));
     }
 
@@ -367,7 +351,10 @@ mod tests {
         m.push_unchecked("a", Value::Int(1));
         m.push_unchecked("b", Value::Int(2));
         m.push_unchecked("c", Value::Int(3));
-        assert_eq!(m.keys().collect::<Vec<_>>(), vec!["a", "b", "c"]);
+        assert_eq!(
+            m.iter().map(|(k, _)| k).collect::<Vec<_>>(),
+            vec!["a", "b", "c"]
+        );
         assert_eq!(m.get("b"), Some(&Value::Int(2)));
     }
 

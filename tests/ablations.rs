@@ -238,9 +238,12 @@ fn registry_ablation_drops_exactly_one_class() {
     //    the M2 findings and *only* them, app by app against the ground
     //    truth slice — everything else is byte-identical.
     let full = CensusPipeline::builder().build();
-    let ablated = CensusPipeline::builder()
-        .analyzer(Analyzer::hybrid().without_rule("m2"))
-        .build();
+    let mut analyzer = Analyzer::hybrid();
+    analyzer
+        .registry
+        .try_disable("m2")
+        .expect("m2 is a standard rule");
+    let ablated = CensusPipeline::builder().analyzer(analyzer).build();
     let mut dropped = 0usize;
     for spec in slice() {
         let built = build_app(&spec);

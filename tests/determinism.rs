@@ -117,15 +117,17 @@ fn synthetic_generation_is_byte_identical_across_thread_counts() {
     let sequential = CensusPipeline::builder()
         .seed(7)
         .build()
-        .run_generated(&generator)
-        .expect("sequential generated census runs");
+        .run_generated_compact(&generator)
+        .expect("sequential generated census runs")
+        .resolve();
     for threads in [2usize, 4, 8] {
         let parallel = CensusPipeline::builder()
             .seed(7)
             .threads(threads)
             .build()
-            .run_generated(&generator)
-            .expect("parallel generated census runs");
+            .run_generated_compact(&generator)
+            .expect("parallel generated census runs")
+            .resolve();
         assert_eq!(
             format!("{sequential:#?}"),
             format!("{parallel:#?}"),

@@ -29,12 +29,14 @@ fn pack_census_is_byte_identical_to_native_for_every_profile() {
         let name = profile.name().to_string();
         let generator = CorpusGenerator::new(profile.with_apps(40).with_seed(11));
         let native = pipeline(11, 1, None)
-            .run_generated(&generator)
-            .expect("native census runs");
+            .run_generated_compact(&generator)
+            .expect("native census runs")
+            .resolve();
         for threads in [1, 2, 8] {
             let packed = pipeline(11, threads, Some(&pack))
-                .run_generated(&generator)
-                .expect("pack census runs");
+                .run_generated_compact(&generator)
+                .expect("pack census runs")
+                .resolve();
             assert_eq!(
                 native.apps, packed.apps,
                 "{name}: pack census diverged from native at --threads {threads}"
@@ -54,8 +56,9 @@ fn pack_rules_score_perfect_precision_and_recall() {
             .with_seed(5),
     );
     let census = pipeline(5, 2, Some(&RulePack::builtin()))
-        .run_generated(&generator)
-        .expect("pack census runs");
+        .run_generated_compact(&generator)
+        .expect("pack census runs")
+        .resolve();
     let specs: Vec<_> = generator.iter().collect();
     let report = score_corpus(
         specs

@@ -27,8 +27,9 @@ fn sharded_census_is_byte_identical_on_every_scenario_profile() {
         let generator = generator_for(profile);
         let reference = CensusPipeline::builder()
             .build()
-            .run_generated(&generator)
-            .expect("sequential census");
+            .run_generated_compact(&generator)
+            .expect("sequential census")
+            .resolve();
         let expected = format!("{reference:#?}");
         for shards in [1usize, 2, 8] {
             for threads in [1usize, 2, 8] {
@@ -54,8 +55,9 @@ fn compact_identities_match_owned_identities_for_a_generated_corpus() {
     let generator = generator_for(CorpusProfile::named("baseline").expect("baseline profile"));
     let owned = CensusPipeline::builder()
         .build()
-        .run_generated(&generator)
-        .expect("owned census");
+        .run_generated_compact(&generator)
+        .expect("owned census")
+        .resolve();
     let compact = CensusPipeline::builder()
         .shards(4)
         .threads(2)

@@ -39,8 +39,9 @@ fn generated_ground_truth_scores_perfectly() {
     let census = CensusPipeline::builder()
         .seed(7)
         .build()
-        .run_generated(&generator)
-        .expect("generated corpus renders and installs");
+        .run_generated_compact(&generator)
+        .expect("generated corpus renders and installs")
+        .resolve();
     assert_eq!(census.apps.len(), 400);
 
     // Reports come back in generation order, so spec i pairs with report i.
@@ -88,8 +89,9 @@ fn every_scenario_profile_scores_perfectly() {
         let census = CensusPipeline::builder()
             .seed(3)
             .build()
-            .run_generated(&generator)
-            .expect("generated corpus renders and installs");
+            .run_generated_compact(&generator)
+            .expect("generated corpus renders and installs")
+            .resolve();
         let specs: Vec<_> = generator.iter().collect();
         let report = score_corpus(
             specs
@@ -151,8 +153,9 @@ fn describe_matches_the_census_it_predicts() {
         let census = CensusPipeline::builder()
             .seed(seed)
             .build()
-            .run_generated(&generator)
-            .expect("generated corpus renders and installs");
+            .run_generated_compact(&generator)
+            .expect("generated corpus renders and installs")
+            .resolve();
         for id in MisconfigId::ALL {
             let found: usize = census.apps.iter().map(|a| a.count_of(id)).sum();
             assert_eq!(found, summary.expected[&id], "{profile}: {id}");
