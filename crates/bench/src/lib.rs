@@ -20,7 +20,9 @@
 use ij_baselines::run_comparison;
 use ij_cluster::{Cluster, ClusterConfig};
 use ij_core::{Census, MisconfigId, StaticModel};
-use ij_datasets::{build_app, co_deploy, corpus, exposure, representative_charts, CensusPipeline};
+use ij_datasets::{
+    build_app, co_deploy, corpus, exposure, representative_charts, table2_rows, CensusPipeline,
+};
 use ij_guard::{GuardAdmission, GuardPolicy, PolicySynthesizer};
 
 /// Runs the census over the full corpus with default options: one worker,
@@ -115,27 +117,9 @@ pub fn table2(census: &Census) -> String {
         "Dataset", "Affected", "M1", "M2", "M3", "M4A", "M4B", "M4C", "M4*", "M5A", "M5B", "M5C",
         "M5D", "M6", "M7"
     ));
-    let mut totals = [0usize; 13];
-    let (mut aff, mut tot) = (0usize, 0usize);
-    for row in census.table2() {
-        out.push_str(&format!(
-            "{:<14} {:>5}/{:<3}",
-            row.dataset, row.affected, row.total_apps
-        ));
-        for (i, id) in MisconfigId::ALL.iter().enumerate() {
-            out.push_str(&format!(" {:>4}", row.count(*id)));
-            totals[i] += row.count(*id);
-        }
-        out.push('\n');
-        aff += row.affected;
-        tot += row.total_apps;
-    }
-    out.push_str(&format!("{:<14} {:>5}/{:<3}", "Total", aff, tot));
-    for t in totals {
-        out.push_str(&format!(" {:>4}", t));
-    }
+    out.push_str(&table2_rows(&census.table2()));
     out.push_str(&format!(
-        "\nTotal misconfigurations: {}\n",
+        "Total misconfigurations: {}\n",
         census.total_misconfigurations()
     ));
     out

@@ -34,6 +34,14 @@
 //! boxed message per finished app, a fresh scratch per claim) shows up
 //! here.
 //!
+//! The pack arm runs the one-thread census with the built-in rule pack
+//! applied (`CensusPipelineBuilder::rule_pack`), so the pack evaluator's
+//! `unit`, `socket`, `service` and `service_port` scopes run in place of
+//! the native M1, M2, M5, M6 and M7 bodies. Its ceiling of 1,193 is 1.3×
+//! the ~918 allocations per app measured before the rules shared one
+//! per-application view; a pack rule that rebuilds unit or service facts
+//! for itself shows up here.
+//!
 //! A second arm gates the `ij serve` path the same way: it counts the
 //! allocations of one install mutation plus its incremental audit tick on
 //! tenants preinstalled with 10, 100 and 400 releases, installing the same
@@ -50,6 +58,7 @@
 //! `cargo test --release -p ij-bench --test alloc_guard`.
 
 use ij_cluster::{BehaviorRegistry, Cluster, ClusterConfig};
+use ij_core::RulePack;
 use ij_datasets::{
     apply_mutation, AppSpec, CensusPipeline, ChurnMutation, CorpusGenerator, CorpusProfile,
 };
@@ -96,6 +105,7 @@ const SMALL: usize = 200;
 const LARGE: usize = 1_200;
 const PER_APP_CEILING: u64 = 1_066;
 const SHARDED_PER_APP_CEILING: u64 = 1_066;
+const PACK_PER_APP_CEILING: u64 = 1_193;
 /// Largest allowed gap between the threaded and the one-thread count.
 const THREADED_TOLERANCE: f64 = 0.01;
 
@@ -106,18 +116,23 @@ const INSTALLS: usize = 20;
 const SERVE_PER_INSTALL_CEILING: u64 = 1_087;
 const TENANT_RATIO_CEILING: f64 = 1.5;
 
-fn census_allocs(apps: usize, threads: usize, shards: usize) -> u64 {
+fn census_allocs(apps: usize, threads: usize, shards: usize, pack: Option<&RulePack>) -> u64 {
     let generator = CorpusGenerator::new(
         CorpusProfile::named("baseline")
             .expect("baseline profile")
             .with_apps(apps)
             .with_seed(7),
     );
-    let pipeline = CensusPipeline::builder()
+    let mut builder = CensusPipeline::builder()
         .seed(7)
         .threads(threads)
-        .shards(shards)
-        .build();
+        .shards(shards);
+    if let Some(pack) = pack {
+        builder = builder
+            .rule_pack(pack)
+            .expect("the pack's disables name known rules");
+    }
+    let pipeline = builder.build();
     let before = ALLOCS.load(Ordering::Relaxed);
     let census = pipeline
         .run_generated_compact(&generator)
@@ -132,18 +147,19 @@ fn census_allocs(apps: usize, threads: usize, shards: usize) -> u64 {
 }
 
 /// Steady-state allocations per app of a census on `threads` threads over
-/// `shards` shards.
-fn census_allocs_per_app(threads: usize, shards: usize) -> u64 {
-    let small = census_allocs(SMALL, threads, shards);
-    let large = census_allocs(LARGE, threads, shards);
+/// `shards` shards, under the native rules or with `pack` applied.
+fn census_allocs_per_app(threads: usize, shards: usize, pack: Option<&RulePack>) -> u64 {
+    let small = census_allocs(SMALL, threads, shards, pack);
+    let large = census_allocs(LARGE, threads, shards, pack);
     assert!(
         large > small,
         "larger census allocated less ({large} vs {small}); the delta is meaningless"
     );
     let per_app = (large - small) / (LARGE - SMALL) as u64;
+    let rules = if pack.is_some() { "pack" } else { "native" };
     eprintln!(
-        "alloc_guard: {threads} thread(s), {shards} shard(s): {small} allocs @ {SMALL} apps, {large} @ {LARGE}; \
-         steady state {per_app} allocs/app"
+        "alloc_guard: {threads} thread(s), {shards} shard(s), {rules} rules: {small} allocs @ {SMALL} apps, \
+         {large} @ {LARGE}; steady state {per_app} allocs/app"
     );
     per_app
 }
@@ -155,7 +171,7 @@ fn census_allocs_per_app(threads: usize, shards: usize) -> u64 {
 )]
 fn steady_state_census_allocations_stay_bounded() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let per_app = census_allocs_per_app(1, 1);
+    let per_app = census_allocs_per_app(1, 1, None);
     assert!(
         per_app < PER_APP_CEILING,
         "steady-state census allocations regressed: {per_app} allocs/app \
@@ -171,7 +187,7 @@ fn steady_state_census_allocations_stay_bounded() {
 )]
 fn sharded_census_merge_allocates_nothing_per_report() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let per_app = census_allocs_per_app(1, 2);
+    let per_app = census_allocs_per_app(1, 2, None);
     assert!(
         per_app < SHARDED_PER_APP_CEILING,
         "steady-state allocations of a two-shard census regressed: {per_app} \
@@ -187,8 +203,8 @@ fn sharded_census_merge_allocates_nothing_per_report() {
 )]
 fn threaded_census_allocates_what_one_thread_does() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let one_thread = census_allocs_per_app(1, 2);
-    let threaded = census_allocs_per_app(2, 2);
+    let one_thread = census_allocs_per_app(1, 2, None);
+    let threaded = census_allocs_per_app(2, 2, None);
     assert!(
         threaded < SHARDED_PER_APP_CEILING,
         "steady-state allocations of a two-thread, two-shard census regressed: \
@@ -200,6 +216,23 @@ fn threaded_census_allocates_what_one_thread_does() {
         "a two-thread census allocates {threaded} per app against {one_thread} \
          on one thread ({:.1}% apart); the worker pool allocates per app",
         gap * 100.0
+    );
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "allocation counts are calibrated for release builds"
+)]
+fn pack_rule_census_allocations_stay_bounded() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let per_app = census_allocs_per_app(1, 1, Some(&RulePack::builtin()));
+    assert!(
+        per_app < PACK_PER_APP_CEILING,
+        "steady-state allocations of a census under the built-in rule pack \
+         regressed: {per_app} allocs/app breached the {PACK_PER_APP_CEILING} \
+         ceiling (rebuilding unit or service facts per rule costs dozens more \
+         per app)"
     );
 }
 

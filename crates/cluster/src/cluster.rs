@@ -407,11 +407,7 @@ impl Cluster {
         } else {
             self.objects.push(object);
         }
-        self.touch(DirtyEntry {
-            scope,
-            labels,
-            pods: false,
-        });
+        self.touch(DirtyEntry { scope, labels });
         Ok(warnings)
     }
 
@@ -446,7 +442,7 @@ impl Cluster {
                     }
                     self.objects.truncate(checkpoint);
                     self.pending.truncate(pending);
-                    self.touch(DirtyEntry::app(release_name, true, false));
+                    self.touch(DirtyEntry::app(release_name, true));
                     return Err(e);
                 }
             }
@@ -552,7 +548,7 @@ impl Cluster {
         reaped.dedup();
         reaped.retain(|&pos| !self.desired(&self.pods[pos].pod.meta));
         self.reap(&reaped);
-        self.touch(DirtyEntry::app(release_name, true, true));
+        self.touch(DirtyEntry::app(release_name, true));
     }
 
     /// True when some object desires the pod `pod`. Only an object named
@@ -597,7 +593,6 @@ impl Cluster {
                 self.touch(DirtyEntry {
                     scope,
                     labels: false,
-                    pods: false,
                 });
             }
             !service
@@ -671,7 +666,6 @@ impl Cluster {
             self.touch(DirtyEntry {
                 scope,
                 labels: false,
-                pods: true,
             });
         }
     }
@@ -724,7 +718,6 @@ impl Cluster {
         self.touch(DirtyEntry {
             scope,
             labels: false,
-            pods: true,
         });
         true
     }
@@ -740,7 +733,6 @@ impl Cluster {
         self.touch(DirtyEntry {
             scope: DirtyScope::AllApps,
             labels: false,
-            pods: true,
         });
     }
 
@@ -783,7 +775,6 @@ impl Cluster {
         self.touch(DirtyEntry {
             scope,
             labels: false,
-            pods: true,
         });
         true
     }
@@ -1986,7 +1977,7 @@ spec:
         let s = cluster.dirty_since(cursor);
         assert!(!s.everything && !s.all_apps);
         assert_eq!(s.apps.iter().cloned().collect::<Vec<_>>(), vec!["e"]);
-        assert!(s.labels && s.pods);
+        assert!(s.labels);
 
         let cursor = cluster.generation();
         cluster.uninstall("d");
@@ -2008,7 +1999,7 @@ spec:
         let cursor = cluster.generation();
         cluster.restart_pods();
         let s = cluster.dirty_since(cursor);
-        assert!(s.all_apps && s.pods && !s.labels);
+        assert!(s.all_apps && !s.labels);
 
         // A stale cursor far older than the ring is conservative too.
         let s = cluster.dirty_since(u64::MAX);

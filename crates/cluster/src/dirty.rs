@@ -41,18 +41,14 @@ pub struct DirtyEntry {
     /// namespaces applied or removed), so cluster-wide label analysis
     /// (`M4*`) must re-run. Network-policy-only changes leave this false.
     pub labels: bool,
-    /// The running-pod set changed (starts, reaps, restarts), so runtime
-    /// observations are stale.
-    pub pods: bool,
 }
 
 impl DirtyEntry {
     /// An entry touching one release.
-    pub(crate) fn app(name: impl Into<Arc<str>>, labels: bool, pods: bool) -> Self {
+    pub(crate) fn app(name: impl Into<Arc<str>>, labels: bool) -> Self {
         DirtyEntry {
             scope: DirtyScope::App(name.into()),
             labels,
-            pods,
         }
     }
 }
@@ -72,8 +68,6 @@ pub struct DirtySummary {
     pub unattributed: bool,
     /// Some change affected labelled object sets (`M4*` inputs).
     pub labels: bool,
-    /// Some change affected the running-pod set (runtime inputs).
-    pub pods: bool,
 }
 
 impl DirtySummary {
@@ -85,7 +79,6 @@ impl DirtySummary {
             apps: BTreeSet::new(),
             unattributed: true,
             labels: true,
-            pods: true,
         }
     }
 
@@ -96,7 +89,6 @@ impl DirtySummary {
             && self.apps.is_empty()
             && !self.unattributed
             && !self.labels
-            && !self.pods
     }
 
     fn merge(&mut self, entry: &DirtyEntry) {
@@ -112,7 +104,6 @@ impl DirtySummary {
             DirtyScope::Unattributed => self.unattributed = true,
         }
         self.labels |= entry.labels;
-        self.pods |= entry.pods;
     }
 }
 
@@ -184,18 +175,18 @@ mod tests {
     #[test]
     fn summaries_merge_scopes_and_flags() {
         let mut log = DirtyLog::new(0, 8);
-        log.record(DirtyEntry::app("shop", true, false));
-        log.record(DirtyEntry::app("blog", false, true));
+        log.record(DirtyEntry::app("shop", true));
+        log.record(DirtyEntry::app("blog", false));
         let s = log.summary_since(0, 2);
         assert!(!s.everything && !s.all_apps);
         assert_eq!(
             s.apps.iter().cloned().collect::<Vec<_>>(),
             vec!["blog".to_string(), "shop".to_string()]
         );
-        assert!(s.labels && s.pods);
+        assert!(s.labels);
         // A later cursor sees only the tail.
         let tail = log.summary_since(1, 2);
-        assert!(!tail.labels && tail.pods);
+        assert!(!tail.labels);
         assert_eq!(tail.apps.len(), 1);
         assert!(log.summary_since(2, 2).is_clean());
     }
@@ -207,7 +198,6 @@ mod tests {
             log.record(DirtyEntry {
                 scope: DirtyScope::Unattributed,
                 labels: false,
-                pods: false,
             });
         }
         // Entries 0..3 fell off the ring: cursor 1 is below the horizon.
@@ -222,7 +212,7 @@ mod tests {
     #[test]
     fn consecutive_entries_of_one_release_share_its_name() {
         let mut log = DirtyLog::new(0, 8);
-        log.record(DirtyEntry::app("shop", true, false));
+        log.record(DirtyEntry::app("shop", true));
         let DirtyScope::App(first) = log.scope(Some("shop")) else {
             panic!("a release scope");
         };

@@ -5,7 +5,7 @@ use crate::compact::{m4_global_collisions_compact, GlobalAppModel};
 use crate::finding::{sort_canonical, Finding};
 use crate::model::StaticModel;
 use crate::registry::{RuleRegistry, RuleScope};
-use crate::rules::RuleContext;
+use crate::rules::{AppView, RuleContext};
 use crate::symtab::SymbolTable;
 use ij_chart::Chart;
 use ij_cluster::Cluster;
@@ -125,6 +125,7 @@ impl Analyzer {
             ownership: &ownership,
             chart_defines_policies,
         };
+        let view = AppView::new(&ctx);
 
         let mut findings = Vec::new();
         for entry in self.registry.entries() {
@@ -136,7 +137,7 @@ impl Analyzer {
                 RuleScope::Static => self.options.static_rules,
             };
             if runnable {
-                findings.extend(entry.run_app(&ctx));
+                findings.extend(entry.run_view(&view));
             }
         }
         sort_canonical(&mut findings);

@@ -33,10 +33,10 @@ use super::ast::parse;
 use super::compile::{compile, CompileEnv, CompiledExpr, Type};
 use super::eval::{evaluate, evaluate_with_trace, TraceAtom, Value};
 use super::lex::{LangError, Span};
-use super::resolve::{parse_protocol, Entity, EntityResolver, Select, UnitView};
+use super::resolve::{parse_protocol, Entity, EntityResolver, Select, UnitLabelProbe};
 use crate::finding::{Finding, MisconfigId};
 use crate::registry::{RuleRegistry, RuleScope, UnknownRule};
-use crate::rules::{PortFacts, RuleContext, SvcView};
+use crate::rules::{AppView, RuleContext};
 use ij_model::LabelInterner;
 use std::str::FromStr;
 use std::sync::Arc;
@@ -100,75 +100,58 @@ impl CompiledRule {
         &self.message_src
     }
 
-    /// Evaluates the rule over one application.
-    pub(crate) fn run(&self, ctx: &RuleContext<'_>) -> Vec<Finding> {
+    /// Evaluates the rule over one application's view.
+    pub(crate) fn run(&self, view: &AppView<'_>) -> Vec<Finding> {
         let mut out = Vec::new();
-        self.run_impl(ctx, false, &mut |finding, _| out.push(finding));
+        self.run_impl(view, false, &mut |finding, _| out.push(finding));
         out
     }
 
-    /// Like `run`, but each finding comes with the
-    /// atom-level trace of its `when` evaluation — the explanation of *why*
-    /// it fired. Entities whose `when` is false contribute nothing.
+    /// Like `run`, but over a [`RuleContext`] (the rule builds the view for
+    /// this call), and each finding comes with the atom-level trace of its
+    /// `when` evaluation — the explanation of *why* it fired. Entities whose
+    /// `when` is false contribute nothing.
     pub fn run_traced(&self, ctx: &RuleContext<'_>) -> Vec<(Finding, Vec<TraceAtom>)> {
         let mut out = Vec::new();
-        self.run_impl(ctx, true, &mut |finding, trace| out.push((finding, trace)));
+        self.run_impl(&AppView::new(ctx), true, &mut |finding, trace| {
+            out.push((finding, trace))
+        });
         out
     }
 
     fn run_impl(
         &self,
-        ctx: &RuleContext<'_>,
+        view: &AppView<'_>,
         traced: bool,
         sink: &mut dyn FnMut(Finding, Vec<TraceAtom>),
     ) {
+        let ctx = view.ctx();
         match self.select {
             Select::App => {
                 self.consider(ctx, Entity::App, traced, sink);
             }
-            Select::Unit => {
-                for unit in &ctx.statics.units {
-                    let view = UnitView::new(ctx, unit, &self.interner);
-                    self.consider(ctx, Entity::Unit(&view), traced, sink);
-                }
-            }
-            Select::Socket => {
-                for unit in &ctx.statics.units {
-                    let view = UnitView::new(ctx, unit, &self.interner);
-                    for socket in &view.stable {
-                        self.consider(
-                            ctx,
-                            Entity::Socket {
-                                unit: &view,
-                                socket: *socket,
-                            },
-                            traced,
-                            sink,
-                        );
+            Select::Unit | Select::Socket => {
+                for unit in &view.units {
+                    let labels = &UnitLabelProbe::new(unit.unit, &self.interner);
+                    if self.select == Select::Unit {
+                        self.consider(ctx, Entity::Unit(unit, labels, None), traced, sink);
+                        continue;
+                    }
+                    for &socket in &unit.stable {
+                        let entity = Entity::Unit(unit, labels, Some(socket));
+                        self.consider(ctx, entity, traced, sink);
                     }
                 }
             }
-            Select::Service => {
-                for svc in &ctx.statics.services {
-                    let view = SvcView::new(ctx, svc);
-                    self.consider(ctx, Entity::Service(&view), traced, sink);
-                }
-            }
-            Select::ServicePort => {
-                for svc in &ctx.statics.services {
-                    let view = SvcView::new(ctx, svc);
-                    for sp in &svc.spec.ports {
-                        let facts = PortFacts::compute(ctx, &view, sp);
-                        self.consider(
-                            ctx,
-                            Entity::ServicePort {
-                                svc: &view,
-                                sp,
-                                facts: &facts,
-                            },
-                            traced,
-                            sink,
-                        );
+            Select::Service | Select::ServicePort => {
+                for svc in &view.services {
+                    if self.select == Select::Service {
+                        self.consider(ctx, Entity::Service(svc, None), traced, sink);
+                        continue;
+                    }
+                    let facts = &view.ports[svc.ports.clone()];
+                    for port in svc.svc.spec.ports.iter().zip(facts) {
+                        self.consider(ctx, Entity::Service(svc, Some(port)), traced, sink);
                     }
                 }
             }
@@ -184,8 +167,7 @@ impl CompiledRule {
     ) {
         let resolver = EntityResolver { ctx, entity };
         let (verdict, trace) = if traced {
-            let (v, t) = evaluate_with_trace(&self.when, &resolver, &self.when_src);
-            (v, t)
+            evaluate_with_trace(&self.when, &resolver, &self.when_src)
         } else {
             (evaluate(&self.when, &resolver), Vec::new())
         };
@@ -197,10 +179,8 @@ impl CompiledRule {
         }
         let object: String = match &resolver.entity {
             Entity::App => ctx.app.to_string(),
-            Entity::Unit(view) | Entity::Socket { unit: view, .. } => view.unit.name.clone(),
-            Entity::Service(view) | Entity::ServicePort { svc: view, .. } => {
-                view.svc.meta.qualified_name()
-            }
+            Entity::Unit(unit, ..) => unit.unit.name.clone(),
+            Entity::Service(svc, _) => svc.svc.meta.qualified_name(),
         };
         let mut detail = String::new();
         for segment in &self.message {
@@ -759,7 +739,7 @@ end
         assert_eq!(rule.evidence(), RuleScope::Static);
 
         let statics = StaticModel::from_objects(&decode_manifests(HOSTNET_POD).unwrap());
-        let findings = rule.run(&ctx(&statics));
+        let findings = rule.run(&AppView::new(&ctx(&statics)));
         assert_eq!(findings.len(), 1);
         assert_eq!(
             findings[0].detail,
@@ -890,7 +870,11 @@ end
         )
         .unwrap();
         let statics = StaticModel::from_objects(&decode_manifests(HOSTNET_POD).unwrap());
-        let findings = pack.rules().next().unwrap().run(&ctx(&statics));
+        let findings = pack
+            .rules()
+            .next()
+            .unwrap()
+            .run(&AppView::new(&ctx(&statics)));
         assert_eq!(findings[0].detail, "literal {braces} and Pod");
     }
 }

@@ -9,18 +9,20 @@
 //! compiler resolves an attribute path to its [`AttrKey`] once, at load
 //! time.
 //!
-//! [`EntityResolver`] answers the evaluator's reads for one concrete entity,
-//! using the facts the native rules derive (observed sockets, dynamic ports,
-//! and the service views and port facts of [`crate::rules`]). All derived
-//! facts are computed once per entity, before evaluation.
+//! [`EntityResolver`] answers the evaluator's reads for one concrete entity
+//! out of the application's [`crate::AppView`], the facts the native rules
+//! read too (a unit's observed sockets and dynamic ports, a service's
+//! selection, a port's resolution): the view derives them once per
+//! application, and every rule of every scope reads the same ones. Only a
+//! unit's `labels.*` probe depends on the pack (its interned ids), so a
+//! rule builds it per unit as it evaluates.
 
 use super::compile::Type;
 use super::eval::Value;
 use crate::model::ComputeUnit;
-use crate::rules::{PortFacts, RuleContext, SvcView};
+use crate::rules::{PortFacts, RuleContext, SvcFacts, UnitFacts};
 use ij_model::{KeyId, LabelId, LabelInterner, Protocol, ServicePort, TargetPort};
 use ij_probe::ObservedSocket;
-use std::collections::BTreeSet;
 
 /// The entity kind a rule's expression is evaluated against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -217,7 +219,7 @@ pub(crate) struct UnitLabelProbe<'a> {
 }
 
 impl<'a> UnitLabelProbe<'a> {
-    fn new(unit: &'a ComputeUnit, interner: &LabelInterner) -> Self {
+    pub(crate) fn new(unit: &'a ComputeUnit, interner: &LabelInterner) -> Self {
         let mut pair_ids = Vec::new();
         let mut key_vals = Vec::new();
         for (k, v) in unit.labels.iter() {
@@ -233,45 +235,20 @@ impl<'a> UnitLabelProbe<'a> {
     }
 }
 
-/// One compute unit with its runtime-derived facts, computed once.
-pub(crate) struct UnitView<'a> {
-    pub(crate) unit: &'a ComputeUnit,
-    pub(crate) observed: bool,
-    pub(crate) has_dynamic: bool,
-    pub(crate) stable: BTreeSet<ObservedSocket>,
-    probe: UnitLabelProbe<'a>,
-}
-
-impl<'a> UnitView<'a> {
-    pub(crate) fn new(
-        ctx: &RuleContext<'a>,
-        unit: &'a ComputeUnit,
-        interner: &LabelInterner,
-    ) -> Self {
-        UnitView {
-            unit,
-            observed: ctx.unit_observed(&unit.name),
-            has_dynamic: ctx.unit_has_dynamic(&unit.name),
-            stable: ctx.unit_stable(&unit.name),
-            probe: UnitLabelProbe::new(unit, interner),
-        }
-    }
-}
-
-/// The concrete entity an expression is being evaluated against.
+/// The concrete entity an expression is being evaluated against, as the
+/// application's view holds it.
 pub(crate) enum Entity<'a> {
     App,
-    Unit(&'a UnitView<'a>),
-    Socket {
-        unit: &'a UnitView<'a>,
-        socket: ObservedSocket,
-    },
-    Service(&'a SvcView<'a>),
-    ServicePort {
-        svc: &'a SvcView<'a>,
-        sp: &'a ServicePort,
-        facts: &'a PortFacts,
-    },
+    /// A unit with its label probe; in the `socket` scope, one of the
+    /// unit's stable sockets.
+    Unit(
+        &'a UnitFacts<'a>,
+        &'a UnitLabelProbe<'a>,
+        Option<ObservedSocket>,
+    ),
+    /// A service; in the `service_port` scope, one of its port mappings
+    /// with the mapping's facts.
+    Service(&'a SvcFacts<'a>, Option<(&'a ServicePort, &'a PortFacts)>),
 }
 
 /// One entity (plus its precomputed facts) as the evaluator reads it:
@@ -287,30 +264,37 @@ impl<'a> EntityResolver<'a> {
     // read, and a unit probe, only in a scope whose entity carries it, so
     // these accessors cannot miss.
 
-    fn unit(&self) -> &UnitView<'a> {
-        match &self.entity {
-            Entity::Unit(u) | Entity::Socket { unit: u, .. } => u,
+    fn unit(&self) -> &UnitFacts<'a> {
+        match self.entity {
+            Entity::Unit(unit, ..) => unit,
             _ => unreachable!("unit read outside a unit scope"),
         }
     }
 
+    fn labels(&self) -> &UnitLabelProbe<'a> {
+        match self.entity {
+            Entity::Unit(_, labels, _) => labels,
+            _ => unreachable!("label probe outside a unit scope"),
+        }
+    }
+
     fn socket(&self) -> ObservedSocket {
-        match &self.entity {
-            Entity::Socket { socket, .. } => *socket,
+        match self.entity {
+            Entity::Unit(_, _, Some(socket)) => socket,
             _ => unreachable!("socket read outside the socket scope"),
         }
     }
 
-    fn svc(&self) -> &SvcView<'a> {
-        match &self.entity {
-            Entity::Service(s) | Entity::ServicePort { svc: s, .. } => s,
+    fn svc(&self) -> &SvcFacts<'a> {
+        match self.entity {
+            Entity::Service(svc, _) => svc,
             _ => unreachable!("service read outside a service scope"),
         }
     }
 
     fn port(&self) -> (&ServicePort, &PortFacts) {
-        match &self.entity {
-            Entity::ServicePort { sp, facts, .. } => (sp, facts),
+        match self.entity {
+            Entity::Service(_, Some(port)) => port,
             _ => unreachable!("port read outside the service_port scope"),
         }
     }
@@ -371,13 +355,12 @@ impl<'a> EntityResolver<'a> {
 
     /// True when the current unit's labels contain the exact pair.
     pub(crate) fn label_pair_present(&self, id: LabelId) -> bool {
-        self.unit().probe.pair_ids.binary_search(&id).is_ok()
+        self.labels().pair_ids.binary_search(&id).is_ok()
     }
 
     /// The value the current unit's labels map the key to.
     pub(crate) fn label_value(&self, id: KeyId) -> Option<&str> {
-        self.unit()
-            .probe
+        self.labels()
             .key_vals
             .iter()
             .find(|(k, _)| *k == id)

@@ -108,5 +108,5 @@ pub use lang::{CompiledRule, LangError, RulePack, TraceAtom, BUILTIN_PACK_SOURCE
 pub use model::{ComputeUnit, StaticModel};
 pub use registry::{AppRule, RuleEntry, RuleOrigin, RuleRegistry, RuleScope, UnknownRule};
 pub use report::{AppReport, Census, ConcentrationStats, DatasetRow};
-pub use rules::RuleContext;
+pub use rules::{AppView, RuleContext};
 pub use symtab::{Sym, SymMemo, SymbolTable};

@@ -34,6 +34,14 @@ impl ComputeUnit {
             .any(|(p, pr)| p == port && pr == protocol)
     }
 
+    /// True when the service's selector covers this unit: a non-empty
+    /// selector, in the unit's namespace, whose labels the unit carries.
+    pub(crate) fn selected_by(&self, svc: &Service) -> bool {
+        !svc.spec.selector.is_empty()
+            && self.namespace == svc.meta.namespace
+            && self.labels.contains_all(&svc.spec.selector)
+    }
+
     /// Resolves a declared port name to its number.
     pub(crate) fn resolve_port_name(&self, name: &str) -> Option<u16> {
         self.declared
@@ -98,15 +106,7 @@ impl StaticModel {
 
     /// Units in a namespace whose labels satisfy a service selector.
     pub fn units_selected_by(&self, svc: &Service) -> Vec<&ComputeUnit> {
-        if svc.spec.selector.is_empty() {
-            return Vec::new();
-        }
-        self.units
-            .iter()
-            .filter(|u| {
-                u.namespace == svc.meta.namespace && u.labels.contains_all(&svc.spec.selector)
-            })
-            .collect()
+        self.units.iter().filter(|u| u.selected_by(svc)).collect()
     }
 
     /// Finds a unit by qualified name.

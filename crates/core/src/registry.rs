@@ -9,8 +9,9 @@
 //!
 //! Three rule shapes exist:
 //!
-//! * **application rules** run once per application over a [`RuleContext`]
-//!   (static model + optional runtime report);
+//! * **application rules** run once per application over an [`AppView`]:
+//!   the facts of one [`RuleContext`] (static model + optional runtime
+//!   report), derived once and shared by every rule;
 //! * the one **global rule**, the built-in M4\* pass, runs once per census
 //!   over the static models of every application destined for the same
 //!   cluster; it is not an extension point, because the corpus census drives
@@ -22,7 +23,7 @@
 
 use crate::finding::{Finding, MisconfigId};
 use crate::lang::CompiledRule;
-use crate::rules::{self, RuleContext};
+use crate::rules::{self, AppView, RuleContext};
 use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
@@ -68,8 +69,10 @@ impl RuleOrigin {
     }
 }
 
-/// An application-scoped rule: evaluated once per application.
-pub type AppRule = for<'a> fn(&RuleContext<'a>) -> Vec<Finding>;
+/// An application-scoped rule: evaluated once per application over the
+/// application's [`AppView`], which also hands out the [`RuleContext`] it
+/// was derived from.
+pub type AppRule = for<'a> fn(&AppView<'a>) -> Vec<Finding>;
 
 #[derive(Clone)]
 enum RuleBody {
@@ -156,12 +159,20 @@ impl RuleEntry {
         }
     }
 
-    /// Runs an application-scoped rule; global rules yield nothing here.
+    /// Runs an application-scoped rule alone, over an [`AppView`] of `ctx`
+    /// built for this call; callers running several rules build the view
+    /// once and call [`run_view`](Self::run_view).
     pub fn run_app(&self, ctx: &RuleContext<'_>) -> Vec<Finding> {
+        self.run_view(&AppView::new(ctx))
+    }
+
+    /// Runs an application-scoped rule over an application's view; global
+    /// rules yield nothing here.
+    pub fn run_view(&self, view: &AppView<'_>) -> Vec<Finding> {
         match &self.body {
-            RuleBody::App(f) => f(ctx),
+            RuleBody::App(f) => f(view),
             RuleBody::Global => Vec::new(),
-            RuleBody::Pack(rule) => rule.run(ctx),
+            RuleBody::Pack(rule) => rule.run(view),
         }
     }
 }
@@ -419,7 +430,7 @@ mod tests {
 
     #[test]
     fn registering_same_name_replaces_in_place() {
-        fn nothing(_: &RuleContext<'_>) -> Vec<Finding> {
+        fn nothing(_: &AppView<'_>) -> Vec<Finding> {
             Vec::new()
         }
         let mut reg = RuleRegistry::standard();

@@ -1,12 +1,14 @@
 //! The machine-readable rules (§4.2.1), one function per misconfiguration
-//! family. Each rule takes the same context and emits findings; the engine
-//! decides which rules run (hybrid vs static-only vs runtime-only).
+//! family. Each rule reads the same per-application [`AppView`] and emits
+//! findings; the engine decides which rules run (hybrid vs static-only vs
+//! runtime-only).
 
 use crate::finding::{Finding, MisconfigId};
 use crate::model::{ComputeUnit, StaticModel};
-use ij_model::{Protocol, Service, ServicePort, TargetPort};
+use ij_model::{Service, TargetPort};
 use ij_probe::{ObservedSocket, RuntimeReport};
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 
 /// Everything a rule may look at.
 pub struct RuleContext<'a> {
@@ -24,62 +26,42 @@ pub struct RuleContext<'a> {
     pub chart_defines_policies: bool,
 }
 
-impl<'a> RuleContext<'a> {
-    /// Stable sockets observed across all pods of a unit (deduplicated).
-    pub(crate) fn unit_stable(&self, unit: &str) -> BTreeSet<ObservedSocket> {
-        let mut out = BTreeSet::new();
-        let Some(rt) = self.runtime else { return out };
-        for (pod, owner) in self.ownership {
-            if owner == unit {
-                if let Some(pr) = rt.pod(pod) {
-                    out.extend(pr.stable.iter().copied());
-                }
-            }
-        }
-        out
-    }
-
-    /// True when any pod of the unit exhibited dynamic ports.
-    pub(crate) fn unit_has_dynamic(&self, unit: &str) -> bool {
-        let Some(rt) = self.runtime else { return false };
-        self.ownership
-            .iter()
-            .filter(|(_, owner)| owner == unit)
-            .any(|(pod, _)| rt.pod(pod).is_some_and(|p| p.has_dynamic_ports()))
-    }
-
-    /// True when a pod of the unit has the stable socket open (only
-    /// observed units can).
-    pub(crate) fn unit_listens(&self, unit: &str, socket: ObservedSocket) -> bool {
-        let Some(rt) = self.runtime else { return false };
-        self.ownership.iter().any(|(pod, owner)| {
-            owner == unit && rt.pod(pod).is_some_and(|p| p.stable.contains(&socket))
-        })
-    }
-
-    /// True when the unit has at least one observed pod (rules about
-    /// runtime deltas only make sense then).
-    pub(crate) fn unit_observed(&self, unit: &str) -> bool {
-        let Some(rt) = self.runtime else { return false };
-        self.ownership
-            .iter()
-            .any(|(pod, owner)| owner == unit && rt.pod(pod).is_some())
-    }
+/// One application's rule facts, each derived once from a [`RuleContext`]
+/// and read by every application rule: the native M1–M7 bodies, the rule
+/// language's `unit`, `socket`, `service` and `service_port` scopes, and so
+/// the guard. [`crate::Analyzer`] and the guard build one per call.
+pub struct AppView<'a> {
+    ctx: &'a RuleContext<'a>,
+    /// One per compute unit of the static model, in model order.
+    pub(crate) units: Vec<UnitFacts<'a>>,
+    /// One per service of the static model, in model order.
+    pub(crate) services: Vec<SvcFacts<'a>>,
+    /// `(service, unit)` index pairs, one per unit a service's selector
+    /// covers, by service then unit.
+    selection: Vec<(usize, usize)>,
+    /// The facts of every service port, by service then port.
+    pub(crate) ports: Vec<PortFacts>,
 }
 
-/// One service with its selection resolved.
-pub(crate) struct SvcView<'a> {
+/// One compute unit and what its pods showed at runtime. A pod belongs to
+/// every unit of its owner's qualified name.
+pub(crate) struct UnitFacts<'a> {
+    pub(crate) unit: &'a ComputeUnit,
+    /// Some pod of the unit was observed (rules about runtime deltas only
+    /// make sense then).
+    pub(crate) observed: bool,
+    /// Some pod of the unit exhibited dynamic ports.
+    pub(crate) has_dynamic: bool,
+    /// The stable sockets of the unit's pods, sorted and deduplicated.
+    pub(crate) stable: Vec<ObservedSocket>,
+}
+
+/// One service, with where its selection and its port facts sit in the
+/// view.
+pub(crate) struct SvcFacts<'a> {
     pub(crate) svc: &'a Service,
-    pub(crate) selected: Vec<&'a ComputeUnit>,
-}
-
-impl<'a> SvcView<'a> {
-    pub(crate) fn new(ctx: &RuleContext<'a>, svc: &'a Service) -> Self {
-        SvcView {
-            svc,
-            selected: ctx.statics.units_selected_by(svc),
-        }
-    }
+    pub(crate) selected: Range<usize>,
+    pub(crate) ports: Range<usize>,
 }
 
 /// What one service port mapping reaches among the service's selected
@@ -97,48 +79,106 @@ pub(crate) struct PortFacts {
     pub(crate) open: bool,
 }
 
-impl PortFacts {
-    pub(crate) fn compute(ctx: &RuleContext<'_>, view: &SvcView<'_>, sp: &ServicePort) -> Self {
-        let resolved = match &sp.target_port {
-            TargetPort::Number(n) => Some(*n),
-            TargetPort::Name(name) => view.selected.iter().find_map(|u| u.resolve_port_name(name)),
-        };
-        let declared =
-            resolved.is_some_and(|t| view.selected.iter().any(|u| u.declares(t, sp.protocol)));
-        let any_observed = view.selected.iter().any(|u| ctx.unit_observed(&u.name));
-        let open = resolved.is_some_and(|port| {
-            let socket = ObservedSocket {
-                port,
-                protocol: sp.protocol,
+impl<'a> AppView<'a> {
+    /// Derives the view: one pass over the pod ownership table for the
+    /// units' runtime facts, one over the services for their selections
+    /// and port facts.
+    pub fn new(ctx: &'a RuleContext<'a>) -> Self {
+        let mut units: Vec<UnitFacts<'a>> = ctx
+            .statics
+            .units
+            .iter()
+            .map(|unit| UnitFacts {
+                unit,
+                observed: false,
+                has_dynamic: false,
+                stable: Vec::new(),
+            })
+            .collect();
+        for (pod, owner) in ctx.ownership {
+            let Some(pr) = ctx.runtime.and_then(|rt| rt.pod(pod)) else {
+                continue;
             };
-            view.selected
-                .iter()
-                .any(|u| ctx.unit_listens(&u.name, socket))
-        });
-        PortFacts {
-            resolved,
-            declared,
-            any_observed,
-            open,
+            for facts in units.iter_mut().filter(|u| u.unit.name == *owner) {
+                facts.observed = true;
+                facts.has_dynamic |= pr.has_dynamic_ports();
+                facts.stable.extend_from_slice(&pr.stable);
+            }
         }
+        for facts in &mut units {
+            facts.stable.sort_unstable();
+            facts.stable.dedup();
+        }
+        let mut services = Vec::with_capacity(ctx.statics.services.len());
+        let (mut selection, mut ports) = (Vec::new(), Vec::new());
+        for (idx, svc) in ctx.statics.services.iter().enumerate() {
+            let (first, first_port) = (selection.len(), ports.len());
+            let covered = (0..units.len()).filter(|&u| units[u].unit.selected_by(svc));
+            selection.extend(covered.map(|u| (idx, u)));
+            for sp in &svc.spec.ports {
+                let selected = || selection[first..].iter().map(|&(_, u)| &units[u]);
+                let resolved = match &sp.target_port {
+                    TargetPort::Number(n) => Some(*n),
+                    TargetPort::Name(name) => {
+                        selected().find_map(|u| u.unit.resolve_port_name(name))
+                    }
+                };
+                let protocol = sp.protocol;
+                ports.push(PortFacts {
+                    resolved,
+                    declared: resolved
+                        .is_some_and(|t| selected().any(|u| u.unit.declares(t, protocol))),
+                    any_observed: selected().any(|u| u.observed),
+                    open: resolved.is_some_and(|port| {
+                        selected().any(|u| u.stable.contains(&ObservedSocket { port, protocol }))
+                    }),
+                });
+            }
+            services.push(SvcFacts {
+                svc,
+                selected: first..selection.len(),
+                ports: first_port..ports.len(),
+            });
+        }
+        AppView {
+            ctx,
+            units,
+            services,
+            selection,
+            ports,
+        }
+    }
+
+    /// The context the view was derived from.
+    pub fn ctx(&self) -> &'a RuleContext<'a> {
+        self.ctx
+    }
+
+    /// The units a service's selector covers, in unit order.
+    pub(crate) fn selected(&self, svc: &SvcFacts<'_>) -> impl Iterator<Item = &UnitFacts<'a>> {
+        let pairs = &self.selection[svc.selected.clone()];
+        pairs.iter().map(|&(_, u)| &self.units[u])
+    }
+
+    /// The services covering the unit at index `unit`, in service order.
+    pub(crate) fn covering(&self, unit: usize) -> impl Iterator<Item = &SvcFacts<'a>> {
+        let pairs = self.selection.iter().filter(move |&&(_, u)| u == unit);
+        pairs.map(|&(s, _)| &self.services[s])
     }
 }
 
 /// M1 — open ports that are not declared. Stable sockets only: dynamic ones
 /// are M2's domain.
-pub(crate) fn m1_undeclared_open_ports(ctx: &RuleContext<'_>) -> Vec<Finding> {
+pub(crate) fn m1_undeclared_open_ports(view: &AppView<'_>) -> Vec<Finding> {
     let mut findings = Vec::new();
-    for unit in &ctx.statics.units {
-        if !ctx.unit_observed(&unit.name) {
-            continue;
-        }
-        for socket in ctx.unit_stable(&unit.name) {
-            if !unit.declares(socket.port, socket.protocol) {
+    for facts in view.units.iter().filter(|u| u.observed) {
+        for socket in &facts.stable {
+            if !facts.unit.declares(socket.port, socket.protocol) {
                 findings.push(
                     Finding::new(
                         MisconfigId::M1,
-                        ctx.app,
-                        &unit.name,
+                        view.ctx.app,
+                        &facts.unit.name,
                         format!(
                             "container listens on {}/{} but the port is not declared",
                             socket.port, socket.protocol
@@ -153,16 +193,15 @@ pub(crate) fn m1_undeclared_open_ports(ctx: &RuleContext<'_>) -> Vec<Finding> {
 }
 
 /// M2 — dynamic (ephemeral) ports, one finding per affected compute unit.
-pub(crate) fn m2_dynamic_ports(ctx: &RuleContext<'_>) -> Vec<Finding> {
-    ctx.statics
-        .units
+pub(crate) fn m2_dynamic_ports(view: &AppView<'_>) -> Vec<Finding> {
+    view.units
         .iter()
-        .filter(|u| ctx.unit_has_dynamic(&u.name))
+        .filter(|u| u.has_dynamic)
         .map(|u| {
             Finding::new(
                 MisconfigId::M2,
-                ctx.app,
-                &u.name,
+                view.ctx.app,
+                &u.unit.name,
                 "container allocates OS-assigned ephemeral ports that change across restarts",
             )
         })
@@ -174,28 +213,33 @@ pub(crate) fn m2_dynamic_ports(ctx: &RuleContext<'_>) -> Vec<Finding> {
 /// Ports that a service forwards to are excluded here: when a *service*
 /// references a declared-but-closed port the issue is classified as M5A (or
 /// M5C for headless services), not double-counted as M3 — matching the
-/// paper's disjoint per-class accounting in Table 2.
-pub(crate) fn m3_declared_not_open(ctx: &RuleContext<'_>) -> Vec<Finding> {
+/// paper's disjoint per-class accounting in Table 2. A named target counts
+/// as the port this unit itself gives the name.
+pub(crate) fn m3_declared_not_open(view: &AppView<'_>) -> Vec<Finding> {
     let mut findings = Vec::new();
-    for unit in &ctx.statics.units {
-        if !ctx.unit_observed(&unit.name) {
-            continue;
-        }
-        let service_targets = service_targeted_ports(ctx.statics, unit);
-        let stable = ctx.unit_stable(&unit.name);
-        let mut seen: BTreeSet<(u16, Protocol)> = BTreeSet::new();
-        for (port, protocol) in unit.declared_ports() {
-            if !seen.insert((port, protocol)) {
+    for (u, facts) in view.units.iter().enumerate().filter(|(_, f)| f.observed) {
+        let unit = facts.unit;
+        let targeted = |port: u16, protocol| {
+            view.covering(u).flat_map(|s| &s.svc.spec.ports).any(|sp| {
+                sp.protocol == protocol
+                    && match &sp.target_port {
+                        TargetPort::Number(n) => *n == port,
+                        TargetPort::Name(name) => unit.resolve_port_name(name) == Some(port),
+                    }
+            })
+        };
+        for (i, (port, protocol)) in unit.declared_ports().enumerate() {
+            // Each declared pair once, at its first declaration.
+            if unit.declared_ports().position(|d| d == (port, protocol)) != Some(i)
+                || targeted(port, protocol)
+            {
                 continue;
             }
-            if service_targets.contains(&(port, protocol)) {
-                continue;
-            }
-            if !stable.contains(&ObservedSocket { port, protocol }) {
+            if !facts.stable.contains(&ObservedSocket { port, protocol }) {
                 findings.push(
                     Finding::new(
                         MisconfigId::M3,
-                        ctx.app,
+                        view.ctx.app,
                         &unit.name,
                         format!("declared port {port}/{protocol} is never opened at runtime"),
                     )
@@ -207,39 +251,16 @@ pub(crate) fn m3_declared_not_open(ctx: &RuleContext<'_>) -> Vec<Finding> {
     findings
 }
 
-/// The `(port, protocol)` pairs that services selecting `unit` forward to.
-fn service_targeted_ports(statics: &StaticModel, unit: &ComputeUnit) -> BTreeSet<(u16, Protocol)> {
-    let mut out = BTreeSet::new();
-    for svc in &statics.services {
-        if svc.spec.selector.is_empty()
-            || svc.meta.namespace != unit.namespace
-            || !unit.labels.contains_all(&svc.spec.selector)
-        {
-            continue;
-        }
-        for sp in &svc.spec.ports {
-            let resolved = match &sp.target_port {
-                TargetPort::Number(n) => Some(*n),
-                TargetPort::Name(name) => unit.resolve_port_name(name),
-            };
-            if let Some(port) = resolved {
-                out.insert((port, sp.protocol));
-            }
-        }
-    }
-    out
-}
-
 /// M4A — compute unit collision: distinct units carrying identical,
 /// non-empty label sets. One finding per collision group.
-pub(crate) fn m4a_unit_collisions(ctx: &RuleContext<'_>) -> Vec<Finding> {
-    collision_groups(&ctx.statics.units)
+pub(crate) fn m4a_unit_collisions(view: &AppView<'_>) -> Vec<Finding> {
+    collision_groups(&view.ctx.statics.units)
         .into_iter()
         .map(|group| {
             let names: Vec<&str> = group.iter().map(|u| u.name.as_str()).collect();
             Finding::new(
                 MisconfigId::M4A,
-                ctx.app,
+                view.ctx.app,
                 names[0],
                 format!(
                     "compute units share the identical label set `{}`: {}",
@@ -268,31 +289,27 @@ fn collision_groups(units: &[ComputeUnit]) -> Vec<Vec<&ComputeUnit>> {
 
 /// M4B — service label collision: two or more services targeting the same
 /// compute unit. One finding per unit.
-pub(crate) fn m4b_service_collisions(ctx: &RuleContext<'_>) -> Vec<Finding> {
+pub(crate) fn m4b_service_collisions(view: &AppView<'_>) -> Vec<Finding> {
     let mut findings = Vec::new();
-    for unit in &ctx.statics.units {
-        let selecting: Vec<&Service> = ctx
-            .statics
-            .services
-            .iter()
-            .filter(|s| {
-                !s.spec.selector.is_empty()
-                    && s.meta.namespace == unit.namespace
-                    && unit.labels.contains_all(&s.spec.selector)
-            })
+    let shared = view
+        .units
+        .iter()
+        .enumerate()
+        .filter(|&(u, _)| view.covering(u).count() >= 2);
+    for (u, facts) in shared {
+        let names: Vec<String> = view
+            .covering(u)
+            .map(|s| s.svc.meta.qualified_name())
             .collect();
-        if selecting.len() >= 2 {
-            let names: Vec<String> = selecting.iter().map(|s| s.meta.qualified_name()).collect();
-            findings.push(Finding::new(
-                MisconfigId::M4B,
-                ctx.app,
-                &unit.name,
-                format!(
-                    "multiple services target this compute unit: {}",
-                    names.join(", ")
-                ),
-            ));
-        }
+        findings.push(Finding::new(
+            MisconfigId::M4B,
+            view.ctx.app,
+            &facts.unit.name,
+            format!(
+                "multiple services target this compute unit: {}",
+                names.join(", ")
+            ),
+        ));
     }
     findings
 }
@@ -300,24 +317,22 @@ pub(crate) fn m4b_service_collisions(ctx: &RuleContext<'_>) -> Vec<Finding> {
 /// M4C — compute unit subset collision: one service selecting several
 /// *unrelated* units (units whose full label sets differ). One finding per
 /// service.
-pub(crate) fn m4c_subset_collisions(ctx: &RuleContext<'_>) -> Vec<Finding> {
+pub(crate) fn m4c_subset_collisions(view: &AppView<'_>) -> Vec<Finding> {
     let mut findings = Vec::new();
-    for svc in &ctx.statics.services {
-        let selected = ctx.statics.units_selected_by(svc);
-        if selected.len() < 2 {
-            continue;
-        }
-        let distinct_label_sets: BTreeSet<String> =
-            selected.iter().map(|u| u.labels.to_string()).collect();
+    for s in view.services.iter().filter(|s| s.selected.len() >= 2) {
+        let distinct_label_sets: BTreeSet<String> = view
+            .selected(s)
+            .map(|u| u.unit.labels.to_string())
+            .collect();
         if distinct_label_sets.len() >= 2 {
-            let names: Vec<&str> = selected.iter().map(|u| u.name.as_str()).collect();
+            let names: Vec<&str> = view.selected(s).map(|u| u.unit.name.as_str()).collect();
             findings.push(Finding::new(
                 MisconfigId::M4C,
-                ctx.app,
-                svc.meta.qualified_name(),
+                view.ctx.app,
+                s.svc.meta.qualified_name(),
                 format!(
                     "service selector `{}` captures unrelated compute units: {}",
-                    svc.spec.selector,
+                    s.svc.spec.selector,
                     names.join(", ")
                 ),
             ));
@@ -327,12 +342,13 @@ pub(crate) fn m4c_subset_collisions(ctx: &RuleContext<'_>) -> Vec<Finding> {
 }
 
 /// M5 family — services with incorrect references.
-pub(crate) fn m5_service_references(ctx: &RuleContext<'_>) -> Vec<Finding> {
+pub(crate) fn m5_service_references(view: &AppView<'_>) -> Vec<Finding> {
+    let ctx = view.ctx;
     let mut findings = Vec::new();
-    for svc in &ctx.statics.services {
-        let view = SvcView::new(ctx, svc);
+    for s in &view.services {
+        let svc = s.svc;
         // M5D: no selector, or a selector that matches nothing.
-        if view.selected.is_empty() {
+        if s.selected.is_empty() {
             let why = if svc.spec.selector.is_empty() {
                 "service has no selector".to_string()
             } else {
@@ -346,8 +362,7 @@ pub(crate) fn m5_service_references(ctx: &RuleContext<'_>) -> Vec<Finding> {
             ));
             continue;
         }
-        for sp in &svc.spec.ports {
-            let facts = PortFacts::compute(ctx, &view, sp);
+        for (sp, facts) in svc.spec.ports.iter().zip(&view.ports[s.ports.clone()]) {
             let (id, detail, port) = match (facts.resolved, &sp.target_port) {
                 // A named target no selected unit declares.
                 (None, TargetPort::Name(name)) => (
@@ -391,7 +406,8 @@ pub(crate) fn m5_service_references(ctx: &RuleContext<'_>) -> Vec<Finding> {
 /// M6 — lack of (enabled) network policies: nothing rendered a
 /// NetworkPolicy. The detail distinguishes "none defined" from "defined in
 /// the chart but not enabled".
-pub(crate) fn m6_missing_policies(ctx: &RuleContext<'_>) -> Vec<Finding> {
+pub(crate) fn m6_missing_policies(view: &AppView<'_>) -> Vec<Finding> {
+    let ctx = view.ctx;
     if !ctx.statics.policies.is_empty() {
         return Vec::new();
     }
@@ -408,16 +424,15 @@ pub(crate) fn m6_missing_policies(ctx: &RuleContext<'_>) -> Vec<Finding> {
 }
 
 /// M7 — compute units binding to the host network.
-pub(crate) fn m7_host_network(ctx: &RuleContext<'_>) -> Vec<Finding> {
-    ctx.statics
-        .units
+pub(crate) fn m7_host_network(view: &AppView<'_>) -> Vec<Finding> {
+    view.units
         .iter()
-        .filter(|u| u.host_network)
+        .filter(|u| u.unit.host_network)
         .map(|u| {
             Finding::new(
                 MisconfigId::M7,
-                ctx.app,
-                &u.name,
+                view.ctx.app,
+                &u.unit.name,
                 "pod template sets hostNetwork: true, bypassing NetworkPolicies",
             )
         })
@@ -490,7 +505,7 @@ spec:
         // Two services share a selector, but they live in different
         // namespaces, so only one can actually target the pod: no M4B.
         let m = statics(TWO_NS_SERVICES);
-        let findings = m4b_service_collisions(&ctx(&m, None, &[]));
+        let findings = m4b_service_collisions(&AppView::new(&ctx(&m, None, &[])));
         assert!(findings.is_empty(), "{findings:#?}");
     }
 
@@ -522,7 +537,7 @@ spec:
       image: img
 ",
         );
-        assert!(m4a_unit_collisions(&ctx(&m, None, &[])).is_empty());
+        assert!(m4a_unit_collisions(&AppView::new(&ctx(&m, None, &[]))).is_empty());
     }
 
     #[test]
@@ -555,7 +570,7 @@ spec:
       targetPort: https
 ",
         );
-        let findings = m5_service_references(&ctx(&m, None, &[]));
+        let findings = m5_service_references(&AppView::new(&ctx(&m, None, &[])));
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].id, MisconfigId::M5B);
         assert!(findings[0].detail.contains("https"));
@@ -584,8 +599,8 @@ spec:
         let runtime = RuntimeReport::default(); // no pods observed
         let ownership: Vec<(String, String)> = vec![];
         let c = ctx(&m, Some(&runtime), &ownership);
-        assert!(m1_undeclared_open_ports(&c).is_empty());
-        assert!(m3_declared_not_open(&c).is_empty());
+        assert!(m1_undeclared_open_ports(&AppView::new(&c)).is_empty());
+        assert!(m3_declared_not_open(&AppView::new(&c)).is_empty());
     }
 
     #[test]
@@ -630,7 +645,7 @@ spec:
             ownership.push((pod, "default/web".to_string()));
         }
         let c = ctx(&m, Some(&runtime), &ownership);
-        let findings = m1_undeclared_open_ports(&c);
+        let findings = m1_undeclared_open_ports(&AppView::new(&c));
         assert_eq!(findings.len(), 1, "one finding per unit, not per replica");
         assert_eq!(findings[0].port, Some(9100));
     }
@@ -638,7 +653,7 @@ spec:
     #[test]
     fn m6_silent_on_empty_bundle() {
         let m = statics("apiVersion: v1\nkind: ConfigMap\nmetadata:\n  name: only-config\n");
-        assert!(m6_missing_policies(&ctx(&m, None, &[])).is_empty());
+        assert!(m6_missing_policies(&AppView::new(&ctx(&m, None, &[]))).is_empty());
     }
 
     #[test]
@@ -673,8 +688,216 @@ spec:
         );
         let ownership = vec![("default/dns".to_string(), "default/dns".to_string())];
         let c = ctx(&m, Some(&runtime), &ownership);
-        let findings = m1_undeclared_open_ports(&c);
+        let findings = m1_undeclared_open_ports(&AppView::new(&c));
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].protocol, Some(ij_model::Protocol::Udp));
+    }
+
+    /// Every enabled application rule of `reg` over `c`, canonically
+    /// sorted, as `(class, object, port)`.
+    fn registry_findings(
+        reg: &crate::RuleRegistry,
+        c: &RuleContext<'_>,
+    ) -> Vec<(MisconfigId, String, Option<u16>)> {
+        let mut findings: Vec<Finding> = reg
+            .entries()
+            .iter()
+            .filter(|e| e.is_enabled())
+            .flat_map(|e| e.run_app(c))
+            .collect();
+        crate::sort_canonical(&mut findings);
+        findings
+            .into_iter()
+            .map(|f| (f.id, f.object, f.port))
+            .collect()
+    }
+
+    /// The findings of the native registry, after checking that the
+    /// built-in pack agrees with them on every class the pack covers.
+    fn native_findings_agreeing_with_the_pack(
+        c: &RuleContext<'_>,
+    ) -> Vec<(MisconfigId, String, Option<u16>)> {
+        let native = registry_findings(&crate::RuleRegistry::standard(), c);
+        let pack = crate::RulePack::builtin();
+        let classes: BTreeSet<MisconfigId> = pack.rules().map(|r| r.class()).collect();
+        let mut with_pack = crate::RuleRegistry::standard();
+        pack.register_into(&mut with_pack).unwrap();
+        let covered = |findings: &[(MisconfigId, String, Option<u16>)]| -> Vec<_> {
+            findings
+                .iter()
+                .filter(|f| classes.contains(&f.0))
+                .cloned()
+                .collect()
+        };
+        assert_eq!(
+            covered(&registry_findings(&with_pack, c)),
+            covered(&native),
+            "the built-in pack disagrees with the native rules"
+        );
+        native
+    }
+
+    fn pod_runtime(stable: &[u16], dynamic: &[u16]) -> PodRuntime {
+        PodRuntime {
+            stable: stable
+                .iter()
+                .map(|&p| ij_probe::ObservedSocket::tcp(p))
+                .collect(),
+            dynamic: dynamic
+                .iter()
+                .map(|&p| ij_probe::ObservedSocket::tcp(p))
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn named_targets_resolve_per_unit_for_m3_and_through_the_first_unit_for_m5() {
+        // `web` is 8080 on the first selected unit and 9090 on the second.
+        let m = statics(
+            "\
+apiVersion: v1
+kind: Pod
+metadata:
+  name: a
+  labels:
+    app: x
+    tier: a
+spec:
+  containers:
+    - name: c
+      image: img
+      ports:
+        - name: web
+          containerPort: 8080
+---
+apiVersion: v1
+kind: Pod
+metadata:
+  name: b
+  labels:
+    app: x
+    tier: b
+spec:
+  containers:
+    - name: c
+      image: img
+      ports:
+        - name: web
+          containerPort: 9090
+---
+apiVersion: v1
+kind: Service
+metadata:
+  name: svc
+spec:
+  selector:
+    app: x
+  ports:
+    - port: 80
+      targetPort: web
+",
+        );
+        let ownership = vec![
+            ("default/a".to_string(), "default/a".to_string()),
+            ("default/b".to_string(), "default/b".to_string()),
+        ];
+        let run = |a: &[u16], b: &[u16]| {
+            let mut runtime = RuntimeReport::default();
+            runtime.pods.insert("default/a".into(), pod_runtime(a, &[]));
+            runtime.pods.insert("default/b".into(), pod_runtime(b, &[]));
+            native_findings_agreeing_with_the_pack(&ctx(&m, Some(&runtime), &ownership))
+        };
+        let m3_or_m5 = |findings: Vec<(MisconfigId, String, Option<u16>)>| -> Vec<_> {
+            findings
+                .into_iter()
+                .filter(|f| f.0 == MisconfigId::M3 || f.0.as_str().starts_with("M5"))
+                .collect()
+        };
+
+        // The second unit never opens its 9090. M3 resolves `web` against
+        // that unit itself, so the port counts as service-targeted and M3
+        // stays silent; M5 resolves `web` through the first unit, whose
+        // 8080 is open.
+        assert_eq!(m3_or_m5(run(&[8080], &[])), []);
+
+        // Swap which unit listens: M5 still checks 8080, which no selected
+        // unit opens, while M3 stays silent on both units.
+        assert_eq!(
+            m3_or_m5(run(&[], &[9090])),
+            [(MisconfigId::M5A, "default/svc".to_string(), Some(8080))]
+        );
+    }
+
+    #[test]
+    fn units_sharing_a_qualified_name_share_their_pods_sockets() {
+        // A Deployment and a StatefulSet both named `web`: runtime facts
+        // are keyed by the owner's qualified name, so both units see the
+        // pod `default/web-0`.
+        let m = statics(
+            "\
+apiVersion: apps/v1
+kind: Deployment
+metadata:
+  name: web
+spec:
+  selector:
+    matchLabels:
+      app: web
+  template:
+    metadata:
+      labels:
+        app: web
+    spec:
+      containers:
+        - name: c
+          image: img
+          ports:
+            - containerPort: 80
+---
+apiVersion: apps/v1
+kind: StatefulSet
+metadata:
+  name: web
+spec:
+  selector:
+    matchLabels:
+      app: db
+  template:
+    metadata:
+      labels:
+        app: db
+    spec:
+      containers:
+        - name: c
+          image: img
+          ports:
+            - containerPort: 9000
+",
+        );
+        let mut runtime = RuntimeReport::default();
+        runtime
+            .pods
+            .insert("default/web-0".into(), pod_runtime(&[80, 9100], &[40000]));
+        let ownership = vec![("default/web-0".to_string(), "default/web".to_string())];
+        let findings = native_findings_agreeing_with_the_pack(&ctx(&m, Some(&runtime), &ownership));
+        let web = |id, port| (id, "default/web".to_string(), port);
+        let runtime_classes: Vec<_> = findings
+            .into_iter()
+            .filter(|f| matches!(f.0, MisconfigId::M1 | MisconfigId::M2 | MisconfigId::M3))
+            .collect();
+        assert_eq!(
+            runtime_classes,
+            [
+                // The StatefulSet does not declare 80 and neither unit
+                // declares 9100.
+                web(MisconfigId::M1, Some(80)),
+                web(MisconfigId::M1, Some(9100)),
+                web(MisconfigId::M1, Some(9100)),
+                web(MisconfigId::M2, None),
+                web(MisconfigId::M2, None),
+                // The StatefulSet's declared 9000 is never opened.
+                web(MisconfigId::M3, Some(9000)),
+            ]
+        );
     }
 }

@@ -74,6 +74,6 @@ pub use pipeline::{
 };
 pub use poc::{concourse_behaviors, concourse_chart, thanos_behaviors, thanos_chart};
 pub use representative::representative_charts;
-pub use runner::{AppAnalysis, CorpusOptions, PolicyImpact};
+pub use runner::{table2_rows, AppAnalysis, CorpusOptions, PolicyImpact};
 pub use score::{score_corpus, ClassScore, ScoreReport};
 pub use spec::{AppSpec, NetpolSpec, Org, Plan};

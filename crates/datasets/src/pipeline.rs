@@ -1111,7 +1111,7 @@ mod tests {
 
     #[test]
     fn panicking_rule_is_deterministic_under_sharded_parallelism() {
-        fn exploding_rule(_: &ij_core::RuleContext<'_>) -> Vec<ij_core::Finding> {
+        fn exploding_rule(_: &ij_core::AppView<'_>) -> Vec<ij_core::Finding> {
             panic!("rule exploded")
         }
         let mut analyzer = Analyzer::hybrid();
@@ -1239,7 +1239,7 @@ mod tests {
 
     #[test]
     fn panicking_rule_surfaces_as_probe_error_not_a_panic() {
-        fn exploding_rule(_: &ij_core::RuleContext<'_>) -> Vec<ij_core::Finding> {
+        fn exploding_rule(_: &ij_core::AppView<'_>) -> Vec<ij_core::Finding> {
             panic!("rule exploded")
         }
         let mut analyzer = Analyzer::hybrid();

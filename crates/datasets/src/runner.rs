@@ -1,10 +1,11 @@
-//! The option block and result types of the evaluation harness. The
-//! harness itself — per-application fresh-cluster analysis (§4.2), the
+//! The option block and result types of the evaluation harness, and the
+//! rows of its Table-2 rendering. The harness itself — per-application fresh-cluster analysis (§4.2), the
 //! cluster-wide pass, and the §4.3.2 policy-impact experiment — is
 //! [`CensusPipeline`](crate::CensusPipeline).
 
-use ij_core::{Analyzer, Finding, StaticModel};
+use ij_core::{Analyzer, DatasetRow, Finding, MisconfigId, StaticModel};
 use ij_probe::ProbeConfig;
+use std::collections::BTreeMap;
 
 /// Options for a corpus run.
 #[derive(Debug, Clone)]
@@ -68,6 +69,32 @@ pub struct PolicyImpact {
     pub reachable_dynamic_pods: usize,
     /// Services that still forward to a misconfigured (undeclared) port.
     pub reachable_services: usize,
+}
+
+/// The rows of a Table-2 rendering: one line per dataset (affected over
+/// analyzed applications, then the count of every class) and a `Total`
+/// line summing them. `ij census` and `repro table2` print it between their
+/// own header and closing line.
+pub fn table2_rows(rows: &[DatasetRow]) -> String {
+    let mut total = DatasetRow {
+        dataset: "Total".to_string(),
+        affected: rows.iter().map(|r| r.affected).sum(),
+        total_apps: rows.iter().map(|r| r.total_apps).sum(),
+        counts: BTreeMap::new(),
+    };
+    for (&id, &count) in rows.iter().flat_map(|r| &r.counts) {
+        *total.counts.entry(id).or_default() += count;
+    }
+    let mut out = String::new();
+    for row in rows.iter().chain([&total]) {
+        let (name, affected, apps) = (&row.dataset, row.affected, row.total_apps);
+        out.push_str(&format!("{name:<14} {affected:>5}/{apps:<3}"));
+        for id in MisconfigId::ALL {
+            out.push_str(&format!(" {:>4}", row.count(id)));
+        }
+        out.push('\n');
+    }
+    out
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! The validating admission controller.
 
 use ij_cluster::{AdmissionController, AdmissionOutcome, AdmissionReview};
-use ij_core::{MisconfigId, RuleContext, RuleRegistry, StaticModel};
+use ij_core::{AppView, MisconfigId, RuleContext, RuleRegistry, StaticModel};
 use ij_model::{Labels, Object};
 
 /// How the guard enforces its verdict. The verdict itself is always the
@@ -103,12 +103,13 @@ impl GuardAdmission {
             ownership: &[],
             chart_defines_policies: false,
         };
+        let view = AppView::new(&ctx);
         let name = meta.qualified_name();
         self.rules
             .entries()
             .iter()
             .filter(|rule| rules.contains(&rule.name()))
-            .flat_map(|rule| rule.run_app(&ctx))
+            .flat_map(|rule| rule.run_view(&view))
             .filter(|f| match f.id {
                 // A neighbour's own hostNetwork or collision is not this
                 // object's; every service in a unit's model selects it.

@@ -73,8 +73,8 @@ use inside_job::core::{
     RulePack, RuleRegistry, UnknownRule,
 };
 use inside_job::datasets::{
-    corpus, describe_builtin, run_conformance, CensusError, CensusPipeline, ChartStatus,
-    CorpusGenerator, CorpusProfile, Org, PhaseTimings,
+    corpus, describe_builtin, run_conformance, table2_rows, CensusError, CensusPipeline,
+    ChartStatus, CorpusGenerator, CorpusProfile, Org, PhaseTimings,
 };
 use inside_job::probe::{connectivity_dot, HostBaseline, RuntimeAnalyzer};
 use inside_job::serve::{serve, ServeError, ServeOptions};
@@ -233,18 +233,14 @@ exit codes:
   1 any other failure
 ";
 
+/// Prints the `usage:` block of [`HELP`] to stderr: the synopsis a usage
+/// error answers with.
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: ij <analyze|render|disclose> <chart-dir> [--values <file>] [--static-only] [--dot <out.dot>]
-       ij census [--org <name>] [--seed <n>] [--threads <n>] [--shards <k>] [--static-only]
-                 [--progress] [--timings] [--synthetic <n>] [--profile <name>] [--mix <rule=rate,...>]
-                 [--rule-pack <file>] [--without-rule <name>]...
-       ij corpus --describe [--synthetic <n>] [--profile <name>] [--mix <rule=rate,...>] [--seed <n>]
-       ij rules [--rule-pack <file>] [--explain <name>]
-       ij serve [--clusters <n>] [--mutations <n>] [--seed <n>] [--profile <name>] [--verify]
-       ij conform <fixtures-dir> [--json <file>] [--report <file>] [--baseline <file>]
-       ij help"
-    );
+    let block = HELP
+        .split("\n\n")
+        .find(|block| block.starts_with("usage:"))
+        .expect("HELP has a usage block");
+    eprintln!("{block}");
     ExitCode::from(EXIT_USAGE)
 }
 
@@ -765,27 +761,9 @@ fn census_table_from(
         out.push_str(&format!(" {:>4}", id.as_str()));
     }
     out.push('\n');
-    let (mut affected, mut total) = (0usize, 0usize);
-    let mut totals = [0usize; MisconfigId::ALL.len()];
-    for row in rows {
-        out.push_str(&format!(
-            "{:<14} {:>5}/{:<3}",
-            row.dataset, row.affected, row.total_apps
-        ));
-        for (i, id) in MisconfigId::ALL.iter().enumerate() {
-            out.push_str(&format!(" {:>4}", row.count(*id)));
-            totals[i] += row.count(*id);
-        }
-        out.push('\n');
-        affected += row.affected;
-        total += row.total_apps;
-    }
-    out.push_str(&format!("{:<14} {:>5}/{:<3}", "Total", affected, total));
-    for t in totals {
-        out.push_str(&format!(" {:>4}", t));
-    }
+    out.push_str(&table2_rows(rows));
     out.push_str(&format!(
-        "\n{misconfigurations} misconfiguration(s) across {apps} application(s)\n"
+        "{misconfigurations} misconfiguration(s) across {apps} application(s)\n"
     ));
     out
 }

@@ -154,6 +154,23 @@ fn bad_usage_exits_nonzero() {
 }
 
 #[test]
+fn usage_errors_print_the_usage_block_of_help() {
+    let help = String::from_utf8(ij(&["help"]).stdout).expect("UTF-8 help");
+    let start = help.find("usage:\n").expect("help has a usage block");
+    let len = help[start..]
+        .find("\n\n")
+        .expect("a blank line ends the block");
+    let block = &help[start..start + len + 1];
+    let out = ij(&[]);
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "missing command is a usage error"
+    );
+    assert_eq!(String::from_utf8_lossy(&out.stderr), block);
+}
+
+#[test]
 fn census_subcommand_prints_dataset_breakdown() {
     let out = ij(&["census", "--org", "CNCF", "--threads", "4", "--progress"]);
     assert!(
